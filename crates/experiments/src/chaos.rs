@@ -18,6 +18,8 @@ use netfence_faults::{FaultPlan, FaultTarget};
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{kbps, opt1, pct, table_of};
 
 /// When the fault hits: late enough that users, attackers and the defense
 /// have all reached steady state, so a clean pre-fault baseline exists.
@@ -266,6 +268,57 @@ pub fn run_chaos_sweep(
         .iter()
         .map(|c| to_outcome(c.system, c.point, &c.record))
         .collect()
+}
+
+/// The scale chaos cells run at: long enough past [`FAULT_AT`] for the
+/// recovery windows to close.
+fn scale(size: Size) -> Scale {
+    size.scale_for(25, 60)
+}
+
+/// `netfence run chaos`: every system at every point (`--quick`: the
+/// dumbbell/mild smoke grid).
+pub fn table(size: Size) -> String {
+    let scale = scale(size);
+    let points = if size.is_quick() { quick_points() } else { default_points() };
+    let headers = [
+        "topology",
+        "fault",
+        "severity",
+        "system",
+        "worst recovery (s)",
+        "availability",
+        "user kbps",
+        "attacker kbps",
+    ];
+    format!(
+        "Chaos sweep: faults at {}s, {} cells, {} senders per cell, {}s simulated\n\n{}\n",
+        FAULT_AT / SEC,
+        points.len() * SYSTEMS.len(),
+        scale.senders(),
+        scale.sim_time / SEC,
+        table_of(&headers, &run_chaos_sweep(&scale, &SYSTEMS, &points), |o| vec![
+            o.point.topology.label().to_string(),
+            o.point.fault.label().to_string(),
+            o.point.severity.label().to_string(),
+            o.system.label().to_string(),
+            opt1(o.worst_recovery_secs, "-"),
+            o.availability.map_or_else(|| "-".to_string(), pct),
+            kbps(o.avg_user_bps),
+            kbps(o.avg_attacker_bps),
+        ])
+    )
+}
+
+/// `netfence run chaos --trace`: the NetFence cell of a mild router reboot
+/// on the dumbbell.
+pub fn traced_spec(size: Size) -> ScenarioSpec {
+    let reboot = ChaosPoint {
+        topology: ChaosTopology::Dumbbell,
+        fault: ChaosFault::RouterReboot,
+        severity: Severity::Mild,
+    };
+    chaos_spec(&scale(size), DefenseKind::NetFence, &reboot)
 }
 
 #[cfg(test)]

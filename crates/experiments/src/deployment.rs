@@ -18,6 +18,8 @@
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{kbps, table_of};
 
 /// One point of the incremental-deployment sweep.
 #[derive(Debug, Clone)]
@@ -93,6 +95,33 @@ pub fn run_deployment_sweep(
         .iter()
         .map(|c| to_point(c.point as f64 / 10_000.0, c.system, &c.record))
         .collect()
+}
+
+/// `netfence run deployment`: every system at every coverage.
+pub fn table(size: Size) -> String {
+    let scale = size.scale();
+    let headers = ["coverage", "system", "deployed ASes", "user kbps", "attacker kbps"];
+    format!(
+        "Incremental deployment sweep: {} source ASes × {} hosts, 1 Mbps unwanted floods on the\n\
+         victim, users fetching 20 KB pages; coverage = fraction of source ASes deploying\n\
+         (core + destination always deploy when > 0).\n\n\
+         {}\n\
+         Shape to expect: user goodput non-decreasing in coverage for NetFence\n\
+         (deployed routers demote legacy floods; each adopting AS protects its own users).\n",
+        scale.src_ases,
+        scale.hosts_per_as,
+        table_of(
+            &headers,
+            &run_deployment_sweep(&scale, &DefenseKind::EVERY, &COVERAGES),
+            |p| vec![
+                format!("{:.0}%", p.coverage * 100.0),
+                p.system.label().to_string(),
+                format!("{}/{}", p.deployed_ases, p.total_ases),
+                kbps(p.avg_user_bps),
+                kbps(p.avg_attacker_bps),
+            ]
+        )
+    )
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{kbps, table_of};
 
 /// One capacity configuration of Figure 10/13/14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +89,25 @@ pub fn run_fig10(scale: &Scale) -> Vec<Fig10Point> {
         .iter()
         .map(|c| to_point(c.point, c.system, &c.record))
         .collect()
+}
+
+/// The Group-A table Figures 10, 13 and 14 share: one
+/// `(case, user bps, attacker bps, fair share bps)` row per capacity case.
+pub(crate) fn group_a_table(title: &str, rows: &[(CapacityCase, f64, f64, f64)]) -> String {
+    let headers = ["case", "Group-A user", "Group-A attacker", "fair share"];
+    let table = table_of(&headers, rows, |&(case, user, attacker, fair)| {
+        vec![case.label.to_string(), kbps(user), kbps(attacker), kbps(fair)]
+    });
+    format!("{title}\n\n{table}\n")
+}
+
+/// `netfence run fig10`: NetFence on the three capacity cases.
+pub fn table(size: Size) -> String {
+    let rows: Vec<_> = run_fig10(&size.scale_for(80, 120))
+        .iter()
+        .map(|p| (p.case, p.group_a_user_bps, p.group_a_attacker_bps, p.fair_share_bps))
+        .collect();
+    group_a_table("Figure 10: Group-A throughput on the parking-lot topology (kbps)", &rows)
 }
 
 #[cfg(test)]

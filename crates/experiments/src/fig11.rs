@@ -10,6 +10,8 @@
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{kbps, table_of};
 
 /// One point of Figure 11.
 #[derive(Debug, Clone)]
@@ -71,6 +73,26 @@ pub fn run_fig11(scale: &Scale, fair_share: u64, toffs_secs: &[f64]) -> Vec<Fig1
             fair_share_bps: fair_share,
         })
         .collect()
+}
+
+/// `netfence run fig11`: user throughput per (Ton, Toff) at a 100 kbps
+/// fair share.
+pub fn table(size: Size) -> String {
+    let scale = size.scale_for(80, 300);
+    let toffs: &[f64] = if size.is_quick() { &[1.5, 10.0] } else { &[1.5, 5.0, 10.0, 30.0, 100.0] };
+    format!(
+        "Figure 11: synchronized on-off attacks, {} senders, fair share 100 kbps\n\n{}\n",
+        scale.senders(),
+        table_of(
+            &["Ton (s)", "Toff (s)", "user throughput (kbps)"],
+            &run_fig11(&scale, 100_000, toffs),
+            |p| vec![
+                format!("{:.1}", p.ton as f64 / 1e9),
+                format!("{:.1}", p.toff as f64 / 1e9),
+                kbps(p.avg_user_bps),
+            ]
+        )
+    )
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@ use netfence_core::feedback::{Action, Feedback};
 use netfence_core::multi::{adjust_with_inference, InferenceFlags};
 use netfence_core::types::{LinkId, SEC};
 
-use crate::fig10::CapacityCase;
+use crate::fig10::{group_a_table, CapacityCase};
+use crate::registry::Size;
 
 /// Which multi-bottleneck handling the model runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,6 +262,26 @@ pub fn run_fig10_fluid(per_group: usize, intervals: usize) -> Vec<MultiBottlenec
         .into_iter()
         .map(|c| run_fluid_case(c, MultiBottleneckDesign::SingleFeedback, per_group, intervals))
         .collect()
+}
+
+fn table(title: &str, points: &[MultiBottleneckPoint]) -> String {
+    let rows: Vec<_> = points
+        .iter()
+        .map(|p| (p.case, p.group_a_user_bps, p.group_a_attacker_bps, p.fair_share_bps))
+        .collect();
+    group_a_table(title, &rows)
+}
+
+/// `netfence run fig13` (the fluid model has one size).
+pub fn table_fig13(_: Size) -> String {
+    let title = "Figure 13: Appendix B.1 multi-bottleneck feedback (control-loop model, kbps)";
+    table(title, &run_fig13(16, 600))
+}
+
+/// `netfence run fig14` (the fluid model has one size).
+pub fn table_fig14(_: Size) -> String {
+    let title = "Figure 14: Appendix B.2 rate-limiter inference (control-loop model, kbps)";
+    table(title, &run_fig14(16, 600))
 }
 
 #[cfg(test)]

@@ -18,6 +18,9 @@ use netfence_core::prelude::*;
 use netfence_core::{bottleneck::BottleneckLink, feedback};
 use netfence_crypto::{full_mesh_exchange, AsKeyAgent, Cmac};
 
+use crate::registry::Size;
+use crate::report::table_of;
+
 /// One row of the Figure 7 table.
 #[derive(Debug, Clone)]
 pub struct Fig7Row {
@@ -84,7 +87,7 @@ fn tva_cost(iters: u64) -> f64 {
 }
 
 /// Run the micro-benchmarks. `iters` controls how many packets each cell
-/// averages over (the Criterion bench uses its own measurement instead).
+/// averages over.
 pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
     let mut rows = Vec::new();
     let tva = tva_cost(iters);
@@ -223,6 +226,23 @@ pub fn run_fig7(iters: u64) -> Vec<Fig7Row> {
     }
 
     rows
+}
+
+/// `netfence run fig7`: 20 000 packets per cell at `--quick`, 200 000
+/// otherwise.
+pub fn table(size: Size) -> String {
+    let iters: u64 = if size.is_quick() { 20_000 } else { 200_000 };
+    format!(
+        "Figure 7: per-packet processing overhead (ns/pkt), {iters} packets per cell\n\n{}\n\
+         Note: software AES on this host; the paper used a 3 GHz Xeon with the same relative structure.\n",
+        table_of(&["packet", "router", "condition", "NetFence", "TVA+"], &run_fig7(iters), |r| vec![
+            r.packet_type.to_string(),
+            r.router_type.to_string(),
+            r.condition.to_string(),
+            format!("{:.0}", r.netfence_ns),
+            format!("{:.0}", r.tva_ns),
+        ])
+    )
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{pct, secs2, table_of};
 
 /// One point of Figure 8.
 #[derive(Debug, Clone)]
@@ -76,6 +78,29 @@ pub fn run_fig8(scale: &Scale, systems: &[DefenseKind]) -> Vec<Fig8Point> {
         .iter()
         .map(|c| to_point(c.point.0, c.point.1, c.system, &c.record))
         .collect()
+}
+
+/// `netfence run fig8`: the sweep over every defense as a text table.
+pub fn table(size: Size) -> String {
+    let scale = size.scale();
+    let headers = ["senders", "system", "avg transfer (s)", "completed"];
+    format!(
+        "Figure 8: unwanted request flooding, {} simulated senders per point, {}s simulated\n\n{}\n",
+        scale.senders(),
+        scale.sim_time / SEC,
+        table_of(&headers, &run_fig8(&scale, &DefenseKind::ALL), |p| vec![
+            format!("{}K", p.represented_senders / 1000),
+            p.system.label().to_string(),
+            secs2(p.avg_transfer_secs),
+            pct(p.completion_ratio),
+        ])
+    )
+}
+
+/// `netfence run fig8 --trace`: the NetFence cell at the 100 K-sender
+/// point, goodput sampled every 500 ms.
+pub fn traced_spec(size: Size) -> ScenarioSpec {
+    fig8_spec(&size.scale(), DefenseKind::NetFence, 100_000).sampled(500 * MILLI)
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{pct, table_of};
 
 /// User traffic model of Figure 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,6 +103,30 @@ pub fn run_fig9(scale: &Scale, systems: &[DefenseKind], traffic: UserTraffic) ->
         .iter()
         .map(|c| to_point(c.point.0, c.system, traffic, &c.record))
         .collect()
+}
+
+/// `netfence run fig9`: panels (a) and (b) over every defense.
+pub fn table(size: Size) -> String {
+    let scale = size.scale();
+    let mut out = String::new();
+    for (traffic, title) in [
+        (UserTraffic::LongRunning, "(a) long-running TCP"),
+        (UserTraffic::WebLike, "(b) web-like traffic"),
+    ] {
+        let headers = ["senders", "system", "tput ratio", "fairness", "utilization"];
+        out += &format!(
+            "Figure 9{title}: colluding regular-packet floods, {} simulated senders per point\n\n{}\n",
+            scale.senders(),
+            table_of(&headers, &run_fig9(&scale, &DefenseKind::ALL, traffic), |p| vec![
+                format!("{}K", p.represented_senders / 1000),
+                p.system.label().to_string(),
+                format!("{:.2}", p.throughput_ratio),
+                format!("{:.3}", p.fairness_index),
+                pct(p.utilization),
+            ])
+        );
+    }
+    out
 }
 
 #[cfg(test)]

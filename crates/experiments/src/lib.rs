@@ -27,16 +27,18 @@
 //!
 //! ## Figure harnesses
 //!
-//! Each figure has a thin library module (a spec constructor plus a
-//! `Record` → figure-point mapping, used by the integration tests and the
-//! Criterion benches) and a binary (`cargo run -p netfence-experiments
-//! --bin figN`) that prints the figure's rows as a plain-text table. See
+//! Each figure has a thin library module: a spec constructor, a `Record` →
+//! figure-point mapping (used by the integration tests and the `perf`
+//! benchmark) and a `table` function that renders the figure's rows as
+//! plain text. [`registry::EXPERIMENTS`] lists them all; the `netfence`
+//! binary (`cargo run --release -- run figN`) prints one. See
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! comparison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod chaos;
 pub mod deployment;
 pub mod fig10;
@@ -47,6 +49,7 @@ pub mod fig8;
 pub mod fig9;
 pub mod reaction;
 pub mod record;
+pub mod registry;
 pub mod report;
 pub mod runner;
 pub mod spec;

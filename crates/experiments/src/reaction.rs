@@ -20,6 +20,8 @@ use netfence_ctrl::prelude::*;
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{kbps, opt1, table_of};
 
 /// When every attacker starts sending (users start in the first second, so
 /// a clean pre-attack baseline exists).
@@ -188,6 +190,39 @@ pub fn run_reaction_sweep(
         .iter()
         .map(|c| to_point(c.system, c.point, &c.record))
         .collect()
+}
+
+/// `netfence run reaction`: every system at every control-plane setting.
+pub fn table(size: Size) -> String {
+    let scale = size.scale_for(40, 90);
+    let headers = [
+        "latency (ms)",
+        "loss",
+        "outage (s)",
+        "system",
+        "reaction (s)",
+        "user kbps",
+        "attacker kbps",
+        "retx",
+        "lost",
+    ];
+    format!(
+        "Reaction time: attack at {}s, {} senders per point, {}s simulated\n\n{}\n",
+        ATTACK_START / SEC,
+        scale.senders(),
+        scale.sim_time / SEC,
+        table_of(&headers, &run_reaction_sweep(&scale, &SYSTEMS, &default_knobs()), |p| vec![
+            format!("{}", p.knobs.latency / MILLI),
+            format!("{:.1}%", p.knobs.loss_per_mille as f64 / 10.0),
+            format!("{}", p.knobs.outage / SEC),
+            p.system.label().to_string(),
+            opt1(p.reaction_secs, "never"),
+            kbps(p.avg_user_bps),
+            kbps(p.avg_attacker_bps),
+            format!("{}", p.control_retransmits),
+            format!("{}", p.control_lost),
+        ])
+    )
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Small plain-text table formatting used by the experiment binaries, so
-//! each harness prints the same rows/series the paper's figures report.
+//! Small plain-text table formatting used by the experiment tables, so
+//! each one prints the same rows/series the paper's figures report.
 
 use crate::record::Record;
 
@@ -34,6 +34,11 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// Render a table with one row per item; `cells` maps an item to its row.
+pub fn table_of<T>(headers: &[&str], items: &[T], cells: impl Fn(&T) -> Vec<String>) -> String {
+    render_table(headers, &items.iter().map(cells).collect::<Vec<_>>())
+}
+
 /// Format a bits-per-second value as kbps with one decimal.
 pub fn kbps(bps: f64) -> String {
     format!("{:.1}", bps / 1000.0)
@@ -51,6 +56,12 @@ pub fn secs2(s: f64) -> String {
     } else {
         format!("{s:.2}")
     }
+}
+
+/// Format an optional value with one decimal, or `none` when absent
+/// (a recovery that never happened, a metric that does not apply).
+pub fn opt1(x: Option<f64>, none: &str) -> String {
+    x.map_or_else(|| none.to_string(), |v| format!("{v:.1}"))
 }
 
 /// Render a record's drop budget: one row per nonzero cause with the run
@@ -113,6 +124,8 @@ mod tests {
         assert_eq!(pct(0.934), "93.4%");
         assert_eq!(secs2(1.2345), "1.23");
         assert_eq!(secs2(f64::NAN), "n/a");
+        assert_eq!(opt1(Some(1.25), "never"), "1.2");
+        assert_eq!(opt1(None, "never"), "never");
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// A tiny scale for unit/integration tests and Criterion benches.
+    /// A tiny scale for unit/integration tests and `--quick` runs.
     pub fn tiny() -> Self {
         Scale { src_ases: 4, hosts_per_as: 4, sim_time: 40 * SEC, seed: 7 }
     }

@@ -11,14 +11,16 @@
 //! demand-bounded so a clean baseline exists — and folds the cells into a
 //! regret-style matrix: per defense, the minimum legitimate-user goodput
 //! over all strategies, the strategy that achieved it, the slowest measured
-//! reaction, and the *regret* against the best defense's worst case. The
-//! bench records both the per-cell values and the matrix into
-//! `BENCH_results.json`.
+//! reaction, and the *regret* against the best defense's worst case.
+//! [`table`] prints the per-cell values and the matrix;
+//! `golden/tournament.txt` pins both.
 
 use netfence_adversary::AttackStrategy;
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
+use crate::registry::Size;
+use crate::report::{kbps, opt1, table_of};
 
 /// When every attacker opens fire (users establish their baseline first).
 pub const ATTACK_START: Nanos = 5 * SEC;
@@ -196,6 +198,50 @@ pub fn regret_matrix(cells: &[TournamentCell]) -> Vec<RegretRow> {
         row.regret_bps = best - row.worst_user_bps;
     }
     rows
+}
+
+/// `netfence run tournament`: the full cell table, then the per-defense
+/// regret matrix.
+pub fn table(size: Size) -> String {
+    let scale = size.scale_for(20, 60);
+    let points = default_points();
+    let cells = run_tournament(&scale, &SYSTEMS, &points);
+    let cell_headers = [
+        "system",
+        "strategy",
+        "topology",
+        "coverage",
+        "user kbps",
+        "attacker kbps",
+        "reaction (s)",
+    ];
+    let regret_headers =
+        ["system", "worst user kbps", "worst strategy", "on", "worst reaction (s)", "regret kbps"];
+    format!(
+        "Tournament: {} defenses x {} strategy points, attack at {}s, {}s simulated\n\n{}\n\
+         Worst case per defense (regret vs the minimax winner):\n\n{}\n",
+        SYSTEMS.len(),
+        points.len(),
+        ATTACK_START / SEC,
+        scale.sim_time / SEC,
+        table_of(&cell_headers, &cells, |c| vec![
+            c.system.label().to_string(),
+            c.point.strategy.label().to_string(),
+            c.point.topology.label().to_string(),
+            format!("{}%", c.point.coverage_pct),
+            kbps(c.avg_user_bps),
+            kbps(c.avg_attacker_bps),
+            opt1(c.reaction_secs, "never"),
+        ]),
+        table_of(&regret_headers, &regret_matrix(&cells), |r| vec![
+            r.system.label().to_string(),
+            kbps(r.worst_user_bps),
+            r.worst_strategy.to_string(),
+            r.worst_topology.to_string(),
+            opt1(r.worst_reaction_secs, "never"),
+            kbps(r.regret_bps),
+        ])
+    )
 }
 
 #[cfg(test)]

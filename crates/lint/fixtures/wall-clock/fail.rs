@@ -1,4 +1,4 @@
-//! Fixture: wall-clock reads outside the bench zone (must FAIL — the
+//! Fixture: wall-clock reads without a justified allow (must FAIL — the
 //! `SystemTime` import, the `Instant::now` call and the `SystemTime::now`
 //! call each produce a finding).
 

@@ -1,6 +1,6 @@
 //! A lightweight Rust lexer: just enough token structure for the lint
 //! rules to reason about identifiers, punctuation and comments without a
-//! full parser (in the spirit of the vendored criterion/proptest shims —
+//! full parser (in the spirit of the vendored proptest shim —
 //! a small offline stand-in for the part of the real thing we need).
 //!
 //! The lexer understands the token classes that matter for not producing

@@ -6,8 +6,9 @@
 //!
 //! 1. `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration in
 //!    export-path modules (anything feeding `Record`, `DefenseReport`,
-//!    `BENCH_results.json` or telemetry exports);
-//! 2. `wall-clock` — `Instant::now`/`SystemTime` only in the bench zone;
+//!    an experiment table or telemetry exports);
+//! 2. `wall-clock` — no `Instant::now`/`SystemTime` without a justified
+//!    allow;
 //! 3. `unseeded-entropy` — no RNG construction outside `SimRng` seed
 //!    substreams;
 //! 4. `untyped-drop` — every `RouterAction::Drop` site references a

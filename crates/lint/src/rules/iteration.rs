@@ -1,7 +1,7 @@
 //! Rule `nondeterministic-iteration`: iterating a `HashMap`/`HashSet`
 //! (`.iter()`, `.keys()`, `.values()`, `.drain()`, `for … in &map`, …) is
 //! banned in export-path modules — anything that feeds `Record`,
-//! `DefenseReport`, `BENCH_results.json` or a telemetry export. Hash
+//! `DefenseReport`, an experiment table or a telemetry export. Hash
 //! iteration order is seeded per process, so one stray loop turns a
 //! byte-identical `Record` into a roulette wheel (the exact bug class
 //! PR 8 fixed by hand with `BTreeMap` sorting).

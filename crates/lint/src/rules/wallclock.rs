@@ -1,10 +1,9 @@
-//! Rule `wall-clock`: `Instant::now()` / `SystemTime` are banned outside
-//! the bench harness (`crates/bench`, `crates/criterion-shim`). Simulated
-//! time comes from the event clock; a wall-clock read anywhere else
-//! either leaks real time into a `Record` or tempts someone to. The
-//! handful of deliberate timing sites (scaling experiments that report
-//! wall-seconds next to the simulated numbers) carry justified
-//! `lint:allow` annotations instead.
+//! Rule `wall-clock`: `Instant::now()` / `SystemTime` are banned
+//! everywhere. Simulated time comes from the event clock; a wall-clock
+//! read either leaks real time into a `Record` or tempts someone to. The
+//! handful of deliberate timing sites (Figure 7, the scaling sweep and the
+//! `perf` benchmark's clock, which report wall-seconds next to the
+//! simulated numbers) carry justified `lint:allow` annotations instead.
 
 use super::{Context, Rule, SourceFile};
 use crate::diag::Diagnostic;
@@ -16,10 +15,7 @@ impl Rule for WallClock {
         "wall-clock"
     }
 
-    fn check(&self, file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>) {
-        if ctx.config.path_in("zones", "bench", &file.path) {
-            return;
-        }
+    fn check(&self, file: &SourceFile, _ctx: &Context, out: &mut Vec<Diagnostic>) {
         let s = &file.sig;
         for k in 0..s.len() {
             if file.test_code(k) {
@@ -31,7 +27,7 @@ impl Rule for WallClock {
                     self.name(),
                     &file.path,
                     t.line,
-                    "`SystemTime` outside the bench zone; simulated time must come from the event clock".to_string(),
+                    "`SystemTime` read; simulated time must come from the event clock".to_string(),
                 ));
             }
             if t.is_ident("Instant")
@@ -43,7 +39,8 @@ impl Rule for WallClock {
                     self.name(),
                     &file.path,
                     t.line,
-                    "`Instant::now()` outside the bench zone; simulated time must come from the event clock".to_string(),
+                    "`Instant::now()` read; simulated time must come from the event clock"
+                        .to_string(),
                 ));
             }
         }

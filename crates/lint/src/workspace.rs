@@ -1,6 +1,6 @@
 //! Workspace discovery: members from the root `Cargo.toml`, then every
-//! `.rs` file under each member's `src/`, `tests/`, `examples/` and
-//! `benches/` trees (plus the root facade crate's own). Paths are
+//! `.rs` file under each member's `src/`, `tests/` and `examples/` trees
+//! (plus the root facade crate's own). Paths are
 //! reported workspace-relative with `/` separators so `lint.toml` zone
 //! prefixes and diagnostics are stable across platforms.
 
@@ -67,7 +67,7 @@ pub fn discover(root: &Path) -> Result<Vec<FileInput>, String> {
     let mut files = Vec::new();
     for member in &dirs {
         let base = if member.is_empty() { root.to_path_buf() } else { root.join(member) };
-        for sub in ["src", "tests", "examples", "benches"] {
+        for sub in ["src", "tests", "examples"] {
             let dir = base.join(sub);
             if dir.is_dir() {
                 walk(&dir, &mut files)?;

@@ -1,5 +1,5 @@
 //! Golden fixture tests: one failing and one passing fixture per rule
-//! (`fixtures/<rule>/{fail,pass}.rs`), the zone exemptions, the
+//! (`fixtures/<rule>/{fail,pass}.rs`), the export-zone gate, the
 //! acceptance scenario from the issue (reintroducing hash iteration into
 //! `crates/experiments/src/record.rs` must be flagged under the real
 //! `lint.toml`), and the workspace-clean gate itself.
@@ -12,11 +12,10 @@ use netfence_lint::workspace::FileInput;
 use netfence_lint::{check_files, check_workspace, Report};
 
 /// The zone config the fixtures are analyzed under: everything is on the
-/// export path and wildcard-protected; `fixtures/bench` is the bench zone.
+/// export path and wildcard-protected.
 const FIXTURE_CONFIG: &str = r#"
 [zones]
 export = ["fixtures"]
-bench = ["fixtures/bench"]
 wildcard = ["fixtures"]
 
 [rules.panic-prone]
@@ -68,13 +67,6 @@ fn every_rule_has_a_failing_and_a_passing_fixture() {
         assert_eq!(pass.errors(), 0, "{rule}: pass.rs has errors:\n{}", render(&pass));
         assert_eq!(pass.warnings(), 0, "{rule}: pass.rs has warnings:\n{}", render(&pass));
     }
-}
-
-/// The same wall-clock violations are legal inside the bench zone.
-#[test]
-fn bench_zone_exempts_wall_clock() {
-    let report = check_fixture("wall-clock", "fail", "fixtures/bench/fail.rs", false);
-    assert_eq!(report.errors(), 0, "bench zone still flagged:\n{}", render(&report));
 }
 
 /// Outside the export zone the iteration rule stays quiet (the file is

@@ -51,5 +51,7 @@ fn main() {
     if let Some((label, bps)) = worst {
         println!("\nWorst case: `{}` held users to {:.1} kbps.", label, bps / 1000.0);
     }
-    println!("Full grid (both topologies, partial deployment): `cargo run --bin tournament`.");
+    println!(
+        "Full grid (both topologies, partial deployment): `cargo run --release -- run tournament`."
+    );
 }

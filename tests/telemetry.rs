@@ -113,8 +113,9 @@ fn fig8_style_drop_budget_sums_to_total_drops() {
     assert!(dump.trace_events > 0, "no flight-recorder events at shift 2");
     assert_eq!(dump.timeline_jsonl.lines().count(), dump.timeline_rows);
     assert_eq!(dump.trace_jsonl.lines().count(), dump.trace_events);
-    for line in dump.timeline_jsonl.lines().take(5).chain(dump.trace_jsonl.lines().take(5)) {
-        assert!(line.starts_with('{') && line.ends_with('}'), "not a JSON object: {line}");
+    // Every exported row is one JSON object that leads with its timestamp.
+    for line in dump.timeline_jsonl.lines().chain(dump.trace_jsonl.lines()) {
+        assert!(line.starts_with("{\"at\":") && line.ends_with('}'), "not an `at` row: {line}");
     }
 }
 
