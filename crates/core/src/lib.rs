@@ -8,7 +8,7 @@
 //! explicit `now` timestamps and packet/header values and returns decisions.
 //! The companion crates bind it to a discrete-event network simulator
 //! (`netfence-sim` / `netfence-systems`) and regenerate the paper's
-//! evaluation (`netfence-experiments`, `netfence-bench`).
+//! evaluation (`netfence-experiments`).
 //!
 //! ## Module map (paper section → module)
 //!

@@ -1,7 +1,8 @@
 //! The discrete-event simulation engine.
 //!
 //! The engine owns the network, the per-link queues, the transport flows and
-//! the deployed defense agents, and drives them from a single event heap.
+//! the deployed defense agents, and drives them from a single event queue
+//! ([`EventQueue`]).
 //! Packets move through the same stations a real forwarding path has:
 //!
 //! 1. a flow injects a packet at its source host; the host's deployed shim
@@ -25,9 +26,6 @@
 //! coordination (key exchange, filter requests) travels on the deployment's
 //! [`ControlPlane`] bus, drained after every event.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use netfence_telemetry::{
     DropCause, FlightRecorder, HopEvent, HopStage, TelemetryConfig, Timeline,
 };
@@ -36,6 +34,7 @@ use crate::deploy::{
     ChannelVerdict, ControlMsg, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
     Endpoint, LinkRef, RouterAction, RouterFault,
 };
+use crate::event_queue::EventQueue;
 use crate::flow::{Flow, FlowActions, FlowProgress};
 use crate::metrics::Metrics;
 use crate::packet::{ChannelClass, FlowId, Packet};
@@ -48,7 +47,9 @@ use crate::topology::{Network, NodeId, QueueKind};
 pub struct SimConfig {
     /// Simulated duration.
     pub end_time: Nanos,
-    /// Interval between agent `tick` calls.
+    /// Interval between agent `tick` calls. `0` disables ticking: no tick
+    /// event is ever scheduled (as with `sample_interval`), rather than one
+    /// rescheduling itself at the same instant forever.
     pub defense_tick: Nanos,
     /// How long an idle link waits before re-asking a queue that withheld
     /// its packets (strictly capped request channels). Smaller values cost
@@ -164,31 +165,6 @@ enum EventKind {
 }
 
 #[derive(Debug)]
-struct Scheduled {
-    at: Nanos,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering so the BinaryHeap acts as a min-heap on (at, seq).
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Debug)]
 struct LinkState {
     queue: Box<dyn QueueDisc>,
     busy: bool,
@@ -218,8 +194,7 @@ pub struct Simulator {
     /// Which links are currently failed (set/cleared by [`FaultAction`]s).
     link_down: Vec<bool>,
     flows: Vec<Box<dyn Flow>>,
-    events: BinaryHeap<Scheduled>,
-    seq: u64,
+    events: EventQueue<EventKind>,
     now: Nanos,
     next_pkt_id: u64,
     flow_samples: Vec<(Nanos, Vec<u64>)>,
@@ -283,8 +258,7 @@ impl Simulator {
             link_owner,
             link_down,
             flows: Vec::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             now: 0,
             next_pkt_id: 0,
             flow_samples: Vec::new(),
@@ -359,12 +333,17 @@ impl Simulator {
     }
 
     fn schedule(&mut self, at: Nanos, kind: EventKind) {
-        self.seq += 1;
-        self.events.push(Scheduled { at: at.max(self.now), seq: self.seq, kind });
+        self.events.push(at.max(self.now), kind);
+    }
+
+    /// When a periodic event firing now recurs, if that is still inside the
+    /// run. An interval that overflows `Nanos` is past any `end_time`.
+    fn next_periodic(&self, interval: Nanos) -> Option<Nanos> {
+        self.now.checked_add(interval).filter(|&next| next <= self.cfg.end_time)
     }
 
     /// Schedule a fault to fire at simulated time `at`. Faults are ordinary
-    /// heap events: with none scheduled the event sequence — and therefore
+    /// queued events: with none scheduled the event sequence — and therefore
     /// every derived counter and sample — is byte-identical to a fault-free
     /// run.
     pub fn schedule_fault(&mut self, at: Nanos, action: FaultAction) {
@@ -378,16 +357,18 @@ impl Simulator {
 
     /// Run the simulation to `cfg.end_time`.
     pub fn run(&mut self) {
-        self.schedule(self.cfg.defense_tick, EventKind::DefenseTick);
+        if self.cfg.defense_tick > 0 {
+            self.schedule(self.cfg.defense_tick, EventKind::DefenseTick);
+        }
         if self.cfg.sample_interval > 0 {
             self.schedule(self.cfg.sample_interval, EventKind::Sample);
         }
-        while let Some(ev) = self.events.pop() {
-            if ev.at > self.cfg.end_time {
+        while let Some((at, kind)) = self.events.pop() {
+            if at > self.cfg.end_time {
                 break;
             }
-            self.now = ev.at;
-            self.handle(ev.kind);
+            self.now = at;
+            self.handle(kind);
             self.drain_control();
         }
         self.now = self.cfg.end_time;
@@ -489,8 +470,8 @@ impl Simulator {
                         shim.tick(self.now, bus);
                     }
                 }
-                if self.now + self.cfg.defense_tick <= self.cfg.end_time {
-                    self.schedule(self.now + self.cfg.defense_tick, EventKind::DefenseTick);
+                if let Some(next) = self.next_periodic(self.cfg.defense_tick) {
+                    self.schedule(next, EventKind::DefenseTick);
                 }
             }
             EventKind::Arrive { node, pkt } => {
@@ -528,8 +509,8 @@ impl Simulator {
                 if self.timeline.is_enabled() {
                     self.probe_timeline();
                 }
-                if self.now + self.cfg.sample_interval <= self.cfg.end_time {
-                    self.schedule(self.now + self.cfg.sample_interval, EventKind::Sample);
+                if let Some(next) = self.next_periodic(self.cfg.sample_interval) {
+                    self.schedule(next, EventKind::Sample);
                 }
             }
             EventKind::Fault { action } => {
@@ -644,9 +625,9 @@ impl Simulator {
             self.next_pkt_id += 1;
             pkt.id = self.next_pkt_id;
             pkt.flow = flow;
-            pkt.src_as = self.net.as_of_host(pkt.src);
-            self.metrics.injected_pkts += 1;
             let node = self.net.host_node(pkt.src);
+            pkt.src_as = self.net.nodes[node.0].as_num();
+            self.metrics.injected_pkts += 1;
             if self.flight.sampled(pkt.id) {
                 self.flight.record(HopEvent {
                     at: self.now,
@@ -811,7 +792,7 @@ impl Simulator {
                 if self.links[link_idx].queue.len_pkts() > 0 && !self.links[link_idx].poll_pending {
                     self.links[link_idx].poll_pending = true;
                     let poll = self.cfg.link_poll_interval.max(1);
-                    self.schedule(now + poll, EventKind::LinkPoll { link: link_idx });
+                    self.schedule(now.saturating_add(poll), EventKind::LinkPoll { link: link_idx });
                 }
             }
         }
@@ -829,7 +810,7 @@ impl Simulator {
         let ser = transmission_time(pkt.size, spec.capacity);
         self.links[link_idx].busy = true;
         self.links[link_idx].in_flight = Some(pkt);
-        self.schedule(self.now + ser, EventKind::TransmitDone { link: link_idx });
+        self.schedule(self.now.saturating_add(ser), EventKind::TransmitDone { link: link_idx });
     }
 
     fn transmit_done(&mut self, link_idx: usize) {
@@ -847,7 +828,8 @@ impl Simulator {
                     Some(DropCause::LinkDown),
                 );
             } else {
-                self.schedule(self.now + spec.delay, EventKind::Arrive { node: spec.to, pkt });
+                let at = self.now.saturating_add(spec.delay);
+                self.schedule(at, EventKind::Arrive { node: spec.to, pkt });
             }
         }
         self.links[link_idx].busy = false;
@@ -1134,6 +1116,33 @@ mod tests {
         assert_eq!(cfg.link_poll_interval, 2 * MILLI);
         let tight = SimConfig { link_poll_interval: 100, ..Default::default() };
         assert_eq!(tight.link_poll_interval, 100);
+    }
+
+    #[test]
+    fn degenerate_intervals_terminate() {
+        // A zero interval used to reschedule itself at `now` forever; the
+        // last two fire once and then overflow `now + interval`.
+        for (end_time, interval, firings) in [
+            (SEC, 0, 0),
+            (SEC, Nanos::MAX, 0),
+            (Nanos::MAX, Nanos::MAX - 5, 1),
+            (Nanos::MAX, Nanos::MAX / 2 + 1, 1),
+        ] {
+            let (net, _) = dumbbell(1_000_000);
+            let mut sim = Simulator::undefended(
+                net,
+                SimConfig {
+                    end_time,
+                    defense_tick: interval,
+                    sample_interval: interval,
+                    ..Default::default()
+                },
+            );
+            sim.run();
+            assert_eq!(sim.now(), end_time);
+            let profile = sim.metrics.profile;
+            assert_eq!((profile.tick_events, profile.sample_events), (firings, firings));
+        }
     }
 
     #[test]

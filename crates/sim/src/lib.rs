@@ -28,6 +28,7 @@
 
 pub mod deploy;
 pub mod engine;
+pub mod event_queue;
 pub mod flow;
 pub mod metrics;
 pub mod packet;

@@ -7,8 +7,6 @@
 //! [`DropLedger`] keeps one budget per link plus per-flow attribution so
 //! the experiment layer can fold drops by role.
 
-use std::collections::HashMap;
-
 /// Why a packet was dropped. One variant per drop point in the simulator
 /// and the defense systems; the set is closed so budgets can be dense
 /// arrays.
@@ -134,13 +132,14 @@ impl DropBudget {
 /// link (dense, indexed by link id) plus a run total and per-flow
 /// attribution.
 ///
-/// Per-flow counts use a `HashMap` — drops are rare relative to forwards,
-/// and the map is only ever *read* by keyed lookup (never iterated), so
-/// its nondeterministic iteration order cannot leak into any output.
+/// Per-flow budgets are dense too, indexed by flow id and grown on demand:
+/// flow ids are the small consecutive integers `Simulator::add_flow` hands
+/// out, and under attack drops are as common as forwards (`chaos_ctrl`:
+/// 1.06 M drops for 1.07 M packets), so this is a per-packet path.
 #[derive(Debug, Clone, Default)]
 pub struct DropLedger {
     per_link: Vec<DropBudget>,
-    per_flow: HashMap<u64, DropBudget>,
+    per_flow: Vec<DropBudget>,
     total: DropBudget,
 }
 
@@ -149,7 +148,7 @@ impl DropLedger {
     pub fn new(links: usize) -> Self {
         DropLedger {
             per_link: vec![DropBudget::default(); links],
-            per_flow: HashMap::new(),
+            per_flow: Vec::new(),
             total: DropBudget::default(),
         }
     }
@@ -163,7 +162,11 @@ impl DropLedger {
                 b.add(cause);
             }
         }
-        self.per_flow.entry(flow).or_default().add(cause);
+        let flow = flow as usize;
+        if flow >= self.per_flow.len() {
+            self.per_flow.resize(flow + 1, DropBudget::default());
+        }
+        self.per_flow[flow].add(cause);
         self.total.add(cause);
     }
 
@@ -177,9 +180,10 @@ impl DropLedger {
         self.per_link.get(idx).copied().unwrap_or_default()
     }
 
-    /// The budget attributed to flow `flow`.
+    /// The budget attributed to flow `flow` (zero budget for a flow that
+    /// never lost a packet).
     pub fn flow(&self, flow: u64) -> DropBudget {
-        self.per_flow.get(&flow).copied().unwrap_or_default()
+        self.per_flow.get(flow as usize).copied().unwrap_or_default()
     }
 }
 
@@ -226,5 +230,7 @@ mod tests {
         assert_eq!(l.flow(7).total(), 2);
         assert_eq!(l.flow(9).get(DropCause::AsPolicer), 1);
         assert_eq!(l.flow(1).total(), 0);
+        assert_eq!(l.flow(10).total(), 0);
+        assert_eq!(l.flow(u64::MAX).total(), 0);
     }
 }
