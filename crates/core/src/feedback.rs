@@ -13,7 +13,7 @@
 //! erased afterwards so malicious downstream routers cannot overwrite the
 //! feedback with a valid one of their own.
 
-use netfence_crypto::{Cmac, Mac32, MacInput, TimeVaryingSecret};
+use netfence_crypto::{Cmac, Mac32, TimeVaryingSecret};
 
 use crate::types::{nanos_to_secs, FlowPair, LinkId, Nanos, SEC};
 
@@ -98,45 +98,53 @@ impl Feedback {
     }
 }
 
+/// Domain-separation tag of the Eq. 1 (`nop`) MAC input.
+const TAG_NOP: u8 = 0;
+/// Domain-separation tag of the Eq. 2 (`L↑`) MAC input.
+const TAG_INCR: u8 = 1;
+/// Domain-separation tag of the Eq. 3 (`L↓`) MAC input.
+const TAG_DECR: u8 = 2;
+
+/// Length of the Eq. 1 / Eq. 2 MAC input: `src‖dst‖ts‖link‖tag`.
+const BASE_LEN: usize = 17;
+
+/// An `N`-byte MAC input (`N` ≥ [`BASE_LEN`]) starting with the fields every
+/// token covers, at fixed offsets: `src‖dst‖ts‖link` as big-endian `u32`s,
+/// then the tag byte; the rest is zero for the caller to fill. Every field
+/// is fixed-width, so no two field combinations share an encoding, and the
+/// tag keeps Eq. 1–3 apart. 17 (Eq. 1/2) and 21 (Eq. 3) bytes are two CMAC
+/// blocks each.
+fn base_input<const N: usize>(flow: FlowPair, ts: u32, link: LinkId, tag: u8) -> [u8; N] {
+    let mut buf = [0u8; N];
+    buf[0..4].copy_from_slice(&flow.src.0.to_be_bytes());
+    buf[4..8].copy_from_slice(&flow.dst.0.to_be_bytes());
+    buf[8..12].copy_from_slice(&ts.to_be_bytes());
+    buf[12..16].copy_from_slice(&link.0.to_be_bytes());
+    buf[16] = tag;
+    buf
+}
+
 /// Build the Eq. 1 MAC input for `token_nop`.
-fn nop_input(flow: FlowPair, ts: u32) -> MacInput {
-    let mut m = MacInput::new("nf-nop");
-    m.push_u32(flow.src.0)
-        .push_u32(flow.dst.0)
-        .push_u32(ts)
-        .push_u32(LinkId::NULL.0)
-        .push_u8(0 /* mode = nop */);
-    m
+fn nop_input(flow: FlowPair, ts: u32) -> [u8; BASE_LEN] {
+    base_input(flow, ts, LinkId::NULL, TAG_NOP)
 }
 
 /// Build the Eq. 2 MAC input for `token_L↑`.
-fn incr_input(flow: FlowPair, ts: u32, link: LinkId) -> MacInput {
-    let mut m = MacInput::new("nf-incr");
-    m.push_u32(flow.src.0)
-        .push_u32(flow.dst.0)
-        .push_u32(ts)
-        .push_u32(link.0)
-        .push_u8(1 /* mode = mon */)
-        .push_u8(0 /* action = incr */);
-    m
+fn incr_input(flow: FlowPair, ts: u32, link: LinkId) -> [u8; BASE_LEN] {
+    base_input(flow, ts, link, TAG_INCR)
 }
 
-/// Build the Eq. 3 MAC input for `token_L↓`.
-fn decr_input(flow: FlowPair, ts: u32, link: LinkId, token_nop: Mac32) -> MacInput {
-    let mut m = MacInput::new("nf-decr");
-    m.push_u32(flow.src.0)
-        .push_u32(flow.dst.0)
-        .push_u32(ts)
-        .push_u32(link.0)
-        .push_u8(1 /* mode = mon */)
-        .push_u8(1 /* action = decr */)
-        .push_u32(token_nop);
-    m
+/// Build the Eq. 3 MAC input for `token_L↓`: the base fields, then
+/// `token_nop`.
+fn decr_input(flow: FlowPair, ts: u32, link: LinkId, token_nop: Mac32) -> [u8; BASE_LEN + 4] {
+    let mut buf: [u8; BASE_LEN + 4] = base_input(flow, ts, link, TAG_DECR);
+    buf[BASE_LEN..].copy_from_slice(&token_nop.to_be_bytes());
+    buf
 }
 
 /// Compute `token_nop` (Eq. 1) under the access router's secret.
 pub fn token_nop(ka: &mut TimeVaryingSecret, now: Nanos, flow: FlowPair, ts: u32) -> Mac32 {
-    ka.mac32(now, nop_input(flow, ts).as_bytes())
+    ka.mac32(now, &nop_input(flow, ts))
 }
 
 /// Stamp fresh `nop` feedback (access router, §4.2/§4.3.3).
@@ -155,7 +163,7 @@ pub fn stamp_incr(
     link: LinkId,
 ) -> Feedback {
     let ts = nanos_to_secs(now);
-    let token = ka.mac32(now, incr_input(flow, ts, link).as_bytes());
+    let token = ka.mac32(now, &incr_input(flow, ts, link));
     let tnop = token_nop(ka, now, flow, ts);
     Feedback::Mon { link, action: Action::Incr, ts, token, token_nop: Some(tnop) }
 }
@@ -177,7 +185,7 @@ pub fn stamp_decr(kai: &Cmac, flow: FlowPair, link: LinkId, prior: &Feedback) ->
         Feedback::Mon { action: Action::Incr, ts, token_nop, .. } => (*ts, (*token_nop)?),
         Feedback::Mon { action: Action::Decr, .. } => return None,
     };
-    let token = kai.mac32(decr_input(flow, ts, link, tnop).as_bytes());
+    let token = kai.mac32(&decr_input(flow, ts, link, tnop));
     Some(Feedback::Mon { link, action: Action::Decr, ts, token, token_nop: None })
 }
 
@@ -212,14 +220,14 @@ pub fn validate<'a>(
     }
     match fb {
         Feedback::Nop { ts, token } => {
-            if ka.verify32(now, nop_input(flow, *ts).as_bytes(), *token) {
+            if ka.verify32(now, &nop_input(flow, *ts), *token) {
                 Ok(())
             } else {
                 Err(FeedbackError::BadMac)
             }
         }
         Feedback::Mon { link, action: Action::Incr, ts, token, .. } => {
-            if ka.verify32(now, incr_input(flow, *ts, *link).as_bytes(), *token) {
+            if ka.verify32(now, &incr_input(flow, *ts, *link), *token) {
                 Ok(())
             } else {
                 Err(FeedbackError::BadMac)
@@ -228,14 +236,13 @@ pub fn validate<'a>(
         Feedback::Mon { link, action: Action::Decr, ts, token, .. } => {
             // Re-compute token_nop with the access router's own secret, then
             // re-compute the Eq. 3 MAC with the bottleneck AS's shared key.
+            // The token_nop may have been stamped under the previous epoch's
+            // key, so that candidate is tried too, but only on a mismatch.
             let kai = kai_for_link(*link).ok_or(FeedbackError::UnknownLinkAs)?;
-            let tnop = ka.mac32(now, nop_input(flow, *ts).as_bytes());
-            // The token_nop may have been computed under the previous epoch
-            // key; accept either epoch by trying both candidate values.
-            let candidates = [tnop];
-            let ok = candidates
-                .iter()
-                .any(|c| kai.verify32(decr_input(flow, *ts, *link, *c).as_bytes(), *token));
+            let nop = nop_input(flow, *ts);
+            let verifies = |tnop| kai.verify32(&decr_input(flow, *ts, *link, tnop), *token);
+            let ok =
+                verifies(ka.mac32(now, &nop)) || ka.mac32_previous(now, &nop).is_some_and(verifies);
             if ok {
                 Ok(())
             } else {
@@ -382,7 +389,7 @@ mod tests {
             link: LinkId(2),
             action: Action::Decr,
             ts: upstream.ts(),
-            token: kai.mac32(forged_input.as_bytes()),
+            token: kai.mac32(&forged_input),
             token_nop: None,
         };
         assert_eq!(

@@ -1,13 +1,20 @@
-//! Software AES-128 block cipher.
+//! Software AES-128 block cipher, table-driven.
 //!
 //! NetFence assumes line-speed symmetric-key cryptography (§2.1 of the paper)
 //! and uses AES-128 as the MAC primitive for congestion policing feedback
-//! (§6.2). Hardware AES (AES-NI, Helion cores) is not available to this
-//! reproduction, so we provide a small, portable, table-free software
-//! implementation. It is correctness-oriented: the round function uses the
-//! textbook S-box and GF(2^8) multiplication rather than T-tables. This is
-//! fast enough to benchmark the *relative* per-packet costs reported in
-//! Figure 7 of the paper.
+//! (§6.2). Hardware AES (AES-NI, Helion cores) is not used by this
+//! reproduction: the intrinsics need `unsafe`, which this crate forbids, and
+//! a hardware/software fork would leave one side of it unmeasured (see
+//! `DESIGN.md` §3). Instead the round function is the standard table-driven
+//! one: the state is four big-endian `u32` column words, and SubBytes,
+//! ShiftRows and MixColumns of one column are four lookups in a single 1 KB
+//! table (`TE0`, generated from the S-box at compile time) XORed together,
+//! the lookups for rows 1–3 rotated right by 8/16/24 bits. Every per-packet
+//! cost reported against Figure 7 of the paper is a multiple of this block.
+//!
+//! Table lookups indexed by secret bytes are not constant-time with respect
+//! to the cache; the simulator has no co-resident attacker, so that is
+//! outside the threat model here.
 //!
 //! Only encryption is implemented because CMAC (the only consumer in this
 //! repository) never needs the inverse cipher.
@@ -43,12 +50,43 @@ const SBOX: [u8; 256] = [
 /// Round constants used by the key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-/// Multiply a field element by `x` (i.e. `{02}`) in GF(2^8) with the AES
-/// reduction polynomial.
-#[inline]
-fn xtime(a: u8) -> u8 {
-    let hi = a >> 7;
-    (a << 1) ^ (hi.wrapping_mul(0x1b))
+/// The encryption T-table for row 0: `TE0[x]` is the MixColumns image of a
+/// column whose only non-zero byte is `S[x]` in row 0, i.e. the big-endian
+/// word `({02}·S[x], S[x], S[x], {03}·S[x])`. The tables for rows 1–3 are
+/// byte rotations of this one, so it is the only table kept.
+static TE0: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        // {02}·s in GF(2^8) with the AES reduction polynomial.
+        let s2 = (s << 1) ^ ((s >> 7) * 0x1b);
+        t[x] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        x += 1;
+    }
+    t
+};
+
+/// SubBytes + ShiftRows + MixColumns for output column `c` of state `s`:
+/// ShiftRows feeds row `r` of column `c` from column `c + r`.
+#[inline(always)]
+fn round_column(s: &[u32; 4], c: usize) -> u32 {
+    TE0[(s[c] >> 24) as usize]
+        ^ TE0[(s[(c + 1) % 4] >> 16) as u8 as usize].rotate_right(8)
+        ^ TE0[(s[(c + 2) % 4] >> 8) as u8 as usize].rotate_right(16)
+        ^ TE0[s[(c + 3) % 4] as u8 as usize].rotate_right(24)
+}
+
+/// SubBytes + ShiftRows for output column `c` of the last round, which has
+/// no MixColumns.
+#[inline(always)]
+fn last_round_column(s: &[u32; 4], c: usize) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(s[c] >> 24) as usize],
+        SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+        SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+        SBOX[s[(c + 3) % 4] as u8 as usize],
+    ])
 }
 
 /// An expanded AES-128 key, ready to encrypt blocks.
@@ -58,8 +96,8 @@ fn xtime(a: u8) -> u8 {
 /// negligible compared to per-packet block encryptions.
 #[derive(Clone)]
 pub struct Aes128 {
-    /// Round keys: (ROUNDS + 1) blocks of 16 bytes.
-    round_keys: [[u8; BLOCK_SIZE]; ROUNDS + 1],
+    /// Round keys: (ROUNDS + 1) × 4 big-endian column words (FIPS-197's `w`).
+    round_keys: [u32; 4 * (ROUNDS + 1)],
 }
 
 impl core::fmt::Debug for Aes128 {
@@ -70,48 +108,52 @@ impl core::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expand `key` into the round-key schedule.
-    pub fn new(key: &[u8; KEY_SIZE]) -> Self {
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for (i, word) in w.iter_mut().take(4).enumerate() {
-            word.copy_from_slice(&key[4 * i..4 * i + 4]);
+    /// Expand `key` into the round-key schedule (FIPS-197 §5.2). `const` so
+    /// that a fixed key's schedule can live in a `static`.
+    pub const fn new(key: &[u8; KEY_SIZE]) -> Self {
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        let mut i = 0;
+        while i < 4 {
+            w[i] = u32::from_be_bytes([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+            i += 1;
         }
-        for i in 4..4 * (ROUNDS + 1) {
+        while i < w.len() {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                // RotWord
-                temp.rotate_left(1);
-                // SubWord
-                for b in temp.iter_mut() {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                // SubWord(RotWord(temp)) ^ Rcon
+                let [a, b, c, d] = temp.rotate_left(8).to_be_bytes();
+                temp = u32::from_be_bytes([
+                    SBOX[a as usize] ^ RCON[i / 4 - 1],
+                    SBOX[b as usize],
+                    SBOX[c as usize],
+                    SBOX[d as usize],
+                ]);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
+            i += 1;
         }
-        let mut round_keys = [[0u8; BLOCK_SIZE]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Aes128 { round_keys }
+        Aes128 { round_keys: w }
+    }
+
+    /// The expanded key as FIPS-197's 44 schedule words `w[0..44]`, for
+    /// checking against the standard's Appendix A.1.
+    pub fn round_keys(&self) -> &[u32; 4 * (ROUNDS + 1)] {
+        &self.round_keys
     }
 
     /// Encrypt a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        add_round_key(block, &self.round_keys[0]);
+        let rk = &self.round_keys;
+        let mut s: [u32; 4] = std::array::from_fn(|c| {
+            u32::from_be_bytes([block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]])
+                ^ rk[c]
+        });
         for round in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+            s = std::array::from_fn(|c| round_column(&s, c) ^ rk[4 * round + c]);
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        for (c, out) in block.chunks_exact_mut(4).enumerate() {
+            out.copy_from_slice(&(last_round_column(&s, c) ^ rk[4 * ROUNDS + c]).to_be_bytes());
+        }
     }
 
     /// Encrypt a block, returning the ciphertext.
@@ -119,44 +161,6 @@ impl Aes128 {
         let mut out = *block;
         self.encrypt_block(&mut out);
         out
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; BLOCK_SIZE], rk: &[u8; BLOCK_SIZE]) {
-    for (s, k) in state.iter_mut().zip(rk.iter()) {
-        *s ^= k;
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; BLOCK_SIZE]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// The AES state is column-major: byte `state[4*c + r]` is row `r`, column
-/// `c`. ShiftRows rotates row `r` left by `r` positions.
-#[inline]
-fn shift_rows(state: &mut [u8; BLOCK_SIZE]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; BLOCK_SIZE]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        state[4 * c] = col[0] ^ t ^ xtime(col[0] ^ col[1]);
-        state[4 * c + 1] = col[1] ^ t ^ xtime(col[1] ^ col[2]);
-        state[4 * c + 2] = col[2] ^ t ^ xtime(col[2] ^ col[3]);
-        state[4 * c + 3] = col[3] ^ t ^ xtime(col[3] ^ col[0]);
     }
 }
 

@@ -119,9 +119,12 @@ impl Cmac {
     }
 }
 
-/// A small helper to build MAC input messages from typed fields without
-/// allocating: fields are appended in a fixed, length-prefixed order so that
-/// different field combinations can never collide.
+/// A small helper to build MAC input messages from typed, variable-length
+/// fields: each is appended with a length prefix, after a domain-separation
+/// label, so that different field combinations can never collide. It
+/// allocates one `Vec` per message, which is fine for its callers (Passport
+/// stamping, the multi-bottleneck chain); the per-packet Eq. 1–3 inputs are
+/// fixed-width stack arrays built in `netfence-core`'s `feedback` instead.
 #[derive(Default)]
 pub struct MacInput {
     buf: Vec<u8>,

@@ -17,6 +17,7 @@
 //! property NetFence needs — each ordered AS pair agrees on a secret key that
 //! no third party knows — without modelling BGP messages themselves.
 
+use crate::aes::Aes128;
 use crate::cmac::Cmac;
 
 /// An Autonomous System number.
@@ -27,6 +28,10 @@ pub type AsNumber = u32;
 const DH_PRIME: u64 = (1u64 << 61) - 1;
 /// Group generator.
 const DH_GENERATOR: u64 = 5;
+
+/// The fixed cipher DH secrets are whitened through, expanded at compile
+/// time: `shared_key` runs once per announcement per router.
+static WHITENER: Aes128 = Aes128::new(b"NetFencePassport");
 
 /// Modular multiplication mod [`DH_PRIME`].
 fn mulmod(a: u64, b: u64, m: u64) -> u64 {
@@ -97,8 +102,7 @@ impl AsKeyAgent {
         key[12..16].copy_from_slice(&hi.to_be_bytes());
         // Whiten through AES so the structure of the DH secret is not
         // directly exposed as key bytes.
-        let cipher = crate::aes::Aes128::new(b"NetFencePassport");
-        cipher.encrypt(&key)
+        WHITENER.encrypt(&key)
     }
 }
 

@@ -20,10 +20,11 @@ pub const DEFAULT_ROTATION_PERIOD: Nanos = 128 * 1_000_000_000;
 
 /// A time-varying secret key with a one-period validation grace window.
 ///
-/// At any time the router holds the *current* key and the *previous* key.
-/// New MACs are always computed under the current key; validation accepts
-/// either, so feedback stamped just before a rotation remains verifiable for
-/// a full rotation period (which is much longer than `w`).
+/// At any time the router holds the *current* key and, from the second epoch
+/// on, the *previous* key. New MACs are always computed under the current
+/// key; validation accepts either, so feedback stamped just before a rotation
+/// remains verifiable for a full rotation period (which is much longer than
+/// `w`).
 #[derive(Clone, Debug)]
 pub struct TimeVaryingSecret {
     /// Root key material the per-period keys are derived from.
@@ -34,8 +35,9 @@ pub struct TimeVaryingSecret {
     cached_epoch: u64,
     /// CMAC instance for the current epoch.
     current: Cmac,
-    /// CMAC instance for the previous epoch.
-    previous: Cmac,
+    /// CMAC instance for the previous epoch; `None` in epoch 0, which has no
+    /// predecessor, so a failed verification there costs one MAC, not two.
+    previous: Option<Cmac>,
 }
 
 /// Derive the per-epoch key from the root key: AES_root(epoch || pad).
@@ -61,10 +63,7 @@ impl TimeVaryingSecret {
     pub fn with_period(root: [u8; 16], period: Nanos) -> Self {
         assert!(period > 0, "rotation period must be non-zero");
         let current = Cmac::new(&derive_epoch_key(&root, 0));
-        // Epoch 0 has no predecessor; use epoch 0 for both so validation
-        // still works uniformly.
-        let previous = current.clone();
-        TimeVaryingSecret { root, period, cached_epoch: 0, current, previous }
+        TimeVaryingSecret { root, period, cached_epoch: 0, current, previous: None }
     }
 
     /// The rotation period.
@@ -84,8 +83,7 @@ impl TimeVaryingSecret {
             return;
         }
         self.current = Cmac::new(&derive_epoch_key(&self.root, epoch));
-        let prev_epoch = epoch.saturating_sub(1);
-        self.previous = Cmac::new(&derive_epoch_key(&self.root, prev_epoch));
+        self.previous = epoch.checked_sub(1).map(|e| Cmac::new(&derive_epoch_key(&self.root, e)));
         self.cached_epoch = epoch;
     }
 
@@ -95,10 +93,20 @@ impl TimeVaryingSecret {
         self.current.mac32(msg)
     }
 
+    /// Compute a truncated MAC under the previous epoch's key, or `None` in
+    /// epoch 0. For callers that cannot use [`Self::verify32`] because the
+    /// MAC is itself an input to another MAC (Eq. 3 covers `token_nop`): try
+    /// [`Self::mac32`] first and this only on a mismatch.
+    pub fn mac32_previous(&mut self, now: Nanos, msg: &[u8]) -> Option<u32> {
+        self.advance(now);
+        self.previous.as_ref().map(|p| p.mac32(msg))
+    }
+
     /// Verify a truncated MAC against the current or the previous key.
     pub fn verify32(&mut self, now: Nanos, msg: &[u8], mac: u32) -> bool {
         self.advance(now);
-        self.current.verify32(msg, mac) || self.previous.verify32(msg, mac)
+        self.current.verify32(msg, mac)
+            || self.previous.as_ref().is_some_and(|p| p.verify32(msg, mac))
     }
 }
 
@@ -133,6 +141,15 @@ mod tests {
         assert!(s.verify32(11 * SEC, b"hello", m_old));
         // Two epochs later it must not.
         assert!(!s.verify32(25 * SEC, b"hello", m_old));
+    }
+
+    #[test]
+    fn previous_mac_is_the_last_epochs_current_mac() {
+        let mut s = TimeVaryingSecret::with_period([1u8; 16], 10 * SEC);
+        assert_eq!(s.mac32_previous(9 * SEC, b"hello"), None, "epoch 0 has no predecessor");
+        let m_old = s.mac32(9 * SEC, b"hello");
+        assert_eq!(s.mac32_previous(11 * SEC, b"hello"), Some(m_old));
+        assert_ne!(s.mac32_previous(25 * SEC, b"hello"), Some(m_old));
     }
 
     #[test]
