@@ -252,45 +252,42 @@ impl Flow for AdversaryFlow {
         self.inner.dst()
     }
 
-    fn start(&mut self, now: Nanos) -> FlowActions {
-        let mut actions = self.inner.start(now);
+    fn start(&mut self, now: Nanos, out: &mut FlowActions) {
+        self.inner.start(now, out);
         match &self.plan {
             Plan::Passive => {}
             Plan::Rolling { dwell, .. } => {
-                actions.timers.push((now + *dwell, TOKEN_CTRL));
+                out.timers.push((now + *dwell, TOKEN_CTRL));
             }
             Plan::Probe { epoch, candidates, .. } => {
                 let (mode, epoch) = (candidates[0], *epoch);
                 self.apply_probe_mode(now, mode);
-                actions.timers.push((now + epoch, TOKEN_CTRL));
+                out.timers.push((now + epoch, TOKEN_CTRL));
             }
             Plan::Flash { ramp, .. } => {
                 // Per-agent start jitter from the dedicated RNG stream:
                 // real flash crowds do not surge in lockstep.
                 let jitter = self.rng.uniform_time(0, (*ramp / 4).max(1));
-                actions.timers.push((now + jitter, TOKEN_CTRL));
+                out.timers.push((now + jitter, TOKEN_CTRL));
             }
         }
-        actions
     }
 
-    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr) -> FlowActions {
-        self.inner.on_packet(now, pkt, at_host)
+    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr, out: &mut FlowActions) {
+        self.inner.on_packet(now, pkt, at_host, out)
     }
 
-    fn on_timer(&mut self, now: Nanos, token: u64) -> FlowActions {
+    fn on_timer(&mut self, now: Nanos, token: u64, out: &mut FlowActions) {
         if token >= TOKEN_CTRL {
-            let mut actions = FlowActions::none();
             if let Some(at) = self.control_tick(now) {
-                actions.timers.push((at, TOKEN_CTRL));
+                out.timers.push((at, TOKEN_CTRL));
             }
-            actions
         } else {
-            self.inner.on_timer(now, token)
+            self.inner.on_timer(now, token, out)
         }
     }
 
-    fn progress(&self) -> FlowProgress {
+    fn progress(&self) -> &FlowProgress {
         self.inner.progress()
     }
 }
@@ -304,7 +301,7 @@ mod tests {
     /// emitted packet as `(time, dst, size)` and, optionally, looping each
     /// packet straight back to its destination ("ideal delivery").
     fn drive(f: &mut AdversaryFlow, until: Nanos, deliver: bool) -> Vec<(Nanos, HostAddr, usize)> {
-        let mut timers = f.start(0).timers;
+        let mut timers = FlowActions::of(|a| f.start(0, a)).timers;
         let mut sent = Vec::new();
         while let Some(pos) = timers.iter().enumerate().min_by_key(|(_, (t, _))| *t).map(|(i, _)| i)
         {
@@ -312,7 +309,7 @@ mod tests {
             if now > until {
                 break;
             }
-            let acts = f.on_timer(now, tok);
+            let acts = FlowActions::of(|a| f.on_timer(now, tok, a));
             for pkt in &acts.packets {
                 // Record only forward packets; the receiver-side feedback
                 // echo travels dst→src and is not attack traffic.
@@ -321,7 +318,7 @@ mod tests {
                 }
                 sent.push((now, pkt.dst, pkt.size));
                 if deliver {
-                    let echo = f.on_packet(now, pkt, pkt.dst);
+                    let echo = FlowActions::of(|a| f.on_packet(now, pkt, pkt.dst, a));
                     timers.extend(echo.timers);
                 }
             }
@@ -343,13 +340,13 @@ mod tests {
         let mut agent =
             AdversaryFlow::new(0, 1, 100, AttackStrategy::static_cbr(1_000_000), ctx(7));
         // Same timers, same packets, no control timers at all.
-        let mut t_plain = plain.start(0).timers;
-        let t_agent = agent.start(0).timers;
+        let mut t_plain = FlowActions::of(|a| plain.start(0, a)).timers;
+        let t_agent = FlowActions::of(|a| agent.start(0, a)).timers;
         assert_eq!(t_plain, t_agent);
         for _ in 0..50 {
             let (at, tok) = t_plain.remove(0);
-            let a = plain.on_timer(at, tok);
-            let b = agent.on_timer(at, tok);
+            let a = FlowActions::of(|a| plain.on_timer(at, tok, a));
+            let b = FlowActions::of(|a| agent.on_timer(at, tok, a));
             assert_eq!(a.packets.len(), b.packets.len());
             assert_eq!(a.timers, b.timers);
             t_plain = a.timers;
@@ -420,9 +417,12 @@ mod tests {
     #[test]
     fn flash_jitter_comes_from_the_dedicated_stream() {
         let strategy = AttackStrategy::FlashMimic { peak_bps: 8_000_000, ramp: 4 * SEC, hold: SEC };
-        let a = AdversaryFlow::new(0, 1, 100, strategy, ctx(1)).start(0).timers;
-        let b = AdversaryFlow::new(0, 1, 100, strategy, ctx(2)).start(0).timers;
-        let c = AdversaryFlow::new(0, 1, 100, strategy, ctx(1)).start(0).timers;
+        let a =
+            FlowActions::of(|a| AdversaryFlow::new(0, 1, 100, strategy, ctx(1)).start(0, a)).timers;
+        let b =
+            FlowActions::of(|a| AdversaryFlow::new(0, 1, 100, strategy, ctx(2)).start(0, a)).timers;
+        let c =
+            FlowActions::of(|a| AdversaryFlow::new(0, 1, 100, strategy, ctx(1)).start(0, a)).timers;
         let ctrl = |ts: &Vec<(Nanos, u64)>| {
             ts.iter().find(|(_, tok)| *tok >= TOKEN_CTRL).map(|&(at, _)| at).unwrap()
         };

@@ -16,9 +16,8 @@
 //!    AIMD rule (§4.3.4) and garbage-collects limiters that have been idle
 //!    for `Ta`.
 
-use std::collections::HashMap;
-
-use netfence_crypto::{AsKeyTable, TimeVaryingSecret};
+use netfence_crypto::{AsKeyTable, Cmac, TimeVaryingSecret};
+use netfence_telemetry::IdMap;
 
 use crate::aimd::{Adjustment, AimdState};
 use crate::bottleneck::Channel;
@@ -123,14 +122,14 @@ pub struct AccessRouter {
     /// IP-to-AS mapping for bottleneck link identifiers (§4.4 uses an
     /// IP-to-AS mapping tool; the simulator installs the mapping when it
     /// builds the topology).
-    pub(crate) link_as: HashMap<LinkId, AsId>,
+    pub(crate) link_as: IdMap<LinkId, AsId>,
     /// Per-sender request limiters.
-    request_limiters: HashMap<HostId, RequestLimiter>,
+    request_limiters: IdMap<HostId, RequestLimiter>,
     /// Per-(sender, bottleneck link) regular rate limiters.
-    pub(crate) limiters: HashMap<LimiterKey, RegularLimiter>,
+    pub(crate) limiters: IdMap<LimiterKey, RegularLimiter>,
     /// Per-sender request token refill multipliers (servers may be given
     /// more, §4.2).
-    request_multipliers: HashMap<HostId, f64>,
+    request_multipliers: IdMap<HostId, f64>,
     /// Counters.
     stats: AccessStats,
 }
@@ -144,10 +143,10 @@ impl AccessRouter {
             my_as,
             ka: TimeVaryingSecret::new(ka_root),
             as_keys,
-            link_as: HashMap::new(),
-            request_limiters: HashMap::new(),
-            limiters: HashMap::new(),
-            request_multipliers: HashMap::new(),
+            link_as: IdMap::default(),
+            request_limiters: IdMap::default(),
+            limiters: IdMap::default(),
+            request_multipliers: IdMap::default(),
             stats: AccessStats::default(),
         }
     }
@@ -165,7 +164,7 @@ impl AccessRouter {
 
     /// Install the pairwise key shared with `peer` (learned from a
     /// Passport-style key announcement after construction).
-    pub fn install_as_key(&mut self, peer: AsId, key: [u8; 16]) {
+    pub fn install_as_key(&mut self, peer: AsId, key: Cmac) {
         self.as_keys.install(peer.0, key);
     }
 
@@ -207,7 +206,7 @@ impl AccessRouter {
 
     /// Access the limiter table (used by the multi-bottleneck extension and
     /// experiments).
-    pub fn limiters(&self) -> &HashMap<LimiterKey, RegularLimiter> {
+    pub fn limiters(&self) -> &IdMap<LimiterKey, RegularLimiter> {
         &self.limiters
     }
 
@@ -313,12 +312,12 @@ impl AccessRouter {
         header: &mut NetFenceHeader,
         demoted: bool,
     ) -> AccessVerdict {
-        let multiplier = self.request_multipliers.get(&flow.src).copied().unwrap_or(1.0);
-        let cfg = &self.cfg;
-        let limiter = self
-            .request_limiters
-            .entry(flow.src)
-            .or_insert_with(|| RequestLimiter::new(cfg, now, multiplier));
+        let (cfg, multipliers) = (&self.cfg, &self.request_multipliers);
+        // The multiplier only matters the first time a sender is seen.
+        let limiter = self.request_limiters.entry(flow.src).or_insert_with(|| {
+            let multiplier = multipliers.get(&flow.src).copied().unwrap_or(1.0);
+            RequestLimiter::new(cfg, now, multiplier)
+        });
         match limiter.offer(now, header.priority) {
             RequestVerdict::Drop => {
                 self.stats.request_dropped += 1;
@@ -376,7 +375,7 @@ impl AccessRouter {
 mod tests {
     use super::*;
     use crate::types::SEC;
-    use netfence_crypto::{full_mesh_exchange, AsKeyAgent, Cmac};
+    use netfence_crypto::{full_mesh_exchange, AsKeyAgent};
 
     const PKT: usize = 1500;
 

@@ -8,7 +8,7 @@
 //! per-flow state; the only state beyond the monitor EWMAs is the per-AS key
 //! table (at most one entry per AS on today's Internet, §5.1).
 
-use netfence_crypto::AsKeyTable;
+use netfence_crypto::{AsKeyTable, Cmac};
 
 use crate::config::Config;
 use crate::feedback::{stamp_decr, Feedback};
@@ -80,7 +80,7 @@ impl BottleneckLink {
 
     /// Install the pairwise key shared with the source AS `peer` (learned
     /// from a Passport-style key announcement after construction).
-    pub fn install_as_key(&mut self, peer: AsId, key: [u8; 16]) {
+    pub fn install_as_key(&mut self, peer: AsId, key: Cmac) {
         self.as_keys.install(peer.0, key);
     }
 

@@ -10,7 +10,7 @@
 //! never charged (the quota is per (sender, bottleneck link), unlike
 //! re-ECN's per-sender quota).
 
-use std::collections::HashMap;
+use netfence_telemetry::IdMap;
 
 use crate::types::{LimiterKey, Nanos};
 
@@ -31,14 +31,14 @@ pub struct CongestionQuota {
     quota_bytes: u64,
     /// Accounting period length.
     period: Nanos,
-    state: HashMap<LimiterKey, QuotaState>,
+    state: IdMap<LimiterKey, QuotaState>,
 }
 
 impl CongestionQuota {
     /// Create a quota policer: at most `quota_bytes` of congestion traffic
     /// per `period` for each (sender, bottleneck link).
     pub fn new(quota_bytes: u64, period: Nanos) -> Self {
-        CongestionQuota { quota_bytes, period, state: HashMap::new() }
+        CongestionQuota { quota_bytes, period, state: IdMap::default() }
     }
 
     /// Account a packet of `bytes` for `key`.

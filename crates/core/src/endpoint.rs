@@ -8,7 +8,7 @@
 //! router enforces policing, the shim merely makes legitimate hosts behave
 //! efficiently.
 
-use std::collections::HashMap;
+use netfence_telemetry::IdMap;
 
 use crate::config::Config;
 use crate::feedback::Feedback;
@@ -27,11 +27,41 @@ struct PerDestination {
     requesting_since: Option<Nanos>,
 }
 
+impl PerDestination {
+    /// See [`SenderShim::presentable_feedback`].
+    fn presentable(&self, now: Nanos, cfg: &Config) -> Option<Feedback> {
+        let fresh = |fb: &Option<Feedback>| fb.filter(|f| !f.is_expired(now, cfg.feedback_expiry));
+        fresh(&self.best_incr).or_else(|| fresh(&self.latest))
+    }
+
+    /// The priority level for a request packet to this destination, based
+    /// on how long the sender has been waiting without valid feedback
+    /// (§4.2: the waiting time sets the priority; after a 1 s back-off a
+    /// default host can afford level 10).
+    fn request_priority(&mut self, now: Nanos, cfg: &Config) -> u8 {
+        let since = *self.requesting_since.get_or_insert(now);
+        let waited = now.saturating_sub(since);
+        // The access router's token bucket can hold at most
+        // `request_bucket_depth` tokens, so asking for a level the bucket
+        // can never afford would get the request dropped at the access
+        // router forever.
+        let tokens = (waited as f64 / SEC as f64 * cfg.request_tokens_per_sec())
+            .min(cfg.request_bucket_depth);
+        let mut level = 0u8;
+        while level < cfg.max_request_priority
+            && crate::request_limiter::RequestLimiter::cost(level + 1) <= tokens
+        {
+            level += 1;
+        }
+        level
+    }
+}
+
 /// Sender-side shim: tracks returned feedback per destination and builds
 /// NetFence headers for outgoing packets.
 #[derive(Debug, Default)]
 pub struct SenderShim {
-    dests: HashMap<HostId, PerDestination>,
+    dests: IdMap<HostId, PerDestination>,
 }
 
 impl SenderShim {
@@ -61,32 +91,7 @@ impl SenderShim {
     /// newest feedback of any kind. Returns `None` when nothing un-expired
     /// is held (a request packet must be sent).
     pub fn presentable_feedback(&self, now: Nanos, dst: HostId, cfg: &Config) -> Option<Feedback> {
-        let entry = self.dests.get(&dst)?;
-        let fresh = |fb: &Option<Feedback>| fb.filter(|f| !f.is_expired(now, cfg.feedback_expiry));
-        fresh(&entry.best_incr).or_else(|| fresh(&entry.latest))
-    }
-
-    /// The priority level the sender should use for a request packet to
-    /// `dst`, based on how long it has been waiting without valid feedback
-    /// (§4.2: the waiting time sets the priority; after a 1 s back-off a
-    /// default host can afford level 10).
-    pub fn request_priority(&mut self, now: Nanos, dst: HostId, cfg: &Config) -> u8 {
-        let entry = self.dests.entry(dst).or_default();
-        let since = *entry.requesting_since.get_or_insert(now);
-        let waited = now.saturating_sub(since);
-        // The access router's token bucket can hold at most
-        // `request_bucket_depth` tokens, so asking for a level the bucket
-        // can never afford would get the request dropped at the access
-        // router forever.
-        let tokens = (waited as f64 / SEC as f64 * cfg.request_tokens_per_sec())
-            .min(cfg.request_bucket_depth);
-        let mut level = 0u8;
-        while level < cfg.max_request_priority
-            && crate::request_limiter::RequestLimiter::cost(level + 1) <= tokens
-        {
-            level += 1;
-        }
-        level
+        self.dests.get(&dst)?.presentable(now, cfg)
     }
 
     /// Build the NetFence header for the next packet to `dst`.
@@ -103,10 +108,12 @@ impl SenderShim {
         echo: Option<Feedback>,
         cfg: &Config,
     ) -> NetFenceHeader {
-        match self.presentable_feedback(now, dst, cfg) {
+        // One probe serves both the feedback lookup and the back-off clock.
+        let entry = self.dests.entry(dst).or_default();
+        match entry.presentable(now, cfg) {
             Some(fb) => NetFenceHeader::regular(proto, fb, echo),
             None => {
-                let priority = self.request_priority(now, dst, cfg);
+                let priority = entry.request_priority(now, cfg);
                 let mut h = NetFenceHeader::request(
                     proto,
                     priority,
@@ -137,12 +144,20 @@ pub enum ReceiverPolicy {
     Suppress,
 }
 
+/// What a receiver remembers about one sender.
+#[derive(Debug, Clone, Copy, Default)]
+struct Peer {
+    /// The latest feedback the sender presented.
+    latest: Option<Feedback>,
+    /// An explicit policy for this sender, overriding the default.
+    policy: Option<ReceiverPolicy>,
+}
+
 /// Receiver-side shim: remembers the latest feedback observed from each
 /// sender and decides whether to echo it.
 #[derive(Debug, Default)]
 pub struct ReceiverShim {
-    latest: HashMap<HostId, Feedback>,
-    policies: HashMap<HostId, ReceiverPolicy>,
+    peers: IdMap<HostId, Peer>,
     default_policy: ReceiverPolicy,
 }
 
@@ -161,31 +176,24 @@ impl ReceiverShim {
     /// Set the policy for a specific sender (e.g. classify it as attack
     /// traffic and suppress it).
     pub fn set_policy(&mut self, sender: HostId, policy: ReceiverPolicy) {
-        self.policies.insert(sender, policy);
-    }
-
-    /// The policy applied to `sender`.
-    pub fn policy(&self, sender: HostId) -> ReceiverPolicy {
-        self.policies.get(&sender).copied().unwrap_or(self.default_policy)
+        self.peers.entry(sender).or_default().policy = Some(policy);
     }
 
     /// Record the presented feedback of a packet received from `sender`.
     pub fn packet_received(&mut self, sender: HostId, presented: Feedback) {
-        let newer = self
-            .latest
-            .get(&sender)
-            .is_none_or(|old| presented.ts() >= old.ts() || presented.is_decr());
-        if newer {
-            self.latest.insert(sender, presented);
+        let peer = self.peers.entry(sender).or_default();
+        if peer.latest.is_none_or(|old| presented.ts() >= old.ts() || presented.is_decr()) {
+            peer.latest = Some(presented);
         }
     }
 
     /// The feedback to echo back to `sender`, if policy allows.
     pub fn echo_for(&self, sender: HostId) -> Option<Feedback> {
-        if self.policy(sender) == ReceiverPolicy::Suppress {
-            return None;
+        let peer = self.peers.get(&sender)?;
+        match peer.policy.unwrap_or(self.default_policy) {
+            ReceiverPolicy::Suppress => None,
+            ReceiverPolicy::Echo => peer.latest,
         }
-        self.latest.get(&sender).copied()
     }
 }
 

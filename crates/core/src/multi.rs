@@ -19,9 +19,8 @@
 //!   missing feedback (`L↑` for one link implies the others were not
 //!   congested). Reproduced as Figure 14.
 
-use std::collections::{HashMap, HashSet};
-
 use netfence_crypto::{Cmac, Mac32, MacInput, TimeVaryingSecret};
+use netfence_telemetry::IdMap;
 
 use crate::access::{AccessRouter, AccessVerdict, DropReason};
 use crate::aimd::{Adjustment, AimdState};
@@ -212,10 +211,9 @@ impl AccessRouter {
 /// toward that prefix (Appendix B.2).
 #[derive(Debug, Default)]
 pub struct InferenceCache {
-    /// prefix -> set of mon-state links on the path toward it.
-    prefix_links: HashMap<u32, HashSet<LinkId>>,
-    /// prefix -> last time each link's feedback was seen (for expiry).
-    last_seen: HashMap<(u32, LinkId), Nanos>,
+    /// prefix -> mon-state links on the path toward it -> when each link's
+    /// feedback was last seen (for expiry).
+    prefix_links: IdMap<u32, IdMap<LinkId, Nanos>>,
     /// How long a link stays cached without fresh feedback.
     expiry: Nanos,
 }
@@ -229,28 +227,22 @@ impl InferenceCache {
     /// Create a cache whose entries expire after `expiry` without fresh
     /// feedback.
     pub fn new(expiry: Nanos) -> Self {
-        InferenceCache { prefix_links: HashMap::new(), last_seen: HashMap::new(), expiry }
+        InferenceCache { prefix_links: IdMap::default(), expiry }
     }
 
     /// Record that feedback for `link` was observed on traffic toward
     /// `dst`.
     pub fn record(&mut self, now: Nanos, dst: HostId, link: LinkId) {
-        let p = prefix_of(dst);
-        self.prefix_links.entry(p).or_default().insert(link);
-        self.last_seen.insert((p, link), now);
+        self.prefix_links.entry(prefix_of(dst)).or_default().insert(link, now);
     }
 
     /// The set of bottleneck links currently believed to be on the path
     /// toward `dst` (stale entries are pruned lazily).
     pub fn links_for(&mut self, now: Nanos, dst: HostId) -> Vec<LinkId> {
-        let p = prefix_of(dst);
         let expiry = self.expiry;
-        let last_seen = &self.last_seen;
-        let Some(set) = self.prefix_links.get_mut(&p) else { return Vec::new() };
-        set.retain(|l| {
-            last_seen.get(&(p, *l)).map(|t| now.saturating_sub(*t) < expiry).unwrap_or(false)
-        });
-        let mut v: Vec<LinkId> = set.iter().copied().collect();
+        let Some(links) = self.prefix_links.get_mut(&prefix_of(dst)) else { return Vec::new() };
+        links.retain(|_, seen| now.saturating_sub(*seen) < expiry);
+        let mut v: Vec<LinkId> = links.keys().copied().collect();
         v.sort_unstable();
         v
     }

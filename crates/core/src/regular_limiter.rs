@@ -83,7 +83,7 @@ impl LeakyBucket {
 
     /// Time to transmit `bytes` at the current rate.
     fn service_time(&self, bytes: usize) -> Nanos {
-        (bytes as u128 * 8 * SEC as u128 / self.rate as u128) as Nanos
+        netfence_telemetry::tx_nanos(bytes, self.rate)
     }
 
     /// Offer a packet of `bytes` at time `now` (Figure 16

@@ -110,7 +110,7 @@ impl AsKeyAgent {
 /// routers). Maps a peer ASN to a ready-to-use CMAC instance.
 #[derive(Debug, Default, Clone)]
 pub struct AsKeyTable {
-    keys: std::collections::HashMap<AsNumber, Cmac>,
+    keys: netfence_telemetry::IdMap<AsNumber, Cmac>,
 }
 
 impl AsKeyTable {
@@ -119,9 +119,10 @@ impl AsKeyTable {
         Self::default()
     }
 
-    /// Install the key shared with `peer`.
-    pub fn install(&mut self, peer: AsNumber, key: [u8; 16]) {
-        self.keys.insert(peer, Cmac::new(&key));
+    /// Install the keyed CMAC shared with `peer` (built by the caller, so a
+    /// router with several tables pays one AES key schedule, then clones).
+    pub fn install(&mut self, peer: AsNumber, cmac: Cmac) {
+        self.keys.insert(peer, cmac);
     }
 
     /// Look up the CMAC for a peer AS.
@@ -155,7 +156,7 @@ pub fn full_mesh_exchange(agents: &[AsKeyAgent]) -> Vec<AsKeyTable> {
             if a.asn() == b.asn() {
                 continue;
             }
-            tables[i].install(b.asn(), a.shared_key(b.asn(), b.public_value()));
+            tables[i].install(b.asn(), Cmac::new(&a.shared_key(b.asn(), b.public_value())));
         }
     }
     tables

@@ -1,11 +1,11 @@
 //! The control-plane transport: a [`ControlChannel`] implementation with
 //! per-AS controllers, sessions, path latency, loss and fault injection.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use netfence_sim::deploy::{ChannelVerdict, ControlChannel, Endpoint};
 use netfence_sim::packet::AsNum;
-use netfence_sim::prelude::Timeline;
+use netfence_sim::prelude::{IdMap, Timeline};
 use netfence_sim::rng::SimRng;
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{Network, NodeId};
@@ -46,7 +46,7 @@ pub struct CtrlService {
     /// Router-only adjacency: `adj[node]` lists `(neighbor, link delay)`.
     adj: Vec<Vec<(usize, Nanos)>>,
     /// Cached Dijkstra results: source AS → (dest AS → path delay).
-    path_cache: HashMap<AsNum, HashMap<AsNum, Nanos>>,
+    path_cache: IdMap<AsNum, IdMap<AsNum, Nanos>>,
     /// One daemon session per AS controller.
     sessions: BTreeMap<AsNum, Session>,
     rng: SimRng,
@@ -75,7 +75,7 @@ impl CtrlService {
             node_as,
             controllers,
             adj,
-            path_cache: HashMap::new(),
+            path_cache: IdMap::default(),
             sessions: BTreeMap::new(),
             rng: SimRng::new(seed),
         }
@@ -130,10 +130,10 @@ impl CtrlService {
         self.path_cache[&from].get(&to).copied().unwrap_or(0)
     }
 
-    fn dijkstra_from(&self, from: AsNum) -> HashMap<AsNum, Nanos> {
+    fn dijkstra_from(&self, from: AsNum) -> IdMap<AsNum, Nanos> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
-        let mut out = HashMap::new();
+        let mut out = IdMap::default();
         let Some(&root) = self.controllers.get(&from) else {
             return out;
         };

@@ -344,7 +344,7 @@ impl Runner {
             .map(|(group, ids)| RoleSeries {
                 group: group.name,
                 role: group.role,
-                flows: ids.iter().map(|&f| sim.progress(f)).collect(),
+                flows: ids.iter().map(|&f| sim.progress(f).clone()).collect(),
                 drops: {
                     // Keyed lookups only — the ledger's per-flow map is a
                     // HashMap, but summing over the group's own flow-id

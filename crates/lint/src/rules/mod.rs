@@ -173,11 +173,12 @@ impl<'a> Context<'a> {
     }
 }
 
-/// The configured hash-collection type names (default `HashMap`/`HashSet`).
+/// The configured hash-collection type names (default `HashMap`/`HashSet`
+/// and the workspace's fixed-hasher alias `IdMap`).
 pub fn hash_type_names(config: &LintConfig) -> impl Iterator<Item = &str> {
     let configured = config.list("rules.nondeterministic-iteration", "hash_types");
     if configured.is_empty() {
-        ["HashMap", "HashSet"].to_vec().into_iter()
+        ["HashMap", "HashSet", "IdMap"].to_vec().into_iter()
     } else {
         configured.iter().map(String::as_str).collect::<Vec<_>>().into_iter()
     }

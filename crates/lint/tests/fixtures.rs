@@ -83,6 +83,18 @@ fn export_zone_gates_iteration() {
     assert!(unsuppressed(&report, "nondeterministic-iteration").is_empty());
 }
 
+/// The workspace's fixed-hasher `IdMap` alias is policed like the
+/// `HashMap` it aliases: both iteration sites fire, the keyed lookup does
+/// not, and the sorted-under-allow form stays clean.
+#[test]
+fn id_map_alias_is_policed_like_a_hash_map() {
+    let rule = "nondeterministic-iteration";
+    let fail = check_fixture(rule, "alias_fail", "fixtures/alias_fail.rs", false);
+    assert_eq!(unsuppressed(&fail, rule).len(), 2, "{}", render(&fail));
+    let pass = check_fixture(rule, "alias_pass", "fixtures/alias_pass.rs", false);
+    assert_eq!((pass.errors(), pass.warnings()), (0, 0), "{}", render(&pass));
+}
+
 /// The issue's acceptance scenario: deliberately reintroduce a HashMap
 /// iteration into `crates/experiments/src/record.rs` and analyze it
 /// under the repository's real `lint.toml` — the gate must fail.

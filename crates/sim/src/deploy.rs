@@ -25,15 +25,14 @@
 //! index, so the per-packet fast path never hashes.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use netfence_telemetry::{DropBudget, DropCause, Timeline};
+use netfence_telemetry::{DropBudget, DropCause, IdMap, Timeline};
 
 use crate::packet::{AsNum, HostAddr, LinkAddr, Packet};
 use crate::queue::QueueDisc;
 use crate::time::Nanos;
-use crate::topology::{LinkSpec, Network, NodeId};
+use crate::topology::{HostEntry, LinkSpec, Network, NodeId};
 
 /// What a router does with a packet about to be forwarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,8 +145,7 @@ pub trait ControlChannel: std::fmt::Debug {
 #[derive(Debug, Default)]
 pub struct ControlPlane {
     outbox: Vec<ControlMsg>,
-    host_node: Arc<HashMap<HostAddr, NodeId>>,
-    access_router: Arc<HashMap<HostAddr, NodeId>>,
+    address_book: Arc<IdMap<HostAddr, HostEntry>>,
     channel: Option<Box<dyn ControlChannel>>,
     sender: Option<Endpoint>,
     /// Messages delivered to an agent.
@@ -165,14 +163,10 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// A control plane with the address books of `net` (shared, not
-    /// copied — deployments only read them).
+    /// A control plane with the address book of `net` (shared, not
+    /// copied — deployments only read it).
     pub fn for_network(net: &Network) -> Self {
-        ControlPlane {
-            host_node: Arc::clone(&net.host_index),
-            access_router: Arc::clone(&net.access_router),
-            ..ControlPlane::default()
-        }
+        ControlPlane { address_book: Arc::clone(&net.hosts), ..ControlPlane::default() }
     }
 
     /// Install a transport; subsequent messages go through its
@@ -201,46 +195,32 @@ impl ControlPlane {
         }
     }
 
+    /// Queue `payload` for `to`, stamped with the agent whose hook is
+    /// running; `None` (an address the network does not know) queues nothing.
+    fn post(&mut self, to: Option<Endpoint>, payload: Box<dyn Any>) -> bool {
+        let Some(to) = to else { return false };
+        self.outbox.push(ControlMsg { to, from: self.sender, payload });
+        true
+    }
+
     /// Queue a message to the shim of host `host`. Returns false when the
     /// address is unknown.
     pub fn to_host(&mut self, host: HostAddr, payload: impl Any) -> bool {
-        match self.host_node.get(&host) {
-            Some(&node) => {
-                self.outbox.push(ControlMsg {
-                    to: Endpoint::Host(node),
-                    from: self.sender,
-                    payload: Box::new(payload),
-                });
-                true
-            }
-            None => false,
-        }
+        let to = self.address_book.get(&host).map(|h| Endpoint::Host(h.node));
+        self.post(to, Box::new(payload))
     }
 
     /// Queue a message to the router agent at `node`.
     pub fn to_router(&mut self, node: NodeId, payload: impl Any) {
-        self.outbox.push(ControlMsg {
-            to: Endpoint::Router(node),
-            from: self.sender,
-            payload: Box::new(payload),
-        });
+        self.post(Some(Endpoint::Router(node)), Box::new(payload));
     }
 
     /// Queue a message to the access router of `host` (how StopIt filter
     /// requests find the router nearest the source). Returns false when the
-    /// host has no access router.
+    /// host is unknown.
     pub fn to_access_router_of(&mut self, host: HostAddr, payload: impl Any) -> bool {
-        match self.access_router.get(&host) {
-            Some(&node) => {
-                self.outbox.push(ControlMsg {
-                    to: Endpoint::Router(node),
-                    from: self.sender,
-                    payload: Box::new(payload),
-                });
-                true
-            }
-            None => false,
-        }
+        let to = self.address_book.get(&host).map(|h| Endpoint::Router(h.router));
+        self.post(to, Box::new(payload))
     }
 
     /// Sample the installed transport's state into a telemetry timeline

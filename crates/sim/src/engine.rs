@@ -194,6 +194,9 @@ pub struct Simulator {
     /// Which links are currently failed (set/cleared by [`FaultAction`]s).
     link_down: Vec<bool>,
     flows: Vec<Box<dyn Flow>>,
+    /// The one action set every flow callback fills (empty between events,
+    /// capacity kept).
+    actions: FlowActions,
     events: EventQueue<EventKind>,
     now: Nanos,
     next_pkt_id: u64,
@@ -258,6 +261,7 @@ impl Simulator {
             link_owner,
             link_down,
             flows: Vec::new(),
+            actions: FlowActions::default(),
             events: EventQueue::new(),
             now: 0,
             next_pkt_id: 0,
@@ -312,13 +316,13 @@ impl Simulator {
     }
 
     /// Progress counters of one flow.
-    pub fn progress(&self, flow: FlowId) -> FlowProgress {
+    pub fn progress(&self, flow: FlowId) -> &FlowProgress {
         self.flows[flow].progress()
     }
 
     /// Progress counters of every flow, indexed by flow id.
     pub fn all_progress(&self) -> Vec<FlowProgress> {
-        self.flows.iter().map(|f| f.progress()).collect()
+        self.flows.iter().map(|f| f.progress().clone()).collect()
     }
 
     /// Source and destination of a flow.
@@ -447,13 +451,13 @@ impl Simulator {
         match kind {
             EventKind::FlowStart { flow } => {
                 self.metrics.profile.flow_events += 1;
-                let actions = self.flows[flow].start(self.now);
-                self.apply_actions(flow, actions);
+                self.flows[flow].start(self.now, &mut self.actions);
+                self.apply_actions(flow);
             }
             EventKind::FlowTimer { flow, token } => {
                 self.metrics.profile.flow_events += 1;
-                let actions = self.flows[flow].on_timer(self.now, token);
-                self.apply_actions(flow, actions);
+                self.flows[flow].on_timer(self.now, token, &mut self.actions);
+                self.apply_actions(flow);
             }
             EventKind::DefenseTick => {
                 self.metrics.profile.tick_events += 1;
@@ -616,12 +620,15 @@ impl Simulator {
         self.deployment.bus.probe(now, &mut self.timeline);
     }
 
-    fn apply_actions(&mut self, flow: FlowId, actions: FlowActions) {
-        let FlowActions { packets, timers } = actions;
-        for (at, token) in timers {
+    /// Carry out what the callback that just ran on `flow` asked for, and
+    /// hand the emptied buffers back for the next callback. Nothing below
+    /// re-enters a flow, so one action set serves the whole run.
+    fn apply_actions(&mut self, flow: FlowId) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for (at, token) in actions.timers.drain(..) {
             self.schedule(at, EventKind::FlowTimer { flow, token });
         }
-        for mut pkt in packets {
+        for mut pkt in actions.packets.drain(..) {
             self.next_pkt_id += 1;
             pkt.id = self.next_pkt_id;
             pkt.flow = flow;
@@ -646,6 +653,7 @@ impl Simulator {
             }
             self.forward_from(node, pkt);
         }
+        self.actions = actions;
     }
 
     /// Record one flight-recorder hop for `pkt` if it is in the traced
@@ -690,8 +698,8 @@ impl Simulator {
             self.trace_hop(&pkt, node, None, HopStage::Deliver, None);
             let flow = pkt.flow;
             if flow < self.flows.len() {
-                let actions = self.flows[flow].on_packet(self.now, &pkt, addr);
-                self.apply_actions(flow, actions);
+                self.flows[flow].on_packet(self.now, &pkt, addr, &mut self.actions);
+                self.apply_actions(flow);
             }
             return;
         }
@@ -761,17 +769,13 @@ impl Simulator {
             return;
         }
         self.trace_hop(&pkt, owner, Some(link_idx), HopStage::Enqueue, None);
-        let dropped = self.links[link_idx].queue.enqueue(now, pkt);
-        if !dropped.is_empty() {
-            let addr = self.net.links[link_idx].addr;
-            let link = LinkRef { index: link_idx, addr };
-            for d in dropped {
-                let cause = Simulator::queue_drop_cause(&d);
-                self.metrics.record_link_drop(link_idx, d.flow as u64, cause);
-                self.trace_hop(&d, owner, Some(link_idx), HopStage::Drop, Some(cause));
-                if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
-                    agent.on_link_drop(now, link, &d);
-                }
+        if let Some(d) = self.links[link_idx].queue.enqueue(now, pkt) {
+            let cause = Simulator::queue_drop_cause(&d);
+            self.metrics.record_link_drop(link_idx, d.flow as u64, cause);
+            self.trace_hop(&d, owner, Some(link_idx), HopStage::Drop, Some(cause));
+            if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
+                let link = LinkRef { index: link_idx, addr: self.net.links[link_idx].addr };
+                agent.on_link_drop(now, link, &d);
             }
         }
         if !self.links[link_idx].busy {

@@ -3,12 +3,15 @@
 //! A flow owns both endpoints of a conversation: the engine hands it every
 //! packet that arrives at either of its hosts and every timer it has armed,
 //! and the flow responds with packets to inject and new timers. This keeps
-//! the engine free of any transport knowledge.
+//! the engine free of any transport knowledge. The response is written into
+//! a [`FlowActions`] the engine owns and reuses, so a flow event allocates
+//! nothing once the two buffers have grown to their working size.
 
 use crate::packet::{FlowId, HostAddr, Packet};
 use crate::time::Nanos;
 
-/// What a flow wants the engine to do after handling an event.
+/// What a flow wants the engine to do after handling an event. Callbacks
+/// append to it; the engine drains it after each one.
 #[derive(Debug, Default)]
 pub struct FlowActions {
     /// Packets to inject at their `src` host.
@@ -19,32 +22,12 @@ pub struct FlowActions {
 }
 
 impl FlowActions {
-    /// No actions.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Convenience: a single packet.
-    pub fn send(pkt: Packet) -> Self {
-        FlowActions { packets: vec![pkt], timers: Vec::new() }
-    }
-
-    /// Add a packet.
-    pub fn with_packet(mut self, pkt: Packet) -> Self {
-        self.packets.push(pkt);
-        self
-    }
-
-    /// Add a timer.
-    pub fn with_timer(mut self, at: Nanos, token: u64) -> Self {
-        self.timers.push((at, token));
-        self
-    }
-
-    /// Merge another action set into this one.
-    pub fn merge(&mut self, other: FlowActions) {
-        self.packets.extend(other.packets);
-        self.timers.extend(other.timers);
+    /// What one callback asks for, collected into a fresh set — for callers
+    /// without an engine-owned buffer (unit tests drive flows this way).
+    pub fn of(callback: impl FnOnce(&mut FlowActions)) -> FlowActions {
+        let mut actions = FlowActions::default();
+        callback(&mut actions);
+        actions
     }
 }
 
@@ -102,28 +85,19 @@ pub trait Flow: std::fmt::Debug {
     /// The receiving host.
     fn dst(&self) -> HostAddr;
     /// Called once at the flow's start time.
-    fn start(&mut self, now: Nanos) -> FlowActions;
+    fn start(&mut self, now: Nanos, out: &mut FlowActions);
     /// A packet belonging to this flow arrived at `at_host` (either
     /// endpoint).
-    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr) -> FlowActions;
+    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr, out: &mut FlowActions);
     /// A previously armed timer fired.
-    fn on_timer(&mut self, now: Nanos, token: u64) -> FlowActions;
+    fn on_timer(&mut self, now: Nanos, token: u64, out: &mut FlowActions);
     /// Current progress counters.
-    fn progress(&self) -> FlowProgress;
+    fn progress(&self) -> &FlowProgress;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn actions_builders_compose() {
-        let p = Packet::udp(0, 1, 2, 100, 0);
-        let mut a = FlowActions::send(p).with_timer(5, 7);
-        a.merge(FlowActions::none().with_packet(Packet::udp(0, 1, 2, 200, 0)));
-        assert_eq!(a.packets.len(), 2);
-        assert_eq!(a.timers, vec![(5, 7)]);
-    }
 
     #[test]
     fn progress_statistics() {

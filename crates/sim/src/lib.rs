@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::webtraffic::WebWorkload;
     pub use netfence_telemetry::{
         DropBudget, DropCause, DropLedger, EngineProfile, FlightRecorder, HopEvent, HopStage,
-        TelemetryConfig, Timeline, TimelineRow,
+        IdMap, TelemetryConfig, Timeline, TimelineRow,
     };
 }
 

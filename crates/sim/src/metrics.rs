@@ -9,9 +9,7 @@
 //! always-on [`DropLedger`], replacing the old single
 //! `defense_drop_pkts` counter.
 
-use std::collections::HashMap;
-
-use netfence_telemetry::{DropBudget, DropCause, DropLedger, EngineProfile};
+use netfence_telemetry::{DropBudget, DropCause, DropLedger, EngineProfile, IdMap};
 
 use crate::packet::LinkAddr;
 use crate::time::Nanos;
@@ -27,7 +25,7 @@ pub struct Metrics {
     /// Packets dropped by each link's queue, indexed by dense link id.
     link_drop_pkts: Vec<u64>,
     /// Post-run lookup from protocol-level link address to dense index.
-    link_index: HashMap<LinkAddr, usize>,
+    link_index: IdMap<LinkAddr, usize>,
     /// Packets dropped outside link queues (agents, policers, routing).
     defense_drops: u64,
     /// Packets delivered to destination hosts.

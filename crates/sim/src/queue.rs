@@ -19,16 +19,19 @@
 //! All disciplines implement [`QueueDisc`], so links can host any of them
 //! and defense systems can compose them.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+
+use netfence_telemetry::IdMap;
 
 use crate::packet::{ChannelClass, Packet};
 use crate::time::Nanos;
 
 /// A queue discipline attached to a link.
 pub trait QueueDisc: std::fmt::Debug {
-    /// Offer a packet. Returns the packets dropped as a consequence (often
-    /// the offered packet itself when the queue is full).
-    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Vec<Packet>;
+    /// Offer a packet. Returns the packet dropped as a consequence, if any:
+    /// the offered packet itself when the queue is full, or a queued packet
+    /// it displaced. No discipline drops more than one packet per offer.
+    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Option<Packet>;
     /// Remove the next packet to transmit.
     fn dequeue(&mut self, now: Nanos) -> Option<Packet>;
     /// Total queued bytes.
@@ -88,13 +91,13 @@ impl DropTail {
 }
 
 impl QueueDisc for DropTail {
-    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Vec<Packet> {
+    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
         if self.bytes + pkt.size > self.limit_bytes {
-            return vec![pkt];
+            return Some(pkt);
         }
         self.bytes += pkt.size;
         self.queue.push_back(pkt);
-        Vec::new()
+        None
     }
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
@@ -200,7 +203,7 @@ impl RedQueue {
 }
 
 impl QueueDisc for RedQueue {
-    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Vec<Packet> {
+    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
         // Update the average on every arrival.
         self.avg = self.avg * (1.0 - self.params.wq) + self.bytes as f64 * self.params.wq;
 
@@ -218,12 +221,12 @@ impl QueueDisc for RedQueue {
 
         if hard_full || early_drop {
             self.count_since_drop = 0;
-            return vec![pkt];
+            return Some(pkt);
         }
         self.count_since_drop += 1;
         self.bytes += pkt.size;
         self.queue.push_back(pkt);
-        Vec::new()
+        None
     }
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
@@ -273,18 +276,22 @@ impl Classifier {
     }
 }
 
+/// One DRR class: its FIFO, its backlog in bytes and its deficit counter.
+#[derive(Debug, Default)]
+struct DrrClass {
+    queue: VecDeque<Packet>,
+    bytes: usize,
+    deficit: usize,
+}
+
 /// Deficit Round Robin fair queuing (Shreedhar & Varghese) with O(1)
 /// per-packet work.
 #[derive(Debug)]
 pub struct DrrQueue {
     classifier: Classifier,
-    /// Per-class FIFO queues.
-    classes: HashMap<u64, VecDeque<Packet>>,
-    /// Per-class byte counts.
-    class_bytes: HashMap<u64, usize>,
-    /// Active list (round-robin order) and deficit counters.
+    classes: IdMap<u64, DrrClass>,
+    /// Classes with queued packets, in round-robin order.
     active: VecDeque<u64>,
-    deficit: HashMap<u64, usize>,
     quantum: usize,
     per_class_limit: usize,
     bytes: usize,
@@ -298,10 +305,8 @@ impl DrrQueue {
     pub fn new(classifier: Classifier, quantum: usize, per_class_limit: usize) -> Self {
         DrrQueue {
             classifier,
-            classes: HashMap::new(),
-            class_bytes: HashMap::new(),
+            classes: IdMap::default(),
             active: VecDeque::new(),
-            deficit: HashMap::new(),
             quantum,
             per_class_limit,
             bytes: 0,
@@ -316,23 +321,21 @@ impl DrrQueue {
 }
 
 impl QueueDisc for DrrQueue {
-    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Vec<Packet> {
-        let class = self.classifier.class_of(&pkt);
-        let bytes = self.class_bytes.entry(class).or_insert(0);
-        if *bytes + pkt.size > self.per_class_limit {
-            return vec![pkt];
+    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
+        let id = self.classifier.class_of(&pkt);
+        let class = self.classes.entry(id).or_default();
+        if class.bytes + pkt.size > self.per_class_limit {
+            return Some(pkt);
         }
-        *bytes += pkt.size;
+        class.bytes += pkt.size;
         self.bytes += pkt.size;
         self.pkts += 1;
-        let q = self.classes.entry(class).or_default();
-        let was_empty = q.is_empty();
-        q.push_back(pkt);
-        if was_empty {
-            self.active.push_back(class);
-            self.deficit.insert(class, 0);
+        if class.queue.is_empty() {
+            self.active.push_back(id);
+            class.deficit = 0;
         }
-        Vec::new()
+        class.queue.push_back(pkt);
+        None
     }
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
@@ -342,44 +345,33 @@ impl QueueDisc for DrrQueue {
         // rounds may be needed before anything can be served.
         let rounds_needed = 1500 / self.quantum.max(1) + 2;
         let mut visited = 0;
-        while let Some(&class) = self.active.front() {
+        while let Some(&id) = self.active.front() {
             visited += 1;
             if visited > self.active.len() * rounds_needed + 2 {
                 break;
             }
-            let head_size = match self.classes.get_mut(&class).and_then(|q| q.front()) {
-                Some(p) => p.size,
-                None => {
-                    // Stale active entry (no queue or an empty one):
-                    // retire it and move on.
-                    self.active.pop_front();
-                    self.deficit.remove(&class);
-                    continue;
-                }
+            let head = self.classes.get_mut(&id).and_then(|c| Some((c.queue.front()?.size, c)));
+            let Some((head_size, class)) = head else {
+                // Stale active entry (no class or an empty one): retire it.
+                self.active.pop_front();
+                continue;
             };
-            let d = self.deficit.entry(class).or_insert(0);
-            if *d >= head_size {
-                *d -= head_size;
-                let Some(pkt) = self.classes.get_mut(&class).and_then(|q| q.pop_front()) else {
-                    self.active.pop_front();
-                    self.deficit.remove(&class);
-                    continue;
-                };
-                self.bytes -= pkt.size;
-                self.pkts -= 1;
-                if let Some(b) = self.class_bytes.get_mut(&class) {
-                    *b -= pkt.size;
-                }
-                if self.classes.get(&class).is_none_or(|q| q.is_empty()) {
-                    self.active.pop_front();
-                    self.deficit.remove(&class);
-                } // else keep the class at the head until its deficit runs out
-                return Some(pkt);
+            if class.deficit < head_size {
+                // Not enough deficit: add a quantum and move to the back of
+                // the round.
+                class.deficit += self.quantum;
+                self.active.rotate_left(1);
+                continue;
             }
-            // Not enough deficit: add a quantum and move to the back of the
-            // round.
-            *d += self.quantum;
-            self.active.rotate_left(1);
+            class.deficit -= head_size;
+            let pkt = class.queue.pop_front()?;
+            class.bytes -= pkt.size;
+            self.bytes -= pkt.size;
+            self.pkts -= 1;
+            if class.queue.is_empty() {
+                self.active.pop_front();
+            } // else keep the class at the head until its deficit runs out
+            return Some(pkt);
         }
         None
     }
@@ -397,16 +389,24 @@ impl QueueDisc for DrrQueue {
 // Two-level hierarchical DRR (per-AS then per-source)
 // ---------------------------------------------------------------------------
 
+/// One source AS of a [`HierDrrQueue`]: its per-source DRR and its
+/// outer-level deficit counter.
+#[derive(Debug)]
+struct AsClass {
+    sources: DrrQueue,
+    deficit: usize,
+}
+
 /// Two-level hierarchical fair queuing: the outer level shares the link
 /// across source ASes, the inner level shares each AS's allocation across
 /// its source hosts. TVA+ and StopIt use this for request packets and for
 /// the fallback when receivers do not stop attack traffic (§6.3).
 #[derive(Debug)]
 pub struct HierDrrQueue {
-    /// Outer DRR across ASes; each element is the inner per-source DRR.
-    inner: HashMap<u64, DrrQueue>,
+    /// Outer DRR across ASes.
+    ases: IdMap<u64, AsClass>,
+    /// ASes with queued packets, in round-robin order.
     active: VecDeque<u64>,
-    deficit: HashMap<u64, usize>,
     quantum: usize,
     per_source_limit: usize,
     bytes: usize,
@@ -417,9 +417,8 @@ impl HierDrrQueue {
     /// Create the hierarchical queue.
     pub fn new(quantum: usize, per_source_limit: usize) -> Self {
         HierDrrQueue {
-            inner: HashMap::new(),
+            ases: IdMap::default(),
             active: VecDeque::new(),
-            deficit: HashMap::new(),
             quantum,
             per_source_limit,
             bytes: 0,
@@ -429,20 +428,21 @@ impl HierDrrQueue {
 }
 
 impl QueueDisc for HierDrrQueue {
-    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Vec<Packet> {
-        let as_class = u64::from(pkt.src_as);
+    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Option<Packet> {
+        let id = u64::from(pkt.src_as);
         let size = pkt.size;
-        let q = self.inner.entry(as_class).or_insert_with(|| {
-            DrrQueue::new(Classifier::BySource, self.quantum, self.per_source_limit)
+        let class = self.ases.entry(id).or_insert_with(|| AsClass {
+            sources: DrrQueue::new(Classifier::BySource, self.quantum, self.per_source_limit),
+            deficit: 0,
         });
-        let was_empty = q.is_empty();
-        let dropped = q.enqueue(now, pkt);
-        if dropped.is_empty() {
+        let was_empty = class.sources.is_empty();
+        let dropped = class.sources.enqueue(now, pkt);
+        if dropped.is_none() {
             self.bytes += size;
             self.pkts += 1;
             if was_empty {
-                self.active.push_back(as_class);
-                self.deficit.insert(as_class, 0);
+                self.active.push_back(id);
+                class.deficit = 0;
             }
         }
         dropped
@@ -451,45 +451,34 @@ impl QueueDisc for HierDrrQueue {
     fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
         let rounds_needed = 1500 / self.quantum.max(1) + 2;
         let mut visited = 0;
-        while let Some(&as_class) = self.active.front() {
+        while let Some(&id) = self.active.front() {
             visited += 1;
             if visited > self.active.len() * rounds_needed + 2 {
                 break;
             }
-            let Some(q) = self.inner.get_mut(&as_class) else {
-                // Stale active entry without a queue: retire it.
+            let Some(class) = self.ases.get_mut(&id).filter(|c| !c.sources.is_empty()) else {
+                // Stale active entry (no class or an empty one): retire it.
                 self.active.pop_front();
-                self.deficit.remove(&as_class);
                 continue;
             };
-            if q.is_empty() {
-                self.active.pop_front();
-                self.deficit.remove(&as_class);
-                continue;
-            }
             // Peek is awkward through the trait; DRR classes are FIFO so use
             // an MTU-sized charge when deficits are checked.
-            let head_size = 1500.min(q.len_bytes().max(1));
-            let d = self.deficit.entry(as_class).or_insert(0);
-            if *d >= head_size {
-                if let Some(pkt) = q.dequeue(now) {
-                    *d -= pkt.size.min(*d);
+            let head_size = 1500.min(class.sources.len_bytes().max(1));
+            if class.deficit >= head_size {
+                if let Some(pkt) = class.sources.dequeue(now) {
+                    class.deficit -= pkt.size.min(class.deficit);
                     self.bytes -= pkt.size;
                     self.pkts -= 1;
-                    if q.is_empty() {
+                    if class.sources.is_empty() {
                         self.active.pop_front();
-                        self.deficit.remove(&as_class);
                     }
                     return Some(pkt);
                 }
                 // The inner queue declined (its own per-round deficit needs
-                // to build up): give the round to the next AS but keep this
-                // one active.
-                *d += self.quantum;
-                self.active.rotate_left(1);
-                continue;
+                // to build up): fall through and give the round to the next
+                // AS, keeping this one active.
             }
-            *d += self.quantum;
+            class.deficit += self.quantum;
             self.active.rotate_left(1);
         }
         None
@@ -527,7 +516,7 @@ impl PriorityLevelQueue {
 }
 
 impl QueueDisc for PriorityLevelQueue {
-    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Vec<Packet> {
+    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
         if self.bytes + pkt.size > self.limit_bytes {
             // Drop the lowest-priority queued packet if the newcomer beats
             // it; otherwise drop the newcomer.
@@ -535,22 +524,22 @@ impl QueueDisc for PriorityLevelQueue {
             match lowest {
                 Some(l) if l < pkt.priority => {
                     let Some(victim) = self.levels.get_mut(&l).and_then(|q| q.pop_front()) else {
-                        return vec![pkt];
+                        return Some(pkt);
                     };
                     self.bytes -= victim.size;
                     self.pkts -= 1;
                     self.bytes += pkt.size;
                     self.pkts += 1;
                     self.levels.entry(pkt.priority).or_default().push_back(pkt);
-                    return vec![victim];
+                    return Some(victim);
                 }
-                _ => return vec![pkt],
+                _ => return Some(pkt),
             }
         }
         self.bytes += pkt.size;
         self.pkts += 1;
         self.levels.entry(pkt.priority).or_default().push_back(pkt);
-        Vec::new()
+        None
     }
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
@@ -645,7 +634,7 @@ impl DualChannelQueue {
 }
 
 impl QueueDisc for DualChannelQueue {
-    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Vec<Packet> {
+    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Option<Packet> {
         match pkt.channel {
             ChannelClass::Regular => self.regular.enqueue(now, pkt),
             ChannelClass::Request => self.request.enqueue(now, pkt),
@@ -706,6 +695,7 @@ impl QueueDisc for DualChannelQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn pkt(src: u32, size: usize) -> Packet {
         Packet::udp(0, src, 999, size, 0)
@@ -714,10 +704,9 @@ mod tests {
     #[test]
     fn drop_tail_limits_bytes() {
         let mut q = DropTail::new(3000);
-        assert!(q.enqueue(0, pkt(1, 1500)).is_empty());
-        assert!(q.enqueue(0, pkt(1, 1500)).is_empty());
-        let dropped = q.enqueue(0, pkt(1, 1500));
-        assert_eq!(dropped.len(), 1);
+        assert!(q.enqueue(0, pkt(1, 1500)).is_none());
+        assert!(q.enqueue(0, pkt(1, 1500)).is_none());
+        assert!(q.enqueue(0, pkt(1, 1500)).is_some());
         assert_eq!(q.len_pkts(), 2);
         assert_eq!(q.len_bytes(), 3000);
         assert!(q.dequeue(0).is_some());
@@ -731,7 +720,7 @@ mod tests {
         // Fill without draining: the average climbs, early drops kick in,
         // and the hard limit is never exceeded.
         for _ in 0..100 {
-            dropped += q.enqueue(0, pkt(1, 1500)).len();
+            dropped += usize::from(q.enqueue(0, pkt(1, 1500)).is_some());
         }
         assert!(dropped > 0, "RED should early-drop under sustained arrival");
         assert!(q.len_bytes() <= RedParams::paper_defaults(1_000_000).limit_bytes);
@@ -742,8 +731,7 @@ mod tests {
     fn red_is_quiet_at_low_load() {
         let mut q = RedQueue::for_capacity(10_000_000, 42);
         for _ in 0..200 {
-            let d = q.enqueue(0, pkt(1, 1500));
-            assert!(d.is_empty());
+            assert!(q.enqueue(0, pkt(1, 1500)).is_none());
             assert!(q.dequeue(0).is_some());
         }
         assert!(!q.congested());
@@ -775,7 +763,7 @@ mod tests {
         let mut q = DrrQueue::new(Classifier::BySource, 1500, 4500);
         let mut dropped = 0;
         for _ in 0..10 {
-            dropped += q.enqueue(0, pkt(7, 1500)).len();
+            dropped += usize::from(q.enqueue(0, pkt(7, 1500)).is_some());
         }
         assert_eq!(dropped, 7);
         assert_eq!(q.len_pkts(), 3);
@@ -858,12 +846,9 @@ mod tests {
         q.enqueue(0, mk(0));
         q.enqueue(0, mk(0));
         // A high-priority packet displaces a low-priority one.
-        let dropped = q.enqueue(0, mk(9));
-        assert_eq!(dropped.len(), 1);
-        assert_eq!(dropped[0].priority, 0);
+        assert_eq!(q.enqueue(0, mk(9)).map(|d| d.priority), Some(0));
         // A low-priority packet arriving at a full queue is itself dropped.
-        let dropped = q.enqueue(0, mk(0));
-        assert_eq!(dropped[0].priority, 0);
+        assert_eq!(q.enqueue(0, mk(0)).map(|d| d.priority), Some(0));
         assert_eq!(q.dequeue(0).unwrap().priority, 9);
     }
 

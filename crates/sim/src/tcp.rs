@@ -10,7 +10,9 @@
 //! experiments, not a full RFC 793/5681 stack (no FIN teardown, no SACK, no
 //! delayed ACKs, segment-indexed sequence numbers).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+
+use netfence_telemetry::IdMap;
 
 use crate::flow::{Flow, FlowActions, FlowProgress};
 use crate::packet::{FlowId, HostAddr, Packet, TcpKind, TcpSegment};
@@ -129,7 +131,7 @@ pub struct TcpFlow {
     syn_retries: u32,
     cur_syn_timeout: Nanos,
     syn_sent_at: Nanos,
-    send_times: HashMap<u64, (Nanos, bool)>,
+    send_times: IdMap<u64, (Nanos, bool)>,
     // timer generations for invalidation
     syn_gen: u64,
     rto_gen: u64,
@@ -177,7 +179,7 @@ impl TcpFlow {
             syn_retries: 0,
             cur_syn_timeout: SEC,
             syn_sent_at: 0,
-            send_times: HashMap::new(),
+            send_times: IdMap::default(),
             syn_gen: 0,
             rto_gen: 0,
             deadline_gen: 0,
@@ -199,7 +201,7 @@ impl TcpFlow {
         }
     }
 
-    fn begin_transfer(&mut self, now: Nanos) -> FlowActions {
+    fn begin_transfer(&mut self, now: Nanos, actions: &mut FlowActions) {
         self.transfer_id += 1;
         self.progress.started_transfers += 1;
         self.file_bytes = self.draw_file_size();
@@ -216,8 +218,7 @@ impl TcpFlow {
         self.state = ConnState::SynSent;
         self.syn_sent_at = now;
 
-        let mut actions = FlowActions::none();
-        self.send_syn(now, &mut actions);
+        self.send_syn(now, actions);
         self.syn_gen += 1;
         actions.timers.push((now + self.cur_syn_timeout, token(KIND_SYN, self.syn_gen)));
         if !matches!(self.workload, TcpWorkload::LongRunning) {
@@ -226,7 +227,6 @@ impl TcpFlow {
                 .timers
                 .push((now + self.cfg.transfer_deadline, token(KIND_DEADLINE, self.deadline_gen)));
         }
-        actions
     }
 
     fn send_syn(&mut self, now: Nanos, actions: &mut FlowActions) {
@@ -299,56 +299,51 @@ impl TcpFlow {
         self.rto = rto.clamp(self.cfg.min_rto, 60 * SEC);
     }
 
-    fn transfer_complete(&mut self, now: Nanos) -> FlowActions {
+    fn transfer_complete(&mut self, now: Nanos, actions: &mut FlowActions) {
         self.progress.completions.push((self.transfer_start, now, self.file_bytes));
         self.state = ConnState::Idle;
         // Invalidate outstanding timers.
         self.rto_gen += 1;
         self.syn_gen += 1;
         self.deadline_gen += 1;
-        let mut actions = FlowActions::none();
         let gap = match &self.workload {
             TcpWorkload::RepeatedFile { gap, .. } => (*gap).max(MILLI),
             TcpWorkload::WebLike(w) => {
                 let w = *w;
                 w.draw_think(&mut self.rng)
             }
-            TcpWorkload::LongRunning => return actions,
+            TcpWorkload::LongRunning => return,
         };
         actions.timers.push((now + gap, token(KIND_NEXT, self.transfer_id)));
-        actions
     }
 
-    fn abort_transfer(&mut self, now: Nanos) -> FlowActions {
+    fn abort_transfer(&mut self, now: Nanos, actions: &mut FlowActions) {
         self.progress.failed_transfers += 1;
         self.state = ConnState::Idle;
         self.rto_gen += 1;
         self.syn_gen += 1;
         self.deadline_gen += 1;
         // Immediately try again (the user retries).
-        self.begin_transfer(now)
+        self.begin_transfer(now, actions)
     }
 
     // --- sender-side packet handling ---
 
-    fn on_synack(&mut self, now: Nanos, seg: &TcpSegment) -> FlowActions {
-        let mut actions = FlowActions::none();
+    fn on_synack(&mut self, now: Nanos, seg: &TcpSegment, actions: &mut FlowActions) {
         if self.state != ConnState::SynSent || seg.transfer != self.transfer_id {
-            return actions;
+            return;
         }
         self.state = ConnState::Established;
         if self.syn_retries == 0 {
             self.update_rtt(now.saturating_sub(self.syn_sent_at));
         }
-        self.pump_data(now, &mut actions);
-        self.arm_rto(now, &mut actions);
-        actions
+        self.pump_data(now, actions);
+        self.arm_rto(now, actions);
     }
 
-    fn on_ack(&mut self, now: Nanos, seg: &TcpSegment) -> FlowActions {
-        let mut actions = FlowActions::none();
+    fn on_ack(&mut self, now: Nanos, seg: &TcpSegment, actions: &mut FlowActions) {
         if self.state != ConnState::Established || seg.transfer != self.transfer_id {
-            return actions;
+            return;
         }
         let ack = seg.ack;
         if ack > self.snd_una {
@@ -371,10 +366,10 @@ impl TcpFlow {
             self.snd_una = ack;
             self.dupacks = 0;
             if self.snd_una >= self.file_segs {
-                return self.transfer_complete(now);
+                return self.transfer_complete(now, actions);
             }
-            self.pump_data(now, &mut actions);
-            self.arm_rto(now, &mut actions);
+            self.pump_data(now, actions);
+            self.arm_rto(now, actions);
         } else if self.snd_next > self.snd_una {
             self.dupacks += 1;
             if self.dupacks == 3 {
@@ -382,17 +377,15 @@ impl TcpFlow {
                 self.ssthresh = (self.cwnd / 2.0).max(2.0);
                 self.cwnd = self.ssthresh;
                 let seq = self.snd_una;
-                self.retransmit(now, seq, &mut actions);
-                self.arm_rto(now, &mut actions);
+                self.retransmit(now, seq, actions);
+                self.arm_rto(now, actions);
             }
         }
-        actions
     }
 
     // --- receiver-side packet handling ---
 
-    fn on_receiver_packet(&mut self, now: Nanos, seg: &TcpSegment) -> FlowActions {
-        let mut actions = FlowActions::none();
+    fn on_receiver_packet(&mut self, now: Nanos, seg: &TcpSegment, actions: &mut FlowActions) {
         match seg.kind {
             TcpKind::Syn => {
                 if seg.transfer != self.rcv_transfer {
@@ -441,7 +434,6 @@ impl TcpFlow {
             }
             TcpKind::SynAck | TcpKind::Ack => {}
         }
-        actions
     }
 
     fn seg_payload_at_receiver(&self, _seq: u64) -> u64 {
@@ -473,50 +465,45 @@ impl Flow for TcpFlow {
         self.dst
     }
 
-    fn start(&mut self, now: Nanos) -> FlowActions {
-        self.begin_transfer(now)
+    fn start(&mut self, now: Nanos, out: &mut FlowActions) {
+        self.begin_transfer(now, out)
     }
 
-    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr) -> FlowActions {
-        let Some(seg) = pkt.tcp else { return FlowActions::none() };
+    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr, out: &mut FlowActions) {
+        let Some(seg) = pkt.tcp else { return };
         if at_host == self.dst {
-            self.on_receiver_packet(now, &seg)
+            self.on_receiver_packet(now, &seg, out)
         } else if at_host == self.src {
             match seg.kind {
-                TcpKind::SynAck => self.on_synack(now, &seg),
-                TcpKind::Ack => self.on_ack(now, &seg),
-                _ => FlowActions::none(),
+                TcpKind::SynAck => self.on_synack(now, &seg, out),
+                TcpKind::Ack => self.on_ack(now, &seg, out),
+                _ => {}
             }
-        } else {
-            FlowActions::none()
         }
     }
 
-    fn on_timer(&mut self, now: Nanos, tok: u64) -> FlowActions {
+    fn on_timer(&mut self, now: Nanos, tok: u64, out: &mut FlowActions) {
         match token_kind(tok) {
             KIND_SYN => {
                 if self.state != ConnState::SynSent || token_gen(tok) != self.syn_gen {
-                    return FlowActions::none();
+                    return;
                 }
                 self.syn_retries += 1;
                 if self.syn_retries > self.cfg.max_syn_retries {
-                    return self.abort_transfer(now);
+                    return self.abort_transfer(now, out);
                 }
-                let mut actions = FlowActions::none();
-                self.send_syn(now, &mut actions);
+                self.send_syn(now, out);
                 self.cur_syn_timeout = (self.cur_syn_timeout * 2).min(64 * SEC);
                 self.syn_gen += 1;
-                actions.timers.push((now + self.cur_syn_timeout, token(KIND_SYN, self.syn_gen)));
-                actions
+                out.timers.push((now + self.cur_syn_timeout, token(KIND_SYN, self.syn_gen)));
             }
             KIND_RTO => {
                 if self.state != ConnState::Established
                     || token_gen(tok) != self.rto_gen
                     || self.snd_una >= self.snd_next
                 {
-                    return FlowActions::none();
+                    return;
                 }
-                let mut actions = FlowActions::none();
                 self.ssthresh = (self.cwnd / 2.0).max(2.0);
                 self.cwnd = 1.0;
                 self.dupacks = 0;
@@ -524,23 +511,22 @@ impl Flow for TcpFlow {
                 // Go-back-N-ish: resend the oldest unacknowledged segment.
                 self.snd_next = self.snd_una + 1;
                 let seq = self.snd_una;
-                self.retransmit(now, seq, &mut actions);
-                self.arm_rto(now, &mut actions);
-                actions
+                self.retransmit(now, seq, out);
+                self.arm_rto(now, out);
             }
-            KIND_NEXT => self.begin_transfer(now),
+            KIND_NEXT => self.begin_transfer(now, out),
             KIND_DEADLINE => {
                 if token_gen(tok) != self.deadline_gen || self.state == ConnState::Idle {
-                    return FlowActions::none();
+                    return;
                 }
-                self.abort_transfer(now)
+                self.abort_transfer(now, out)
             }
-            _ => FlowActions::none(),
+            _ => {}
         }
     }
 
-    fn progress(&self) -> FlowProgress {
-        self.progress.clone()
+    fn progress(&self) -> &FlowProgress {
+        &self.progress
     }
 }
 
@@ -579,7 +565,7 @@ mod tests {
                 push(events, t, Ev::Timer(tok), seq);
             }
         };
-        let a0 = f.start(0);
+        let a0 = FlowActions::of(|a| f.start(0, a));
         apply(a0, 0, &mut events, &mut seq);
         let mut completed_at = None;
         while let Some(idx) = {
@@ -591,10 +577,10 @@ mod tests {
             }
         } {
             let (now, _, ev) = events.remove(idx);
-            let actions = match ev {
-                Ev::Timer(tok) => f.on_timer(now, tok),
-                Ev::Pkt(p, at) => f.on_packet(now, &p, at),
-            };
+            let actions = FlowActions::of(|a| match ev {
+                Ev::Timer(tok) => f.on_timer(now, tok, a),
+                Ev::Pkt(p, at) => f.on_packet(now, &p, at, a),
+            });
             apply(actions, now, &mut events, &mut seq);
             if completed_at.is_none() && !f.progress.completions.is_empty() {
                 completed_at = Some(f.progress.completions[0].1);
@@ -655,7 +641,7 @@ mod tests {
         let mut f = flow(TcpWorkload::RepeatedFile { bytes: 20_000, gap: SEC });
         let mut timers: Vec<(Nanos, u64)> = Vec::new();
         let mut syn_count = 0;
-        let a = f.start(0);
+        let a = FlowActions::of(|a| f.start(0, a));
         syn_count += a.packets.len();
         timers.extend(a.timers);
         let mut aborted = false;
@@ -668,7 +654,7 @@ mod tests {
             if now > 4000 * SEC {
                 break;
             }
-            let acts = f.on_timer(now, tok);
+            let acts = FlowActions::of(|a| f.on_timer(now, tok, a));
             syn_count += acts.packets.len();
             timers.extend(acts.timers);
             if f.progress.failed_transfers > 0 {
@@ -683,21 +669,21 @@ mod tests {
     #[test]
     fn data_loss_triggers_fast_retransmit() {
         let mut f = flow(TcpWorkload::RepeatedFile { bytes: 50_000, gap: SEC });
-        let mut actions = f.start(0);
+        let mut actions = FlowActions::of(|a| f.start(0, a));
         // Handshake.
         let syn = actions.packets.remove(0);
-        let mut acts = f.on_packet(MILLI, &syn, 2);
+        let mut acts = FlowActions::of(|a| f.on_packet(MILLI, &syn, 2, a));
         let synack = acts.packets.remove(0);
-        let mut acts = f.on_packet(2 * MILLI, &synack, 1);
+        let mut acts = FlowActions::of(|a| f.on_packet(2 * MILLI, &synack, 1, a));
         // Grow the window a bit by delivering the first two segments.
         assert!(acts.packets.len() >= 2);
         let first: Vec<Packet> = acts.packets.drain(..).collect();
         let mut now = 3 * MILLI;
         let mut in_flight: Vec<Packet> = Vec::new();
         for p in first {
-            let reply = f.on_packet(now, &p, 2);
+            let reply = FlowActions::of(|a| f.on_packet(now, &p, 2, a));
             for r in reply.packets {
-                let more = f.on_packet(now + MILLI, &r, 1);
+                let more = FlowActions::of(|a| f.on_packet(now + MILLI, &r, 1, a));
                 in_flight.extend(more.packets);
             }
             now += MILLI;
@@ -710,9 +696,9 @@ mod tests {
         let lost_seq = lost.tcp.unwrap().seq;
         let mut retransmitted = false;
         for p in in_flight.iter().take(3) {
-            let reply = f.on_packet(now, p, 2);
+            let reply = FlowActions::of(|a| f.on_packet(now, p, 2, a));
             for r in reply.packets {
-                let out = f.on_packet(now + MILLI, &r, 1);
+                let out = FlowActions::of(|a| f.on_packet(now + MILLI, &r, 1, a));
                 if out
                     .packets
                     .iter()
@@ -729,16 +715,16 @@ mod tests {
     #[test]
     fn rto_fires_when_all_data_lost() {
         let mut f = flow(TcpWorkload::RepeatedFile { bytes: 20_000, gap: SEC });
-        let mut actions = f.start(0);
+        let mut actions = FlowActions::of(|a| f.start(0, a));
         let syn = actions.packets.remove(0);
-        let mut acts = f.on_packet(MILLI, &syn, 2);
+        let mut acts = FlowActions::of(|a| f.on_packet(MILLI, &syn, 2, a));
         let synack = acts.packets.remove(0);
-        let acts = f.on_packet(2 * MILLI, &synack, 1);
+        let acts = FlowActions::of(|a| f.on_packet(2 * MILLI, &synack, 1, a));
         // Discard the data packets (lost); fire the RTO timer.
         let rto_timer = acts.timers.iter().find(|(_, t)| token_kind(*t) == KIND_RTO).copied();
         let (at, tok) = rto_timer.expect("an RTO must be armed when data is sent");
         let before = f.cwnd();
-        let out = f.on_timer(at, tok);
+        let out = FlowActions::of(|a| f.on_timer(at, tok, a));
         assert_eq!(f.cwnd(), 1.0);
         assert!(f.cwnd() < before);
         assert_eq!(out.packets.len(), 1);

@@ -32,7 +32,7 @@ pub fn transmission_time(bytes: usize, bps: u64) -> Nanos {
     if bps == 0 {
         return Nanos::MAX / 4;
     }
-    (bytes as u128 * 8 * SEC as u128 / bps as u128) as Nanos
+    netfence_telemetry::tx_nanos(bytes, bps)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   `O(routers · (routers + router_links))` build time instead of
 //!   `O(hosts · links)`;
 //! * next-hop tables are dense `Vec`s indexed by `(router, destination)`
-//!   slot, instead of one `HashMap<HostAddr, link>` per node —
+//!   slot, instead of one hash map of `HostAddr → link` per node —
 //!   `O(routers · destinations)` words of memory instead of
 //!   `O(nodes · hosts)` hash entries;
 //! * hosts are resolved at the last hop: the destination's access router
@@ -26,7 +26,10 @@
 //! router-discovery order, and the reverse adjacency preserves the old
 //! link-index tie-breaking.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use netfence_telemetry::IdMap;
 
 use crate::packet::{AsNum, HostAddr, LinkAddr};
 use crate::time::Nanos;
@@ -115,14 +118,17 @@ pub struct LinkSpec {
     pub queue: QueueKind,
 }
 
-/// A host's recorded attachment: its access router and the duplex link pair
-/// connecting them (made explicit by [`NetworkBuilder::host`] instead of
-/// being re-inferred from the link list, which silently misassigned on
-/// multihomed generated graphs).
+/// One host address's node and recorded attachment — its access router and
+/// the duplex link pair connecting them (made explicit by
+/// [`NetworkBuilder::host`] instead of being re-inferred from the link list,
+/// which silently misassigned on multihomed generated graphs). One table
+/// row, so routing and control-plane addressing each cost one probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HostAttach {
+pub(crate) struct HostEntry {
+    /// The host's own node.
+    pub(crate) node: NodeId,
     /// The access router.
-    router: NodeId,
+    pub(crate) router: NodeId,
     /// Link host → router.
     uplink: usize,
     /// Link router → host.
@@ -149,23 +155,19 @@ pub struct Network {
     pub nodes: Vec<Node>,
     /// All unidirectional links.
     pub links: Vec<LinkSpec>,
-    /// Host address → node index (shared with control planes, which only
-    /// read it — see [`ControlPlane::for_network`](crate::deploy::ControlPlane::for_network)).
-    pub host_index: std::sync::Arc<HashMap<HostAddr, NodeId>>,
+    /// Host address → node and attachment (shared with control planes,
+    /// which only read it — see
+    /// [`ControlPlane::for_network`](crate::deploy::ControlPlane::for_network)).
+    pub(crate) hosts: Arc<IdMap<HostAddr, HostEntry>>,
     /// Per-node outgoing link indices.
     pub out_links: Vec<Vec<usize>>,
-    /// Each host's directly-attached (access) router (shared like
-    /// [`Network::host_index`]).
-    pub access_router: std::sync::Arc<HashMap<HostAddr, NodeId>>,
-    /// Host address → attachment (uplink/downlink/destination slot).
-    host_attach: HashMap<HostAddr, HostAttach>,
     /// Per-node dense router slot (`NONE32` for hosts).
     router_slot: Vec<u32>,
     /// `routes[router_slot][dst_slot]` = outgoing link index, `NONE32` when
     /// the destination router is unreachable.
     routes: Vec<Vec<u32>>,
     /// Protocol link address → link index.
-    link_index: HashMap<LinkAddr, usize>,
+    link_index: IdMap<LinkAddr, usize>,
     /// Number of routing destinations.
     dst_count: usize,
     /// Destination slot → router slot of the destination's access router
@@ -181,7 +183,7 @@ impl Network {
 
     /// The node a host address belongs to.
     pub fn host_node(&self, addr: HostAddr) -> NodeId {
-        self.host_index[&addr]
+        self.hosts[&addr].node
     }
 
     /// The AS of a host address.
@@ -196,7 +198,7 @@ impl Network {
     /// downlink; a sending host uses its uplink (when its access router can
     /// reach the destination).
     pub fn next_hop(&self, node: NodeId, dst: HostAddr) -> Option<usize> {
-        let att = *self.host_attach.get(&dst)?;
+        let att = self.hosts.get(&dst)?;
         if node == att.router {
             return Some(att.downlink);
         }
@@ -205,7 +207,7 @@ impl Network {
                 if addr == dst {
                     return None;
                 }
-                let own = *self.host_attach.get(&addr)?;
+                let own = self.hosts.get(&addr)?;
                 if own.router == att.router {
                     return Some(own.uplink);
                 }
@@ -228,13 +230,13 @@ impl Network {
 
     /// The access router a host is attached to, if any.
     pub fn access_router_of(&self, host: HostAddr) -> Option<NodeId> {
-        self.access_router.get(&host).copied()
+        self.hosts.get(&host).map(|h| h.router)
     }
 
     /// All host addresses in the network.
     pub fn hosts(&self) -> Vec<HostAddr> {
         // lint:allow(nondeterministic-iteration): collected then sorted on the next line — callers only ever see key order
-        let mut v: Vec<HostAddr> = self.host_index.keys().copied().collect();
+        let mut v: Vec<HostAddr> = self.hosts.keys().copied().collect();
         v.sort_unstable();
         v
     }
@@ -298,9 +300,9 @@ pub struct NetworkBuilder {
     nodes: Vec<Node>,
     links: Vec<LinkSpec>,
     next_link_addr: LinkAddr,
-    /// `(host address, access router, uplink, downlink)` per host, recorded
-    /// at [`NetworkBuilder::host`] time.
-    attachments: Vec<(HostAddr, NodeId, usize, usize)>,
+    /// Each host's address and attachment, recorded at
+    /// [`NetworkBuilder::host`] time (`dst_slot` is filled in by `build`).
+    attachments: Vec<(HostAddr, HostEntry)>,
 }
 
 impl NetworkBuilder {
@@ -330,7 +332,8 @@ impl NetworkBuilder {
         self.nodes.push(Node { kind: NodeKind::Host { addr, as_num } });
         let id = NodeId(self.nodes.len() - 1);
         let (uplink, downlink) = self.duplex(id, router, capacity, delay, QueueKind::DropTail);
-        self.attachments.push((addr, router, uplink, downlink));
+        let entry = HostEntry { node: id, router, uplink, downlink, dst_slot: NONE32 };
+        self.attachments.push((addr, entry));
         id
     }
 
@@ -374,15 +377,7 @@ impl NetworkBuilder {
     pub fn build(self) -> Network {
         let NetworkBuilder { nodes, links, attachments, .. } = self;
 
-        let mut host_index = HashMap::with_capacity(attachments.len());
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some(addr) = n.host_addr() {
-                let prev = host_index.insert(addr, NodeId(i));
-                assert!(prev.is_none(), "duplicate host address {addr:#x}");
-            }
-        }
-
-        let mut link_index = HashMap::with_capacity(links.len());
+        let mut link_index = IdMap::with_capacity_and_hasher(links.len(), Default::default());
         let mut out_links = vec![Vec::new(); nodes.len()];
         for (li, l) in links.iter().enumerate() {
             out_links[l.from.0].push(li);
@@ -402,8 +397,8 @@ impl NetworkBuilder {
 
         // Routing destinations: host-bearing routers, slotted in node order.
         let mut has_host = vec![false; nodes.len()];
-        for &(_, router, _, _) in &attachments {
-            has_host[router.0] = true;
+        for (_, entry) in &attachments {
+            has_host[entry.router.0] = true;
         }
         let mut dst_slot_of_node = vec![NONE32; nodes.len()];
         let mut dst_routers: Vec<u32> = Vec::new(); // dst slot -> router slot
@@ -447,23 +442,18 @@ impl NetworkBuilder {
             }
         }
 
-        let mut access_router = HashMap::with_capacity(attachments.len());
-        let mut host_attach = HashMap::with_capacity(attachments.len());
-        for &(addr, router, uplink, downlink) in &attachments {
-            access_router.insert(addr, router);
-            host_attach.insert(
-                addr,
-                HostAttach { router, uplink, downlink, dst_slot: dst_slot_of_node[router.0] },
-            );
+        let mut hosts = IdMap::with_capacity_and_hasher(attachments.len(), Default::default());
+        for (addr, mut entry) in attachments {
+            entry.dst_slot = dst_slot_of_node[entry.router.0];
+            let prev = hosts.insert(addr, entry);
+            assert!(prev.is_none(), "duplicate host address {addr:#x}");
         }
 
         Network {
             nodes,
             links,
-            host_index: std::sync::Arc::new(host_index),
+            hosts: Arc::new(hosts),
             out_links,
-            access_router: std::sync::Arc::new(access_router),
-            host_attach,
             router_slot,
             routes,
             link_index,

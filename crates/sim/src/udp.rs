@@ -5,7 +5,7 @@
 
 use crate::flow::{Flow, FlowActions, FlowProgress};
 use crate::packet::{FlowId, HostAddr, Packet};
-use crate::time::{Nanos, MILLI, SEC};
+use crate::time::{transmission_time, Nanos, MILLI};
 
 /// Sending pattern of a UDP flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +37,9 @@ pub struct UdpFlow {
     rate_bps: u64,
     /// Datagram size in bytes.
     pkt_size: usize,
+    /// Time between two datagrams at `rate_bps`; recomputed by the two
+    /// setters that change its inputs.
+    send_interval: Nanos,
     pattern: UdpPattern,
     /// Interval between receiver feedback-echo packets.
     echo_interval: Nanos,
@@ -63,12 +66,14 @@ impl UdpFlow {
         rate_bps: u64,
         pattern: UdpPattern,
     ) -> Self {
+        let rate_bps = rate_bps.max(1);
         UdpFlow {
             id,
             src,
             dst,
-            rate_bps: rate_bps.max(1),
+            rate_bps,
             pkt_size: 1500,
+            send_interval: transmission_time(1500, rate_bps),
             pattern,
             echo_interval: 200 * MILLI,
             echo_size: 92,
@@ -82,6 +87,7 @@ impl UdpFlow {
     /// Override the datagram size.
     pub fn with_pkt_size(mut self, size: usize) -> Self {
         self.pkt_size = size;
+        self.send_interval = transmission_time(size, self.rate_bps);
         self
     }
 
@@ -99,6 +105,7 @@ impl UdpFlow {
     /// flow retuned to the same rate behaves exactly as if never touched.
     pub fn set_rate_bps(&mut self, bps: u64) {
         self.rate_bps = bps.max(1);
+        self.send_interval = transmission_time(self.pkt_size, self.rate_bps);
     }
 
     /// Replace the duty-cycle pattern, rebasing its phase so the new cycle
@@ -114,11 +121,6 @@ impl UdpFlow {
     /// echo follows the new destination.
     pub fn set_dst(&mut self, dst: HostAddr) {
         self.dst = dst;
-    }
-
-    /// Time between two datagrams at the configured rate.
-    fn send_interval(&self) -> Nanos {
-        (self.pkt_size as u128 * 8 * SEC as u128 / self.rate_bps as u128) as Nanos
     }
 
     /// Whether the flow is inside an on-period at `now`, and if not, when
@@ -150,14 +152,13 @@ impl Flow for UdpFlow {
         self.dst
     }
 
-    fn start(&mut self, now: Nanos) -> FlowActions {
+    fn start(&mut self, now: Nanos, out: &mut FlowActions) {
         self.started_at = now;
         self.progress.started_transfers = 1;
-        FlowActions::none().with_timer(now, TOKEN_SEND)
+        out.timers.push((now, TOKEN_SEND));
     }
 
-    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr) -> FlowActions {
-        let mut actions = FlowActions::none();
+    fn on_packet(&mut self, now: Nanos, pkt: &Packet, at_host: HostAddr, out: &mut FlowActions) {
         // Count any packet this sender emitted that reached its own
         // destination — `pkt.dst`, not `self.dst`, so a flow redirected by
         // `set_dst` still credits in-flight packets to the old target.
@@ -167,63 +168,49 @@ impl Flow for UdpFlow {
             self.received_since_echo = true;
             if !self.echo_armed {
                 self.echo_armed = true;
-                actions.timers.push((now + self.echo_interval, TOKEN_ECHO));
+                out.timers.push((now + self.echo_interval, TOKEN_ECHO));
             }
         }
-        actions
     }
 
-    fn on_timer(&mut self, now: Nanos, token: u64) -> FlowActions {
-        let mut actions = FlowActions::none();
+    fn on_timer(&mut self, now: Nanos, token: u64, out: &mut FlowActions) {
         match token {
             TOKEN_SEND => match self.on_phase(now) {
                 Ok(()) => {
-                    actions.packets.push(Packet::udp(
-                        self.id,
-                        self.src,
-                        self.dst,
-                        self.pkt_size,
-                        now,
-                    ));
+                    out.packets.push(Packet::udp(self.id, self.src, self.dst, self.pkt_size, now));
                     self.progress.packets_sent += 1;
-                    actions.timers.push((now + self.send_interval(), TOKEN_SEND));
+                    out.timers.push((now + self.send_interval, TOKEN_SEND));
                 }
                 Err(next_on) => {
-                    actions.timers.push((next_on, TOKEN_SEND));
+                    out.timers.push((next_on, TOKEN_SEND));
                 }
             },
             TOKEN_ECHO => {
                 if self.received_since_echo {
                     // A small reverse-direction packet that lets the defense
                     // shim piggyback returned feedback for one-way traffic.
-                    actions.packets.push(Packet::udp(
-                        self.id,
-                        self.dst,
-                        self.src,
-                        self.echo_size,
-                        now,
-                    ));
+                    out.packets.push(Packet::udp(self.id, self.dst, self.src, self.echo_size, now));
                     self.received_since_echo = false;
                 }
-                actions.timers.push((now + self.echo_interval, TOKEN_ECHO));
+                out.timers.push((now + self.echo_interval, TOKEN_ECHO));
             }
             _ => {}
         }
-        actions
     }
 
-    fn progress(&self) -> FlowProgress {
-        self.progress.clone()
+    fn progress(&self) -> &FlowProgress {
+        &self.progress
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SEC;
 
     fn drain(f: &mut UdpFlow, until: Nanos) -> (u64, Vec<Nanos>) {
         // Run the flow's own timers without any network.
-        let mut timers = f.start(0).timers;
+        let mut timers = FlowActions::of(|a| f.start(0, a)).timers;
         let mut sent = 0;
         let mut times = Vec::new();
         while let Some(pos) = timers.iter().enumerate().min_by_key(|(_, (t, _))| *t).map(|(i, _)| i)
@@ -232,7 +219,7 @@ mod tests {
             if now > until {
                 break;
             }
-            let acts = f.on_timer(now, tok);
+            let acts = FlowActions::of(|a| f.on_timer(now, tok, a));
             sent += acts.packets.len() as u64;
             if !acts.packets.is_empty() {
                 times.push(now);
@@ -274,13 +261,13 @@ mod tests {
     #[test]
     fn retune_hooks_change_rate_pattern_and_destination() {
         let mut f = UdpFlow::cbr(0, 1, 2, 1_000_000);
-        let _ = f.start(0);
+        f.start(0, &mut FlowActions::default());
         assert_eq!(f.rate_bps(), 1_000_000);
         assert_eq!(f.pkt_size(), 1500);
         // Double the rate: the send interval halves.
-        let before = f.send_interval();
+        let before = f.send_interval;
         f.set_rate_bps(2_000_000);
-        assert_eq!(f.send_interval(), before / 2);
+        assert_eq!(f.send_interval, before / 2);
         // Switch to on-off mid-run: the phase rebases at the switch
         // instant, so the first on-period starts immediately.
         f.set_pattern(10 * SEC, UdpPattern::OnOff { on: SEC, off: SEC });
@@ -289,28 +276,27 @@ mod tests {
         // Redirect: new packets go to the new destination, and a packet
         // already in flight to the old one still counts as delivered.
         f.set_dst(5);
-        let acts = f.on_timer(10 * SEC, TOKEN_SEND);
+        let acts = FlowActions::of(|a| f.on_timer(10 * SEC, TOKEN_SEND, a));
         assert_eq!(acts.packets[0].dst, 5);
         let stale = Packet::udp(0, 1, 2, 1500, 10 * SEC);
-        let _ = f.on_packet(10 * SEC, &stale, 2);
+        f.on_packet(10 * SEC, &stale, 2, &mut FlowActions::default());
         assert_eq!(f.progress().delivered_bytes, 1500);
     }
 
     #[test]
     fn receiver_echoes_at_low_rate() {
         let mut f = UdpFlow::cbr(0, 1, 2, 1_000_000);
-        let _ = f.start(0);
+        f.start(0, &mut FlowActions::default());
         // Deliver 100 packets over one second.
         let mut echo_timers = Vec::new();
         for i in 0..100u64 {
             let p = Packet::udp(0, 1, 2, 1500, i * 10 * MILLI);
-            let acts = f.on_packet(i * 10 * MILLI, &p, 2);
-            echo_timers.extend(acts.timers);
+            echo_timers.extend(FlowActions::of(|a| f.on_packet(i * 10 * MILLI, &p, 2, a)).timers);
         }
         // Only one echo timer was armed despite 100 deliveries.
         assert_eq!(echo_timers.len(), 1);
         let (at, tok) = echo_timers[0];
-        let acts = f.on_timer(at, tok);
+        let acts = FlowActions::of(|a| f.on_timer(at, tok, a));
         // The echo packet travels from the receiver back to the sender and
         // is small.
         assert_eq!(acts.packets.len(), 1);
@@ -319,7 +305,7 @@ mod tests {
         assert_eq!(echo.dst, 1);
         assert_eq!(echo.size, 92);
         // Without further deliveries the next echo timer sends nothing.
-        let acts2 = f.on_timer(at + 200 * MILLI, acts.timers[0].1);
+        let acts2 = FlowActions::of(|a| f.on_timer(at + 200 * MILLI, acts.timers[0].1, a));
         assert!(acts2.packets.is_empty());
         assert_eq!(f.progress().delivered_bytes, 150_000);
     }

@@ -39,7 +39,7 @@ pub fn strategic_request_priority(
 }
 
 /// The back-off priority a legitimate sender reaches after waiting `waited`
-/// (mirrors `netfence_core::endpoint::SenderShim::request_priority` for use
+/// (mirrors `netfence_core::endpoint::SenderShim::make_header` for use
 /// in experiment sizing).
 pub fn legitimate_priority_after(waited: Nanos, l1_per_sec: f64, max_level: u8) -> u8 {
     let tokens = waited as f64 / SEC as f64 * l1_per_sec;

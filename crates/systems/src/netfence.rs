@@ -33,7 +33,7 @@
 //! NetFence header and is demoted to the legacy channel at deployed
 //! routers, which is the paper's adoption incentive (§5.3).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use netfence_core::access::{AccessRouter, AccessVerdict, DropReason};
 use netfence_core::as_police::{AsPolicer, AsPolicingMode};
@@ -41,14 +41,14 @@ use netfence_core::bottleneck::{BottleneckLink, Channel};
 use netfence_core::config::Config;
 use netfence_core::endpoint::{ReceiverPolicy, ReceiverShim, SenderShim};
 use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
-use netfence_crypto::AsKeyAgent;
+use netfence_crypto::{AsKeyAgent, Cmac};
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
     ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
     QueueFactory, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{AsNum, ChannelClass, Extension, HostAddr, Packet, Protocol};
-use netfence_sim::prelude::{DropCause, Timeline};
+use netfence_sim::prelude::{DropCause, IdMap, Timeline};
 use netfence_sim::queue::{DualChannelQueue, PriorityLevelQueue, QueueDisc, RedQueue};
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
@@ -77,7 +77,7 @@ pub struct NetFenceDefense {
     /// (receiver, sender) pairs the receiver classifies as unwanted.
     suppressed: Vec<(HostAddr, HostAddr)>,
     /// Fixed request-priority override for (attacker) hosts.
-    priority_override: HashMap<HostAddr, u8>,
+    priority_override: IdMap<HostAddr, u8>,
     /// Optional per-AS damage localization at bottleneck links (§4.5).
     as_policing_mode: Option<AsPolicingMode>,
     /// Installed pairwise AS keys lapse after this long without a refresh
@@ -93,7 +93,7 @@ impl NetFenceDefense {
             cfg,
             deny_by_default: Vec::new(),
             suppressed: Vec::new(),
-            priority_override: HashMap::new(),
+            priority_override: IdMap::default(),
             as_policing_mode: None,
             key_ttl: 0,
             seed: 0x4E46_4E46,
@@ -177,7 +177,7 @@ impl DefenseFactory for NetFenceDefense {
         // With a key TTL, each deploying AS's first router doubles as its
         // designated announcer, re-posting the AS's public value every
         // `ttl / 2` so installed keys stay refreshed.
-        let mut announcer_of: HashMap<AsNum, NodeId> = HashMap::new();
+        let mut announcer_of: IdMap<AsNum, NodeId> = IdMap::default();
         if self.key_ttl > 0 {
             for &node in &agent_nodes {
                 announcer_of.entry(net.nodes[node.0].as_num()).or_insert(node);
@@ -622,12 +622,13 @@ impl RouterAgent for NetFenceRouterAgent {
     fn on_control(&mut self, now: Nanos, msg: Box<dyn std::any::Any>, _ctl: &mut ControlPlane) {
         let Some(ann) = msg.downcast_ref::<KeyAnnouncement>() else { return };
         self.keys.insert(now, ann.asn);
-        let key = self.key_agent.shared_key(ann.asn, ann.public_value);
+        // One AES key schedule per announcement; every table gets a clone.
+        let key = Cmac::new(&self.key_agent.shared_key(ann.asn, ann.public_value));
+        for (_, bl) in self.bottlenecks.iter_mut() {
+            bl.install_as_key(AsId(ann.asn), key.clone());
+        }
         if let Some(access) = self.access.as_mut() {
             access.install_as_key(AsId(ann.asn), key);
-        }
-        for (_, bl) in self.bottlenecks.iter_mut() {
-            bl.install_as_key(AsId(ann.asn), key);
         }
     }
 
@@ -725,7 +726,7 @@ impl RouterAgent for NetFenceRouterAgent {
     }
 
     fn probe(&self, now: Nanos, out: &mut Timeline) {
-        // The limiter table is a HashMap: aggregate through a BTreeMap so
+        // The limiter table is a hash map: aggregate through a BTreeMap so
         // the emitted rows are deterministically ordered (telemetry must
         // never observe iteration order).
         if let Some(access) = &self.access {

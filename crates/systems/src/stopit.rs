@@ -21,7 +21,7 @@
 //! as a resumed flood until the refresh crosses the control plane. The
 //! default TTL of 0 keeps the legacy permanent-filter behavior.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
@@ -29,7 +29,7 @@ use netfence_sim::deploy::{
     QueueFactory, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{HostAddr, Packet};
-use netfence_sim::prelude::{DropCause, Timeline};
+use netfence_sim::prelude::{DropCause, IdMap, Timeline};
 use netfence_sim::queue::{HierDrrQueue, QueueDisc};
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
@@ -152,7 +152,7 @@ impl DefenseFactory for StopItDefense {
                 Box::new(StopItHostShim {
                     auto_filter: self.auto_filter_victims.contains(&host),
                     whitelist,
-                    requested: HashMap::new(),
+                    requested: IdMap::default(),
                     filter_ttl: self.filter_ttl,
                 }),
             );
@@ -191,7 +191,7 @@ struct StopItHostShim {
     /// Sender → time of the last filed request. With permanent filters
     /// (ttl 0) one request suffices; with a TTL the victim re-requests
     /// when leaked traffic shows the filter lapsed.
-    requested: HashMap<HostAddr, Nanos>,
+    requested: IdMap<HostAddr, Nanos>,
     filter_ttl: Nanos,
 }
 

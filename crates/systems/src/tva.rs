@@ -24,7 +24,7 @@
 //! cryptographic tokens; the cryptographic machinery is NetFence-specific
 //! and is implemented in `netfence-core`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
@@ -32,7 +32,7 @@ use netfence_sim::deploy::{
     QueueFactory, RouterAction, RouterAgent,
 };
 use netfence_sim::packet::{ChannelClass, Extension, HostAddr, Packet};
-use netfence_sim::prelude::{DropCause, Timeline};
+use netfence_sim::prelude::{DropCause, IdMap, Timeline};
 use netfence_sim::queue::{Classifier, DrrQueue, DualChannelQueue, HierDrrQueue, QueueDisc};
 use netfence_sim::time::{Nanos, SEC};
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
@@ -135,7 +135,7 @@ impl DefenseFactory for TvaDefense {
                     deny_by_default: self.deny_by_default.contains(&host),
                     whitelist,
                     granted: PolicyStore::new(self.capability_lifetime, 0),
-                    held: HashMap::new(),
+                    held: IdMap::default(),
                 }),
             );
         }
@@ -178,7 +178,7 @@ struct TvaHostShim {
     granted: PolicyStore<HostAddr>,
     /// Capabilities this sender holds: destination → expiry (learned from
     /// grants piggybacked on reverse traffic).
-    held: HashMap<HostAddr, Nanos>,
+    held: IdMap<HostAddr, Nanos>,
 }
 
 impl TvaHostShim {

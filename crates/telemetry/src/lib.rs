@@ -4,9 +4,10 @@
 //! causes, ring-buffered time series, a hash-sampled packet flight recorder
 //! and engine profiling counters.
 //!
-//! The crate is a leaf — it depends on nothing and is depended on by the
-//! simulator, the defense systems, the control plane and the experiment
-//! layer. Everything in it obeys one **determinism contract**:
+//! The crate is a leaf — it depends on nothing and every other layer
+//! depends on it — which also makes it the home of the two things they must
+//! agree on: the fixed-hasher [`IdMap`] and the [`tx_nanos`]
+//! serialization-time rule. The observers obey one **determinism contract**:
 //!
 //! * The *always-on* parts — [`DropLedger`]/[`DropBudget`] and
 //!   [`EngineProfile`] — are plain deterministic counters. They are cheap
@@ -26,12 +27,14 @@
 
 pub mod config;
 pub mod drop;
+pub mod idmap;
 pub mod profile;
 pub mod timeline;
 pub mod trace;
 
 pub use config::TelemetryConfig;
 pub use drop::{DropBudget, DropCause, DropLedger};
+pub use idmap::{IdHasher, IdMap};
 pub use profile::EngineProfile;
 pub use timeline::{Timeline, TimelineRow};
 pub use trace::{FlightRecorder, HopEvent, HopStage};
@@ -40,6 +43,17 @@ pub use trace::{FlightRecorder, HopEvent, HopStage};
 /// `netfence_sim::time::Nanos` (both are plain `u64` aliases, so they
 /// unify without a dependency edge).
 pub type Nanos = u64;
+
+/// Time to serialize `bytes` at `bps > 0` bits per second, rounded down:
+/// `bytes · 8 · 10⁹ / bps`. The product fits `u64` for every packet the
+/// simulator moves; `u128` division (a library call) only on overflow.
+#[inline]
+pub fn tx_nanos(bytes: usize, bps: u64) -> Nanos {
+    match (bytes as u64).checked_mul(8_000_000_000) {
+        Some(bit_nanos) => bit_nanos / bps,
+        None => (bytes as u128 * 8_000_000_000 / u128::from(bps)) as Nanos,
+    }
+}
 
 /// Escape a string for embedding inside a JSON string literal. The keys
 /// and series names the crate emits are ASCII identifiers, but the escape
@@ -64,6 +78,22 @@ pub(crate) fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tx_nanos_arms_agree_at_the_u64_boundary() {
+        let wide = |bytes: usize, bps: u64| (bytes as u128 * 8_000_000_000 / bps as u128) as Nanos;
+        // 1500 B at 10 Mbps = 1.2 ms; 40 B at 1 Gbps = 320 ns.
+        assert_eq!(tx_nanos(1500, 10_000_000), 1_200_000);
+        assert_eq!(tx_nanos(40, 1_000_000_000), 320);
+        // `bytes · 8e9` crosses `u64::MAX` between these two sizes.
+        let last_fit = (u64::MAX / 8_000_000_000) as usize;
+        assert!((last_fit as u64 + 1).checked_mul(8_000_000_000).is_none());
+        for bytes in [last_fit - 1, last_fit, last_fit + 1, last_fit + 2] {
+            for bps in [1, 7, 10_000_000, u64::MAX / 3] {
+                assert_eq!(tx_nanos(bytes, bps), wide(bytes, bps), "{bytes} B at {bps} bps");
+            }
+        }
+    }
 
     #[test]
     fn json_escape_handles_the_control_set() {

@@ -9,6 +9,7 @@
 
 use netfence::experiments::chaos;
 use netfence::experiments::fig8::fig8_spec;
+use netfence::experiments::fig9::{fig9_spec, UserTraffic};
 use netfence::experiments::prelude::*;
 use netfence::experiments::registry::Size;
 
@@ -48,4 +49,18 @@ fn fig8_quick_cell_per_defense_kind() {
 #[test]
 fn chaos_quick_reboot_cell() {
     check("chaos/reboot/NetFence", chaos::traced_spec(Size::Quick), 0x652d_9b0a_ce7b_5a0c);
+}
+
+/// The only pinned cells whose access routers hold live per-(sender, link)
+/// rate limiters; constants computed on b41461b, before the limiter table
+/// changed hasher.
+#[test]
+fn fig9_quick_netfence_cells() {
+    for (traffic, pinned) in [
+        (UserTraffic::LongRunning, 0xdef1_ac45_8d6c_c1db_u64),
+        (UserTraffic::WebLike, 0xdc52_0cf3_c34d_bac6),
+    ] {
+        let spec = fig9_spec(&Size::Quick.scale(), DefenseKind::NetFence, traffic, 100_000);
+        check(&format!("fig9/{traffic:?}/NetFence"), spec, pinned);
+    }
 }
