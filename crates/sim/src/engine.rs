@@ -189,8 +189,6 @@ pub struct Simulator {
     /// [`SimConfig::telemetry`] sets a sample shift).
     pub flight: FlightRecorder,
     links: Vec<LinkState>,
-    /// Owning (sending-side) node of each link, for dense agent dispatch.
-    link_owner: Vec<NodeId>,
     /// Which links are currently failed (set/cleared by [`FaultAction`]s).
     link_down: Vec<bool>,
     flows: Vec<Box<dyn Flow>>,
@@ -225,7 +223,6 @@ impl Simulator {
             "deployment was built for a different network"
         );
         let mut links = Vec::with_capacity(net.links.len());
-        let mut link_owner = Vec::with_capacity(net.links.len());
         for (i, spec) in net.links.iter().enumerate() {
             let queue = deployment.queues.make_queue(i, spec).unwrap_or_else(|| match spec.queue {
                 QueueKind::DropTail => {
@@ -237,7 +234,6 @@ impl Simulator {
                 }
             });
             links.push(LinkState { queue, busy: false, in_flight: None, poll_pending: false });
-            link_owner.push(spec.from);
         }
         let timeline = if cfg.telemetry.timeline {
             Timeline::new(cfg.telemetry.timeline_capacity)
@@ -258,7 +254,6 @@ impl Simulator {
             timeline,
             flight,
             links,
-            link_owner,
             link_down,
             flows: Vec::new(),
             actions: FlowActions::default(),
@@ -371,9 +366,13 @@ impl Simulator {
             if at > self.cfg.end_time {
                 break;
             }
+            debug_assert!(at >= self.now, "the event queue went back in time: {at} < {}", self.now);
             self.now = at;
             self.handle(kind);
-            self.drain_control();
+            // A quiet bus is the common case: test it here, not behind a call.
+            if self.deployment.bus.pending() > 0 {
+                self.drain_control();
+            }
         }
         self.now = self.cfg.end_time;
         self.metrics.end_time = self.cfg.end_time;
@@ -531,12 +530,12 @@ impl Simulator {
                     return;
                 }
                 self.link_down[link] = true;
-                self.mark_fault("link-down", self.link_owner[link], Some(link));
+                let owner = self.net.links[link].from;
+                self.mark_fault("link-down", owner, Some(link));
                 // Everything queued on the failed link is lost. The owning
                 // agent is deliberately not told: a dead link produces no
                 // congestion feedback.
                 let now = self.now;
-                let owner = self.link_owner[link];
                 for d in self.links[link].queue.drain(now) {
                     self.metrics.record_link_drop(link, d.flow as u64, DropCause::LinkDown);
                     self.trace_hop(
@@ -554,7 +553,7 @@ impl Simulator {
                     return;
                 }
                 self.link_down[link] = false;
-                self.mark_fault("link-up", self.link_owner[link], Some(link));
+                self.mark_fault("link-up", self.net.links[link].from, Some(link));
                 self.net.recompute_routes(&self.link_down);
                 if !self.links[link].busy {
                     self.try_transmit(link);
@@ -760,7 +759,7 @@ impl Simulator {
     fn enqueue_on_link(&mut self, link_idx: usize, pkt: Packet) {
         let now = self.now;
         self.metrics.profile.enqueues += 1;
-        let owner = self.link_owner[link_idx];
+        let owner = self.net.links[link_idx].from;
         if self.link_down[link_idx] {
             // The link failed after routing chose it (stale route window or
             // a delayed release): the packet is lost on the dead link.
@@ -804,7 +803,7 @@ impl Simulator {
 
     fn start_transmission(&mut self, link_idx: usize, mut pkt: Packet) {
         let spec = self.net.links[link_idx];
-        let owner = self.link_owner[link_idx];
+        let owner = spec.from;
         if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
             agent.on_link_dequeue(self.now, LinkRef { index: link_idx, addr: spec.addr }, &mut pkt);
         }
@@ -822,11 +821,10 @@ impl Simulator {
         if let Some(pkt) = self.links[link_idx].in_flight.take() {
             if self.link_down[link_idx] {
                 // The link failed mid-serialization: the packet is lost.
-                let owner = self.link_owner[link_idx];
                 self.metrics.record_link_drop(link_idx, pkt.flow as u64, DropCause::LinkDown);
                 self.trace_hop(
                     &pkt,
-                    owner,
+                    spec.from,
                     Some(link_idx),
                     HopStage::Drop,
                     Some(DropCause::LinkDown),

@@ -10,6 +10,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use netfence::sim::event_queue::EventQueue;
+use netfence::sim::rng::SimRng;
 use proptest::collection::vec;
 use proptest::proptest;
 
@@ -47,6 +48,11 @@ fn pop_both(queue: &mut EventQueue<u64>, model: &mut Model) -> Option<u64> {
     assert_eq!(queue.len(), model.heap.len());
     assert_eq!(queue.is_empty(), model.heap.is_empty());
     got.map(|(at, _)| at)
+}
+
+fn push_both(queue: &mut EventQueue<u64>, model: &mut Model, at: u64) {
+    let id = model.push(at);
+    queue.push(at, id);
 }
 
 proptest! {
@@ -127,4 +133,88 @@ fn a_push_into_the_past_pops_next() {
         queue.push(at, id);
     }
     while pop_both(&mut queue, &mut model).is_some() {}
+}
+
+/// Offsets from the time just popped that land before, inside and after the
+/// span being drained whether that span is 2^12 or 2^18 ns wide, in the
+/// next bucket, and (0, 1) at the drain position itself.
+const DELTAS: [u64; 10] = [0, 1, 100, 4_095, 4_096, 4_097, 50_000, 262_143, 262_144, 262_145];
+
+/// One bucket holding thousands of keys — a whole sorted run — drained
+/// while every pop pushes a key around the drain position.
+#[test]
+fn dense_bucket_with_pushes_around_the_drain_position() {
+    const SPAN: u64 = 1 << 18;
+    let mut queue = EventQueue::new();
+    let mut model = Model::default();
+    let mut rng = SimRng::new(7);
+    for _ in 0..6_000 {
+        push_both(&mut queue, &mut model, rng.uniform_u64(40 * SPAN, 41 * SPAN));
+    }
+    let mut pops = 0;
+    while let Some(now) = pop_both(&mut queue, &mut model) {
+        // Feed for 30 000 pops (the backlog stays at 6 000), then drain.
+        if pops < 30_000 {
+            push_both(&mut queue, &mut model, now + DELTAS[pops % DELTAS.len()]);
+        }
+        pops += 1;
+    }
+    assert_eq!(pops, 36_000);
+}
+
+/// 100 000 pushes at the instant being drained pop after what was already
+/// queued there, in push order, at O(log n) each: this test takes ≈ 0.1 s.
+/// Inserting each key into the sorted run instead would pass the order
+/// check and move ≈ 10^11 bytes — ten seconds or more, which is the signal
+/// (10 000 keys would move 10^9, lost in the noise).
+#[test]
+fn a_same_instant_burst_during_a_drain_pops_fifo() {
+    let mut queue = EventQueue::new();
+    let mut model = Model::default();
+    for i in 0..100 {
+        push_both(&mut queue, &mut model, 1_000_000 + i / 4);
+    }
+    let mut now = 0;
+    for _ in 0..50 {
+        now = pop_both(&mut queue, &mut model).expect("100 were pushed");
+    }
+    for _ in 0..100_000 {
+        push_both(&mut queue, &mut model, now);
+    }
+    let mut burst = Vec::new();
+    while let Some((at, id)) = queue.pop() {
+        assert_eq!(Some((at, id)), model.pop());
+        if at == now {
+            burst.push(id);
+        }
+    }
+    assert!(burst.len() > 100_000 && burst.is_sorted(), "equal times pop in push order");
+}
+
+/// Keys pushed past the ring horizon fall due in a bucket that, by then,
+/// also holds ring keys and takes in-bucket pushes while it drains.
+#[test]
+fn far_keys_join_a_bucket_that_also_has_ring_keys_and_late_pushes() {
+    let mut queue = EventQueue::new();
+    let mut model = Model::default();
+    // Past any horizon the constants could give (2^40 ns ≈ 18 min).
+    let due = 1u64 << 41;
+    for offset in [9_000, 17, 200_000, 17, 4_096] {
+        push_both(&mut queue, &mut model, due + offset);
+    }
+    // Walk time up to just short of `due`, so the next pushes at `due + _`
+    // are inside the ring.
+    push_both(&mut queue, &mut model, due - 1_000_000);
+    assert_eq!(pop_both(&mut queue, &mut model), Some(due - 1_000_000));
+    for offset in [17, 5_000, 0, 262_143, 9_000] {
+        push_both(&mut queue, &mut model, due + offset);
+    }
+    let mut pops = 0;
+    while let Some(now) = pop_both(&mut queue, &mut model) {
+        if pops < 40 {
+            push_both(&mut queue, &mut model, now + DELTAS[pops % DELTAS.len()]);
+        }
+        pops += 1;
+    }
+    assert_eq!(pops, 50);
 }
