@@ -44,7 +44,7 @@ pub mod strategy;
 
 pub use agent::AdversaryFlow;
 pub use ctx::StrategyCtx;
-pub use strategy::{AttackLoad, AttackStrategy, ShrewTiming};
+pub use strategy::{strategic_request_priority, AttackLoad, AttackStrategy, ShrewTiming};
 
 /// Commonly used re-exports.
 pub mod prelude {

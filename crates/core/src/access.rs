@@ -17,7 +17,7 @@
 //!    for `Ta`.
 
 use netfence_crypto::{AsKeyTable, Cmac, TimeVaryingSecret};
-use netfence_telemetry::IdMap;
+use netfence_telemetry::{DropCause, IdMap};
 
 use crate::aimd::{Adjustment, AimdState};
 use crate::bottleneck::Channel;
@@ -27,23 +27,6 @@ use crate::header::{NetFenceHeader, PacketKind};
 use crate::regular_limiter::{BucketVerdict, LeakyBucket};
 use crate::request_limiter::{RequestLimiter, RequestVerdict};
 use crate::types::{AsId, FlowPair, HostId, LimiterKey, LinkId, Nanos};
-
-/// Why the access router dropped a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// The per-sender request limiter had insufficient tokens for the
-    /// packet's priority level.
-    RequestRateLimited,
-    /// The per-(sender, bottleneck) regular rate limiter's queue delay
-    /// exceeded the maximum.
-    RegularRateLimited,
-    /// A regular packet whose presented feedback failed validation was
-    /// demoted to a request and then dropped by the request limiter. The
-    /// drop is counted against the request limiter (it made the decision)
-    /// but reported separately so operators can tell spoofed/stale
-    /// feedback apart from plain request floods.
-    UnverifiedFeedback,
-}
 
 /// The access router's decision for an outbound packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,8 +41,17 @@ pub enum AccessVerdict {
         /// Absolute release time computed by the leaky bucket.
         release_at: Nanos,
     },
-    /// Drop the packet.
-    Drop(DropReason),
+    /// Drop the packet. The cause is one of
+    /// [`DropCause::RequestRateLimit`] (the per-sender request limiter had
+    /// too few tokens for the packet's priority level),
+    /// [`DropCause::RegularRateLimit`] (the per-(sender, bottleneck)
+    /// limiter's queue delay exceeded the maximum) or
+    /// [`DropCause::InvalidMac`] (a regular packet whose presented feedback
+    /// failed validation was demoted to a request and then refused by the
+    /// request limiter — the limiter made the decision, but the cause is
+    /// kept apart so spoofed or stale feedback can be told from a plain
+    /// request flood).
+    Drop(DropCause),
 }
 
 /// One per-(sender, bottleneck link) rate limiter: leaky bucket + AIMD state
@@ -127,9 +119,6 @@ pub struct AccessRouter {
     request_limiters: IdMap<HostId, RequestLimiter>,
     /// Per-(sender, bottleneck link) regular rate limiters.
     pub(crate) limiters: IdMap<LimiterKey, RegularLimiter>,
-    /// Per-sender request token refill multipliers (servers may be given
-    /// more, §4.2).
-    request_multipliers: IdMap<HostId, f64>,
     /// Counters.
     stats: AccessStats,
 }
@@ -146,7 +135,6 @@ impl AccessRouter {
             link_as: IdMap::default(),
             request_limiters: IdMap::default(),
             limiters: IdMap::default(),
-            request_multipliers: IdMap::default(),
             stats: AccessStats::default(),
         }
     }
@@ -182,11 +170,6 @@ impl AccessRouter {
     /// feedback circulates back.
     pub fn rotate_secret(&mut self, new_root: [u8; 16]) {
         self.ka = TimeVaryingSecret::new(new_root);
-    }
-
-    /// Give a host a larger request-token refill rate (e.g. a busy server).
-    pub fn set_request_multiplier(&mut self, host: HostId, multiplier: f64) {
-        self.request_multipliers.insert(host, multiplier);
     }
 
     /// The current counters.
@@ -296,7 +279,7 @@ impl AccessRouter {
                     }
                     BucketVerdict::Drop => {
                         self.stats.regular_dropped += 1;
-                        AccessVerdict::Drop(DropReason::RegularRateLimited)
+                        AccessVerdict::Drop(DropCause::RegularRateLimit)
                     }
                 }
             }
@@ -312,19 +295,18 @@ impl AccessRouter {
         header: &mut NetFenceHeader,
         demoted: bool,
     ) -> AccessVerdict {
-        let (cfg, multipliers) = (&self.cfg, &self.request_multipliers);
-        // The multiplier only matters the first time a sender is seen.
-        let limiter = self.request_limiters.entry(flow.src).or_insert_with(|| {
-            let multiplier = multipliers.get(&flow.src).copied().unwrap_or(1.0);
-            RequestLimiter::new(cfg, now, multiplier)
-        });
+        let cfg = &self.cfg;
+        let limiter = self
+            .request_limiters
+            .entry(flow.src)
+            .or_insert_with(|| RequestLimiter::new(cfg, now, 1.0));
         match limiter.offer(now, header.priority) {
             RequestVerdict::Drop => {
                 self.stats.request_dropped += 1;
                 AccessVerdict::Drop(if demoted {
-                    DropReason::UnverifiedFeedback
+                    DropCause::InvalidMac
                 } else {
-                    DropReason::RequestRateLimited
+                    DropCause::RequestRateLimit
                 })
             }
             RequestVerdict::Pass => {
@@ -463,7 +445,7 @@ mod tests {
                     assert!(h2.presented.is_incr());
                     assert_eq!(h2.presented.link(), Some(LinkId(99)));
                 }
-                AccessVerdict::Drop(DropReason::RegularRateLimited) => dropped += 1,
+                AccessVerdict::Drop(DropCause::RegularRateLimit) => dropped += 1,
                 v => panic!("unexpected verdict {v:?}"),
             }
         }

@@ -20,9 +20,9 @@
 //!   congested). Reproduced as Figure 14.
 
 use netfence_crypto::{Cmac, Mac32, MacInput, TimeVaryingSecret};
-use netfence_telemetry::IdMap;
+use netfence_telemetry::{DropCause, IdMap};
 
-use crate::access::{AccessRouter, AccessVerdict, DropReason};
+use crate::access::{AccessRouter, AccessVerdict};
 use crate::aimd::{Adjustment, AimdState};
 use crate::bottleneck::Channel;
 use crate::config::Config;
@@ -83,11 +83,6 @@ impl MultiFeedback {
     pub fn append(&mut self, kai: &Cmac, flow: FlowPair, link: LinkId, action: Action) {
         self.token = kai.mac32(chain_input(flow, self.ts, link, action, self.token).as_bytes());
         self.entries.push((link, action));
-    }
-
-    /// The action recorded for `link`, if present.
-    pub fn action_for(&self, link: LinkId) -> Option<Action> {
-        self.entries.iter().find(|(l, _)| *l == link).map(|(_, a)| *a)
     }
 
     /// Validate the whole chain at the access router by recomputing it.
@@ -156,7 +151,7 @@ impl AccessRouter {
             )
         };
         if !valid {
-            return AccessVerdict::Drop(DropReason::RequestRateLimited);
+            return AccessVerdict::Drop(DropCause::RequestRateLimit);
         }
 
         let mut worst: Option<Nanos> = None;
@@ -194,7 +189,7 @@ impl AccessRouter {
         // Reset the feedback for the next hop.
         *mf = MultiFeedback::origin(&mut self.ka, now, flow);
         if dropped {
-            return AccessVerdict::Drop(DropReason::RegularRateLimited);
+            return AccessVerdict::Drop(DropCause::RegularRateLimit);
         }
         match worst {
             None => AccessVerdict::Forward { channel: Channel::Regular },
@@ -376,7 +371,7 @@ mod tests {
         mf.append(&kai2, flow, LinkId(201), Action::Decr);
         mf.append(&kai3, flow, LinkId(301), Action::Decr);
         let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
-        assert!(!matches!(v, AccessVerdict::Drop(DropReason::RequestRateLimited)));
+        assert!(!matches!(v, AccessVerdict::Drop(DropCause::RequestRateLimit)));
         assert_eq!(access.limiter_count(), 2);
         assert!(access.rate_limit(flow.src, LinkId(201)).is_some());
         assert!(access.rate_limit(flow.src, LinkId(301)).is_some());
@@ -389,7 +384,7 @@ mod tests {
         let (mut access, _kai2, _kai3, flow) = setup();
         let mut mf = MultiFeedback { ts: 1, entries: vec![(LinkId(201), Action::Decr)], token: 42 };
         let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
-        assert_eq!(v, AccessVerdict::Drop(DropReason::RequestRateLimited));
+        assert_eq!(v, AccessVerdict::Drop(DropCause::RequestRateLimit));
         assert_eq!(access.limiter_count(), 0);
     }
 

@@ -150,11 +150,6 @@ impl MacInput {
         self.push_bytes(&v.to_be_bytes())
     }
 
-    /// Append a `u64` field.
-    pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.push_bytes(&v.to_be_bytes())
-    }
-
     /// Append a single byte field.
     pub fn push_u8(&mut self, v: u8) -> &mut Self {
         self.push_bytes(&[v])

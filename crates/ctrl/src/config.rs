@@ -110,27 +110,9 @@ impl CtrlConfig {
         self
     }
 
-    /// Set the retransmission budget.
-    pub fn max_retransmits(mut self, n: u32) -> Self {
-        self.max_retransmits = n;
-        self
-    }
-
-    /// Set the session backoff parameters.
-    pub fn session(mut self, session: SessionConfig) -> Self {
-        self.session = session;
-        self
-    }
-
     /// Add a global controller outage window.
     pub fn outage(mut self, start: Nanos, end: Nanos) -> Self {
         self.outages.push(Outage { asn: None, start, end });
-        self
-    }
-
-    /// Add a single-AS controller outage window.
-    pub fn as_outage(mut self, asn: AsNum, start: Nanos, end: Nanos) -> Self {
-        self.outages.push(Outage { asn: Some(asn), start, end });
         self
     }
 
@@ -168,13 +150,10 @@ mod tests {
             .latency(5 * MILLI)
             .lossy(0.1)
             .outage(SEC, 2 * SEC)
-            .as_outage(7, 3 * SEC, 4 * SEC)
             .partition(9)
             .seed(42);
         assert!(cfg.is_degraded());
-        assert_eq!(cfg.outages.len(), 2);
-        assert_eq!(cfg.outages[0].asn, None);
-        assert_eq!(cfg.outages[1].asn, Some(7));
+        assert_eq!(cfg.outages, vec![Outage { asn: None, start: SEC, end: 2 * SEC }]);
         assert_eq!(cfg.partitioned, vec![9]);
         assert_eq!(cfg.seed, 42);
     }

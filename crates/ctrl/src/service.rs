@@ -92,10 +92,8 @@ impl CtrlService {
     }
 
     fn as_of(&self, endpoint: Endpoint) -> AsNum {
-        let NodeId(node) = match endpoint {
-            Endpoint::Host(n) | Endpoint::Router(n) => n,
-        };
-        self.node_as[node]
+        let (Endpoint::Host(node) | Endpoint::Router(node)) = endpoint;
+        self.node_as[node.0]
     }
 
     /// The outage window covering `now` for AS `asn`, widest end first
@@ -172,8 +170,8 @@ impl ControlChannel for CtrlService {
         }
     }
 
-    fn plan(&mut self, now: Nanos, from: Option<Endpoint>, to: Endpoint) -> ChannelVerdict {
-        let to_as = self.as_of(to);
+    fn plan(&mut self, now: Nanos, from: Option<Endpoint>, to: NodeId) -> ChannelVerdict {
+        let to_as = self.node_as[to.0];
         let from_as = from.map(|e| self.as_of(e));
         if self.cfg.partitioned.contains(&to_as)
             || from_as.is_some_and(|a| self.cfg.partitioned.contains(&a))
@@ -231,8 +229,8 @@ mod tests {
         b.build()
     }
 
-    fn router_of(net: &Network, host: u32) -> Endpoint {
-        Endpoint::Router(net.access_router_of(host).unwrap())
+    fn router_of(net: &Network, host: u32) -> NodeId {
+        net.access_router_of(host).unwrap()
     }
 
     #[test]
@@ -257,12 +255,12 @@ mod tests {
         let to = router_of(&net, 0x201);
         // AS 1 → AS 2 crosses two 5 ms links plus the 2 ms base.
         assert_eq!(
-            svc.plan(0, Some(from), to),
+            svc.plan(0, Some(Endpoint::Router(from)), to),
             ChannelVerdict::Deliver { at: 12 * MILLI, retransmits: 0 }
         );
         // Same-AS and controller-origin messages pay only the base.
         assert_eq!(
-            svc.plan(0, Some(to), to),
+            svc.plan(0, Some(Endpoint::Router(to)), to),
             ChannelVerdict::Deliver { at: 2 * MILLI, retransmits: 0 }
         );
         assert_eq!(
@@ -278,7 +276,10 @@ mod tests {
         let from = router_of(&net, 0x101);
         let to = router_of(&net, 0x201);
         assert_eq!(svc.plan(0, None, to), ChannelVerdict::Lost { retransmits: 0 });
-        assert_eq!(svc.plan(0, Some(to), from), ChannelVerdict::Lost { retransmits: 0 });
+        assert_eq!(
+            svc.plan(0, Some(Endpoint::Router(to)), from),
+            ChannelVerdict::Lost { retransmits: 0 }
+        );
         // The untouched AS still communicates internally.
         assert!(matches!(svc.plan(0, None, from), ChannelVerdict::Deliver { .. }));
     }

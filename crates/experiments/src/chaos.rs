@@ -14,7 +14,7 @@
 //! state (FQ) calibrate the pure data-path recovery floor.
 
 use netfence_ctrl::prelude::*;
-use netfence_faults::{FaultPlan, FaultTarget};
+use netfence_faults::{FaultKind, FaultPlan, FaultTarget};
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
@@ -75,15 +75,16 @@ impl ChaosFault {
         ChaosFault::MemoryPressure,
     ];
 
-    /// Display label (matches the fault plan's telemetry labels).
+    /// Display label: the label of the [`FaultKind`] this family injects.
     pub fn label(&self) -> &'static str {
         match self {
-            ChaosFault::LinkFailure => "link-failure",
-            ChaosFault::RouterReboot => "reboot",
-            ChaosFault::KeyDesync => "key-desync",
-            ChaosFault::ClockSkew => "clock-skew",
-            ChaosFault::MemoryPressure => "memory-pressure",
+            ChaosFault::LinkFailure => FaultKind::LinkFailure,
+            ChaosFault::RouterReboot => FaultKind::RouterReboot,
+            ChaosFault::KeyDesync => FaultKind::KeyDesync,
+            ChaosFault::ClockSkew => FaultKind::ClockSkew { offset_ns: 0 },
+            ChaosFault::MemoryPressure => FaultKind::MemoryPressure { evict: 0 },
         }
+        .label()
     }
 }
 
@@ -346,11 +347,32 @@ mod tests {
     }
 
     #[test]
-    fn every_fault_dose_compiles_into_a_nonempty_plan() {
+    fn every_fault_dose_compiles_into_a_nonempty_plan_under_one_label() {
+        let net = TopoSpec::Dumbbell {
+            src_ases: 2,
+            hosts_per_as: 2,
+            legit_per_as: 1,
+            bottleneck_bps: 1_000_000,
+            colluder_ases: 0,
+        }
+        .build()
+        .net;
         for fault in ChaosFault::ALL {
             for severity in Severity::ALL {
                 let plan = chaos_plan(fault, severity);
                 assert!(!plan.is_empty(), "{}-{} plan is empty", fault.label(), severity.label());
+                // The chaos table (`ChaosFault`), the record's fault windows
+                // (`FaultKind`) and the engine's timeline marks
+                // (`RouterFault`) spell every fault the same way.
+                let compiled = plan.compile(&net, 7).expect("random targets fit any network");
+                for w in &compiled.windows {
+                    assert_eq!(w.kind.label(), fault.label());
+                }
+                for e in &compiled.events {
+                    if let FaultAction::Router { fault: hit, .. } = e.action {
+                        assert_eq!(hit.label(), fault.label());
+                    }
+                }
             }
         }
     }

@@ -44,11 +44,6 @@ impl RoleSeries {
     pub fn avg_bps(&self, sim_time: Nanos) -> f64 {
         avg(self.flows.iter().map(|p| p.goodput_bps(0, sim_time)))
     }
-
-    /// Per-flow goodputs over `[0, sim_time]`.
-    pub fn goodputs_bps(&self, sim_time: Nanos) -> Vec<f64> {
-        self.flows.iter().map(|p| p.goodput_bps(0, sim_time)).collect()
-    }
 }
 
 /// One goodput sample: cumulative delivered bytes of each role at a

@@ -88,15 +88,6 @@ impl Runner {
         self.run_built(built)
     }
 
-    /// Run the scenario on an externally built topology instead of the
-    /// spec's own [`TopologySpec`] — the escape hatch for custom
-    /// [`BuiltTopo`]s (hand-wired meshes, third-party generators). The
-    /// spec's defense, traffic, schedules and attack target apply
-    /// unchanged; its topology field is ignored.
-    pub fn run_on(&self, built: BuiltTopo) -> Record {
-        self.run_built(built).0
-    }
-
     /// Map the scenario onto a `netfence-topo` [`TopoSpec`] and build it.
     fn build_topo(&self) -> BuiltTopo {
         let spec = &self.spec;

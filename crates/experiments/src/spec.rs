@@ -9,14 +9,12 @@
 //! uniform [`Record`](crate::record::Record). Sweeps over many cells are
 //! driven by [`SweepGrid`](crate::sweep::SweepGrid).
 
-use netfence_adversary::AttackStrategy;
+use netfence_adversary::{strategic_request_priority, AttackStrategy};
 use netfence_core::config::Config;
 use netfence_ctrl::config::CtrlConfig;
 use netfence_faults::FaultPlan;
 use netfence_sim::prelude::*;
-use netfence_systems::{
-    strategic_request_priority, FairQueuingDefense, NetFenceDefense, StopItDefense, TvaDefense,
-};
+use netfence_systems::{FairQueuingDefense, NetFenceDefense, StopItDefense, TvaDefense};
 
 /// Which defense system a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -370,11 +368,11 @@ pub struct DefenseSpec {
     pub key_ttl: Nanos,
     /// Victim suppression policy.
     pub suppression: Suppression,
-    /// Which ASes deploy the defense. For [`Placement::FirstEdgeAses`] and
-    /// [`Placement::Seeded`] the [`Runner`](crate::runner::Runner)
-    /// interprets `coverage` as the fraction of *source* ASes that deploy;
-    /// destination and transit ASes always deploy when coverage is nonzero
-    /// (the "infrastructure first" adoption story of §5.3).
+    /// Which ASes deploy the defense. For [`Placement::FirstEdgeAses`] the
+    /// [`Runner`](crate::runner::Runner) passes the topology's *source*
+    /// ASes to the coverage rule: `coverage` is the fraction of them that
+    /// deploy; destination and transit ASes always deploy when coverage is
+    /// nonzero (the "infrastructure first" adoption story of §5.3).
     pub deployment: DeploymentSpec,
 }
 
@@ -391,12 +389,6 @@ impl DefenseSpec {
         }
     }
 
-    /// Override the NetFence protocol configuration.
-    pub fn with_config(mut self, cfg: Config) -> Self {
-        self.netfence = cfg;
-        self
-    }
-
     /// Give NetFence's installed AS keys a TTL (0 = permanent). Nonzero
     /// turns on the periodic key re-announcements a rebooted router
     /// recovers through.
@@ -408,12 +400,6 @@ impl DefenseSpec {
     /// Override the suppression policy.
     pub fn with_suppression(mut self, s: Suppression) -> Self {
         self.suppression = s;
-        self
-    }
-
-    /// Override the deployment extent.
-    pub fn with_deployment(mut self, d: DeploymentSpec) -> Self {
-        self.deployment = d;
         self
     }
 

@@ -1,45 +1,7 @@
-//! Evaluation topology builders — thin wrappers over the `netfence-topo`
-//! crate (§6.3 of the paper).
-//!
-//! The actual builders (classic dumbbell/parking lot, generated
-//! transit-stub and multi-bottleneck families) live in [`netfence_topo`];
-//! this module keeps the historical `experiments::topo` names working and
-//! adapts the experiment [`Scale`] vocabulary to the crate's explicit
-//! parameters. Each builder constructs its [`Network`](netfence_sim::topology::Network)
-//! **exactly once** and returns it alongside the role metadata; the
-//! [`Runner`](crate::runner::Runner) moves the network into the simulator
-//! and keeps the metadata — no rebuild.
+//! The topology vocabulary of the experiment layer: re-exports of the
+//! `netfence-topo` crate, where every builder (classic dumbbell / parking
+//! lot, generated transit-stub and multi-bottleneck families) lives and
+//! returns one uniform [`BuiltTopo`] (§6.3 of the paper).
 
-pub use netfence_topo::classic::{src_host_addr, Dumbbell, Group, ParkingLot};
+pub use netfence_topo::classic::src_host_addr;
 pub use netfence_topo::{Bottleneck, BuiltTopo, TopoGroup, TopoSpec};
-
-use crate::spec::Scale;
-
-/// Build the dumbbell. `legit_per_as` of each AS's hosts are legitimate
-/// users, the rest are attackers. `colluder_ases` extra destination ASes
-/// are attached behind the bottleneck.
-pub fn build_dumbbell(
-    scale: &Scale,
-    legit_per_as: usize,
-    bottleneck_bps: u64,
-    colluder_ases: usize,
-) -> Dumbbell {
-    netfence_topo::classic::build_dumbbell(
-        scale.src_ases,
-        scale.hosts_per_as,
-        legit_per_as,
-        bottleneck_bps,
-        colluder_ases,
-    )
-}
-
-/// Build the parking-lot topology: `R0 —L1→ R1 —L2→ R2` with the paper's
-/// crossing pattern (group A crosses both links, B only L2, C only L1).
-pub fn build_parking_lot(
-    per_group: usize,
-    legit_per_group: usize,
-    l1_bps: u64,
-    l2_bps: u64,
-) -> ParkingLot {
-    netfence_topo::classic::build_parking_lot(per_group, legit_per_group, l1_bps, l2_bps)
-}

@@ -69,14 +69,21 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Short stable label (used for telemetry keys and recovery metrics).
+    /// Short stable label (used for telemetry keys and recovery metrics);
+    /// a router fault's is the engine's own [`RouterFault::label`].
     pub fn label(self) -> &'static str {
+        self.router_fault().map_or("link-failure", |fault| fault.label())
+    }
+
+    /// The fault a router's agent is handed when a window of this kind
+    /// opens (`None` for link failures, which never reach an agent).
+    fn router_fault(self) -> Option<RouterFault> {
         match self {
-            FaultKind::LinkFailure => "link-failure",
-            FaultKind::RouterReboot => "reboot",
-            FaultKind::KeyDesync => "key-desync",
-            FaultKind::ClockSkew { .. } => "clock-skew",
-            FaultKind::MemoryPressure { .. } => "memory-pressure",
+            FaultKind::LinkFailure => None,
+            FaultKind::RouterReboot => Some(RouterFault::Reboot),
+            FaultKind::KeyDesync => Some(RouterFault::KeyDesync),
+            FaultKind::ClockSkew { offset_ns } => Some(RouterFault::ClockSkew { offset_ns }),
+            FaultKind::MemoryPressure { evict } => Some(RouterFault::MemoryPressure { evict }),
         }
     }
 }
@@ -274,22 +281,16 @@ impl FaultPlan {
                         }
                         other => return Err(FaultError::TargetMismatch(other, w.kind)),
                     };
-                    let (hit, clear_at) = match kind {
-                        FaultKind::RouterReboot => (RouterFault::Reboot, w.start),
-                        FaultKind::KeyDesync => (RouterFault::KeyDesync, w.start),
-                        FaultKind::ClockSkew { offset_ns } => {
-                            (RouterFault::ClockSkew { offset_ns }, w.end)
-                        }
-                        FaultKind::MemoryPressure { evict } => {
-                            (RouterFault::MemoryPressure { evict }, w.start)
-                        }
-                        FaultKind::LinkFailure => unreachable!("handled above"),
+                    let Some(hit) = kind.router_fault() else {
+                        unreachable!("link failures are handled above")
                     };
+                    let skew = matches!(kind, FaultKind::ClockSkew { .. });
+                    let clear_at = if skew { w.end } else { w.start };
                     events.push(FaultEvent {
                         at: w.start,
                         action: FaultAction::Router { node, fault: hit },
                     });
-                    if matches!(kind, FaultKind::ClockSkew { .. }) && w.end > w.start {
+                    if skew && w.end > w.start {
                         events.push(FaultEvent {
                             at: w.end,
                             action: FaultAction::Router {

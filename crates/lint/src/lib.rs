@@ -1,8 +1,9 @@
 //! # netfence-lint
 //!
 //! An offline, dependency-free static-analysis pass over the workspace
-//! that enforces the determinism and drop-accounting invariants every
-//! figure-equivalence claim rests on (`DESIGN.md` §13). Seven rules:
+//! that enforces the determinism invariants every figure-equivalence
+//! claim rests on, and keeps the public surface to what has a caller
+//! (`DESIGN.md` §13). Seven rules:
 //!
 //! 1. `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration in
 //!    export-path modules (anything feeding `Record`, `DefenseReport`,
@@ -11,15 +12,16 @@
 //!    allow;
 //! 3. `unseeded-entropy` — no RNG construction outside `SimRng` seed
 //!    substreams;
-//! 4. `untyped-drop` — every `RouterAction::Drop` site references a
-//!    `DropCause` mapping;
-//! 5. `wildcard-defense-match` — no `_` arms in matches over
+//! 4. `wildcard-defense-match` — no `_` arms in matches over
 //!    `DefenseKind`/`DropCause` in systems/experiments code;
-//! 6. `unsafe-code` — every crate root carries `#![forbid(unsafe_code)]`;
-//! 7. `panic-prone` — no `.unwrap()`/`.expect(...)`/`panic!` in the
+//! 5. `unsafe-code` — every crate root carries `#![forbid(unsafe_code)]`;
+//! 6. `panic-prone` — no `.unwrap()`/`.expect(...)`/`panic!` in the
 //!    fault-injected runtime crates (core, sim, systems, ctrl, faults):
 //!    the chaos engine's no-panic property is only as strong as the
-//!    weakest `unwrap` on a fault path.
+//!    weakest `unwrap` on a fault path;
+//! 7. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
+//!    whose name occurs nowhere else in the workspace (tests, examples and
+//!    the benchmark included).
 //!
 //! Each rule honors the inline escape hatch
 //! `// lint:allow(rule-name): reason` — the justification string is

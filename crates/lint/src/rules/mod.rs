@@ -1,16 +1,17 @@
 //! The rule engine: a prepared [`SourceFile`] (token stream, significant
 //! indices, `#[cfg(test)]` shadowing), the workspace-level [`Context`]
-//! (zone config plus the cross-module table of functions returning hash
-//! collections), and the seven rules of the taxonomy (`DESIGN.md` §13).
+//! (zone config, the cross-module table of functions returning hash
+//! collections and the workspace-wide identifier census), and the seven
+//! rules of the taxonomy (`DESIGN.md` §13).
 
 use crate::config::LintConfig;
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Tok, TokKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-pub mod drops;
 pub mod entropy;
 pub mod iteration;
+pub mod orphan;
 pub mod panic;
 pub mod unsafe_code;
 pub mod wallclock;
@@ -23,10 +24,10 @@ pub const RULE_NAMES: [&str; 7] = [
     "nondeterministic-iteration",
     "wall-clock",
     "unseeded-entropy",
-    "untyped-drop",
     "wildcard-defense-match",
     "unsafe-code",
     "panic-prone",
+    "orphan-pub-fn",
 ];
 
 /// One prepared source file.
@@ -133,13 +134,21 @@ pub struct Context<'a> {
     /// collected workspace-wide so `for x in access.limiters()` is caught
     /// across module boundaries.
     pub hash_fns: BTreeSet<String>,
+    /// How often each identifier occurs across every discovered file,
+    /// test code included — a `pub fn` whose name occurs once (its own
+    /// definition) has no caller anywhere (rule `orphan-pub-fn`).
+    pub ident_uses: BTreeMap<&'a str, u32>,
 }
 
 impl<'a> Context<'a> {
-    pub fn build(config: &'a LintConfig, files: &[SourceFile]) -> Context<'a> {
+    pub fn build(config: &'a LintConfig, files: &'a [SourceFile]) -> Context<'a> {
         let hash_types: BTreeSet<&str> = hash_type_names(config).collect();
         let mut hash_fns = BTreeSet::new();
+        let mut ident_uses: BTreeMap<&str, u32> = BTreeMap::new();
         for file in files {
+            for tok in file.toks.iter().filter(|t| t.kind == TokKind::Ident) {
+                *ident_uses.entry(tok.text.as_str()).or_default() += 1;
+            }
             let s = &file.sig;
             for k in 0..s.len() {
                 if !file.tok(k).is_ident("fn") || k + 1 >= s.len() {
@@ -169,7 +178,7 @@ impl<'a> Context<'a> {
                 }
             }
         }
-        Context { config, hash_fns }
+        Context { config, hash_fns, ident_uses }
     }
 }
 
@@ -196,9 +205,9 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(iteration::NondeterministicIteration),
         Box::new(wallclock::WallClock),
         Box::new(entropy::UnseededEntropy),
-        Box::new(drops::UntypedDrop),
         Box::new(wildcard::WildcardDefenseMatch),
         Box::new(unsafe_code::UnsafeCode),
         Box::new(panic::PanicProne),
+        Box::new(orphan::OrphanPubFn),
     ]
 }

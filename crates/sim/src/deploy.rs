@@ -11,20 +11,19 @@
 //!   a [`DeploymentSpec`] (which ASes adopt), producing a [`Deployment`];
 //! * a [`Deployment`] holds dense per-node agents — one optional
 //!   [`HostShim`] per host node, one optional [`RouterAgent`] per router
-//!   node — plus a per-link [`QueueFactory`] and a [`ControlPlane`] message
-//!   bus for out-of-band coordination (Passport key exchange, StopIt filter
-//!   requests);
+//!   node — plus a sparse per-link queue plan and a [`ControlPlane`] message
+//!   bus for out-of-band coordination (the two [`ControlPayload`]s:
+//!   Passport key announcements and StopIt filter requests);
 //! * nodes *without* an agent are legacy nodes: their hosts send plain
 //!   packets and their routers forward blindly, which is how partial
 //!   (incremental) deployment scenarios are expressed;
-//! * after a run, [`Deployment::report`] merges every agent's counters into
-//!   one typed [`DefenseReport`] — there is no downcasting to inspect
-//!   defense-specific state.
+//! * after a run, [`Deployment::report`] merges every agent's state counters
+//!   into one typed [`DefenseReport`]; drops are counted once, by the
+//!   engine's drop ledger, which fills the report's drop fields.
 //!
 //! The engine indexes agents by dense node id and links by dense link
 //! index, so the per-packet fast path never hashes.
 
-use std::any::Any;
 use std::sync::Arc;
 
 use netfence_telemetry::{DropBudget, DropCause, IdMap, Timeline};
@@ -65,7 +64,9 @@ pub struct LinkRef {
 // Control plane
 // ---------------------------------------------------------------------------
 
-/// An addressable agent on the control plane.
+/// The agent whose hook queued a control-plane message (transports use it
+/// to locate the sender's AS). Messages are only ever addressed *to*
+/// routers, so the destination is a plain [`NodeId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
     /// The host shim at a host node.
@@ -74,23 +75,39 @@ pub enum Endpoint {
     Router(NodeId),
 }
 
-/// One queued control-plane message.
-pub struct ControlMsg {
-    /// Destination agent.
-    pub to: Endpoint,
-    /// Originating agent, when the message was queued from inside an agent
-    /// hook; `None` for deploy-time (controller-origin) messages. Transports
-    /// use this to locate the sender's AS.
-    pub from: Option<Endpoint>,
-    /// Type-erased payload; the receiving agent downcasts to the message
-    /// types it understands and ignores the rest.
-    pub payload: Box<dyn Any>,
+/// What a control-plane message says. The set is closed: these are the
+/// two out-of-band messages the deployed systems exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ControlPayload {
+    /// A Passport key announcement (NetFence §4.4): the announcing AS and
+    /// its Diffie–Hellman public value, from which every deployed router
+    /// derives the pairwise AES key.
+    KeyAnnouncement {
+        /// The announcing AS.
+        asn: AsNum,
+        /// Its public Diffie–Hellman value.
+        public_value: u64,
+    },
+    /// A StopIt request to block `src → dst` at the source's access
+    /// router.
+    FilterRequest {
+        /// The sender to block.
+        src: HostAddr,
+        /// The destination filing the filter.
+        dst: HostAddr,
+    },
 }
 
-impl std::fmt::Debug for ControlMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ControlMsg {{ to: {:?}, from: {:?} }}", self.to, self.from)
-    }
+/// One queued control-plane message.
+#[derive(Debug, Clone, Copy)]
+pub struct ControlMsg {
+    /// The router whose agent receives the message.
+    pub to: NodeId,
+    /// The agent whose hook queued the message; `None` for deploy-time
+    /// (controller-origin) messages.
+    pub from: Option<Endpoint>,
+    /// What the message says.
+    pub payload: ControlPayload,
 }
 
 /// The transport's decision for one control-plane message.
@@ -123,8 +140,8 @@ pub enum ChannelVerdict {
 pub trait ControlChannel: std::fmt::Debug {
     /// Plan the fate of a message queued at simulated time `now` from
     /// `from` (or `None` for deploy-time controller-origin messages) to
-    /// `to`.
-    fn plan(&mut self, now: Nanos, from: Option<Endpoint>, to: Endpoint) -> ChannelVerdict;
+    /// the router `to`.
+    fn plan(&mut self, now: Nanos, from: Option<Endpoint>, to: NodeId) -> ChannelVerdict;
 
     /// Sample this transport's state (per-AS session health, reconnect
     /// counts) into a telemetry timeline. Pure observer: implementations
@@ -150,7 +167,7 @@ pub struct ControlPlane {
     sender: Option<Endpoint>,
     /// Messages delivered to an agent.
     pub delivered: u64,
-    /// Messages addressed to a legacy (agent-less) node and dropped — the
+    /// Messages addressed to a legacy (agent-less) router and dropped — the
     /// partial-deployment failure mode (e.g. a StopIt filter request for a
     /// source whose AS never deployed).
     pub undeliverable: u64,
@@ -175,11 +192,6 @@ impl ControlPlane {
         self.channel = Some(channel);
     }
 
-    /// Whether a transport is installed.
-    pub fn has_channel(&self) -> bool {
-        self.channel.is_some()
-    }
-
     /// Record which agent's hook is currently running, so queued messages
     /// carry their origin. The engine maintains this; agents never call it.
     pub fn set_sender(&mut self, sender: Option<Endpoint>) {
@@ -195,32 +207,21 @@ impl ControlPlane {
         }
     }
 
-    /// Queue `payload` for `to`, stamped with the agent whose hook is
-    /// running; `None` (an address the network does not know) queues nothing.
-    fn post(&mut self, to: Option<Endpoint>, payload: Box<dyn Any>) -> bool {
-        let Some(to) = to else { return false };
-        self.outbox.push(ControlMsg { to, from: self.sender, payload });
-        true
-    }
-
-    /// Queue a message to the shim of host `host`. Returns false when the
-    /// address is unknown.
-    pub fn to_host(&mut self, host: HostAddr, payload: impl Any) -> bool {
-        let to = self.address_book.get(&host).map(|h| Endpoint::Host(h.node));
-        self.post(to, Box::new(payload))
-    }
-
-    /// Queue a message to the router agent at `node`.
-    pub fn to_router(&mut self, node: NodeId, payload: impl Any) {
-        self.post(Some(Endpoint::Router(node)), Box::new(payload));
+    /// Queue a message to the router agent at `node`, stamped with the
+    /// agent whose hook is running.
+    pub fn to_router(&mut self, node: NodeId, payload: ControlPayload) {
+        self.outbox.push(ControlMsg { to: node, from: self.sender, payload });
     }
 
     /// Queue a message to the access router of `host` (how StopIt filter
-    /// requests find the router nearest the source). Returns false when the
-    /// host is unknown.
-    pub fn to_access_router_of(&mut self, host: HostAddr, payload: impl Any) -> bool {
-        let to = self.address_book.get(&host).map(|h| Endpoint::Router(h.router));
-        self.post(to, Box::new(payload))
+    /// requests find the router nearest the source). Returns false, and
+    /// queues nothing, when the network does not know the host.
+    pub fn to_access_router_of(&mut self, host: HostAddr, payload: ControlPayload) -> bool {
+        let router = self.address_book.get(&host).map(|h| h.router);
+        if let Some(node) = router {
+            self.to_router(node, payload);
+        }
+        router.is_some()
     }
 
     /// Sample the installed transport's state into a telemetry timeline
@@ -256,13 +257,11 @@ pub trait HostShim: std::fmt::Debug {
     /// A packet arrived at this host, before the transport sees it.
     fn on_receive(&mut self, _now: Nanos, _pkt: &Packet, _ctl: &mut ControlPlane) {}
 
-    /// A control-plane message addressed to this host arrived.
-    fn on_control(&mut self, _now: Nanos, _msg: Box<dyn Any>, _ctl: &mut ControlPlane) {}
-
     /// Periodic housekeeping, every `defense_tick`.
     fn tick(&mut self, _now: Nanos, _ctl: &mut ControlPlane) {}
 
-    /// Merge this shim's counters into the deployment-wide report.
+    /// Merge this shim's state counters into the deployment-wide report
+    /// (never the drop fields: the engine fills those from its ledger).
     fn report(&self, _out: &mut DefenseReport) {}
 }
 
@@ -296,6 +295,19 @@ pub enum RouterFault {
     },
 }
 
+impl RouterFault {
+    /// Short stable label — the one spelling fault timeline rows, fault
+    /// plans and the chaos tables share.
+    pub fn label(&self) -> &'static str {
+        match self {
+            RouterFault::Reboot => "reboot",
+            RouterFault::KeyDesync => "key-desync",
+            RouterFault::ClockSkew { .. } => "clock-skew",
+            RouterFault::MemoryPressure { .. } => "memory-pressure",
+        }
+    }
+}
+
 /// The defense agent running on one router. All methods default to no-ops
 /// (a legacy router simply has no agent at all).
 pub trait RouterAgent: std::fmt::Debug {
@@ -325,8 +337,9 @@ pub trait RouterAgent: std::fmt::Debug {
     /// One of this router's outgoing links dropped a packet from its queue.
     fn on_link_drop(&mut self, _now: Nanos, _link: LinkRef, _pkt: &Packet) {}
 
-    /// A control-plane message addressed to this router arrived.
-    fn on_control(&mut self, _now: Nanos, _msg: Box<dyn Any>, _ctl: &mut ControlPlane) {}
+    /// A control-plane message addressed to this router arrived. Agents
+    /// ignore the payloads that are not theirs.
+    fn on_control(&mut self, _now: Nanos, _msg: ControlPayload, _ctl: &mut ControlPlane) {}
 
     /// Periodic housekeeping (control-interval AIMD, detection EWMAs, …).
     fn tick(&mut self, _now: Nanos, _ctl: &mut ControlPlane) {}
@@ -336,7 +349,8 @@ pub trait RouterAgent: std::fmt::Debug {
     /// fail-safe.
     fn on_fault(&mut self, _now: Nanos, _fault: RouterFault, _ctl: &mut ControlPlane) {}
 
-    /// Merge this agent's counters into the deployment-wide report.
+    /// Merge this agent's state counters into the deployment-wide report
+    /// (never the drop fields: the engine fills those from its ledger).
     fn report(&self, _out: &mut DefenseReport) {}
 
     /// Sample this agent's live state (limiter rates, policy-store
@@ -348,24 +362,6 @@ pub trait RouterAgent: std::fmt::Debug {
     fn probe(&self, _now: Nanos, _out: &mut Timeline) {}
 }
 
-/// Per-link queue-discipline construction for a deployment. Returning
-/// `None` keeps the engine's default (DropTail/RED per the topology).
-pub trait QueueFactory: std::fmt::Debug {
-    /// Build the queue for link `link_index` with spec `spec`, or `None`
-    /// for the default.
-    fn make_queue(&mut self, link_index: usize, spec: &LinkSpec) -> Option<Box<dyn QueueDisc>>;
-}
-
-/// The default: every link keeps its topology-declared discipline.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultQueues;
-
-impl QueueFactory for DefaultQueues {
-    fn make_queue(&mut self, _link_index: usize, _spec: &LinkSpec) -> Option<Box<dyn QueueDisc>> {
-        None
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Deployment spec
 // ---------------------------------------------------------------------------
@@ -373,14 +369,14 @@ impl QueueFactory for DefaultQueues {
 /// Which ASes a partial deployment covers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
-    /// `coverage` applies to the host-bearing (edge) ASes in ascending AS
-    /// order: the first `round(coverage · n)` deploy. Hostless transit ASes
-    /// deploy whenever at least one edge AS does (the "infrastructure
-    /// first" adoption story of §5.3).
+    /// `coverage` applies to the *source* ASes in ascending AS order: the
+    /// first `round(coverage · n)` deploy, and every AS that is not a
+    /// source — destination side, transit core — deploys whenever
+    /// `coverage` is non-zero (the "infrastructure first" adoption story of
+    /// §5.3). The sources are whatever the caller names (the experiment
+    /// runner passes the topology's sender ASes); on a bare network they
+    /// are the host-bearing ASes.
     FirstEdgeAses,
-    /// Like [`Placement::FirstEdgeAses`] but the deploying edge ASes are
-    /// picked pseudo-randomly from the given seed.
-    Seeded(u64),
     /// Exactly these ASes deploy; `coverage` is ignored.
     Explicit(Vec<AsNum>),
 }
@@ -388,7 +384,7 @@ pub enum Placement {
 /// How much of the network deploys the defense.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentSpec {
-    /// Fraction of edge ASes that deploy (0.0 = pure legacy network,
+    /// Fraction of source ASes that deploy (0.0 = pure legacy network,
     /// 1.0 = universal deployment).
     pub coverage: f64,
     /// Which ASes the coverage falls on.
@@ -404,22 +400,17 @@ impl Default for DeploymentSpec {
 impl DeploymentSpec {
     /// Universal deployment (every AS).
     pub fn full() -> Self {
-        DeploymentSpec { coverage: 1.0, placement: Placement::FirstEdgeAses }
+        DeploymentSpec::coverage(1.0)
     }
 
     /// No deployment anywhere (equivalent to an undefended network).
     pub fn none() -> Self {
-        DeploymentSpec { coverage: 0.0, placement: Placement::FirstEdgeAses }
+        DeploymentSpec::coverage(0.0)
     }
 
-    /// Deploy on the first `coverage` fraction of edge ASes.
+    /// Deploy on the first `coverage` fraction of source ASes.
     pub fn coverage(coverage: f64) -> Self {
         DeploymentSpec { coverage: coverage.clamp(0.0, 1.0), placement: Placement::FirstEdgeAses }
-    }
-
-    /// Deploy on a seeded pseudo-random `coverage` fraction of edge ASes.
-    pub fn seeded(coverage: f64, seed: u64) -> Self {
-        DeploymentSpec { coverage: coverage.clamp(0.0, 1.0), placement: Placement::Seeded(seed) }
     }
 
     /// Deploy on exactly the listed ASes.
@@ -429,127 +420,55 @@ impl DeploymentSpec {
 
     /// Resolve which ASes of `net` deploy, sorted ascending.
     pub fn deploying_ases(&self, net: &Network) -> Vec<AsNum> {
-        let (edge, transit) = partition_ases(net);
-        let all: Vec<AsNum> = {
-            let mut v = edge.clone();
-            v.extend(&transit);
-            v.sort_unstable();
-            v
-        };
-        match &self.placement {
-            Placement::Explicit(list) => {
-                let mut v: Vec<AsNum> = all.iter().copied().filter(|a| list.contains(a)).collect();
-                v.sort_unstable();
-                v
-            }
-            Placement::FirstEdgeAses | Placement::Seeded(_) => {
-                let seed = match &self.placement {
-                    Placement::Seeded(seed) => Some(*seed),
-                    _ => None,
-                };
-                let mut chosen = pick_fraction(&edge, self.coverage, seed);
-                if chosen.is_empty() {
-                    return Vec::new();
-                }
-                chosen.extend(transit);
-                chosen.sort_unstable();
-                chosen
-            }
-        }
+        self.resolve(net).ases
     }
 
-    /// Resolve fractional coverage against an explicit list of *source*
-    /// (sender-hosting) ASes into an equivalent [`Placement::Explicit`]
-    /// spec: the first (or seeded) `coverage` fraction of `source_ases`
-    /// deploy, and every other AS of `net` — destination side, transit
-    /// core — deploys whenever coverage is nonzero (the "infrastructure
-    /// first" adoption story of §5.3). Explicit placements pass through
-    /// untouched.
-    ///
-    /// This is the single coverage rule shared by the experiment runner
-    /// (which feeds it the role metadata of classic or generated
-    /// topologies) — it must agree with [`DeploymentSpec::deploying_ases`]
-    /// or `coverage = 1.0` would stop reproducing full deployment.
+    /// The one coverage rule: resolve fractional coverage against a list
+    /// of *source* (sender-hosting) ASes into an equivalent
+    /// [`Placement::Explicit`] spec. The first `round(coverage · n)` of
+    /// `source_ases` deploy, and every other AS of `net` deploys whenever
+    /// coverage is non-zero — also when it rounds to zero sources.
+    /// Explicit placements pass through untouched.
     pub fn resolve_for_source_ases(&self, net: &Network, source_ases: &[AsNum]) -> DeploymentSpec {
-        match &self.placement {
-            Placement::Explicit(_) => self.clone(),
-            Placement::FirstEdgeAses | Placement::Seeded(_) => {
-                if self.coverage <= 0.0 {
-                    return DeploymentSpec::explicit(Vec::new());
-                }
-                let mut sources = source_ases.to_vec();
-                sources.sort_unstable();
-                sources.dedup();
-                let seed = match self.placement {
-                    Placement::Seeded(seed) => Some(seed),
-                    _ => None,
-                };
-                let mut chosen = pick_fraction(&sources, self.coverage, seed);
-                let mut all: Vec<AsNum> = net.nodes.iter().map(|n| n.as_num()).collect();
-                all.sort_unstable();
-                all.dedup();
-                chosen.extend(all.into_iter().filter(|a| sources.binary_search(a).is_err()));
-                chosen.sort_unstable();
-                chosen.dedup();
-                DeploymentSpec::explicit(chosen)
-            }
+        if let Placement::Explicit(_) = self.placement {
+            return self.clone();
         }
+        if self.coverage <= 0.0 {
+            return DeploymentSpec::explicit(Vec::new());
+        }
+        let mut sources = source_ases.to_vec();
+        sources.sort_unstable();
+        sources.dedup();
+        let k = (self.coverage.clamp(0.0, 1.0) * sources.len() as f64).round() as usize;
+        let mut chosen = all_ases(net);
+        chosen.retain(|a| sources.binary_search(a).map_or(true, |rank| rank < k));
+        DeploymentSpec::explicit(chosen)
     }
 
-    /// Resolve the spec against `net` into per-node deployment flags.
+    /// Resolve the spec against `net` into per-node deployment flags. A
+    /// fractional placement on a bare network takes the host-bearing ASes
+    /// as its sources.
     pub fn resolve(&self, net: &Network) -> DeployMap {
-        let ases = self.deploying_ases(net);
-        let (edge, transit) = partition_ases(net);
+        let Placement::Explicit(list) = &self.placement else {
+            let edge: Vec<AsNum> =
+                net.nodes.iter().filter(|n| n.host_addr().is_some()).map(|n| n.as_num()).collect();
+            return self.resolve_for_source_ases(net, &edge).resolve(net);
+        };
+        let mut ases = all_ases(net);
+        let total_ases = ases.len();
+        ases.retain(|a| list.contains(a));
         let node_deployed =
             net.nodes.iter().map(|n| ases.binary_search(&n.as_num()).is_ok()).collect();
-        DeployMap { node_deployed, ases, total_ases: edge.len() + transit.len() }
+        DeployMap { node_deployed, ases, total_ases }
     }
 }
 
-/// Partition a network's ASes into (edge, transit): edge ASes contain at
-/// least one host, transit ASes are router-only. Both lists come back
-/// sorted ascending and deduplicated, in one pass over the nodes.
-fn partition_ases(net: &Network) -> (Vec<AsNum>, Vec<AsNum>) {
-    let mut host_as: Vec<AsNum> = Vec::new();
-    let mut router_as: Vec<AsNum> = Vec::new();
-    for n in &net.nodes {
-        if n.host_addr().is_some() {
-            host_as.push(n.as_num());
-        } else {
-            router_as.push(n.as_num());
-        }
-    }
-    host_as.sort_unstable();
-    host_as.dedup();
-    router_as.sort_unstable();
-    router_as.dedup();
-    let transit: Vec<AsNum> =
-        router_as.into_iter().filter(|a| host_as.binary_search(a).is_err()).collect();
-    (host_as, transit)
-}
-
-/// Pick the first (or, with `seed`, a pseudo-random) `coverage` fraction
-/// of `ases` (sorted ascending, deduplicated). This is the single
-/// coverage-selection rule, shared by [`DeploymentSpec::deploying_ases`]
-/// and the experiment runner's source-AS interpretation — the two must
-/// agree or `coverage = 1.0` would stop reproducing full deployment.
-pub fn pick_fraction(ases: &[AsNum], coverage: f64, seed: Option<u64>) -> Vec<AsNum> {
-    let k = (coverage.clamp(0.0, 1.0) * ases.len() as f64).round() as usize;
-    let k = k.min(ases.len());
-    match seed {
-        Some(seed) => {
-            let mut keyed: Vec<(u64, AsNum)> = ases
-                .iter()
-                .map(|&a| {
-                    let mut x = seed ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    (crate::rng::splitmix64(&mut x), a)
-                })
-                .collect();
-            keyed.sort_unstable();
-            keyed.into_iter().take(k).map(|(_, a)| a).collect()
-        }
-        None => ases.iter().copied().take(k).collect(),
-    }
+/// Every AS of `net`, sorted ascending and deduplicated.
+fn all_ases(net: &Network) -> Vec<AsNum> {
+    let mut all: Vec<AsNum> = net.nodes.iter().map(|n| n.as_num()).collect();
+    all.sort_unstable();
+    all.dedup();
+    all
 }
 
 /// A [`DeploymentSpec`] resolved against a concrete network.
@@ -568,9 +487,40 @@ impl DeployMap {
         self.node_deployed[node.0]
     }
 
-    /// Whether an AS deploys the defense.
-    pub fn as_deployed(&self, as_num: AsNum) -> bool {
-        self.ases.binary_search(&as_num).is_ok()
+    /// The links whose owning (sending-side) node deploys, with their
+    /// dense indices, ascending.
+    pub fn links<'a>(
+        &'a self,
+        net: &'a Network,
+    ) -> impl Iterator<Item = (usize, &'a LinkSpec)> + 'a {
+        net.links.iter().enumerate().filter(|(_, l)| self.node(l.from))
+    }
+
+    /// The inter-router subset of [`DeployMap::links`] — where deployed
+    /// defenses replace the queue discipline.
+    pub fn router_links<'a>(
+        &'a self,
+        net: &'a Network,
+    ) -> impl Iterator<Item = (usize, &'a LinkSpec)> + 'a {
+        self.links(net).filter(|(_, l)| net.is_router_link(l))
+    }
+
+    /// The routers of deploying ASes, in node order.
+    pub fn routers<'a>(&'a self, net: &'a Network) -> impl Iterator<Item = NodeId> + 'a {
+        net.nodes
+            .iter()
+            .enumerate()
+            .filter(|&(i, n)| self.node_deployed[i] && n.host_addr().is_none())
+            .map(|(i, _)| NodeId(i))
+    }
+
+    /// The hosts of deploying ASes, in node order.
+    pub fn hosts<'a>(&'a self, net: &'a Network) -> impl Iterator<Item = HostAddr> + 'a {
+        net.nodes
+            .iter()
+            .zip(&self.node_deployed)
+            .filter(|&(_, &deployed)| deployed)
+            .filter_map(|(n, _)| n.host_addr())
     }
 }
 
@@ -578,10 +528,11 @@ impl DeployMap {
 // Report
 // ---------------------------------------------------------------------------
 
-/// The typed post-run summary of a deployment, merged from every agent's
-/// counters. This replaces the old `as_any()` downcast paths: the fields a
-/// given defense does not use simply stay zero.
-#[derive(Debug, Clone, PartialEq)]
+/// The typed post-run summary of a deployment: every agent's state
+/// counters merged by [`Deployment::report`], plus the drop fields the
+/// engine fills from its drop ledger. The fields a given defense does not
+/// use simply stay zero.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DefenseReport {
     /// Short defense name ("netfence", "tva+", "stopit", "fq", "none").
     pub name: &'static str,
@@ -593,7 +544,9 @@ pub struct DefenseReport {
     pub host_shims: usize,
     /// Router agents installed.
     pub router_agents: usize,
-    /// Packets dropped by access-router request limiters (NetFence).
+    /// Packets dropped by access-router request limiters (NetFence):
+    /// [`DropCause::RequestRateLimit`] plus [`DropCause::InvalidMac`], the
+    /// demoted packets the same limiter refused.
     pub request_drops: u64,
     /// Packets dropped by per-(sender, bottleneck) rate limiters
     /// (NetFence).
@@ -640,42 +593,10 @@ pub struct DefenseReport {
     /// Policy-rule installs rejected by a store's capacity limit.
     pub rules_rejected: u64,
     /// The run's typed drop budget — every dropped packet counted once by
-    /// cause (queue overflow, rate limit, filter, …). Filled in by the
-    /// engine from its always-on drop ledger; [`Deployment::report`] alone
-    /// leaves it zero.
+    /// cause (queue overflow, rate limit, filter, …). Filled in, like the
+    /// five `*_drops` fields above, by the engine from its always-on drop
+    /// ledger; [`Deployment::report`] alone leaves them zero.
     pub drop_budget: DropBudget,
-}
-
-impl Default for DefenseReport {
-    fn default() -> Self {
-        DefenseReport {
-            name: "none",
-            deployed_ases: 0,
-            total_ases: 0,
-            host_shims: 0,
-            router_agents: 0,
-            request_drops: 0,
-            regular_drops: 0,
-            as_policer_drops: 0,
-            filtered_drops: 0,
-            unauthorized_drops: 0,
-            stamped_decr: 0,
-            invalid_feedback: 0,
-            rate_limiters: 0,
-            filters: 0,
-            capabilities_granted: 0,
-            links_in_mon: Vec::new(),
-            control_delivered: 0,
-            control_undeliverable: 0,
-            control_retransmits: 0,
-            control_lost: 0,
-            rules_installed: 0,
-            rules_refreshed: 0,
-            rules_expired: 0,
-            rules_rejected: 0,
-            drop_budget: DropBudget::default(),
-        }
-    }
 }
 
 impl DefenseReport {
@@ -692,25 +613,16 @@ impl DefenseReport {
             + self.filtered_drops
             + self.unauthorized_drops
     }
-
-    /// Deployed fraction of the network's ASes.
-    pub fn deployed_fraction(&self) -> f64 {
-        if self.total_ases == 0 {
-            0.0
-        } else {
-            self.deployed_ases as f64 / self.total_ases as f64
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Deployment
 // ---------------------------------------------------------------------------
 
-/// A defense deployed onto a network: dense per-node agents, a queue
-/// factory and the control-plane bus, ready to be moved into a
+/// A defense deployed onto a network: dense per-node agents, a sparse
+/// queue plan and the control-plane bus, ready to be moved into a
 /// [`Simulator`](crate::engine::Simulator).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Deployment {
     /// Short defense name.
     pub name: &'static str,
@@ -719,8 +631,11 @@ pub struct Deployment {
     pub hosts: Vec<Option<Box<dyn HostShim>>>,
     /// One optional router agent per node.
     pub routers: Vec<Option<Box<dyn RouterAgent>>>,
-    /// Per-link queue construction.
-    pub queues: Box<dyn QueueFactory>,
+    /// The queue plan: `(link index, discipline)` for every link whose
+    /// topology-declared default the defense replaces, ascending by link
+    /// index. Sparse — most links keep their default — and taken by the
+    /// simulator when it builds its per-link state.
+    pub queues: Vec<(usize, Box<dyn QueueDisc>)>,
     /// The out-of-band coordination bus. Messages queued here at deploy
     /// time (e.g. key announcements) are delivered when the simulator is
     /// constructed.
@@ -732,17 +647,16 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Start building a deployment for `net`.
+    /// Start building a deployment for `net`: no agents, default queues.
     pub fn builder<'a>(net: &'a Network, name: &'static str) -> DeploymentBuilder<'a> {
-        DeploymentBuilder {
-            net,
+        let deployment = Deployment {
             name,
             hosts: (0..net.nodes.len()).map(|_| None).collect(),
             routers: (0..net.nodes.len()).map(|_| None).collect(),
-            queues: None,
-            deployed_ases: 0,
-            total_ases: 0,
-        }
+            bus: ControlPlane::for_network(net),
+            ..Deployment::default()
+        };
+        DeploymentBuilder { net, deployment }
     }
 
     /// The empty deployment: a pure legacy network with default queues.
@@ -750,7 +664,9 @@ impl Deployment {
         Deployment::builder(net, "none").build()
     }
 
-    /// Merge every agent's counters into one typed report.
+    /// Merge every agent's state counters into one typed report. The drop
+    /// fields are the engine's to fill
+    /// ([`Simulator::report`](crate::engine::Simulator::report)).
     pub fn report(&self) -> DefenseReport {
         let mut out = DefenseReport {
             name: self.name,
@@ -779,52 +695,47 @@ impl Deployment {
 #[derive(Debug)]
 pub struct DeploymentBuilder<'a> {
     net: &'a Network,
-    name: &'static str,
-    hosts: Vec<Option<Box<dyn HostShim>>>,
-    routers: Vec<Option<Box<dyn RouterAgent>>>,
-    queues: Option<Box<dyn QueueFactory>>,
-    deployed_ases: usize,
-    total_ases: usize,
+    deployment: Deployment,
 }
 
 impl<'a> DeploymentBuilder<'a> {
     /// Install a shim on the host with address `host`.
     pub fn host_shim(&mut self, host: HostAddr, shim: Box<dyn HostShim>) -> &mut Self {
         let node = self.net.host_node(host);
-        self.hosts[node.0] = Some(shim);
+        self.deployment.hosts[node.0] = Some(shim);
         self
     }
 
     /// Install an agent on the router at `node`.
     pub fn router_agent(&mut self, node: NodeId, agent: Box<dyn RouterAgent>) -> &mut Self {
-        self.routers[node.0] = Some(agent);
+        self.deployment.routers[node.0] = Some(agent);
         self
     }
 
-    /// Set the queue factory.
-    pub fn queues(&mut self, factory: Box<dyn QueueFactory>) -> &mut Self {
-        self.queues = Some(factory);
+    /// Replace the default queue discipline of link `link`. Links are
+    /// planned in ascending index order (the order [`DeployMap::links`]
+    /// yields them), which is what lets the simulator merge the plan with
+    /// the defaults in one pass.
+    pub fn queue(&mut self, link: usize, queue: Box<dyn QueueDisc>) -> &mut Self {
+        let queues = &mut self.deployment.queues;
+        assert!(
+            queues.last().is_none_or(|&(last, _)| last < link) && link < self.net.links.len(),
+            "queue plan must name existing links in ascending order (link {link})"
+        );
+        queues.push((link, queue));
         self
     }
 
     /// Record the deployment extent for the report.
     pub fn ases(&mut self, deployed: usize, total: usize) -> &mut Self {
-        self.deployed_ases = deployed;
-        self.total_ases = total;
+        self.deployment.deployed_ases = deployed;
+        self.deployment.total_ases = total;
         self
     }
 
     /// Finish the deployment.
     pub fn build(&mut self) -> Deployment {
-        Deployment {
-            name: self.name,
-            hosts: std::mem::take(&mut self.hosts),
-            routers: std::mem::take(&mut self.routers),
-            queues: self.queues.take().unwrap_or_else(|| Box::new(DefaultQueues)),
-            bus: ControlPlane::for_network(self.net),
-            deployed_ases: self.deployed_ases,
-            total_ases: self.total_ases,
-        }
+        std::mem::take(&mut self.deployment)
     }
 }
 
@@ -833,9 +744,6 @@ impl<'a> DeploymentBuilder<'a> {
 /// Implemented by `netfence-systems` for NetFence, TVA+, StopIt and
 /// per-sender fair queuing; [`NoDefense`] is the undefended baseline.
 pub trait DefenseFactory: std::fmt::Debug {
-    /// Short name used in experiment output.
-    fn name(&self) -> &'static str;
-
     /// Deploy onto `net` according to `spec`.
     fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment;
 }
@@ -845,10 +753,6 @@ pub trait DefenseFactory: std::fmt::Debug {
 pub struct NoDefense;
 
 impl DefenseFactory for NoDefense {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
     fn deploy(&self, net: &Network, _spec: &DeploymentSpec) -> Deployment {
         Deployment::undefended(net)
     }
@@ -879,6 +783,10 @@ mod tests {
         assert_eq!(DeploymentSpec::full().deploying_ases(&net), vec![1, 2, 3, 100]);
         // One third of three edge ASes: the first one plus the transit AS.
         assert_eq!(DeploymentSpec::coverage(1.0 / 3.0).deploying_ases(&net), vec![1, 100]);
+        // A non-zero coverage that rounds to zero edge ASes still deploys
+        // the transit AS — what the runner's source-AS path always did, and
+        // the one input on which the deleted edge-AS rule (`[]`) differed.
+        assert_eq!(DeploymentSpec::coverage(0.1).deploying_ases(&net), vec![100]);
         // Monotone: growing coverage never removes a deploying AS.
         let mut prev: Vec<AsNum> = Vec::new();
         for k in 0..=10 {
@@ -889,39 +797,47 @@ mod tests {
     }
 
     #[test]
-    fn seeded_placement_is_deterministic_and_sized() {
-        let net = net();
-        let a = DeploymentSpec::seeded(2.0 / 3.0, 42).deploying_ases(&net);
-        let b = DeploymentSpec::seeded(2.0 / 3.0, 42).deploying_ases(&net);
-        assert_eq!(a, b);
-        // Two of three edge ASes plus the transit AS.
-        assert_eq!(a.len(), 3);
-        assert!(a.contains(&100));
-    }
-
-    #[test]
     fn explicit_placement_filters_unknown_ases() {
         let net = net();
         let d = DeploymentSpec::explicit(vec![2, 100, 999]).deploying_ases(&net);
         assert_eq!(d, vec![2, 100]);
         let map = DeploymentSpec::explicit(vec![2, 100]).resolve(&net);
-        assert!(map.as_deployed(2));
-        assert!(!map.as_deployed(1));
+        assert_eq!(map.ases, vec![2, 100]);
         assert_eq!(map.total_ases, 4);
     }
 
     #[test]
-    fn control_plane_addresses_hosts_and_access_routers() {
+    fn control_plane_addresses_routers_and_access_routers() {
         let net = net();
         let mut bus = ControlPlane::for_network(&net);
-        assert!(bus.to_host(0x101, 7u32));
-        assert!(!bus.to_host(0xdead, 7u32));
-        assert!(bus.to_access_router_of(0x201, "filter"));
+        let filter = ControlPayload::FilterRequest { src: 0x201, dst: 0x101 };
+        assert!(bus.to_access_router_of(0x201, filter));
+        assert!(!bus.to_access_router_of(0xdead, filter));
+        bus.to_router(NodeId(0), ControlPayload::KeyAnnouncement { asn: 1, public_value: 7 });
         let msgs = bus.take_outbox();
         assert_eq!(msgs.len(), 2);
-        assert!(matches!(msgs[0].to, Endpoint::Host(_)));
-        assert!(matches!(msgs[1].to, Endpoint::Router(_)));
+        assert_eq!(msgs[0].to, net.access_router_of(0x201).unwrap());
+        assert_eq!(msgs[0].payload, filter);
+        assert_eq!(msgs[1].to, NodeId(0));
         assert_eq!(bus.pending(), 0);
+    }
+
+    #[test]
+    fn deploy_map_iterators_follow_the_deploying_ases() {
+        let net = net();
+        let map = DeploymentSpec::explicit(vec![2, 100]).resolve(&net);
+        // Node order: transit router, then (router, host) per edge AS.
+        assert_eq!(map.routers(&net).collect::<Vec<_>>(), vec![NodeId(0), NodeId(3)]);
+        assert_eq!(map.hosts(&net).collect::<Vec<_>>(), vec![0x201]);
+        // Owner-deploys links, ascending: the transit router's three
+        // downlinks, AS 2's uplink to it, AS 2's router → host link and the
+        // host's own uplink; the inter-router subset drops the last two.
+        let owned: Vec<usize> = map.links(&net).map(|(i, _)| i).collect();
+        let routed: Vec<usize> = map.router_links(&net).map(|(i, _)| i).collect();
+        assert!(owned.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(owned.len(), 6);
+        assert_eq!(routed.len(), 4);
+        assert!(routed.iter().all(|i| owned.contains(i) && net.is_router_link(&net.links[*i])));
     }
 
     #[test]
@@ -933,6 +849,6 @@ mod tests {
         assert_eq!(r.host_shims, 0);
         assert_eq!(r.router_agents, 0);
         assert_eq!(r.total_defense_drops(), 0);
-        assert_eq!(r.deployed_fraction(), 0.0);
+        assert_eq!((r.deployed_ases, r.total_ases), (0, 0));
     }
 }

@@ -31,8 +31,8 @@ use netfence_telemetry::{
 };
 
 use crate::deploy::{
-    ChannelVerdict, ControlMsg, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
-    Endpoint, LinkRef, RouterAction, RouterFault,
+    ChannelVerdict, ControlMsg, DefenseReport, Deployment, Endpoint, LinkRef, RouterAction,
+    RouterFault,
 };
 use crate::event_queue::EventQueue;
 use crate::flow::{Flow, FlowActions, FlowProgress};
@@ -214,27 +214,33 @@ impl std::fmt::Debug for Simulator {
 
 impl Simulator {
     /// Create a simulator for `net` with the defense `deployment` installed.
-    /// Control-plane messages queued at deploy time (key announcements,
-    /// pre-installed filters) are delivered before the first event.
+    /// Control-plane messages queued at deploy time (key announcements) are
+    /// delivered before the first event.
     pub fn new(net: Network, mut deployment: Deployment, cfg: SimConfig) -> Self {
         assert_eq!(
             deployment.hosts.len(),
             net.nodes.len(),
             "deployment was built for a different network"
         );
+        // Merge the deployment's sparse queue plan (ascending by link
+        // index) with the topology-declared defaults.
+        let mut planned = std::mem::take(&mut deployment.queues).into_iter().peekable();
         let mut links = Vec::with_capacity(net.links.len());
         for (i, spec) in net.links.iter().enumerate() {
-            let queue = deployment.queues.make_queue(i, spec).unwrap_or_else(|| match spec.queue {
-                QueueKind::DropTail => {
-                    Box::new(DropTail::new(((spec.capacity / 8) / 5).max(15_000) as usize))
-                        as Box<dyn QueueDisc>
-                }
-                QueueKind::Red => {
-                    Box::new(RedQueue::for_capacity(spec.capacity, cfg.seed ^ i as u64))
-                }
-            });
+            let queue: Box<dyn QueueDisc> = match planned.next_if(|(link, _)| *link == i) {
+                Some((_, queue)) => queue,
+                None => match spec.queue {
+                    QueueKind::DropTail => {
+                        Box::new(DropTail::new(((spec.capacity / 8) / 5).max(15_000) as usize))
+                    }
+                    QueueKind::Red => {
+                        Box::new(RedQueue::for_capacity(spec.capacity, cfg.seed ^ i as u64))
+                    }
+                },
+            };
             links.push(LinkState { queue, busy: false, in_flight: None, poll_pending: false });
         }
+        assert!(planned.next().is_none(), "queue plan is out of order or names a missing link");
         let timeline = if cfg.telemetry.timeline {
             Timeline::new(cfg.telemetry.timeline_capacity)
         } else {
@@ -274,28 +280,27 @@ impl Simulator {
         Simulator::new(net, deployment, cfg)
     }
 
-    /// Deploy `factory` onto `net` per `spec` and build the simulator.
-    pub fn deploy(
-        net: Network,
-        factory: &dyn DefenseFactory,
-        spec: &DeploymentSpec,
-        cfg: SimConfig,
-    ) -> Self {
-        let deployment = factory.deploy(&net, spec);
-        Simulator::new(net, deployment, cfg)
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Nanos {
         self.now
     }
 
-    /// The merged typed report of the deployed defense, with the engine's
-    /// always-on drop budget folded in.
+    /// The merged typed report of the deployed defense. Drops have one
+    /// owner: the engine's always-on ledger, from which the budget and the
+    /// per-mechanism drop fields are read here (agents keep no drop
+    /// counters of their own).
     pub fn report(&self) -> DefenseReport {
-        let mut out = self.deployment.report();
-        out.drop_budget = *self.metrics.drops.total();
-        out
+        let budget = *self.metrics.drops.total();
+        DefenseReport {
+            request_drops: budget.get(DropCause::RequestRateLimit)
+                + budget.get(DropCause::InvalidMac),
+            regular_drops: budget.get(DropCause::RegularRateLimit),
+            as_policer_drops: budget.get(DropCause::AsPolicer),
+            filtered_drops: budget.get(DropCause::StopItFilter),
+            unauthorized_drops: budget.get(DropCause::TvaNoCapability),
+            drop_budget: budget,
+            ..self.deployment.report()
+        }
     }
 
     /// Register a flow and schedule its start. The closure receives the
@@ -313,16 +318,6 @@ impl Simulator {
     /// Progress counters of one flow.
     pub fn progress(&self, flow: FlowId) -> &FlowProgress {
         self.flows[flow].progress()
-    }
-
-    /// Progress counters of every flow, indexed by flow id.
-    pub fn all_progress(&self) -> Vec<FlowProgress> {
-        self.flows.iter().map(|f| f.progress().clone()).collect()
-    }
-
-    /// Source and destination of a flow.
-    pub fn flow_endpoints(&self, flow: FlowId) -> (u32, u32) {
-        (self.flows[flow].src(), self.flows[flow].dst())
     }
 
     /// Per-flow goodput samples: one `(time, delivered_bytes per flow id)`
@@ -421,27 +416,17 @@ impl Simulator {
         }
     }
 
-    /// Hand one control message to its destination agent (or count it as
-    /// undeliverable at a legacy node).
+    /// Hand one control message to its destination router's agent (or
+    /// count it as undeliverable at a legacy router).
     fn deliver_control(&mut self, msg: ControlMsg) {
-        let Deployment { hosts, routers, bus, .. } = &mut self.deployment;
-        match msg.to {
-            Endpoint::Host(node) => match hosts[node.0].as_mut() {
-                Some(shim) => {
-                    bus.delivered += 1;
-                    bus.set_sender(Some(Endpoint::Host(node)));
-                    shim.on_control(self.now, msg.payload, bus);
-                }
-                None => bus.undeliverable += 1,
-            },
-            Endpoint::Router(node) => match routers[node.0].as_mut() {
-                Some(agent) => {
-                    bus.delivered += 1;
-                    bus.set_sender(Some(Endpoint::Router(node)));
-                    agent.on_control(self.now, msg.payload, bus);
-                }
-                None => bus.undeliverable += 1,
-            },
+        let Deployment { routers, bus, .. } = &mut self.deployment;
+        match routers[msg.to.0].as_mut() {
+            Some(agent) => {
+                bus.delivered += 1;
+                bus.set_sender(Some(Endpoint::Router(msg.to)));
+                agent.on_control(self.now, msg.payload, bus);
+            }
+            None => bus.undeliverable += 1,
         }
     }
 
@@ -560,13 +545,7 @@ impl Simulator {
                 }
             }
             FaultAction::Router { node, fault } => {
-                let label = match fault {
-                    RouterFault::Reboot => "reboot",
-                    RouterFault::KeyDesync => "key-desync",
-                    RouterFault::ClockSkew { .. } => "clock-skew",
-                    RouterFault::MemoryPressure { .. } => "memory-pressure",
-                };
-                self.mark_fault(label, node, None);
+                self.mark_fault(fault.label(), node, None);
                 let Deployment { routers, bus, .. } = &mut self.deployment;
                 if let Some(agent) = routers[node.0].as_mut() {
                     bus.set_sender(Some(Endpoint::Router(node)));
@@ -600,9 +579,10 @@ impl Simulator {
         }
     }
 
-    /// Sample queue depths, agent state and control-transport state into
-    /// the timeline. Only called on the sample clock when the timeline is
-    /// enabled; everything recorded here is read-only observation.
+    /// Sample queue depths, agent state, the drop ledger and
+    /// control-transport state into the timeline. Only called on the sample
+    /// clock when the timeline is enabled; everything recorded here is
+    /// read-only observation.
     fn probe_timeline(&mut self) {
         let now = self.now;
         for (i, state) in self.links.iter().enumerate() {
@@ -615,6 +595,9 @@ impl Simulator {
         }
         for agent in self.deployment.routers.iter().flatten() {
             agent.probe(now, &mut self.timeline);
+        }
+        for (cause, count) in self.metrics.drops.total().nonzero() {
+            self.timeline.record(now, "drops", cause.label().to_string(), count as f64);
         }
         self.deployment.bus.probe(now, &mut self.timeline);
     }
@@ -842,7 +825,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{ControlPlane, Deployment, HostShim, RouterAgent};
+    use crate::deploy::{ControlPayload, ControlPlane, Deployment, HostShim, RouterAgent};
     use crate::rng::SimRng;
     use crate::tcp::{TcpConfig, TcpFlow, TcpWorkload};
     use crate::topology::QueueKind;
@@ -1032,14 +1015,17 @@ mod tests {
 
     #[test]
     fn control_messages_reach_agents_and_legacy_nodes_bounce() {
-        /// A host shim that asks its access router to count packets.
+        /// A host shim that files a filter request with its own access
+        /// router for every packet it sends.
         #[derive(Debug)]
         struct Pinger;
         impl HostShim for Pinger {
             fn on_send(&mut self, _now: Nanos, pkt: &mut Packet, ctl: &mut ControlPlane) {
-                ctl.to_access_router_of(pkt.src, "ping");
-                // And one message to a legacy host that has no shim.
-                ctl.to_host(HOST_B, "void");
+                let ping = ControlPayload::FilterRequest { src: pkt.src, dst: pkt.dst };
+                ctl.to_access_router_of(pkt.src, ping);
+                // And one to the destination's access router, a legacy
+                // router without an agent.
+                ctl.to_access_router_of(pkt.dst, ping);
             }
         }
         #[derive(Debug, Default)]
@@ -1047,13 +1033,8 @@ mod tests {
             pings: u64,
         }
         impl RouterAgent for Counter {
-            fn on_control(
-                &mut self,
-                _now: Nanos,
-                msg: Box<dyn std::any::Any>,
-                _ctl: &mut ControlPlane,
-            ) {
-                if msg.downcast_ref::<&str>() == Some(&"ping") {
+            fn on_control(&mut self, _now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+                if msg == (ControlPayload::FilterRequest { src: HOST_A, dst: HOST_B }) {
                     self.pings += 1;
                 }
             }
@@ -1074,7 +1055,8 @@ mod tests {
         let report = sim.report();
         assert!(report.filters > 10, "pings: {}", report.filters);
         assert_eq!(report.control_delivered, report.filters as u64);
-        // The messages to the shim-less HOST_B were dropped and counted.
+        // The messages to HOST_B's agent-less router were dropped and
+        // counted.
         assert_eq!(report.control_undeliverable, report.control_delivered);
     }
 

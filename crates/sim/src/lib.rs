@@ -43,9 +43,9 @@ pub mod webtraffic;
 /// Commonly used re-exports.
 pub mod prelude {
     pub use crate::deploy::{
-        ChannelVerdict, ControlChannel, ControlMsg, ControlPlane, DefenseFactory, DefenseReport,
-        DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, Endpoint, HostShim, LinkRef,
-        NoDefense, Placement, QueueFactory, RouterAction, RouterAgent, RouterFault,
+        ChannelVerdict, ControlChannel, ControlMsg, ControlPayload, ControlPlane, DefenseFactory,
+        DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, Endpoint,
+        HostShim, LinkRef, NoDefense, Placement, RouterAction, RouterAgent, RouterFault,
     };
     pub use crate::engine::{FaultAction, SimConfig, Simulator};
     pub use crate::flow::{Flow, FlowActions, FlowProgress};

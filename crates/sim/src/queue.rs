@@ -195,11 +195,6 @@ impl RedQueue {
         self.prng = x;
         (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// The current average queue estimate in bytes.
-    pub fn avg_bytes(&self) -> f64 {
-        self.avg
-    }
 }
 
 impl QueueDisc for RedQueue {
@@ -613,16 +608,6 @@ impl DualChannelQueue {
             served_request: 0,
             served_total: 0,
         }
-    }
-
-    /// Immutable access to the regular channel (for congestion inspection).
-    pub fn regular(&self) -> &dyn QueueDisc {
-        self.regular.as_ref()
-    }
-
-    /// Bytes served from the request channel so far.
-    pub fn served_request_bytes(&self) -> u64 {
-        self.served_request
     }
 
     fn refill(&mut self, now: Nanos) {

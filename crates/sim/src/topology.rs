@@ -90,8 +90,8 @@ impl Node {
     }
 }
 
-/// Which default queue discipline a link uses (defense systems may override
-/// via their `make_queue` hook).
+/// Which default queue discipline a link uses (a deployment's queue plan
+/// may replace it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Plain FIFO, 200 ms of buffering.
@@ -231,6 +231,13 @@ impl Network {
     /// The access router a host is attached to, if any.
     pub fn access_router_of(&self, host: HostAddr) -> Option<NodeId> {
         self.hosts.get(&host).map(|h| h.router)
+    }
+
+    /// Whether `link` joins two routers (the links defenses re-queue and
+    /// NetFence treats as potential bottlenecks; hosts hang off access
+    /// links).
+    pub fn is_router_link(&self, link: &LinkSpec) -> bool {
+        self.nodes[link.from.0].host_addr().is_none() && self.nodes[link.to.0].host_addr().is_none()
     }
 
     /// All host addresses in the network.

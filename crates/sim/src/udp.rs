@@ -84,13 +84,6 @@ impl UdpFlow {
         }
     }
 
-    /// Override the datagram size.
-    pub fn with_pkt_size(mut self, size: usize) -> Self {
-        self.pkt_size = size;
-        self.send_interval = transmission_time(size, self.rate_bps);
-        self
-    }
-
     /// Current sending rate during on-periods, bits per second.
     pub fn rate_bps(&self) -> u64 {
         self.rate_bps

@@ -7,67 +7,37 @@
 //! so small file transfers slow down linearly with the number of senders.
 //!
 //! FQ is a pure queue-discipline defense: its deployment installs no host
-//! shims and no router agents, only a [`QueueFactory`] that replaces the
+//! shims and no router agents, only a queue plan that replaces the
 //! scheduler of every link owned by a deploying AS.
 
-use netfence_sim::deploy::{DefenseFactory, Deployment, DeploymentSpec, QueueFactory};
-use netfence_sim::queue::{Classifier, DrrQueue, QueueDisc};
-use netfence_sim::topology::{LinkSpec, Network};
+use netfence_sim::deploy::{DefenseFactory, Deployment, DeploymentSpec};
+use netfence_sim::queue::{Classifier, DrrQueue};
+use netfence_sim::topology::Network;
+
+/// Byte limit of each per-sender queue.
+const PER_SENDER_LIMIT: usize = 30_000;
 
 /// The per-sender DRR fair-queuing factory.
 #[derive(Debug, Default)]
-pub struct FairQueuingDefense {
-    /// Byte limit of each per-sender queue.
-    per_sender_limit: usize,
-}
+pub struct FairQueuingDefense;
 
 impl FairQueuingDefense {
-    /// Create the baseline with a default 30 kB per-sender backlog limit.
+    /// Create the baseline (30 kB per-sender backlog limit).
     pub fn new() -> Self {
-        FairQueuingDefense { per_sender_limit: 30_000 }
-    }
-
-    /// Override the per-sender backlog limit.
-    pub fn with_per_sender_limit(limit: usize) -> Self {
-        FairQueuingDefense { per_sender_limit: limit }
+        FairQueuingDefense
     }
 }
 
 impl DefenseFactory for FairQueuingDefense {
-    fn name(&self) -> &'static str {
-        "fq"
-    }
-
     fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
-        let links: Vec<usize> = net
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| map.node(l.from))
-            .map(|(i, _)| i)
-            .collect();
         let mut builder = Deployment::builder(net, "fq");
         builder.ases(map.ases.len(), map.total_ases);
-        builder.queues(Box::new(FqQueues { per_sender_limit: self.per_sender_limit, links }));
-        builder.build()
-    }
-}
-
-/// Per-sender DRR on every deployed link.
-#[derive(Debug)]
-struct FqQueues {
-    per_sender_limit: usize,
-    links: Vec<usize>,
-}
-
-impl QueueFactory for FqQueues {
-    fn make_queue(&mut self, link_index: usize, _spec: &LinkSpec) -> Option<Box<dyn QueueDisc>> {
-        if self.links.binary_search(&link_index).is_ok() {
-            Some(Box::new(DrrQueue::new(Classifier::BySource, 1500, self.per_sender_limit)))
-        } else {
-            None
+        for (li, _) in map.links(net) {
+            builder
+                .queue(li, Box::new(DrrQueue::new(Classifier::BySource, 1500, PER_SENDER_LIMIT)));
         }
+        builder.build()
     }
 }
 

@@ -9,9 +9,6 @@
 //! * [`tva`] — the TVA+ capability baseline;
 //! * [`stopit`] — the StopIt filter baseline;
 //! * [`fq`] — per-sender fair queuing at every link;
-//! * [`attacker`] — strategic-attacker arithmetic shared by the experiment
-//!   harnesses (request-priority races of §6.3.1; the adaptive attack
-//!   *agents* live in `netfence-adversary`);
 //! * [`headers`] — the shim headers attached to simulated packets.
 //!
 //! All four systems implement `netfence_sim::deploy::DefenseFactory`: they
@@ -24,16 +21,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod attacker;
 pub mod fq;
 pub mod headers;
 pub mod netfence;
 pub mod stopit;
 pub mod tva;
 
-pub use attacker::{legitimate_priority_after, strategic_request_priority};
 pub use fq::FairQueuingDefense;
 pub use headers::{NetFenceExt, TvaExt};
-pub use netfence::{KeyAnnouncement, NetFenceDefense};
-pub use stopit::{FilterRequest, StopItDefense};
+pub use netfence::NetFenceDefense;
+pub use stopit::StopItDefense;
 pub use tva::TvaDefense;

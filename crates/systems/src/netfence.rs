@@ -21,9 +21,9 @@
 //!
 //! The Passport-style pairwise AS keys are established over the
 //! deployment's [`ControlPlane`] bus: at deploy time every deploying AS
-//! posts a [`KeyAnnouncement`] (its Diffie–Hellman public value) to every
-//! deployed router agent, which derives and installs the shared key — the
-//! BGP-piggybacked exchange of §4.4, in message form. With
+//! posts a [`ControlPayload::KeyAnnouncement`] (its Diffie–Hellman public
+//! value) to every deployed router agent, which derives and installs the
+//! shared key — the BGP-piggybacked exchange of §4.4, in message form. With
 //! [`NetFenceDefense::key_ttl`] set, installed keys lapse unless the
 //! owning AS's designated announcer (its first deployed router) re-posts
 //! the announcement every `ttl / 2`; over a lossy or partitioned control
@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use netfence_core::access::{AccessRouter, AccessVerdict, DropReason};
+use netfence_core::access::{AccessRouter, AccessVerdict};
 use netfence_core::as_police::{AsPolicer, AsPolicingMode};
 use netfence_core::bottleneck::{BottleneckLink, Channel};
 use netfence_core::config::Config;
@@ -44,36 +44,22 @@ use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
 use netfence_crypto::{AsKeyAgent, Cmac};
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
-    ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
-    QueueFactory, RouterAction, RouterAgent, RouterFault,
+    ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
+    HostShim, LinkRef, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{AsNum, ChannelClass, Extension, HostAddr, Packet, Protocol};
 use netfence_sim::prelude::{DropCause, IdMap, Timeline};
-use netfence_sim::queue::{DualChannelQueue, PriorityLevelQueue, QueueDisc, RedQueue};
+use netfence_sim::queue::{DualChannelQueue, PriorityLevelQueue, RedQueue};
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
 
 use crate::headers::NetFenceExt;
-
-/// A Passport key announcement carried on the control-plane bus: the
-/// announcing AS and its Diffie–Hellman public value. Every deployed router
-/// derives the pairwise AES key from it (§4.4).
-#[derive(Debug, Clone, Copy)]
-pub struct KeyAnnouncement {
-    /// The announcing AS.
-    pub asn: AsNum,
-    /// Its public Diffie–Hellman value.
-    pub public_value: u64,
-}
 
 /// The NetFence defense factory: protocol parameters plus the per-host
 /// policies (suppression, priority overrides) applied when deploying.
 #[derive(Debug)]
 pub struct NetFenceDefense {
     cfg: Config,
-    /// Hosts whose receivers suppress feedback by default (victims with a
-    /// whitelist).
-    deny_by_default: Vec<HostAddr>,
     /// (receiver, sender) pairs the receiver classifies as unwanted.
     suppressed: Vec<(HostAddr, HostAddr)>,
     /// Fixed request-priority override for (attacker) hosts.
@@ -91,19 +77,12 @@ impl NetFenceDefense {
     pub fn new(cfg: Config) -> Self {
         NetFenceDefense {
             cfg,
-            deny_by_default: Vec::new(),
             suppressed: Vec::new(),
             priority_override: IdMap::default(),
             as_policing_mode: None,
             key_ttl: 0,
             seed: 0x4E46_4E46,
         }
-    }
-
-    /// Make a receiver suppress feedback for every sender not explicitly
-    /// whitelisted (a victim with a whitelist).
-    pub fn deny_all_senders(&mut self, receiver: HostAddr) {
-        self.deny_by_default.push(receiver);
     }
 
     /// Configure a receiver to suppress feedback for a specific sender
@@ -125,8 +104,8 @@ impl NetFenceDefense {
 
     /// Make installed pairwise AS keys lapse after `ttl` without a refresh
     /// (0 restores the legacy permanent keys). Each deploying AS's
-    /// designated announcer re-posts its [`KeyAnnouncement`] every
-    /// `ttl / 2` over the control plane.
+    /// designated announcer re-posts its key announcement every `ttl / 2`
+    /// over the control plane.
     pub fn key_ttl(&mut self, ttl: Nanos) {
         self.key_ttl = ttl;
     }
@@ -135,45 +114,43 @@ impl NetFenceDefense {
     fn key_agent(&self, asn: AsNum) -> AsKeyAgent {
         AsKeyAgent::new(asn, self.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(asn as u64 + 1)))
     }
+
+    /// What AS `asn` announces on the control plane (§4.4).
+    fn announcement(&self, asn: AsNum) -> ControlPayload {
+        ControlPayload::KeyAnnouncement { asn, public_value: self.key_agent(asn).public_value() }
+    }
+
+    /// The three-channel queue of one bottleneck link.
+    fn bottleneck_queue(&self, link: &LinkSpec) -> DualChannelQueue {
+        let qlim_bytes = ((link.capacity as f64 * 0.2 / 8.0) as usize).max(15_000);
+        let regular = Box::new(RedQueue::for_capacity(link.capacity, self.seed ^ link.addr as u64));
+        let request = Box::new(PriorityLevelQueue::new(
+            (qlim_bytes as f64 * self.cfg.request_channel_fraction).max(4_600.0) as usize,
+        ));
+        DualChannelQueue::new(
+            regular,
+            request,
+            qlim_bytes / 4,
+            link.capacity,
+            self.cfg.request_channel_fraction,
+        )
+    }
 }
 
 impl DefenseFactory for NetFenceDefense {
-    fn name(&self) -> &'static str {
-        "netfence"
-    }
-
     fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
-        let inter_router_links: Vec<(usize, &LinkSpec)> = net
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                net.nodes[l.from.0].host_addr().is_none() && net.nodes[l.to.0].host_addr().is_none()
-            })
-            .collect();
-
         let mut builder = Deployment::builder(net, "netfence");
         builder.ases(map.ases.len(), map.total_ases);
 
         // The three-channel queues replace the defaults on every
         // inter-router link whose owning (sending-side) AS deploys.
-        let bottleneck_links: Vec<usize> =
-            inter_router_links.iter().filter(|(_, l)| map.node(l.from)).map(|(i, _)| *i).collect();
-        builder.queues(Box::new(NetFenceQueues {
-            cfg: self.cfg.clone(),
-            seed: self.seed,
-            links: bottleneck_links,
-        }));
+        for (li, link) in map.router_links(net) {
+            builder.queue(li, Box::new(self.bottleneck_queue(link)));
+        }
 
         // Router agents for every router in a deploying AS.
-        let agent_nodes: Vec<NodeId> = net
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, node)| node.host_addr().is_none() && map.node(NodeId(i)))
-            .map(|(i, _)| NodeId(i))
-            .collect();
+        let agent_nodes: Vec<NodeId> = map.routers(net).collect();
         // With a key TTL, each deploying AS's first router doubles as its
         // designated announcer, re-posting the AS's public value every
         // `ttl / 2` so installed keys stay refreshed.
@@ -185,9 +162,11 @@ impl DefenseFactory for NetFenceDefense {
         }
         // The (bottleneck link → owning AS) registrations every access
         // router needs; identical for all of them, captured once.
-        let link_as_pairs: Vec<(LinkId, AsId)> = inter_router_links
+        let link_as_pairs: Vec<(LinkId, AsId)> = net
+            .links
             .iter()
-            .map(|(_, spec)| (LinkId(spec.addr), AsId(net.nodes[spec.from.0].as_num())))
+            .filter(|l| net.is_router_link(l))
+            .map(|l| (LinkId(l.addr), AsId(net.nodes[l.from.0].as_num())))
             .collect();
         for &node_id in &agent_nodes {
             let i = node_id.0;
@@ -200,13 +179,12 @@ impl DefenseFactory for NetFenceDefense {
             // links: a sparse (link index, state) list sorted ascending —
             // routers own only a handful of links, so allocation stays
             // proportional to the agent, not to the whole network.
-            let mut bl_specs: Vec<(usize, LinkId, u64)> = Vec::new();
-            for &(li, spec) in &inter_router_links {
-                if spec.from.0 != i {
-                    continue;
-                }
-                bl_specs.push((li, LinkId(spec.addr), spec.capacity));
-            }
+            let bl_specs: Vec<(usize, LinkId, u64)> = net.out_links[i]
+                .iter()
+                .map(|&li| (li, &net.links[li]))
+                .filter(|(_, l)| net.is_router_link(l))
+                .map(|(li, l)| (li, LinkId(l.addr), l.capacity))
+                .collect();
             // Everything needed to rebuild this agent's defense state from
             // scratch — construction at deploy time and reconstruction
             // after an injected reboot go through the same template, so a
@@ -224,8 +202,7 @@ impl DefenseFactory for NetFenceDefense {
                 generation: 0,
             };
             let announcer = (announcer_of.get(&as_num) == Some(&node_id)).then(|| KeyAnnouncer {
-                asn: as_num,
-                public_value: self.key_agent(as_num).public_value(),
+                announcement: self.announcement(as_num),
                 peers: agent_nodes.clone(),
                 interval: (self.key_ttl / 2).max(1),
                 last: 0,
@@ -241,21 +218,14 @@ impl DefenseFactory for NetFenceDefense {
                     announcer,
                     template,
                     clock_offset: 0,
-                    stats: AgentStats::default(),
+                    stamped_decr: 0,
                 }),
             );
         }
 
         // Host shims for every host in a deploying AS.
-        for host in net.hosts() {
-            if !map.as_deployed(net.as_of_host(host)) {
-                continue;
-            }
-            let mut receiver = if self.deny_by_default.contains(&host) {
-                ReceiverShim::deny_by_default()
-            } else {
-                ReceiverShim::default()
-            };
+        for host in map.hosts(net) {
+            let mut receiver = ReceiverShim::default();
             for &(r, s) in &self.suppressed {
                 if r == host {
                     receiver.set_policy(HostId(s), ReceiverPolicy::Suppress);
@@ -278,53 +248,12 @@ impl DefenseFactory for NetFenceDefense {
         // as a full-mesh BGP propagation would). Each agent derives and
         // installs the pairwise keys in `on_control`.
         for &asn in &map.ases {
-            let agent = self.key_agent(asn);
-            let ann = KeyAnnouncement { asn, public_value: agent.public_value() };
+            let ann = self.announcement(asn);
             for &node in &agent_nodes {
                 deployment.bus.to_router(node, ann);
             }
         }
         deployment
-    }
-}
-
-/// Per-agent counters, merged into the [`DefenseReport`].
-#[derive(Debug, Default, Clone, Copy)]
-struct AgentStats {
-    request_drops: u64,
-    regular_drops: u64,
-    as_policer_drops: u64,
-    stamped_decr: u64,
-}
-
-/// The three-channel queue construction of a NetFence deployment.
-#[derive(Debug)]
-struct NetFenceQueues {
-    cfg: Config,
-    seed: u64,
-    /// Inter-router links owned by a deploying AS (dense indices).
-    links: Vec<usize>,
-}
-
-impl QueueFactory for NetFenceQueues {
-    fn make_queue(&mut self, link_index: usize, spec: &LinkSpec) -> Option<Box<dyn QueueDisc>> {
-        // Only bottleneck (inter-router) links of deploying ASes get the
-        // three-channel split; everything else keeps its default.
-        if self.links.binary_search(&link_index).is_err() {
-            return None;
-        }
-        let qlim_bytes = ((spec.capacity as f64 * 0.2 / 8.0) as usize).max(15_000);
-        let regular = Box::new(RedQueue::for_capacity(spec.capacity, self.seed ^ spec.addr as u64));
-        let request = Box::new(PriorityLevelQueue::new(
-            (qlim_bytes as f64 * self.cfg.request_channel_fraction).max(4_600.0) as usize,
-        ));
-        Some(Box::new(DualChannelQueue::new(
-            regular,
-            request,
-            qlim_bytes / 4,
-            spec.capacity,
-            self.cfg.request_channel_fraction,
-        )))
     }
 }
 
@@ -375,8 +304,8 @@ impl HostShim for NetFenceHostShim {
 /// stay refreshed (the periodic BGP re-advertisement of §4.4).
 #[derive(Debug)]
 struct KeyAnnouncer {
-    asn: AsNum,
-    public_value: u64,
+    /// The AS's key announcement.
+    announcement: ControlPayload,
     /// Every deployed router agent (snapshot at deploy time).
     peers: Vec<NodeId>,
     /// Re-announce cadence (`key_ttl / 2`).
@@ -479,7 +408,8 @@ struct NetFenceRouterAgent {
     /// window) and AIMD machinery observe. Control-plane cadence (key TTL
     /// purge, announcer re-posts) stays on engine time.
     clock_offset: i64,
-    stats: AgentStats,
+    /// Packets this router's bottleneck links stamped `L↓`.
+    stamped_decr: u64,
 }
 
 impl NetFenceRouterAgent {
@@ -534,26 +464,7 @@ impl RouterAgent for NetFenceRouterAgent {
                     pkt.channel = ChannelClass::Regular;
                     RouterAction::Delay { release_at }
                 }
-                AccessVerdict::Drop(reason) => {
-                    let cause = match reason {
-                        DropReason::RequestRateLimited => {
-                            self.stats.request_drops += 1;
-                            DropCause::RequestRateLimit
-                        }
-                        DropReason::RegularRateLimited => {
-                            self.stats.regular_drops += 1;
-                            DropCause::RegularRateLimit
-                        }
-                        // Still a request-limiter drop for the report, but
-                        // typed separately so the budget distinguishes
-                        // spoofed feedback from plain request floods.
-                        DropReason::UnverifiedFeedback => {
-                            self.stats.request_drops += 1;
-                            DropCause::InvalidMac
-                        }
-                    };
-                    RouterAction::Drop(cause)
-                }
+                AccessVerdict::Drop(cause) => RouterAction::Drop(cause),
             }
         } else {
             // A core/bottleneck router of a deploying AS.
@@ -575,7 +486,6 @@ impl RouterAgent for NetFenceRouterAgent {
                 if in_mon && pkt.channel == ChannelClass::Regular {
                     let src_as = AsId(pkt.src_as);
                     if !self.as_policers[pi].1.admit(now, src_as, pkt.size) {
-                        self.stats.as_policer_drops += 1;
                         return RouterAction::Drop(DropCause::AsPolicer);
                     }
                 }
@@ -605,7 +515,7 @@ impl RouterAgent for NetFenceRouterAgent {
         if let Some(ext) = pkt.ext_as_mut::<NetFenceExt>() {
             let outcome = bl.update_feedback(now, flow, src_as, &mut ext.header.presented);
             if outcome == netfence_core::bottleneck::StampOutcome::StampedDecr {
-                self.stats.stamped_decr += 1;
+                self.stamped_decr += 1;
             }
         }
     }
@@ -619,16 +529,16 @@ impl RouterAgent for NetFenceRouterAgent {
         }
     }
 
-    fn on_control(&mut self, now: Nanos, msg: Box<dyn std::any::Any>, _ctl: &mut ControlPlane) {
-        let Some(ann) = msg.downcast_ref::<KeyAnnouncement>() else { return };
-        self.keys.insert(now, ann.asn);
+    fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+        let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
+        self.keys.insert(now, asn);
         // One AES key schedule per announcement; every table gets a clone.
-        let key = Cmac::new(&self.key_agent.shared_key(ann.asn, ann.public_value));
+        let key = Cmac::new(&self.key_agent.shared_key(asn, public_value));
         for (_, bl) in self.bottlenecks.iter_mut() {
-            bl.install_as_key(AsId(ann.asn), key.clone());
+            bl.install_as_key(AsId(asn), key.clone());
         }
         if let Some(access) = self.access.as_mut() {
-            access.install_as_key(AsId(ann.asn), key);
+            access.install_as_key(AsId(asn), key);
         }
     }
 
@@ -659,9 +569,8 @@ impl RouterAgent for NetFenceRouterAgent {
         if let Some(a) = self.announcer.as_mut() {
             if now >= a.last + a.interval {
                 a.last = now;
-                let ann = KeyAnnouncement { asn: a.asn, public_value: a.public_value };
                 for &peer in &a.peers {
-                    ctl.to_router(peer, ann);
+                    ctl.to_router(peer, a.announcement);
                 }
             }
         }
@@ -691,9 +600,8 @@ impl RouterAgent for NetFenceRouterAgent {
                 // and no announcers exist).
                 if let Some(a) = self.announcer.as_mut() {
                     a.last = now;
-                    let ann = KeyAnnouncement { asn: a.asn, public_value: a.public_value };
                     for &peer in &a.peers {
-                        ctl.to_router(peer, ann);
+                        ctl.to_router(peer, a.announcement);
                     }
                 }
             }
@@ -751,10 +659,7 @@ impl RouterAgent for NetFenceRouterAgent {
     }
 
     fn report(&self, out: &mut DefenseReport) {
-        out.request_drops += self.stats.request_drops;
-        out.regular_drops += self.stats.regular_drops;
-        out.as_policer_drops += self.stats.as_policer_drops;
-        out.stamped_decr += self.stats.stamped_decr;
+        out.stamped_decr += self.stamped_decr;
         out.rules_installed += self.keys.stats.installed;
         out.rules_refreshed += self.keys.stats.refreshed;
         out.rules_expired += self.keys.stats.expired;
@@ -963,6 +868,59 @@ mod tests {
         assert!(
             user_bps / attacker_bps.max(1.0) > 0.5,
             "user {user_bps:.0} bps vs attacker {attacker_bps:.0} bps"
+        );
+    }
+
+    #[test]
+    fn as_policing_holds_a_heavy_as_to_its_share_of_a_transit_bottleneck() {
+        // §4.5 at a bottleneck owned by a *transit* router (the policer
+        // never runs at a packet's own access router): AS 1 sends two
+        // flooders through it, AS 2 one, so under per-sender policing AS 1
+        // keeps two thirds of the link. With per-AS fair-share policing on
+        // top, the transit router cuts AS 1 back toward half.
+        let run = |policing: bool| {
+            let mut b = Network::builder();
+            let r1 = b.router(1, true);
+            let r2 = b.router(2, true);
+            let rt = b.router(100, false);
+            let rd = b.router(3, true);
+            b.duplex(r1, rt, 10_000_000, 10 * MILLI, QueueKind::Red);
+            b.duplex(r2, rt, 10_000_000, 10 * MILLI, QueueKind::Red);
+            b.duplex(rt, rd, 1_000_000, 10 * MILLI, QueueKind::Red);
+            b.host(USER, 1, r1, 100_000_000, MILLI);
+            b.host(ATTACKER, 1, r1, 100_000_000, MILLI);
+            b.host(0x0c_00_00_01, 2, r2, 100_000_000, MILLI);
+            b.host(COLLUDER, 3, rd, 100_000_000, MILLI);
+            let net = b.build();
+            let mut defense = NetFenceDefense::new(Config::short_timers());
+            if policing {
+                defense.enable_as_policing(AsPolicingMode::FairShare);
+            }
+            let deployment = deploy_full(&net, &defense);
+            let mut sim = Simulator::new(
+                net,
+                deployment,
+                SimConfig { end_time: 60 * SEC, ..Default::default() },
+            );
+            let flows: Vec<FlowId> = [USER, ATTACKER, 0x0c_00_00_01]
+                .into_iter()
+                .map(|src| {
+                    sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, src, COLLUDER, 1_000_000)))
+                })
+                .collect();
+            sim.run();
+            let bps: Vec<f64> =
+                flows.iter().map(|&f| sim.progress(f).goodput_bps(0, 60 * SEC)).collect();
+            (sim.report(), bps[0] + bps[1], bps[2])
+        };
+        let (plain, plain_as1, plain_as2) = run(false);
+        assert_eq!(plain.as_policer_drops, 0);
+        let (policed, as1, as2) = run(true);
+        assert!(policed.as_policer_drops > 0, "the per-AS policer never engaged");
+        assert!(
+            as1 / as2 < plain_as1 / plain_as2,
+            "AS 1 kept its share: {as1:.0} vs {as2:.0} bps policed, \
+             {plain_as1:.0} vs {plain_as2:.0} bps without"
         );
     }
 

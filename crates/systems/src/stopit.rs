@@ -4,9 +4,9 @@
 //! StopIt is a filter-based defense: a targeted victim that can identify
 //! attack traffic asks the network to block the (source, destination) pair
 //! close to the source. In this deployment model the victim's host shim
-//! sends a [`FilterRequest`] over the control-plane bus to the *source's
-//! access router*, whose agent installs the filter — the closed-loop
-//! StopIt protocol collapsed to one reliable message. When the source's AS
+//! sends a [`ControlPayload::FilterRequest`] over the control-plane bus to
+//! the *source's access router*, whose agent installs the filter — the
+//! closed-loop StopIt protocol collapsed to one message. When the source's AS
 //! has not deployed (no agent at its access router), the request is
 //! undeliverable and the attack traffic keeps flowing: exactly the
 //! partial-deployment weakness of filter systems. When receivers fail to
@@ -25,24 +25,14 @@ use std::collections::BTreeSet;
 
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
-    ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
-    QueueFactory, RouterAction, RouterAgent, RouterFault,
+    ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
+    HostShim, LinkRef, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, IdMap, Timeline};
-use netfence_sim::queue::{HierDrrQueue, QueueDisc};
+use netfence_sim::queue::HierDrrQueue;
 use netfence_sim::time::Nanos;
-use netfence_sim::topology::{LinkSpec, Network, NodeId};
-
-/// A control-plane request to block `src → dst` at the source's access
-/// router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilterRequest {
-    /// The sender to block.
-    pub src: HostAddr,
-    /// The destination filing the filter.
-    pub dst: HostAddr,
-}
+use netfence_sim::topology::Network;
 
 /// The StopIt defense factory.
 #[derive(Debug, Default)]
@@ -54,8 +44,6 @@ pub struct StopItDefense {
     /// BTreeSet: deploy() sweeps this per host, and per-host shim state
     /// must never depend on hash order.
     whitelist: BTreeSet<(HostAddr, HostAddr)>,
-    /// Filters to pre-install at deploy time.
-    preinstalled: Vec<FilterRequest>,
     /// Whether inter-router links use the hierarchical fair-queuing
     /// fallback.
     hierarchical_fallback: bool,
@@ -84,12 +72,6 @@ impl StopItDefense {
         self.whitelist.insert((sender, victim));
     }
 
-    /// Pre-install a filter blocking `src → dst` (sent over the bus at
-    /// deploy time).
-    pub fn install_filter(&mut self, src: HostAddr, dst: HostAddr) {
-        self.preinstalled.push(FilterRequest { src, dst });
-    }
-
     /// Make installed filters lapse after `ttl` without a refresh
     /// (0 restores the legacy permanent filters). Victims re-request a
     /// filter when leaked traffic reaches them again.
@@ -105,46 +87,26 @@ impl StopItDefense {
 }
 
 impl DefenseFactory for StopItDefense {
-    fn name(&self) -> &'static str {
-        "stopit"
-    }
-
     fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "stopit");
         builder.ases(map.ases.len(), map.total_ases);
 
         if self.hierarchical_fallback {
-            let links: Vec<usize> = net
-                .links
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| {
-                    net.nodes[l.from.0].host_addr().is_none()
-                        && net.nodes[l.to.0].host_addr().is_none()
-                        && map.node(l.from)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            builder.queues(Box::new(StopItQueues { links }));
+            for (li, _) in map.router_links(net) {
+                builder.queue(li, Box::new(HierDrrQueue::new(1500, 30_000)));
+            }
         }
 
-        for (i, node) in net.nodes.iter().enumerate() {
-            if node.host_addr().is_some() || !map.node(NodeId(i)) {
-                continue;
-            }
+        for node in map.routers(net) {
             builder.router_agent(
-                NodeId(i),
+                node,
                 Box::new(StopItRouterAgent {
                     filters: PolicyStore::new(self.filter_ttl, self.filter_capacity),
-                    filtered_drops: 0,
                 }),
             );
         }
-        for host in net.hosts() {
-            if !map.as_deployed(net.as_of_host(host)) {
-                continue;
-            }
+        for host in map.hosts(net) {
             let whitelist =
                 self.whitelist.iter().filter(|&&(_, v)| v == host).map(|&(s, _)| s).collect();
             builder.host_shim(
@@ -157,28 +119,7 @@ impl DefenseFactory for StopItDefense {
                 }),
             );
         }
-
-        let mut deployment = builder.build();
-        for &req in &self.preinstalled {
-            deployment.bus.to_access_router_of(req.src, req);
-        }
-        deployment
-    }
-}
-
-/// The hierarchical fair-queuing fallback on deployed inter-router links.
-#[derive(Debug)]
-struct StopItQueues {
-    links: Vec<usize>,
-}
-
-impl QueueFactory for StopItQueues {
-    fn make_queue(&mut self, link_index: usize, _spec: &LinkSpec) -> Option<Box<dyn QueueDisc>> {
-        if self.links.binary_search(&link_index).is_ok() {
-            Some(Box::new(HierDrrQueue::new(1500, 30_000)))
-        } else {
-            None
-        }
+        builder.build()
     }
 }
 
@@ -218,17 +159,17 @@ impl HostShim for StopItHostShim {
             && !self.whitelist.contains(&pkt.src)
             && self.should_request(now, pkt.src)
         {
-            ctl.to_access_router_of(pkt.src, FilterRequest { src: pkt.src, dst: pkt.dst });
+            let request = ControlPayload::FilterRequest { src: pkt.src, dst: pkt.dst };
+            ctl.to_access_router_of(pkt.src, request);
         }
     }
 }
 
 /// The StopIt agent of one deployed router: the TTL'd filter store
-/// populated by [`FilterRequest`] messages.
+/// populated by [`ControlPayload::FilterRequest`] messages.
 #[derive(Debug)]
 struct StopItRouterAgent {
     filters: PolicyStore<(HostAddr, HostAddr)>,
-    filtered_drops: u64,
 }
 
 impl RouterAgent for StopItRouterAgent {
@@ -241,7 +182,6 @@ impl RouterAgent for StopItRouterAgent {
         _ctl: &mut ControlPlane,
     ) -> RouterAction {
         if is_access && self.filters.contains(now, &(pkt.src, pkt.dst)) {
-            self.filtered_drops += 1;
             RouterAction::Drop(DropCause::StopItFilter)
         } else {
             RouterAction::Forward
@@ -250,12 +190,11 @@ impl RouterAgent for StopItRouterAgent {
 
     fn probe(&self, now: Nanos, out: &mut Timeline) {
         out.record(now, "filter_table_len", "stopit".to_string(), self.filters.len() as f64);
-        out.record(now, "filtered_drops", "stopit".to_string(), self.filtered_drops as f64);
     }
 
-    fn on_control(&mut self, now: Nanos, msg: Box<dyn std::any::Any>, _ctl: &mut ControlPlane) {
-        if let Some(req) = msg.downcast_ref::<FilterRequest>() {
-            self.filters.insert(now, (req.src, req.dst));
+    fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+        if let ControlPayload::FilterRequest { src, dst } = msg {
+            self.filters.insert(now, (src, dst));
         }
     }
 
@@ -285,7 +224,6 @@ impl RouterAgent for StopItRouterAgent {
 
     fn report(&self, out: &mut DefenseReport) {
         out.filters += self.filters.len();
-        out.filtered_drops += self.filtered_drops;
         out.rules_installed += self.filters.stats.installed;
         out.rules_refreshed += self.filters.stats.refreshed;
         out.rules_expired += self.filters.stats.expired;

@@ -29,13 +29,13 @@ use std::collections::BTreeSet;
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
     ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
-    QueueFactory, RouterAction, RouterAgent,
+    RouterAction, RouterAgent,
 };
 use netfence_sim::packet::{ChannelClass, Extension, HostAddr, Packet};
-use netfence_sim::prelude::{DropCause, IdMap, Timeline};
-use netfence_sim::queue::{Classifier, DrrQueue, DualChannelQueue, HierDrrQueue, QueueDisc};
+use netfence_sim::prelude::{DropCause, IdMap};
+use netfence_sim::queue::{Classifier, DrrQueue, DualChannelQueue, HierDrrQueue};
 use netfence_sim::time::{Nanos, SEC};
-use netfence_sim::topology::{LinkSpec, Network, NodeId};
+use netfence_sim::topology::Network;
 
 use crate::headers::TvaExt;
 
@@ -95,38 +95,34 @@ impl TvaDefense {
 }
 
 impl DefenseFactory for TvaDefense {
-    fn name(&self) -> &'static str {
-        "tva+"
-    }
-
     fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "tva+");
         builder.ases(map.ases.len(), map.total_ases);
 
-        let router_links: Vec<usize> = net
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| {
-                net.nodes[l.from.0].host_addr().is_none()
-                    && net.nodes[l.to.0].host_addr().is_none()
-                    && map.node(l.from)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        builder.queues(Box::new(TvaQueues { links: router_links }));
-
-        for (i, node) in net.nodes.iter().enumerate() {
-            if node.host_addr().is_some() || !map.node(NodeId(i)) {
-                continue;
-            }
-            builder.router_agent(NodeId(i), Box::new(TvaRouterAgent { unauthorized_drops: 0 }));
+        // Every deployed inter-router link: per-destination (per-receiver)
+        // fair queuing on the regular channel, two-level hierarchical fair
+        // queuing capped at 5% on the request channel.
+        for (li, link) in map.router_links(net) {
+            let regular = Box::new(DrrQueue::new(Classifier::ByDestination, 1500, 30_000));
+            let request = Box::new(HierDrrQueue::new(1500, 10_000));
+            let qlim_bytes = ((link.capacity as f64 * 0.2 / 8.0) as usize).max(15_000);
+            builder.queue(
+                li,
+                Box::new(DualChannelQueue::new(
+                    regular,
+                    request,
+                    qlim_bytes / 4,
+                    link.capacity,
+                    0.05,
+                )),
+            );
         }
-        for host in net.hosts() {
-            if !map.as_deployed(net.as_of_host(host)) {
-                continue;
-            }
+
+        for node in map.routers(net) {
+            builder.router_agent(node, Box::new(TvaRouterAgent));
+        }
+        for host in map.hosts(net) {
             let whitelist =
                 self.whitelist.iter().filter(|&&(_, r)| r == host).map(|&(s, _)| s).collect();
             builder.host_shim(
@@ -140,28 +136,6 @@ impl DefenseFactory for TvaDefense {
             );
         }
         builder.build()
-    }
-}
-
-/// The TVA+ queue construction: per-destination fair queuing on the regular
-/// channel, capped hierarchical fair queuing on the request channel, on
-/// every deployed inter-router link.
-#[derive(Debug)]
-struct TvaQueues {
-    links: Vec<usize>,
-}
-
-impl QueueFactory for TvaQueues {
-    fn make_queue(&mut self, link_index: usize, spec: &LinkSpec) -> Option<Box<dyn QueueDisc>> {
-        if self.links.binary_search(&link_index).is_err() {
-            return None;
-        }
-        // Regular channel: per-destination (per-receiver) fair queuing.
-        // Request channel: two-level hierarchical fair queuing, capped at 5%.
-        let regular = Box::new(DrrQueue::new(Classifier::ByDestination, 1500, 30_000));
-        let request = Box::new(HierDrrQueue::new(1500, 10_000));
-        let qlim_bytes = ((spec.capacity as f64 * 0.2 / 8.0) as usize).max(15_000);
-        Some(Box::new(DualChannelQueue::new(regular, request, qlim_bytes / 4, spec.capacity, 0.05)))
     }
 }
 
@@ -236,9 +210,7 @@ impl HostShim for TvaHostShim {
 /// The TVA+ agent of one deployed router: verifies the capability carried
 /// by regular packets.
 #[derive(Debug)]
-struct TvaRouterAgent {
-    unauthorized_drops: u64,
-}
+struct TvaRouterAgent;
 
 impl RouterAgent for TvaRouterAgent {
     fn at_router(
@@ -258,20 +230,11 @@ impl RouterAgent for TvaRouterAgent {
                 if *cap_expiry > now {
                     RouterAction::Forward
                 } else {
-                    self.unauthorized_drops += 1;
                     RouterAction::Drop(DropCause::TvaNoCapability)
                 }
             }
             _ => RouterAction::Forward,
         }
-    }
-
-    fn probe(&self, now: Nanos, out: &mut Timeline) {
-        out.record(now, "unauthorized_drops", "tva".to_string(), self.unauthorized_drops as f64);
-    }
-
-    fn report(&self, out: &mut DefenseReport) {
-        out.unauthorized_drops += self.unauthorized_drops;
     }
 }
 

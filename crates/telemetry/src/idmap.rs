@@ -20,7 +20,7 @@ const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Deterministic multiply-mix hasher for integer identifiers: each written
 /// word is XORed into the state, which becomes the folded (high ⊕ low)
-/// 128-bit product with [`K`]. Folding matters: hashbrown takes the bucket
+/// 128-bit product with `K`. Folding matters: hashbrown takes the bucket
 /// from the low bits and the control tag from the top seven, and a plain
 /// wrapping multiply leaves the low bits of `base + i·256` constant.
 #[derive(Debug, Default, Clone, Copy)]

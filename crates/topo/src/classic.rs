@@ -2,10 +2,9 @@
 //! 8/9/11 dumbbell and the Figure 10 parking lot.
 //!
 //! These are the degenerate cases of the generated families in
-//! [`generate`](crate::generate) — [`TopoSpec::Dumbbell`] and
-//! [`TopoSpec::ParkingLot`] delegate here, so experiment harnesses built on
-//! [`TopoSpec`] reproduce the classic networks **byte for byte** (same node
-//! order, same link order, same addresses, hence identical simulations).
+//! [`generate`](crate::generate): [`TopoSpec::Dumbbell`] and
+//! [`TopoSpec::ParkingLot`] are built here, and like every other family
+//! come back as one uniform [`BuiltTopo`].
 //!
 //! [`TopoSpec`]: crate::spec::TopoSpec
 //! [`TopoSpec::Dumbbell`]: crate::spec::TopoSpec::Dumbbell
@@ -15,68 +14,24 @@ use netfence_sim::prelude::*;
 
 use crate::built::{Bottleneck, BuiltTopo, TopoGroup};
 
-/// A built dumbbell scenario (Figure 8/9/11 topology): `src_ases` source
-/// ASes connect through a transit AS (routers `Rbl`—`Rbr`, the bottleneck)
-/// to one destination AS holding the victim and `colluder_ases` extra ASes
-/// each holding one colluder.
-#[derive(Debug)]
-pub struct Dumbbell {
-    /// The network.
-    pub net: Network,
-    /// Protocol-level address of the bottleneck link (Rbl → Rbr).
-    pub bottleneck: LinkAddr,
-    /// Bottleneck capacity in bits per second.
-    pub bottleneck_bps: u64,
-    /// Legitimate sender hosts.
-    pub users: Vec<HostAddr>,
-    /// Attacker hosts.
-    pub attackers: Vec<HostAddr>,
-    /// The victim destination.
-    pub victim: HostAddr,
-    /// Colluder destinations (empty when receivers do not collude).
-    pub colluders: Vec<HostAddr>,
-}
-
-impl Dumbbell {
-    /// Repackage as the uniform [`BuiltTopo`] role metadata (one unlabeled
-    /// group; every sender competes on the single bottleneck).
-    pub fn into_built(self) -> BuiltTopo {
-        let Dumbbell { net, bottleneck, bottleneck_bps, users, attackers, victim, colluders } =
-            self;
-        let mut source_ases: Vec<AsNum> =
-            users.iter().chain(&attackers).map(|&h| net.as_of_host(h)).collect();
-        source_ases.sort_unstable();
-        source_ases.dedup();
-        let competing_senders = users.len() + attackers.len();
-        BuiltTopo {
-            net,
-            groups: vec![TopoGroup { label: String::new(), users, attackers, victim, colluders }],
-            bottlenecks: vec![Bottleneck {
-                label: "bottleneck".to_string(),
-                addr: bottleneck,
-                bps: bottleneck_bps,
-            }],
-            source_ases,
-            competing_senders,
-        }
-    }
-}
-
 /// Host address of host `k` in source AS `i` (1-based AS index).
 pub fn src_host_addr(as_index: usize, host_index: usize) -> HostAddr {
     0x0A00_0000 + (as_index as u32) * 0x100 + host_index as u32 + 1
 }
 
-/// Build the dumbbell. `legit_per_as` of each AS's hosts are legitimate
-/// users, the rest are attackers. `colluder_ases` extra destination ASes are
-/// attached behind the bottleneck.
+/// Build the dumbbell (Figure 8/9/11 topology): `src_ases` source ASes
+/// connect through a transit AS (routers `Rbl`—`Rbr`, the bottleneck) to one
+/// destination AS holding the victim and `colluder_ases` extra ASes each
+/// holding one colluder. `legit_per_as` of each AS's hosts are legitimate
+/// users, the rest are attackers. One unlabeled group; every sender
+/// competes on the single bottleneck.
 pub fn build_dumbbell(
     src_ases: usize,
     hosts_per_as: usize,
     legit_per_as: usize,
     bottleneck_bps: u64,
     colluder_ases: usize,
-) -> Dumbbell {
+) -> BuiltTopo {
     let mut b = Network::builder();
     // Transit AS 100 with the two bottleneck routers.
     let rbl = b.router(100, false);
@@ -121,85 +76,37 @@ pub fn build_dumbbell(
     }
 
     let net = b.build();
-    let bottleneck = net.links[bottleneck_idx].addr;
-    Dumbbell { net, bottleneck, bottleneck_bps, users, attackers, victim, colluders }
-}
-
-/// A built parking-lot scenario.
-#[derive(Debug)]
-pub struct ParkingLot {
-    /// The network.
-    pub net: Network,
-    /// Link address of L1.
-    pub l1: LinkAddr,
-    /// Link address of L2.
-    pub l2: LinkAddr,
-    /// Capacity of L1, bits per second.
-    pub l1_bps: u64,
-    /// Capacity of L2, bits per second.
-    pub l2_bps: u64,
-    /// Group A (crosses both links), Group B (only L2), Group C (only L1).
-    pub groups: [Group; 3],
-}
-
-impl ParkingLot {
-    /// Repackage as the uniform [`BuiltTopo`] role metadata: three labeled
-    /// groups, two designated bottlenecks, with `2 · per_group` senders
-    /// competing on the tighter link (A+C cross L1, A+B cross L2).
-    pub fn into_built(self) -> BuiltTopo {
-        let ParkingLot { net, l1, l2, l1_bps, l2_bps, groups } = self;
-        let per_group = groups[0].users.len() + groups[0].attackers.len();
-        let source_ases = vec![1, 2, 3];
-        BuiltTopo {
-            net,
-            groups: groups.into_iter().map(Group::into_topo_group).collect(),
-            bottlenecks: vec![
-                Bottleneck { label: "L1".to_string(), addr: l1, bps: l1_bps },
-                Bottleneck { label: "L2".to_string(), addr: l2, bps: l2_bps },
-            ],
-            source_ases,
-            competing_senders: 2 * per_group,
-        }
-    }
-}
-
-/// One sender group of the parking-lot scenario.
-#[derive(Debug, Clone)]
-pub struct Group {
-    /// Group label ("A", "B", "C").
-    pub label: &'static str,
-    /// Legitimate senders.
-    pub users: Vec<HostAddr>,
-    /// Attackers.
-    pub attackers: Vec<HostAddr>,
-    /// The group's victim destination (users send here).
-    pub victim: HostAddr,
-    /// The group's colluder destination (attackers send here when
-    /// colluding).
-    pub colluder: HostAddr,
-}
-
-impl Group {
-    fn into_topo_group(self) -> TopoGroup {
-        TopoGroup {
-            label: self.label.to_string(),
-            users: self.users,
-            attackers: self.attackers,
-            victim: self.victim,
-            colluders: vec![self.colluder],
-        }
+    let bottleneck = Bottleneck {
+        label: "bottleneck".to_string(),
+        addr: net.links[bottleneck_idx].addr,
+        bps: bottleneck_bps,
+    };
+    let mut source_ases: Vec<AsNum> =
+        users.iter().chain(&attackers).map(|&h| net.as_of_host(h)).collect();
+    source_ases.sort_unstable();
+    source_ases.dedup();
+    let competing_senders = users.len() + attackers.len();
+    BuiltTopo {
+        net,
+        groups: vec![TopoGroup { label: String::new(), users, attackers, victim, colluders }],
+        bottlenecks: vec![bottleneck],
+        source_ases,
+        competing_senders,
     }
 }
 
 /// Build the parking-lot topology: `R0 —L1→ R1 —L2→ R2`, with each group's
 /// senders and destinations attached so that the paper's crossing pattern
-/// holds (A crosses both links, B only L2, C only L1).
+/// holds (A crosses both links, B only L2, C only L1). Three labeled
+/// groups, each with its own victim and colluder, two designated
+/// bottlenecks, and `2 · per_group` senders competing on the tighter link
+/// (A+C cross L1, A+B cross L2).
 pub fn build_parking_lot(
     per_group: usize,
     legit_per_group: usize,
     l1_bps: u64,
     l2_bps: u64,
-) -> ParkingLot {
+) -> BuiltTopo {
     let mut b = Network::builder();
     let r0 = b.router(100, false);
     let r1 = b.router(101, false);
@@ -217,7 +124,7 @@ pub fn build_parking_lot(
                       dst_router_target,
                       base_addr: u32,
                       b: &mut NetworkBuilder|
-     -> Group {
+     -> TopoGroup {
         let ra = b.router(asn_src, true);
         b.duplex(ra, src_router_target, access_cap, 5 * MILLI, QueueKind::DropTail);
         let rd = b.router(asn_dst, true);
@@ -237,7 +144,7 @@ pub fn build_parking_lot(
         let colluder = base_addr + 0xF2;
         b.host(victim, asn_dst, rd, access_cap, MILLI);
         b.host(colluder, asn_dst, rd, access_cap, MILLI);
-        Group { label, users, attackers, victim, colluder }
+        TopoGroup { label: label.to_string(), users, attackers, victim, colluders: vec![colluder] }
     };
 
     // Group A: sources before L1, destinations after L2.
@@ -248,90 +155,73 @@ pub fn build_parking_lot(
     let group_c = make_group("C", 3, 13, r0, r1, 0x0A03_0000, &mut b);
 
     let net = b.build();
-    let l1 = net.links[l1_idx].addr;
-    let l2 = net.links[l2_idx].addr;
-    ParkingLot { net, l1, l2, l1_bps, l2_bps, groups: [group_a, group_b, group_c] }
+    let bottlenecks = vec![
+        Bottleneck { label: "L1".to_string(), addr: net.links[l1_idx].addr, bps: l1_bps },
+        Bottleneck { label: "L2".to_string(), addr: net.links[l2_idx].addr, bps: l2_bps },
+    ];
+    BuiltTopo {
+        net,
+        groups: vec![group_a, group_b, group_c],
+        bottlenecks,
+        source_ases: vec![1, 2, 3],
+        competing_senders: 2 * per_group,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn dumbbell_shape() {
-        let d = build_dumbbell(3, 4, 1, 10_000_000, 2);
-        assert_eq!(d.users.len(), 3);
-        assert_eq!(d.attackers.len(), 9);
-        assert_eq!(d.colluders.len(), 2);
-        // Every source host routes to the victim through the bottleneck.
-        let bneck_idx = d.net.link_by_addr(d.bottleneck).unwrap();
-        for &u in d.users.iter().chain(&d.attackers) {
-            let mut node = d.net.host_node(u);
-            let mut crossed = false;
-            for _ in 0..10 {
-                match d.net.next_hop(node, d.victim) {
-                    Some(l) => {
-                        if l == bneck_idx {
-                            crossed = true;
-                        }
-                        node = d.net.links[l].to;
-                    }
-                    None => break,
-                }
-                if d.net.nodes[node.0].host_addr() == Some(d.victim) {
-                    break;
-                }
+    /// Whether the route from `src` to `dst` uses link `link`.
+    fn crosses(net: &Network, src: HostAddr, dst: HostAddr, link: usize) -> bool {
+        let mut node = net.host_node(src);
+        for _ in 0..12 {
+            match net.next_hop(node, dst) {
+                Some(l) if l == link => return true,
+                Some(l) => node = net.links[l].to,
+                None => return false,
             }
-            assert!(crossed, "host {u:#x} does not cross the bottleneck");
+        }
+        false
+    }
+
+    #[test]
+    fn dumbbell_roles_and_routing() {
+        let d = build_dumbbell(3, 4, 1, 10_000_000, 2);
+        assert_eq!(d.groups.len(), 1);
+        let g = &d.groups[0];
+        assert_eq!((g.users.len(), g.attackers.len(), g.colluders.len()), (3, 9, 2));
+        assert_eq!(d.bottlenecks.len(), 1);
+        assert_eq!(d.bottlenecks[0].bps, 10_000_000);
+        assert_eq!(d.source_ases, vec![1, 2, 3]);
+        assert_eq!(d.competing_senders, 12);
+        // Every source host routes to the victim through the bottleneck.
+        let bottleneck = d.net.link_by_addr(d.bottlenecks[0].addr).unwrap();
+        for u in g.senders() {
+            assert!(crosses(&d.net, u, g.victim, bottleneck), "host {u:#x} misses the bottleneck");
         }
     }
 
     #[test]
-    fn parking_lot_routing_crosses_the_right_links() {
-        let lot = build_parking_lot(4, 1, 1_000_000, 1_000_000);
-        let l1 = lot.net.link_by_addr(lot.l1).unwrap();
-        let l2 = lot.net.link_by_addr(lot.l2).unwrap();
-        let crosses = |src: HostAddr, dst: HostAddr, link: usize| -> bool {
-            let mut node = lot.net.host_node(src);
-            for _ in 0..12 {
-                match lot.net.next_hop(node, dst) {
-                    Some(l) => {
-                        if l == link {
-                            return true;
-                        }
-                        node = lot.net.links[l].to;
-                    }
-                    None => return false,
-                }
-            }
-            false
-        };
-        let [a, bg, c] = &lot.groups;
+    fn parking_lot_roles_and_routing() {
+        let lot = build_parking_lot(4, 1, 1_000_000, 2_000_000);
+        assert_eq!(lot.groups.len(), 3);
+        assert_eq!(lot.bottlenecks[0].label, "L1");
+        assert_eq!(lot.bottlenecks[1].bps, 2_000_000);
+        assert_eq!(lot.competing_senders, 8);
+        assert_eq!(lot.source_ases, vec![1, 2, 3]);
+        let l1 = lot.net.link_by_addr(lot.bottlenecks[0].addr).unwrap();
+        let l2 = lot.net.link_by_addr(lot.bottlenecks[1].addr).unwrap();
+        let [a, b, c] = &lot.groups[..] else { panic!("three groups") };
+        assert_eq!([&a.label[..], &b.label[..], &c.label[..]], ["A", "B", "C"]);
+        assert_eq!((a.users.len(), a.attackers.len()), (1, 3));
         // Group A crosses both links.
-        assert!(crosses(a.users[0], a.victim, l1));
-        assert!(crosses(a.users[0], a.victim, l2));
+        assert!(crosses(&lot.net, a.users[0], a.victim, l1));
+        assert!(crosses(&lot.net, a.users[0], a.victim, l2));
         // Group B crosses only L2, group C only L1.
-        assert!(!crosses(bg.attackers[0], bg.colluder, l1));
-        assert!(crosses(bg.attackers[0], bg.colluder, l2));
-        assert!(crosses(c.attackers[0], c.colluder, l1));
-        assert!(!crosses(c.attackers[0], c.colluder, l2));
-    }
-
-    #[test]
-    fn into_built_preserves_roles_and_bottlenecks() {
-        let built = build_dumbbell(2, 3, 1, 5_000_000, 1).into_built();
-        assert_eq!(built.groups.len(), 1);
-        assert_eq!(built.groups[0].users.len(), 2);
-        assert_eq!(built.groups[0].attackers.len(), 4);
-        assert_eq!(built.groups[0].colluders.len(), 1);
-        assert_eq!(built.bottlenecks.len(), 1);
-        assert_eq!(built.source_ases, vec![1, 2]);
-        assert_eq!(built.competing_senders, 6);
-
-        let built = build_parking_lot(4, 1, 1_000_000, 2_000_000).into_built();
-        assert_eq!(built.groups.len(), 3);
-        assert_eq!(built.bottlenecks[0].label, "L1");
-        assert_eq!(built.competing_senders, 8);
-        assert_eq!(built.source_ases, vec![1, 2, 3]);
+        assert!(!crosses(&lot.net, b.attackers[0], b.colluders[0], l1));
+        assert!(crosses(&lot.net, b.attackers[0], b.colluders[0], l2));
+        assert!(crosses(&lot.net, c.attackers[0], c.colluders[0], l1));
+        assert!(!crosses(&lot.net, c.attackers[0], c.colluders[0], l2));
     }
 }

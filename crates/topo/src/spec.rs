@@ -14,8 +14,8 @@ use crate::generate::{build_multi_bottleneck, build_transit_stub};
 /// A declarative topology: which family, at what size and capacities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopoSpec {
-    /// The paper's Figure 8/9/11 dumbbell (degenerate case, built by the
-    /// classic builder byte-for-byte).
+    /// The paper's Figure 8/9/11 dumbbell (hand-wired, see
+    /// [`classic`](crate::classic)).
     Dumbbell {
         /// Source ASes.
         src_ases: usize,
@@ -28,8 +28,8 @@ pub enum TopoSpec {
         /// Colluder ASes attached behind the bottleneck.
         colluder_ases: usize,
     },
-    /// The paper's Figure 10 parking lot (degenerate case, built by the
-    /// classic builder byte-for-byte).
+    /// The paper's Figure 10 parking lot (hand-wired, see
+    /// [`classic`](crate::classic)).
     ParkingLot {
         /// Senders per group.
         per_group: usize,
@@ -61,10 +61,9 @@ impl TopoSpec {
                 colluder_ases,
             } => {
                 build_dumbbell(src_ases, hosts_per_as, legit_per_as, bottleneck_bps, colluder_ases)
-                    .into_built()
             }
             TopoSpec::ParkingLot { per_group, legit_per_group, l1_bps, l2_bps } => {
-                build_parking_lot(per_group, legit_per_group, l1_bps, l2_bps).into_built()
+                build_parking_lot(per_group, legit_per_group, l1_bps, l2_bps)
             }
             TopoSpec::TransitStub(ref s) => build_transit_stub(s),
             TopoSpec::MultiBottleneck(ref s) => build_multi_bottleneck(s),
@@ -212,40 +211,6 @@ impl MultiBottleneckSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dumbbell_spec_delegates_to_the_classic_builder() {
-        let spec = TopoSpec::Dumbbell {
-            src_ases: 3,
-            hosts_per_as: 4,
-            legit_per_as: 1,
-            bottleneck_bps: 10_000_000,
-            colluder_ases: 2,
-        };
-        let built = spec.build();
-        let classic = build_dumbbell(3, 4, 1, 10_000_000, 2);
-        assert_eq!(built.net.nodes, classic.net.nodes);
-        assert_eq!(built.net.links, classic.net.links);
-        assert_eq!(built.groups[0].users, classic.users);
-        assert_eq!(built.groups[0].attackers, classic.attackers);
-        assert_eq!(built.bottlenecks[0].addr, classic.bottleneck);
-    }
-
-    #[test]
-    fn parking_lot_spec_delegates_to_the_classic_builder() {
-        let spec = TopoSpec::ParkingLot {
-            per_group: 4,
-            legit_per_group: 1,
-            l1_bps: 1_000_000,
-            l2_bps: 2_000_000,
-        };
-        let built = spec.build();
-        let classic = build_parking_lot(4, 1, 1_000_000, 2_000_000);
-        assert_eq!(built.net.nodes, classic.net.nodes);
-        assert_eq!(built.net.links, classic.net.links);
-        assert_eq!(built.groups.len(), 3);
-        assert_eq!(built.bottlenecks[1].bps, 2_000_000);
-    }
 
     #[test]
     #[should_panic(expected = "hosts")]

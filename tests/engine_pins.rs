@@ -64,3 +64,63 @@ fn fig9_quick_netfence_cells() {
         check(&format!("fig9/{traffic:?}/NetFence"), spec, pinned);
     }
 }
+
+/// The cells the deployment seam can break, constants computed on 144a7c7
+/// (before the per-defense queue factories, the type-erased control
+/// payloads, the second coverage rule and the agents' own drop counters
+/// were removed): partial coverage
+/// with an undeliverable `FilterRequest`, the parking lot, a shrew on the
+/// dumbbell, an adaptive attacker on the half-deployed mesh, a
+/// `FilterRequest` held by a `CtrlService` outage, and TVA+'s DRR /
+/// hierarchical-DRR dual-channel queues on a generated internet.
+#[test]
+fn deployment_seam_cells() {
+    use netfence::experiments::{deployment, fig10, fig11, reaction, tournament};
+    use netfence::sim::time::{MILLI, SEC};
+
+    let quick = Size::Quick.scale();
+    for (kind, pinned) in [
+        (DefenseKind::NetFence, 0x6ee5_0103_57da_916b_u64),
+        (DefenseKind::StopIt, 0x87f8_a57f_e8d9_dd0a),
+    ] {
+        let spec = deployment::deployment_spec(&quick, kind, 0.5);
+        check(&format!("deployment/50%/{}", kind.label()), spec, pinned);
+    }
+
+    let scale = Size::Quick.scale_for(80, 120);
+    let cases = fig10::capacity_cases(2 * scale.hosts_per_as.max(4), 80_000);
+    for (case, pinned) in cases.into_iter().zip([
+        0xdb02_aad1_525e_d1e3_u64,
+        0x89dd_f342_d768_1c6c,
+        0x68b1_fbfb_2cef_26d9,
+    ]) {
+        let spec = fig10::fig10_spec(&scale, DefenseKind::NetFence, case);
+        check(&format!("fig10/{}/NetFence", case.label), spec, pinned);
+    }
+
+    let scale = Size::Quick.scale_for(80, 300);
+    let spec = fig11::fig11_spec(&scale, 100_000, SEC / 2, 3 * SEC / 2);
+    check("fig11/0.5s-1.5s/NetFence", spec, 0x2896_ac58_948e_41cd);
+
+    let point = tournament::TournamentPoint {
+        strategy: AttackStrategy::Rolling { rate_bps: tournament::ATTACK_RATE, dwell: 5 * SEC },
+        topology: tournament::TopologyKind::Mesh,
+        coverage_pct: 50,
+    };
+    let spec =
+        tournament::tournament_spec(&Size::Quick.scale_for(20, 60), DefenseKind::NetFence, &point);
+    check("tournament/rolling/mesh/50%/NetFence", spec, 0x6bbb_7e1a_52c4_fca8);
+
+    let knobs =
+        reaction::ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
+    let spec = reaction::reaction_spec(&Size::Quick.scale_for(40, 90), DefenseKind::StopIt, &knobs);
+    check("reaction/100ms+10s-outage/StopIt", spec, 0xcb04_c06a_85f5_3b69);
+
+    let point = chaos::ChaosPoint {
+        topology: chaos::ChaosTopology::Internet,
+        fault: chaos::ChaosFault::LinkFailure,
+        severity: chaos::Severity::Mild,
+    };
+    let spec = chaos::chaos_spec(&Size::Quick.scale_for(25, 60), DefenseKind::Tva, &point);
+    check("chaos/internet/link-failure/TVA+", spec, 0x3b18_cdb0_6698_1085);
+}

@@ -5,19 +5,14 @@
 //!   yields a connected graph with unique link addresses, every host has an
 //!   access router, and every sender→victim route crosses at least one
 //!   designated bottleneck.
-//! * Degenerate-case regression: the fig8/fig9 dumbbell and the fig10
-//!   parking lot built through `TopoSpec` are byte-identical to the classic
-//!   builders — networks *and* the `Record`s the `Runner` produces on them.
 //! * Scale: a ≥ 50 K-host transit-stub network (including all routes)
 //!   builds in well under the 5 s budget in release mode.
 
 use std::time::Instant;
 
-use netfence::experiments::fig8::fig8_spec;
-use netfence::experiments::fig9::{fig9_spec, UserTraffic};
 use netfence::experiments::prelude::*;
 use netfence::sim::time::SEC;
-use netfence::topo::{classic, BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
+use netfence::topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 use proptest::proptest;
 
 /// Walk the route from `src` to `dst`; returns the link indices, or None if
@@ -149,64 +144,6 @@ proptest! {
             }
         }
     }
-}
-
-/// The fig8 dumbbell built through `TopoSpec` is the classic builder's
-/// network byte for byte, and the `Runner` produces byte-identical
-/// `Record`s on both (the routing rewrite and the `BuiltTopo` unification
-/// are behavior-preserving).
-#[test]
-fn fig8_dumbbell_via_topospec_matches_classic_byte_for_byte() {
-    let scale = Scale { src_ases: 3, hosts_per_as: 4, sim_time: 20 * SEC, seed: 11 };
-    let spec = fig8_spec(&scale, DefenseKind::NetFence, 100_000);
-    let via_topospec = Runner::new(spec.clone()).run();
-
-    // Rebuild the same dumbbell with the classic builder directly and run
-    // the identical scenario on it.
-    let classic_built = classic::build_dumbbell(
-        scale.src_ases,
-        scale.hosts_per_as,
-        spec.legit_per_as,
-        spec.resolved_bottleneck_bps(),
-        0,
-    )
-    .into_built();
-    let via_classic = Runner::new(spec).run_on(classic_built);
-    assert_eq!(via_topospec, via_classic, "fig8 record diverged from the classic builder");
-}
-
-/// Same regression for the fig9 colluding scenario (extra colluder ASes on
-/// the dumbbell) and the fig10 parking lot.
-#[test]
-fn fig9_and_parking_lot_via_topospec_match_classic_byte_for_byte() {
-    let scale = Scale { src_ases: 3, hosts_per_as: 4, sim_time: 20 * SEC, seed: 11 };
-    let spec = fig9_spec(&scale, DefenseKind::StopIt, UserTraffic::LongRunning, 100_000);
-    let via_topospec = Runner::new(spec.clone()).run();
-    let colluder_ases = match spec.attack_target {
-        AttackTarget::Colluders { ases } => ases.max(1),
-        AttackTarget::Victim => 0,
-    };
-    let classic_built = classic::build_dumbbell(
-        scale.src_ases,
-        scale.hosts_per_as,
-        spec.legit_per_as,
-        spec.resolved_bottleneck_bps(),
-        colluder_ases,
-    )
-    .into_built();
-    assert_eq!(via_topospec, Runner::new(spec).run_on(classic_built));
-
-    let lot = ScenarioSpec::parking_lot(scale, 3_200_000, 1_600_000).defense(DefenseKind::Tva);
-    let via_topospec = Runner::new(lot.clone()).run();
-    let per_group = scale.hosts_per_as.max(4);
-    let classic_built = classic::build_parking_lot(
-        per_group,
-        lot.legit_per_as.min(per_group),
-        3_200_000,
-        1_600_000,
-    )
-    .into_built();
-    assert_eq!(via_topospec, Runner::new(lot).run_on(classic_built));
 }
 
 /// Every defense kind runs end to end on a small generated internet and on
