@@ -2,16 +2,23 @@
 //! first slice).
 //!
 //! Every other "byte-for-byte" test compares two code paths inside one
-//! build, so a change that shifts both passes silently. These digests were
-//! computed on the commit *before* the event queue was swapped and are
-//! checked in: an engine refactor that reorders a single event moves at
-//! least one of them.
+//! build, so a change that shifts both passes silently. These constants were
+//! computed on the commit *before* the change they guard and are checked in.
+//! Each cell pins a triple: the digest of the `Record` with
+//! `engine.{events, link_events}` zeroed, then those two counts. A change
+//! that only elides or adds bookkeeping events moves the counts and leaves
+//! the digest alone; one that reorders a single observable event moves the
+//! digest. (Triples computed on cddcb29, before the transmitter stopped
+//! queueing a completion event per packet.)
 
 use netfence::experiments::chaos;
 use netfence::experiments::fig8::fig8_spec;
 use netfence::experiments::fig9::{fig9_spec, UserTraffic};
 use netfence::experiments::prelude::*;
 use netfence::experiments::registry::Size;
+
+/// `(masked digest, engine.events, engine.link_events)`.
+type Pin = (u64, u64, u64);
 
 /// FNV-1a over the `Debug` rendering of the whole record.
 fn digest(record: &Record) -> u64 {
@@ -20,24 +27,31 @@ fn digest(record: &Record) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
-fn check(cell: &str, spec: ScenarioSpec, pinned: u64) {
-    let got = digest(&Runner::new(spec).run());
+fn check(cell: &str, spec: ScenarioSpec, pinned: Pin) {
+    let mut record = Runner::new(spec).run();
+    let (events, link_events) = (record.engine.events, record.engine.link_events);
+    record.engine.events = 0;
+    record.engine.link_events = 0;
+    let got = (digest(&record), events, link_events);
     assert_eq!(
         got, pinned,
-        "engine pin `{cell}` moved: {got:#018x}, pinned {pinned:#018x}. The simulated outcome \
-         of this cell changed. If that is intended, update the constant in tests/engine_pins.rs \
-         and say why in a CHANGES.md line; if not, the change reordered or lost an event."
+        "engine pin `{cell}` moved: ({:#018x}, {events}, {link_events}), pinned ({:#018x}, {}, {}). \
+         A moved digest means the simulated outcome of this cell changed (an event was reordered \
+         or lost); moved counts alone mean only the number of queued events did. Either way, if \
+         it is intended, update the triple in tests/engine_pins.rs and say why in a CHANGES.md \
+         line.",
+        got.0, pinned.0, pinned.1, pinned.2
     );
 }
 
 #[test]
 fn fig8_quick_cell_per_defense_kind() {
     let pins = [
-        (DefenseKind::Fq, 0xf9c8_0fea_e266_b5ea_u64),
-        (DefenseKind::NetFence, 0x4b16_d33b_a265_f141),
-        (DefenseKind::Tva, 0x0948_8773_d649_c251),
-        (DefenseKind::StopIt, 0x9ca4_9a8b_be82_a759),
-        (DefenseKind::None, 0x90e4_fb03_e726_8f84),
+        (DefenseKind::Fq, (0x04c1_7a10_110d_7228, 267_286, 111_985)),
+        (DefenseKind::NetFence, (0x2f8d_be7d_804b_722e, 171_813, 73_156)),
+        (DefenseKind::Tva, (0xf7ea_fa7c_cdfd_b052, 237_825, 105_949)),
+        (DefenseKind::StopIt, (0x348f_6ac6_8b54_017f, 138_004, 47_250)),
+        (DefenseKind::None, (0x87ec_20c2_6219_add4, 255_971, 106_576)),
     ];
     assert_eq!(pins.map(|(k, _)| k), DefenseKind::EVERY);
     for (kind, pinned) in pins {
@@ -48,7 +62,11 @@ fn fig8_quick_cell_per_defense_kind() {
 
 #[test]
 fn chaos_quick_reboot_cell() {
-    check("chaos/reboot/NetFence", chaos::traced_spec(Size::Quick), 0x652d_9b0a_ce7b_5a0c);
+    check(
+        "chaos/reboot/NetFence",
+        chaos::traced_spec(Size::Quick),
+        (0x3fce_51ef_9a8d_a90a, 108_867, 46_288),
+    );
 }
 
 /// The only pinned cells whose access routers hold live per-(sender, link)
@@ -57,8 +75,8 @@ fn chaos_quick_reboot_cell() {
 #[test]
 fn fig9_quick_netfence_cells() {
     for (traffic, pinned) in [
-        (UserTraffic::LongRunning, 0xdef1_ac45_8d6c_c1db_u64),
-        (UserTraffic::WebLike, 0xdc52_0cf3_c34d_bac6),
+        (UserTraffic::LongRunning, (0x9581_34e4_127c_94c3, 207_233, 79_366)),
+        (UserTraffic::WebLike, (0xe83f_c2d6_2679_89ed, 207_364, 79_423)),
     ] {
         let spec = fig9_spec(&Size::Quick.scale(), DefenseKind::NetFence, traffic, 100_000);
         check(&format!("fig9/{traffic:?}/NetFence"), spec, pinned);
@@ -80,8 +98,8 @@ fn deployment_seam_cells() {
 
     let quick = Size::Quick.scale();
     for (kind, pinned) in [
-        (DefenseKind::NetFence, 0x6ee5_0103_57da_916b_u64),
-        (DefenseKind::StopIt, 0x87f8_a57f_e8d9_dd0a),
+        (DefenseKind::NetFence, (0xca7d_1608_92d5_e64b, 205_733, 90_405)),
+        (DefenseKind::StopIt, (0xb56a_0c70_43e1_96e0, 226_771, 91_395)),
     ] {
         let spec = deployment::deployment_spec(&quick, kind, 0.5);
         check(&format!("deployment/50%/{}", kind.label()), spec, pinned);
@@ -90,9 +108,9 @@ fn deployment_seam_cells() {
     let scale = Size::Quick.scale_for(80, 120);
     let cases = fig10::capacity_cases(2 * scale.hosts_per_as.max(4), 80_000);
     for (case, pinned) in cases.into_iter().zip([
-        0xdb02_aad1_525e_d1e3_u64,
-        0x89dd_f342_d768_1c6c,
-        0x68b1_fbfb_2cef_26d9,
+        (0xe16d_59f3_77a1_2982, 312_825, 119_724),
+        (0xb516_ef57_e6ba_6186, 316_656, 121_687),
+        (0xf93e_7b99_172f_6bb0, 338_288, 131_583),
     ]) {
         let spec = fig10::fig10_spec(&scale, DefenseKind::NetFence, case);
         check(&format!("fig10/{}/NetFence", case.label), spec, pinned);
@@ -100,7 +118,7 @@ fn deployment_seam_cells() {
 
     let scale = Size::Quick.scale_for(80, 300);
     let spec = fig11::fig11_spec(&scale, 100_000, SEC / 2, 3 * SEC / 2);
-    check("fig11/0.5s-1.5s/NetFence", spec, 0x2896_ac58_948e_41cd);
+    check("fig11/0.5s-1.5s/NetFence", spec, (0xeb1a_b56f_e2b5_215e, 239_240, 100_532));
 
     let point = tournament::TournamentPoint {
         strategy: AttackStrategy::Rolling { rate_bps: tournament::ATTACK_RATE, dwell: 5 * SEC },
@@ -109,12 +127,12 @@ fn deployment_seam_cells() {
     };
     let spec =
         tournament::tournament_spec(&Size::Quick.scale_for(20, 60), DefenseKind::NetFence, &point);
-    check("tournament/rolling/mesh/50%/NetFence", spec, 0x6bbb_7e1a_52c4_fca8);
+    check("tournament/rolling/mesh/50%/NetFence", spec, (0xc391_04d0_0d0a_ab74, 113_391, 47_151));
 
     let knobs =
         reaction::ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
     let spec = reaction::reaction_spec(&Size::Quick.scale_for(40, 90), DefenseKind::StopIt, &knobs);
-    check("reaction/100ms+10s-outage/StopIt", spec, 0xcb04_c06a_85f5_3b69);
+    check("reaction/100ms+10s-outage/StopIt", spec, (0x54c9_49f1_e3ce_fa25, 166_463, 65_317));
 
     let point = chaos::ChaosPoint {
         topology: chaos::ChaosTopology::Internet,
@@ -122,5 +140,5 @@ fn deployment_seam_cells() {
         severity: chaos::Severity::Mild,
     };
     let spec = chaos::chaos_spec(&Size::Quick.scale_for(25, 60), DefenseKind::Tva, &point);
-    check("chaos/internet/link-failure/TVA+", spec, 0x3b18_cdb0_6698_1085);
+    check("chaos/internet/link-failure/TVA+", spec, (0x3316_6ff7_85d4_44b1, 171_042, 83_097));
 }
