@@ -389,6 +389,10 @@ impl Runner {
                 .collect(),
             engine: sim.metrics.profile,
         };
+        // Every packet was delivered, dropped with a typed cause, or is still inside.
+        let (injected, gone) =
+            (sim.metrics.injected_pkts, sim.metrics.delivered_pkts + sim.metrics.total_drop_pkts());
+        debug_assert_eq!(injected, gone + sim.into_in_network(), "'{}' leaked packets", spec.name);
         (record, dump)
     }
 }

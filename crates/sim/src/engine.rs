@@ -95,11 +95,11 @@ impl Default for SimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Take a link down. Every packet queued on the link is lost as a
-    /// typed [`DropCause::LinkDown`] drop, the packet being serialized (if
-    /// any) is lost when its transmission completes, and routes are
-    /// recomputed over the surviving topology. Down-link drops are *not*
-    /// reported to the owning agent's `on_link_drop` — a dead link carries
-    /// no congestion feedback.
+    /// typed [`DropCause::LinkDown`] drop; so is the packet being serialized
+    /// (recorded when it would have arrived) unless the link is back before
+    /// its last bit is out. Routes are recomputed over the surviving
+    /// topology. Down-link drops are *not* reported to the owning agent's
+    /// `on_link_drop` — a dead link carries no congestion feedback.
     LinkDown {
         /// Dense link index ([`Network::links`]).
         link: usize,
@@ -134,6 +134,7 @@ enum EventKind {
         node: NodeId,
         pkt: Packet,
     },
+    /// A wire that packets are waiting for is free again (idle links queue none).
     TransmitDone {
         link: usize,
     },
@@ -164,11 +165,17 @@ enum EventKind {
     },
 }
 
+/// One link's transmitter. The packet on the wire already sits in its
+/// `Arrive` event, so the link keeps a time, not a packet.
 #[derive(Debug)]
 struct LinkState {
     queue: Box<dyn QueueDisc>,
-    busy: bool,
-    in_flight: Option<Packet>,
+    /// When the serialization in progress (or the last one) ends.
+    busy_until: Nanos,
+    /// Id of the packet last put on the wire (lost if cut before `busy_until`).
+    on_wire: u64,
+    /// A `TransmitDone` is queued at `busy_until` (never more than one).
+    wake_pending: bool,
     poll_pending: bool,
 }
 
@@ -191,6 +198,9 @@ pub struct Simulator {
     links: Vec<LinkState>,
     /// Which links are currently failed (set/cleared by [`FaultAction`]s).
     link_down: Vec<bool>,
+    /// `(packet id, link)` of each packet whose link failed mid-serialization:
+    /// a `LinkDown` drop when its `Arrive` pops. Empty in fault-free runs.
+    cut: Vec<(u64, usize)>,
     flows: Vec<Box<dyn Flow>>,
     /// The one action set every flow callback fills (empty between events,
     /// capacity kept).
@@ -238,7 +248,13 @@ impl Simulator {
                     }
                 },
             };
-            links.push(LinkState { queue, busy: false, in_flight: None, poll_pending: false });
+            links.push(LinkState {
+                queue,
+                busy_until: 0,
+                on_wire: 0,
+                wake_pending: false,
+                poll_pending: false,
+            });
         }
         assert!(planned.next().is_none(), "queue plan is out of order or names a missing link");
         let timeline = if cfg.telemetry.timeline {
@@ -261,6 +277,7 @@ impl Simulator {
             flight,
             links,
             link_down,
+            cut: Vec::new(),
             flows: Vec::new(),
             actions: FlowActions::default(),
             events: EventQueue::new(),
@@ -359,6 +376,8 @@ impl Simulator {
         }
         while let Some((at, kind)) = self.events.pop() {
             if at > self.cfg.end_time {
+                // Past the horizon: stays queued, it may carry a packet.
+                self.events.push(at, kind);
                 break;
             }
             debug_assert!(at >= self.now, "the event queue went back in time: {at} < {}", self.now);
@@ -371,6 +390,17 @@ impl Simulator {
         }
         self.now = self.cfg.end_time;
         self.metrics.end_time = self.cfg.end_time;
+    }
+
+    /// Packets still inside the network — in a link queue, on a wire or
+    /// propagating (a pending `Arrive`), held by a rate limiter (a pending
+    /// `ReleaseDelayed`): `injected_pkts` − `delivered_pkts` − drops.
+    pub fn into_in_network(mut self) -> u64 {
+        let queued: usize = self.links.iter().map(|l| l.queue.len_pkts()).sum();
+        let pending = std::iter::from_fn(|| self.events.pop()).filter(|(_, k)| {
+            matches!(k, EventKind::Arrive { .. } | EventKind::ReleaseDelayed { .. })
+        });
+        (queued + pending.count()) as u64
     }
 
     /// Route queued control-plane messages until the bus is quiet. Each
@@ -464,18 +494,24 @@ impl Simulator {
             }
             EventKind::Arrive { node, pkt } => {
                 self.metrics.profile.arrive_events += 1;
-                self.packet_at_node(node, pkt)
+                // `cut` is empty in fault-free runs: the search is one branch.
+                match self.cut.iter().position(|&(id, _)| id == pkt.id) {
+                    Some(at) => {
+                        let (_, link) = self.cut.swap_remove(at);
+                        self.lose_on_dead_link(link, &pkt);
+                    }
+                    None => self.packet_at_node(node, pkt),
+                }
             }
             EventKind::TransmitDone { link } => {
                 self.metrics.profile.link_events += 1;
-                self.transmit_done(link)
+                self.links[link].wake_pending = false;
+                self.try_transmit(link);
             }
             EventKind::LinkPoll { link } => {
                 self.metrics.profile.link_events += 1;
                 self.links[link].poll_pending = false;
-                if !self.links[link].busy {
-                    self.try_transmit(link);
-                }
+                self.try_transmit(link);
             }
             EventKind::ReleaseDelayed { node, out_link, mut pkt } => {
                 self.metrics.profile.release_events += 1;
@@ -515,21 +551,16 @@ impl Simulator {
                     return;
                 }
                 self.link_down[link] = true;
-                let owner = self.net.links[link].from;
-                self.mark_fault("link-down", owner, Some(link));
-                // Everything queued on the failed link is lost. The owning
-                // agent is deliberately not told: a dead link produces no
-                // congestion feedback.
-                let now = self.now;
-                for d in self.links[link].queue.drain(now) {
-                    self.metrics.record_link_drop(link, d.flow as u64, DropCause::LinkDown);
-                    self.trace_hop(
-                        &d,
-                        owner,
-                        Some(link),
-                        HopStage::Drop,
-                        Some(DropCause::LinkDown),
-                    );
+                self.mark_fault("link-down", self.net.links[link].from, Some(link));
+                // The packet being serialized is lost unless the link is back
+                // before its last bit is out.
+                let LinkState { busy_until, on_wire, .. } = self.links[link];
+                if self.now < busy_until {
+                    self.cut.push((on_wire, link));
+                }
+                // So is everything queued on it.
+                for d in self.links[link].queue.drain(self.now) {
+                    self.lose_on_dead_link(link, &d);
                 }
                 self.net.recompute_routes(&self.link_down);
             }
@@ -540,9 +571,11 @@ impl Simulator {
                 self.link_down[link] = false;
                 self.mark_fault("link-up", self.net.links[link].from, Some(link));
                 self.net.recompute_routes(&self.link_down);
-                if !self.links[link].busy {
-                    self.try_transmit(link);
+                let LinkState { busy_until, on_wire, .. } = self.links[link];
+                if self.now <= busy_until {
+                    self.cut.retain(|&entry| entry != (on_wire, link));
                 }
+                self.try_transmit(link);
             }
             FaultAction::Router { node, fault } => {
                 self.mark_fault(fault.label(), node, None);
@@ -662,6 +695,14 @@ impl Simulator {
         }
     }
 
+    /// Record `pkt` as lost on failed link `link`. The owning agent is
+    /// deliberately not told: a dead link produces no congestion feedback.
+    fn lose_on_dead_link(&mut self, link: usize, pkt: &Packet) {
+        self.metrics.record_link_drop(link, pkt.flow as u64, DropCause::LinkDown);
+        let owner = self.net.links[link].from;
+        self.trace_hop(pkt, owner, Some(link), HopStage::Drop, Some(DropCause::LinkDown));
+    }
+
     fn packet_at_node(&mut self, node: NodeId, pkt: Packet) {
         if let Some(addr) = self.net.nodes[node.0].host_addr() {
             if addr != pkt.dst {
@@ -746,9 +787,7 @@ impl Simulator {
         if self.link_down[link_idx] {
             // The link failed after routing chose it (stale route window or
             // a delayed release): the packet is lost on the dead link.
-            self.metrics.record_link_drop(link_idx, pkt.flow as u64, DropCause::LinkDown);
-            self.trace_hop(&pkt, owner, Some(link_idx), HopStage::Drop, Some(DropCause::LinkDown));
-            return;
+            return self.lose_on_dead_link(link_idx, &pkt);
         }
         self.trace_hop(&pkt, owner, Some(link_idx), HopStage::Enqueue, None);
         if let Some(d) = self.links[link_idx].queue.enqueue(now, pkt) {
@@ -760,18 +799,28 @@ impl Simulator {
                 agent.on_link_drop(now, link, &d);
             }
         }
-        if !self.links[link_idx].busy {
+        // A busy link is woken when its wire frees, by the one `TransmitDone`
+        // queued for it; a free one sends at once.
+        let state = &mut self.links[link_idx];
+        if now < state.busy_until && !state.wake_pending {
+            state.wake_pending = true;
+            self.events.push(state.busy_until, EventKind::TransmitDone { link: link_idx });
+        } else {
             self.try_transmit(link_idx);
         }
     }
 
-    /// Ask an idle link's queue for the next packet; if the queue has
-    /// packets but withholds them (strict caps), poll again shortly.
+    /// Ask a free link's queue for the next packet; if the queue has
+    /// packets but withholds them (strict caps), poll again shortly. The one
+    /// guard every caller relies on: a link that is down, still serializing
+    /// or about to be woken sends nothing, so a poll, a restore or an enqueue
+    /// on the nanosecond of a pending wake never puts two packets on a wire.
     fn try_transmit(&mut self, link_idx: usize) {
-        if self.link_down[link_idx] {
+        let now = self.now;
+        let state = &self.links[link_idx];
+        if self.link_down[link_idx] || state.wake_pending || now < state.busy_until {
             return;
         }
-        let now = self.now;
         match self.links[link_idx].queue.dequeue(now) {
             Some(pkt) => self.start_transmission(link_idx, pkt),
             None => {
@@ -793,32 +842,19 @@ impl Simulator {
         self.metrics.record_tx(link_idx, pkt.size as u64);
         self.metrics.profile.dequeues += 1;
         self.trace_hop(&pkt, owner, Some(link_idx), HopStage::Dequeue, None);
-        let ser = transmission_time(pkt.size, spec.capacity);
-        self.links[link_idx].busy = true;
-        self.links[link_idx].in_flight = Some(pkt);
-        self.schedule(self.now.saturating_add(ser), EventKind::TransmitDone { link: link_idx });
-    }
-
-    fn transmit_done(&mut self, link_idx: usize) {
-        let spec = self.net.links[link_idx];
-        if let Some(pkt) = self.links[link_idx].in_flight.take() {
-            if self.link_down[link_idx] {
-                // The link failed mid-serialization: the packet is lost.
-                self.metrics.record_link_drop(link_idx, pkt.flow as u64, DropCause::LinkDown);
-                self.trace_hop(
-                    &pkt,
-                    spec.from,
-                    Some(link_idx),
-                    HopStage::Drop,
-                    Some(DropCause::LinkDown),
-                );
-            } else {
-                let at = self.now.saturating_add(spec.delay);
-                self.schedule(at, EventKind::Arrive { node: spec.to, pkt });
-            }
+        let done = self.now.saturating_add(transmission_time(pkt.size, spec.capacity));
+        let state = &mut self.links[link_idx];
+        debug_assert!(self.now >= state.busy_until, "two packets on one wire");
+        debug_assert!(!state.wake_pending, "two wakes pending on one link");
+        state.busy_until = done;
+        state.on_wire = pkt.id;
+        // A completion is queued only if something is waiting for the wire;
+        // the arrival is queued now (the packet moves once, into its event).
+        state.wake_pending = state.queue.len_pkts() > 0;
+        if state.wake_pending {
+            self.schedule(done, EventKind::TransmitDone { link: link_idx });
         }
-        self.links[link_idx].busy = false;
-        self.try_transmit(link_idx);
+        self.schedule(done.saturating_add(spec.delay), EventKind::Arrive { node: spec.to, pkt });
     }
 }
 
@@ -1092,6 +1128,13 @@ mod tests {
         assert_eq!((off.3, off.4), (0, 0));
         assert!(on.3 > 0, "flight recorder captured nothing");
         assert!(on.4 > 0, "timeline captured nothing");
+    }
+
+    #[test]
+    fn link_state_keeps_a_time_not_a_packet() {
+        // 16 K links on the flood cells: the queue's fat pointer, two
+        // words and two flags.
+        assert!(std::mem::size_of::<LinkState>() <= 40);
     }
 
     #[test]

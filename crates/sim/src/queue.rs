@@ -581,8 +581,6 @@ pub struct DualChannelQueue {
     request_burst: f64,
     /// Last token refill time.
     last_refill: Nanos,
-    served_request: u64,
-    served_total: u64,
 }
 
 impl DualChannelQueue {
@@ -605,8 +603,6 @@ impl DualChannelQueue {
             request_tokens: 2.0 * 1500.0 * 8.0,
             request_burst: (2.0 * 1500.0 * 8.0f64).max(rate * 0.05),
             last_refill: 0,
-            served_request: 0,
-            served_total: 0,
         }
     }
 
@@ -643,12 +639,8 @@ impl QueueDisc for DualChannelQueue {
             // for them (strict cap).
             None
         };
-        if let Some(p) = &pkt {
-            self.served_total += p.size as u64;
-            if p.channel == ChannelClass::Request {
-                self.served_request += p.size as u64;
-                self.request_tokens -= p.size as f64 * 8.0;
-            }
+        if let Some(p) = pkt.as_ref().filter(|p| p.channel == ChannelClass::Request) {
+            self.request_tokens -= p.size as f64 * 8.0;
         }
         pkt
     }
@@ -668,8 +660,6 @@ impl QueueDisc for DualChannelQueue {
     fn drain(&mut self, now: Nanos) -> Vec<Packet> {
         // The request channel's token cap would starve the default
         // dequeue-until-empty loop; sweep all three channels directly.
-        // Drained packets are lost, not served: the served counters stay
-        // untouched.
         let mut out = self.regular.drain(now);
         out.extend(self.request.drain(now));
         out.extend(self.legacy.drain(now));

@@ -16,7 +16,7 @@ pub struct EngineProfile {
     pub flow_events: u64,
     /// Packet arrivals at a node.
     pub arrive_events: u64,
-    /// Link events (transmission completions and idle-link polls).
+    /// Link events (wake-ups of links with a backlog and idle-link polls).
     pub link_events: u64,
     /// Delayed-packet releases from rate limiters.
     pub release_events: u64,

@@ -8,8 +8,11 @@
 //! `engine.{events, link_events}` zeroed, then those two counts. A change
 //! that only elides or adds bookkeeping events moves the counts and leaves
 //! the digest alone; one that reorders a single observable event moves the
-//! digest. (Triples computed on cddcb29, before the transmitter stopped
-//! queueing a completion event per packet.)
+//! digest. (Triples first computed on cddcb29; when the transmitter stopped
+//! queueing a completion event per packet the counts fell on all 17 cells
+//! and the digest moved on one — the tournament mesh cell, where
+//! same-nanosecond ties (one of them against the 12 s sample tick) resolve
+//! the other way. CHANGES.md, PR 20, has its fields.)
 
 use netfence::experiments::chaos;
 use netfence::experiments::fig8::fig8_spec;
@@ -47,11 +50,11 @@ fn check(cell: &str, spec: ScenarioSpec, pinned: Pin) {
 #[test]
 fn fig8_quick_cell_per_defense_kind() {
     let pins = [
-        (DefenseKind::Fq, (0x04c1_7a10_110d_7228, 267_286, 111_985)),
-        (DefenseKind::NetFence, (0x2f8d_be7d_804b_722e, 171_813, 73_156)),
-        (DefenseKind::Tva, (0xf7ea_fa7c_cdfd_b052, 237_825, 105_949)),
-        (DefenseKind::StopIt, (0x348f_6ac6_8b54_017f, 138_004, 47_250)),
-        (DefenseKind::None, (0x87ec_20c2_6219_add4, 255_971, 106_576)),
+        (DefenseKind::Fq, (0x04c1_7a10_110d_7228, 161_114, 5_813)),
+        (DefenseKind::NetFence, (0x2f8d_be7d_804b_722e, 117_382, 18_725)),
+        (DefenseKind::Tva, (0xf7ea_fa7c_cdfd_b052, 150_617, 18_741)),
+        (DefenseKind::StopIt, (0x348f_6ac6_8b54_017f, 91_781, 1_027)),
+        (DefenseKind::None, (0x87ec_20c2_6219_add4, 154_732, 5_337)),
     ];
     assert_eq!(pins.map(|(k, _)| k), DefenseKind::EVERY);
     for (kind, pinned) in pins {
@@ -65,7 +68,7 @@ fn chaos_quick_reboot_cell() {
     check(
         "chaos/reboot/NetFence",
         chaos::traced_spec(Size::Quick),
-        (0x3fce_51ef_9a8d_a90a, 108_867, 46_288),
+        (0x3fce_51ef_9a8d_a90a, 73_853, 11_274),
     );
 }
 
@@ -75,8 +78,8 @@ fn chaos_quick_reboot_cell() {
 #[test]
 fn fig9_quick_netfence_cells() {
     for (traffic, pinned) in [
-        (UserTraffic::LongRunning, (0x9581_34e4_127c_94c3, 207_233, 79_366)),
-        (UserTraffic::WebLike, (0xe83f_c2d6_2679_89ed, 207_364, 79_423)),
+        (UserTraffic::LongRunning, (0x9581_34e4_127c_94c3, 133_076, 5_209)),
+        (UserTraffic::WebLike, (0xe83f_c2d6_2679_89ed, 133_741, 5_800)),
     ] {
         let spec = fig9_spec(&Size::Quick.scale(), DefenseKind::NetFence, traffic, 100_000);
         check(&format!("fig9/{traffic:?}/NetFence"), spec, pinned);
@@ -98,8 +101,8 @@ fn deployment_seam_cells() {
 
     let quick = Size::Quick.scale();
     for (kind, pinned) in [
-        (DefenseKind::NetFence, (0xca7d_1608_92d5_e64b, 205_733, 90_405)),
-        (DefenseKind::StopIt, (0xb56a_0c70_43e1_96e0, 226_771, 91_395)),
+        (DefenseKind::NetFence, (0xca7d_1608_92d5_e64b, 133_920, 18_592)),
+        (DefenseKind::StopIt, (0xb56a_0c70_43e1_96e0, 141_766, 6_390)),
     ] {
         let spec = deployment::deployment_spec(&quick, kind, 0.5);
         check(&format!("deployment/50%/{}", kind.label()), spec, pinned);
@@ -108,9 +111,9 @@ fn deployment_seam_cells() {
     let scale = Size::Quick.scale_for(80, 120);
     let cases = fig10::capacity_cases(2 * scale.hosts_per_as.max(4), 80_000);
     for (case, pinned) in cases.into_iter().zip([
-        (0xe16d_59f3_77a1_2982, 312_825, 119_724),
-        (0xb516_ef57_e6ba_6186, 316_656, 121_687),
-        (0xf93e_7b99_172f_6bb0, 338_288, 131_583),
+        (0xe16d_59f3_77a1_2982, 201_393, 8_292),
+        (0xb516_ef57_e6ba_6186, 204_588, 9_619),
+        (0xf93e_7b99_172f_6bb0, 217_262, 10_557),
     ]) {
         let spec = fig10::fig10_spec(&scale, DefenseKind::NetFence, case);
         check(&format!("fig10/{}/NetFence", case.label), spec, pinned);
@@ -118,7 +121,7 @@ fn deployment_seam_cells() {
 
     let scale = Size::Quick.scale_for(80, 300);
     let spec = fig11::fig11_spec(&scale, 100_000, SEC / 2, 3 * SEC / 2);
-    check("fig11/0.5s-1.5s/NetFence", spec, (0xeb1a_b56f_e2b5_215e, 239_240, 100_532));
+    check("fig11/0.5s-1.5s/NetFence", spec, (0xeb1a_b56f_e2b5_215e, 151_622, 12_914));
 
     let point = tournament::TournamentPoint {
         strategy: AttackStrategy::Rolling { rate_bps: tournament::ATTACK_RATE, dwell: 5 * SEC },
@@ -127,12 +130,12 @@ fn deployment_seam_cells() {
     };
     let spec =
         tournament::tournament_spec(&Size::Quick.scale_for(20, 60), DefenseKind::NetFence, &point);
-    check("tournament/rolling/mesh/50%/NetFence", spec, (0xc391_04d0_0d0a_ab74, 113_391, 47_151));
+    check("tournament/rolling/mesh/50%/NetFence", spec, (0x92eb_baef_f65b_85e1, 79_968, 13_730));
 
     let knobs =
         reaction::ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
     let spec = reaction::reaction_spec(&Size::Quick.scale_for(40, 90), DefenseKind::StopIt, &knobs);
-    check("reaction/100ms+10s-outage/StopIt", spec, (0x54c9_49f1_e3ce_fa25, 166_463, 65_317));
+    check("reaction/100ms+10s-outage/StopIt", spec, (0x54c9_49f1_e3ce_fa25, 113_147, 12_001));
 
     let point = chaos::ChaosPoint {
         topology: chaos::ChaosTopology::Internet,
@@ -140,5 +143,5 @@ fn deployment_seam_cells() {
         severity: chaos::Severity::Mild,
     };
     let spec = chaos::chaos_spec(&Size::Quick.scale_for(25, 60), DefenseKind::Tva, &point);
-    check("chaos/internet/link-failure/TVA+", spec, (0x3316_6ff7_85d4_44b1, 171_042, 83_097));
+    check("chaos/internet/link-failure/TVA+", spec, (0x3316_6ff7_85d4_44b1, 121_673, 33_728));
 }
