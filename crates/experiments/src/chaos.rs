@@ -4,14 +4,14 @@
 //! Each cell runs a standard attacked scenario (demand-bounded users,
 //! CBR flood) with one deterministic [`FaultPlan`] injected mid-run —
 //! link failure, router reboot, key desync, clock skew or memory
-//! pressure, at a mild or severe dose — and folds the record's fault
-//! metrics into a [`ChaosOutcome`]: the worst-case time back to a
-//! sustained 90% of pre-fault goodput ([`Record::worst_fault_recovery_secs`])
-//! and the availability fraction under the fault
-//! ([`Record::availability`]). NetFence runs with a key TTL so its
-//! routers keep re-announcing keys — the refresh traffic a rebooted or
-//! desynced router recovers through; defenses that keep no distributed
-//! state (FQ) calibrate the pure data-path recovery floor.
+//! pressure, at a mild or severe dose — and [`table`] prints the record's
+//! fault metrics: the worst-case time back to a sustained 90% of
+//! pre-fault goodput ([`Record::worst_fault_recovery_secs`]) and the
+//! availability fraction under the fault ([`Record::availability`]).
+//! NetFence runs with a key TTL so its routers keep re-announcing keys —
+//! the refresh traffic a rebooted or desynced router recovers through;
+//! defenses that keep no distributed state (FQ) calibrate the pure
+//! data-path recovery floor.
 
 use netfence_ctrl::prelude::*;
 use netfence_faults::{FaultKind, FaultPlan, FaultTarget};
@@ -194,25 +194,6 @@ pub fn chaos_spec(scale: &Scale, system: DefenseKind, point: &ChaosPoint) -> Sce
     .sampled(SEC)
 }
 
-/// One measured cell of the chaos sweep.
-#[derive(Debug, Clone)]
-pub struct ChaosOutcome {
-    /// The defense system.
-    pub system: DefenseKind,
-    /// Where, what, how hard.
-    pub point: ChaosPoint,
-    /// Worst-case recovery across the plan's fault windows, seconds
-    /// (censored at the end of the run when a window never recovers).
-    pub worst_recovery_secs: Option<f64>,
-    /// Fraction of post-fault sample windows holding ≥ 90% of the
-    /// pre-fault goodput baseline.
-    pub availability: Option<f64>,
-    /// Average legitimate-user goodput over the whole run, bits/second.
-    pub avg_user_bps: f64,
-    /// Average attacker goodput over the whole run, bits/second.
-    pub avg_attacker_bps: f64,
-}
-
 /// The systems the sweep compares (all four deployed defenses).
 pub const SYSTEMS: [DefenseKind; 4] = DefenseKind::ALL;
 
@@ -241,36 +222,6 @@ pub fn quick_points() -> Vec<ChaosPoint> {
         .collect()
 }
 
-fn to_outcome(system: DefenseKind, point: ChaosPoint, r: &Record) -> ChaosOutcome {
-    ChaosOutcome {
-        system,
-        point,
-        worst_recovery_secs: r.worst_fault_recovery_secs(),
-        availability: r.availability(),
-        avg_user_bps: r.avg_user_bps(),
-        avg_attacker_bps: r.avg_attacker_bps(),
-    }
-}
-
-/// Run one (system × point) cell.
-pub fn run_chaos_cell(scale: &Scale, system: DefenseKind, point: ChaosPoint) -> ChaosOutcome {
-    let r = Runner::new(chaos_spec(scale, system, &point)).run();
-    to_outcome(system, point, &r)
-}
-
-/// Run a chaos sweep (cells in parallel; point-major order).
-pub fn run_chaos_sweep(
-    scale: &Scale,
-    systems: &[DefenseKind],
-    points: &[ChaosPoint],
-) -> Vec<ChaosOutcome> {
-    SweepGrid::new(systems.to_vec(), points.to_vec())
-        .run_auto(|system, p| chaos_spec(scale, system, p))
-        .iter()
-        .map(|c| to_outcome(c.system, c.point, &c.record))
-        .collect()
-}
-
 /// The scale chaos cells run at: long enough past [`FAULT_AT`] for the
 /// recovery windows to close.
 fn scale(size: Size) -> Scale {
@@ -282,6 +233,7 @@ fn scale(size: Size) -> Scale {
 pub fn table(size: Size) -> String {
     let scale = scale(size);
     let points = if size.is_quick() { quick_points() } else { default_points() };
+    let cells = SweepGrid::new(SYSTEMS, points).run_auto(|system, p| chaos_spec(&scale, system, p));
     let headers = [
         "topology",
         "fault",
@@ -295,18 +247,18 @@ pub fn table(size: Size) -> String {
     format!(
         "Chaos sweep: faults at {}s, {} cells, {} senders per cell, {}s simulated\n\n{}\n",
         FAULT_AT / SEC,
-        points.len() * SYSTEMS.len(),
+        cells.len(),
         scale.senders(),
         scale.sim_time / SEC,
-        table_of(&headers, &run_chaos_sweep(&scale, &SYSTEMS, &points), |o| vec![
-            o.point.topology.label().to_string(),
-            o.point.fault.label().to_string(),
-            o.point.severity.label().to_string(),
-            o.system.label().to_string(),
-            opt1(o.worst_recovery_secs, "-"),
-            o.availability.map_or_else(|| "-".to_string(), pct),
-            kbps(o.avg_user_bps),
-            kbps(o.avg_attacker_bps),
+        table_of(&headers, &cells, |c| vec![
+            c.point.topology.label().to_string(),
+            c.point.fault.label().to_string(),
+            c.point.severity.label().to_string(),
+            c.system.label().to_string(),
+            opt1(c.record.worst_fault_recovery_secs(), "-"),
+            c.record.availability().map_or_else(|| "-".to_string(), pct),
+            kbps(c.record.avg_user_bps()),
+            kbps(c.record.avg_attacker_bps()),
         ])
     )
 }
@@ -325,26 +277,6 @@ pub fn traced_spec(size: Size) -> ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> Scale {
-        Scale { src_ases: 3, hosts_per_as: 3, sim_time: 25 * SEC, seed: 7 }
-    }
-
-    #[test]
-    fn chaos_records_carry_their_fault_windows() {
-        let point = ChaosPoint {
-            topology: ChaosTopology::Dumbbell,
-            fault: ChaosFault::LinkFailure,
-            severity: Severity::Mild,
-        };
-        let r = Runner::new(chaos_spec(&tiny(), DefenseKind::Fq, &point)).run();
-        assert_eq!(r.faults.len(), 1);
-        assert_eq!(r.faults[0].kind, "link-failure");
-        assert_eq!(r.faults[0].at, FAULT_AT);
-        assert_eq!(r.faults[0].clear_at, FAULT_AT + 2 * SEC);
-        assert!(r.worst_fault_recovery_secs().is_some());
-        assert!(r.availability().is_some());
-    }
 
     #[test]
     fn every_fault_dose_compiles_into_a_nonempty_plan_under_one_label() {
@@ -374,20 +306,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn a_mild_reboot_cell_runs_on_every_defense() {
-        let point = ChaosPoint {
-            topology: ChaosTopology::Dumbbell,
-            fault: ChaosFault::RouterReboot,
-            severity: Severity::Mild,
-        };
-        for system in SYSTEMS {
-            let out = run_chaos_cell(&tiny(), system, point);
-            assert!(out.avg_user_bps >= 0.0, "{} cell ran", system.label());
-            assert!(out.worst_recovery_secs.is_some());
         }
     }
 }

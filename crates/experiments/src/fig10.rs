@@ -25,21 +25,6 @@ pub struct CapacityCase {
     pub label: &'static str,
 }
 
-/// One result row.
-#[derive(Debug, Clone)]
-pub struct Fig10Point {
-    /// Which capacity configuration.
-    pub case: CapacityCase,
-    /// The defense system.
-    pub system: DefenseKind,
-    /// Average Group-A legitimate user throughput, bits per second.
-    pub group_a_user_bps: f64,
-    /// Average Group-A attacker throughput, bits per second.
-    pub group_a_attacker_bps: f64,
-    /// The per-sender max-min fair share on the tighter bottleneck.
-    pub fair_share_bps: f64,
-}
-
 /// The three capacity configurations of Figure 10, scaled so that a Group-A
 /// sender's max-min fair share is `fair_share_bps` in the symmetric case.
 pub fn capacity_cases(senders_per_link: usize, fair_share_bps: u64) -> [CapacityCase; 3] {
@@ -64,33 +49,6 @@ pub fn fig10_spec(scale: &Scale, system: DefenseKind, case: CapacityCase) -> Sce
         .attacker_start(StartSchedule::staggered(50, MILLI))
 }
 
-fn to_point(case: CapacityCase, system: DefenseKind, r: &Record) -> Fig10Point {
-    Fig10Point {
-        case,
-        system,
-        group_a_user_bps: r.group_avg_bps("A-users"),
-        group_a_attacker_bps: r.group_avg_bps("A-attackers"),
-        fair_share_bps: r.fair_share_bps,
-    }
-}
-
-/// Run one capacity case of Figure 10.
-pub fn run_fig10_case(scale: &Scale, system: DefenseKind, case: CapacityCase) -> Fig10Point {
-    let r = Runner::new(fig10_spec(scale, system, case)).run();
-    to_point(case, system, &r)
-}
-
-/// Run all three capacity cases with NetFence (the paper's Figure 10 only
-/// shows NetFence), in parallel.
-pub fn run_fig10(scale: &Scale) -> Vec<Fig10Point> {
-    let per_group = scale.hosts_per_as.max(4);
-    SweepGrid::new([DefenseKind::NetFence], capacity_cases(2 * per_group, 80_000).to_vec())
-        .run_auto(|system, case| fig10_spec(scale, system, *case))
-        .iter()
-        .map(|c| to_point(c.point, c.system, &c.record))
-        .collect()
-}
-
 /// The Group-A table Figures 10, 13 and 14 share: one
 /// `(case, user bps, attacker bps, fair share bps)` row per capacity case.
 pub(crate) fn group_a_table(title: &str, rows: &[(CapacityCase, f64, f64, f64)]) -> String {
@@ -101,42 +59,20 @@ pub(crate) fn group_a_table(title: &str, rows: &[(CapacityCase, f64, f64, f64)])
     format!("{title}\n\n{table}\n")
 }
 
-/// `netfence run fig10`: NetFence on the three capacity cases.
+/// `netfence run fig10`: NetFence (the only system the paper's Figure 10
+/// shows) on the three capacity cases.
 pub fn table(size: Size) -> String {
-    let rows: Vec<_> = run_fig10(&size.scale_for(80, 120))
-        .iter()
-        .map(|p| (p.case, p.group_a_user_bps, p.group_a_attacker_bps, p.fair_share_bps))
-        .collect();
+    let scale = size.scale_for(80, 120);
+    let per_group = scale.hosts_per_as.max(4);
+    let rows: Vec<_> =
+        SweepGrid::new([DefenseKind::NetFence], capacity_cases(2 * per_group, 80_000))
+            .run_auto(|system, case| fig10_spec(&scale, system, *case))
+            .iter()
+            .map(|c| {
+                let r = &c.record;
+                let (user, attacker) = (r.group_avg_bps("A-users"), r.group_avg_bps("A-attackers"));
+                (c.point, user, attacker, r.fair_share_bps)
+            })
+            .collect();
     group_a_table("Figure 10: Group-A throughput on the parking-lot topology (kbps)", &rows)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netfence_sim::time::SEC;
-
-    #[test]
-    fn symmetric_case_gives_group_a_a_nontrivial_share() {
-        let scale = Scale { src_ases: 1, hosts_per_as: 6, sim_time: 100 * SEC, seed: 3 };
-        let per_group = scale.hosts_per_as.max(4);
-        let case = capacity_cases(2 * per_group, 80_000)[0];
-        let p = run_fig10_case(&scale, DefenseKind::NetFence, case);
-        // Group-A senders are not starved in the symmetric case: the
-        // attackers (full-demand UDP) obtain a meaningful fraction of their
-        // fair share, and nobody exceeds it by much. The paper's Figure 10
-        // also shows the Group-A TCP user below the Group-A attacker.
-        assert!(
-            p.group_a_attacker_bps > 0.3 * p.fair_share_bps,
-            "attacker {} vs fair {}",
-            p.group_a_attacker_bps,
-            p.fair_share_bps
-        );
-        assert!(
-            p.group_a_attacker_bps < 2.0 * p.fair_share_bps,
-            "attacker {} should stay near the fair share {}",
-            p.group_a_attacker_bps,
-            p.fair_share_bps
-        );
-        assert!(p.group_a_user_bps >= 0.0);
-    }
 }

@@ -35,7 +35,7 @@ pub enum MultiBottleneckDesign {
     Inference,
 }
 
-/// One result row of Figure 13/14 (mirrors [`crate::fig10::Fig10Point`]).
+/// One result row of Figure 13/14.
 #[derive(Debug, Clone)]
 pub struct MultiBottleneckPoint {
     /// Which capacity configuration.

@@ -27,13 +27,13 @@
 //!
 //! ## Figure harnesses
 //!
-//! Each figure has a thin library module: a spec constructor, a `Record` →
-//! figure-point mapping (used by the integration tests and the `perf`
-//! benchmark) and a `table` function that renders the figure's rows as
-//! plain text. [`registry::EXPERIMENTS`] lists them all; the `netfence`
-//! binary (`cargo run --release -- run figN`) prints one. See
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! comparison.
+//! Each figure has a thin library module: a spec constructor (what the
+//! integration tests and the `perf` benchmark run) and a `table` function
+//! that sweeps it through [`SweepGrid`] and renders each [`Cell`]'s
+//! [`Record`] as a row of plain text. [`registry::EXPERIMENTS`] lists them
+//! all; the `netfence` binary (`cargo run --release -- run figN`) prints
+//! one. See `EXPERIMENTS.md` at the repository root for the
+//! paper-vs-measured comparison.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,7 +54,6 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod sweep;
-pub mod topo;
 pub mod topo_scale;
 pub mod tournament;
 

@@ -62,27 +62,6 @@ impl ReactionKnobs {
     }
 }
 
-/// One measured point of the reaction sweep.
-#[derive(Debug, Clone)]
-pub struct ReactionPoint {
-    /// The defense system.
-    pub system: DefenseKind,
-    /// The control-plane quality it ran under.
-    pub knobs: ReactionKnobs,
-    /// Attack start → sustained recovery to 90% of the pre-attack
-    /// baseline, seconds; `None` = never recovered within the run.
-    pub reaction_secs: Option<f64>,
-    /// Average legitimate-user goodput over the whole run, bits/second.
-    pub avg_user_bps: f64,
-    /// Average attacker goodput over the whole run, bits/second.
-    pub avg_attacker_bps: f64,
-    /// Control messages retransmitted by the transport.
-    pub control_retransmits: u64,
-    /// Control messages dropped after exhausting retransmissions (or sent
-    /// to a partitioned AS).
-    pub control_lost: u64,
-}
-
 /// The systems the sweep compares: the two closed-loop defenses whose
 /// reaction rides on the control plane, plus fair queuing as the
 /// control-free baseline.
@@ -156,45 +135,11 @@ pub fn reaction_spec(scale: &Scale, system: DefenseKind, knobs: &ReactionKnobs) 
         .sampled(SEC)
 }
 
-fn to_point(system: DefenseKind, knobs: ReactionKnobs, r: &Record) -> ReactionPoint {
-    ReactionPoint {
-        system,
-        knobs,
-        reaction_secs: r.reaction_secs(),
-        avg_user_bps: r.avg_user_bps(),
-        avg_attacker_bps: r.avg_attacker_bps(),
-        control_retransmits: r.report.control_retransmits,
-        control_lost: r.report.control_lost,
-    }
-}
-
-/// Run one (system × control-plane quality) cell.
-pub fn run_reaction_cell(
-    scale: &Scale,
-    system: DefenseKind,
-    knobs: ReactionKnobs,
-) -> ReactionPoint {
-    let r = Runner::new(reaction_spec(scale, system, &knobs)).run();
-    to_point(system, knobs, &r)
-}
-
-/// Run the full sweep (cells in parallel; point-major order: all systems
-/// at the first knob setting, then all systems at the second, …).
-pub fn run_reaction_sweep(
-    scale: &Scale,
-    systems: &[DefenseKind],
-    knobs: &[ReactionKnobs],
-) -> Vec<ReactionPoint> {
-    SweepGrid::new(systems.to_vec(), knobs.to_vec())
-        .run_auto(|system, k| reaction_spec(scale, system, k))
-        .iter()
-        .map(|c| to_point(c.system, c.point, &c.record))
-        .collect()
-}
-
 /// `netfence run reaction`: every system at every control-plane setting.
 pub fn table(size: Size) -> String {
     let scale = size.scale_for(40, 90);
+    let cells = SweepGrid::new(SYSTEMS, default_knobs())
+        .run_auto(|system, knobs| reaction_spec(&scale, system, knobs));
     let headers = [
         "latency (ms)",
         "loss",
@@ -211,67 +156,16 @@ pub fn table(size: Size) -> String {
         ATTACK_START / SEC,
         scale.senders(),
         scale.sim_time / SEC,
-        table_of(&headers, &run_reaction_sweep(&scale, &SYSTEMS, &default_knobs()), |p| vec![
-            format!("{}", p.knobs.latency / MILLI),
-            format!("{:.1}%", p.knobs.loss_per_mille as f64 / 10.0),
-            format!("{}", p.knobs.outage / SEC),
-            p.system.label().to_string(),
-            opt1(p.reaction_secs, "never"),
-            kbps(p.avg_user_bps),
-            kbps(p.avg_attacker_bps),
-            format!("{}", p.control_retransmits),
-            format!("{}", p.control_lost),
+        table_of(&headers, &cells, |c| vec![
+            format!("{}", c.point.latency / MILLI),
+            format!("{:.1}%", c.point.loss_per_mille as f64 / 10.0),
+            format!("{}", c.point.outage / SEC),
+            c.system.label().to_string(),
+            opt1(c.record.reaction_secs(), "never"),
+            kbps(c.record.avg_user_bps()),
+            kbps(c.record.avg_attacker_bps()),
+            format!("{}", c.record.report.control_retransmits),
+            format!("{}", c.record.report.control_lost),
         ])
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> Scale {
-        Scale { src_ases: 3, hosts_per_as: 3, sim_time: 30 * SEC, seed: 7 }
-    }
-
-    #[test]
-    fn attack_start_and_samples_reach_the_record() {
-        let r = Runner::new(reaction_spec(&tiny(), DefenseKind::Fq, &ReactionKnobs::ideal())).run();
-        assert_eq!(r.attack_start, Some(ATTACK_START));
-        assert_eq!(r.samples.len(), 30, "one sample per second");
-        // Users were already sending before the attack.
-        assert!(r.samples[7].user_bytes > 0);
-        // Attackers delivered nothing before their delayed start.
-        assert_eq!(r.samples[7].attacker_bytes, 0);
-        assert!(r.samples.last().unwrap().attacker_bytes > 0);
-    }
-
-    #[test]
-    fn fair_queuing_reacts_fast_regardless_of_control_latency() {
-        // FQ exchanges no control messages: its reaction must not degrade
-        // with control-plane latency.
-        let ideal = run_reaction_cell(&tiny(), DefenseKind::Fq, ReactionKnobs::ideal());
-        let slow = run_reaction_cell(&tiny(), DefenseKind::Fq, ReactionKnobs::latency(4 * SEC));
-        let a = ideal.reaction_secs.expect("FQ recovers");
-        let b = slow.reaction_secs.expect("FQ recovers under latency");
-        assert_eq!(a, b, "control latency leaked into a control-free defense");
-        assert_eq!(ideal.control_retransmits, 0);
-        assert_eq!(ideal.control_lost, 0);
-    }
-
-    #[test]
-    fn an_outage_at_attack_time_slows_stopit_down() {
-        // StopIt installs filters via control messages; an outage covering
-        // the attack instant delays them by the reconnect schedule.
-        let healthy = run_reaction_cell(&tiny(), DefenseKind::StopIt, ReactionKnobs::ideal());
-        let dark = run_reaction_cell(
-            &tiny(),
-            DefenseKind::StopIt,
-            ReactionKnobs { latency: 0, loss_per_mille: 0, outage: 10 * SEC },
-        );
-        let h = healthy.reaction_secs.expect("StopIt recovers on a healthy control plane");
-        match dark.reaction_secs {
-            None => {} // never recovered within the run: strictly worse
-            Some(d) => assert!(d >= h, "outage reaction {d} < healthy reaction {h}"),
-        }
-    }
 }

@@ -296,11 +296,6 @@ impl Record {
     pub fn bottleneck_utilization(&self) -> f64 {
         self.links.first().map(|l| l.utilization).unwrap_or(0.0)
     }
-
-    /// Loss rate at the primary bottleneck.
-    pub fn bottleneck_loss(&self) -> f64 {
-        self.links.first().map(|l| l.loss).unwrap_or(0.0)
-    }
 }
 
 /// How many trailing sample windows form a fault's pre-fault baseline.
@@ -422,7 +417,6 @@ mod tests {
         assert_eq!(r.throughput_ratio(), 2.0);
         assert!(r.user_fairness() > 0.7 && r.user_fairness() < 1.0);
         assert_eq!(r.bottleneck_utilization(), 0.5);
-        assert_eq!(r.bottleneck_loss(), 0.1);
         assert_eq!(r.group_avg_bps("users"), 1600.0);
         assert_eq!(r.group_avg_bps("missing"), 0.0);
     }

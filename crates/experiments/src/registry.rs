@@ -201,7 +201,7 @@ fn write_under(dir: &str, file: &str, contents: &str) -> Result<String, String> 
 /// Re-run one pinned row at `--quick` and compare with its golden. On a
 /// mismatch the actual output goes to `target/golden/<name>.txt` and the
 /// error names the first differing line and how to re-bless.
-pub fn check_golden(e: &Experiment) -> Result<(), String> {
+fn check_golden(e: &Experiment) -> Result<(), String> {
     let Some(golden) = e.golden else {
         return Err(format!("`{}` has wall-clock columns and no golden", e.name));
     };

@@ -49,13 +49,10 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Format seconds with two decimals.
-pub fn secs2(s: f64) -> String {
-    if s.is_nan() {
-        "n/a".to_string()
-    } else {
-        format!("{s:.2}")
-    }
+/// Format seconds with two decimals, or `n/a` when there is nothing to
+/// average.
+pub fn secs2(s: Option<f64>) -> String {
+    s.map_or_else(|| "n/a".to_string(), |s| format!("{s:.2}"))
 }
 
 /// Format an optional value with one decimal, or `none` when absent
@@ -122,8 +119,8 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(kbps(123_456.0), "123.5");
         assert_eq!(pct(0.934), "93.4%");
-        assert_eq!(secs2(1.2345), "1.23");
-        assert_eq!(secs2(f64::NAN), "n/a");
+        assert_eq!(secs2(Some(1.2345)), "1.23");
+        assert_eq!(secs2(None), "n/a");
         assert_eq!(opt1(Some(1.25), "never"), "1.2");
         assert_eq!(opt1(None, "never"), "never");
     }

@@ -18,11 +18,10 @@
 
 use netfence_ctrl::service::CtrlService;
 use netfence_sim::prelude::*;
-use netfence_topo::{MultiBottleneckSpec, TransitStubSpec};
+use netfence_topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 
 use crate::record::{FaultWindowRecord, GoodputSample, LinkStats, Record, Role, RoleSeries};
 use crate::spec::{AttackTarget, DefenseContext, ScenarioSpec, SuppressionGroup, TopologySpec};
-use crate::topo::{BuiltTopo, TopoSpec};
 
 /// Executes one [`ScenarioSpec`].
 #[derive(Debug, Clone)]

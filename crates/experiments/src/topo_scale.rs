@@ -17,8 +17,8 @@
 //!   suppression is forced off so the comparison isolates the data-plane
 //!   cost of the deployed shims, agents and three-channel queues.
 //!
-//! Library entry points are consumed by the `topo_scale` table, the `perf`
-//! benchmark's flood workloads and the integration tests.
+//! Library entry points are consumed by the `topo_scale` table and the
+//! `perf` benchmark's flood workloads.
 
 use std::time::Instant;
 

