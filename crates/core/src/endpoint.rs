@@ -15,6 +15,34 @@ use crate::feedback::Feedback;
 use crate::header::NetFenceHeader;
 use crate::types::{HostId, Nanos, SEC};
 
+/// Per-peer state of a host shim. Nearly every host talks to one peer, which
+/// sits inline in the shim; only a host with more (a victim, a colluder) ever
+/// touches the hash table. Never iterated: which came first is unobservable.
+#[derive(Debug, Default)]
+struct PeerTable<V> {
+    first: Option<(HostId, V)>,
+    rest: IdMap<HostId, V>,
+}
+
+impl<V: Default> PeerTable<V> {
+    fn get(&self, id: HostId) -> Option<&V> {
+        match &self.first {
+            Some((first, state)) if *first == id => Some(state),
+            _ if self.rest.is_empty() => None,
+            _ => self.rest.get(&id),
+        }
+    }
+
+    fn entry_or_default(&mut self, id: HostId) -> &mut V {
+        let (first, state) = self.first.get_or_insert_with(|| (id, V::default()));
+        if *first == id {
+            state
+        } else {
+            self.rest.entry(id).or_default()
+        }
+    }
+}
+
 /// Per-destination sender state: which feedback to present next.
 #[derive(Debug, Clone, Default)]
 struct PerDestination {
@@ -61,7 +89,7 @@ impl PerDestination {
 /// NetFence headers for outgoing packets.
 #[derive(Debug, Default)]
 pub struct SenderShim {
-    dests: IdMap<HostId, PerDestination>,
+    dests: PeerTable<PerDestination>,
 }
 
 impl SenderShim {
@@ -74,7 +102,7 @@ impl SenderShim {
     /// echoed-feedback field of a packet from `dst`, or carried by a
     /// dedicated feedback packet for one-way transports).
     pub fn feedback_returned(&mut self, dst: HostId, fb: Feedback) {
-        let entry = self.dests.entry(dst).or_default();
+        let entry = self.dests.entry_or_default(dst);
         let newer = |old: &Option<Feedback>| old.is_none_or(|o| fb.ts() >= o.ts());
         if newer(&entry.latest) {
             entry.latest = Some(fb);
@@ -91,7 +119,7 @@ impl SenderShim {
     /// newest feedback of any kind. Returns `None` when nothing un-expired
     /// is held (a request packet must be sent).
     pub fn presentable_feedback(&self, now: Nanos, dst: HostId, cfg: &Config) -> Option<Feedback> {
-        self.dests.get(&dst)?.presentable(now, cfg)
+        self.dests.get(dst)?.presentable(now, cfg)
     }
 
     /// Build the NetFence header for the next packet to `dst`.
@@ -109,7 +137,7 @@ impl SenderShim {
         cfg: &Config,
     ) -> NetFenceHeader {
         // One probe serves both the feedback lookup and the back-off clock.
-        let entry = self.dests.entry(dst).or_default();
+        let entry = self.dests.entry_or_default(dst);
         match entry.presentable(now, cfg) {
             Some(fb) => NetFenceHeader::regular(proto, fb, echo),
             None => {
@@ -157,7 +185,7 @@ struct Peer {
 /// sender and decides whether to echo it.
 #[derive(Debug, Default)]
 pub struct ReceiverShim {
-    peers: IdMap<HostId, Peer>,
+    peers: PeerTable<Peer>,
     default_policy: ReceiverPolicy,
 }
 
@@ -176,12 +204,12 @@ impl ReceiverShim {
     /// Set the policy for a specific sender (e.g. classify it as attack
     /// traffic and suppress it).
     pub fn set_policy(&mut self, sender: HostId, policy: ReceiverPolicy) {
-        self.peers.entry(sender).or_default().policy = Some(policy);
+        self.peers.entry_or_default(sender).policy = Some(policy);
     }
 
     /// Record the presented feedback of a packet received from `sender`.
     pub fn packet_received(&mut self, sender: HostId, presented: Feedback) {
-        let peer = self.peers.entry(sender).or_default();
+        let peer = self.peers.entry_or_default(sender);
         if peer.latest.is_none_or(|old| presented.ts() >= old.ts() || presented.is_decr()) {
             peer.latest = Some(presented);
         }
@@ -189,7 +217,7 @@ impl ReceiverShim {
 
     /// The feedback to echo back to `sender`, if policy allows.
     pub fn echo_for(&self, sender: HostId) -> Option<Feedback> {
-        let peer = self.peers.get(&sender)?;
+        let peer = self.peers.get(sender)?;
         match peer.policy.unwrap_or(self.default_policy) {
             ReceiverPolicy::Suppress => None,
             ReceiverPolicy::Echo => peer.latest,
@@ -321,5 +349,48 @@ mod tests {
         s.feedback_returned(dst, nop(10));
         let h = s.make_header(11 * SEC, dst, 6, Some(incr(9)), &cfg);
         assert_eq!(h.echoed, Some(incr(9)));
+    }
+
+    #[test]
+    fn receiver_with_a_thousand_senders_echoes_each_its_own() {
+        let mut r = ReceiverShim::new();
+        for s in 0..1000 {
+            r.packet_received(HostId(s), nop(s));
+        }
+        for s in 0..1000 {
+            assert_eq!(r.echo_for(HostId(s)), Some(nop(s)));
+        }
+        assert_eq!(r.echo_for(HostId(1000)), None);
+    }
+
+    #[test]
+    fn policy_for_a_second_peer_before_any_packet() {
+        let mut r = ReceiverShim::new();
+        r.set_policy(HostId(1), ReceiverPolicy::Suppress);
+        r.set_policy(HostId(2), ReceiverPolicy::Suppress);
+        for s in 1..=3 {
+            r.packet_received(HostId(s), nop(5));
+        }
+        assert_eq!(r.echo_for(HostId(1)), None);
+        assert_eq!(r.echo_for(HostId(2)), None);
+        assert_eq!(r.echo_for(HostId(3)), Some(nop(5)));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn peer_table_is_a_map(ops in proptest::collection::vec((0u8..2, 0u32..4, 1u32..100), 0..40)) {
+            let mut table = PeerTable::<u32>::default();
+            let mut model = IdMap::<HostId, u32>::default();
+            for (op, id, add) in ops {
+                let id = HostId(id);
+                if op == 0 {
+                    *table.entry_or_default(id) += add;
+                    *model.entry(id).or_default() += add;
+                }
+                for probe in (0..5).map(HostId) {
+                    assert_eq!(table.get(probe), model.get(&probe), "{probe:?} after {id:?}");
+                }
+            }
+        }
     }
 }

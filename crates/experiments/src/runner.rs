@@ -74,8 +74,14 @@ impl Runner {
     /// Build the network (once), instantiate the defense, spawn all role
     /// flows, run the simulation and collect the [`Record`].
     pub fn run(&self) -> Record {
+        self.run_edited(|_, _| {})
+    }
+
+    /// [`Runner::run`] with `edit` applied to the deployment before it moves
+    /// into the simulator (a differential test re-plans queues through it).
+    pub fn run_edited(&self, edit: impl FnOnce(&Network, &mut Deployment)) -> Record {
         let built = self.build_topo();
-        self.run_built(built).0
+        self.run_built(built, edit).0
     }
 
     /// Like [`Runner::run`] but also returns the run's [`TelemetryDump`]
@@ -84,7 +90,7 @@ impl Runner {
     /// [`ScenarioSpec::traced`](crate::spec::ScenarioSpec::traced).
     pub fn run_with_telemetry(&self) -> (Record, TelemetryDump) {
         let built = self.build_topo();
-        self.run_built(built)
+        self.run_built(built, |_, _| {})
     }
 
     /// Map the scenario onto a `netfence-topo` [`TopoSpec`] and build it.
@@ -143,7 +149,11 @@ impl Runner {
     }
 
     /// Deploy, spawn and simulate one built topology.
-    fn run_built(&self, built: BuiltTopo) -> (Record, TelemetryDump) {
+    fn run_built(
+        &self,
+        built: BuiltTopo,
+        edit: impl FnOnce(&Network, &mut Deployment),
+    ) -> (Record, TelemetryDump) {
         let spec = &self.spec;
         let BuiltTopo { net, groups, bottlenecks, source_ases, competing_senders } = built;
         let bottleneck_bps = bottlenecks.iter().map(|b| b.bps).min().unwrap_or(0);
@@ -163,6 +173,7 @@ impl Runner {
         let factory = spec.defense.build(&ctx);
         let resolved = spec.defense.deployment.resolve_for_source_ases(&net, &source_ases);
         let mut deployment = factory.deploy(&net, &resolved);
+        edit(&net, &mut deployment);
         // Route control messages through the asynchronous transport before
         // the simulator drains the deploy-time traffic, so even the initial
         // key announcements and filter requests see latency/loss/outages.

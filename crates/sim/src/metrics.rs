@@ -2,7 +2,7 @@
 //! statistics the experiments report (throughput ratio, Jain fairness
 //! index, utilization).
 //!
-//! The per-link counters are dense `Vec`s indexed by link id (links are
+//! The per-link counters are a dense `Vec` indexed by link id (links are
 //! dense already), so the per-packet hot path never hashes; the
 //! `LinkAddr → index` map is consulted only by post-run readers. Every
 //! drop is additionally recorded with a typed [`DropCause`] in an
@@ -15,15 +15,20 @@ use crate::packet::LinkAddr;
 use crate::time::Nanos;
 use crate::topology::LinkSpec;
 
+/// One link's counters (transmissions, queue drops) side by side: a
+/// transmission dirties one cache line, not one per counter.
+#[derive(Debug, Default, Clone, Copy)]
+struct LinkCounters {
+    tx_bytes: u64,
+    tx_pkts: u64,
+    drop_pkts: u64,
+}
+
 /// Per-link and global counters collected by the engine.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    /// Bytes transmitted per link, indexed by dense link id.
-    link_tx_bytes: Vec<u64>,
-    /// Packets transmitted per link, indexed by dense link id.
-    link_tx_pkts: Vec<u64>,
-    /// Packets dropped by each link's queue, indexed by dense link id.
-    link_drop_pkts: Vec<u64>,
+    /// Indexed by dense link id.
+    links: Vec<LinkCounters>,
     /// Post-run lookup from protocol-level link address to dense index.
     link_index: IdMap<LinkAddr, usize>,
     /// Packets dropped outside link queues (agents, policers, routing).
@@ -44,9 +49,7 @@ impl Metrics {
     /// Metrics sized for a network with the given links.
     pub fn for_links(links: &[LinkSpec]) -> Self {
         Metrics {
-            link_tx_bytes: vec![0; links.len()],
-            link_tx_pkts: vec![0; links.len()],
-            link_drop_pkts: vec![0; links.len()],
+            links: vec![LinkCounters::default(); links.len()],
             link_index: links.iter().enumerate().map(|(i, l)| (l.addr, i)).collect(),
             drops: DropLedger::new(links.len()),
             ..Metrics::default()
@@ -56,14 +59,15 @@ impl Metrics {
     /// Register one transmitted packet of `bytes` on link `idx`.
     #[inline]
     pub(crate) fn record_tx(&mut self, idx: usize, bytes: u64) {
-        self.link_tx_bytes[idx] += bytes;
-        self.link_tx_pkts[idx] += 1;
+        let link = &mut self.links[idx];
+        link.tx_bytes += bytes;
+        link.tx_pkts += 1;
     }
 
     /// Register one queue drop of flow `flow` on link `idx`.
     #[inline]
     pub(crate) fn record_link_drop(&mut self, idx: usize, flow: u64, cause: DropCause) {
-        self.link_drop_pkts[idx] += 1;
+        self.links[idx].drop_pkts += 1;
         self.drops.record(Some(idx), flow, cause);
         self.profile.drops += 1;
     }
@@ -84,17 +88,17 @@ impl Metrics {
 
     /// Bytes transmitted on a link.
     pub fn link_tx_bytes(&self, link: LinkAddr) -> u64 {
-        self.idx(link).map_or(0, |i| self.link_tx_bytes[i])
+        self.idx(link).map_or(0, |i| self.links[i].tx_bytes)
     }
 
     /// Packets transmitted on a link.
     pub fn link_tx_pkts(&self, link: LinkAddr) -> u64 {
-        self.idx(link).map_or(0, |i| self.link_tx_pkts[i])
+        self.idx(link).map_or(0, |i| self.links[i].tx_pkts)
     }
 
     /// Packets dropped by a link's queue.
     pub fn link_drop_pkts(&self, link: LinkAddr) -> u64 {
-        self.idx(link).map_or(0, |i| self.link_drop_pkts[i])
+        self.idx(link).map_or(0, |i| self.links[i].drop_pkts)
     }
 
     /// Typed drop budget of a link's queue.
@@ -110,7 +114,7 @@ impl Metrics {
 
     /// Queue drops summed over every link.
     pub fn queue_drop_pkts(&self) -> u64 {
-        self.link_drop_pkts.iter().sum()
+        self.links.iter().map(|l| l.drop_pkts).sum()
     }
 
     /// All drops of the run: queue drops plus node-level drops. Always

@@ -88,6 +88,19 @@ impl DropTail {
     pub fn new(limit_bytes: usize) -> Self {
         DropTail { queue: VecDeque::new(), bytes: 0, limit_bytes }
     }
+
+    /// The topology's default FIFO for a link of `capacity_bps`: 0.2 s of
+    /// the link, at least ten full-size packets.
+    pub fn for_capacity(capacity_bps: u64) -> Self {
+        Self::new(((capacity_bps / 8) / 5).max(15_000) as usize)
+    }
+
+    /// Whether offering `pkt` and then dequeuing would hand back `pkt` and
+    /// leave the queue as it is (it is empty and `pkt` fits): a free link
+    /// may then put the packet on the wire without queueing it.
+    pub fn passes_straight_through(&self, pkt: &Packet) -> bool {
+        self.queue.is_empty() && pkt.size <= self.limit_bytes
+    }
 }
 
 impl QueueDisc for DropTail {
@@ -671,6 +684,14 @@ impl QueueDisc for DualChannelQueue {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    impl DropTail {
+        /// Whether the queue has ever had to hold a packet (its ring is
+        /// allocated on the first one that waits); for the engine's tests.
+        pub(crate) fn owns_heap(&self) -> bool {
+            self.queue.capacity() > 0
+        }
+    }
 
     fn pkt(src: u32, size: usize) -> Packet {
         Packet::udp(0, src, 999, size, 0)

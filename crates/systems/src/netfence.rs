@@ -34,6 +34,7 @@
 //! routers, which is the paper's adoption incentive (§5.3).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use netfence_core::access::{AccessRouter, AccessVerdict};
 use netfence_core::as_police::{AsPolicer, AsPolicingMode};
@@ -223,7 +224,8 @@ impl DefenseFactory for NetFenceDefense {
             );
         }
 
-        // Host shims for every host in a deploying AS.
+        // Host shims for every host in a deploying AS, sharing one `Config`.
+        let cfg = Arc::new(self.cfg.clone());
         for host in map.hosts(net) {
             let mut receiver = ReceiverShim::default();
             for &(r, s) in &self.suppressed {
@@ -234,7 +236,7 @@ impl DefenseFactory for NetFenceDefense {
             builder.host_shim(
                 host,
                 Box::new(NetFenceHostShim {
-                    cfg: self.cfg.clone(),
+                    cfg: Arc::clone(&cfg),
                     sender: SenderShim::default(),
                     receiver,
                     priority_override: self.priority_override.get(&host).copied(),
@@ -260,7 +262,7 @@ impl DefenseFactory for NetFenceDefense {
 /// The sender/receiver shim of one NetFence host.
 #[derive(Debug)]
 struct NetFenceHostShim {
-    cfg: Config,
+    cfg: Arc<Config>,
     sender: SenderShim,
     receiver: ReceiverShim,
     priority_override: Option<u8>,

@@ -9,9 +9,15 @@
 //! holds every delivery to them and the link events to the number of packets
 //! that actually had to wait. The named cases are the coincidences
 //! and faults a random script will not hit.
+//!
+//! Those runs plan a boxed FIFO on every link. The topology's *default*
+//! FIFO sits inline in the engine, where a free link with nothing queued
+//! transmits straight through instead of enqueue-then-dequeue; the
+//! differential tests hold it to the planned path, hop for hop.
 
 use netfence::sim::prelude::*;
 use netfence::sim::time::transmission_time;
+use netfence::sim::topology::LinkSpec;
 use proptest::collection::vec;
 use proptest::proptest;
 
@@ -110,13 +116,22 @@ fn simulator(
     end_time: Nanos,
     mut custom: Option<(usize, Box<dyn QueueDisc>)>,
 ) -> Simulator {
+    planned_simulator(net, end_time, |link, _| match custom.take_if(|(at, _)| *at == link) {
+        Some((_, queue)) => Some(queue),
+        None => Some(Box::new(DropTail::new(usize::MAX))),
+    })
+}
+
+fn planned_simulator(
+    net: Network,
+    end_time: Nanos,
+    mut queue_for: impl FnMut(usize, &LinkSpec) -> Option<Box<dyn QueueDisc>>,
+) -> Simulator {
     let mut plan = Deployment::builder(&net, "chain");
-    for link in 0..net.links.len() {
-        let queue: Box<dyn QueueDisc> = match custom.take_if(|(at, _)| *at == link) {
-            Some((_, queue)) => queue,
-            None => Box::new(DropTail::new(usize::MAX)),
-        };
-        plan.queue(link, queue);
+    for (link, spec) in net.links.iter().enumerate() {
+        if let Some(queue) = queue_for(link, spec) {
+            plan.queue(link, queue);
+        }
     }
     let deployment = plan.build();
     let cfg = SimConfig {
@@ -174,6 +189,42 @@ fn delivered_at(sim: &Simulator, flow: FlowId) -> Vec<Nanos> {
     sim.progress(flow).completions.iter().map(|c| c.1).collect()
 }
 
+/// Everything a run shows: every hop of every packet in order, every
+/// delivery, the engine's counters and the drop total.
+type Observed = (Vec<HopEvent>, Vec<(Nanos, Nanos, u64)>, EngineProfile, u64);
+
+/// Run `sends` down the chain on the two forms of the topology's default
+/// FIFO (finite: a burst overflows it) — inline in the engine, nothing
+/// planned, and a boxed `DropTail` of the same limit planned over every link,
+/// which never transmits straight through. The runs must be indistinguishable.
+fn inline_matches_planned(
+    hops: &[(u64, Nanos)],
+    sends: &[(Nanos, usize)],
+    faults: &[(Nanos, usize, bool)],
+) -> Observed {
+    let run = |planned: bool| {
+        let (net, path) = chain(hops);
+        let end_time = sends.last().map_or(0, |s| s.0) + SEC;
+        let mut sim = planned_simulator(net, end_time, |_, spec| {
+            planned.then(|| Box::new(DropTail::for_capacity(spec.capacity)) as Box<dyn QueueDisc>)
+        });
+        let flow = script(&mut sim, SRC, regular(sends));
+        for &(at, hop, up) in faults {
+            let link = path[hop];
+            let action =
+                if up { FaultAction::LinkUp { link } } else { FaultAction::LinkDown { link } };
+            sim.schedule_fault(at, action);
+        }
+        sim.run();
+        let hops = sim.flight.events().copied().collect();
+        let delivered = sim.progress(flow).completions.clone();
+        (hops, delivered, sim.metrics.profile, sim.metrics.total_drop_pkts())
+    };
+    let (inline, planned) = (run(false), run(true));
+    assert_eq!(inline, planned, "hops {hops:?}, sends {sends:?}, faults {faults:?}");
+    inline
+}
+
 const CAPACITIES: [u64; 4] = [2_000_000, 10_000_000, 100_000_000, FAST];
 const DELAYS: [Nanos; 5] = [0, 1, 1_000, MILLI, 3_141_593];
 
@@ -203,6 +254,7 @@ proptest! {
         // No packet is empty here, so a wire is woken once per packet that
         // waited for it and never for one that did not.
         assert_eq!(link_events, found_busy);
+        inline_matches_planned(&hops, &sends, &[]);
     }
 }
 
@@ -222,9 +274,71 @@ fn zero_size_packets_and_zero_delay_links() {
         (MILLI, 0),
         (MILLI, 0),
     ];
-    check_against_model(&[(SLOW, 0), (SLOW, 0)], &sends);
-    check_against_model(&[(SLOW, 0), (FAST, 0), (SLOW, 0)], &sends);
-    check_against_model(&[(FAST, 0), (SLOW, 0), (SLOW, MILLI), (FAST, 0)], &sends);
+    for hops in [
+        &[(SLOW, 0), (SLOW, 0)][..],
+        &[(SLOW, 0), (FAST, 0), (SLOW, 0)],
+        &[(FAST, 0), (SLOW, 0), (SLOW, MILLI), (FAST, 0)],
+    ] {
+        check_against_model(hops, &sends);
+        inline_matches_planned(hops, &sends, &[]);
+    }
+}
+
+#[test]
+fn a_straight_through_packet_is_traced_and_counted_as_queued() {
+    // One packet, three idle links: nothing ever waits, yet every hop shows
+    // an enqueue and then a dequeue at the same instant, and both counters
+    // move.
+    let (hops, delivered, profile, _) =
+        inline_matches_planned(&[(SLOW, MILLI), (SLOW, MILLI), (FAST, 0)], &[(0, 1000)], &[]);
+    let stages: Vec<_> =
+        hops.iter().filter(|e| e.link.is_some()).map(|e| (e.stage, e.at)).collect();
+    let hop = |at| [(HopStage::Enqueue, at), (HopStage::Dequeue, at)];
+    assert_eq!(stages, [hop(0), hop(2 * MILLI), hop(4 * MILLI)].concat());
+    assert_eq!(delivered, [(0, 4_001_000, 1000)]);
+    assert_eq!((profile.enqueues, profile.dequeues, profile.link_events), (3, 3, 0));
+}
+
+#[test]
+fn an_arrival_on_the_nanosecond_of_a_wake_with_no_backlog_left_waits_for_it() {
+    // Packet 1 holds the middle wire over 2.001–3.001 ms; packet 2 queues
+    // behind it at 2.101 ms, so a wake is pending for 3.001 ms. A cut at
+    // 2.5 ms takes packet 2; the restore at 2.6 ms saves packet 1. Packet 3's
+    // arrival at exactly 3.001 ms was queued at 1 ms, ahead of the wake: it
+    // finds the link free and the FIFO empty but must not start a second
+    // transmission under the pending wake — the wake sends it.
+    let hops = [(FAST, 2 * MILLI), (SLOW, 0), (FAST, 0)];
+    let sends = [(0, 1000), (100_000, 1000), (MILLI, 1000)];
+    let (trace, delivered, profile, drops) =
+        inline_matches_planned(&hops, &sends, &[(2_500_000, 1, false), (2_600_000, 1, true)]);
+    assert_eq!(delivered, [(0, 3_002_000, 1000), (MILLI, 4_002_000, 1000)]);
+    assert_eq!((drops, profile.link_events), (1, 1));
+    let third: Vec<_> =
+        trace.iter().filter(|e| e.stage == HopStage::Dequeue && e.pkt == 3).map(|e| e.at).collect();
+    assert_eq!(third, [MILLI, 3_001_000, 4_001_000]);
+}
+
+#[test]
+fn a_cut_mid_serialization_of_a_straight_through_packet_loses_it() {
+    // As below, on default FIFOs: packet 1 went straight onto the middle
+    // wire (0.001–1.001 ms) and the link still knows it is there.
+    let hops = [(FAST, 0), (SLOW, 10 * MILLI), (FAST, 0)];
+    let sends = [(0, 1000), (2 * MILLI, 1000)];
+    let (trace, delivered, _, drops) =
+        inline_matches_planned(&hops, &sends, &[(500_000, 1, false), (1_500_000, 1, true)]);
+    assert_eq!(delivered, [(2 * MILLI, 13_002_000, 1000)]);
+    let lost: Vec<_> = trace.iter().filter(|e| e.stage == HopStage::Drop).collect();
+    assert_eq!(lost.len(), 1);
+    assert_eq!(
+        (lost[0].pkt, lost[0].at, lost[0].cause),
+        (1, 11_001_000, Some(DropCause::LinkDown))
+    );
+    assert_eq!(drops, 1);
+    // Restored before the last bit is out: nothing is lost.
+    let (_, delivered, _, drops) =
+        inline_matches_planned(&hops, &sends, &[(300_000, 1, false), (600_000, 1, true)]);
+    assert_eq!(delivered, [(0, 11_002_000, 1000), (2 * MILLI, 13_002_000, 1000)]);
+    assert_eq!(drops, 0);
 }
 
 #[test]
