@@ -31,7 +31,10 @@ fn digest(record: &Record) -> u64 {
 }
 
 fn check(cell: &str, spec: ScenarioSpec, pinned: Pin) {
-    let mut record = Runner::new(spec).run();
+    check_record(cell, Runner::new(spec).run(), pinned);
+}
+
+fn check_record(cell: &str, mut record: Record, pinned: Pin) {
     let (events, link_events) = (record.engine.events, record.engine.link_events);
     record.engine.events = 0;
     record.engine.link_events = 0;
@@ -144,4 +147,53 @@ fn deployment_seam_cells() {
     };
     let spec = chaos::chaos_spec(&Size::Quick.scale_for(25, 60), DefenseKind::Tva, &point);
     check("chaos/internet/link-failure/TVA+", spec, (0x3316_6ff7_85d4_44b1, 121_673, 33_728));
+}
+
+/// The cells a control-plane outage or a lossy transport decides, digests
+/// taken with `record.faults` cleared as well (constants computed on
+/// 4b44f88, where an outage was a `CtrlConfig` field and left no fault
+/// window in the `Record`): `reaction` with the controller dark for 10 s
+/// from the attack instant, `reaction` at 30 % loss (the loss RNG with no
+/// outage), and the `control_plane_outage` example's StopIt dumbbell.
+#[test]
+fn outage_cells() {
+    use netfence::ctrl::prelude::CtrlConfig;
+    use netfence::experiments::reaction::{reaction_spec, ReactionKnobs, ATTACK_START};
+    use netfence::sim::time::{MILLI, SEC};
+
+    let check_without_faults = |cell: &str, spec: ScenarioSpec, pinned: Pin| {
+        let mut record = Runner::new(spec).run();
+        record.faults.clear();
+        check_record(cell, record, pinned);
+    };
+
+    let scale = Size::Quick.scale_for(40, 90);
+    let outage = ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
+    let lossy = ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 300, outage: 0 };
+    for (name, knobs, kind, pinned) in [
+        ("10s-outage", outage, DefenseKind::StopIt, (0x54c9_49f1_e3ce_fa25, 113_147, 12_001)),
+        ("10s-outage", outage, DefenseKind::NetFence, (0x8fd7_0f1d_352a_96f2, 109_794, 5_808)),
+        ("30%-loss", lossy, DefenseKind::StopIt, (0xdeca_7bb6_64ec_71fa, 78_580, 947)),
+        ("30%-loss", lossy, DefenseKind::NetFence, (0xfae0_e326_d06c_f079, 109_793, 5_808)),
+    ] {
+        let spec = reaction_spec(&scale, kind, &knobs);
+        check_without_faults(&format!("reaction/100ms+{name}/{}", kind.label()), spec, pinned);
+    }
+
+    let scale = Scale { src_ases: 2, hosts_per_as: 3, sim_time: 48 * SEC, seed: 5 };
+    let spec = ScenarioSpec::dumbbell(scale)
+        .named("control-plane-outage")
+        .defense(DefenseKind::StopIt)
+        .fair_share(30_000)
+        .legit_per_as(1)
+        .users(TrafficSpec::cbr(50_000))
+        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+        .attacker_start(StartSchedule::delayed(ATTACK_START))
+        .control(CtrlConfig::ideal().outage(ATTACK_START, ATTACK_START + 10 * SEC))
+        .sampled(SEC);
+    check_without_faults(
+        "control_plane_outage/outage/StopIt",
+        spec,
+        (0xb86a_3758_abce_bf27, 42_725, 3_149),
+    );
 }
