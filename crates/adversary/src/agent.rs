@@ -8,7 +8,7 @@ use netfence_sim::time::Nanos;
 use netfence_sim::udp::{UdpFlow, UdpPattern};
 
 use crate::ctx::StrategyCtx;
-use crate::strategy::{AttackLoad, AttackStrategy};
+use crate::strategy::AttackStrategy;
 
 /// Control-timer token space. The inner [`UdpFlow`] uses small tokens
 /// (send/echo); everything at or above this value belongs to the agent.
@@ -52,10 +52,6 @@ enum FlashStage {
 /// The strategy-specific agent state.
 #[derive(Debug)]
 enum Plan {
-    /// The inner flow already implements the whole strategy (static loads,
-    /// fixed shrew pulses): pure delegation, no control timers, and
-    /// therefore byte-identical behavior to the legacy flow spec.
-    Passive,
     /// Walk the target ring every `dwell`.
     Rolling { dwell: Nanos, pos: usize },
     /// Try each candidate for `epoch`, then commit to the best.
@@ -73,8 +69,9 @@ enum Plan {
 
 /// An adaptive attacker: wraps an inner [`UdpFlow`] and retunes its rate,
 /// duty cycle and destination from control timers, per the chosen
-/// [`AttackStrategy`]. All randomness comes from the agent's own [`SimRng`]
-/// stream seeded via [`StrategyCtx::seed`].
+/// [`AttackStrategy`] (built by [`AttackStrategy::build_flow`]). All
+/// randomness comes from the agent's own [`SimRng`] stream seeded via
+/// [`StrategyCtx::seed`].
 #[derive(Debug)]
 pub struct AdversaryFlow {
     inner: UdpFlow,
@@ -85,69 +82,61 @@ pub struct AdversaryFlow {
     rate_bps: u64,
 }
 
-impl AdversaryFlow {
-    /// Build the agent for one attacker flow: `src` attacks `dst` (the
-    /// scenario's resolved target for this member) under `strategy`.
-    pub fn new(
+impl AttackStrategy {
+    /// Instantiate the flow of one attacker: `src` floods `dst` (the
+    /// scenario's resolved target for this member) under this strategy.
+    /// `Static` and `Shrew` are a bare [`UdpFlow`]; the adaptive strategies
+    /// wrap one in an [`AdversaryFlow`] agent built from `ctx`, which is
+    /// only asked for when the strategy reads it.
+    pub fn build_flow(
+        &self,
         id: FlowId,
         src: HostAddr,
         dst: HostAddr,
-        strategy: AttackStrategy,
-        ctx: StrategyCtx,
-    ) -> Self {
-        let rng = SimRng::new(ctx.seed);
-        let (inner, plan, rate_bps) = match strategy {
-            AttackStrategy::Static(AttackLoad::Cbr { rate_bps }) => {
-                (UdpFlow::cbr(id, src, dst, rate_bps), Plan::Passive, rate_bps)
+        ctx: impl FnOnce() -> StrategyCtx,
+    ) -> Box<dyn Flow> {
+        let (inner, plan, rate_bps, ctx) = match *self {
+            AttackStrategy::Static { rate_bps } => {
+                return Box::new(UdpFlow::cbr(id, src, dst, rate_bps));
             }
-            AttackStrategy::Static(AttackLoad::OnOff { rate_bps, on, off }) => (
-                UdpFlow::new(id, src, dst, rate_bps, UdpPattern::OnOff { on, off }),
-                Plan::Passive,
-                rate_bps,
-            ),
             AttackStrategy::Shrew { rate_bps, timing } => {
-                let (on, off) = timing.resolve(ctx.aimd_interval);
-                (
-                    UdpFlow::new(id, src, dst, rate_bps, UdpPattern::OnOff { on, off }),
-                    Plan::Passive,
-                    rate_bps,
-                )
+                let (on, off) = timing.resolve(|| ctx().aimd_interval);
+                let pattern = UdpPattern::OnOff { on, off };
+                return Box::new(UdpFlow::new(id, src, dst, rate_bps, pattern));
             }
-            AttackStrategy::Rolling { rate_bps, dwell } => (
-                UdpFlow::cbr(id, src, dst, rate_bps),
-                Plan::Rolling { dwell: dwell.max(1), pos: ctx.ring_position(dst) },
-                rate_bps,
-            ),
+            AttackStrategy::Rolling { rate_bps, dwell } => {
+                let ctx = ctx();
+                let plan = Plan::Rolling { dwell: dwell.max(1), pos: ctx.ring_position(dst) };
+                (UdpFlow::cbr(id, src, dst, rate_bps), plan, rate_bps, ctx)
+            }
             AttackStrategy::Probe { rate_bps, epoch } => {
+                let ctx = ctx();
                 let mut candidates = vec![ProbeMode::FloodVictim];
                 if ctx.colluder.is_some() {
                     candidates.push(ProbeMode::FloodColluder);
                 }
                 candidates.push(ProbeMode::ChurnVictim);
                 let scores = vec![0; candidates.len()];
-                (
-                    UdpFlow::cbr(id, src, ctx.victim, rate_bps),
-                    Plan::Probe { epoch: epoch.max(1), candidates, phase: 0, scores, mark: 0 },
-                    rate_bps,
-                )
+                let plan =
+                    Plan::Probe { epoch: epoch.max(1), candidates, phase: 0, scores, mark: 0 };
+                (UdpFlow::cbr(id, src, ctx.victim, rate_bps), plan, rate_bps, ctx)
             }
             AttackStrategy::FlashMimic { peak_bps, ramp, hold } => {
                 let peak_bps = peak_bps.max(FLASH_STEPS);
-                (
-                    UdpFlow::cbr(id, src, dst, trough_rate(peak_bps)),
-                    Plan::Flash {
-                        peak_bps,
-                        ramp: ramp.max(FLASH_STEPS),
-                        hold: hold.max(1),
-                        stage: FlashStage::Jitter,
-                    },
+                let plan = Plan::Flash {
                     peak_bps,
-                )
+                    ramp: ramp.max(FLASH_STEPS),
+                    hold: hold.max(1),
+                    stage: FlashStage::Jitter,
+                };
+                (UdpFlow::cbr(id, src, dst, trough_rate(peak_bps)), plan, peak_bps, ctx())
             }
         };
-        AdversaryFlow { inner, plan, rng, ctx, rate_bps }
+        Box::new(AdversaryFlow { inner, plan, rng: SimRng::new(ctx.seed), ctx, rate_bps })
     }
+}
 
+impl AdversaryFlow {
     /// Retune the inner flow to one probing candidate.
     fn apply_probe_mode(&mut self, now: Nanos, mode: ProbeMode) {
         let rate = self.rate_bps;
@@ -175,7 +164,6 @@ impl AdversaryFlow {
     /// Handle one control tick; returns the follow-up timer, if any.
     fn control_tick(&mut self, now: Nanos) -> Option<Nanos> {
         match &mut self.plan {
-            Plan::Passive => None,
             Plan::Rolling { dwell, pos } => {
                 *pos = (*pos + 1) % self.ctx.ring.len();
                 let next = self.ctx.ring[*pos];
@@ -255,7 +243,6 @@ impl Flow for AdversaryFlow {
     fn start(&mut self, now: Nanos, out: &mut FlowActions) {
         self.inner.start(now, out);
         match &self.plan {
-            Plan::Passive => {}
             Plan::Rolling { dwell, .. } => {
                 out.timers.push((now + *dwell, TOKEN_CTRL));
             }
@@ -300,7 +287,7 @@ mod tests {
     /// Drive an agent's own timers without a network, recording every
     /// emitted packet as `(time, dst, size)` and, optionally, looping each
     /// packet straight back to its destination ("ideal delivery").
-    fn drive(f: &mut AdversaryFlow, until: Nanos, deliver: bool) -> Vec<(Nanos, HostAddr, usize)> {
+    fn drive(f: &mut dyn Flow, until: Nanos, deliver: bool) -> Vec<(Nanos, HostAddr, usize)> {
         let mut timers = FlowActions::of(|a| f.start(0, a)).timers;
         let mut sent = Vec::new();
         while let Some(pos) = timers.iter().enumerate().min_by_key(|(_, (t, _))| *t).map(|(i, _)| i)
@@ -335,33 +322,13 @@ mod tests {
     }
 
     #[test]
-    fn static_cbr_matches_plain_udpflow_exactly() {
-        let mut plain = UdpFlow::cbr(0, 1, 100, 1_000_000);
-        let mut agent =
-            AdversaryFlow::new(0, 1, 100, AttackStrategy::static_cbr(1_000_000), ctx(7));
-        // Same timers, same packets, no control timers at all.
-        let mut t_plain = FlowActions::of(|a| plain.start(0, a)).timers;
-        let t_agent = FlowActions::of(|a| agent.start(0, a)).timers;
-        assert_eq!(t_plain, t_agent);
-        for _ in 0..50 {
-            let (at, tok) = t_plain.remove(0);
-            let a = FlowActions::of(|a| plain.on_timer(at, tok, a));
-            let b = FlowActions::of(|a| agent.on_timer(at, tok, a));
-            assert_eq!(a.packets.len(), b.packets.len());
-            assert_eq!(a.timers, b.timers);
-            t_plain = a.timers;
-        }
-        assert_eq!(plain.progress(), agent.progress());
-    }
-
-    #[test]
     fn shrew_tuned_pulses_once_per_aimd_interval() {
-        let mut agent = AdversaryFlow::new(0, 1, 100, AttackStrategy::shrew_tuned(1_000_000), {
+        let mut agent = AttackStrategy::shrew_tuned(1_000_000).build_flow(0, 1, 100, || {
             let mut c = ctx(7);
             c.aimd_interval = 2 * SEC;
             c
         });
-        let sent = drive(&mut agent, 10 * SEC, false);
+        let sent = drive(agent.as_mut(), 10 * SEC, false);
         assert!(!sent.is_empty());
         // Every packet lands in the first quarter of a 2 s cycle.
         for (at, _, _) in &sent {
@@ -372,8 +339,8 @@ mod tests {
     #[test]
     fn rolling_walks_the_target_ring() {
         let strategy = AttackStrategy::Rolling { rate_bps: 1_000_000, dwell: SEC };
-        let mut agent = AdversaryFlow::new(0, 1, 100, strategy, ctx(7));
-        let sent = drive(&mut agent, (3 * SEC) + SEC / 2, false);
+        let mut agent = strategy.build_flow(0, 1, 100, || ctx(7));
+        let sent = drive(agent.as_mut(), (3 * SEC) + SEC / 2, false);
         let dsts: Vec<HostAddr> = sent.iter().map(|&(_, d, _)| d).collect();
         // First second at the spawn target, then one ring hop per dwell,
         // wrapping back to the start.
@@ -385,11 +352,11 @@ mod tests {
     #[test]
     fn probe_commits_to_the_highest_scoring_candidate() {
         let strategy = AttackStrategy::Probe { rate_bps: 1_000_000, epoch: SEC };
-        let mut agent = AdversaryFlow::new(0, 1, 100, strategy, ctx(7));
+        let mut agent = strategy.build_flow(0, 1, 100, || ctx(7));
         // Ideal delivery: every candidate scores, the plain victim flood
         // delivers the most (churn idles 80% of the time), so the agent
         // commits to flooding the victim.
-        let sent = drive(&mut agent, 20 * SEC, true);
+        let sent = drive(agent.as_mut(), 20 * SEC, true);
         let tail: Vec<&(Nanos, HostAddr, usize)> =
             sent.iter().filter(|&&(at, _, _)| at > 10 * SEC).collect();
         assert!(!tail.is_empty());
@@ -401,8 +368,8 @@ mod tests {
     #[test]
     fn flash_mimic_ramps_to_peak_and_decays() {
         let strategy = AttackStrategy::FlashMimic { peak_bps: 8_000_000, ramp: 2 * SEC, hold: SEC };
-        let mut agent = AdversaryFlow::new(0, 1, 100, strategy, ctx(7));
-        let sent = drive(&mut agent, 8 * SEC, false);
+        let mut agent = strategy.build_flow(0, 1, 100, || ctx(7));
+        let sent = drive(agent.as_mut(), 8 * SEC, false);
         // Bucket packet counts per half second: the surge makes some
         // buckets far denser than the trough ones.
         let mut buckets = [0u32; 16];
@@ -417,12 +384,9 @@ mod tests {
     #[test]
     fn flash_jitter_comes_from_the_dedicated_stream() {
         let strategy = AttackStrategy::FlashMimic { peak_bps: 8_000_000, ramp: 4 * SEC, hold: SEC };
-        let a =
-            FlowActions::of(|a| AdversaryFlow::new(0, 1, 100, strategy, ctx(1)).start(0, a)).timers;
-        let b =
-            FlowActions::of(|a| AdversaryFlow::new(0, 1, 100, strategy, ctx(2)).start(0, a)).timers;
-        let c =
-            FlowActions::of(|a| AdversaryFlow::new(0, 1, 100, strategy, ctx(1)).start(0, a)).timers;
+        let a = FlowActions::of(|a| strategy.build_flow(0, 1, 100, || ctx(1)).start(0, a)).timers;
+        let b = FlowActions::of(|a| strategy.build_flow(0, 1, 100, || ctx(2)).start(0, a)).timers;
+        let c = FlowActions::of(|a| strategy.build_flow(0, 1, 100, || ctx(1)).start(0, a)).timers;
         let ctrl = |ts: &Vec<(Nanos, u64)>| {
             ts.iter().find(|(_, tok)| *tok >= TOKEN_CTRL).map(|&(at, _)| at).unwrap()
         };

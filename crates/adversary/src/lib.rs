@@ -8,11 +8,11 @@
 //! vocabulary from "flood, on-off, collude" to a library of strategies
 //! ([`AttackStrategy`]) that adapt over the run:
 //!
-//! * [`AttackStrategy::Static`] — wraps the legacy fixed loads (CBR /
-//!   synchronized on-off) with byte-identical behavior, so every pre-existing
-//!   scenario is a degenerate strategy;
-//! * [`AttackStrategy::Shrew`] — on-off pulses tuned to the rate limiter's
-//!   AIMD control interval (`Ilim`), the classic low-rate shrew attack;
+//! * [`AttackStrategy::Static`] — a constant-bit-rate flood, so every
+//!   fixed-rate scenario is a degenerate strategy;
+//! * [`AttackStrategy::Shrew`] — on-off pulses, with explicit timing or
+//!   tuned to the rate limiter's AIMD control interval (`Ilim`), the
+//!   classic low-rate shrew attack;
 //! * [`AttackStrategy::Rolling`] — shifts the flood across the chained
 //!   bottlenecks of a multi-bottleneck mesh on a fixed schedule;
 //! * [`AttackStrategy::Probe`] — observes its *own* goodput, infers which
@@ -28,8 +28,8 @@
 //!
 //! The agent itself is [`AdversaryFlow`]: a [`Flow`] wrapping an inner
 //! [`UdpFlow`] it retunes (rate, duty cycle, destination) from control
-//! timers. A strategy that never retunes — `Static`, fixed-timing `Shrew` —
-//! is pure delegation and reproduces the legacy records byte-for-byte.
+//! timers. A strategy that never retunes — `Static`, `Shrew` — is that
+//! bare [`UdpFlow`], with no agent around it.
 //!
 //! [`Flow`]: netfence_sim::flow::Flow
 //! [`UdpFlow`]: netfence_sim::udp::UdpFlow
@@ -44,11 +44,11 @@ pub mod strategy;
 
 pub use agent::AdversaryFlow;
 pub use ctx::StrategyCtx;
-pub use strategy::{strategic_request_priority, AttackLoad, AttackStrategy, ShrewTiming};
+pub use strategy::{strategic_request_priority, AttackStrategy, ShrewTiming};
 
 /// Commonly used re-exports.
 pub mod prelude {
     pub use crate::agent::AdversaryFlow;
     pub use crate::ctx::StrategyCtx;
-    pub use crate::strategy::{AttackLoad, AttackStrategy, ShrewTiming};
+    pub use crate::strategy::{AttackStrategy, ShrewTiming};
 }

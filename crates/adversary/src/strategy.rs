@@ -1,43 +1,18 @@
 //! The declarative strategy vocabulary.
 
-use netfence_sim::flow::Flow;
-use netfence_sim::packet::{FlowId, HostAddr};
 use netfence_sim::time::{Nanos, SEC};
-
-use crate::agent::AdversaryFlow;
-use crate::ctx::StrategyCtx;
-
-/// A fixed attack load — the legacy `TrafficSpec` attacker behaviors,
-/// wrapped so [`AttackStrategy::Static`] can reproduce them byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttackLoad {
-    /// Constant-bit-rate UDP flood.
-    Cbr {
-        /// Sending rate, bits per second.
-        rate_bps: u64,
-    },
-    /// Synchronized on-off UDP bursts (§5.2.1).
-    OnOff {
-        /// Burst rate, bits per second.
-        rate_bps: u64,
-        /// Burst length.
-        on: Nanos,
-        /// Silence length.
-        off: Nanos,
-    },
-}
 
 /// How a [`AttackStrategy::Shrew`] agent times its pulses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShrewTiming {
     /// Tune the duty cycle to the defense's AIMD control interval from the
-    /// [`StrategyCtx`]: one burst of `Ilim/4` per control interval, so
-    /// every interval observes congestion (and decreases the rate limit)
-    /// while the attacker's average rate stays at a quarter of its burst
-    /// rate.
+    /// [`StrategyCtx`](crate::StrategyCtx): one burst of `Ilim/4` per
+    /// control interval, so every interval observes congestion (and
+    /// decreases the rate limit) while the attacker's average rate stays
+    /// at a quarter of its burst rate.
     Tuned,
-    /// Explicit pulse timing — the degenerate wrapper for figure scenarios
-    /// that sweep `Ton`/`Toff` themselves.
+    /// Explicit pulse timing — synchronized on-off bursts (§5.2.1), for
+    /// figure scenarios that sweep `Ton`/`Toff` themselves.
     Fixed {
         /// Burst length.
         on: Nanos,
@@ -47,11 +22,12 @@ pub enum ShrewTiming {
 }
 
 impl ShrewTiming {
-    /// Resolve to a concrete `(on, off)` pair against `aimd_interval`.
-    pub fn resolve(&self, aimd_interval: Nanos) -> (Nanos, Nanos) {
+    /// Resolve to a concrete `(on, off)` pair; `aimd_interval` is asked
+    /// only by [`ShrewTiming::Tuned`].
+    pub fn resolve(&self, aimd_interval: impl FnOnce() -> Nanos) -> (Nanos, Nanos) {
         match *self {
             ShrewTiming::Tuned => {
-                let ilim = aimd_interval.max(4);
+                let ilim = aimd_interval().max(4);
                 (ilim / 4, ilim - ilim / 4)
             }
             ShrewTiming::Fixed { on, off } => (on, off),
@@ -59,14 +35,17 @@ impl ShrewTiming {
     }
 }
 
-/// One attacker strategy: what a stateful attack agent does over the run.
+/// One attacker strategy: what an attacker does over the run.
 ///
 /// Strategies are pure descriptions (`Copy`, comparable, hashable into
-/// sweep grids); [`AttackStrategy::build_flow`] instantiates the agent.
+/// sweep grids); [`AttackStrategy::build_flow`] instantiates the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackStrategy {
-    /// A fixed load for the whole run — exactly the legacy attacker spec.
-    Static(AttackLoad),
+    /// A constant-bit-rate UDP flood for the whole run.
+    Static {
+        /// Sending rate, bits per second.
+        rate_bps: u64,
+    },
     /// Low-rate shrew pulses tuned to the rate limiter's AIMD period.
     Shrew {
         /// Burst rate, bits per second.
@@ -111,12 +90,7 @@ pub enum AttackStrategy {
 impl AttackStrategy {
     /// A static constant-bit-rate flood at `rate_bps`.
     pub fn static_cbr(rate_bps: u64) -> Self {
-        AttackStrategy::Static(AttackLoad::Cbr { rate_bps })
-    }
-
-    /// A static synchronized on-off load.
-    pub fn static_on_off(rate_bps: u64, on: Nanos, off: Nanos) -> Self {
-        AttackStrategy::Static(AttackLoad::OnOff { rate_bps, on, off })
+        AttackStrategy::Static { rate_bps }
     }
 
     /// A shrew tuned to the defense's AIMD interval.
@@ -144,26 +118,12 @@ impl AttackStrategy {
     /// Short display name for tables and bench ids.
     pub fn label(&self) -> &'static str {
         match self {
-            AttackStrategy::Static(AttackLoad::Cbr { .. }) => "static-cbr",
-            AttackStrategy::Static(AttackLoad::OnOff { .. }) => "static-onoff",
+            AttackStrategy::Static { .. } => "static-cbr",
             AttackStrategy::Shrew { .. } => "shrew",
             AttackStrategy::Rolling { .. } => "rolling",
             AttackStrategy::Probe { .. } => "probe",
             AttackStrategy::FlashMimic { .. } => "flash-mimic",
         }
-    }
-
-    /// Instantiate the stateful agent for one attacker: `src` floods `dst`
-    /// (the scenario's resolved target for this member) under this
-    /// strategy, with everything else resolved from `ctx`.
-    pub fn build_flow(
-        &self,
-        id: FlowId,
-        src: HostAddr,
-        dst: HostAddr,
-        ctx: StrategyCtx,
-    ) -> Box<dyn Flow> {
-        Box::new(AdversaryFlow::new(id, src, dst, *self, ctx))
     }
 }
 
@@ -237,10 +197,10 @@ mod tests {
 
     #[test]
     fn tuned_shrew_fits_one_burst_per_control_interval() {
-        let (on, off) = ShrewTiming::Tuned.resolve(2 * SEC);
+        let (on, off) = ShrewTiming::Tuned.resolve(|| 2 * SEC);
         assert_eq!(on, SEC / 2);
         assert_eq!(on + off, 2 * SEC);
-        let (on, off) = ShrewTiming::Fixed { on: SEC, off: 3 * SEC }.resolve(2 * SEC);
+        let (on, off) = ShrewTiming::Fixed { on: SEC, off: 3 * SEC }.resolve(|| 2 * SEC);
         assert_eq!((on, off), (SEC, 3 * SEC));
     }
 

@@ -12,19 +12,18 @@
 //! supplies the missing transport as a [`ControlChannel`] implementation
 //! plus the policy-state model that goes with it:
 //!
-//! * [`service::CtrlService`] — the transport. Per-AS controllers with
-//!   daemon [`session::Session`]s (exponential-backoff reconnect),
-//!   propagation latency drawn from the topology's AS-to-AS path delay,
-//!   loss with bounded retransmission, and fault injection (controller
-//!   outage windows, partitioned ASes). Configured by
-//!   [`config::CtrlConfig`].
+//! * [`service::CtrlService`] — the transport: a fixed propagation
+//!   latency, loss with bounded retransmission, and controller outages
+//!   (fault windows of a `netfence_faults::FaultPlan`) during which
+//!   messages are held until an exponential-backoff reconnect. Configured
+//!   by [`config::CtrlConfig`].
 //! * [`policy::PolicyStore`] — TTL'd policy rules with capacity limits:
 //!   StopIt filters, Passport/NetFence keys and TVA+ capability grants
 //!   expire and must be refreshed over the (possibly degraded) transport.
 //!
 //! The degenerate configuration [`config::CtrlConfig::ideal`] (zero
-//! latency, zero loss, no faults) reproduces the old bus byte-for-byte —
-//! the regression suite pins this for every defense.
+//! latency, zero loss) with no outage window reproduces the old bus
+//! byte-for-byte — the regression suite pins this for every defense.
 //!
 //! [`ControlPlane`]: netfence_sim::deploy::ControlPlane
 //! [`ControlChannel`]: netfence_sim::deploy::ControlChannel
@@ -35,14 +34,12 @@
 pub mod config;
 pub mod policy;
 pub mod service;
-pub mod session;
 
 /// Commonly used re-exports.
 pub mod prelude {
-    pub use crate::config::{CtrlConfig, Outage, SessionConfig};
+    pub use crate::config::CtrlConfig;
     pub use crate::policy::{PolicyStats, PolicyStore};
     pub use crate::service::CtrlService;
-    pub use crate::session::{Session, SessionState};
 }
 
 pub use prelude::*;

@@ -188,7 +188,7 @@ pub fn chaos_spec(scale: &Scale, system: DefenseKind, point: &ChaosPoint) -> Sce
     .legit_per_as(1)
     .users(TrafficSpec::cbr(50_000))
     .user_start(StartSchedule::staggered(10, 100 * MILLI))
-    .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+    .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
     .control(CtrlConfig::ideal())
     .fault_plan(chaos_plan(point.fault, point.severity))
     .sampled(SEC)
@@ -277,6 +277,7 @@ pub fn traced_spec(size: Size) -> ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reaction::ReactionKnobs;
 
     #[test]
     fn every_fault_dose_compiles_into_a_nonempty_plan_under_one_label() {
@@ -307,5 +308,10 @@ mod tests {
                 }
             }
         }
+        // The sixth kind has no dose in the (golden-pinned) sweep; `reaction`
+        // injects it, through the same plan and under one label too.
+        let knobs = ReactionKnobs { outage: SEC, ..ReactionKnobs::ideal() };
+        let compiled = knobs.to_faults().compile(&net, 7).expect("an outage fits any network");
+        assert_eq!(compiled.windows[0].kind.label(), "controller-outage");
     }
 }

@@ -43,7 +43,7 @@ pub fn deployment_spec(scale: &Scale, system: DefenseKind, coverage: f64) -> Sce
         .legit_per_as(1)
         .users(TrafficSpec::repeated_file(20_000, 2 * SEC))
         .user_start(StartSchedule::staggered(10, 100 * MILLI))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
         .attacker_start(StartSchedule::staggered(100, MILLI))
 }
 

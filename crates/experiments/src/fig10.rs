@@ -45,7 +45,7 @@ pub fn fig10_spec(scale: &Scale, system: DefenseKind, case: CapacityCase) -> Sce
         .defense(system)
         .users(TrafficSpec::LongRunningTcp)
         .user_start(StartSchedule::staggered(20, 50 * MILLI))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 1 })
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Colluders { ases: 1 })
         .attacker_start(StartSchedule::staggered(50, MILLI))
 }
 

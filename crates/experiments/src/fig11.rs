@@ -18,9 +18,7 @@ use crate::report::{kbps, table_of};
 /// instant so their bursts align — the worst case discussed in §5.2.1.
 ///
 /// The pulse itself is [`AttackStrategy::Shrew`] with the figure's fixed
-/// (`Ton`, `Toff`) timing; `shrew_reproduces_the_legacy_onoff_record`
-/// (`tests/figures.rs`) pins that the strategy agent reproduces the old
-/// hard-coded `TrafficSpec::on_off` attacker byte-for-byte.
+/// (`Ton`, `Toff`) timing.
 pub fn fig11_spec(scale: &Scale, fair_share: u64, ton: Nanos, toff: Nanos) -> ScenarioSpec {
     let colluders = 3.min(scale.src_ases).max(1);
     ScenarioSpec::dumbbell(*scale)
@@ -30,9 +28,11 @@ pub fn fig11_spec(scale: &Scale, fair_share: u64, ton: Nanos, toff: Nanos) -> Sc
         .legit_fraction(0.25)
         .users(TrafficSpec::LongRunningTcp)
         .user_start(StartSchedule::staggered(20, 50 * MILLI))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: colluders })
+        .attackers(
+            AttackStrategy::shrew_fixed(1_000_000, ton, toff),
+            AttackTarget::Colluders { ases: colluders },
+        )
         .attacker_start(StartSchedule::Synchronized)
-        .adversary(AttackStrategy::shrew_fixed(1_000_000, ton, toff))
 }
 
 /// `netfence run fig11`: user throughput per (Ton, Toff) at a 100 kbps

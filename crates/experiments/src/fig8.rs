@@ -31,7 +31,7 @@ pub fn fig8_spec(scale: &Scale, system: DefenseKind, fair_share: u64) -> Scenari
         // connection-setup cost, as in the paper's experiment.
         .users(TrafficSpec::repeated_file(20_000, 5 * SEC))
         .user_start(StartSchedule::staggered(10, 100 * MILLI))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
         .attacker_start(StartSchedule::staggered(100, MILLI))
 }
 

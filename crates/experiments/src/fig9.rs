@@ -48,7 +48,10 @@ pub fn fig9_spec(
         .legit_fraction(0.25)
         .users(traffic.traffic_spec())
         .user_start(StartSchedule::staggered(20, 50 * MILLI))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: colluders })
+        .attackers(
+            AttackStrategy::static_cbr(1_000_000),
+            AttackTarget::Colluders { ases: colluders },
+        )
         .attacker_start(StartSchedule::staggered(100, MILLI))
 }
 

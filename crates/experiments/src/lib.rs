@@ -20,7 +20,7 @@
 //! let spec = ScenarioSpec::dumbbell(Scale::tiny())
 //!     .defense(DefenseKind::NetFence)
 //!     .fair_share(100_000)
-//!     .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim);
+//!     .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim);
 //! let record = Runner::new(spec).run();
 //! assert!(record.user_completion_ratio() >= 0.0);
 //! ```
@@ -57,7 +57,7 @@ pub mod sweep;
 pub mod topo_scale;
 pub mod tournament;
 
-pub use netfence_adversary::{AttackLoad, AttackStrategy, ShrewTiming, StrategyCtx};
+pub use netfence_adversary::{AttackStrategy, ShrewTiming, StrategyCtx};
 pub use netfence_faults::{FaultKind, FaultPlan, FaultTarget, FaultWindow};
 pub use record::{
     DefenseReport, FaultWindowRecord, GoodputSample, LinkStats, Record, Role, RoleSeries,
@@ -81,7 +81,7 @@ pub mod prelude {
         TopologySpec, TrafficSpec,
     };
     pub use crate::sweep::{Cell, SweepGrid};
-    pub use netfence_adversary::{AttackLoad, AttackStrategy, ShrewTiming, StrategyCtx};
+    pub use netfence_adversary::{AttackStrategy, ShrewTiming, StrategyCtx};
     pub use netfence_faults::{FaultKind, FaultPlan, FaultTarget, FaultWindow};
     pub use netfence_sim::deploy::{DeploymentSpec, Placement};
     pub use netfence_sim::prelude::{DropBudget, DropCause, EngineProfile, TelemetryConfig};

@@ -53,12 +53,16 @@ impl ReactionKnobs {
 
     /// The [`CtrlConfig`] this point runs with.
     pub fn to_ctrl(&self) -> CtrlConfig {
-        let mut cfg =
-            CtrlConfig::ideal().latency(self.latency).lossy(self.loss_per_mille as f64 / 1000.0);
+        CtrlConfig::ideal().latency(self.latency).lossy(self.loss_per_mille as f64 / 1000.0)
+    }
+
+    /// The fault plan this point runs with: the controller outage, if any.
+    pub fn to_faults(&self) -> FaultPlan {
+        let mut plan = FaultPlan::empty();
         if self.outage > 0 {
-            cfg = cfg.outage(ATTACK_START, ATTACK_START + self.outage);
+            plan.controller_outage(ATTACK_START, ATTACK_START + self.outage);
         }
-        cfg
+        plan
     }
 }
 
@@ -129,9 +133,10 @@ pub fn reaction_spec(scale: &Scale, system: DefenseKind, knobs: &ReactionKnobs) 
         .legit_per_as(1)
         .users(TrafficSpec::cbr(50_000))
         .user_start(StartSchedule::staggered(10, 100 * MILLI))
-        .attackers(TrafficSpec::cbr(1_000_000), attack_for(system))
+        .attackers(AttackStrategy::static_cbr(1_000_000), attack_for(system))
         .attacker_start(StartSchedule::delayed(ATTACK_START))
         .control(knobs.to_ctrl())
+        .fault_plan(knobs.to_faults())
         .sampled(SEC)
 }
 

@@ -16,7 +16,9 @@
 //!
 //! [`DefenseReport`]: netfence_sim::deploy::DefenseReport
 
-use netfence_ctrl::service::CtrlService;
+use netfence_adversary::StrategyCtx;
+use netfence_ctrl::prelude::{CtrlConfig, CtrlService};
+use netfence_faults::CompiledFaults;
 use netfence_sim::prelude::*;
 use netfence_topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 
@@ -174,13 +176,23 @@ impl Runner {
         let resolved = spec.defense.deployment.resolve_for_source_ases(&net, &source_ases);
         let mut deployment = factory.deploy(&net, &resolved);
         edit(&net, &mut deployment);
+        // Resolve the fault plan against the network before it moves into
+        // the simulator. Compilation draws from its own RNG substream and
+        // the empty plan compiles to zero events, so fault-free runs stay
+        // byte-identical to pre-fault-engine ones (pinned by
+        // `tests/faults.rs`).
+        let compiled = match spec.faults.compile(&net, spec.scale.seed) {
+            Ok(c) => c,
+            Err(e) => panic!("fault plan does not fit scenario '{}': {e}", spec.name),
+        };
         // Route control messages through the asynchronous transport before
         // the simulator drains the deploy-time traffic, so even the initial
         // key announcements and filter requests see latency/loss/outages.
-        if let Some(ctrl_cfg) = &spec.control {
-            deployment
-                .bus
-                .install_channel(Box::new(CtrlService::for_network(&net, ctrl_cfg.clone())));
+        // A planned controller outage needs a transport to be dark on.
+        let outages = compiled.outages.clone();
+        let control = spec.control.or_else(|| (!outages.is_empty()).then(CtrlConfig::ideal));
+        if let Some(cfg) = control {
+            deployment.bus.install_channel(Box::new(CtrlService::new(cfg, outages)));
         }
 
         let mut planned = Vec::with_capacity(2 * groups.len());
@@ -238,7 +250,7 @@ impl Runner {
         let links: Vec<(String, LinkAddr, u64)> =
             bottlenecks.into_iter().map(|b| (b.label, b.addr, b.bps)).collect();
         let fair_share = bottleneck_bps as f64 / competing_senders.max(1) as f64;
-        self.simulate(net, deployment, planned, ring, links, senders, fair_share)
+        self.simulate(net, deployment, compiled, planned, ring, links, senders, fair_share)
     }
 
     /// Shared tail: spawn the planned role flows, run, collect.
@@ -247,6 +259,7 @@ impl Runner {
         &self,
         net: Network,
         deployment: Deployment,
+        compiled: CompiledFaults,
         planned: Vec<PlannedGroup>,
         ring: Vec<HostAddr>,
         links: Vec<(String, LinkAddr, u64)>,
@@ -254,15 +267,6 @@ impl Runner {
         fair_share_bps: f64,
     ) -> (Record, TelemetryDump) {
         let spec = &self.spec;
-        // Resolve the fault plan against the network before it moves into
-        // the simulator. Compilation draws from its own RNG substream and
-        // the empty plan compiles to zero events, so fault-free runs stay
-        // byte-identical to pre-fault-engine ones (pinned by
-        // `tests/faults.rs`).
-        let compiled = match spec.faults.compile(&net, spec.scale.seed) {
-            Ok(c) => c,
-            Err(e) => panic!("fault plan does not fit scenario '{}': {e}", spec.name),
-        };
         let mut sim = Simulator::new(
             net,
             deployment,
@@ -279,21 +283,23 @@ impl Runner {
         let mut flow_ids: Vec<Vec<FlowId>> = Vec::with_capacity(planned.len());
         let mut attack_start: Option<Nanos> = None;
         for (g, group) in planned.iter().enumerate() {
-            let role_spec = match group.role {
-                Role::User => &spec.users,
-                Role::Attacker => &spec.attackers,
-            };
             let mut ids = Vec::with_capacity(group.members.len());
             for (i, &(src, dst)) in group.members.iter().enumerate() {
-                let start = role_spec.start.start_of(i);
-                if group.role == Role::Attacker {
-                    attack_start = Some(attack_start.map_or(start, |a: Nanos| a.min(start)));
-                    if let Some(strategy) = spec.adversary {
+                ids.push(match group.role {
+                    Role::User => {
+                        let seed = flow_seed(spec.scale.seed, g, i);
+                        let traffic = spec.users.traffic;
+                        let start = spec.users.start.start_of(i);
+                        sim.add_flow(start, |id| traffic.make_flow(id, src, dst, seed))
+                    }
+                    Role::Attacker => {
+                        let start = spec.attackers.start.start_of(i);
+                        attack_start = Some(attack_start.map_or(start, |a: Nanos| a.min(start)));
                         // Adaptive agents draw from a dedicated attacker
                         // substream — never from the per-role `flow_seed`
                         // space legitimate flows use — so attacker count
                         // and strategy choice cannot perturb user traffic.
-                        let ctx = netfence_adversary::StrategyCtx {
+                        let ctx = || StrategyCtx {
                             seed: adversary_seed(spec.scale.seed, g, i),
                             member: i,
                             victim: group.victim,
@@ -302,13 +308,10 @@ impl Runner {
                             ring: ring.clone(),
                             aimd_interval: spec.defense.netfence.ilim,
                         };
-                        ids.push(sim.add_flow(start, |id| strategy.build_flow(id, src, dst, ctx)));
-                        continue;
+                        let strategy = spec.attackers.traffic;
+                        sim.add_flow(start, |id| strategy.build_flow(id, src, dst, ctx))
                     }
-                }
-                let seed = flow_seed(spec.scale.seed, g, i);
-                let traffic = role_spec.traffic;
-                ids.push(sim.add_flow(start, |id| traffic.make_flow(id, src, dst, seed)));
+                });
             }
             flow_ids.push(ids);
         }
@@ -534,9 +537,9 @@ mod tests {
     fn attacker_strategy_never_perturbs_legitimate_arrivals() {
         // Regression for the RNG-stream coupling fix: with the attackers
         // held silent (start beyond the end of the run), every strategy —
-        // including the RNG-consuming FlashMimic and the legacy fixed-rate
-        // path — must produce byte-identical Records. Any strategy leaking
-        // into the users' seeds or arrival schedule would show up here.
+        // including the RNG-consuming FlashMimic — must produce
+        // byte-identical Records. Any strategy leaking into the users'
+        // seeds or arrival schedule would show up here.
         use netfence_adversary::AttackStrategy;
         let spec = ScenarioSpec::dumbbell(Scale {
             src_ases: 2,
@@ -547,36 +550,10 @@ mod tests {
         .defense(DefenseKind::NetFence)
         .users(TrafficSpec::WebLike)
         .attacker_start(StartSchedule::delayed(5 * SEC));
-        let legacy = Runner::new(spec.clone()).run();
+        let fixed = Runner::new(spec.clone()).run();
         for strategy in AttackStrategy::lineup(1_000_000) {
             let adaptive = Runner::new(spec.clone().adversary(strategy)).run();
-            assert_eq!(
-                legacy,
-                adaptive,
-                "silent {} attackers changed the record",
-                strategy.label()
-            );
+            assert_eq!(fixed, adaptive, "silent {} attackers changed the record", strategy.label());
         }
-    }
-
-    #[test]
-    fn static_strategy_reproduces_the_legacy_attacker_record() {
-        // Active attackers: the Static strategy is pure delegation to the
-        // same UdpFlow the legacy path spawns, so the whole Record matches
-        // byte-for-byte (property-tested across defenses in
-        // tests/adversary.rs).
-        let spec = ScenarioSpec::dumbbell(Scale {
-            src_ases: 2,
-            hosts_per_as: 3,
-            sim_time: 4 * SEC,
-            seed: 11,
-        })
-        .defense(DefenseKind::NetFence)
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim);
-        let legacy = Runner::new(spec.clone()).run();
-        let adaptive =
-            Runner::new(spec.adversary(netfence_adversary::AttackStrategy::static_cbr(1_000_000)))
-                .run();
-        assert_eq!(legacy, adaptive);
     }
 }

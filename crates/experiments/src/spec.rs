@@ -181,15 +181,6 @@ pub enum TrafficSpec {
         /// Sending rate in bits per second.
         bps: u64,
     },
-    /// On-off (shrew-style) UDP bursts.
-    OnOff {
-        /// Burst rate in bits per second.
-        bps: u64,
-        /// Burst length.
-        on: Nanos,
-        /// Silence length.
-        off: Nanos,
-    },
     /// A single long-running TCP flow (Figure 9a users).
     LongRunningTcp,
     /// Web-like TCP traffic — Pareto/exponential mixture sizes (Figure 9b).
@@ -210,11 +201,6 @@ impl TrafficSpec {
         TrafficSpec::Cbr { bps }
     }
 
-    /// Synchronized on-off UDP bursts.
-    pub fn on_off(bps: u64, on: Nanos, off: Nanos) -> Self {
-        TrafficSpec::OnOff { bps, on, off }
-    }
-
     /// Repeated fixed-size TCP transfers.
     pub fn repeated_file(bytes: u64, gap: Nanos) -> Self {
         TrafficSpec::RepeatedFile { bytes, gap }
@@ -230,9 +216,6 @@ impl TrafficSpec {
     ) -> Box<dyn Flow> {
         match *self {
             TrafficSpec::Cbr { bps } => Box::new(UdpFlow::cbr(id, src, dst, bps)),
-            TrafficSpec::OnOff { bps, on, off } => {
-                Box::new(UdpFlow::new(id, src, dst, bps, UdpPattern::OnOff { on, off }))
-            }
             TrafficSpec::LongRunningTcp => Box::new(TcpFlow::new(
                 id,
                 src,
@@ -302,18 +285,19 @@ impl StartSchedule {
     }
 }
 
-/// Traffic plus start schedule for one role.
+/// Traffic plus start schedule for one role: a [`TrafficSpec`] for users,
+/// an [`AttackStrategy`] for attackers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoleSpec {
+pub struct RoleSpec<T = TrafficSpec> {
     /// What the role's hosts send.
-    pub traffic: TrafficSpec,
+    pub traffic: T,
     /// When they start.
     pub start: StartSchedule,
 }
 
-impl RoleSpec {
+impl<T> RoleSpec<T> {
     /// A role sending `traffic` with the given schedule.
-    pub fn new(traffic: TrafficSpec, start: StartSchedule) -> Self {
+    pub fn new(traffic: T, start: StartSchedule) -> Self {
         RoleSpec { traffic, start }
     }
 }
@@ -533,24 +517,20 @@ pub struct ScenarioSpec {
     pub legit_per_as: usize,
     /// What legitimate users send, and when.
     pub users: RoleSpec,
-    /// What attackers send, and when.
-    pub attackers: RoleSpec,
+    /// What every attacker does, and when it starts: a fixed-rate flood
+    /// ([`AttackStrategy::Static`]) or a stateful adaptive agent driven by
+    /// its own RNG substream. The [`AttackTarget`] resolves each attacker's
+    /// primary destination.
+    pub attackers: RoleSpec<AttackStrategy>,
     /// Who the attackers aim at.
     pub attack_target: AttackTarget,
-    /// Adaptive attacker strategy. `None` spawns the legacy fixed-rate
-    /// attacker flows from [`ScenarioSpec::attackers`] (byte-identical to
-    /// pre-strategy runs); `Some` spawns a stateful
-    /// [`AdversaryFlow`](netfence_adversary::AdversaryFlow) agent per
-    /// attacker instead, driven by its own RNG substream. The
-    /// [`attackers`](ScenarioSpec::attackers) role then still provides the
-    /// start schedule and the [`AttackTarget`] resolves each agent's primary
-    /// destination, but the role's `TrafficSpec` is superseded.
-    pub adversary: Option<AttackStrategy>,
     /// Control-plane transport configuration. `None` keeps the legacy
     /// instant-reliable bus (byte-identical to pre-control-plane runs);
     /// `Some(CtrlConfig::ideal())` routes every message through the
     /// [`CtrlService`](netfence_ctrl::service::CtrlService) with zero
-    /// latency and loss, which still reproduces the legacy records.
+    /// latency and loss, which still reproduces the legacy records. A
+    /// fault plan with a controller outage installs the ideal transport
+    /// when this is `None`.
     pub control: Option<CtrlConfig>,
     /// Declarative fault plan injected into the run (chaos engineering).
     /// The default empty plan compiles to zero engine events and keeps the
@@ -587,11 +567,10 @@ impl ScenarioSpec {
                 StartSchedule::staggered(20, 50 * MILLI),
             ),
             attackers: RoleSpec::new(
-                TrafficSpec::cbr(1_000_000),
+                AttackStrategy::static_cbr(1_000_000),
                 StartSchedule::staggered(100, MILLI),
             ),
             attack_target: AttackTarget::Victim,
-            adversary: None,
             control: None,
             faults: FaultPlan::empty(),
             sample_interval: 0,
@@ -709,9 +688,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// What the attackers send, and at whom.
-    pub fn attackers(mut self, traffic: TrafficSpec, target: AttackTarget) -> Self {
-        self.attackers.traffic = traffic;
+    /// What the attackers do, and to whom.
+    pub fn attackers(mut self, strategy: AttackStrategy, target: AttackTarget) -> Self {
+        self.attackers.traffic = strategy;
         self.attack_target = target;
         self
     }
@@ -722,16 +701,15 @@ impl ScenarioSpec {
         self
     }
 
-    /// Replace the fixed-rate attacker flows with stateful adaptive agents
-    /// running `strategy` (see [`ScenarioSpec::adversary`]).
+    /// Change what the attackers do, keeping their target.
     pub fn adversary(mut self, strategy: AttackStrategy) -> Self {
-        self.adversary = Some(strategy);
+        self.attackers.traffic = strategy;
         self
     }
 
     /// Route control-plane messages through the asynchronous
     /// [`CtrlService`](netfence_ctrl::service::CtrlService) transport with
-    /// the given latency/loss/outage configuration.
+    /// the given latency/loss configuration.
     pub fn control(mut self, cfg: CtrlConfig) -> Self {
         self.control = Some(cfg);
         self
@@ -797,7 +775,7 @@ mod tests {
             .fair_share(200_000)
             .legit_per_as(2)
             .users(TrafficSpec::repeated_file(20_000, 5 * SEC))
-            .attackers(TrafficSpec::cbr(500_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Victim)
             .attacker_start(StartSchedule::Synchronized)
             .seed(42)
             .sim_time(10 * SEC);
@@ -806,17 +784,19 @@ mod tests {
         assert_eq!(spec.resolved_bottleneck_bps(), 200_000 * 16);
         assert_eq!(spec.legit_per_as, 2);
         assert_eq!(spec.users.traffic, TrafficSpec::RepeatedFile { bytes: 20_000, gap: 5 * SEC });
+        assert_eq!(spec.attackers.traffic, AttackStrategy::static_cbr(500_000));
         assert_eq!(spec.attackers.start, StartSchedule::Synchronized);
         assert_eq!(spec.scale.seed, 42);
         assert_eq!(spec.scale.sim_time, 10 * SEC);
     }
 
     #[test]
-    fn adversary_defaults_off_and_chains_on() {
-        let spec = ScenarioSpec::dumbbell(Scale::tiny());
-        assert_eq!(spec.adversary, None, "legacy attackers by default");
-        let spec = spec.adversary(AttackStrategy::shrew_tuned(1_000_000));
-        assert_eq!(spec.adversary, Some(AttackStrategy::shrew_tuned(1_000_000)));
+    fn adversary_replaces_the_strategy_and_keeps_the_target() {
+        let spec = ScenarioSpec::dumbbell(Scale::tiny())
+            .attackers(AttackStrategy::static_cbr(1), AttackTarget::Colluders { ases: 2 })
+            .adversary(AttackStrategy::shrew_tuned(1_000_000));
+        assert_eq!(spec.attackers.traffic, AttackStrategy::shrew_tuned(1_000_000));
+        assert_eq!(spec.attack_target, AttackTarget::Colluders { ases: 2 });
     }
 
     #[test]

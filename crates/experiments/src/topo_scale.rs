@@ -109,7 +109,7 @@ pub fn scale_spec(hosts: usize, system: DefenseKind) -> ScenarioSpec {
         .legit_per_as(1)
         .users(TrafficSpec::repeated_file(20_000, 2 * SEC))
         .user_start(StartSchedule::staggered(10, 100 * MILLI))
-        .attackers(TrafficSpec::cbr(100_000), AttackTarget::Victim)
+        .attackers(AttackStrategy::static_cbr(100_000), AttackTarget::Victim)
         .attacker_start(StartSchedule::staggered(100, MILLI))
 }
 

@@ -103,9 +103,8 @@ pub fn tournament_spec(scale: &Scale, system: DefenseKind, p: &TournamentPoint) 
         .legit_per_as(1)
         .users(TrafficSpec::cbr(50_000))
         .user_start(StartSchedule::staggered(10, 100 * MILLI))
-        .attackers(TrafficSpec::cbr(ATTACK_RATE), AttackTarget::Colluders { ases: 1 })
+        .attackers(p.strategy, AttackTarget::Colluders { ases: 1 })
         .attacker_start(StartSchedule::delayed(ATTACK_START))
-        .adversary(p.strategy)
         .sampled(SEC)
 }
 

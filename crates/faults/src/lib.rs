@@ -5,11 +5,12 @@
 //!
 //! A [`FaultPlan`] is a list of timed [`FaultWindow`]s — link failures,
 //! router reboots, secret-key desyncs, clock skew, policy-store memory
-//! pressure — described against *roles* in the topology ([`FaultTarget`]),
-//! not raw indices. [`FaultPlan::compile`] resolves the plan against a
-//! concrete [`Network`] into [`FaultAction`]s ready to be handed to
-//! [`Simulator::schedule_fault`], plus per-window metadata the experiment
-//! harness folds into recovery metrics.
+//! pressure, controller outages — described against *roles* in the
+//! topology ([`FaultTarget`]), not raw indices. [`FaultPlan::compile`]
+//! resolves the plan against a concrete [`Network`] into [`FaultAction`]s
+//! ready to be handed to [`Simulator::schedule_fault`], the outage windows
+//! the control-plane transport is built with, and per-window metadata the
+//! experiment harness folds into recovery metrics.
 //!
 //! ## Determinism
 //!
@@ -66,20 +67,31 @@ pub enum FaultKind {
         /// How many rules to evict.
         evict: usize,
     },
+    /// Every controller of the out-of-band control plane is down from
+    /// `start` until `end`: control messages sent inside the window are
+    /// held until the senders' backoff reconnect after `end`. Not an
+    /// engine event — the windows are handed to the control-plane
+    /// transport when it is built ([`CompiledFaults::outages`]).
+    ControllerOutage,
 }
 
 impl FaultKind {
     /// Short stable label (used for telemetry keys and recovery metrics);
     /// a router fault's is the engine's own [`RouterFault::label`].
     pub fn label(self) -> &'static str {
-        self.router_fault().map_or("link-failure", |fault| fault.label())
+        match self.router_fault() {
+            Some(fault) => fault.label(),
+            None if self == FaultKind::ControllerOutage => "controller-outage",
+            None => "link-failure",
+        }
     }
 
     /// The fault a router's agent is handed when a window of this kind
-    /// opens (`None` for link failures, which never reach an agent).
+    /// opens (`None` for link failures and controller outages, which never
+    /// reach an agent).
     fn router_fault(self) -> Option<RouterFault> {
         match self {
-            FaultKind::LinkFailure => None,
+            FaultKind::LinkFailure | FaultKind::ControllerOutage => None,
             FaultKind::RouterReboot => Some(RouterFault::Reboot),
             FaultKind::KeyDesync => Some(RouterFault::KeyDesync),
             FaultKind::ClockSkew { offset_ns } => Some(RouterFault::ClockSkew { offset_ns }),
@@ -99,6 +111,8 @@ pub enum FaultTarget {
     /// The `n`-th inter-router duplex link pair, in first-appearance order
     /// (link failures only). Both directions fail together.
     NthInterRouterLink(usize),
+    /// The control plane as a whole (controller outages only).
+    ControlPlane,
     /// A seeded-random pick among the valid targets for the window's kind
     /// (drawn from the dedicated fault RNG substream).
     Random,
@@ -106,8 +120,8 @@ pub enum FaultTarget {
 
 /// One timed fault: a kind, a target and a `[start, end]` window. For
 /// one-shot kinds (reboot, key desync, memory pressure) the end is only
-/// metadata — the recovery clock starts at `start`; for link failures and
-/// clock skew the end also schedules the restoring action.
+/// metadata — the recovery clock starts at `start`; for link failures,
+/// clock skew and controller outages the end is when the fault clears.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {
     /// What happens.
@@ -190,8 +204,14 @@ impl FaultPlan {
         })
     }
 
+    /// Take every controller down from `start` until `end`.
+    pub fn controller_outage(&mut self, start: Nanos, end: Nanos) -> &mut Self {
+        let (kind, target) = (FaultKind::ControllerOutage, FaultTarget::ControlPlane);
+        self.push(FaultWindow { kind, target, start, end })
+    }
+
     /// Resolve the plan against a concrete network into schedulable engine
-    /// events plus per-window recovery metadata. Pure in
+    /// events, controller outage windows and per-window recovery metadata. Pure in
     /// `(self, net, seed)`; randomized targets draw from the
     /// [`FAULT_STREAM`]-separated substream of `seed` in declaration order.
     pub fn compile(&self, net: &Network, seed: u64) -> Result<CompiledFaults, FaultError> {
@@ -221,12 +241,23 @@ impl FaultPlan {
 
         let mut rng = SimRng::new(seed ^ FAULT_STREAM);
         let mut events = Vec::new();
+        let mut outages = Vec::new();
         let mut windows = Vec::new();
         for w in &self.windows {
-            if w.end < w.start {
+            // Link failures and controller outages last for their window, so
+            // theirs may not be empty; a one-shot kind's `end == start`.
+            let lasting = matches!(w.kind, FaultKind::LinkFailure | FaultKind::ControllerOutage);
+            if w.end < w.start || (lasting && w.end == w.start) {
                 return Err(FaultError::EmptyWindow { start: w.start, end: w.end });
             }
             match w.kind {
+                FaultKind::ControllerOutage => {
+                    if w.target != FaultTarget::ControlPlane {
+                        return Err(FaultError::TargetMismatch(w.target, w.kind));
+                    }
+                    outages.push((w.start, w.end));
+                    windows.push(PlannedWindow { kind: w.kind, start: w.start, clear_at: w.end });
+                }
                 FaultKind::LinkFailure => {
                     let pair_idx = match w.target {
                         FaultTarget::NthInterRouterLink(n) => {
@@ -243,9 +274,6 @@ impl FaultPlan {
                         }
                         other => return Err(FaultError::TargetMismatch(other, w.kind)),
                     };
-                    if w.end == w.start {
-                        return Err(FaultError::EmptyWindow { start: w.start, end: w.end });
-                    }
                     let (fwd, rev) = pairs[pair_idx];
                     events.push(FaultEvent {
                         at: w.start,
@@ -282,7 +310,7 @@ impl FaultPlan {
                         other => return Err(FaultError::TargetMismatch(other, w.kind)),
                     };
                     let Some(hit) = kind.router_fault() else {
-                        unreachable!("link failures are handled above")
+                        unreachable!("link failures and controller outages are handled above")
                     };
                     let skew = matches!(kind, FaultKind::ClockSkew { .. });
                     let clear_at = if skew { w.end } else { w.start };
@@ -303,7 +331,7 @@ impl FaultPlan {
                 }
             }
         }
-        Ok(CompiledFaults { events, windows })
+        Ok(CompiledFaults { events, outages, windows })
     }
 }
 
@@ -333,6 +361,9 @@ pub struct PlannedWindow {
 pub struct CompiledFaults {
     /// Schedulable engine faults, in declaration order.
     pub events: Vec<FaultEvent>,
+    /// Controller outage windows `[start, end)`, in declaration order: not
+    /// engine events, but what the control-plane transport is built with.
+    pub outages: Vec<(Nanos, Nanos)>,
     /// One entry per plan window, in declaration order.
     pub windows: Vec<PlannedWindow>,
 }
@@ -360,7 +391,8 @@ pub enum FaultError {
     NoRouters,
     /// A random link target with no inter-router links at all.
     NoInterRouterLinks,
-    /// `end < start`, or a zero-length link-failure window.
+    /// `end < start`, or a zero-length link-failure or controller-outage
+    /// window.
     EmptyWindow {
         /// Window start.
         start: Nanos,
@@ -483,6 +515,17 @@ mod tests {
     }
 
     #[test]
+    fn controller_outage_is_a_window_not_an_engine_event() {
+        let mut plan = FaultPlan::empty();
+        plan.controller_outage(SEC, 3 * SEC);
+        let compiled = plan.compile(&net(), 7).unwrap();
+        assert!(compiled.events.is_empty());
+        assert_eq!(compiled.outages, [(SEC, 3 * SEC)]);
+        let w = compiled.windows[0];
+        assert_eq!((w.kind.label(), w.start, w.clear_at), ("controller-outage", SEC, 3 * SEC));
+    }
+
+    #[test]
     fn random_targets_are_deterministic_in_the_seed() {
         let mut plan = FaultPlan::empty();
         plan.router_reboot(FaultTarget::Random, SEC);
@@ -513,6 +556,14 @@ mod tests {
         let mut plan = FaultPlan::empty();
         plan.link_failure(FaultTarget::NthInterRouterLink(0), SEC, SEC);
         assert!(matches!(plan.compile(&network, 7), Err(FaultError::EmptyWindow { .. })));
+        for end in [SEC, SEC - 1] {
+            let mut plan = FaultPlan::empty();
+            plan.controller_outage(SEC, end);
+            assert_eq!(plan.compile(&network, 7), Err(FaultError::EmptyWindow { start: SEC, end }));
+        }
+        let mut plan = FaultPlan::empty();
+        plan.router_reboot(FaultTarget::ControlPlane, SEC);
+        assert!(matches!(plan.compile(&network, 7), Err(FaultError::TargetMismatch(..))));
         let mut plan = FaultPlan::empty();
         plan.router_reboot(FaultTarget::NthRouter(99), SEC);
         assert!(matches!(plan.compile(&network, 7), Err(FaultError::NoSuchRouter(99))));

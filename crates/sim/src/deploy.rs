@@ -64,17 +64,6 @@ pub struct LinkRef {
 // Control plane
 // ---------------------------------------------------------------------------
 
-/// The agent whose hook queued a control-plane message (transports use it
-/// to locate the sender's AS). Messages are only ever addressed *to*
-/// routers, so the destination is a plain [`NodeId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// The host shim at a host node.
-    Host(NodeId),
-    /// The router agent at a router node.
-    Router(NodeId),
-}
-
 /// What a control-plane message says. The set is closed: these are the
 /// two out-of-band messages the deployed systems exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +92,6 @@ pub enum ControlPayload {
 pub struct ControlMsg {
     /// The router whose agent receives the message.
     pub to: NodeId,
-    /// The agent whose hook queued the message; `None` for deploy-time
-    /// (controller-origin) messages.
-    pub from: Option<Endpoint>,
     /// What the message says.
     pub payload: ControlPayload,
 }
@@ -138,16 +124,8 @@ pub enum ChannelVerdict {
 /// channel (see the `netfence-ctrl` crate) subjects every message to
 /// propagation latency, loss/retransmission and controller outages.
 pub trait ControlChannel: std::fmt::Debug {
-    /// Plan the fate of a message queued at simulated time `now` from
-    /// `from` (or `None` for deploy-time controller-origin messages) to
-    /// the router `to`.
-    fn plan(&mut self, now: Nanos, from: Option<Endpoint>, to: NodeId) -> ChannelVerdict;
-
-    /// Sample this transport's state (per-AS session health, reconnect
-    /// counts) into a telemetry timeline. Pure observer: implementations
-    /// must not mutate transport state and must emit rows in a
-    /// deterministic order. Default: nothing to report.
-    fn probe(&self, _now: Nanos, _out: &mut Timeline) {}
+    /// Plan the fate of a message queued at simulated time `now`.
+    fn plan(&mut self, now: Nanos) -> ChannelVerdict;
 }
 
 /// The out-of-band coordination bus of a deployment.
@@ -164,7 +142,6 @@ pub struct ControlPlane {
     outbox: Vec<ControlMsg>,
     address_book: Arc<IdMap<HostAddr, HostEntry>>,
     channel: Option<Box<dyn ControlChannel>>,
-    sender: Option<Endpoint>,
     /// Messages delivered to an agent.
     pub delivered: u64,
     /// Messages addressed to a legacy (agent-less) router and dropped — the
@@ -192,25 +169,18 @@ impl ControlPlane {
         self.channel = Some(channel);
     }
 
-    /// Record which agent's hook is currently running, so queued messages
-    /// carry their origin. The engine maintains this; agents never call it.
-    pub fn set_sender(&mut self, sender: Option<Endpoint>) {
-        self.sender = sender;
-    }
-
-    /// Plan the fate of one message (engine-side). Without a channel this
-    /// is the degenerate instant-reliable verdict.
-    pub fn plan_delivery(&mut self, now: Nanos, msg: &ControlMsg) -> ChannelVerdict {
+    /// Plan the fate of one message queued at `now` (engine-side). Without
+    /// a channel this is the degenerate instant-reliable verdict.
+    pub fn plan_delivery(&mut self, now: Nanos) -> ChannelVerdict {
         match &mut self.channel {
-            Some(ch) => ch.plan(now, msg.from, msg.to),
+            Some(ch) => ch.plan(now),
             None => ChannelVerdict::Deliver { at: now, retransmits: 0 },
         }
     }
 
-    /// Queue a message to the router agent at `node`, stamped with the
-    /// agent whose hook is running.
+    /// Queue a message to the router agent at `node`.
     pub fn to_router(&mut self, node: NodeId, payload: ControlPayload) {
-        self.outbox.push(ControlMsg { to: node, from: self.sender, payload });
+        self.outbox.push(ControlMsg { to: node, payload });
     }
 
     /// Queue a message to the access router of `host` (how StopIt filter
@@ -222,14 +192,6 @@ impl ControlPlane {
             self.to_router(node, payload);
         }
         router.is_some()
-    }
-
-    /// Sample the installed transport's state into a telemetry timeline
-    /// (no-op on the instant-reliable default bus).
-    pub fn probe(&self, now: Nanos, out: &mut Timeline) {
-        if let Some(ch) = &self.channel {
-            ch.probe(now, out);
-        }
     }
 
     /// Number of queued, undelivered messages.

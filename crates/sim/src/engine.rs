@@ -31,8 +31,7 @@ use netfence_telemetry::{
 };
 
 use crate::deploy::{
-    ChannelVerdict, ControlMsg, DefenseReport, Deployment, Endpoint, LinkRef, RouterAction,
-    RouterFault,
+    ChannelVerdict, ControlMsg, DefenseReport, Deployment, LinkRef, RouterAction, RouterFault,
 };
 use crate::event_queue::EventQueue;
 use crate::flow::{Flow, FlowActions, FlowProgress};
@@ -41,6 +40,10 @@ use crate::packet::{ChannelClass, FlowId, Packet};
 use crate::queue::{DropTail, QueueDisc, RedQueue};
 use crate::time::{transmission_time, Nanos, MILLI, SEC};
 use crate::topology::{Network, NodeId, QueueKind};
+
+/// How long an idle link waits before re-asking a queue that withheld its
+/// packets (strictly capped request channels).
+const LINK_POLL_INTERVAL: Nanos = 2 * MILLI;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -51,11 +54,6 @@ pub struct SimConfig {
     /// event is ever scheduled (as with `sample_interval`), rather than one
     /// rescheduling itself at the same instant forever.
     pub defense_tick: Nanos,
-    /// How long an idle link waits before re-asking a queue that withheld
-    /// its packets (strictly capped request channels). Smaller values cost
-    /// more events but release capped traffic sooner; tiny-scale tests can
-    /// shrink it to tighten timing.
-    pub link_poll_interval: Nanos,
     /// Seed recorded for reproducibility (the engine itself is
     /// deterministic; flows draw their randomness from their own seeded
     /// generators).
@@ -77,7 +75,6 @@ impl Default for SimConfig {
         SimConfig {
             end_time: 10 * SEC,
             defense_tick: 100 * MILLI,
-            link_poll_interval: 2 * MILLI,
             seed: 1,
             sample_interval: 0,
             telemetry: TelemetryConfig::default(),
@@ -450,7 +447,7 @@ impl Simulator {
                 return;
             }
             for msg in msgs {
-                let verdict = self.deployment.bus.plan_delivery(self.now, &msg);
+                let verdict = self.deployment.bus.plan_delivery(self.now);
                 match verdict {
                     ChannelVerdict::Deliver { at, retransmits } => {
                         self.deployment.bus.retransmits += retransmits as u64;
@@ -476,7 +473,6 @@ impl Simulator {
         match routers[msg.to.0].as_mut() {
             Some(agent) => {
                 bus.delivered += 1;
-                bus.set_sender(Some(Endpoint::Router(msg.to)));
                 agent.on_control(self.now, msg.payload, bus);
             }
             None => bus.undeliverable += 1,
@@ -499,17 +495,11 @@ impl Simulator {
             EventKind::DefenseTick => {
                 self.metrics.profile.tick_events += 1;
                 let Deployment { hosts, routers, bus, .. } = &mut self.deployment;
-                for (i, agent) in routers.iter_mut().enumerate() {
-                    if let Some(agent) = agent {
-                        bus.set_sender(Some(Endpoint::Router(NodeId(i))));
-                        agent.tick(self.now, bus);
-                    }
+                for agent in routers.iter_mut().flatten() {
+                    agent.tick(self.now, bus);
                 }
-                for (i, shim) in hosts.iter_mut().enumerate() {
-                    if let Some(shim) = shim {
-                        bus.set_sender(Some(Endpoint::Host(NodeId(i))));
-                        shim.tick(self.now, bus);
-                    }
+                for shim in hosts.iter_mut().flatten() {
+                    shim.tick(self.now, bus);
                 }
                 if let Some(next) = self.next_periodic(self.cfg.defense_tick) {
                     self.schedule(next, EventKind::DefenseTick);
@@ -540,7 +530,6 @@ impl Simulator {
                 self.metrics.profile.release_events += 1;
                 let Deployment { routers, bus, .. } = &mut self.deployment;
                 if let Some(agent) = routers[node.0].as_mut() {
-                    bus.set_sender(Some(Endpoint::Router(node)));
                     agent.on_delayed_release(self.now, &mut pkt, bus);
                 }
                 self.enqueue_on_link(out_link, pkt);
@@ -604,7 +593,6 @@ impl Simulator {
                 self.mark_fault(fault.label(), node, None);
                 let Deployment { routers, bus, .. } = &mut self.deployment;
                 if let Some(agent) = routers[node.0].as_mut() {
-                    bus.set_sender(Some(Endpoint::Router(node)));
                     agent.on_fault(self.now, fault, bus);
                 }
             }
@@ -656,7 +644,6 @@ impl Simulator {
         for (cause, count) in self.metrics.drops.total().nonzero() {
             self.timeline.record(now, "drops", cause.label().to_string(), count as f64);
         }
-        self.deployment.bus.probe(now, &mut self.timeline);
     }
 
     /// Carry out what the callback that just ran on `flow` asked for, and
@@ -687,7 +674,6 @@ impl Simulator {
             }
             let Deployment { hosts, bus, .. } = &mut self.deployment;
             if let Some(shim) = hosts[node.0].as_mut() {
-                bus.set_sender(Some(Endpoint::Host(node)));
                 shim.on_send(self.now, &mut pkt, bus);
             }
             self.forward_from(node, pkt);
@@ -738,7 +724,6 @@ impl Simulator {
             }
             let Deployment { hosts, bus, .. } = &mut self.deployment;
             if let Some(shim) = hosts[node.0].as_mut() {
-                bus.set_sender(Some(Endpoint::Host(node)));
                 shim.on_receive(self.now, &pkt, bus);
             }
             self.metrics.delivered_pkts += 1;
@@ -772,7 +757,6 @@ impl Simulator {
         let action = match routers[node.0].as_mut() {
             Some(agent) => {
                 let is_access = self.net.access_router_of(pkt.src) == Some(node);
-                bus.set_sender(Some(Endpoint::Router(node)));
                 agent.at_router(self.now, is_access, link, &mut pkt, bus)
             }
             // A legacy router forwards blindly.
@@ -858,8 +842,8 @@ impl Simulator {
             None => {
                 if self.links[link_idx].queue.len_pkts() > 0 && !self.links[link_idx].poll_pending {
                     self.links[link_idx].poll_pending = true;
-                    let poll = self.cfg.link_poll_interval.max(1);
-                    self.schedule(now.saturating_add(poll), EventKind::LinkPoll { link: link_idx });
+                    let at = now.saturating_add(LINK_POLL_INTERVAL);
+                    self.schedule(at, EventKind::LinkPoll { link: link_idx });
                 }
             }
         }
@@ -1186,14 +1170,6 @@ mod tests {
             })
             .collect();
         assert_eq!(fifos, [false; 4], "the four access-link directions");
-    }
-
-    #[test]
-    fn link_poll_interval_is_configurable() {
-        let cfg = SimConfig::default();
-        assert_eq!(cfg.link_poll_interval, 2 * MILLI);
-        let tight = SimConfig { link_poll_interval: 100, ..Default::default() };
-        assert_eq!(tight.link_poll_interval, 100);
     }
 
     #[test]

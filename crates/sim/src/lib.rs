@@ -44,8 +44,8 @@ pub mod webtraffic;
 pub mod prelude {
     pub use crate::deploy::{
         ChannelVerdict, ControlChannel, ControlMsg, ControlPayload, ControlPlane, DefenseFactory,
-        DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, Endpoint,
-        HostShim, LinkRef, NoDefense, Placement, RouterAction, RouterAgent, RouterFault,
+        DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, HostShim, LinkRef,
+        NoDefense, Placement, RouterAction, RouterAgent, RouterFault,
     };
     pub use crate::engine::{FaultAction, SimConfig, Simulator};
     pub use crate::flow::{Flow, FlowActions, FlowProgress};

@@ -28,9 +28,8 @@ fn main() {
             .fair_share(100_000)
             .legit_per_as(1)
             .users(TrafficSpec::cbr(50_000))
-            .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 1 })
+            .attackers(strategy, AttackTarget::Colluders { ases: 1 })
             .attacker_start(StartSchedule::delayed(5 * SEC))
-            .adversary(strategy)
             .sampled(SEC);
         let r = Runner::new(spec).run();
         let user = r.avg_user_bps();

@@ -26,7 +26,7 @@ fn main() {
             .fair_share(100_000)
             .legit_fraction(0.25)
             .users(TrafficSpec::LongRunningTcp)
-            .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 4 });
+            .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Colluders { ases: 4 });
         let r = Runner::new(spec).run();
         println!(
             "  {:<9} user/attacker throughput ratio: {:>5.2}   fairness index: {:.3}   utilization: {:>5.1}%",

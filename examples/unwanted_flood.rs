@@ -26,7 +26,7 @@ fn main() {
             .fair_share(fair_share)
             .legit_per_as(1)
             .users(TrafficSpec::repeated_file(20_000, 5 * SEC))
-            .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
     });
     for cell in &cells {
         println!(

@@ -27,7 +27,7 @@
 //! let spec = ScenarioSpec::dumbbell(Scale::tiny())
 //!     .defense(DefenseKind::NetFence)
 //!     .fair_share(100_000)
-//!     .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 2 });
+//!     .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Colluders { ases: 2 });
 //! let record = Runner::new(spec).run();
 //! assert!(record.throughput_ratio() > 0.0);
 //! ```

@@ -1,8 +1,5 @@
 //! Property tests for `netfence-adversary` (vendored proptest shim).
 //!
-//! * `Static` is a zero-cost wrapper: for every `DefenseKind` and both
-//!   legacy attack loads (CBR and on-off) the strategy agent reproduces the
-//!   plain `TrafficSpec` attacker `Record` byte-for-byte.
 //! * Every strategy is deterministic: the same spec run twice yields the
 //!   identical `Record` (each agent draws only from its own seeded stream).
 //! * Sanity bound: `Probe` explores before it commits, so it can never
@@ -13,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use netfence::experiments::prelude::*;
-use netfence::sim::time::{MILLI, SEC};
+use netfence::sim::time::SEC;
 use proptest::proptest;
 
 fn tiny(seed: u64) -> Scale {
@@ -26,7 +23,7 @@ fn flood_spec(kind: DefenseKind, seed: u64) -> ScenarioSpec {
         .defense(kind)
         .fair_share(100_000)
         .users(TrafficSpec::repeated_file(20_000, SEC))
-        .attackers(TrafficSpec::cbr(500_000), AttackTarget::Colluders { ases: 1 })
+        .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Colluders { ases: 1 })
 }
 
 fn kind_of(index: u8) -> DefenseKind {
@@ -47,8 +44,7 @@ fn probe_arena(seed: u64, strategy: AttackStrategy) -> ScenarioSpec {
         .defense_spec(DefenseSpec::new(DefenseKind::NetFence).with_suppression(Suppression::On))
         .fair_share(100_000)
         .users(TrafficSpec::cbr(50_000))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 1 })
-        .adversary(strategy)
+        .attackers(strategy, AttackTarget::Colluders { ases: 1 })
         .sampled(SEC)
 }
 
@@ -64,36 +60,6 @@ fn arena_user_bps(seed: u64, strategy: AttackStrategy) -> f64 {
 }
 
 proptest! {
-    /// `AttackStrategy::Static` wraps the legacy attacker loads without
-    /// observable effect: same `Record`, byte-for-byte, for every defense.
-    #[test]
-    fn static_wrapper_reproduces_legacy_records(
-        seed in 1u64..48,
-        kind_idx in 0u8..5,
-        load_idx in 0u8..2,
-    ) {
-        let kind = kind_of(kind_idx);
-        let (traffic, strategy) = if load_idx == 0 {
-            (TrafficSpec::cbr(500_000), AttackStrategy::static_cbr(500_000))
-        } else {
-            (
-                TrafficSpec::on_off(500_000, 300 * MILLI, 700 * MILLI),
-                AttackStrategy::static_on_off(500_000, 300 * MILLI, 700 * MILLI),
-            )
-        };
-        let legacy = {
-            let mut spec = flood_spec(kind, seed);
-            spec.attackers.traffic = traffic;
-            Runner::new(spec).run()
-        };
-        let wrapped = {
-            let mut spec = flood_spec(kind, seed).adversary(strategy);
-            spec.attackers.traffic = traffic;
-            Runner::new(spec).run()
-        };
-        proptest::prop_assert_eq!(legacy, wrapped);
-    }
-
     /// Every strategy is fully deterministic under every defense: agents
     /// draw randomness only from their own seeded substream, so re-running
     /// the identical spec reproduces the identical `Record`.

@@ -11,6 +11,10 @@
 //! * Sweep regression: NetFence's reaction time is monotonically
 //!   non-decreasing in control-plane latency on the dumbbell (late key
 //!   announcements delay the start of congestion policing).
+//! * StopIt's reaction on the `control_plane_outage` example's scenario:
+//!   ideal ≤ 100 ms latency < an outage at the attack instant, which the
+//!   fault-recovery metric measures; an outage to the end of time holds
+//!   every filter request forever without overflowing `Nanos`.
 
 use std::sync::OnceLock;
 
@@ -31,7 +35,7 @@ fn spec(kind: DefenseKind, seed: u64) -> ScenarioSpec {
         .defense(kind)
         .fair_share(100_000)
         .users(TrafficSpec::repeated_file(20_000, SEC))
-        .attackers(TrafficSpec::cbr(500_000), AttackTarget::Colluders { ases: 1 })
+        .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Colluders { ases: 1 })
 }
 
 fn kind_of(index: u8) -> DefenseKind {
@@ -128,7 +132,7 @@ fn netfence_reaction(latency: Nanos) -> Option<f64> {
         .fair_share(100_000)
         .legit_per_as(1)
         .users(TrafficSpec::cbr(50_000))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 1 })
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Colluders { ases: 1 })
         .attacker_start(StartSchedule::delayed(8 * SEC))
         .control(CtrlConfig::ideal().latency(latency))
         .sampled(SEC);
@@ -152,4 +156,51 @@ fn netfence_reaction_monotone_in_control_latency() {
     // keys arriving 8 s after the attack, recovery is strictly later than
     // with an ideal control plane.
     assert!(series[2].1 > series[0].1, "control latency had no effect: {series:?}");
+}
+
+/// The `control_plane_outage` example's cell: StopIt on a dumbbell whose
+/// fair-queuing tier alone cannot restore the users, attack at 8 s.
+fn stopit_spec(ctrl: CtrlConfig, outage_until: Option<Nanos>) -> ScenarioSpec {
+    let mut faults = FaultPlan::empty();
+    if let Some(end) = outage_until {
+        faults.controller_outage(8 * SEC, end);
+    }
+    let scale = Scale { src_ases: 2, hosts_per_as: 3, sim_time: 48 * SEC, seed: 5 };
+    ScenarioSpec::dumbbell(scale)
+        .named("control-plane-outage")
+        .defense(DefenseKind::StopIt)
+        .fair_share(30_000)
+        .legit_per_as(1)
+        .users(TrafficSpec::cbr(50_000))
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
+        .attacker_start(StartSchedule::delayed(8 * SEC))
+        .control(ctrl)
+        .fault_plan(faults)
+        .sampled(SEC)
+}
+
+#[test]
+fn a_controller_outage_delays_stopit_and_is_measured_as_a_fault() {
+    let run = |spec: ScenarioSpec| Runner::new(spec).run();
+    let ideal = run(stopit_spec(CtrlConfig::ideal(), None));
+    let slow = run(stopit_spec(CtrlConfig::ideal().latency(100 * MILLI), None));
+    let dark = run(stopit_spec(CtrlConfig::ideal(), Some(18 * SEC)));
+    let reaction = |r: &Record| r.reaction_secs().expect("StopIt restores the users");
+    assert!(reaction(&ideal) <= reaction(&slow), "latency sped StopIt up");
+    assert!(reaction(&slow) < reaction(&dark), "an outage at the attack instant cost nothing");
+    assert!(ideal.faults.is_empty());
+    assert_eq!(dark.faults.len(), 1);
+    assert_eq!(
+        (dark.faults[0].kind.as_str(), dark.faults[0].clear_at),
+        ("controller-outage", 18 * SEC)
+    );
+    assert!(dark.fault_recovery_secs(0).is_some(), "users never recovered after the outage");
+    assert_eq!(dark.worst_fault_recovery_secs(), dark.fault_recovery_secs(0));
+
+    // Dark until the end of time: the filter requests are held (not lost)
+    // at `Nanos::MAX`, so no filter is ever installed — and the run ends.
+    let forever = run(stopit_spec(CtrlConfig::ideal().latency(50 * MILLI), Some(Nanos::MAX)));
+    assert!(ideal.report.filters > 0);
+    assert_eq!((forever.report.filters, forever.report.control_lost), (0, 0));
+    assert!(forever.report.control_delivered < ideal.report.control_delivered);
 }

@@ -24,7 +24,7 @@ fn spec(kind: DefenseKind, seed: u64) -> ScenarioSpec {
         .defense(kind)
         .fair_share(100_000)
         .users(TrafficSpec::repeated_file(20_000, SEC))
-        .attackers(TrafficSpec::cbr(500_000), AttackTarget::Colluders { ases: 1 })
+        .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Colluders { ases: 1 })
 }
 
 fn kind_of(index: u8) -> DefenseKind {
@@ -94,7 +94,7 @@ fn partial_deployment_polices_only_deployed_ases() {
         .coverage(0.5)
         .fair_share(100_000)
         .users(TrafficSpec::LongRunningTcp)
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Colluders { ases: 1 });
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Colluders { ases: 1 });
     let r = Runner::new(spec).run();
     // One of two source ASes deploys, plus transit + victim + colluder.
     assert_eq!(r.report.total_ases - r.report.deployed_ases, 1);

@@ -138,7 +138,10 @@ fn deployment_seam_cells() {
     let knobs =
         reaction::ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
     let spec = reaction::reaction_spec(&Size::Quick.scale_for(40, 90), DefenseKind::StopIt, &knobs);
-    check("reaction/100ms+10s-outage/StopIt", spec, (0x54c9_49f1_e3ce_fa25, 113_147, 12_001));
+    // Digest moved (counts equal) when the outage became a fault window: the
+    // record gained its `faults` entry and nothing else (CHANGES.md, PR 23;
+    // `outage_cells` pins the same cell with `faults` cleared).
+    check("reaction/100ms+10s-outage/StopIt", spec, (0x9e89_10c6_1d78_70af, 113_147, 12_001));
 
     let point = chaos::ChaosPoint {
         topology: chaos::ChaosTopology::Internet,
@@ -151,13 +154,12 @@ fn deployment_seam_cells() {
 
 /// The cells a control-plane outage or a lossy transport decides, digests
 /// taken with `record.faults` cleared as well (constants computed on
-/// 4b44f88, where an outage was a `CtrlConfig` field and left no fault
-/// window in the `Record`): `reaction` with the controller dark for 10 s
+/// 4b44f88, where an outage was a `CtrlConfig::outage(..)` window and left
+/// no fault window in the `Record`): `reaction` with the controller dark for 10 s
 /// from the attack instant, `reaction` at 30 % loss (the loss RNG with no
 /// outage), and the `control_plane_outage` example's StopIt dumbbell.
 #[test]
 fn outage_cells() {
-    use netfence::ctrl::prelude::CtrlConfig;
     use netfence::experiments::reaction::{reaction_spec, ReactionKnobs, ATTACK_START};
     use netfence::sim::time::{MILLI, SEC};
 
@@ -180,6 +182,8 @@ fn outage_cells() {
         check_without_faults(&format!("reaction/100ms+{name}/{}", kind.label()), spec, pinned);
     }
 
+    let mut outage = FaultPlan::empty();
+    outage.controller_outage(ATTACK_START, ATTACK_START + 10 * SEC);
     let scale = Scale { src_ases: 2, hosts_per_as: 3, sim_time: 48 * SEC, seed: 5 };
     let spec = ScenarioSpec::dumbbell(scale)
         .named("control-plane-outage")
@@ -187,9 +191,9 @@ fn outage_cells() {
         .fair_share(30_000)
         .legit_per_as(1)
         .users(TrafficSpec::cbr(50_000))
-        .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
         .attacker_start(StartSchedule::delayed(ATTACK_START))
-        .control(CtrlConfig::ideal().outage(ATTACK_START, ATTACK_START + 10 * SEC))
+        .fault_plan(outage)
         .sampled(SEC);
     check_without_faults(
         "control_plane_outage/outage/StopIt",

@@ -5,7 +5,8 @@
 //!   both the Static and Shrew attacker strategies, a run with an
 //!   explicitly empty plan reproduces the fault-free `Record`
 //!   byte-for-byte — and so does a plan whose faults all land *after* the
-//!   end of the run (the engine never applies them).
+//!   end of the run (the engine never applies them; its controller outage
+//!   installs the ideal transport, which is the legacy bus).
 //! * No fault plan panics any defense: a randomized grid of
 //!   (defense × fault kind × severity × seed) cells — random targets,
 //!   multi-window plans — runs to completion on the dumbbell.
@@ -39,7 +40,7 @@ fn base_spec(kind: DefenseKind, seed: u64) -> ScenarioSpec {
         .defense(kind)
         .fair_share(100_000)
         .users(TrafficSpec::repeated_file(20_000, SEC))
-        .attackers(TrafficSpec::cbr(500_000), AttackTarget::Colluders { ases: 1 })
+        .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Colluders { ases: 1 })
         .sampled(SEC)
 }
 
@@ -80,12 +81,13 @@ proptest! {
 
         let mut late = FaultPlan::empty();
         late.router_reboot(FaultTarget::Random, 100 * SEC)
-            .link_failure(FaultTarget::Random, 100 * SEC, 101 * SEC);
+            .link_failure(FaultTarget::Random, 100 * SEC, 101 * SEC)
+            .controller_outage(100 * SEC, 101 * SEC);
         let mut late = Runner::new(spec.fault_plan(late)).run();
         // Declared-window metadata is the one permitted difference: the
         // plan's windows are recorded even though the engine stops before
         // applying them. Everything behavioral must match byte-for-byte.
-        assert_eq!(late.faults.len(), 2, "{} late plan lost its declared windows", kind.label());
+        assert_eq!(late.faults.len(), 3, "{} late plan lost its declared windows", kind.label());
         late.faults.clear();
         assert_eq!(legacy, late, "{} post-run faults leaked into the record", kind.label());
     }
@@ -97,7 +99,7 @@ fn grid_plan(fault_idx: u8, severity: u8, seed: u64) -> FaultPlan {
     let windows = 1 + (severity as usize);
     for w in 0..windows {
         let at = SEC + (w as u64) * SEC + (seed % 3) * 500 * MILLI;
-        match (fault_idx as usize + w) % 5 {
+        match (fault_idx as usize + w) % 6 {
             0 => {
                 p.link_failure(FaultTarget::Random, at, at + SEC);
             }
@@ -111,8 +113,11 @@ fn grid_plan(fault_idx: u8, severity: u8, seed: u64) -> FaultPlan {
                 let skew = if severity == 0 { 50 * MILLI as i64 } else { -(2 * SEC as i64) };
                 p.clock_skew(FaultTarget::Random, skew, at, at + 2 * SEC);
             }
-            _ => {
+            4 => {
                 p.memory_pressure(FaultTarget::Random, 1 + seed as usize * 100, at);
+            }
+            _ => {
+                p.controller_outage(at, at + SEC);
             }
         }
     }
@@ -125,7 +130,7 @@ proptest! {
     #[test]
     fn no_fault_plan_panics_any_defense(
         kind_idx in 0u8..5,
-        fault_idx in 0u8..5,
+        fault_idx in 0u8..6,
         severity in 0u8..2,
         seed in 0u64..2,
     ) {
@@ -141,7 +146,7 @@ proptest! {
             .key_ttl(2 * SEC)
             .fair_share(100_000)
             .users(TrafficSpec::cbr(50_000))
-            .attackers(TrafficSpec::cbr(500_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Victim)
             .fault_plan(grid_plan(fault_idx, severity, seed))
             .sampled(SEC);
         let r = Runner::new(spec).run();
@@ -185,7 +190,7 @@ fn netfence_reconverges_after_an_access_router_reboot() {
             .legit_per_as(1)
             .users(TrafficSpec::cbr(50_000))
             .user_start(StartSchedule::staggered(10, 100 * MILLI))
-            .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
             .fault_plan(plan)
             .sampled(SEC);
     let r = Runner::new(spec).run();
@@ -265,7 +270,7 @@ fn key_desync_surfaces_as_invalid_feedback_then_heals() {
             .defense(DefenseKind::NetFence)
             .fair_share(100_000)
             .users(TrafficSpec::cbr(50_000))
-            .attackers(TrafficSpec::cbr(500_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Victim)
             .fault_plan(plan)
             .sampled(SEC);
     let baseline = Runner::new(spec.clone().fault_plan(FaultPlan::empty())).run();

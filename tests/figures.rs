@@ -84,19 +84,6 @@ fn symmetric_case_gives_group_a_a_nontrivial_share() {
 
 // ---- Figure 11 ----
 
-#[test]
-fn shrew_reproduces_the_legacy_onoff_record() {
-    // The pre-migration Figure 11 attacker was a plain
-    // `TrafficSpec::on_off` flow; the `Shrew` strategy with the same
-    // fixed timing must yield the *identical* Record.
-    let scale = Scale { src_ases: 2, hosts_per_as: 3, sim_time: 8 * SEC, seed: 11 };
-    let (ton, toff) = (secs(0.5), secs(1.5));
-    let mut legacy = fig11_spec(&scale, 100_000, ton, toff);
-    legacy.adversary = None;
-    legacy.attackers.traffic = TrafficSpec::on_off(1_000_000, ton, toff);
-    assert_eq!(run(legacy), run(fig11_spec(&scale, 100_000, ton, toff)));
-}
-
 fn fig11_user_bps(toff_secs: f64) -> f64 {
     let scale = Scale { src_ases: 3, hosts_per_as: 4, sim_time: 100 * SEC, seed: 11 };
     run(fig11_spec(&scale, 100_000, secs(0.5), secs(toff_secs))).avg_user_bps()

@@ -355,7 +355,6 @@ fn a_poll_on_the_nanosecond_of_a_pending_wake_transmits_once() {
         0.0,
     );
     let mut sim = simulator(net, 8 * MILLI, Some((middle, Box::new(capped))));
-    assert_eq!(sim.cfg.link_poll_interval, 2 * MILLI);
     let request = ChannelClass::Request;
     let flow = script(
         &mut sim,

@@ -20,7 +20,7 @@ fn every_defense_kind_runs_both_attack_scenarios() {
                 .defense(kind)
                 .fair_share(100_000)
                 .users(TrafficSpec::repeated_file(20_000, 2 * SEC))
-                .attackers(TrafficSpec::cbr(500_000), target);
+                .attackers(AttackStrategy::static_cbr(500_000), target);
             let r = Runner::new(spec).run();
             assert_eq!(r.defense, kind);
             assert_eq!(r.senders, 6);
@@ -61,7 +61,7 @@ fn identical_specs_produce_identical_records() {
             .fair_share(100_000)
             .legit_fraction(0.34)
             .users(TrafficSpec::WebLike)
-            .attackers(TrafficSpec::cbr(800_000), AttackTarget::Colluders { ases: 2 })
+            .attackers(AttackStrategy::static_cbr(800_000), AttackTarget::Colluders { ases: 2 })
     };
     let a = Runner::new(spec()).run();
     let b = Runner::new(spec()).run();
@@ -81,7 +81,7 @@ fn suppression_override_changes_the_outcome() {
         ScenarioSpec::dumbbell(tiny())
             .defense(DefenseKind::StopIt)
             .fair_share(100_000)
-            .attackers(TrafficSpec::cbr(500_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Victim)
     };
     let suppressed = Runner::new(base()).run(); // Auto ⇒ on for Victim target
     let open = Runner::new(

@@ -27,7 +27,7 @@ fn spec(kind: DefenseKind, seed: u64) -> ScenarioSpec {
         .defense(kind)
         .fair_share(100_000)
         .users(TrafficSpec::repeated_file(20_000, SEC))
-        .attackers(TrafficSpec::cbr(500_000), AttackTarget::Victim)
+        .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Victim)
         .sampled(250 * MILLI)
 }
 
@@ -87,7 +87,7 @@ fn fig8_style_drop_budget_sums_to_total_drops() {
             .fair_share(100_000)
             .legit_per_as(1)
             .users(TrafficSpec::repeated_file(20_000, 2 * SEC))
-            .attackers(TrafficSpec::cbr(1_000_000), AttackTarget::Victim)
+            .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
             .sampled(500 * MILLI)
             .traced(TelemetryConfig::full(2));
     let (record, dump) = Runner::new(spec).run_with_telemetry();

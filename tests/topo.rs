@@ -156,7 +156,7 @@ fn every_defense_kind_runs_on_generated_topologies() {
             .defense(kind)
             .fair_share(100_000)
             .users(TrafficSpec::repeated_file(20_000, 2 * SEC))
-            .attackers(TrafficSpec::cbr(500_000), AttackTarget::Victim);
+            .attackers(AttackStrategy::static_cbr(500_000), AttackTarget::Victim);
         let r = Runner::new(spec).run();
         assert_eq!(r.senders, 16, "{kind:?}");
         assert_eq!(r.links.len(), 1, "{kind:?}");
@@ -180,7 +180,7 @@ fn internet_records_are_deterministic_and_seed_sensitive() {
         ScenarioSpec::internet(scale, InternetShape::default())
             .defense(DefenseKind::NetFence)
             .fair_share(100_000)
-            .attackers(TrafficSpec::cbr(400_000), AttackTarget::Colluders { ases: 2 })
+            .attackers(AttackStrategy::static_cbr(400_000), AttackTarget::Colluders { ases: 2 })
     };
     let a = Runner::new(spec()).run();
     let b = Runner::new(spec()).run();
