@@ -136,25 +136,12 @@ impl AimdState {
     }
 }
 
-/// Compute Jain's fairness index of a set of rates (used by the analysis
-/// tests and the Figure 9 harness): `(Σx)² / (n·Σx²)`.
-pub fn jain_fairness_index(rates: &[f64]) -> f64 {
-    if rates.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = rates.iter().sum();
-    let sum_sq: f64 = rates.iter().map(|x| x * x).sum();
-    if sum_sq == 0.0 {
-        return 1.0;
-    }
-    sum * sum / (rates.len() as f64 * sum_sq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::feedback::Action;
     use crate::types::LinkId;
+    use netfence_telemetry::jain_fairness_index;
 
     fn incr(ts: u32) -> Feedback {
         Feedback::Mon { link: LinkId(1), action: Action::Incr, ts, token: 0, token_nop: None }
@@ -279,14 +266,6 @@ mod tests {
             b.rate()
         );
         assert!(last_index > 0.99);
-    }
-
-    #[test]
-    fn fairness_index_basics() {
-        assert!((jain_fairness_index(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
-        assert!((jain_fairness_index(&[1.0, 0.0]) - 0.5).abs() < 1e-12);
-        assert_eq!(jain_fairness_index(&[]), 1.0);
-        assert_eq!(jain_fairness_index(&[0.0, 0.0]), 1.0);
     }
 
     proptest::proptest! {

@@ -15,10 +15,11 @@ use crate::types::{Bps, Nanos, MILLI, SEC};
 /// | `Δ` | 12 kbps | rate limiter additive increase |
 /// | `δ` | 0.1 | rate limiter multiplicative decrease |
 /// | `p_th` | 2% | packet loss rate threshold |
-/// | `Q_lim` | 0.2 s × link bw | max queue length |
-/// | `min_thresh` | 0.5 Q_lim | RED parameter |
-/// | `max_thresh` | 0.75 Q_lim | RED parameter |
-/// | `w_q` | 0.1 | EWMA weight for the average queue length |
+///
+/// Figure 3's queue rows (`Q_lim` = 0.2 s × link bandwidth, `min_thresh`
+/// = 0.5 `Q_lim`, `max_thresh` = 0.75 `Q_lim`, `w_q` = 0.1) are not
+/// settings of the protocol state machines in this crate: the simulator's
+/// RED queue owns them, as `netfence_sim::queue::RedParams::paper_defaults`.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// `l1`: the inter-packet interval of the level-1 request packet rate
@@ -40,17 +41,6 @@ pub struct Config {
     /// Link utilization threshold used by attack detection on
     /// well-provisioned links (§4.3.1 mentions e.g. 95 %).
     pub utilization_threshold: f64,
-    /// `Q_lim` expressed as a queueing delay: maximum queue length is
-    /// `qlim_delay × link bandwidth`. Figure 3: 0.2 s.
-    pub qlim_delay: Nanos,
-    /// RED `min_thresh` as a fraction of `Q_lim`. Figure 3: 0.5.
-    pub red_min_thresh_frac: f64,
-    /// RED `max_thresh` as a fraction of `Q_lim`. Figure 3: 0.75.
-    pub red_max_thresh_frac: f64,
-    /// RED maximum drop probability at `max_thresh` (standard RED `max_p`).
-    pub red_max_p: f64,
-    /// `w_q`: EWMA weight for the RED average queue length. Figure 3: 0.1.
-    pub red_wq: f64,
     /// Fraction of link capacity reserved for the request channel (§3.1,
     /// §4.2): 5 %.
     pub request_channel_fraction: f64,
@@ -106,11 +96,6 @@ impl Default for Config {
             multiplicative_decrease: 0.1,
             loss_threshold: 0.02,
             utilization_threshold: 0.95,
-            qlim_delay: 200 * MILLI,
-            red_min_thresh_frac: 0.5,
-            red_max_thresh_frac: 0.75,
-            red_max_p: 0.1,
-            red_wq: 0.1,
             request_channel_fraction: 0.05,
             ta: 2 * 3600 * SEC,
             tb: 2 * 3600 * SEC,
@@ -158,9 +143,6 @@ impl Config {
         if !(0.0..=1.0).contains(&self.loss_threshold) {
             problems.push("p_th must be a probability".into());
         }
-        if self.red_min_thresh_frac >= self.red_max_thresh_frac {
-            problems.push("RED min_thresh must be below max_thresh".into());
-        }
         if self.min_rate_limit == 0 || self.min_rate_limit > self.initial_rate_limit {
             problems.push("rate limit floor must be positive and below the initial limit".into());
         }
@@ -185,10 +167,6 @@ mod tests {
         assert_eq!(c.additive_increase, 12_000);
         assert!((c.multiplicative_decrease - 0.1).abs() < 1e-12);
         assert!((c.loss_threshold - 0.02).abs() < 1e-12);
-        assert_eq!(c.qlim_delay, 200 * MILLI);
-        assert!((c.red_min_thresh_frac - 0.5).abs() < 1e-12);
-        assert!((c.red_max_thresh_frac - 0.75).abs() < 1e-12);
-        assert!((c.red_wq - 0.1).abs() < 1e-12);
         assert!((c.request_channel_fraction - 0.05).abs() < 1e-12);
     }
 
@@ -200,14 +178,9 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_parameters() {
-        let c = Config {
-            multiplicative_decrease: 1.5,
-            red_min_thresh_frac: 0.9,
-            min_rate_limit: 0,
-            ..Config::default()
-        };
+        let c = Config { multiplicative_decrease: 1.5, min_rate_limit: 0, ..Config::default() };
         let problems = c.validate();
-        assert_eq!(problems.len(), 3);
+        assert_eq!(problems.len(), 2);
     }
 
     #[test]

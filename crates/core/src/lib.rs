@@ -74,7 +74,7 @@ pub mod types;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::access::{AccessRouter, AccessVerdict};
-    pub use crate::aimd::{jain_fairness_index, Adjustment, AimdState};
+    pub use crate::aimd::{Adjustment, AimdState};
     pub use crate::bottleneck::{BottleneckLink, Channel, StampOutcome};
     pub use crate::config::Config;
     pub use crate::endpoint::{ReceiverPolicy, ReceiverShim, SenderShim};

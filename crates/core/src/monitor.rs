@@ -147,11 +147,6 @@ impl BottleneckMonitor {
         &mut self.detector
     }
 
-    /// Read-only access to the detector (metrics).
-    pub fn detector(&self) -> &AttackDetector {
-        &self.detector
-    }
-
     /// Whether the link is currently in a monitoring cycle (`mon` state).
     pub fn in_mon(&self) -> bool {
         self.mon_since.is_some()

@@ -168,7 +168,7 @@ impl Record {
     /// Jain fairness index across legitimate users' goodputs.
     pub fn user_fairness(&self) -> f64 {
         let v: Vec<f64> = self.users().map(|p| p.goodput_bps(0, self.sim_time)).collect();
-        fairness_index(&v)
+        jain_fairness_index(&v)
     }
 
     /// Average completed-transfer time across users, in seconds.

@@ -18,7 +18,6 @@
 
 use netfence_adversary::StrategyCtx;
 use netfence_ctrl::prelude::{CtrlConfig, CtrlService};
-use netfence_faults::CompiledFaults;
 use netfence_sim::prelude::*;
 use netfence_topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 
@@ -52,14 +51,12 @@ pub struct TelemetryDump {
 }
 
 /// One role group about to be spawned: `(group name, role, members)` where
-/// each member is a `(source, destination)` pair, plus the group's victim
-/// and colluders (the context adaptive attacker agents are built with).
+/// each member is a `(source, destination)` pair. Topology group `k` plans
+/// entries `2k` (its users) and `2k + 1` (its attackers).
 struct PlannedGroup {
     name: String,
     role: Role,
     members: Vec<(HostAddr, HostAddr)>,
-    victim: HostAddr,
-    colluders: Vec<HostAddr>,
 }
 
 impl Runner {
@@ -150,13 +147,14 @@ impl Runner {
         }
     }
 
-    /// Deploy, spawn and simulate one built topology.
+    /// Deploy, spawn, simulate and collect one built topology.
     fn run_built(
         &self,
         built: BuiltTopo,
         edit: impl FnOnce(&Network, &mut Deployment),
     ) -> (Record, TelemetryDump) {
         let spec = &self.spec;
+        let senders = built.senders();
         let BuiltTopo { net, groups, bottlenecks, source_ases, competing_senders } = built;
         let bottleneck_bps = bottlenecks.iter().map(|b| b.bps).min().unwrap_or(0);
 
@@ -212,8 +210,6 @@ impl Runner {
                 name: users_name,
                 role: Role::User,
                 members: g.users.iter().map(|&u| (u, g.victim)).collect(),
-                victim: g.victim,
-                colluders: g.colluders.clone(),
             });
             planned.push(PlannedGroup {
                 name: attackers_name,
@@ -227,8 +223,6 @@ impl Runner {
                         AttackTarget::Colluders { .. } => (a, g.colluders[i % g.colluders.len()]),
                     })
                     .collect(),
-                victim: g.victim,
-                colluders: g.colluders.clone(),
             });
         }
 
@@ -246,27 +240,6 @@ impl Runner {
             }
         }
 
-        let senders: usize = groups.iter().map(|g| g.users.len() + g.attackers.len()).sum();
-        let links: Vec<(String, LinkAddr, u64)> =
-            bottlenecks.into_iter().map(|b| (b.label, b.addr, b.bps)).collect();
-        let fair_share = bottleneck_bps as f64 / competing_senders.max(1) as f64;
-        self.simulate(net, deployment, compiled, planned, ring, links, senders, fair_share)
-    }
-
-    /// Shared tail: spawn the planned role flows, run, collect.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate(
-        &self,
-        net: Network,
-        deployment: Deployment,
-        compiled: CompiledFaults,
-        planned: Vec<PlannedGroup>,
-        ring: Vec<HostAddr>,
-        links: Vec<(String, LinkAddr, u64)>,
-        senders: usize,
-        fair_share_bps: f64,
-    ) -> (Record, TelemetryDump) {
-        let spec = &self.spec;
         let mut sim = Simulator::new(
             net,
             deployment,
@@ -283,6 +256,7 @@ impl Runner {
         let mut flow_ids: Vec<Vec<FlowId>> = Vec::with_capacity(planned.len());
         let mut attack_start: Option<Nanos> = None;
         for (g, group) in planned.iter().enumerate() {
+            let of = &groups[g / 2];
             let mut ids = Vec::with_capacity(group.members.len());
             for (i, &(src, dst)) in group.members.iter().enumerate() {
                 ids.push(match group.role {
@@ -302,9 +276,9 @@ impl Runner {
                         let ctx = || StrategyCtx {
                             seed: adversary_seed(spec.scale.seed, g, i),
                             member: i,
-                            victim: group.victim,
-                            colluder: (!group.colluders.is_empty())
-                                .then(|| group.colluders[i % group.colluders.len()]),
+                            victim: of.victim,
+                            colluder: (!of.colluders.is_empty())
+                                .then(|| of.colluders[i % of.colluders.len()]),
                             ring: ring.clone(),
                             aimd_interval: spec.defense.netfence.ilim,
                         };
@@ -320,18 +294,11 @@ impl Runner {
 
         // Fold the engine's per-flow samples into per-role cumulative
         // series, using the planned groups' flow ids as the role map.
-        let user_flows: Vec<FlowId> = planned
-            .iter()
-            .zip(&flow_ids)
-            .filter(|(g, _)| g.role == Role::User)
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
-        let attacker_flows: Vec<FlowId> = planned
-            .iter()
-            .zip(&flow_ids)
-            .filter(|(g, _)| g.role == Role::Attacker)
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
+        let flows_of = |role: Role| -> Vec<FlowId> {
+            let of_role = planned.iter().zip(&flow_ids).filter(|(g, _)| g.role == role);
+            of_role.flat_map(|(_, ids)| ids.iter().copied()).collect()
+        };
+        let (user_flows, attacker_flows) = (flows_of(Role::User), flows_of(Role::Attacker));
         let samples = sim
             .samples()
             .iter()
@@ -361,13 +328,13 @@ impl Runner {
                 },
             })
             .collect();
-        let links = links
+        let links = bottlenecks
             .into_iter()
-            .map(|(label, addr, capacity_bps)| LinkStats {
-                label,
-                capacity_bps,
-                utilization: sim.metrics.utilization(addr, capacity_bps),
-                loss: sim.metrics.loss_rate(addr),
+            .map(|b| LinkStats {
+                utilization: sim.metrics.utilization(b.addr, b.bps),
+                loss: sim.metrics.loss_rate(b.addr),
+                label: b.label,
+                capacity_bps: b.bps,
             })
             .collect();
 
@@ -385,7 +352,7 @@ impl Runner {
             sim_time: spec.scale.sim_time,
             seed: spec.scale.seed,
             senders,
-            fair_share_bps,
+            fair_share_bps: bottleneck_bps as f64 / competing_senders.max(1) as f64,
             roles,
             links,
             report: sim.report(),

@@ -214,33 +214,13 @@ impl TrafficSpec {
         dst: HostAddr,
         seed: u64,
     ) -> Box<dyn Flow> {
-        match *self {
-            TrafficSpec::Cbr { bps } => Box::new(UdpFlow::cbr(id, src, dst, bps)),
-            TrafficSpec::LongRunningTcp => Box::new(TcpFlow::new(
-                id,
-                src,
-                dst,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(seed),
-            )),
-            TrafficSpec::WebLike => Box::new(TcpFlow::new(
-                id,
-                src,
-                dst,
-                TcpWorkload::WebLike(WebWorkload::default()),
-                TcpConfig::default(),
-                SimRng::new(seed),
-            )),
-            TrafficSpec::RepeatedFile { bytes, gap } => Box::new(TcpFlow::new(
-                id,
-                src,
-                dst,
-                TcpWorkload::RepeatedFile { bytes, gap },
-                TcpConfig::default(),
-                SimRng::new(seed),
-            )),
-        }
+        let workload = match *self {
+            TrafficSpec::Cbr { bps } => return Box::new(UdpFlow::cbr(id, src, dst, bps)),
+            TrafficSpec::LongRunningTcp => TcpWorkload::LongRunning,
+            TrafficSpec::WebLike => TcpWorkload::WebLike,
+            TrafficSpec::RepeatedFile { bytes, gap } => TcpWorkload::RepeatedFile { bytes, gap },
+        };
+        Box::new(TcpFlow::new(id, src, dst, workload, SimRng::new(seed)))
     }
 }
 
@@ -279,7 +259,9 @@ impl StartSchedule {
     pub fn start_of(&self, i: usize) -> Nanos {
         match *self {
             StartSchedule::Synchronized => 0,
-            StartSchedule::Staggered { groups, step } => (i as u64 % groups.max(1)) * step,
+            StartSchedule::Staggered { groups, step } => {
+                (i as u64 % groups.max(1)).saturating_mul(step)
+            }
             StartSchedule::Delayed { at } => at,
         }
     }
@@ -373,14 +355,6 @@ impl DefenseSpec {
         }
     }
 
-    /// Give NetFence's installed AS keys a TTL (0 = permanent). Nonzero
-    /// turns on the periodic key re-announcements a rebooted router
-    /// recovers through.
-    pub fn with_key_ttl(mut self, ttl: Nanos) -> Self {
-        self.key_ttl = ttl;
-        self
-    }
-
     /// Override the suppression policy.
     pub fn with_suppression(mut self, s: Suppression) -> Self {
         self.suppression = s;
@@ -428,9 +402,7 @@ impl DefenseSpec {
             }
             DefenseKind::NetFence => {
                 let mut n = NetFenceDefense::new(self.netfence.clone());
-                if self.key_ttl > 0 {
-                    n.key_ttl(self.key_ttl);
-                }
+                n.key_ttl(self.key_ttl);
                 if suppress {
                     let total: u64 = ctx.groups.iter().map(|g| g.attackers.len() as u64).sum();
                     let prio = attacker_request_priority(&self.netfence, total, ctx.bottleneck_bps);
@@ -619,21 +591,14 @@ impl ScenarioSpec {
 
     /// Select the defense system (experiment-default configuration).
     pub fn defense(mut self, kind: DefenseKind) -> Self {
-        let suppression = self.defense.suppression;
-        let key_ttl = self.defense.key_ttl;
-        self.defense = DefenseSpec::new(kind).with_suppression(suppression).with_key_ttl(key_ttl);
+        let DefenseSpec { suppression, key_ttl, .. } = self.defense;
+        self.defense = DefenseSpec { suppression, key_ttl, ..DefenseSpec::new(kind) };
         self
     }
 
     /// Replace the whole defense spec.
     pub fn defense_spec(mut self, defense: DefenseSpec) -> Self {
         self.defense = defense;
-        self
-    }
-
-    /// Set the deployment extent of the defense.
-    pub fn deployment(mut self, d: DeploymentSpec) -> Self {
-        self.defense.deployment = d;
         self
     }
 
@@ -724,7 +689,7 @@ impl ScenarioSpec {
     }
 
     /// Give the defense's installed keys a TTL (NetFence only; see
-    /// [`DefenseSpec::with_key_ttl`]).
+    /// [`DefenseSpec::key_ttl`]).
     pub fn key_ttl(mut self, ttl: Nanos) -> Self {
         self.defense.key_ttl = ttl;
         self
@@ -816,6 +781,7 @@ mod tests {
         assert_eq!(s.start_of(0), 0);
         assert_eq!(s.start_of(3), 300 * MILLI);
         assert_eq!(s.start_of(13), 300 * MILLI);
+        assert_eq!(StartSchedule::staggered(10, Nanos::MAX).start_of(3), Nanos::MAX);
         assert_eq!(StartSchedule::Synchronized.start_of(99), 0);
     }
 

@@ -1,6 +1,8 @@
-//! Fixture: a public function and a public inherent method nobody names
-//! (must FAIL with two `orphan-pub-fn` findings). A mention in a comment
-//! or a string — never_called, "unused_knob" — is not a caller.
+//! Fixture: a public function and two public inherent methods nobody
+//! names (must FAIL with three `orphan-pub-fn` findings). A mention in a
+//! comment or a string — never_called, "unused_knob" — is not a caller,
+//! and neither is the field a setter is named after: `limit` occurs as a
+//! declaration, a struct-literal key and a field access, never as a call.
 
 pub struct Queue {
     limit: usize,
@@ -11,9 +13,13 @@ impl Queue {
         Queue { limit: 8 }
     }
 
-    pub fn unused_knob(mut self, limit: usize) -> Queue {
-        self.limit = limit;
+    pub fn unused_knob(mut self, bytes: usize) -> Queue {
+        self.limit = bytes;
         self
+    }
+
+    pub fn limit(&mut self, bytes: usize) {
+        self.limit = bytes;
     }
 }
 

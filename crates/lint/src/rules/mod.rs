@@ -135,8 +135,9 @@ pub struct Context<'a> {
     /// across module boundaries.
     pub hash_fns: BTreeSet<String>,
     /// How often each identifier occurs across every discovered file,
-    /// test code included — a `pub fn` whose name occurs once (its own
-    /// definition) has no caller anywhere (rule `orphan-pub-fn`).
+    /// test code included and field positions excluded — a `pub fn` whose
+    /// name occurs once (its own definition) has no caller anywhere (rule
+    /// `orphan-pub-fn`).
     pub ident_uses: BTreeMap<&'a str, u32>,
 }
 
@@ -146,10 +147,13 @@ impl<'a> Context<'a> {
         let mut hash_fns = BTreeSet::new();
         let mut ident_uses: BTreeMap<&str, u32> = BTreeMap::new();
         for file in files {
-            for tok in file.toks.iter().filter(|t| t.kind == TokKind::Ident) {
-                *ident_uses.entry(tok.text.as_str()).or_default() += 1;
-            }
             let s = &file.sig;
+            for k in 0..s.len() {
+                let tok = file.tok(k);
+                if tok.kind == TokKind::Ident && !is_field_position(file, k) {
+                    *ident_uses.entry(tok.text.as_str()).or_default() += 1;
+                }
+            }
             for k in 0..s.len() {
                 if !file.tok(k).is_ident("fn") || k + 1 >= s.len() {
                     continue;
@@ -180,6 +184,18 @@ impl<'a> Context<'a> {
         }
         Context { config, hash_fns, ident_uses }
     }
+}
+
+/// Whether the identifier at sig-position `k` names a field rather than
+/// a function: a field access (`x.name` with no call and no turbofish
+/// after it), or a struct-literal key, field declaration or parameter
+/// (`name:` with a single colon). A setter that shares its field's name
+/// is otherwise kept alive by the field.
+fn is_field_position(file: &SourceFile, k: usize) -> bool {
+    let next = (k + 1 < file.sig.len()).then(|| file.tok(k + 1));
+    let accessed = k > 0 && file.tok(k - 1).is_punct(".");
+    let called = next.is_some_and(|t| t.is_punct("(") || t.is_punct("::"));
+    (accessed && !called) || next.is_some_and(|t| t.is_punct(":"))
 }
 
 /// The configured hash-collection type names (default `HashMap`/`HashSet`

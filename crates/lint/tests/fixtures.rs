@@ -72,6 +72,20 @@ fn every_rule_has_a_failing_and_a_passing_fixture() {
     }
 }
 
+/// A field is not a caller: the setter named like the field it assigns
+/// is reported next to the two plain orphans.
+#[test]
+fn a_setter_named_like_its_field_is_an_orphan() {
+    let rule = "orphan-pub-fn";
+    let fail = check_fixture(rule, "fail", "crates/fixtures/src/fail.rs", false);
+    let found = unsuppressed(&fail, rule);
+    assert_eq!(found.len(), 3, "{}", render(&fail));
+    for name in ["unused_knob", "limit", "never_called"] {
+        let needle = format!("`pub fn {name}`");
+        assert!(found.iter().any(|d| d.message.contains(&needle)), "{name}:\n{}", render(&fail));
+    }
+}
+
 /// Outside the export zone the iteration rule stays quiet (the file is
 /// not on any path that feeds a `Record`).
 #[test]

@@ -27,7 +27,7 @@
 //! [`ControlPlane`] bus, drained after every event.
 
 use netfence_telemetry::{
-    DropCause, FlightRecorder, HopEvent, HopStage, TelemetryConfig, Timeline,
+    DropCause, FlightRecorder, HopEvent, HopStage, TelemetryConfig, Timeline, RING_CAPACITY,
 };
 
 use crate::deploy::{
@@ -278,15 +278,15 @@ impl Simulator {
         }
         assert!(planned.next().is_none(), "queue plan is out of order or names a missing link");
         let timeline = if cfg.telemetry.timeline {
-            Timeline::new(cfg.telemetry.timeline_capacity)
+            Timeline::new(RING_CAPACITY)
         } else {
             Timeline::disabled()
         };
         let flight = match cfg.telemetry.trace_sample_shift {
-            Some(shift) => FlightRecorder::new(shift, cfg.telemetry.trace_capacity),
+            Some(shift) => FlightRecorder::new(shift, RING_CAPACITY),
             None => FlightRecorder::disabled(),
         };
-        let metrics = Metrics::for_links(&net.links);
+        let metrics = Metrics::for_network(&net);
         let link_down = vec![false; links.len()];
         let mut sim = Simulator {
             cfg,
@@ -879,7 +879,7 @@ mod tests {
     use super::*;
     use crate::deploy::{ControlPayload, ControlPlane, Deployment, HostShim, RouterAgent};
     use crate::rng::SimRng;
-    use crate::tcp::{TcpConfig, TcpFlow, TcpWorkload};
+    use crate::tcp::{TcpFlow, TcpWorkload};
     use crate::topology::QueueKind;
     use crate::udp::UdpFlow;
 
@@ -910,7 +910,6 @@ mod tests {
                 HOST_A,
                 HOST_B,
                 TcpWorkload::RepeatedFile { bytes: 20_000, gap: 100 * MILLI },
-                TcpConfig::default(),
                 SimRng::new(3),
             ))
         });
@@ -964,24 +963,10 @@ mod tests {
         let mut sim =
             Simulator::undefended(net, SimConfig { end_time: 30 * SEC, ..Default::default() });
         let f1 = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                HOST_A,
-                HOST_B,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(3),
-            ))
+            Box::new(TcpFlow::new(id, HOST_A, HOST_B, TcpWorkload::LongRunning, SimRng::new(3)))
         });
         let f2 = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                HOST_A + 1,
-                HOST_B,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(4),
-            ))
+            Box::new(TcpFlow::new(id, HOST_A + 1, HOST_B, TcpWorkload::LongRunning, SimRng::new(4)))
         });
         sim.run();
         let g1 = sim.progress(f1).goodput_bps(0, 30 * SEC);
@@ -1005,7 +990,6 @@ mod tests {
                     HOST_A,
                     HOST_B,
                     TcpWorkload::RepeatedFile { bytes: 20_000, gap: 50 * MILLI },
-                    TcpConfig::default(),
                     SimRng::new(9),
                 ))
             });

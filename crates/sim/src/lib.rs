@@ -49,7 +49,7 @@ pub mod prelude {
     };
     pub use crate::engine::{FaultAction, SimConfig, Simulator};
     pub use crate::flow::{Flow, FlowActions, FlowProgress};
-    pub use crate::metrics::{fairness_index, mean_ratio, Metrics};
+    pub use crate::metrics::Metrics;
     pub use crate::packet::{
         AsNum, ChannelClass, Extension, FlowId, HostAddr, LinkAddr, Packet, Protocol, TcpKind,
         TcpSegment,
@@ -59,14 +59,13 @@ pub mod prelude {
         QueueDisc, RedQueue,
     };
     pub use crate::rng::SimRng;
-    pub use crate::tcp::{TcpConfig, TcpFlow, TcpWorkload};
+    pub use crate::tcp::{TcpFlow, TcpWorkload};
     pub use crate::time::{secs, to_secs, Nanos, MICRO, MILLI, SEC};
     pub use crate::topology::{Network, NetworkBuilder, NodeId, QueueKind};
     pub use crate::udp::{UdpFlow, UdpPattern};
-    pub use crate::webtraffic::WebWorkload;
     pub use netfence_telemetry::{
-        DropBudget, DropCause, DropLedger, EngineProfile, FlightRecorder, HopEvent, HopStage,
-        IdMap, TelemetryConfig, Timeline, TimelineRow,
+        jain_fairness_index, DropBudget, DropCause, DropLedger, EngineProfile, FlightRecorder,
+        HopEvent, HopStage, IdMap, TelemetryConfig, Timeline, TimelineRow,
     };
 }
 

@@ -1,27 +1,26 @@
 //! Simulation-wide measurements: per-link counters and the aggregate
-//! statistics the experiments report (throughput ratio, Jain fairness
-//! index, utilization).
+//! statistics the experiments report (throughput ratio, utilization).
 //!
 //! The per-link counters are a dense `Vec` indexed by link id (links are
-//! dense already), so the per-packet hot path never hashes; the
+//! dense already), so the per-packet hot path never hashes; the network's
 //! `LinkAddr → index` map is consulted only by post-run readers. Every
-//! drop is additionally recorded with a typed [`DropCause`] in an
-//! always-on [`DropLedger`], replacing the old single
-//! `defense_drop_pkts` counter.
+//! drop is recorded once, with a typed [`DropCause`], in the always-on
+//! [`DropLedger`]; the drop counts reported here are read back from it.
+
+use std::sync::Arc;
 
 use netfence_telemetry::{DropBudget, DropCause, DropLedger, EngineProfile, IdMap};
 
 use crate::packet::LinkAddr;
 use crate::time::Nanos;
-use crate::topology::LinkSpec;
+use crate::topology::Network;
 
-/// One link's counters (transmissions, queue drops) side by side: a
-/// transmission dirties one cache line, not one per counter.
+/// One link's transmission counters side by side: a transmission dirties
+/// one cache line, not one per counter.
 #[derive(Debug, Default, Clone, Copy)]
 struct LinkCounters {
     tx_bytes: u64,
     tx_pkts: u64,
-    drop_pkts: u64,
 }
 
 /// Per-link and global counters collected by the engine.
@@ -29,10 +28,9 @@ struct LinkCounters {
 pub struct Metrics {
     /// Indexed by dense link id.
     links: Vec<LinkCounters>,
-    /// Post-run lookup from protocol-level link address to dense index.
-    link_index: IdMap<LinkAddr, usize>,
-    /// Packets dropped outside link queues (agents, policers, routing).
-    defense_drops: u64,
+    /// Post-run lookup from protocol-level link address to dense index
+    /// (the network's own table).
+    link_index: Arc<IdMap<LinkAddr, usize>>,
     /// Packets delivered to destination hosts.
     pub delivered_pkts: u64,
     /// Total packets injected by flows.
@@ -46,12 +44,12 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Metrics sized for a network with the given links.
-    pub fn for_links(links: &[LinkSpec]) -> Self {
+    /// Metrics sized for `net`'s links.
+    pub fn for_network(net: &Network) -> Self {
         Metrics {
-            links: vec![LinkCounters::default(); links.len()],
-            link_index: links.iter().enumerate().map(|(i, l)| (l.addr, i)).collect(),
-            drops: DropLedger::new(links.len()),
+            links: vec![LinkCounters::default(); net.links.len()],
+            link_index: Arc::clone(&net.link_index),
+            drops: DropLedger::new(net.links.len()),
             ..Metrics::default()
         }
     }
@@ -67,7 +65,6 @@ impl Metrics {
     /// Register one queue drop of flow `flow` on link `idx`.
     #[inline]
     pub(crate) fn record_link_drop(&mut self, idx: usize, flow: u64, cause: DropCause) {
-        self.links[idx].drop_pkts += 1;
         self.drops.record(Some(idx), flow, cause);
         self.profile.drops += 1;
     }
@@ -76,7 +73,6 @@ impl Metrics {
     /// flow `flow`.
     #[inline]
     pub(crate) fn record_defense_drop(&mut self, flow: u64, cause: DropCause) {
-        self.defense_drops += 1;
         self.drops.record(None, flow, cause);
         self.profile.drops += 1;
     }
@@ -98,7 +94,7 @@ impl Metrics {
 
     /// Packets dropped by a link's queue.
     pub fn link_drop_pkts(&self, link: LinkAddr) -> u64 {
-        self.idx(link).map_or(0, |i| self.links[i].drop_pkts)
+        self.link_budget(link).total()
     }
 
     /// Typed drop budget of a link's queue.
@@ -107,21 +103,20 @@ impl Metrics {
     }
 
     /// Packets dropped outside link queues (rate limiters, filters,
-    /// policers, routing failures).
+    /// policers, routing failures): whatever the ledger holds beyond the
+    /// per-link budgets.
     pub fn defense_drop_pkts(&self) -> u64 {
-        self.defense_drops
+        self.total_drop_pkts() - self.queue_drop_pkts()
     }
 
     /// Queue drops summed over every link.
     pub fn queue_drop_pkts(&self) -> u64 {
-        self.links.iter().map(|l| l.drop_pkts).sum()
+        (0..self.links.len()).map(|i| self.drops.link(i).total()).sum()
     }
 
-    /// All drops of the run: queue drops plus node-level drops. Always
-    /// equal to the drop ledger's total (the telemetry property tests pin
-    /// this).
+    /// All drops of the run: queue drops plus node-level drops.
     pub fn total_drop_pkts(&self) -> u64 {
-        self.queue_drop_pkts() + self.defense_drops
+        self.drops.total().total()
     }
 
     /// Utilization of a link over the whole run. Saturates to `0.0` on a
@@ -149,57 +144,28 @@ impl Metrics {
     }
 }
 
-/// Jain's fairness index of a set of throughputs: `(Σx)² / (n·Σx²)`.
-pub fn fairness_index(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = values.iter().sum();
-    let sq: f64 = values.iter().map(|v| v * v).sum();
-    if sq == 0.0 {
-        1.0
-    } else {
-        sum * sum / (values.len() as f64 * sq)
-    }
-}
-
-/// The ratio between the mean of `numerators` and the mean of
-/// `denominators` (e.g. average legitimate-user throughput over average
-/// attacker throughput — Figure 9's metric). Returns `None` when the
-/// denominator set is empty or has zero mean.
-pub fn mean_ratio(numerators: &[f64], denominators: &[f64]) -> Option<f64> {
-    if numerators.is_empty() || denominators.is_empty() {
-        return None;
-    }
-    let num = numerators.iter().sum::<f64>() / numerators.len() as f64;
-    let den = denominators.iter().sum::<f64>() / denominators.len() as f64;
-    if den == 0.0 {
-        None
-    } else {
-        Some(num / den)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::{MILLI, SEC};
     use crate::topology::QueueKind;
 
-    fn one_link() -> Vec<LinkSpec> {
-        vec![LinkSpec {
-            addr: 1,
-            from: crate::topology::NodeId(0),
-            to: crate::topology::NodeId(1),
-            capacity: 20_000_000,
-            delay: MILLI,
-            queue: QueueKind::DropTail,
-        }]
+    /// The address the builder gives a network's first link.
+    const LINK: LinkAddr = 1_001;
+
+    /// Metrics of a network with one 20 Mbps link.
+    fn one_link() -> Metrics {
+        let mut b = Network::builder();
+        let (r0, r1) = (b.router(1, false), b.router(2, false));
+        b.link(r0, r1, 20_000_000, MILLI, QueueKind::DropTail);
+        let net = b.build();
+        assert_eq!(net.links[0].addr, LINK);
+        Metrics::for_network(&net)
     }
 
     #[test]
     fn utilization_and_loss() {
-        let mut m = Metrics::for_links(&one_link());
+        let mut m = one_link();
         m.end_time = 10 * SEC;
         for _ in 0..999 {
             m.record_tx(0, 12_500);
@@ -208,63 +174,48 @@ mod tests {
         for _ in 0..250 {
             m.record_link_drop(0, 0, DropCause::QueueOverflow);
         }
-        assert!((m.utilization(1, 20_000_000) - 0.5).abs() < 1e-9);
-        assert!((m.loss_rate(1) - 0.2).abs() < 1e-9);
+        assert!((m.utilization(LINK, 20_000_000) - 0.5).abs() < 1e-9);
+        assert!((m.loss_rate(LINK) - 0.2).abs() < 1e-9);
         assert_eq!(m.utilization(2, 20_000_000), 0.0);
         assert_eq!(m.loss_rate(2), 0.0);
     }
 
     #[test]
     fn utilization_saturates_on_zero_length_runs() {
-        let mut m = Metrics::for_links(&one_link());
+        let mut m = one_link();
         m.record_tx(0, 12_500);
         // end_time stays 0: a run that never advanced must report zero
         // utilization, not a division by zero.
         assert_eq!(m.end_time, 0);
-        assert_eq!(m.utilization(1, 20_000_000), 0.0);
-        assert!(m.utilization(1, 20_000_000).is_finite());
+        assert_eq!(m.utilization(LINK, 20_000_000), 0.0);
+        assert!(m.utilization(LINK, 20_000_000).is_finite());
         // Zero capacity saturates the same way.
         m.end_time = SEC;
-        assert_eq!(m.utilization(1, 0), 0.0);
+        assert_eq!(m.utilization(LINK, 0), 0.0);
     }
 
     #[test]
     fn loss_rate_saturates_on_zero_length_runs() {
-        let m = Metrics::for_links(&one_link());
+        let m = one_link();
         // Nothing transmitted, nothing dropped: loss is 0, not NaN.
-        assert_eq!(m.loss_rate(1), 0.0);
-        assert!(m.loss_rate(1).is_finite());
+        assert_eq!(m.loss_rate(LINK), 0.0);
+        assert!(m.loss_rate(LINK).is_finite());
         // An unknown link behaves the same.
         assert_eq!(m.loss_rate(99), 0.0);
     }
 
     #[test]
     fn drop_accounting_is_typed_and_consistent() {
-        let mut m = Metrics::for_links(&one_link());
+        let mut m = one_link();
         m.record_link_drop(0, 3, DropCause::QueueOverflow);
         m.record_link_drop(0, 3, DropCause::LegacyDemotion);
         m.record_defense_drop(4, DropCause::StopItFilter);
         assert_eq!(m.queue_drop_pkts(), 2);
         assert_eq!(m.defense_drop_pkts(), 1);
         assert_eq!(m.total_drop_pkts(), 3);
-        assert_eq!(m.drops.total().total(), m.total_drop_pkts());
-        assert_eq!(m.link_budget(1).get(DropCause::QueueOverflow), 1);
-        assert_eq!(m.link_budget(1).get(DropCause::LegacyDemotion), 1);
+        assert_eq!(m.link_budget(LINK).get(DropCause::QueueOverflow), 1);
+        assert_eq!(m.link_budget(LINK).get(DropCause::LegacyDemotion), 1);
         assert_eq!(m.drops.flow(3).total(), 2);
         assert_eq!(m.profile.drops, 3);
-    }
-
-    #[test]
-    fn fairness_index_properties() {
-        assert!((fairness_index(&[5.0, 5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
-        assert!((fairness_index(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        assert_eq!(fairness_index(&[]), 1.0);
-    }
-
-    #[test]
-    fn ratios() {
-        assert_eq!(mean_ratio(&[1.0, 3.0], &[2.0, 2.0]), Some(1.0));
-        assert_eq!(mean_ratio(&[], &[1.0]), None);
-        assert_eq!(mean_ratio(&[1.0], &[0.0]), None);
     }
 }

@@ -3,11 +3,11 @@
 //! The substrate provides the schedulers the NetFence evaluation needs:
 //!
 //! * [`DropTail`] — plain FIFO with a byte limit;
-//! * [`RedQueue`] — Random Early Detection with the parameters from
-//!   Figure 3 of the paper (`min_thresh = 0.5·Q_lim`,
-//!   `max_thresh = 0.75·Q_lim`, `w_q = 0.1`);
-//! * [`DrrQueue`] — Deficit Round Robin fair queuing \[38\] with a pluggable
-//!   [`Classifier`] (per-sender, per-destination, per-AS);
+//! * [`RedQueue`] — Random Early Detection with the queue rows of the
+//!   paper's Figure 3, whose one spelling is [`RedParams::paper_defaults`]
+//!   (`Q_lim` itself is [`qlim_bytes`]);
+//! * [`DrrQueue`] — Deficit Round Robin fair queuing \[38\] with a
+//!   [`Classifier`] (per-sender or per-destination);
 //! * [`HierDrrQueue`] — two-level hierarchical DRR (per source AS, then per
 //!   source host) as used by TVA+ and StopIt for their request/fallback
 //!   channels;
@@ -136,6 +136,13 @@ impl QueueDisc for DropTail {
 // RED
 // ---------------------------------------------------------------------------
 
+/// `Q_lim` of Figure 3 in bytes: 0.2 s of a link of `capacity_bps`. Every
+/// user applies its own floor. ([`DropTail::for_capacity`] spells the same
+/// quantity in integers and rounds differently.)
+pub fn qlim_bytes(capacity_bps: u64) -> usize {
+    (capacity_bps as f64 * 0.2 / 8.0) as usize
+}
+
 /// Random Early Detection parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RedParams {
@@ -152,11 +159,12 @@ pub struct RedParams {
 }
 
 impl RedParams {
-    /// The paper's parameters for a link of `capacity` bits/second:
-    /// `Q_lim = 0.2 s × capacity`, `min = 0.5·Q_lim`, `max = 0.75·Q_lim`,
-    /// `w_q = 0.1`.
+    /// Figure 3's queue rows for a link of `capacity` bits/second:
+    /// `Q_lim = 0.2 s × capacity`, `min_thresh = 0.5·Q_lim`,
+    /// `max_thresh = 0.75·Q_lim`, `w_q = 0.1` (and standard RED's
+    /// `max_p = 0.1`), each floored at a few full-size packets.
     pub fn paper_defaults(capacity_bps: u64) -> Self {
-        let limit_bytes = (capacity_bps as f64 * 0.2 / 8.0) as usize;
+        let limit_bytes = qlim_bytes(capacity_bps);
         RedParams {
             limit_bytes: limit_bytes.max(6000),
             min_thresh: (limit_bytes / 2).max(3000),
@@ -182,21 +190,16 @@ pub struct RedQueue {
 }
 
 impl RedQueue {
-    /// Create a RED queue.
-    pub fn new(params: RedParams, seed: u64) -> Self {
+    /// Create a RED queue with the paper's defaults for a link capacity.
+    pub fn for_capacity(capacity_bps: u64, seed: u64) -> Self {
         RedQueue {
-            params,
+            params: RedParams::paper_defaults(capacity_bps),
             queue: VecDeque::new(),
             bytes: 0,
             avg: 0.0,
             count_since_drop: 0,
             prng: seed | 1,
         }
-    }
-
-    /// Create a RED queue with the paper's defaults for a link capacity.
-    pub fn for_capacity(capacity_bps: u64, seed: u64) -> Self {
-        Self::new(RedParams::paper_defaults(capacity_bps), seed)
     }
 
     fn next_unit(&mut self) -> f64 {
@@ -267,10 +270,6 @@ pub enum Classifier {
     BySource,
     /// One class per destination host (TVA+'s per-receiver regular queuing).
     ByDestination,
-    /// One class per source AS.
-    BySourceAs,
-    /// One class per flow id.
-    ByFlow,
 }
 
 impl Classifier {
@@ -278,8 +277,6 @@ impl Classifier {
         match self {
             Classifier::BySource => u64::from(pkt.src),
             Classifier::ByDestination => u64::from(pkt.dst),
-            Classifier::BySourceAs => u64::from(pkt.src_as),
-            Classifier::ByFlow => pkt.flow as u64,
         }
     }
 }

@@ -60,11 +60,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform value in `[lo, hi)`.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit() * (hi - lo)
-    }
-
     /// Uniform integer in `[lo, hi)`.
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
@@ -150,15 +145,6 @@ mod tests {
             max = max.max(v);
         }
         assert!(max > 50.0, "a heavy tail should produce large samples, max {max}");
-    }
-
-    #[test]
-    fn uniform_range() {
-        let mut r = SimRng::new(3);
-        for _ in 0..1000 {
-            let v = r.uniform(0.1, 0.2);
-            assert!((0.1..0.2).contains(&v));
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::flow::{Flow, FlowActions, FlowProgress};
 use crate::packet::{FlowId, HostAddr, Packet, TcpKind, TcpSegment};
 use crate::rng::SimRng;
 use crate::time::{Nanos, MILLI, SEC};
-use crate::webtraffic::WebWorkload;
+use crate::webtraffic::{draw_size, draw_think};
 
 /// Application payload bytes carried per data segment.
 pub const SEG_PAYLOAD: usize = 1000;
@@ -39,45 +39,26 @@ pub enum TcpWorkload {
     },
     /// Web-like traffic: sizes from the Pareto/exponential mixture, think
     /// times uniform in 0.1–0.2 s (§6.3.2).
-    WebLike(WebWorkload),
+    WebLike,
     /// A single long-running transfer that never completes (bulk TCP).
     LongRunning,
 }
 
-/// Tunable TCP parameters.
-#[derive(Debug, Clone)]
-pub struct TcpConfig {
-    /// Initial congestion window in segments.
-    pub init_cwnd: f64,
-    /// Initial slow-start threshold in segments.
-    pub init_ssthresh: f64,
-    /// Upper bound on the congestion window in segments.
-    pub max_cwnd: f64,
-    /// Minimum retransmission timeout.
-    pub min_rto: Nanos,
-    /// Initial SYN retransmission timeout (1 s in the paper's experiments).
-    pub syn_timeout: Nanos,
-    /// Give up on a handshake after this many SYN retransmissions (9 in the
-    /// paper).
-    pub max_syn_retries: u32,
-    /// Abort a transfer that has not completed within this time (200 s in
-    /// the paper).
-    pub transfer_deadline: Nanos,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            init_cwnd: 2.0,
-            init_ssthresh: 64.0,
-            max_cwnd: 256.0,
-            min_rto: 200 * MILLI,
-            syn_timeout: SEC,
-            max_syn_retries: 9,
-            transfer_deadline: 200 * SEC,
-        }
-    }
-}
+/// Initial congestion window, segments.
+pub const INIT_CWND: f64 = 2.0;
+/// Initial slow-start threshold, segments.
+pub const INIT_SSTHRESH: f64 = 64.0;
+/// Upper bound on the congestion window, segments.
+pub const MAX_CWND: f64 = 256.0;
+/// Minimum retransmission timeout.
+pub const MIN_RTO: Nanos = 200 * MILLI;
+/// Initial SYN retransmission timeout, doubled per retry (§6.3.1: 1 s).
+pub const SYN_TIMEOUT: Nanos = SEC;
+/// SYN retransmissions after which a handshake is abandoned (§6.3.1: 9).
+pub const MAX_SYN_RETRIES: u32 = 9;
+/// A transfer that has not completed within this time is aborted (§6.3.1:
+/// 200 s).
+pub const TRANSFER_DEADLINE: Nanos = 200 * SEC;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
@@ -110,7 +91,6 @@ pub struct TcpFlow {
     id: FlowId,
     src: HostAddr,
     dst: HostAddr,
-    cfg: TcpConfig,
     workload: TcpWorkload,
     rng: SimRng,
 
@@ -153,14 +133,12 @@ impl TcpFlow {
         src: HostAddr,
         dst: HostAddr,
         workload: TcpWorkload,
-        cfg: TcpConfig,
         rng: SimRng,
     ) -> Self {
         TcpFlow {
             id,
             src,
             dst,
-            cfg,
             workload,
             rng,
             state: ConnState::Idle,
@@ -170,14 +148,15 @@ impl TcpFlow {
             file_segs: 0,
             snd_una: 0,
             snd_next: 0,
-            cwnd: 2.0,
-            ssthresh: 64.0,
+            cwnd: INIT_CWND,
+            ssthresh: INIT_SSTHRESH,
             dupacks: 0,
             srtt: 0.0,
             rttvar: 0.0,
-            rto: SEC,
+            // Until the first RTT sample the RTO is the SYN timeout.
+            rto: SYN_TIMEOUT,
             syn_retries: 0,
-            cur_syn_timeout: SEC,
+            cur_syn_timeout: SYN_TIMEOUT,
             syn_sent_at: 0,
             send_times: IdMap::default(),
             syn_gen: 0,
@@ -193,10 +172,7 @@ impl TcpFlow {
     fn draw_file_size(&mut self) -> u64 {
         match &self.workload {
             TcpWorkload::RepeatedFile { bytes, .. } => *bytes,
-            TcpWorkload::WebLike(w) => {
-                let w = *w;
-                w.draw_size(&mut self.rng)
-            }
+            TcpWorkload::WebLike => draw_size(&mut self.rng),
             TcpWorkload::LongRunning => u64::MAX / 4,
         }
     }
@@ -209,35 +185,37 @@ impl TcpFlow {
         self.transfer_start = now;
         self.snd_una = 0;
         self.snd_next = 0;
-        self.cwnd = self.cfg.init_cwnd;
-        self.ssthresh = self.cfg.init_ssthresh;
+        self.cwnd = INIT_CWND;
+        self.ssthresh = INIT_SSTHRESH;
         self.dupacks = 0;
         self.send_times.clear();
         self.syn_retries = 0;
-        self.cur_syn_timeout = self.cfg.syn_timeout;
+        self.cur_syn_timeout = SYN_TIMEOUT;
         self.state = ConnState::SynSent;
         self.syn_sent_at = now;
 
-        self.send_syn(now, actions);
+        self.send(TcpKind::Syn, 0, false, now, actions);
         self.syn_gen += 1;
         actions.timers.push((now + self.cur_syn_timeout, token(KIND_SYN, self.syn_gen)));
         if !matches!(self.workload, TcpWorkload::LongRunning) {
             self.deadline_gen += 1;
-            actions
-                .timers
-                .push((now + self.cfg.transfer_deadline, token(KIND_DEADLINE, self.deadline_gen)));
+            actions.timers.push((now + TRANSFER_DEADLINE, token(KIND_DEADLINE, self.deadline_gen)));
         }
     }
 
-    fn send_syn(&mut self, now: Nanos, actions: &mut FlowActions) {
-        let seg = TcpSegment {
-            kind: TcpKind::Syn,
-            transfer: self.transfer_id,
-            seq: 0,
-            ack: 0,
-            retransmit: self.syn_retries > 0,
-        };
-        actions.packets.push(Packet::tcp(self.id, self.src, self.dst, TCP_HEADER, seg, now));
+    /// Emit one sender → receiver segment of the current transfer.
+    fn send(
+        &mut self,
+        kind: TcpKind,
+        seq: u64,
+        retransmit: bool,
+        now: Nanos,
+        actions: &mut FlowActions,
+    ) {
+        let seg = TcpSegment { kind, transfer: self.transfer_id, seq, ack: 0, retransmit };
+        let payload = if kind == TcpKind::Data { self.seg_bytes(seq) } else { 0 };
+        let size = TCP_HEADER + payload;
+        actions.packets.push(Packet::tcp(self.id, self.src, self.dst, size, seg, now));
         self.progress.packets_sent += 1;
     }
 
@@ -251,16 +229,7 @@ impl TcpFlow {
         let mut burst = 0;
         while self.snd_next < window_end && burst < 128 {
             let seq = self.snd_next;
-            let seg = TcpSegment {
-                kind: TcpKind::Data,
-                transfer: self.transfer_id,
-                seq,
-                ack: 0,
-                retransmit: false,
-            };
-            let size = TCP_HEADER + self.seg_bytes(seq);
-            actions.packets.push(Packet::tcp(self.id, self.src, self.dst, size, seg, now));
-            self.progress.packets_sent += 1;
+            self.send(TcpKind::Data, seq, false, now, actions);
             self.send_times.entry(seq).or_insert((now, false));
             self.snd_next += 1;
             burst += 1;
@@ -268,16 +237,7 @@ impl TcpFlow {
     }
 
     fn retransmit(&mut self, now: Nanos, seq: u64, actions: &mut FlowActions) {
-        let seg = TcpSegment {
-            kind: TcpKind::Data,
-            transfer: self.transfer_id,
-            seq,
-            ack: 0,
-            retransmit: true,
-        };
-        let size = TCP_HEADER + self.seg_bytes(seq);
-        actions.packets.push(Packet::tcp(self.id, self.src, self.dst, size, seg, now));
-        self.progress.packets_sent += 1;
+        self.send(TcpKind::Data, seq, true, now, actions);
         self.send_times.insert(seq, (now, true));
     }
 
@@ -296,7 +256,7 @@ impl TcpFlow {
             self.srtt = 0.875 * self.srtt + 0.125 * s;
         }
         let rto = (self.srtt + 4.0 * self.rttvar) as Nanos;
-        self.rto = rto.clamp(self.cfg.min_rto, 60 * SEC);
+        self.rto = rto.clamp(MIN_RTO, 60 * SEC);
     }
 
     fn transfer_complete(&mut self, now: Nanos, actions: &mut FlowActions) {
@@ -308,10 +268,7 @@ impl TcpFlow {
         self.deadline_gen += 1;
         let gap = match &self.workload {
             TcpWorkload::RepeatedFile { gap, .. } => (*gap).max(MILLI),
-            TcpWorkload::WebLike(w) => {
-                let w = *w;
-                w.draw_think(&mut self.rng)
-            }
+            TcpWorkload::WebLike => draw_think(&mut self.rng),
             TcpWorkload::LongRunning => return,
         };
         actions.timers.push((now + gap, token(KIND_NEXT, self.transfer_id)));
@@ -359,9 +316,9 @@ impl TcpFlow {
             }
             let newly = (ack - self.snd_una) as f64;
             if self.cwnd < self.ssthresh {
-                self.cwnd = (self.cwnd + newly).min(self.cfg.max_cwnd);
+                self.cwnd = (self.cwnd + newly).min(MAX_CWND);
             } else {
-                self.cwnd = (self.cwnd + newly / self.cwnd).min(self.cfg.max_cwnd);
+                self.cwnd = (self.cwnd + newly / self.cwnd).min(MAX_CWND);
             }
             self.snd_una = ack;
             self.dupacks = 0;
@@ -386,71 +343,35 @@ impl TcpFlow {
     // --- receiver-side packet handling ---
 
     fn on_receiver_packet(&mut self, now: Nanos, seg: &TcpSegment, actions: &mut FlowActions) {
-        match seg.kind {
-            TcpKind::Syn => {
-                if seg.transfer != self.rcv_transfer {
-                    self.rcv_transfer = seg.transfer;
-                    self.rcv_next = 0;
-                    self.out_of_order.clear();
-                }
-                let reply = TcpSegment {
-                    kind: TcpKind::SynAck,
-                    transfer: seg.transfer,
-                    seq: 0,
-                    ack: 0,
-                    retransmit: false,
-                };
-                actions
-                    .packets
-                    .push(Packet::tcp(self.id, self.dst, self.src, TCP_HEADER, reply, now));
-            }
-            TcpKind::Data => {
-                if seg.transfer != self.rcv_transfer {
-                    self.rcv_transfer = seg.transfer;
-                    self.rcv_next = 0;
-                    self.out_of_order.clear();
-                }
-                if seg.seq == self.rcv_next {
-                    self.rcv_next += 1;
-                    self.progress.delivered_bytes += self.seg_payload_at_receiver(seg.seq);
-                    while self.out_of_order.remove(&self.rcv_next) {
-                        self.progress.delivered_bytes +=
-                            self.seg_payload_at_receiver(self.rcv_next);
-                        self.rcv_next += 1;
-                    }
-                } else if seg.seq > self.rcv_next {
-                    self.out_of_order.insert(seg.seq);
-                }
-                let reply = TcpSegment {
-                    kind: TcpKind::Ack,
-                    transfer: seg.transfer,
-                    seq: seg.seq,
-                    ack: self.rcv_next,
-                    retransmit: false,
-                };
-                actions
-                    .packets
-                    .push(Packet::tcp(self.id, self.dst, self.src, TCP_HEADER, reply, now));
-            }
-            TcpKind::SynAck | TcpKind::Ack => {}
+        if matches!(seg.kind, TcpKind::SynAck | TcpKind::Ack) {
+            return;
         }
-    }
-
-    fn seg_payload_at_receiver(&self, _seq: u64) -> u64 {
-        // The receiver does not know the exact file size; it credits one
-        // full payload per segment, which is accurate except for the last
-        // (possibly short) segment — good enough for goodput accounting.
-        SEG_PAYLOAD as u64
-    }
-
-    /// The current congestion window (exposed for tests/experiments).
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    /// The current retransmission timeout.
-    pub fn rto(&self) -> Nanos {
-        self.rto
+        if seg.transfer != self.rcv_transfer {
+            self.rcv_transfer = seg.transfer;
+            self.rcv_next = 0;
+            self.out_of_order.clear();
+        }
+        let (kind, seq, ack) = if seg.kind == TcpKind::Syn {
+            (TcpKind::SynAck, 0, 0)
+        } else {
+            if seg.seq == self.rcv_next {
+                self.rcv_next += 1;
+                // The receiver does not know the exact file size; it
+                // credits one full payload per segment, which is accurate
+                // except for the last (possibly short) segment — good
+                // enough for goodput accounting.
+                self.progress.delivered_bytes += SEG_PAYLOAD as u64;
+                while self.out_of_order.remove(&self.rcv_next) {
+                    self.progress.delivered_bytes += SEG_PAYLOAD as u64;
+                    self.rcv_next += 1;
+                }
+            } else if seg.seq > self.rcv_next {
+                self.out_of_order.insert(seg.seq);
+            }
+            (TcpKind::Ack, seg.seq, self.rcv_next)
+        };
+        let reply = TcpSegment { kind, transfer: seg.transfer, seq, ack, retransmit: false };
+        actions.packets.push(Packet::tcp(self.id, self.dst, self.src, TCP_HEADER, reply, now));
     }
 }
 
@@ -489,10 +410,10 @@ impl Flow for TcpFlow {
                     return;
                 }
                 self.syn_retries += 1;
-                if self.syn_retries > self.cfg.max_syn_retries {
+                if self.syn_retries > MAX_SYN_RETRIES {
                     return self.abort_transfer(now, out);
                 }
-                self.send_syn(now, out);
+                self.send(TcpKind::Syn, 0, true, now, out);
                 self.cur_syn_timeout = (self.cur_syn_timeout * 2).min(64 * SEC);
                 self.syn_gen += 1;
                 out.timers.push((now + self.cur_syn_timeout, token(KIND_SYN, self.syn_gen)));
@@ -535,7 +456,7 @@ mod tests {
     use super::*;
 
     fn flow(workload: TcpWorkload) -> TcpFlow {
-        TcpFlow::new(0, 1, 2, workload, TcpConfig::default(), SimRng::new(1))
+        TcpFlow::new(0, 1, 2, workload, SimRng::new(1))
     }
 
     /// Drive the flow and a perfect (lossless, fixed-delay) network in
@@ -616,7 +537,7 @@ mod tests {
 
     #[test]
     fn weblike_transfers_draw_varied_sizes() {
-        let f = flow(TcpWorkload::WebLike(WebWorkload::default()));
+        let f = flow(TcpWorkload::WebLike);
         let (f, _) = run_ideal(f, 20 * MILLI, 20 * SEC);
         let p = f.progress();
         assert!(p.completions.len() >= 20);
@@ -636,7 +557,7 @@ mod tests {
     #[test]
     fn syn_loss_backs_off_and_eventually_aborts() {
         // No network at all: every packet is lost. The flow should retry
-        // SYNs with exponential backoff and abort after 9 retries, then
+        // SYNs with exponential backoff and abort after nine retries, then
         // start a new attempt.
         let mut f = flow(TcpWorkload::RepeatedFile { bytes: 20_000, gap: SEC });
         let mut timers: Vec<(Nanos, u64)> = Vec::new();
@@ -663,7 +584,7 @@ mod tests {
             }
         }
         assert!(aborted, "handshake must eventually be abandoned");
-        assert!(syn_count >= 10, "sent {syn_count} SYNs");
+        assert!(syn_count > MAX_SYN_RETRIES as usize, "sent {syn_count} SYNs");
     }
 
     #[test]
@@ -723,10 +644,10 @@ mod tests {
         // Discard the data packets (lost); fire the RTO timer.
         let rto_timer = acts.timers.iter().find(|(_, t)| token_kind(*t) == KIND_RTO).copied();
         let (at, tok) = rto_timer.expect("an RTO must be armed when data is sent");
-        let before = f.cwnd();
+        let before = f.cwnd;
         let out = FlowActions::of(|a| f.on_timer(at, tok, a));
-        assert_eq!(f.cwnd(), 1.0);
-        assert!(f.cwnd() < before);
+        assert_eq!(f.cwnd, 1.0);
+        assert!(f.cwnd < before);
         assert_eq!(out.packets.len(), 1);
         assert!(out.packets[0].tcp.unwrap().retransmit);
     }

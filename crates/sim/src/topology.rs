@@ -166,8 +166,9 @@ pub struct Network {
     /// `routes[router_slot][dst_slot]` = outgoing link index, `NONE32` when
     /// the destination router is unreachable.
     routes: Vec<Vec<u32>>,
-    /// Protocol link address → link index.
-    link_index: IdMap<LinkAddr, usize>,
+    /// Protocol link address → link index (shared with each run's
+    /// [`Metrics`](crate::metrics::Metrics), which only read it).
+    pub(crate) link_index: Arc<IdMap<LinkAddr, usize>>,
     /// Number of routing destinations.
     dst_count: usize,
     /// Destination slot → router slot of the destination's access router
@@ -250,14 +251,17 @@ impl Network {
 
     /// Recompute every next-hop table over the surviving graph, skipping
     /// links for which `down[link_index]` is true (indices past `down`'s
-    /// length count as up). Runs the exact BFS of
-    /// [`NetworkBuilder::build`] — same traversal order, same equal-cost
-    /// tie-breaking — so calling it with an all-false `down` reproduces
-    /// the original tables bit-for-bit. Destinations with no surviving
-    /// path simply keep `NONE32` entries; forwarding to them becomes a
-    /// typed no-route drop at the engine.
+    /// length count as up): one BFS per destination router over the
+    /// router-only reverse adjacency, writing next hops straight into the
+    /// dense column. [`NetworkBuilder::build`] fills the original tables
+    /// through this same function with nothing down, so an all-false `down`
+    /// reproduces them bit-for-bit. Destinations with no surviving path
+    /// simply keep `NONE32` entries; forwarding to them becomes a typed
+    /// no-route drop at the engine.
     pub fn recompute_routes(&mut self, down: &[bool]) {
         let router_count = self.routes.len();
+        // In link-index order, which is what breaks equal-cost ties:
+        // rev[to] lists (from, link) pairs.
         let mut rev: Vec<Vec<(u32, u32)>> = vec![Vec::new(); router_count];
         for (li, l) in self.links.iter().enumerate() {
             if down.get(li).copied().unwrap_or(false) {
@@ -379,8 +383,7 @@ impl NetworkBuilder {
     }
 
     /// Finalize: computes the host/link indices and the AS-aggregated dense
-    /// routing tables (one BFS per host-bearing router over the router-only
-    /// reverse adjacency).
+    /// routing tables ([`Network::recompute_routes`] with every link up).
     pub fn build(self) -> Network {
         let NetworkBuilder { nodes, links, attachments, .. } = self;
 
@@ -417,38 +420,6 @@ impl NetworkBuilder {
         }
         let dst_count = dst_routers.len();
 
-        // Router-only reverse adjacency, in link-index order (preserves the
-        // old full-scan tie-breaking): rev[to] lists (from, link) pairs.
-        let mut rev: Vec<Vec<(u32, u32)>> = vec![Vec::new(); router_count as usize];
-        for (li, l) in links.iter().enumerate() {
-            let (f, t) = (router_slot[l.from.0], router_slot[l.to.0]);
-            if f != NONE32 && t != NONE32 {
-                rev[t as usize].push((f, li as u32));
-            }
-        }
-
-        // One BFS per destination router, writing next hops straight into
-        // the dense column.
-        let mut routes: Vec<Vec<u32>> = vec![vec![NONE32; dst_count]; router_count as usize];
-        let mut dist = vec![u32::MAX; router_count as usize];
-        let mut q = VecDeque::new();
-        for (dst_slot, &root) in dst_routers.iter().enumerate() {
-            dist.fill(u32::MAX);
-            dist[root as usize] = 0;
-            q.clear();
-            q.push_back(root);
-            while let Some(r) = q.pop_front() {
-                let d = dist[r as usize] + 1;
-                for &(from, li) in &rev[r as usize] {
-                    if dist[from as usize] == u32::MAX {
-                        dist[from as usize] = d;
-                        routes[from as usize][dst_slot] = li;
-                        q.push_back(from);
-                    }
-                }
-            }
-        }
-
         let mut hosts = IdMap::with_capacity_and_hasher(attachments.len(), Default::default());
         for (addr, mut entry) in attachments {
             entry.dst_slot = dst_slot_of_node[entry.router.0];
@@ -456,17 +427,19 @@ impl NetworkBuilder {
             assert!(prev.is_none(), "duplicate host address {addr:#x}");
         }
 
-        Network {
+        let mut net = Network {
             nodes,
             links,
             hosts: Arc::new(hosts),
             out_links,
             router_slot,
-            routes,
-            link_index,
+            routes: vec![vec![NONE32; dst_count]; router_count as usize],
+            link_index: Arc::new(link_index),
             dst_count,
             dst_routers,
-        }
+        };
+        net.recompute_routes(&[]);
+        net
     }
 }
 

@@ -14,7 +14,9 @@ pub enum UdpPattern {
     Constant,
     /// Synchronized on-off: send at the configured rate for `on`, stay
     /// silent for `off`, repeat. All flows created with the same pattern and
-    /// start time burst in lockstep — the worst case for the defense.
+    /// start time burst in lockstep — the worst case for the defense. With
+    /// no off time (`off == 0`, whatever `on` is) the flow is constant; with
+    /// no on time and some off time it never sends.
     OnOff {
         /// Length of the on-period.
         on: Nanos,
@@ -22,6 +24,14 @@ pub enum UdpPattern {
         off: Nanos,
     },
 }
+
+/// Datagram size, bytes: every data packet is full-size.
+pub const PKT_SIZE: usize = 1500;
+/// Interval between two receiver feedback-echo packets (§3.1 step 4: a
+/// low-rate return channel for one-way transports).
+pub const ECHO_INTERVAL: Nanos = 200 * MILLI;
+/// Size of a feedback-echo packet, bytes (§4.6's 92 B request packet).
+pub const ECHO_SIZE: usize = 92;
 
 const TOKEN_SEND: u64 = 1;
 const TOKEN_ECHO: u64 = 2;
@@ -33,19 +43,9 @@ pub struct UdpFlow {
     id: FlowId,
     src: HostAddr,
     dst: HostAddr,
-    /// Sending rate during on-periods, bits per second.
-    rate_bps: u64,
-    /// Datagram size in bytes.
-    pkt_size: usize,
-    /// Time between two datagrams at `rate_bps`; recomputed by the two
-    /// setters that change its inputs.
+    /// Time between two datagrams at the sending rate of an on-period.
     send_interval: Nanos,
     pattern: UdpPattern,
-    /// Interval between receiver feedback-echo packets.
-    echo_interval: Nanos,
-    /// Size of a feedback-echo packet (92 B: the request-packet estimate of
-    /// §4.6).
-    echo_size: usize,
     started_at: Nanos,
     received_since_echo: bool,
     echo_armed: bool,
@@ -66,17 +66,12 @@ impl UdpFlow {
         rate_bps: u64,
         pattern: UdpPattern,
     ) -> Self {
-        let rate_bps = rate_bps.max(1);
         UdpFlow {
             id,
             src,
             dst,
-            rate_bps,
-            pkt_size: 1500,
-            send_interval: transmission_time(1500, rate_bps),
+            send_interval: transmission_time(PKT_SIZE, rate_bps.max(1)),
             pattern,
-            echo_interval: 200 * MILLI,
-            echo_size: 92,
             started_at: 0,
             received_since_echo: false,
             echo_armed: false,
@@ -84,21 +79,10 @@ impl UdpFlow {
         }
     }
 
-    /// Current sending rate during on-periods, bits per second.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
-    }
-
-    /// Current datagram size in bytes.
-    pub fn pkt_size(&self) -> usize {
-        self.pkt_size
-    }
-
     /// Retune the sending rate. Takes effect at the next send timer; a
     /// flow retuned to the same rate behaves exactly as if never touched.
     pub fn set_rate_bps(&mut self, bps: u64) {
-        self.rate_bps = bps.max(1);
-        self.send_interval = transmission_time(self.pkt_size, self.rate_bps);
+        self.send_interval = transmission_time(PKT_SIZE, bps.max(1));
     }
 
     /// Replace the duty-cycle pattern, rebasing its phase so the new cycle
@@ -121,13 +105,15 @@ impl UdpFlow {
     fn on_phase(&self, now: Nanos) -> Result<(), Nanos> {
         match self.pattern {
             UdpPattern::Constant => Ok(()),
+            // No off time is a constant sender (and keeps `cycle` nonzero).
+            UdpPattern::OnOff { off: 0, .. } => Ok(()),
             UdpPattern::OnOff { on, off } => {
-                let cycle = on + off;
+                let cycle = on.saturating_add(off);
                 let pos = (now.saturating_sub(self.started_at)) % cycle;
                 if pos < on {
                     Ok(())
                 } else {
-                    Err(now + (cycle - pos))
+                    Err(now.saturating_add(cycle - pos))
                 }
             }
         }
@@ -161,7 +147,7 @@ impl Flow for UdpFlow {
             self.received_since_echo = true;
             if !self.echo_armed {
                 self.echo_armed = true;
-                out.timers.push((now + self.echo_interval, TOKEN_ECHO));
+                out.timers.push((now + ECHO_INTERVAL, TOKEN_ECHO));
             }
         }
     }
@@ -170,7 +156,7 @@ impl Flow for UdpFlow {
         match token {
             TOKEN_SEND => match self.on_phase(now) {
                 Ok(()) => {
-                    out.packets.push(Packet::udp(self.id, self.src, self.dst, self.pkt_size, now));
+                    out.packets.push(Packet::udp(self.id, self.src, self.dst, PKT_SIZE, now));
                     self.progress.packets_sent += 1;
                     out.timers.push((now + self.send_interval, TOKEN_SEND));
                 }
@@ -182,10 +168,10 @@ impl Flow for UdpFlow {
                 if self.received_since_echo {
                     // A small reverse-direction packet that lets the defense
                     // shim piggyback returned feedback for one-way traffic.
-                    out.packets.push(Packet::udp(self.id, self.dst, self.src, self.echo_size, now));
+                    out.packets.push(Packet::udp(self.id, self.dst, self.src, ECHO_SIZE, now));
                     self.received_since_echo = false;
                 }
-                out.timers.push((now + self.echo_interval, TOKEN_ECHO));
+                out.timers.push((now + ECHO_INTERVAL, TOKEN_ECHO));
             }
             _ => {}
         }
@@ -252,11 +238,27 @@ mod tests {
     }
 
     #[test]
+    fn degenerate_onoff_patterns_neither_panic_nor_overflow() {
+        let flow = |on, off| UdpFlow::new(0, 1, 2, 1_000_000, UdpPattern::OnOff { on, off });
+        // No off time — whatever the on time — sends like a CBR flow.
+        let (cbr, _) = drain(&mut UdpFlow::cbr(0, 1, 2, 1_000_000), SEC);
+        for on in [0, SEC, Nanos::MAX] {
+            assert_eq!(drain(&mut flow(on, 0), SEC).0, cbr, "on = {on}");
+        }
+        // No on time never sends, and wakes once per off-period.
+        assert_eq!(drain(&mut flow(0, 100 * MILLI), SEC).0, 0);
+        // A period that overflows `Nanos` saturates: on for all of time.
+        assert_eq!(drain(&mut flow(Nanos::MAX, Nanos::MAX), SEC).0, cbr);
+        // An off-period that never ends parks the next wake at the end of
+        // time instead of wrapping it into the past.
+        let f = flow(MILLI, Nanos::MAX);
+        assert_eq!(f.on_phase(SEC), Err(Nanos::MAX));
+    }
+
+    #[test]
     fn retune_hooks_change_rate_pattern_and_destination() {
         let mut f = UdpFlow::cbr(0, 1, 2, 1_000_000);
         f.start(0, &mut FlowActions::default());
-        assert_eq!(f.rate_bps(), 1_000_000);
-        assert_eq!(f.pkt_size(), 1500);
         // Double the rate: the send interval halves.
         let before = f.send_interval;
         f.set_rate_bps(2_000_000);

@@ -9,58 +9,37 @@
 use crate::rng::SimRng;
 use crate::time::{Nanos, MILLI};
 
-/// Parameters of the web-like workload.
-#[derive(Debug, Clone, Copy)]
-pub struct WebWorkload {
-    /// Probability that a transfer size is drawn from the exponential
-    /// (body) component rather than the Pareto (tail) component.
-    pub body_probability: f64,
-    /// Mean of the exponential body, bytes.
-    pub body_mean: f64,
-    /// Scale of the Pareto tail, bytes.
-    pub tail_scale: f64,
-    /// Shape of the Pareto tail.
-    pub tail_shape: f64,
-    /// Smallest transfer generated, bytes.
-    pub min_bytes: u64,
-    /// Largest transfer generated, bytes (the paper caps at 150 KB).
-    pub max_bytes: u64,
-    /// Lower bound of the think time between transfers.
-    pub think_min: Nanos,
-    /// Upper bound of the think time between transfers.
-    pub think_max: Nanos,
+/// Probability that a transfer size is drawn from the exponential (body)
+/// component rather than the Pareto (tail) component.
+pub const BODY_PROBABILITY: f64 = 0.83;
+/// Mean of the exponential body, bytes.
+pub const BODY_MEAN: f64 = 8_000.0;
+/// Scale of the Pareto tail, bytes.
+pub const TAIL_SCALE: f64 = 10_000.0;
+/// Shape of the Pareto tail.
+pub const TAIL_SHAPE: f64 = 1.2;
+/// Smallest transfer generated, bytes.
+pub const MIN_BYTES: u64 = 1_000;
+/// Largest transfer generated, bytes (§6.3.2: capped at 150 KB).
+pub const MAX_BYTES: u64 = 150_000;
+/// Lower bound of the think time between transfers (§6.3.2: 0.1 s).
+pub const THINK_MIN: Nanos = 100 * MILLI;
+/// Upper bound of the think time between transfers (§6.3.2: 0.2 s).
+pub const THINK_MAX: Nanos = 200 * MILLI;
+
+/// Draw a transfer size in bytes.
+pub fn draw_size(rng: &mut SimRng) -> u64 {
+    let raw = if rng.unit() < BODY_PROBABILITY {
+        rng.exponential(BODY_MEAN)
+    } else {
+        rng.pareto(TAIL_SCALE, TAIL_SHAPE)
+    };
+    (raw as u64).clamp(MIN_BYTES, MAX_BYTES)
 }
 
-impl Default for WebWorkload {
-    fn default() -> Self {
-        WebWorkload {
-            body_probability: 0.83,
-            body_mean: 8_000.0,
-            tail_scale: 10_000.0,
-            tail_shape: 1.2,
-            min_bytes: 1_000,
-            max_bytes: 150_000,
-            think_min: 100 * MILLI,
-            think_max: 200 * MILLI,
-        }
-    }
-}
-
-impl WebWorkload {
-    /// Draw a transfer size in bytes.
-    pub fn draw_size(&self, rng: &mut SimRng) -> u64 {
-        let raw = if rng.unit() < self.body_probability {
-            rng.exponential(self.body_mean)
-        } else {
-            rng.pareto(self.tail_scale, self.tail_shape)
-        };
-        (raw as u64).clamp(self.min_bytes, self.max_bytes)
-    }
-
-    /// Draw a think time between transfers.
-    pub fn draw_think(&self, rng: &mut SimRng) -> Nanos {
-        rng.uniform_time(self.think_min, self.think_max)
-    }
+/// Draw a think time between transfers.
+pub fn draw_think(rng: &mut SimRng) -> Nanos {
+    rng.uniform_time(THINK_MIN, THINK_MAX)
 }
 
 #[cfg(test)]
@@ -69,24 +48,21 @@ mod tests {
 
     #[test]
     fn sizes_respect_bounds() {
-        let w = WebWorkload::default();
         let mut rng = SimRng::new(11);
         for _ in 0..10_000 {
-            let s = w.draw_size(&mut rng);
-            assert!((w.min_bytes..=w.max_bytes).contains(&s));
+            assert!((MIN_BYTES..=MAX_BYTES).contains(&draw_size(&mut rng)));
         }
     }
 
     #[test]
     fn size_distribution_has_body_and_tail() {
-        let w = WebWorkload::default();
         let mut rng = SimRng::new(11);
-        let samples: Vec<u64> = (0..20_000).map(|_| w.draw_size(&mut rng)).collect();
+        let samples: Vec<u64> = (0..20_000).map(|_| draw_size(&mut rng)).collect();
         let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
         // Mean around 8–25 kB: dominated by the body, inflated by the tail.
         assert!((5_000.0..40_000.0).contains(&mean), "mean {mean}");
         // The 150 kB cap is actually hit by the heavy tail sometimes.
-        let capped = samples.iter().filter(|&&s| s == w.max_bytes).count();
+        let capped = samples.iter().filter(|&&s| s == MAX_BYTES).count();
         assert!(capped > 10, "cap hit {capped} times");
         // But most transfers are small.
         let small = samples.iter().filter(|&&s| s < 20_000).count();
@@ -95,11 +71,9 @@ mod tests {
 
     #[test]
     fn think_times_are_in_range() {
-        let w = WebWorkload::default();
         let mut rng = SimRng::new(5);
         for _ in 0..1000 {
-            let t = w.draw_think(&mut rng);
-            assert!((w.think_min..w.think_max).contains(&t));
+            assert!((THINK_MIN..THINK_MAX).contains(&draw_think(&mut rng)));
         }
     }
 }

@@ -65,14 +65,7 @@ mod tests {
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: 60 * SEC, ..Default::default() });
         let user = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                USER,
-                VICTIM,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(1),
-            ))
+            Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
         });
         let attacker =
             sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, VICTIM, 2_000_000)));

@@ -26,6 +26,7 @@ pub mod headers;
 pub mod netfence;
 pub mod stopit;
 pub mod tva;
+mod victims;
 
 pub use fq::FairQueuingDefense;
 pub use headers::{NetFenceExt, TvaExt};

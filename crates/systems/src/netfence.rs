@@ -50,11 +50,15 @@ use netfence_sim::deploy::{
 };
 use netfence_sim::packet::{AsNum, ChannelClass, Extension, HostAddr, Packet, Protocol};
 use netfence_sim::prelude::{DropCause, IdMap, Timeline};
-use netfence_sim::queue::{DualChannelQueue, PriorityLevelQueue, RedQueue};
+use netfence_sim::queue::{qlim_bytes, DualChannelQueue, PriorityLevelQueue, RedQueue};
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
 
 use crate::headers::NetFenceExt;
+
+/// Root of every deterministic secret a deployment derives: AS key agents,
+/// router `Ka` roots and the RED queues' drop PRNGs ("NFNF").
+const SEED: u64 = 0x4E46_4E46;
 
 /// The NetFence defense factory: protocol parameters plus the per-host
 /// policies (suppression, priority overrides) applied when deploying.
@@ -70,7 +74,6 @@ pub struct NetFenceDefense {
     /// Installed pairwise AS keys lapse after this long without a refresh
     /// announcement (0 = permanent, the legacy behavior).
     key_ttl: Nanos,
-    seed: u64,
 }
 
 impl NetFenceDefense {
@@ -82,7 +85,6 @@ impl NetFenceDefense {
             priority_override: IdMap::default(),
             as_policing_mode: None,
             key_ttl: 0,
-            seed: 0x4E46_4E46,
         }
     }
 
@@ -113,7 +115,7 @@ impl NetFenceDefense {
 
     /// The deterministic key agent of a deploying AS.
     fn key_agent(&self, asn: AsNum) -> AsKeyAgent {
-        AsKeyAgent::new(asn, self.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(asn as u64 + 1)))
+        AsKeyAgent::new(asn, SEED ^ (0x9E3779B97F4A7C15u64.wrapping_mul(asn as u64 + 1)))
     }
 
     /// What AS `asn` announces on the control plane (§4.4).
@@ -123,15 +125,15 @@ impl NetFenceDefense {
 
     /// The three-channel queue of one bottleneck link.
     fn bottleneck_queue(&self, link: &LinkSpec) -> DualChannelQueue {
-        let qlim_bytes = ((link.capacity as f64 * 0.2 / 8.0) as usize).max(15_000);
-        let regular = Box::new(RedQueue::for_capacity(link.capacity, self.seed ^ link.addr as u64));
+        let qlim = qlim_bytes(link.capacity).max(15_000);
+        let regular = Box::new(RedQueue::for_capacity(link.capacity, SEED ^ link.addr as u64));
         let request = Box::new(PriorityLevelQueue::new(
-            (qlim_bytes as f64 * self.cfg.request_channel_fraction).max(4_600.0) as usize,
+            (qlim as f64 * self.cfg.request_channel_fraction).max(4_600.0) as usize,
         ));
         DualChannelQueue::new(
             regular,
             request,
-            qlim_bytes / 4,
+            qlim / 4,
             link.capacity,
             self.cfg.request_channel_fraction,
         )
@@ -175,7 +177,7 @@ impl DefenseFactory for NetFenceDefense {
             let as_num = node.as_num();
             let mut ka_root = [0u8; 16];
             ka_root[..8].copy_from_slice(&(i as u64 + 1).to_be_bytes());
-            ka_root[8..].copy_from_slice(&self.seed.to_be_bytes());
+            ka_root[8..].copy_from_slice(&SEED.to_be_bytes());
             // Bottleneck state for this router's outgoing inter-router
             // links: a sparse (link index, state) list sorted ascending —
             // routers own only a handful of links, so allocation stays
@@ -731,7 +733,6 @@ mod tests {
                 USER,
                 VICTIM,
                 TcpWorkload::RepeatedFile { bytes: 20_000, gap: 100 * MILLI },
-                TcpConfig::default(),
                 SimRng::new(1),
             ))
         });
@@ -760,14 +761,7 @@ mod tests {
             SimConfig { end_time: 120 * SEC, ..Default::default() },
         );
         let user = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                USER,
-                VICTIM,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(1),
-            ))
+            Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
         });
         let attacker =
             sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, COLLUDER, 1_000_000)));
@@ -816,7 +810,6 @@ mod tests {
                 USER,
                 VICTIM,
                 TcpWorkload::RepeatedFile { bytes: 20_000, gap: 100 * MILLI },
-                TcpConfig::default(),
                 SimRng::new(1),
             ))
         });
@@ -848,14 +841,7 @@ mod tests {
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: 60 * SEC, ..Default::default() });
         let user = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                USER,
-                VICTIM,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(1),
-            ))
+            Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
         });
         let attacker =
             sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, COLLUDER, 1_000_000)));

@@ -21,8 +21,6 @@
 //! as a resumed flood until the refresh crosses the control plane. The
 //! default TTL of 0 keeps the legacy permanent-filter behavior.
 
-use std::collections::BTreeSet;
-
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
     ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
@@ -34,24 +32,21 @@ use netfence_sim::queue::HierDrrQueue;
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::Network;
 
+use crate::victims::{Acceptance, Victims};
+
 /// The StopIt defense factory.
 #[derive(Debug, Default)]
 pub struct StopItDefense {
     /// Receivers that automatically file a filter request against every
-    /// sender not on their whitelist (the victim behaviour in §6.3.1).
-    auto_filter_victims: BTreeSet<HostAddr>,
-    /// Senders a victim accepts (never filtered): (sender, victim).
-    /// BTreeSet: deploy() sweeps this per host, and per-host shim state
-    /// must never depend on hash order.
-    whitelist: BTreeSet<(HostAddr, HostAddr)>,
+    /// sender they do not explicitly allow (the victim behaviour in
+    /// §6.3.1).
+    victims: Victims,
     /// Whether inter-router links use the hierarchical fair-queuing
     /// fallback.
     hierarchical_fallback: bool,
     /// Installed filters lapse after this long without a refresh
     /// (0 = permanent, the legacy behavior).
     filter_ttl: Nanos,
-    /// Per-router filter-table capacity (0 = unbounded).
-    filter_capacity: usize,
 }
 
 impl StopItDefense {
@@ -64,12 +59,12 @@ impl StopItDefense {
     /// Mark a receiver as a victim that files a filter against any sender
     /// not whitelisted, as soon as it receives traffic from it.
     pub fn auto_filter(&mut self, victim: HostAddr) {
-        self.auto_filter_victims.insert(victim);
+        self.victims.insert(victim);
     }
 
     /// Whitelist a sender at a victim.
     pub fn allow(&mut self, victim: HostAddr, sender: HostAddr) {
-        self.whitelist.insert((sender, victim));
+        self.victims.allow(victim, sender);
     }
 
     /// Make installed filters lapse after `ttl` without a refresh
@@ -77,12 +72,6 @@ impl StopItDefense {
     /// filter when leaked traffic reaches them again.
     pub fn filter_ttl(&mut self, ttl: Nanos) {
         self.filter_ttl = ttl;
-    }
-
-    /// Cap each router's filter table (0 = unbounded). Requests beyond the
-    /// cap are rejected and counted.
-    pub fn filter_capacity(&mut self, capacity: usize) {
-        self.filter_capacity = capacity;
     }
 }
 
@@ -101,19 +90,14 @@ impl DefenseFactory for StopItDefense {
         for node in map.routers(net) {
             builder.router_agent(
                 node,
-                Box::new(StopItRouterAgent {
-                    filters: PolicyStore::new(self.filter_ttl, self.filter_capacity),
-                }),
+                Box::new(StopItRouterAgent { filters: PolicyStore::new(self.filter_ttl, 0) }),
             );
         }
         for host in map.hosts(net) {
-            let whitelist =
-                self.whitelist.iter().filter(|&&(_, v)| v == host).map(|&(s, _)| s).collect();
             builder.host_shim(
                 host,
                 Box::new(StopItHostShim {
-                    auto_filter: self.auto_filter_victims.contains(&host),
-                    whitelist,
+                    accepts: self.victims.acceptance_of(host),
                     requested: IdMap::default(),
                     filter_ttl: self.filter_ttl,
                 }),
@@ -127,8 +111,8 @@ impl DefenseFactory for StopItDefense {
 /// files filter requests over the control plane.
 #[derive(Debug)]
 struct StopItHostShim {
-    auto_filter: bool,
-    whitelist: BTreeSet<HostAddr>,
+    /// Whom this receiver files filter requests against.
+    accepts: Acceptance,
     /// Sender → time of the last filed request. With permanent filters
     /// (ttl 0) one request suffices; with a TTL the victim re-requests
     /// when leaked traffic shows the filter lapsed.
@@ -155,10 +139,7 @@ impl StopItHostShim {
 
 impl HostShim for StopItHostShim {
     fn on_receive(&mut self, now: Nanos, pkt: &Packet, ctl: &mut ControlPlane) {
-        if self.auto_filter
-            && !self.whitelist.contains(&pkt.src)
-            && self.should_request(now, pkt.src)
-        {
+        if !self.accepts.wants(pkt.src) && self.should_request(now, pkt.src) {
             let request = ControlPayload::FilterRequest { src: pkt.src, dst: pkt.dst };
             ctl.to_access_router_of(pkt.src, request);
         }
@@ -270,7 +251,6 @@ mod tests {
                 USER,
                 VICTIM,
                 TcpWorkload::RepeatedFile { bytes: 20_000, gap: 100 * MILLI },
-                TcpConfig::default(),
                 SimRng::new(1),
             ))
         });
@@ -299,14 +279,7 @@ mod tests {
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: 60 * SEC, ..Default::default() });
         let user = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                USER,
-                VICTIM,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(1),
-            ))
+            Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
         });
         let attacker =
             sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, COLLUDER, 1_000_000)));

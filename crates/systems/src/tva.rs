@@ -24,8 +24,6 @@
 //! cryptographic tokens; the cryptographic machinery is NetFence-specific
 //! and is implemented in `netfence-core`.
 
-use std::collections::BTreeSet;
-
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::deploy::{
     ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
@@ -33,11 +31,12 @@ use netfence_sim::deploy::{
 };
 use netfence_sim::packet::{ChannelClass, Extension, HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, IdMap};
-use netfence_sim::queue::{Classifier, DrrQueue, DualChannelQueue, HierDrrQueue};
+use netfence_sim::queue::{qlim_bytes, Classifier, DrrQueue, DualChannelQueue, HierDrrQueue};
 use netfence_sim::time::{Nanos, SEC};
 use netfence_sim::topology::Network;
 
 use crate::headers::TvaExt;
+use crate::victims::{Acceptance, Victims};
 
 /// Default validity of a granted capability.
 const CAPABILITY_LIFETIME: Nanos = 10 * SEC;
@@ -45,14 +44,9 @@ const CAPABILITY_LIFETIME: Nanos = 10 * SEC;
 /// The TVA+ defense factory.
 #[derive(Debug)]
 pub struct TvaDefense {
-    /// Receivers that refuse to grant capabilities to non-whitelisted
-    /// senders (victims).
-    deny_by_default: BTreeSet<HostAddr>,
-    /// Senders explicitly allowed at a deny-by-default receiver:
-    /// (sender, receiver).
-    /// BTreeSet: deploy() sweeps this per host, and per-host shim state
-    /// must never depend on hash order.
-    whitelist: BTreeSet<(HostAddr, HostAddr)>,
+    /// Receivers that refuse to grant capabilities to senders they do not
+    /// explicitly allow.
+    victims: Victims,
     /// How long a granted capability remains valid before the sender must
     /// obtain a fresh grant.
     capability_lifetime: Nanos,
@@ -60,11 +54,7 @@ pub struct TvaDefense {
 
 impl Default for TvaDefense {
     fn default() -> Self {
-        TvaDefense {
-            deny_by_default: BTreeSet::new(),
-            whitelist: BTreeSet::new(),
-            capability_lifetime: CAPABILITY_LIFETIME,
-        }
+        TvaDefense { victims: Victims::default(), capability_lifetime: CAPABILITY_LIFETIME }
     }
 }
 
@@ -85,12 +75,12 @@ impl TvaDefense {
     /// Make `victim` refuse capabilities to all senders except those
     /// whitelisted with [`TvaDefense::allow`].
     pub fn deny_by_default(&mut self, victim: HostAddr) {
-        self.deny_by_default.insert(victim);
+        self.victims.insert(victim);
     }
 
     /// Whitelist a sender at a deny-by-default receiver.
     pub fn allow(&mut self, victim: HostAddr, sender: HostAddr) {
-        self.whitelist.insert((sender, victim));
+        self.victims.allow(victim, sender);
     }
 }
 
@@ -106,16 +96,10 @@ impl DefenseFactory for TvaDefense {
         for (li, link) in map.router_links(net) {
             let regular = Box::new(DrrQueue::new(Classifier::ByDestination, 1500, 30_000));
             let request = Box::new(HierDrrQueue::new(1500, 10_000));
-            let qlim_bytes = ((link.capacity as f64 * 0.2 / 8.0) as usize).max(15_000);
+            let qlim = qlim_bytes(link.capacity).max(15_000);
             builder.queue(
                 li,
-                Box::new(DualChannelQueue::new(
-                    regular,
-                    request,
-                    qlim_bytes / 4,
-                    link.capacity,
-                    0.05,
-                )),
+                Box::new(DualChannelQueue::new(regular, request, qlim / 4, link.capacity, 0.05)),
             );
         }
 
@@ -123,13 +107,10 @@ impl DefenseFactory for TvaDefense {
             builder.router_agent(node, Box::new(TvaRouterAgent));
         }
         for host in map.hosts(net) {
-            let whitelist =
-                self.whitelist.iter().filter(|&&(_, r)| r == host).map(|&(s, _)| s).collect();
             builder.host_shim(
                 host,
                 Box::new(TvaHostShim {
-                    deny_by_default: self.deny_by_default.contains(&host),
-                    whitelist,
+                    accepts: self.victims.acceptance_of(host),
                     granted: PolicyStore::new(self.capability_lifetime, 0),
                     held: IdMap::default(),
                 }),
@@ -143,9 +124,8 @@ impl DefenseFactory for TvaDefense {
 /// the capabilities it holds for its own destinations.
 #[derive(Debug)]
 struct TvaHostShim {
-    deny_by_default: bool,
-    /// Senders this receiver always grants.
-    whitelist: BTreeSet<HostAddr>,
+    /// Whom this receiver grants capabilities to.
+    accepts: Acceptance,
     /// Capabilities granted by this receiver, TTL'd by the configured
     /// lifetime; lapsed grants are purged on tick and counted in the
     /// report's `rules_expired`.
@@ -153,12 +133,6 @@ struct TvaHostShim {
     /// Capabilities this sender holds: destination → expiry (learned from
     /// grants piggybacked on reverse traffic).
     held: IdMap<HostAddr, Nanos>,
-}
-
-impl TvaHostShim {
-    fn wants(&self, sender: HostAddr) -> bool {
-        !self.deny_by_default || self.whitelist.contains(&sender)
-    }
 }
 
 impl HostShim for TvaHostShim {
@@ -182,7 +156,7 @@ impl HostShim for TvaHostShim {
         // 1. The receiver decides whether to (re)grant a capability to this
         //    sender; the grant travels back inside this host's own reverse
         //    traffic.
-        if self.wants(pkt.src) {
+        if self.accepts.wants(pkt.src) {
             self.granted.insert(now, pkt.src);
         }
         // 2. A grant piggybacked on the arriving packet delivers the
@@ -277,7 +251,6 @@ mod tests {
                 USER,
                 VICTIM,
                 TcpWorkload::RepeatedFile { bytes: 20_000, gap: 100 * MILLI },
-                TcpConfig::default(),
                 SimRng::new(1),
             ))
         });
@@ -312,7 +285,6 @@ mod tests {
                 USER,
                 VICTIM,
                 TcpWorkload::RepeatedFile { bytes: 20_000, gap: 5 * SEC },
-                TcpConfig::default(),
                 SimRng::new(1),
             ))
         });
@@ -336,14 +308,7 @@ mod tests {
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: 60 * SEC, ..Default::default() });
         let user = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                USER,
-                VICTIM,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(1),
-            ))
+            Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
         });
         let attacker =
             sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, COLLUDER, 1_500_000)));

@@ -7,7 +7,7 @@
 ///
 /// [`Timeline`]: crate::Timeline
 /// [`FlightRecorder`]: crate::FlightRecorder
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Record time-series probes (queue depth, limiter rates, policy-store
     /// occupancy, control-session state) on the engine's sample clock.
@@ -17,31 +17,16 @@ pub struct TelemetryConfig {
     /// (`Some(0)` traces everything). Sampling hashes the engine-assigned
     /// packet id, so it never consumes RNG draws.
     pub trace_sample_shift: Option<u32>,
-    /// Ring capacity of the timeline, in rows.
-    pub timeline_capacity: usize,
-    /// Ring capacity of the flight recorder, in hop events.
-    pub trace_capacity: usize,
 }
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            timeline: false,
-            trace_sample_shift: None,
-            timeline_capacity: 1 << 16,
-            trace_capacity: 1 << 16,
-        }
-    }
-}
+/// Ring capacity of an enabled observer: timeline rows, and flight-recorder
+/// hop events.
+pub const RING_CAPACITY: usize = 1 << 16;
 
 impl TelemetryConfig {
     /// Everything on: timeline plus a `1 / 2^shift` packet trace.
     pub fn full(shift: u32) -> Self {
-        TelemetryConfig {
-            timeline: true,
-            trace_sample_shift: Some(shift),
-            ..TelemetryConfig::default()
-        }
+        TelemetryConfig { timeline: true, trace_sample_shift: Some(shift) }
     }
 
     /// Whether any gated observer is active.

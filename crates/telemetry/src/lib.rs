@@ -6,8 +6,9 @@
 //!
 //! The crate is a leaf — it depends on nothing and every other layer
 //! depends on it — which also makes it the home of the two things they must
-//! agree on: the fixed-hasher [`IdMap`] and the [`tx_nanos`]
-//! serialization-time rule. The observers obey one **determinism contract**:
+//! agree on: the fixed-hasher [`IdMap`], the [`tx_nanos`]
+//! serialization-time rule and [`jain_fairness_index`]. The observers obey
+//! one **determinism contract**:
 //!
 //! * The *always-on* parts — [`DropLedger`]/[`DropBudget`] and
 //!   [`EngineProfile`] — are plain deterministic counters. They are cheap
@@ -32,7 +33,7 @@ pub mod profile;
 pub mod timeline;
 pub mod trace;
 
-pub use config::TelemetryConfig;
+pub use config::{TelemetryConfig, RING_CAPACITY};
 pub use drop::{DropBudget, DropCause, DropLedger};
 pub use idmap::{IdHasher, IdMap};
 pub use profile::EngineProfile;
@@ -53,6 +54,18 @@ pub fn tx_nanos(bytes: usize, bps: u64) -> Nanos {
         Some(bit_nanos) => bit_nanos / bps,
         None => (bytes as u128 * 8_000_000_000 / u128::from(bps)) as Nanos,
     }
+}
+
+/// Jain's fairness index of a set of rates or throughputs,
+/// `(Σx)² / (n·Σx²)`: 1 when all are equal, `1/n` when one takes
+/// everything. An empty or all-zero set counts as fair.
+pub fn jain_fairness_index(values: &[f64]) -> f64 {
+    let sum: f64 = values.iter().sum();
+    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
+    if sum_sq == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (values.len() as f64 * sum_sq)
 }
 
 /// Escape a string for embedding inside a JSON string literal. The keys
@@ -93,6 +106,15 @@ mod tests {
                 assert_eq!(tx_nanos(bytes, bps), wide(bytes, bps), "{bytes} B at {bps} bps");
             }
         }
+    }
+
+    #[test]
+    fn jain_index_spans_one_over_n_to_one() {
+        assert!((jain_fairness_index(&[5.0, 5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
+        assert!((jain_fairness_index(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
+        assert!((jain_fairness_index(&[1.0, 0.0]) - 0.5).abs() < 1e-12);
+        assert_eq!(jain_fairness_index(&[]), 1.0);
+        assert_eq!(jain_fairness_index(&[0.0, 0.0]), 1.0);
     }
 
     #[test]

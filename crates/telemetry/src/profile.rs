@@ -36,25 +36,3 @@ pub struct EngineProfile {
     /// drop ledger's total.
     pub drops: u64,
 }
-
-impl EngineProfile {
-    /// Events per wall-clock second for a run that took `wall_secs`.
-    pub fn events_per_sec(&self, wall_secs: f64) -> f64 {
-        if wall_secs <= 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / wall_secs
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_per_sec_guards_zero_wall_time() {
-        let p = EngineProfile { events: 100, ..Default::default() };
-        assert_eq!(p.events_per_sec(0.0), 0.0);
-        assert_eq!(p.events_per_sec(2.0), 50.0);
-    }
-}

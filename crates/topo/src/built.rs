@@ -36,6 +36,55 @@ impl TopoGroup {
     }
 }
 
+/// The size every sender group of a parking-lot-style topology shares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GroupShape {
+    /// Sender hosts per group.
+    pub(crate) hosts: usize,
+    /// How many of them are legitimate users (the first ones).
+    pub(crate) legit: usize,
+    /// Capacity of every access link, bits per second.
+    pub(crate) access_cap: u64,
+}
+
+impl GroupShape {
+    /// Hang one group off the core: a source access router (AS `src.0`)
+    /// linked to `src.1` with hosts `base_addr + 1 ..`, and a destination
+    /// access router (AS `dst.0`) linked to `dst.1` holding the victim
+    /// `base_addr + 0xF1` and one colluder `base_addr + 0xF2`. The builder
+    /// calls come in a fixed order, so node, link and address numbering
+    /// depend only on the order groups are attached in.
+    pub(crate) fn attach(
+        &self,
+        b: &mut NetworkBuilder,
+        label: String,
+        src: (AsNum, NodeId),
+        dst: (AsNum, NodeId),
+        base_addr: HostAddr,
+    ) -> TopoGroup {
+        let cap = self.access_cap;
+        let ra = b.router(src.0, true);
+        b.duplex(ra, src.1, cap, 5 * MILLI, QueueKind::DropTail);
+        let rd = b.router(dst.0, true);
+        b.duplex(dst.1, rd, cap, 5 * MILLI, QueueKind::DropTail);
+        let senders: Vec<HostAddr> = (0..self.hosts).map(|h| base_addr + h as u32 + 1).collect();
+        for &addr in &senders {
+            b.host(addr, src.0, ra, cap, MILLI);
+        }
+        let (victim, colluder) = (base_addr + 0xF1, base_addr + 0xF2);
+        b.host(victim, dst.0, rd, cap, MILLI);
+        b.host(colluder, dst.0, rd, cap, MILLI);
+        let (users, attackers) = senders.split_at(self.legit.min(senders.len()));
+        TopoGroup {
+            label,
+            users: users.to_vec(),
+            attackers: attackers.to_vec(),
+            victim,
+            colluders: vec![colluder],
+        }
+    }
+}
+
 /// A designated bottleneck link of a generated topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bottleneck {

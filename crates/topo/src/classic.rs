@@ -12,7 +12,7 @@
 
 use netfence_sim::prelude::*;
 
-use crate::built::{Bottleneck, BuiltTopo, TopoGroup};
+use crate::built::{Bottleneck, BuiltTopo, GroupShape, TopoGroup};
 
 /// Host address of host `k` in source AS `i` (1-based AS index).
 pub fn src_host_addr(as_index: usize, host_index: usize) -> HostAddr {
@@ -117,42 +117,13 @@ pub fn build_parking_lot(
     let l2_idx = b.link(r1, r2, l2_bps, 10 * MILLI, QueueKind::Red);
     b.link(r2, r1, l2_bps, 10 * MILLI, QueueKind::Red);
 
-    let make_group = |label: &'static str,
-                      asn_src: u32,
-                      asn_dst: u32,
-                      src_router_target,
-                      dst_router_target,
-                      base_addr: u32,
-                      b: &mut NetworkBuilder|
-     -> TopoGroup {
-        let ra = b.router(asn_src, true);
-        b.duplex(ra, src_router_target, access_cap, 5 * MILLI, QueueKind::DropTail);
-        let rd = b.router(asn_dst, true);
-        b.duplex(dst_router_target, rd, access_cap, 5 * MILLI, QueueKind::DropTail);
-        let mut users = Vec::new();
-        let mut attackers = Vec::new();
-        for h in 0..per_group {
-            let addr = base_addr + h as u32 + 1;
-            b.host(addr, asn_src, ra, access_cap, MILLI);
-            if h < legit_per_group {
-                users.push(addr);
-            } else {
-                attackers.push(addr);
-            }
-        }
-        let victim = base_addr + 0xF1;
-        let colluder = base_addr + 0xF2;
-        b.host(victim, asn_dst, rd, access_cap, MILLI);
-        b.host(colluder, asn_dst, rd, access_cap, MILLI);
-        TopoGroup { label: label.to_string(), users, attackers, victim, colluders: vec![colluder] }
-    };
-
+    let shape = GroupShape { hosts: per_group, legit: legit_per_group, access_cap };
     // Group A: sources before L1, destinations after L2.
-    let group_a = make_group("A", 1, 11, r0, r2, 0x0A01_0000, &mut b);
+    let group_a = shape.attach(&mut b, "A".to_string(), (1, r0), (11, r2), 0x0A01_0000);
     // Group B: sources before L2 (at R1), destinations after L2.
-    let group_b = make_group("B", 2, 12, r1, r2, 0x0A02_0000, &mut b);
+    let group_b = shape.attach(&mut b, "B".to_string(), (2, r1), (12, r2), 0x0A02_0000);
     // Group C: sources before L1, destinations between L1 and L2 (at R1).
-    let group_c = make_group("C", 3, 13, r0, r1, 0x0A03_0000, &mut b);
+    let group_c = shape.attach(&mut b, "C".to_string(), (3, r0), (13, r1), 0x0A03_0000);
 
     let net = b.build();
     let bottlenecks = vec![

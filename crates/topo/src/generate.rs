@@ -10,7 +10,7 @@
 use netfence_sim::prelude::*;
 use netfence_sim::rng::splitmix64;
 
-use crate::built::{Bottleneck, BuiltTopo, TopoGroup};
+use crate::built::{Bottleneck, BuiltTopo, GroupShape, TopoGroup};
 use crate::spec::{MultiBottleneckSpec, TransitStubSpec};
 
 /// Split `total` hosts over `ranks` stub ASes by a Zipf law with skew
@@ -178,33 +178,15 @@ pub fn build_multi_bottleneck(s: &MultiBottleneckSpec) -> BuiltTopo {
     }
 
     let mut groups = Vec::with_capacity(s.groups());
-    let mut next_group = 0usize;
+    let shape = GroupShape { hosts: s.hosts_per_group, legit: s.legit_per_group, access_cap };
+    // Group g: AS ranges are kept disjoint from the chain (100..) and branch
+    // (500..) routers for any group count validate() admits.
+    let mut next_group = 0u32;
     let mut make_group = |label: String, src_at: NodeId, dst_at: NodeId, b: &mut NetworkBuilder| {
         let g = next_group;
         next_group += 1;
-        let base_addr = 0x0B00_0000 + (g as u32) * 0x1_0000;
-        // AS ranges are kept disjoint from the chain (100..) and branch
-        // (500..) routers for any group count validate() admits.
-        let ra = b.router(1_000 + g as u32, true);
-        b.duplex(ra, src_at, access_cap, 5 * MILLI, QueueKind::DropTail);
-        let rd = b.router(2_000 + g as u32, true);
-        b.duplex(dst_at, rd, access_cap, 5 * MILLI, QueueKind::DropTail);
-        let mut users = Vec::new();
-        let mut attackers = Vec::new();
-        for h in 0..s.hosts_per_group {
-            let addr = base_addr + h as u32 + 1;
-            b.host(addr, 1_000 + g as u32, ra, access_cap, MILLI);
-            if h < s.legit_per_group {
-                users.push(addr);
-            } else {
-                attackers.push(addr);
-            }
-        }
-        let victim = base_addr + 0xF1;
-        let colluder = base_addr + 0xF2;
-        b.host(victim, 2_000 + g as u32, rd, access_cap, MILLI);
-        b.host(colluder, 2_000 + g as u32, rd, access_cap, MILLI);
-        TopoGroup { label, users, attackers, victim, colluders: vec![colluder] }
+        let base_addr = 0x0B00_0000 + g * 0x1_0000;
+        shape.attach(b, label, (1_000 + g, src_at), (2_000 + g, dst_at), base_addr)
     };
 
     // Long group: crosses every chain link.

@@ -47,7 +47,7 @@ fn udp_overload_and_tcp_on_the_dumbbell() {
     sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, HOST_A, HOST_B, 3_000_000)));
     sim.add_flow(0, |id| {
         let workload = TcpWorkload::RepeatedFile { bytes: 20_000, gap: 50 * MILLI };
-        Box::new(TcpFlow::new(id, HOST_A, HOST_B, workload, TcpConfig::default(), SimRng::new(9)))
+        Box::new(TcpFlow::new(id, HOST_A, HOST_B, workload, SimRng::new(9)))
     });
     sim.run();
     assert_books_close(sim, DropCause::QueueOverflow);

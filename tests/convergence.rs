@@ -5,11 +5,12 @@
 //! ν·ρ·C/(G+B). This exercises the AIMD control loop (netfence-core) end to
 //! end in its fluid form and the full packet path in a small simulation.
 
-use netfence_core::aimd::{jain_fairness_index, AimdState};
+use netfence_core::aimd::AimdState;
 use netfence_core::config::Config;
 use netfence_core::feedback::{Action, Feedback};
 use netfence_core::types::{LinkId, SEC};
 use netfence_experiments::fig13::{run_fig10_fluid, run_fig13};
+use netfence_telemetry::jain_fairness_index;
 
 #[test]
 fn aimd_fluid_convergence_to_fair_share() {

@@ -192,12 +192,15 @@ fn tournament_tiny() -> Scale {
     Scale { src_ases: 2, hosts_per_as: 3, sim_time: 12 * SEC, seed: 7 }
 }
 
-/// *Every* strategy must run against *every* defense (including `None`)
-/// without panicking, on both arenas.
+/// *Every* strategy — and the degenerate shrew with an empty duty cycle,
+/// which used to divide by its zero period — must run against *every*
+/// defense (including `None`) without panicking, on both arenas.
 #[test]
 fn no_strategy_panics_on_any_defense() {
+    let mut strategies = AttackStrategy::lineup(tournament::ATTACK_RATE);
+    strategies.push(AttackStrategy::shrew_fixed(tournament::ATTACK_RATE, 0, 0));
     for topology in [TopologyKind::Dumbbell, TopologyKind::Mesh] {
-        for strategy in AttackStrategy::lineup(tournament::ATTACK_RATE) {
+        for &strategy in &strategies {
             for system in DefenseKind::EVERY {
                 let p = TournamentPoint { strategy, topology, coverage_pct: 100 };
                 let r = run(tournament_spec(&tournament_tiny(), system, &p));

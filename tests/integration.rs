@@ -45,14 +45,7 @@ fn netfence_restores_fair_share_under_collusion() {
             SimConfig { end_time: 100 * SEC, ..Default::default() },
         );
         let user = sim.add_flow(0, |id| {
-            Box::new(TcpFlow::new(
-                id,
-                USER,
-                VICTIM,
-                TcpWorkload::LongRunning,
-                TcpConfig::default(),
-                SimRng::new(1),
-            ))
+            Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
         });
         let attacker =
             sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, COLLUDER, 1_000_000)));
@@ -103,14 +96,7 @@ fn bottleneck_state_is_not_per_host() {
         Simulator::new(net, deployment, SimConfig { end_time: 60 * SEC, ..Default::default() });
     sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, ATTACKER, COLLUDER, 1_000_000)));
     sim.add_flow(0, |id| {
-        Box::new(TcpFlow::new(
-            id,
-            USER,
-            VICTIM,
-            TcpWorkload::LongRunning,
-            TcpConfig::default(),
-            SimRng::new(1),
-        ))
+        Box::new(TcpFlow::new(id, USER, VICTIM, TcpWorkload::LongRunning, SimRng::new(1)))
     });
     sim.run();
     let report = sim.report();
