@@ -513,9 +513,6 @@ pub struct DefenseReport {
     /// Packets dropped by per-(sender, bottleneck) rate limiters
     /// (NetFence).
     pub regular_drops: u64,
-    /// Packets dropped by per-AS damage-localization policers (NetFence
-    /// §4.5).
-    pub as_policer_drops: u64,
     /// Packets dropped by installed filters (StopIt).
     pub filtered_drops: u64,
     /// Unauthorized regular packets dropped (TVA+).
@@ -556,7 +553,7 @@ pub struct DefenseReport {
     pub rules_rejected: u64,
     /// The run's typed drop budget — every dropped packet counted once by
     /// cause (queue overflow, rate limit, filter, …). Filled in, like the
-    /// five `*_drops` fields above, by the engine from its always-on drop
+    /// four `*_drops` fields above, by the engine from its always-on drop
     /// ledger; [`Deployment::report`] alone leaves them zero.
     pub drop_budget: DropBudget,
 }
@@ -571,7 +568,7 @@ impl DefenseReport {
     pub fn total_defense_drops(&self) -> u64 {
         self.request_drops
             + self.regular_drops
-            + self.as_policer_drops
+            + self.drop_budget.get(DropCause::AsPolicer)
             + self.filtered_drops
             + self.unauthorized_drops
     }

@@ -332,7 +332,6 @@ impl Simulator {
             request_drops: budget.get(DropCause::RequestRateLimit)
                 + budget.get(DropCause::InvalidMac),
             regular_drops: budget.get(DropCause::RegularRateLimit),
-            as_policer_drops: budget.get(DropCause::AsPolicer),
             filtered_drops: budget.get(DropCause::StopItFilter),
             unauthorized_drops: budget.get(DropCause::TvaNoCapability),
             drop_budget: budget,

@@ -902,9 +902,12 @@ mod tests {
             (sim.report(), bps[0] + bps[1], bps[2])
         };
         let (plain, plain_as1, plain_as2) = run(false);
-        assert_eq!(plain.as_policer_drops, 0);
+        assert_eq!(plain.drop_budget.get(DropCause::AsPolicer), 0);
         let (policed, as1, as2) = run(true);
-        assert!(policed.as_policer_drops > 0, "the per-AS policer never engaged");
+        assert!(
+            policed.drop_budget.get(DropCause::AsPolicer) > 0,
+            "the per-AS policer never engaged"
+        );
         assert!(
             as1 / as2 < plain_as1 / plain_as2,
             "AS 1 kept its share: {as1:.0} vs {as2:.0} bps policed, \

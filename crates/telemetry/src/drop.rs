@@ -93,9 +93,26 @@ impl DropCause {
 }
 
 /// A dense per-cause drop histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// Its `Debug` names only the causes that dropped something, by
+/// [`DropCause::label`] in [`DropCause::ALL`] order
+/// (`DropBudget { queue-overflow: 812, link-down: 3 }`), so a cause that
+/// never fires leaves every rendering of a budget unchanged.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct DropBudget {
     counts: [u64; DropCause::COUNT],
+}
+
+impl std::fmt::Debug for DropBudget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DropBudget {")?;
+        let mut sep = " ";
+        for (cause, n) in self.nonzero() {
+            write!(f, "{sep}{}: {n}", cause.label())?;
+            sep = ", ";
+        }
+        f.write_str(if sep == " " { "}" } else { " }" })
+    }
 }
 
 impl DropBudget {
@@ -215,6 +232,20 @@ mod tests {
         assert_eq!(b.total(), 4);
         let nz: Vec<_> = b.nonzero().collect();
         assert_eq!(nz, vec![(DropCause::QueueOverflow, 3), (DropCause::StopItFilter, 1)]);
+    }
+
+    #[test]
+    fn debug_names_exactly_the_nonzero_causes_in_order() {
+        let mut b = DropBudget::default();
+        assert_eq!(format!("{b:?}"), "DropBudget {}");
+        b.add(DropCause::LinkDown);
+        for _ in 0..3 {
+            b.add(DropCause::QueueOverflow);
+        }
+        let expected: Vec<String> =
+            b.nonzero().map(|(c, n)| format!("{}: {n}", c.label())).collect();
+        assert_eq!(expected, ["queue-overflow: 3", "link-down: 1"]);
+        assert_eq!(format!("{b:?}"), format!("DropBudget {{ {} }}", expected.join(", ")));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! queueing a completion event per packet the counts fell on all 17 cells
 //! and the digest moved on one — the tournament mesh cell, where
 //! same-nanosecond ties (one of them against the 12 s sample tick) resolve
-//! the other way. CHANGES.md, PR 20, has its fields.)
+//! the other way. CHANGES.md, PR 20, has its fields. Every digest moved,
+//! and no count, when `DropBudget`'s `Debug` began to list only the causes
+//! that dropped something: the rendering changed, the record did not.)
 
 use netfence::experiments::chaos;
 use netfence::experiments::fig8::fig8_spec;
@@ -53,11 +55,11 @@ fn check_record(cell: &str, mut record: Record, pinned: Pin) {
 #[test]
 fn fig8_quick_cell_per_defense_kind() {
     let pins = [
-        (DefenseKind::Fq, (0x04c1_7a10_110d_7228, 161_114, 5_813)),
-        (DefenseKind::NetFence, (0x2f8d_be7d_804b_722e, 117_382, 18_725)),
-        (DefenseKind::Tva, (0xf7ea_fa7c_cdfd_b052, 150_617, 18_741)),
-        (DefenseKind::StopIt, (0x348f_6ac6_8b54_017f, 91_781, 1_027)),
-        (DefenseKind::None, (0x87ec_20c2_6219_add4, 154_732, 5_337)),
+        (DefenseKind::Fq, (0x824c_657f_37e0_803a, 161_114, 5_813)),
+        (DefenseKind::NetFence, (0x4e17_ed1a_a8bd_cf2c, 117_382, 18_725)),
+        (DefenseKind::Tva, (0xd741_fc34_9c95_61c0, 150_617, 18_741)),
+        (DefenseKind::StopIt, (0x89e2_996d_3efa_7ea9, 91_781, 1_027)),
+        (DefenseKind::None, (0x4aa1_4fc9_bac4_e9d6, 154_732, 5_337)),
     ];
     assert_eq!(pins.map(|(k, _)| k), DefenseKind::EVERY);
     for (kind, pinned) in pins {
@@ -71,7 +73,7 @@ fn chaos_quick_reboot_cell() {
     check(
         "chaos/reboot/NetFence",
         chaos::traced_spec(Size::Quick),
-        (0x3fce_51ef_9a8d_a90a, 73_853, 11_274),
+        (0x666a_147d_5e61_3b0e, 73_853, 11_274),
     );
 }
 
@@ -81,8 +83,8 @@ fn chaos_quick_reboot_cell() {
 #[test]
 fn fig9_quick_netfence_cells() {
     for (traffic, pinned) in [
-        (UserTraffic::LongRunning, (0x9581_34e4_127c_94c3, 133_076, 5_209)),
-        (UserTraffic::WebLike, (0xe83f_c2d6_2679_89ed, 133_741, 5_800)),
+        (UserTraffic::LongRunning, (0xdfed_f610_f0f1_0e5b, 133_076, 5_209)),
+        (UserTraffic::WebLike, (0x37de_1239_a7ed_7076, 133_741, 5_800)),
     ] {
         let spec = fig9_spec(&Size::Quick.scale(), DefenseKind::NetFence, traffic, 100_000);
         check(&format!("fig9/{traffic:?}/NetFence"), spec, pinned);
@@ -104,8 +106,8 @@ fn deployment_seam_cells() {
 
     let quick = Size::Quick.scale();
     for (kind, pinned) in [
-        (DefenseKind::NetFence, (0xca7d_1608_92d5_e64b, 133_920, 18_592)),
-        (DefenseKind::StopIt, (0xb56a_0c70_43e1_96e0, 141_766, 6_390)),
+        (DefenseKind::NetFence, (0x0943_9b35_ab83_b3ff, 133_920, 18_592)),
+        (DefenseKind::StopIt, (0x258e_c937_4db4_0932, 141_766, 6_390)),
     ] {
         let spec = deployment::deployment_spec(&quick, kind, 0.5);
         check(&format!("deployment/50%/{}", kind.label()), spec, pinned);
@@ -114,9 +116,9 @@ fn deployment_seam_cells() {
     let scale = Size::Quick.scale_for(80, 120);
     let cases = fig10::capacity_cases(2 * scale.hosts_per_as.max(4), 80_000);
     for (case, pinned) in cases.into_iter().zip([
-        (0xe16d_59f3_77a1_2982, 201_393, 8_292),
-        (0xb516_ef57_e6ba_6186, 204_588, 9_619),
-        (0xf93e_7b99_172f_6bb0, 217_262, 10_557),
+        (0xdcab_0cbc_f32d_3472, 201_393, 8_292),
+        (0xfca1_d87f_f491_f467, 204_588, 9_619),
+        (0x0157_acb6_e6e4_0e1b, 217_262, 10_557),
     ]) {
         let spec = fig10::fig10_spec(&scale, DefenseKind::NetFence, case);
         check(&format!("fig10/{}/NetFence", case.label), spec, pinned);
@@ -124,7 +126,7 @@ fn deployment_seam_cells() {
 
     let scale = Size::Quick.scale_for(80, 300);
     let spec = fig11::fig11_spec(&scale, 100_000, SEC / 2, 3 * SEC / 2);
-    check("fig11/0.5s-1.5s/NetFence", spec, (0xeb1a_b56f_e2b5_215e, 151_622, 12_914));
+    check("fig11/0.5s-1.5s/NetFence", spec, (0x1d82_9afd_21ef_a23b, 151_622, 12_914));
 
     let point = tournament::TournamentPoint {
         strategy: AttackStrategy::Rolling { rate_bps: tournament::ATTACK_RATE, dwell: 5 * SEC },
@@ -133,7 +135,7 @@ fn deployment_seam_cells() {
     };
     let spec =
         tournament::tournament_spec(&Size::Quick.scale_for(20, 60), DefenseKind::NetFence, &point);
-    check("tournament/rolling/mesh/50%/NetFence", spec, (0x92eb_baef_f65b_85e1, 79_968, 13_730));
+    check("tournament/rolling/mesh/50%/NetFence", spec, (0xbe49_1ffd_8e4b_3556, 79_968, 13_730));
 
     let knobs =
         reaction::ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
@@ -141,7 +143,7 @@ fn deployment_seam_cells() {
     // Digest moved (counts equal) when the outage became a fault window: the
     // record gained its `faults` entry and nothing else (CHANGES.md, PR 23;
     // `outage_cells` pins the same cell with `faults` cleared).
-    check("reaction/100ms+10s-outage/StopIt", spec, (0x9e89_10c6_1d78_70af, 113_147, 12_001));
+    check("reaction/100ms+10s-outage/StopIt", spec, (0xd3ac_a66c_f626_502b, 113_147, 12_001));
 
     let point = chaos::ChaosPoint {
         topology: chaos::ChaosTopology::Internet,
@@ -149,7 +151,7 @@ fn deployment_seam_cells() {
         severity: chaos::Severity::Mild,
     };
     let spec = chaos::chaos_spec(&Size::Quick.scale_for(25, 60), DefenseKind::Tva, &point);
-    check("chaos/internet/link-failure/TVA+", spec, (0x3316_6ff7_85d4_44b1, 121_673, 33_728));
+    check("chaos/internet/link-failure/TVA+", spec, (0xbb4c_0a8f_d5e4_54dd, 121_673, 33_728));
 }
 
 /// The cells a control-plane outage or a lossy transport decides, digests
@@ -173,10 +175,10 @@ fn outage_cells() {
     let outage = ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 0, outage: 10 * SEC };
     let lossy = ReactionKnobs { latency: 100 * MILLI, loss_per_mille: 300, outage: 0 };
     for (name, knobs, kind, pinned) in [
-        ("10s-outage", outage, DefenseKind::StopIt, (0x54c9_49f1_e3ce_fa25, 113_147, 12_001)),
-        ("10s-outage", outage, DefenseKind::NetFence, (0x8fd7_0f1d_352a_96f2, 109_794, 5_808)),
-        ("30%-loss", lossy, DefenseKind::StopIt, (0xdeca_7bb6_64ec_71fa, 78_580, 947)),
-        ("30%-loss", lossy, DefenseKind::NetFence, (0xfae0_e326_d06c_f079, 109_793, 5_808)),
+        ("10s-outage", outage, DefenseKind::StopIt, (0x7cfd_99f8_51f3_5189, 113_147, 12_001)),
+        ("10s-outage", outage, DefenseKind::NetFence, (0x60c9_7dce_b0be_fae8, 109_794, 5_808)),
+        ("30%-loss", lossy, DefenseKind::StopIt, (0x0d1c_d6a6_3747_0c8c, 78_580, 947)),
+        ("30%-loss", lossy, DefenseKind::NetFence, (0x8dab_a0c4_6062_1a9f, 109_793, 5_808)),
     ] {
         let spec = reaction_spec(&scale, kind, &knobs);
         check_without_faults(&format!("reaction/100ms+{name}/{}", kind.label()), spec, pinned);
@@ -198,6 +200,6 @@ fn outage_cells() {
     check_without_faults(
         "control_plane_outage/outage/StopIt",
         spec,
-        (0xb86a_3758_abce_bf27, 42_725, 3_149),
+        (0x18aa_0096_4d8f_c71f, 42_725, 3_149),
     );
 }
