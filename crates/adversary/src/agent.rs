@@ -167,7 +167,7 @@ impl AdversaryFlow {
             Plan::Rolling { dwell, pos } => {
                 *pos = (*pos + 1) % self.ctx.ring.len();
                 let next = self.ctx.ring[*pos];
-                let again = now + *dwell;
+                let again = now.saturating_add(*dwell);
                 self.inner.set_dst(next);
                 Some(again)
             }
@@ -179,7 +179,7 @@ impl AdversaryFlow {
                 if *phase < candidates.len() {
                     let (mode, epoch) = (candidates[*phase], *epoch);
                     self.apply_probe_mode(now, mode);
-                    Some(now + epoch)
+                    Some(now.saturating_add(epoch))
                 } else {
                     // Commit: the candidate that pushed the most attacker
                     // bytes through is the one this defense handles worst.
@@ -218,7 +218,7 @@ impl AdversaryFlow {
                 };
                 *stage = next_stage;
                 self.inner.set_rate_bps(rate);
-                Some(now + delay)
+                Some(now.saturating_add(delay))
             }
         }
     }
@@ -244,12 +244,12 @@ impl Flow for AdversaryFlow {
         self.inner.start(now, out);
         match &self.plan {
             Plan::Rolling { dwell, .. } => {
-                out.timers.push((now + *dwell, TOKEN_CTRL));
+                out.timers.push((now.saturating_add(*dwell), TOKEN_CTRL));
             }
             Plan::Probe { epoch, candidates, .. } => {
                 let (mode, epoch) = (candidates[0], *epoch);
                 self.apply_probe_mode(now, mode);
-                out.timers.push((now + epoch, TOKEN_CTRL));
+                out.timers.push((now.saturating_add(epoch), TOKEN_CTRL));
             }
             Plan::Flash { ramp, .. } => {
                 // Per-agent start jitter from the dedicated RNG stream:

@@ -33,6 +33,11 @@ use crate::types::LinkId;
 /// Protocol version encoded in the VER field.
 pub const VERSION: u8 = 1;
 
+/// Wire length of the Passport header \[26\] that sits between IP and the
+/// NetFence header. This is only the 24 bytes of §4.6's 92-byte request
+/// packet estimate: no simulated packet signs or verifies a Passport MAC.
+pub const PASSPORT_HEADER_LEN: usize = 24;
+
 /// The NetFence packet type: request or regular (§3.1). Legacy packets do
 /// not carry a NetFence header at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -300,7 +305,7 @@ mod tests {
         // §4.6 estimates a 92-byte request packet: 40 B TCP/IP + 28 B
         // NetFence + 24 B Passport. The 28 B case is a full mon/mon header.
         let h = NetFenceHeader::regular(6, decr(1, 2), Some(decr(1, 3)));
-        assert_eq!(40 + h.encoded_len() + crate::passport::PASSPORT_HEADER_LEN, 92);
+        assert_eq!(40 + h.encoded_len() + PASSPORT_HEADER_LEN, 92);
     }
 
     /// Echoed feedback never carries `token_nop` on the wire: the token only
@@ -402,6 +407,42 @@ mod tests {
             let (decoded, used) = NetFenceHeader::decode(&bytes, ts).unwrap();
             proptest::prop_assert_eq!(used, bytes.len());
             proptest::prop_assert_eq!(decoded, h);
+        }
+
+        /// `decode` is total on arbitrary bytes: it never panics, reports
+        /// `Truncated` exactly when the buffer is shorter than the header
+        /// its first and flags bytes claim, and whatever it accepts
+        /// re-encodes to a header that decodes back to itself.
+        #[test]
+        fn decode_is_total(mut buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..41),
+                           force_v1 in proptest::prelude::any::<bool>(),
+                           now_secs in proptest::prelude::any::<u32>()) {
+            // Half the cases get version 1, so most reach the body parser.
+            if force_v1 && !buf.is_empty() {
+                buf[0] = (VERSION << 4) | (buf[0] & 0x0f);
+            }
+            let got = NetFenceHeader::decode(&buf, now_secs);
+            if buf.len() < 8 {
+                proptest::prop_assert_eq!(got, Err(HeaderError::Truncated));
+                return;
+            }
+            if buf[0] >> 4 != VERSION {
+                proptest::prop_assert_eq!(got, Err(HeaderError::BadVersion(buf[0] >> 4)));
+                return;
+            }
+            let (fwd_mon, has_echo, echo_mon) =
+                (buf[0] & 0b0100 != 0, buf[0] & 0b0001 != 0, buf[3] & 0b0010_0000 != 0);
+            let claimed = 8
+                + if fwd_mon { 12 } else { 4 }
+                + if has_echo { if echo_mon { 8 } else { 4 } } else { 0 };
+            if buf.len() < claimed {
+                proptest::prop_assert_eq!(got, Err(HeaderError::Truncated));
+                return;
+            }
+            let (h, used) = got.unwrap();
+            proptest::prop_assert_eq!(used, claimed);
+            proptest::prop_assert_eq!(used, h.encoded_len());
+            proptest::prop_assert_eq!(NetFenceHeader::decode(&h.encode(), now_secs), Ok((h, used)));
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::aes::{Aes128, BLOCK_SIZE};
 /// A full 128-bit CMAC tag.
 pub type Tag = [u8; BLOCK_SIZE];
 
-/// The truncated 32-bit MAC carried in NetFence and Passport headers.
+/// The truncated 32-bit MAC carried in NetFence headers.
 pub type Mac32 = u32;
 
 /// AES-CMAC keyed instance.
@@ -104,7 +104,7 @@ impl Cmac {
         x
     }
 
-    /// Compute the truncated 32-bit MAC used in NetFence/Passport headers.
+    /// Compute the truncated 32-bit MAC used in NetFence headers.
     pub fn mac32(&self, msg: &[u8]) -> Mac32 {
         let tag = self.tag(msg);
         u32::from_be_bytes([tag[0], tag[1], tag[2], tag[3]])
@@ -122,8 +122,8 @@ impl Cmac {
 /// A small helper to build MAC input messages from typed, variable-length
 /// fields: each is appended with a length prefix, after a domain-separation
 /// label, so that different field combinations can never collide. It
-/// allocates one `Vec` per message, which is fine for its callers (Passport
-/// stamping, the multi-bottleneck chain); the per-packet Eq. 1–3 inputs are
+/// allocates one `Vec` per message, which is fine for its one caller (the
+/// multi-bottleneck chain); the per-packet Eq. 1–3 inputs are
 /// fixed-width stack arrays built in `netfence-core`'s `feedback` instead.
 #[derive(Default)]
 pub struct MacInput {

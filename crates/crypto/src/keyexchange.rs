@@ -6,7 +6,9 @@
 //!    secret `Kai` shared between *its* AS and the *sender's* AS (Eq. 3).
 //! 2. Passport itself authenticates the source AS of every packet, which is
 //!    what lets routers use per-AS queues / rate limits to localize the
-//!    damage of compromised access routers.
+//!    damage of compromised access routers. The reproduction models
+//!    neither the per-packet MAC nor the per-AS policing: the simulator
+//!    knows each packet's source AS from the topology.
 //!
 //! Passport establishes the pairwise keys by piggybacking a Diffie–Hellman
 //! exchange on BGP announcements. We reproduce that mechanism with a small

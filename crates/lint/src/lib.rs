@@ -3,7 +3,7 @@
 //! An offline, dependency-free static-analysis pass over the workspace
 //! that enforces the determinism invariants every figure-equivalence
 //! claim rests on, and keeps the public surface to what has a caller
-//! (`DESIGN.md` §13). Seven rules:
+//! (`DESIGN.md` §13). Eight rules:
 //!
 //! 1. `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration in
 //!    export-path modules (anything feeding `Record`, `DefenseReport`,
@@ -21,7 +21,9 @@
 //!    weakest `unwrap` on a fault path;
 //! 7. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
 //!    whose name occurs nowhere else in the workspace (tests, examples and
-//!    the benchmark included).
+//!    the benchmark included);
+//! 8. `doc-refs` — every `x.rs[:N]` path and `a::b::c` path in a
+//!    Markdown code span resolves in the tree.
 //!
 //! Each rule honors the inline escape hatch
 //! `// lint:allow(rule-name): reason` — the justification string is
@@ -81,8 +83,10 @@ impl Report {
 /// Analyze a set of in-memory files (the fixture tests drive this
 /// directly; [`check_workspace`] feeds it the real tree).
 pub fn check_files(files: &[FileInput], config: &LintConfig) -> Report {
+    let (docs, sources): (Vec<&FileInput>, Vec<&FileInput>) =
+        files.iter().partition(|f| f.path.ends_with(".md"));
     let prepared: Vec<SourceFile> =
-        files.iter().map(|f| SourceFile::prepare(&f.path, &f.source, f.is_crate_root)).collect();
+        sources.iter().map(|f| SourceFile::prepare(&f.path, &f.source, f.is_crate_root)).collect();
     let ctx = Context::build(config, &prepared);
     let rules = all_rules();
     let mut diagnostics = Vec::new();
@@ -96,6 +100,7 @@ pub fn check_files(files: &[FileInput], config: &LintConfig) -> Report {
         diagnostics.extend(diags);
         diagnostics.extend(policy);
     }
+    diagnostics.extend(rules::doc_refs::check(&docs, &sources, &ctx));
     diagnostics.sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
     Report { diagnostics, files: files.len() }
 }

@@ -1,7 +1,7 @@
 //! The rule engine: a prepared [`SourceFile`] (token stream, significant
 //! indices, `#[cfg(test)]` shadowing), the workspace-level [`Context`]
 //! (zone config, the cross-module table of functions returning hash
-//! collections and the workspace-wide identifier census), and the seven
+//! collections and the workspace-wide identifier census), and the eight
 //! rules of the taxonomy (`DESIGN.md` §13).
 
 use crate::config::LintConfig;
@@ -9,6 +9,7 @@ use crate::diag::Diagnostic;
 use crate::lexer::{lex, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
+pub mod doc_refs;
 pub mod entropy;
 pub mod iteration;
 pub mod orphan;
@@ -20,7 +21,7 @@ pub mod wildcard;
 /// Names of every rule, in reporting order. The allow policy findings
 /// (`unjustified-allow`, `unknown-rule`, `unused-allow`) are emitted by
 /// the engine itself, not listed here.
-pub const RULE_NAMES: [&str; 7] = [
+pub const RULE_NAMES: [&str; 8] = [
     "nondeterministic-iteration",
     "wall-clock",
     "unseeded-entropy",
@@ -28,6 +29,7 @@ pub const RULE_NAMES: [&str; 7] = [
     "unsafe-code",
     "panic-prone",
     "orphan-pub-fn",
+    "doc-refs",
 ];
 
 /// One prepared source file.
@@ -137,7 +139,8 @@ pub struct Context<'a> {
     /// How often each identifier occurs across every discovered file,
     /// test code included and field positions excluded — a `pub fn` whose
     /// name occurs once (its own definition) has no caller anywhere (rule
-    /// `orphan-pub-fn`).
+    /// `orphan-pub-fn`). Its keys are every identifier of the Rust
+    /// sources, in any position (rule `doc-refs`).
     pub ident_uses: BTreeMap<&'a str, u32>,
 }
 
@@ -150,8 +153,9 @@ impl<'a> Context<'a> {
             let s = &file.sig;
             for k in 0..s.len() {
                 let tok = file.tok(k);
-                if tok.kind == TokKind::Ident && !is_field_position(file, k) {
-                    *ident_uses.entry(tok.text.as_str()).or_default() += 1;
+                if tok.kind == TokKind::Ident {
+                    let uses = ident_uses.entry(tok.text.as_str()).or_default();
+                    *uses += u32::from(!is_field_position(file, k));
                 }
             }
             for k in 0..s.len() {
@@ -215,7 +219,8 @@ pub trait Rule {
     fn check(&self, file: &SourceFile, ctx: &Context, out: &mut Vec<Diagnostic>);
 }
 
-/// The full rule set, in [`RULE_NAMES`] order.
+/// The per-source-file rules, in [`RULE_NAMES`] order (`doc-refs`, which
+/// reads the Markdown files, runs once per workspace instead).
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(iteration::NondeterministicIteration),

@@ -1,8 +1,9 @@
 //! Workspace discovery: members from the root `Cargo.toml`, then every
 //! `.rs` file under each member's `src/`, `tests/` and `examples/` trees
-//! (plus the root facade crate's own). Paths are
-//! reported workspace-relative with `/` separators so `lint.toml` zone
-//! prefixes and diagnostics are stable across platforms.
+//! (plus the root facade crate's own), and every `.md` file in the tree
+//! (rule `doc-refs`); build output (`target/`) and `.git/` are skipped.
+//! Paths are reported workspace-relative with `/` separators so
+//! `lint.toml` zone prefixes and diagnostics are stable across platforms.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -70,10 +71,11 @@ pub fn discover(root: &Path) -> Result<Vec<FileInput>, String> {
         for sub in ["src", "tests", "examples"] {
             let dir = base.join(sub);
             if dir.is_dir() {
-                walk(&dir, &mut files)?;
+                walk(&dir, "rs", &mut files)?;
             }
         }
     }
+    walk(root, "md", &mut files)?;
     let mut inputs = Vec::new();
     for file in files {
         let rel = file
@@ -89,7 +91,7 @@ pub fn discover(root: &Path) -> Result<Vec<FileInput>, String> {
     Ok(inputs)
 }
 
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+fn walk(dir: &Path, ext: &str, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)
         .map_err(|e| format!("cannot list {}: {e}", dir.display()))?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -97,8 +99,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     entries.sort();
     for entry in entries {
         if entry.is_dir() {
-            walk(&entry, out)?;
-        } else if entry.extension().is_some_and(|e| e == "rs") {
+            if !entry.ends_with("target") && !entry.ends_with(".git") {
+                walk(&entry, ext, out)?;
+            }
+        } else if entry.extension().is_some_and(|e| e == ext) {
             out.push(entry);
         }
     }

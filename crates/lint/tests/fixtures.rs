@@ -1,6 +1,7 @@
 //! Golden fixture tests: one failing and one passing fixture per rule
-//! (`fixtures/<rule>/{fail,pass}.rs`), the export-zone gate, the
-//! acceptance scenario from the issue (reintroducing hash iteration into
+//! (`fixtures/<rule>/{fail,pass}.rs`, `.md` for `doc-refs`), the
+//! export-zone gate, the acceptance scenario from the issue
+//! (reintroducing hash iteration into
 //! `crates/experiments/src/record.rs` must be flagged under the real
 //! `lint.toml`), and the workspace-clean gate itself.
 
@@ -20,21 +21,39 @@ wildcard = ["fixtures"]
 
 [rules.panic-prone]
 zones = ["fixtures/panic-prone"]
+
+[rules.doc-refs]
+exempt = ["fixtures/exempt.md"]
 "#;
 
+/// The Rust file the `doc-refs` fixtures cite (five lines).
+const DOC_REFS_TARGET: &str = "struct Simulator;\n\nimpl Simulator {\n    fn run(&self) {}\n}\n";
+
 fn fixture_source(rule: &str, which: &str) -> String {
+    let ext = if rule == "doc-refs" { "md" } else { "rs" };
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join(rule)
-        .join(format!("{which}.rs"));
+        .join(format!("{which}.{ext}"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-/// Analyze one fixture under `FIXTURE_CONFIG` at a virtual `path`.
+/// Analyze one fixture under `FIXTURE_CONFIG` at a virtual `path` (a
+/// `doc-refs` fixture beside the Rust file it cites).
 fn check_fixture(rule: &str, which: &str, path: &str, is_crate_root: bool) -> Report {
     let config = LintConfig::parse(FIXTURE_CONFIG).unwrap();
-    let files =
-        [FileInput { path: path.to_string(), source: fixture_source(rule, which), is_crate_root }];
+    let mut files = vec![FileInput {
+        path: path.to_string(),
+        source: fixture_source(rule, which),
+        is_crate_root,
+    }];
+    if rule == "doc-refs" {
+        files.push(FileInput {
+            path: "crates/demo/src/engine.rs".to_string(),
+            source: DOC_REFS_TARGET.to_string(),
+            is_crate_root: false,
+        });
+    }
     check_files(&files, &config)
 }
 
@@ -49,8 +68,9 @@ fn every_rule_has_a_failing_and_a_passing_fixture() {
         // `orphan-pub-fn` looks at `crates/*/src` only; every other rule's
         // fixtures stay outside it (their functions have no callers).
         let dir = if rule == "orphan-pub-fn" { "crates/fixtures/src" } else { "fixtures" };
+        let ext = if rule == "doc-refs" { "md" } else { "rs" };
 
-        let fail = check_fixture(rule, "fail", &format!("{dir}/{rule}/fail.rs"), is_root);
+        let fail = check_fixture(rule, "fail", &format!("{dir}/{rule}/fail.{ext}"), is_root);
         assert!(
             !unsuppressed(&fail, rule).is_empty(),
             "{rule}: fail.rs produced no `{rule}` finding:\n{}",
@@ -66,7 +86,7 @@ fn every_rule_has_a_failing_and_a_passing_fixture() {
             }
         }
 
-        let pass = check_fixture(rule, "pass", &format!("{dir}/{rule}/pass.rs"), is_root);
+        let pass = check_fixture(rule, "pass", &format!("{dir}/{rule}/pass.{ext}"), is_root);
         assert_eq!(pass.errors(), 0, "{rule}: pass.rs has errors:\n{}", render(&pass));
         assert_eq!(pass.warnings(), 0, "{rule}: pass.rs has warnings:\n{}", render(&pass));
     }
@@ -84,6 +104,18 @@ fn a_setter_named_like_its_field_is_an_orphan() {
         let needle = format!("`pub fn {name}`");
         assert!(found.iter().any(|d| d.message.contains(&needle)), "{name}:\n{}", render(&fail));
     }
+}
+
+/// Every stale reference of `fail.md` is reported once, on its own line,
+/// and an exempt Markdown file is not read at all.
+#[test]
+fn doc_refs_reports_each_stale_reference() {
+    let rule = "doc-refs";
+    let fail = check_fixture(rule, "fail", "fixtures/doc-refs/fail.md", false);
+    let lines: Vec<u32> = unsuppressed(&fail, rule).iter().map(|d| d.line).collect();
+    assert_eq!(lines, [5, 6, 7, 8, 9], "{}", render(&fail));
+    let exempt = check_fixture(rule, "fail", "fixtures/exempt.md", false);
+    assert!(unsuppressed(&exempt, rule).is_empty(), "{}", render(&exempt));
 }
 
 /// Outside the export zone the iteration rule stays quiet (the file is

@@ -566,11 +566,7 @@ impl DefenseReport {
 
     /// Total packets the defense dropped across all mechanisms.
     pub fn total_defense_drops(&self) -> u64 {
-        self.request_drops
-            + self.regular_drops
-            + self.drop_budget.get(DropCause::AsPolicer)
-            + self.filtered_drops
-            + self.unauthorized_drops
+        self.request_drops + self.regular_drops + self.filtered_drops + self.unauthorized_drops
     }
 }
 

@@ -98,8 +98,8 @@ pub struct Packet {
     pub src: HostAddr,
     /// Destination host.
     pub dst: HostAddr,
-    /// Source AS (filled in by the engine from the topology; defense
-    /// systems treat it as the Passport-authenticated source AS).
+    /// Source AS (filled in by the engine from the topology, so it is
+    /// authentic without the Passport MAC the paper uses for that).
     pub src_as: AsNum,
     /// Bytes on the wire, including transport/IP headers and any attached
     /// shim headers.

@@ -10,8 +10,7 @@
 
 use std::any::Any;
 
-use netfence_core::header::NetFenceHeader;
-use netfence_core::passport::PASSPORT_HEADER_LEN;
+use netfence_core::header::{NetFenceHeader, PASSPORT_HEADER_LEN};
 use netfence_core::types::LinkId;
 use netfence_sim::packet::Extension;
 use netfence_sim::time::Nanos;

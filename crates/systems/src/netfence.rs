@@ -37,7 +37,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netfence_core::access::{AccessRouter, AccessVerdict};
-use netfence_core::as_police::{AsPolicer, AsPolicingMode};
 use netfence_core::bottleneck::{BottleneckLink, Channel};
 use netfence_core::config::Config;
 use netfence_core::endpoint::{ReceiverPolicy, ReceiverShim, SenderShim};
@@ -49,7 +48,7 @@ use netfence_sim::deploy::{
     HostShim, LinkRef, RouterAction, RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{AsNum, ChannelClass, Extension, HostAddr, Packet, Protocol};
-use netfence_sim::prelude::{DropCause, IdMap, Timeline};
+use netfence_sim::prelude::{IdMap, Timeline};
 use netfence_sim::queue::{qlim_bytes, DualChannelQueue, PriorityLevelQueue, RedQueue};
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
@@ -69,8 +68,6 @@ pub struct NetFenceDefense {
     suppressed: Vec<(HostAddr, HostAddr)>,
     /// Fixed request-priority override for (attacker) hosts.
     priority_override: IdMap<HostAddr, u8>,
-    /// Optional per-AS damage localization at bottleneck links (§4.5).
-    as_policing_mode: Option<AsPolicingMode>,
     /// Installed pairwise AS keys lapse after this long without a refresh
     /// announcement (0 = permanent, the legacy behavior).
     key_ttl: Nanos,
@@ -83,7 +80,6 @@ impl NetFenceDefense {
             cfg,
             suppressed: Vec::new(),
             priority_override: IdMap::default(),
-            as_policing_mode: None,
             key_ttl: 0,
         }
     }
@@ -98,11 +94,6 @@ impl NetFenceDefense {
     /// model the strategic attackers of §6.3.1).
     pub fn set_request_priority(&mut self, host: HostAddr, level: u8) {
         self.priority_override.insert(host, level);
-    }
-
-    /// Enable per-AS damage localization at every bottleneck link.
-    pub fn enable_as_policing(&mut self, mode: AsPolicingMode) {
-        self.as_policing_mode = Some(mode);
     }
 
     /// Make installed pairwise AS keys lapse after `ttl` without a refresh
@@ -200,7 +191,6 @@ impl DefenseFactory for NetFenceDefense {
                 is_access: node.is_access_router(),
                 link_as: link_as_pairs.clone(),
                 bottlenecks: bl_specs,
-                policing_mode: self.as_policing_mode,
                 key_ttl: self.key_ttl,
                 generation: 0,
             };
@@ -215,7 +205,6 @@ impl DefenseFactory for NetFenceDefense {
                 Box::new(NetFenceRouterAgent {
                     access: template.build_access(),
                     bottlenecks: template.build_bottlenecks(),
-                    as_policers: template.build_policers(),
                     key_agent: self.key_agent(as_num),
                     keys: PolicyStore::new(self.key_ttl, 0),
                     announcer,
@@ -333,7 +322,6 @@ struct AgentTemplate {
     link_as: Vec<(LinkId, AsId)>,
     /// (link index, link id, capacity) of each owned bottleneck link.
     bottlenecks: Vec<(usize, LinkId, u64)>,
-    policing_mode: Option<AsPolicingMode>,
     key_ttl: Nanos,
     generation: u32,
 }
@@ -374,17 +362,6 @@ impl AgentTemplate {
             })
             .collect()
     }
-
-    fn build_policers(&self) -> Vec<(usize, AsPolicer)> {
-        match self.policing_mode {
-            Some(mode) => self
-                .bottlenecks
-                .iter()
-                .map(|&(li, _, capacity)| (li, AsPolicer::new(mode, capacity, 0)))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
 }
 
 /// The NetFence agent of one deployed router: access-router protocol state
@@ -396,8 +373,6 @@ struct NetFenceRouterAgent {
     /// Bottleneck state per outgoing inter-router link: (link index,
     /// state), sorted ascending by index.
     bottlenecks: Vec<(usize, BottleneckLink)>,
-    /// Per-AS damage localization per outgoing link (§4.5), when enabled.
-    as_policers: Vec<(usize, AsPolicer)>,
     key_agent: AsKeyAgent,
     /// TTL bookkeeping for installed pairwise keys; expired peers are
     /// uninstalled from the access router and bottleneck key tables on
@@ -437,7 +412,7 @@ impl RouterAgent for NetFenceRouterAgent {
         &mut self,
         now: Nanos,
         is_access: bool,
-        out_link: LinkRef,
+        _out_link: LinkRef,
         pkt: &mut Packet,
         _ctl: &mut ControlPlane,
     ) -> RouterAction {
@@ -471,28 +446,11 @@ impl RouterAgent for NetFenceRouterAgent {
                 AccessVerdict::Drop(cause) => RouterAction::Drop(cause),
             }
         } else {
-            // A core/bottleneck router of a deploying AS.
+            // A core/bottleneck router of a deploying AS. Traffic from a
+            // non-deploying AS carries no NetFence header: demote it below
+            // NetFence traffic (§5.3's adoption incentive).
             if pkt.ext_as::<NetFenceExt>().is_none() {
-                // Traffic from a non-deploying AS carries no NetFence
-                // header: demote it below NetFence traffic (§5.3's adoption
-                // incentive).
                 pkt.channel = ChannelClass::Legacy;
-                return RouterAction::Forward;
-            }
-            // Optional per-AS damage localization on the outgoing link
-            // (only once a monitoring cycle is active).
-            if let Ok(pi) = self.as_policers.binary_search_by_key(&out_link.index, |(li, _)| *li) {
-                let in_mon = self
-                    .bottlenecks
-                    .binary_search_by_key(&out_link.index, |(li, _)| *li)
-                    .map(|bi| self.bottlenecks[bi].1.in_mon())
-                    .unwrap_or(false);
-                if in_mon && pkt.channel == ChannelClass::Regular {
-                    let src_as = AsId(pkt.src_as);
-                    if !self.as_policers[pi].1.admit(now, src_as, pkt.size) {
-                        return RouterAction::Drop(DropCause::AsPolicer);
-                    }
-                }
             }
             RouterAction::Forward
         }
@@ -584,15 +542,14 @@ impl RouterAgent for NetFenceRouterAgent {
         match fault {
             RouterFault::Reboot => {
                 // Wipe every piece of volatile defense state — AIMD
-                // limiters, pairwise AS keys, bottleneck monitoring cycles,
-                // per-AS policers — by rebuilding from the deploy template.
+                // limiters, pairwise AS keys, bottleneck monitoring cycles —
+                // by rebuilding from the deploy template.
                 // The rebooted router comes up with a *rotated* time-varying
                 // secret (a real reboot loses `Ka`), so feedback stamped
                 // before the fault stops validating until re-stamped.
                 self.template.generation += 1;
                 self.access = self.template.build_access();
                 self.bottlenecks = self.template.build_bottlenecks();
-                self.as_policers = self.template.build_policers();
                 let carried = self.keys.stats;
                 self.keys = PolicyStore::new(self.template.key_ttl, 0);
                 self.keys.stats = carried;
@@ -856,62 +813,6 @@ mod tests {
         assert!(
             user_bps / attacker_bps.max(1.0) > 0.5,
             "user {user_bps:.0} bps vs attacker {attacker_bps:.0} bps"
-        );
-    }
-
-    #[test]
-    fn as_policing_holds_a_heavy_as_to_its_share_of_a_transit_bottleneck() {
-        // §4.5 at a bottleneck owned by a *transit* router (the policer
-        // never runs at a packet's own access router): AS 1 sends two
-        // flooders through it, AS 2 one, so under per-sender policing AS 1
-        // keeps two thirds of the link. With per-AS fair-share policing on
-        // top, the transit router cuts AS 1 back toward half.
-        let run = |policing: bool| {
-            let mut b = Network::builder();
-            let r1 = b.router(1, true);
-            let r2 = b.router(2, true);
-            let rt = b.router(100, false);
-            let rd = b.router(3, true);
-            b.duplex(r1, rt, 10_000_000, 10 * MILLI, QueueKind::Red);
-            b.duplex(r2, rt, 10_000_000, 10 * MILLI, QueueKind::Red);
-            b.duplex(rt, rd, 1_000_000, 10 * MILLI, QueueKind::Red);
-            b.host(USER, 1, r1, 100_000_000, MILLI);
-            b.host(ATTACKER, 1, r1, 100_000_000, MILLI);
-            b.host(0x0c_00_00_01, 2, r2, 100_000_000, MILLI);
-            b.host(COLLUDER, 3, rd, 100_000_000, MILLI);
-            let net = b.build();
-            let mut defense = NetFenceDefense::new(Config::short_timers());
-            if policing {
-                defense.enable_as_policing(AsPolicingMode::FairShare);
-            }
-            let deployment = deploy_full(&net, &defense);
-            let mut sim = Simulator::new(
-                net,
-                deployment,
-                SimConfig { end_time: 60 * SEC, ..Default::default() },
-            );
-            let flows: Vec<FlowId> = [USER, ATTACKER, 0x0c_00_00_01]
-                .into_iter()
-                .map(|src| {
-                    sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, src, COLLUDER, 1_000_000)))
-                })
-                .collect();
-            sim.run();
-            let bps: Vec<f64> =
-                flows.iter().map(|&f| sim.progress(f).goodput_bps(0, 60 * SEC)).collect();
-            (sim.report(), bps[0] + bps[1], bps[2])
-        };
-        let (plain, plain_as1, plain_as2) = run(false);
-        assert_eq!(plain.drop_budget.get(DropCause::AsPolicer), 0);
-        let (policed, as1, as2) = run(true);
-        assert!(
-            policed.drop_budget.get(DropCause::AsPolicer) > 0,
-            "the per-AS policer never engaged"
-        );
-        assert!(
-            as1 / as2 < plain_as1 / plain_as2,
-            "AS 1 kept its share: {as1:.0} vs {as2:.0} bps policed, \
-             {plain_as1:.0} vs {plain_as2:.0} bps without"
         );
     }
 

@@ -30,9 +30,6 @@ pub enum DropCause {
     /// The access router's per-(sender, bottleneck) AIMD rate limiter
     /// refused the packet.
     RegularRateLimit,
-    /// A NetFence bottleneck's per-source-AS policer (partial-deployment
-    /// fairness, §5.3) refused the packet.
-    AsPolicer,
     /// A StopIt filter at the source's access router matched the packet.
     StopItFilter,
     /// TVA+ dropped a regular packet without a valid (unexpired)
@@ -50,7 +47,7 @@ pub enum DropCause {
 
 impl DropCause {
     /// Number of distinct causes (the length of [`DropCause::ALL`]).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 11;
 
     /// Every cause, in display order.
     pub const ALL: [DropCause; DropCause::COUNT] = [
@@ -60,7 +57,6 @@ impl DropCause {
         DropCause::InvalidMac,
         DropCause::RequestRateLimit,
         DropCause::RegularRateLimit,
-        DropCause::AsPolicer,
         DropCause::StopItFilter,
         DropCause::TvaNoCapability,
         DropCause::Misrouted,
@@ -82,7 +78,6 @@ impl DropCause {
             DropCause::InvalidMac => "invalid-mac",
             DropCause::RequestRateLimit => "request-rate-limit",
             DropCause::RegularRateLimit => "regular-rate-limit",
-            DropCause::AsPolicer => "as-policer",
             DropCause::StopItFilter => "stopit-filter",
             DropCause::TvaNoCapability => "tva-no-capability",
             DropCause::Misrouted => "misrouted",
@@ -253,13 +248,13 @@ mod tests {
         let mut l = DropLedger::new(2);
         l.record(Some(0), 7, DropCause::QueueOverflow);
         l.record(Some(1), 7, DropCause::LegacyDemotion);
-        l.record(None, 9, DropCause::AsPolicer);
+        l.record(None, 9, DropCause::NoRoute);
         assert_eq!(l.total().total(), 3);
         assert_eq!(l.link(0).get(DropCause::QueueOverflow), 1);
         assert_eq!(l.link(1).get(DropCause::LegacyDemotion), 1);
         assert_eq!(l.link(5).total(), 0);
         assert_eq!(l.flow(7).total(), 2);
-        assert_eq!(l.flow(9).get(DropCause::AsPolicer), 1);
+        assert_eq!(l.flow(9).get(DropCause::NoRoute), 1);
         assert_eq!(l.flow(1).total(), 0);
         assert_eq!(l.flow(10).total(), 0);
         assert_eq!(l.flow(u64::MAX).total(), 0);

@@ -192,13 +192,21 @@ fn tournament_tiny() -> Scale {
     Scale { src_ases: 2, hosts_per_as: 3, sim_time: 12 * SEC, seed: 7 }
 }
 
-/// *Every* strategy — and the degenerate shrew with an empty duty cycle,
-/// which used to divide by its zero period — must run against *every*
-/// defense (including `None`) without panicking, on both arenas.
+/// *Every* strategy — plus the degenerate shrew with an empty duty cycle,
+/// which used to divide by its zero period, and the three adaptive
+/// strategies with a `Nanos::MAX` period, whose control timers used to
+/// overflow — must run against *every* defense (including `None`) without
+/// panicking, on both arenas.
 #[test]
 fn no_strategy_panics_on_any_defense() {
-    let mut strategies = AttackStrategy::lineup(tournament::ATTACK_RATE);
-    strategies.push(AttackStrategy::shrew_fixed(tournament::ATTACK_RATE, 0, 0));
+    let rate_bps = tournament::ATTACK_RATE;
+    let mut strategies = AttackStrategy::lineup(rate_bps);
+    strategies.extend([
+        AttackStrategy::shrew_fixed(rate_bps, 0, 0),
+        AttackStrategy::Rolling { rate_bps, dwell: u64::MAX },
+        AttackStrategy::Probe { rate_bps, epoch: u64::MAX },
+        AttackStrategy::FlashMimic { peak_bps: 4 * rate_bps, ramp: 4 * SEC, hold: u64::MAX },
+    ]);
     for topology in [TopologyKind::Dumbbell, TopologyKind::Mesh] {
         for &strategy in &strategies {
             for system in DefenseKind::EVERY {

@@ -3,8 +3,7 @@
 //! implementation, each asserted where it lives.
 
 use netfence_core::feedback::{Action, Feedback};
-use netfence_core::header::NetFenceHeader;
-use netfence_core::passport::PASSPORT_HEADER_LEN;
+use netfence_core::header::{NetFenceHeader, PASSPORT_HEADER_LEN};
 use netfence_core::prelude::*;
 use netfence_sim::queue::RedParams;
 use netfence_sim::{tcp, udp, webtraffic};
