@@ -25,8 +25,8 @@
 //! latency, zero loss) with no outage window reproduces the old bus
 //! byte-for-byte — the regression suite pins this for every defense.
 //!
-//! [`ControlPlane`]: netfence_sim::deploy::ControlPlane
-//! [`ControlChannel`]: netfence_sim::deploy::ControlChannel
+//! [`ControlPlane`]: netfence_sim::control::ControlPlane
+//! [`ControlChannel`]: netfence_sim::control::ControlChannel
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

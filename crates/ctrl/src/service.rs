@@ -1,7 +1,7 @@
 //! The control-plane transport: a [`ControlChannel`] implementation with
 //! latency, loss with bounded retransmission, and controller outages.
 
-use netfence_sim::deploy::{ChannelVerdict, ControlChannel};
+use netfence_sim::control::{ChannelVerdict, ControlChannel};
 use netfence_sim::rng::SimRng;
 use netfence_sim::time::{Nanos, MILLI, SEC};
 

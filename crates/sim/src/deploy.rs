@@ -24,14 +24,13 @@
 //! The engine indexes agents by dense node id and links by dense link
 //! index, so the per-packet fast path never hashes.
 
-use std::sync::Arc;
+use netfence_telemetry::{DropBudget, DropCause, Timeline};
 
-use netfence_telemetry::{DropBudget, DropCause, IdMap, Timeline};
-
+use crate::control::{ControlPayload, ControlPlane};
 use crate::packet::{AsNum, HostAddr, LinkAddr, Packet};
 use crate::queue::QueueDisc;
 use crate::time::Nanos;
-use crate::topology::{HostEntry, LinkSpec, Network, NodeId};
+use crate::topology::{LinkSpec, Network, NodeId};
 
 /// What a router does with a packet about to be forwarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,151 +57,6 @@ pub struct LinkRef {
     pub index: usize,
     /// Protocol-level link address.
     pub addr: LinkAddr,
-}
-
-// ---------------------------------------------------------------------------
-// Control plane
-// ---------------------------------------------------------------------------
-
-/// What a control-plane message says. The set is closed: these are the
-/// two out-of-band messages the deployed systems exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlPayload {
-    /// A Passport key announcement (NetFence §4.4): the announcing AS and
-    /// its Diffie–Hellman public value, from which every deployed router
-    /// derives the pairwise AES key.
-    KeyAnnouncement {
-        /// The announcing AS.
-        asn: AsNum,
-        /// Its public Diffie–Hellman value.
-        public_value: u64,
-    },
-    /// A StopIt request to block `src → dst` at the source's access
-    /// router.
-    FilterRequest {
-        /// The sender to block.
-        src: HostAddr,
-        /// The destination filing the filter.
-        dst: HostAddr,
-    },
-}
-
-/// One queued control-plane message.
-#[derive(Debug, Clone, Copy)]
-pub struct ControlMsg {
-    /// The router whose agent receives the message.
-    pub to: NodeId,
-    /// What the message says.
-    pub payload: ControlPayload,
-}
-
-/// The transport's decision for one control-plane message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChannelVerdict {
-    /// Deliver at absolute time `at` (times in the past are delivered
-    /// immediately), after `retransmits` lost attempts were recovered by
-    /// retransmission.
-    Deliver {
-        /// Absolute delivery time.
-        at: Nanos,
-        /// Lost attempts that were retransmitted before one got through.
-        retransmits: u32,
-    },
-    /// Every attempt (the original plus `retransmits` retries) was lost —
-    /// the message never arrives.
-    Lost {
-        /// Retransmissions spent before giving up.
-        retransmits: u32,
-    },
-}
-
-/// A pluggable control-plane transport: decides when (and whether) each
-/// queued message reaches its destination.
-///
-/// Without an installed channel the [`ControlPlane`] keeps its historical
-/// behavior — synchronous, reliable, zero-latency delivery. Installing a
-/// channel (see the `netfence-ctrl` crate) subjects every message to
-/// propagation latency, loss/retransmission and controller outages.
-pub trait ControlChannel: std::fmt::Debug {
-    /// Plan the fate of a message queued at simulated time `now`.
-    fn plan(&mut self, now: Nanos) -> ChannelVerdict;
-}
-
-/// The out-of-band coordination bus of a deployment.
-///
-/// Agents cannot reach into each other's state: anything that crosses a
-/// node boundary outside a packet — Passport AES key announcements, StopIt
-/// filter-installation requests — travels as a message. The engine drains
-/// the bus after every hook invocation. With no installed
-/// [`ControlChannel`] every message is delivered reliably at the current
-/// simulated time (control traffic modelled as reliable and prompt); an
-/// installed channel subjects messages to latency, loss and outages.
-#[derive(Debug, Default)]
-pub struct ControlPlane {
-    outbox: Vec<ControlMsg>,
-    address_book: Arc<IdMap<HostAddr, HostEntry>>,
-    channel: Option<Box<dyn ControlChannel>>,
-    /// Messages delivered to an agent.
-    pub delivered: u64,
-    /// Messages addressed to a legacy (agent-less) router and dropped — the
-    /// partial-deployment failure mode (e.g. a StopIt filter request for a
-    /// source whose AS never deployed).
-    pub undeliverable: u64,
-    /// Transport-level retransmissions performed before messages got
-    /// through (zero without an installed channel).
-    pub retransmits: u64,
-    /// Messages lost in transit after exhausting retransmission (zero
-    /// without an installed channel).
-    pub lost: u64,
-}
-
-impl ControlPlane {
-    /// A control plane with the address book of `net` (shared, not
-    /// copied — deployments only read it).
-    pub fn for_network(net: &Network) -> Self {
-        ControlPlane { address_book: Arc::clone(&net.hosts), ..ControlPlane::default() }
-    }
-
-    /// Install a transport; subsequent messages go through its
-    /// [`ControlChannel::plan`] instead of the instant-reliable default.
-    pub fn install_channel(&mut self, channel: Box<dyn ControlChannel>) {
-        self.channel = Some(channel);
-    }
-
-    /// Plan the fate of one message queued at `now` (engine-side). Without
-    /// a channel this is the degenerate instant-reliable verdict.
-    pub fn plan_delivery(&mut self, now: Nanos) -> ChannelVerdict {
-        match &mut self.channel {
-            Some(ch) => ch.plan(now),
-            None => ChannelVerdict::Deliver { at: now, retransmits: 0 },
-        }
-    }
-
-    /// Queue a message to the router agent at `node`.
-    pub fn to_router(&mut self, node: NodeId, payload: ControlPayload) {
-        self.outbox.push(ControlMsg { to: node, payload });
-    }
-
-    /// Queue a message to the access router of `host` (how StopIt filter
-    /// requests find the router nearest the source). Returns false, and
-    /// queues nothing, when the network does not know the host.
-    pub fn to_access_router_of(&mut self, host: HostAddr, payload: ControlPayload) -> bool {
-        let router = self.address_book.get(&host).map(|h| h.router);
-        if let Some(node) = router {
-            self.to_router(node, payload);
-        }
-        router.is_some()
-    }
-
-    /// Number of queued, undelivered messages.
-    pub fn pending(&self) -> usize {
-        self.outbox.len()
-    }
-
-    /// Take the queued messages for delivery (used by the engine).
-    pub fn take_outbox(&mut self) -> Vec<ControlMsg> {
-        std::mem::take(&mut self.outbox)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,11 +232,6 @@ impl DeploymentSpec {
     /// Deploy on exactly the listed ASes.
     pub fn explicit(ases: Vec<AsNum>) -> Self {
         DeploymentSpec { coverage: 1.0, placement: Placement::Explicit(ases) }
-    }
-
-    /// Resolve which ASes of `net` deploy, sorted ascending.
-    pub fn deploying_ases(&self, net: &Network) -> Vec<AsNum> {
-        self.resolve(net).ases
     }
 
     /// The one coverage rule: resolve fractional coverage against a list
@@ -734,18 +583,18 @@ mod tests {
     #[test]
     fn coverage_resolution_is_monotone_and_bounded() {
         let net = net();
-        assert_eq!(DeploymentSpec::none().deploying_ases(&net), Vec::<AsNum>::new());
-        assert_eq!(DeploymentSpec::full().deploying_ases(&net), vec![1, 2, 3, 100]);
+        assert_eq!(DeploymentSpec::none().resolve(&net).ases, Vec::<AsNum>::new());
+        assert_eq!(DeploymentSpec::full().resolve(&net).ases, vec![1, 2, 3, 100]);
         // One third of three edge ASes: the first one plus the transit AS.
-        assert_eq!(DeploymentSpec::coverage(1.0 / 3.0).deploying_ases(&net), vec![1, 100]);
+        assert_eq!(DeploymentSpec::coverage(1.0 / 3.0).resolve(&net).ases, vec![1, 100]);
         // A non-zero coverage that rounds to zero edge ASes still deploys
         // the transit AS — what the runner's source-AS path always did, and
         // the one input on which the deleted edge-AS rule (`[]`) differed.
-        assert_eq!(DeploymentSpec::coverage(0.1).deploying_ases(&net), vec![100]);
+        assert_eq!(DeploymentSpec::coverage(0.1).resolve(&net).ases, vec![100]);
         // Monotone: growing coverage never removes a deploying AS.
         let mut prev: Vec<AsNum> = Vec::new();
         for k in 0..=10 {
-            let cur = DeploymentSpec::coverage(k as f64 / 10.0).deploying_ases(&net);
+            let cur = DeploymentSpec::coverage(k as f64 / 10.0).resolve(&net).ases;
             assert!(prev.iter().all(|a| cur.contains(a)), "coverage {k}/10 removed an AS");
             prev = cur;
         }
@@ -754,27 +603,11 @@ mod tests {
     #[test]
     fn explicit_placement_filters_unknown_ases() {
         let net = net();
-        let d = DeploymentSpec::explicit(vec![2, 100, 999]).deploying_ases(&net);
+        let d = DeploymentSpec::explicit(vec![2, 100, 999]).resolve(&net).ases;
         assert_eq!(d, vec![2, 100]);
         let map = DeploymentSpec::explicit(vec![2, 100]).resolve(&net);
         assert_eq!(map.ases, vec![2, 100]);
         assert_eq!(map.total_ases, 4);
-    }
-
-    #[test]
-    fn control_plane_addresses_routers_and_access_routers() {
-        let net = net();
-        let mut bus = ControlPlane::for_network(&net);
-        let filter = ControlPayload::FilterRequest { src: 0x201, dst: 0x101 };
-        assert!(bus.to_access_router_of(0x201, filter));
-        assert!(!bus.to_access_router_of(0xdead, filter));
-        bus.to_router(NodeId(0), ControlPayload::KeyAnnouncement { asn: 1, public_value: 7 });
-        let msgs = bus.take_outbox();
-        assert_eq!(msgs.len(), 2);
-        assert_eq!(msgs[0].to, net.access_router_of(0x201).unwrap());
-        assert_eq!(msgs[0].payload, filter);
-        assert_eq!(msgs[1].to, NodeId(0));
-        assert_eq!(bus.pending(), 0);
     }
 
     #[test]

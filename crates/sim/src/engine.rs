@@ -1,23 +1,20 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: the event loop.
 //!
-//! The engine owns the network, the per-link queues, the transport flows and
-//! the deployed defense agents, and drives them from a single event queue
-//! ([`EventQueue`]).
-//! Packets move through the same stations a real forwarding path has:
+//! The engine owns the network, the per-link transmitters, the transport
+//! flows and the deployed defense agents, and drives them from a single
+//! event queue ([`EventQueue`]). Packets move through the same stations a
+//! real forwarding path has:
 //!
 //! 1. a flow injects a packet at its source host; the host's deployed shim
 //!    (if any) may attach headers ([`HostShim::on_send`]);
 //! 2. at every router the local agent (if any) decides to forward, delay
 //!    (rate-limit) or drop the packet ([`RouterAgent::at_router`]); legacy
 //!    routers forward blindly;
-//!
-//! [`HostShim::on_send`]: crate::deploy::HostShim::on_send
-//! [`RouterAgent::at_router`]: crate::deploy::RouterAgent::at_router
-//! [`ControlPlane`]: crate::deploy::ControlPlane
 //! 3. the packet waits in the outgoing link's queue discipline, is
 //!    serialized at link speed, propagates, and arrives at the next node;
 //!    the link's owning router agent observes dequeues and drops
-//!    (congestion feedback stamping, attack detection);
+//!    (congestion feedback stamping, attack detection) — the transmitter
+//!    lives in `engine/link.rs`;
 //! 4. at the destination host the receiver shim sees it first, then the
 //!    owning flow (which may answer with ACKs, echoes, …).
 //!
@@ -25,25 +22,25 @@
 //! per-packet fast path never hashes to find a defense agent. Out-of-band
 //! coordination (key exchange, filter requests) travels on the deployment's
 //! [`ControlPlane`] bus, drained after every event.
+//!
+//! [`HostShim::on_send`]: crate::deploy::HostShim::on_send
+//! [`RouterAgent::at_router`]: crate::deploy::RouterAgent::at_router
+//! [`ControlPlane`]: crate::control::ControlPlane
 
 use netfence_telemetry::{
     DropCause, FlightRecorder, HopEvent, HopStage, TelemetryConfig, Timeline, RING_CAPACITY,
 };
 
-use crate::deploy::{
-    ChannelVerdict, ControlMsg, DefenseReport, Deployment, LinkRef, RouterAction, RouterFault,
-};
+use crate::control::ControlMsg;
+use crate::deploy::{DefenseReport, Deployment, LinkRef, RouterAction, RouterFault};
 use crate::event_queue::EventQueue;
 use crate::flow::{Flow, FlowActions, FlowProgress};
 use crate::metrics::Metrics;
-use crate::packet::{ChannelClass, FlowId, Packet};
-use crate::queue::{DropTail, QueueDisc, RedQueue};
-use crate::time::{transmission_time, Nanos, MILLI, SEC};
-use crate::topology::{Network, NodeId, QueueKind};
+use crate::packet::{FlowId, Packet};
+use crate::time::{Nanos, MILLI, SEC};
+use crate::topology::{Network, NodeId};
 
-/// How long an idle link waits before re-asking a queue that withheld its
-/// packets (strictly capped request channels).
-const LINK_POLL_INTERVAL: Nanos = 2 * MILLI;
+mod link;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -162,44 +159,6 @@ enum EventKind {
     },
 }
 
-/// A link's queue: the default FIFO of every access link inline (an idle link
-/// transmits straight through it), a planned one and the default RED boxed.
-#[derive(Debug)]
-enum LinkQueue {
-    Fifo(DropTail),
-    Planned(Box<dyn QueueDisc>),
-}
-
-impl LinkQueue {
-    fn disc(&mut self) -> &mut dyn QueueDisc {
-        match self {
-            LinkQueue::Fifo(queue) => queue,
-            LinkQueue::Planned(queue) => queue.as_mut(),
-        }
-    }
-
-    fn len_pkts(&self) -> usize {
-        match self {
-            LinkQueue::Fifo(queue) => queue.len_pkts(),
-            LinkQueue::Planned(queue) => queue.len_pkts(),
-        }
-    }
-}
-
-/// One link's transmitter. The packet on the wire already sits in its
-/// `Arrive` event, so the link keeps a time, not a packet.
-#[derive(Debug)]
-struct LinkState {
-    queue: LinkQueue,
-    /// When the serialization in progress (or the last one) ends.
-    busy_until: Nanos,
-    /// Id of the packet last put on the wire (lost if cut before `busy_until`).
-    on_wire: u64,
-    /// A `TransmitDone` is queued at `busy_until` (never more than one).
-    wake_pending: bool,
-    poll_pending: bool,
-}
-
 /// The simulator.
 pub struct Simulator {
     /// Engine configuration.
@@ -216,7 +175,7 @@ pub struct Simulator {
     /// Gated hash-sampled packet tracer (disabled unless
     /// [`SimConfig::telemetry`] sets a sample shift).
     pub flight: FlightRecorder,
-    links: Vec<LinkState>,
+    links: Vec<link::LinkState>,
     /// Which links are currently failed (set/cleared by [`FaultAction`]s).
     link_down: Vec<bool>,
     /// `(packet id, link)` of each packet whose link failed mid-serialization:
@@ -253,30 +212,8 @@ impl Simulator {
             net.nodes.len(),
             "deployment was built for a different network"
         );
-        // Merge the deployment's sparse queue plan (ascending by link
-        // index) with the topology-declared defaults.
-        let mut planned = std::mem::take(&mut deployment.queues).into_iter().peekable();
-        let mut links = Vec::with_capacity(net.links.len());
-        for (i, spec) in net.links.iter().enumerate() {
-            let queue = match (planned.next_if(|(link, _)| *link == i), spec.queue) {
-                (Some((_, queue)), _) => LinkQueue::Planned(queue),
-                (None, QueueKind::DropTail) => {
-                    LinkQueue::Fifo(DropTail::for_capacity(spec.capacity))
-                }
-                (None, QueueKind::Red) => LinkQueue::Planned(Box::new(RedQueue::for_capacity(
-                    spec.capacity,
-                    cfg.seed ^ i as u64,
-                ))),
-            };
-            links.push(LinkState {
-                queue,
-                busy_until: 0,
-                on_wire: 0,
-                wake_pending: false,
-                poll_pending: false,
-            });
-        }
-        assert!(planned.next().is_none(), "queue plan is out of order or names a missing link");
+        let links =
+            link::LinkState::for_network(&net, std::mem::take(&mut deployment.queues), cfg.seed);
         let timeline = if cfg.telemetry.timeline {
             Timeline::new(RING_CAPACITY)
         } else {
@@ -305,8 +242,8 @@ impl Simulator {
             next_pkt_id: 0,
             flow_samples: Vec::new(),
         };
-        // Deliver deploy-time coordination (e.g. the Passport key exchange
-        // announcements) before anything moves.
+        // Deliver deploy-time coordination (the key announcements) before
+        // anything moves.
         sim.drain_control();
         sim
     }
@@ -380,11 +317,6 @@ impl Simulator {
         self.schedule(at, EventKind::Fault { action });
     }
 
-    /// Whether link `link` is currently failed.
-    pub fn link_is_down(&self, link: usize) -> bool {
-        self.link_down.get(link).copied().unwrap_or(false)
-    }
-
     /// Run the simulation to `cfg.end_time`.
     pub fn run(&mut self) {
         if self.cfg.defense_tick > 0 {
@@ -422,60 +354,12 @@ impl Simulator {
         (queued + pending.count()) as u64
     }
 
-    /// Route queued control-plane messages until the bus is quiet. Each
-    /// message is planned by the installed [`ControlChannel`] (or the
-    /// instant-reliable default): immediate verdicts deliver synchronously
-    /// at the current simulated time, deferred verdicts become
-    /// `ControlDeliver` events, and lost messages are counted and dropped.
-    /// A generous round bound turns an agent pair ping-ponging messages at
-    /// a frozen timestamp into a diagnosable panic instead of a silent
-    /// hang.
-    ///
-    /// [`ControlChannel`]: crate::deploy::ControlChannel
+    /// Deliver what the bus holds now; a message the transport defers comes
+    /// back as a `ControlDeliver` event.
     fn drain_control(&mut self) {
-        const MAX_ROUNDS: usize = 10_000;
-        for round in 0.. {
-            assert!(
-                round < MAX_ROUNDS,
-                "control-plane messages still flowing after {MAX_ROUNDS} delivery rounds at \
-                 t={} — agents are ping-ponging messages without advancing time",
-                self.now
-            );
-            let msgs = self.deployment.bus.take_outbox();
-            if msgs.is_empty() {
-                return;
-            }
-            for msg in msgs {
-                let verdict = self.deployment.bus.plan_delivery(self.now);
-                match verdict {
-                    ChannelVerdict::Deliver { at, retransmits } => {
-                        self.deployment.bus.retransmits += retransmits as u64;
-                        if at <= self.now {
-                            self.deliver_control(msg);
-                        } else {
-                            self.schedule(at, EventKind::ControlDeliver { msg });
-                        }
-                    }
-                    ChannelVerdict::Lost { retransmits } => {
-                        self.deployment.bus.retransmits += retransmits as u64;
-                        self.deployment.bus.lost += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Hand one control message to its destination router's agent (or
-    /// count it as undeliverable at a legacy router).
-    fn deliver_control(&mut self, msg: ControlMsg) {
         let Deployment { routers, bus, .. } = &mut self.deployment;
-        match routers[msg.to.0].as_mut() {
-            Some(agent) => {
-                bus.delivered += 1;
-                agent.on_control(self.now, msg.payload, bus);
-            }
-            None => bus.undeliverable += 1,
-        }
+        let events = &mut self.events;
+        bus.drain(self.now, routers, |at, msg| events.push(at, EventKind::ControlDeliver { msg }));
     }
 
     fn handle(&mut self, kind: EventKind) {
@@ -506,14 +390,7 @@ impl Simulator {
             }
             EventKind::Arrive { node, pkt } => {
                 self.metrics.profile.arrive_events += 1;
-                // `cut` is empty in fault-free runs: the search is one branch.
-                match self.cut.iter().position(|&(id, _)| id == pkt.id) {
-                    Some(at) => {
-                        let (_, link) = self.cut.swap_remove(at);
-                        self.lose_on_dead_link(link, &pkt);
-                    }
-                    None => self.packet_at_node(node, pkt),
-                }
+                self.arrive(node, pkt);
             }
             EventKind::TransmitDone { link } => {
                 self.metrics.profile.link_events += 1;
@@ -535,7 +412,8 @@ impl Simulator {
             }
             EventKind::ControlDeliver { msg } => {
                 self.metrics.profile.control_events += 1;
-                self.deliver_control(msg)
+                let Deployment { routers, bus, .. } = &mut self.deployment;
+                bus.deliver(self.now, routers, msg);
             }
             EventKind::Sample => {
                 self.metrics.profile.sample_events += 1;
@@ -548,59 +426,23 @@ impl Simulator {
                     self.schedule(next, EventKind::Sample);
                 }
             }
-            EventKind::Fault { action } => {
-                self.apply_fault(action);
-            }
-        }
-    }
-
-    /// Apply one injected fault at the current instant.
-    fn apply_fault(&mut self, action: FaultAction) {
-        match action {
-            FaultAction::LinkDown { link } => {
-                if self.link_down.get(link).copied().unwrap_or(true) {
-                    return;
+            EventKind::Fault { action } => match action {
+                FaultAction::LinkDown { link } => self.fail_link(link),
+                FaultAction::LinkUp { link } => self.restore_link(link),
+                FaultAction::Router { node, fault } => {
+                    self.mark_fault(fault.label(), node, None);
+                    let Deployment { routers, bus, .. } = &mut self.deployment;
+                    if let Some(agent) = routers[node.0].as_mut() {
+                        agent.on_fault(self.now, fault, bus);
+                    }
                 }
-                self.link_down[link] = true;
-                self.mark_fault("link-down", self.net.links[link].from, Some(link));
-                // The packet being serialized is lost unless the link is back
-                // before its last bit is out.
-                let LinkState { busy_until, on_wire, .. } = self.links[link];
-                if self.now < busy_until {
-                    self.cut.push((on_wire, link));
-                }
-                // So is everything queued on it.
-                for d in self.links[link].queue.disc().drain(self.now) {
-                    self.lose_on_dead_link(link, &d);
-                }
-                self.net.recompute_routes(&self.link_down);
-            }
-            FaultAction::LinkUp { link } => {
-                if !self.link_down.get(link).copied().unwrap_or(false) {
-                    return;
-                }
-                self.link_down[link] = false;
-                self.mark_fault("link-up", self.net.links[link].from, Some(link));
-                self.net.recompute_routes(&self.link_down);
-                let LinkState { busy_until, on_wire, .. } = self.links[link];
-                if self.now <= busy_until {
-                    self.cut.retain(|&entry| entry != (on_wire, link));
-                }
-                self.try_transmit(link);
-            }
-            FaultAction::Router { node, fault } => {
-                self.mark_fault(fault.label(), node, None);
-                let Deployment { routers, bus, .. } = &mut self.deployment;
-                if let Some(agent) = routers[node.0].as_mut() {
-                    agent.on_fault(self.now, fault, bus);
-                }
-            }
+            },
         }
     }
 
     /// Stamp one fault into the gated observers: a `fault` timeline row and
-    /// an unconditional (when tracing is on) flight-recorder mark with
-    /// `pkt = 0`, so packet traces can be read against the fault schedule.
+    /// a flight-recorder mark with `pkt = 0` (recorded whenever tracing is
+    /// on), so packet traces can be read against the fault schedule.
     fn mark_fault(&mut self, label: &str, node: NodeId, link: Option<usize>) {
         if self.timeline.is_enabled() {
             let key = match link {
@@ -609,17 +451,7 @@ impl Simulator {
             };
             self.timeline.record(self.now, "fault", key, 1.0);
         }
-        if self.flight.is_enabled() {
-            self.flight.record(HopEvent {
-                at: self.now,
-                pkt: 0,
-                flow: 0,
-                node: node.0 as u32,
-                link: link.map(|l| l as u32),
-                stage: HopStage::Fault,
-                cause: None,
-            });
-        }
+        self.trace_hop(0, 0, node, link, HopStage::Fault, None);
     }
 
     /// Sample queue depths, agent state, the drop ledger and
@@ -660,17 +492,7 @@ impl Simulator {
             let node = self.net.host_node(pkt.src);
             pkt.src_as = self.net.nodes[node.0].as_num();
             self.metrics.injected_pkts += 1;
-            if self.flight.sampled(pkt.id) {
-                self.flight.record(HopEvent {
-                    at: self.now,
-                    pkt: pkt.id,
-                    flow: flow as u64,
-                    node: node.0 as u32,
-                    link: None,
-                    stage: HopStage::Inject,
-                    cause: None,
-                });
-            }
+            self.trace_hop(pkt.id, flow, node, None, HopStage::Inject, None);
             let Deployment { hosts, bus, .. } = &mut self.deployment;
             if let Some(shim) = hosts[node.0].as_mut() {
                 shim.on_send(self.now, &mut pkt, bus);
@@ -680,22 +502,24 @@ impl Simulator {
         self.actions = actions;
     }
 
-    /// Record one flight-recorder hop for `pkt` if it is in the traced
-    /// sample.
+    /// Record one flight-recorder hop of packet `id` of `flow` if the packet
+    /// is in the traced sample. Fault marks are packet 0 of flow 0, which
+    /// every enabled recorder samples.
     #[inline]
     fn trace_hop(
         &mut self,
-        pkt: &Packet,
+        id: u64,
+        flow: FlowId,
         node: NodeId,
         link: Option<usize>,
         stage: HopStage,
         cause: Option<DropCause>,
     ) {
-        if self.flight.sampled(pkt.id) {
+        if self.flight.sampled(id) {
             self.flight.record(HopEvent {
                 at: self.now,
-                pkt: pkt.id,
-                flow: pkt.flow as u64,
+                pkt: id,
+                flow: flow as u64,
                 node: node.0 as u32,
                 link: link.map(|l| l as u32),
                 stage,
@@ -704,12 +528,11 @@ impl Simulator {
         }
     }
 
-    /// Record `pkt` as lost on failed link `link`. The owning agent is
-    /// deliberately not told: a dead link produces no congestion feedback.
-    fn lose_on_dead_link(&mut self, link: usize, pkt: &Packet) {
-        self.metrics.record_link_drop(link, pkt.flow as u64, DropCause::LinkDown);
-        let owner = self.net.links[link].from;
-        self.trace_hop(pkt, owner, Some(link), HopStage::Drop, Some(DropCause::LinkDown));
+    /// Count `pkt` as dropped by `cause` at `node` (not by a link queue),
+    /// and trace the drop.
+    fn drop_at_node(&mut self, pkt: &Packet, node: NodeId, link: Option<usize>, cause: DropCause) {
+        self.metrics.record_defense_drop(pkt.flow as u64, cause);
+        self.trace_hop(pkt.id, pkt.flow, node, link, HopStage::Drop, Some(cause));
     }
 
     fn packet_at_node(&mut self, node: NodeId, pkt: Packet) {
@@ -717,16 +540,14 @@ impl Simulator {
             if addr != pkt.dst {
                 // Mis-delivered packet (should not happen with consistent
                 // routing); count it as a drop.
-                self.metrics.record_defense_drop(pkt.flow as u64, DropCause::Misrouted);
-                self.trace_hop(&pkt, node, None, HopStage::Drop, Some(DropCause::Misrouted));
-                return;
+                return self.drop_at_node(&pkt, node, None, DropCause::Misrouted);
             }
             let Deployment { hosts, bus, .. } = &mut self.deployment;
             if let Some(shim) = hosts[node.0].as_mut() {
                 shim.on_receive(self.now, &pkt, bus);
             }
             self.metrics.delivered_pkts += 1;
-            self.trace_hop(&pkt, node, None, HopStage::Deliver, None);
+            self.trace_hop(pkt.id, pkt.flow, node, None, HopStage::Deliver, None);
             let flow = pkt.flow;
             if flow < self.flows.len() {
                 self.flows[flow].on_packet(self.now, &pkt, addr, &mut self.actions);
@@ -740,9 +561,7 @@ impl Simulator {
     fn forward_from(&mut self, node: NodeId, mut pkt: Packet) {
         self.metrics.profile.forwards += 1;
         let Some(out_link) = self.net.next_hop(node, pkt.dst) else {
-            self.metrics.record_defense_drop(pkt.flow as u64, DropCause::NoRoute);
-            self.trace_hop(&pkt, node, None, HopStage::Drop, Some(DropCause::NoRoute));
-            return;
+            return self.drop_at_node(&pkt, node, None, DropCause::NoRoute);
         };
         let is_host = self.net.nodes[node.0].host_addr().is_some();
         if is_host {
@@ -762,121 +581,23 @@ impl Simulator {
             None => RouterAction::Forward,
         };
         if had_agent {
-            self.trace_hop(&pkt, node, Some(out_link), HopStage::Verdict, None);
+            self.trace_hop(pkt.id, pkt.flow, node, Some(out_link), HopStage::Verdict, None);
         }
         match action {
             RouterAction::Forward => self.enqueue_on_link(out_link, pkt),
             RouterAction::Delay { release_at } => {
                 self.schedule(release_at, EventKind::ReleaseDelayed { node, out_link, pkt });
             }
-            RouterAction::Drop(cause) => {
-                self.metrics.record_defense_drop(pkt.flow as u64, cause);
-                self.trace_hop(&pkt, node, Some(out_link), HopStage::Drop, Some(cause));
-            }
+            RouterAction::Drop(cause) => self.drop_at_node(&pkt, node, Some(out_link), cause),
         }
-    }
-
-    /// Typed cause of a queue-level drop: which channel the dropped packet
-    /// was riding tells which budget it lost (request quota, legacy
-    /// starvation, plain overflow).
-    fn queue_drop_cause(pkt: &Packet) -> DropCause {
-        match pkt.channel {
-            ChannelClass::Request => DropCause::RequestQuota,
-            ChannelClass::Legacy => DropCause::LegacyDemotion,
-            ChannelClass::Regular => DropCause::QueueOverflow,
-        }
-    }
-
-    fn enqueue_on_link(&mut self, link_idx: usize, pkt: Packet) {
-        let now = self.now;
-        self.metrics.profile.enqueues += 1;
-        let owner = self.net.links[link_idx].from;
-        if self.link_down[link_idx] {
-            // The link failed after routing chose it (stale route window or
-            // a delayed release): the packet is lost on the dead link.
-            return self.lose_on_dead_link(link_idx, &pkt);
-        }
-        self.trace_hop(&pkt, owner, Some(link_idx), HopStage::Enqueue, None);
-        // Rule 0: on a free link with an empty plain FIFO, enqueue-then-dequeue
-        // is the identity, so the packet starts at once. No other discipline
-        // qualifies: an enqueue moves RED's average, a token bucket, a deficit.
-        let state = &self.links[link_idx];
-        let free = now >= state.busy_until && !state.wake_pending;
-        if free && matches!(&state.queue, LinkQueue::Fifo(q) if q.passes_straight_through(&pkt)) {
-            return self.start_transmission(link_idx, pkt);
-        }
-        if let Some(d) = self.links[link_idx].queue.disc().enqueue(now, pkt) {
-            let cause = Simulator::queue_drop_cause(&d);
-            self.metrics.record_link_drop(link_idx, d.flow as u64, cause);
-            self.trace_hop(&d, owner, Some(link_idx), HopStage::Drop, Some(cause));
-            if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
-                let link = LinkRef { index: link_idx, addr: self.net.links[link_idx].addr };
-                agent.on_link_drop(now, link, &d);
-            }
-        }
-        // A busy link is woken when its wire frees, by the one `TransmitDone`
-        // queued for it; a free one sends at once.
-        let state = &mut self.links[link_idx];
-        if now < state.busy_until && !state.wake_pending {
-            state.wake_pending = true;
-            self.events.push(state.busy_until, EventKind::TransmitDone { link: link_idx });
-        } else {
-            self.try_transmit(link_idx);
-        }
-    }
-
-    /// Ask a free link's queue for the next packet; if the queue has
-    /// packets but withholds them (strict caps), poll again shortly. The one
-    /// guard every caller relies on: a link that is down, still serializing
-    /// or about to be woken sends nothing, so a poll, a restore or an enqueue
-    /// on the nanosecond of a pending wake never puts two packets on a wire.
-    fn try_transmit(&mut self, link_idx: usize) {
-        let now = self.now;
-        let state = &self.links[link_idx];
-        if self.link_down[link_idx] || state.wake_pending || now < state.busy_until {
-            return;
-        }
-        match self.links[link_idx].queue.disc().dequeue(now) {
-            Some(pkt) => self.start_transmission(link_idx, pkt),
-            None => {
-                if self.links[link_idx].queue.len_pkts() > 0 && !self.links[link_idx].poll_pending {
-                    self.links[link_idx].poll_pending = true;
-                    let at = now.saturating_add(LINK_POLL_INTERVAL);
-                    self.schedule(at, EventKind::LinkPoll { link: link_idx });
-                }
-            }
-        }
-    }
-
-    fn start_transmission(&mut self, link_idx: usize, mut pkt: Packet) {
-        let spec = self.net.links[link_idx];
-        let owner = spec.from;
-        if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
-            agent.on_link_dequeue(self.now, LinkRef { index: link_idx, addr: spec.addr }, &mut pkt);
-        }
-        self.metrics.record_tx(link_idx, pkt.size as u64);
-        self.metrics.profile.dequeues += 1;
-        self.trace_hop(&pkt, owner, Some(link_idx), HopStage::Dequeue, None);
-        let done = self.now.saturating_add(transmission_time(pkt.size, spec.capacity));
-        let state = &mut self.links[link_idx];
-        debug_assert!(self.now >= state.busy_until, "two packets on one wire");
-        debug_assert!(!state.wake_pending, "two wakes pending on one link");
-        state.busy_until = done;
-        state.on_wire = pkt.id;
-        // A completion is queued only if something is waiting for the wire;
-        // the arrival is queued now (the packet moves once, into its event).
-        state.wake_pending = state.queue.len_pkts() > 0;
-        if state.wake_pending {
-            self.schedule(done, EventKind::TransmitDone { link: link_idx });
-        }
-        self.schedule(done.saturating_add(spec.delay), EventKind::Arrive { node: spec.to, pkt });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::{ControlPayload, ControlPlane, Deployment, HostShim, RouterAgent};
+    use crate::control::{ControlPayload, ControlPlane};
+    use crate::deploy::{Deployment, HostShim, RouterAgent};
     use crate::rng::SimRng;
     use crate::tcp::{TcpFlow, TcpWorkload};
     use crate::topology::QueueKind;
@@ -1136,7 +857,7 @@ mod tests {
         // a 48-byte boxed `DropTail` and its allocator header: ≥ 96 bytes in
         // two places. Now it is 72 in one: the 48-byte `DropTail` (the boxed
         // arm hides in its `VecDeque`'s capacity niche), two words, two flags.
-        assert!(std::mem::size_of::<LinkState>() <= 72);
+        assert!(std::mem::size_of::<link::LinkState>() <= 72);
         // And a default-FIFO link owns no heap block until something waits:
         // 250 packets/s on 100 Mbps access links never find a wire busy.
         let (net, _) = dumbbell(10_000_000);
@@ -1148,8 +869,8 @@ mod tests {
             .links
             .iter()
             .filter_map(|l| match &l.queue {
-                LinkQueue::Fifo(fifo) => Some(fifo.owns_heap()),
-                LinkQueue::Planned(_) => None,
+                link::LinkQueue::Fifo(fifo) => Some(fifo.owns_heap()),
+                link::LinkQueue::Planned(_) => None,
             })
             .collect();
         assert_eq!(fifos, [false; 4], "the four access-link directions");

@@ -6,8 +6,9 @@
 //!
 //! The crate provides:
 //!
-//! * an event-driven [`engine::Simulator`] with per-link serialization,
-//!   propagation delay and pluggable queue disciplines ([`queue`]);
+//! * an event-driven [`engine::Simulator`] whose link transmitter
+//!   serializes, propagates and fails links, over pluggable queue
+//!   disciplines ([`queue`]);
 //! * transport agents: a simplified TCP Reno ([`tcp`]) and UDP constant
 //!   bit-rate / synchronized on-off senders ([`udp`]);
 //! * the web-like workload generator the paper uses ([`webtraffic`]);
@@ -17,7 +18,7 @@
 //!   systems (NetFence, TVA+, StopIt, fair queuing — implemented in
 //!   `netfence-systems`) install host shims and router agents on the
 //!   deploying subset of the network, coordinate over a control-plane bus
-//!   and report typed post-run counters.
+//!   ([`control`]) and report typed post-run counters.
 //!
 //! The simulator knows nothing about any specific defense: shim headers ride
 //! along as type-erased [`packet::Extension`]s, and nodes whose AS does not
@@ -26,6 +27,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod control;
 pub mod deploy;
 pub mod engine;
 pub mod event_queue;
@@ -42,10 +44,10 @@ pub mod webtraffic;
 
 /// Commonly used re-exports.
 pub mod prelude {
+    pub use crate::control::{ChannelVerdict, ControlChannel, ControlPayload, ControlPlane};
     pub use crate::deploy::{
-        ChannelVerdict, ControlChannel, ControlMsg, ControlPayload, ControlPlane, DefenseFactory,
-        DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, HostShim, LinkRef,
-        NoDefense, Placement, RouterAction, RouterAgent, RouterFault,
+        DefenseFactory, DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec,
+        HostShim, LinkRef, NoDefense, Placement, RouterAction, RouterAgent, RouterFault,
     };
     pub use crate::engine::{FaultAction, SimConfig, Simulator};
     pub use crate::flow::{Flow, FlowActions, FlowProgress};

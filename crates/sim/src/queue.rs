@@ -10,7 +10,7 @@
 //!   [`Classifier`] (per-sender or per-destination);
 //! * [`HierDrrQueue`] — two-level hierarchical DRR (per source AS, then per
 //!   source host) as used by TVA+ and StopIt for their request/fallback
-//!   channels;
+//!   channels: the same [`Drr`] round, over per-AS `DrrQueue`s;
 //! * [`PriorityLevelQueue`] — strict priority across request-packet levels;
 //! * [`DualChannelQueue`] — the request/regular/legacy channel split of a
 //!   NetFence or TVA+ router (Figure 2), with the request channel capped at
@@ -38,11 +38,6 @@ pub trait QueueDisc: std::fmt::Debug {
     fn len_bytes(&self) -> usize;
     /// Total queued packets.
     fn len_pkts(&self) -> usize;
-    /// Whether the queue currently signals congestion (used by defense
-    /// adapters; RED reports average queue above `min_thresh`).
-    fn congested(&self) -> bool {
-        false
-    }
     /// Whether the queue is empty.
     fn is_empty(&self) -> bool {
         self.len_pkts() == 0
@@ -126,10 +121,6 @@ impl QueueDisc for DropTail {
     fn len_pkts(&self) -> usize {
         self.queue.len()
     }
-
-    fn congested(&self) -> bool {
-        self.bytes * 2 >= self.limit_bytes
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -175,12 +166,12 @@ impl RedParams {
     }
 }
 
-/// A RED queue (loss-based congestion detection, §4.6 of the paper).
+/// A RED queue (loss-based congestion detection, §4.6 of the paper): a
+/// FIFO bounded at `Q_lim` in front of which arrivals are dropped early.
 #[derive(Debug)]
 pub struct RedQueue {
     params: RedParams,
-    queue: VecDeque<Packet>,
-    bytes: usize,
+    fifo: DropTail,
     avg: f64,
     /// Packets since the last early drop (makes drops roughly uniform, as in
     /// the RED paper).
@@ -192,10 +183,10 @@ pub struct RedQueue {
 impl RedQueue {
     /// Create a RED queue with the paper's defaults for a link capacity.
     pub fn for_capacity(capacity_bps: u64, seed: u64) -> Self {
+        let params = RedParams::paper_defaults(capacity_bps);
         RedQueue {
-            params: RedParams::paper_defaults(capacity_bps),
-            queue: VecDeque::new(),
-            bytes: 0,
+            fifo: DropTail::new(params.limit_bytes),
+            params,
             avg: 0.0,
             count_since_drop: 0,
             prng: seed | 1,
@@ -214,11 +205,9 @@ impl RedQueue {
 }
 
 impl QueueDisc for RedQueue {
-    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
+    fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Option<Packet> {
         // Update the average on every arrival.
-        self.avg = self.avg * (1.0 - self.params.wq) + self.bytes as f64 * self.params.wq;
-
-        let hard_full = self.bytes + pkt.size > self.params.limit_bytes;
+        self.avg = self.avg * (1.0 - self.params.wq) + self.len_bytes() as f64 * self.params.wq;
         let early_drop = if self.avg >= self.params.max_thresh as f64 {
             true
         } else if self.avg >= self.params.min_thresh as f64 {
@@ -229,33 +218,22 @@ impl QueueDisc for RedQueue {
         } else {
             false
         };
-
-        if hard_full || early_drop {
-            self.count_since_drop = 0;
-            return Some(pkt);
-        }
-        self.count_since_drop += 1;
-        self.bytes += pkt.size;
-        self.queue.push_back(pkt);
-        None
+        // Past the hard limit the FIFO refuses the packet itself.
+        let dropped = if early_drop { Some(pkt) } else { self.fifo.enqueue(now, pkt) };
+        self.count_since_drop = if dropped.is_some() { 0 } else { self.count_since_drop + 1 };
+        dropped
     }
 
-    fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
-        let pkt = self.queue.pop_front()?;
-        self.bytes -= pkt.size;
-        Some(pkt)
+    fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        self.fifo.dequeue(now)
     }
 
     fn len_bytes(&self) -> usize {
-        self.bytes
+        self.fifo.len_bytes()
     }
 
     fn len_pkts(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn congested(&self) -> bool {
-        self.avg >= self.params.min_thresh as f64
+        self.fifo.len_pkts()
     }
 }
 
@@ -272,35 +250,62 @@ pub enum Classifier {
     ByDestination,
 }
 
-impl Classifier {
-    fn class_of(&self, pkt: &Packet) -> u64 {
-        match self {
-            Classifier::BySource => u64::from(pkt.src),
-            Classifier::ByDestination => u64::from(pkt.dst),
-        }
-    }
-}
-
-/// One DRR class: its FIFO, its backlog in bytes and its deficit counter.
-#[derive(Debug, Default)]
-struct DrrClass {
-    queue: VecDeque<Packet>,
-    bytes: usize,
-    deficit: usize,
-}
-
-/// Deficit Round Robin fair queuing (Shreedhar & Varghese) with O(1)
-/// per-packet work.
+/// Deficit Round Robin (Shreedhar & Varghese) with O(1) per-packet work,
+/// over classes of type `C`: the one round that a [`DrrQueue`] runs over
+/// per-host FIFOs and a [`HierDrrQueue`] over per-AS `DrrQueue`s.
 #[derive(Debug)]
-pub struct DrrQueue {
-    classifier: Classifier,
-    classes: IdMap<u64, DrrClass>,
+pub struct Drr<C> {
+    /// The class a packet joins.
+    class_of: fn(&Packet) -> u64,
+    /// The byte limit of each class.
+    class_limit: usize,
+    /// Every class seen, with its deficit counter.
+    classes: IdMap<u64, (C, usize)>,
     /// Classes with queued packets, in round-robin order.
     active: VecDeque<u64>,
     quantum: usize,
-    per_class_limit: usize,
     bytes: usize,
     pkts: usize,
+}
+
+/// Deficit Round Robin fair queuing across per-host FIFOs.
+pub type DrrQueue = Drr<DropTail>;
+
+/// Two-level hierarchical fair queuing: the outer level shares the link
+/// across source ASes, the inner level shares each AS's allocation across
+/// its source hosts. TVA+ and StopIt use this for request packets and for
+/// the fallback when receivers do not stop attack traffic (§6.3).
+pub type HierDrrQueue = Drr<DrrQueue>;
+
+/// What a deficit round needs of one class.
+pub trait DrrClass: QueueDisc {
+    /// An empty class of at most `limit` bytes (a nested round serves its
+    /// own classes `quantum` at a time).
+    fn empty(quantum: usize, limit: usize) -> Self;
+    /// The deficit the class must hold before its head is served.
+    fn head_charge(&self) -> usize;
+}
+
+impl DrrClass for DropTail {
+    fn empty(_quantum: usize, limit: usize) -> Self {
+        DropTail::new(limit)
+    }
+
+    fn head_charge(&self) -> usize {
+        self.queue.front().map_or(0, |pkt| pkt.size)
+    }
+}
+
+impl DrrClass for DrrQueue {
+    fn empty(quantum: usize, limit: usize) -> Self {
+        DrrQueue::new(Classifier::BySource, quantum, limit)
+    }
+
+    /// A nested round cannot tell which of its classes serves next, so it
+    /// charges one MTU, or its whole backlog when that is smaller.
+    fn head_charge(&self) -> usize {
+        1500.min(self.len_bytes().max(1))
+    }
 }
 
 impl DrrQueue {
@@ -308,152 +313,59 @@ impl DrrQueue {
     /// bytes; `quantum` is the per-round service quantum (typically one
     /// MTU).
     pub fn new(classifier: Classifier, quantum: usize, per_class_limit: usize) -> Self {
-        DrrQueue {
-            classifier,
-            classes: IdMap::default(),
-            active: VecDeque::new(),
-            quantum,
-            per_class_limit,
-            bytes: 0,
-            pkts: 0,
-        }
+        let class_of: fn(&Packet) -> u64 = match classifier {
+            Classifier::BySource => |pkt| u64::from(pkt.src),
+            Classifier::ByDestination => |pkt| u64::from(pkt.dst),
+        };
+        Drr::over(class_of, quantum, per_class_limit)
     }
-
-    /// Number of classes with queued packets.
-    pub fn active_classes(&self) -> usize {
-        self.active.len()
-    }
-}
-
-impl QueueDisc for DrrQueue {
-    fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
-        let id = self.classifier.class_of(&pkt);
-        let class = self.classes.entry(id).or_default();
-        if class.bytes + pkt.size > self.per_class_limit {
-            return Some(pkt);
-        }
-        class.bytes += pkt.size;
-        self.bytes += pkt.size;
-        self.pkts += 1;
-        if class.queue.is_empty() {
-            self.active.push_back(id);
-            class.deficit = 0;
-        }
-        class.queue.push_back(pkt);
-        None
-    }
-
-    fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
-        // Standard DRR: visit the head of the active list, add the quantum,
-        // serve if the head packet fits in the deficit, otherwise rotate.
-        // When the quantum is smaller than the largest packet, several
-        // rounds may be needed before anything can be served.
-        let rounds_needed = 1500 / self.quantum.max(1) + 2;
-        let mut visited = 0;
-        while let Some(&id) = self.active.front() {
-            visited += 1;
-            if visited > self.active.len() * rounds_needed + 2 {
-                break;
-            }
-            let head = self.classes.get_mut(&id).and_then(|c| Some((c.queue.front()?.size, c)));
-            let Some((head_size, class)) = head else {
-                // Stale active entry (no class or an empty one): retire it.
-                self.active.pop_front();
-                continue;
-            };
-            if class.deficit < head_size {
-                // Not enough deficit: add a quantum and move to the back of
-                // the round.
-                class.deficit += self.quantum;
-                self.active.rotate_left(1);
-                continue;
-            }
-            class.deficit -= head_size;
-            let pkt = class.queue.pop_front()?;
-            class.bytes -= pkt.size;
-            self.bytes -= pkt.size;
-            self.pkts -= 1;
-            if class.queue.is_empty() {
-                self.active.pop_front();
-            } // else keep the class at the head until its deficit runs out
-            return Some(pkt);
-        }
-        None
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn len_pkts(&self) -> usize {
-        self.pkts
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Two-level hierarchical DRR (per-AS then per-source)
-// ---------------------------------------------------------------------------
-
-/// One source AS of a [`HierDrrQueue`]: its per-source DRR and its
-/// outer-level deficit counter.
-#[derive(Debug)]
-struct AsClass {
-    sources: DrrQueue,
-    deficit: usize,
-}
-
-/// Two-level hierarchical fair queuing: the outer level shares the link
-/// across source ASes, the inner level shares each AS's allocation across
-/// its source hosts. TVA+ and StopIt use this for request packets and for
-/// the fallback when receivers do not stop attack traffic (§6.3).
-#[derive(Debug)]
-pub struct HierDrrQueue {
-    /// Outer DRR across ASes.
-    ases: IdMap<u64, AsClass>,
-    /// ASes with queued packets, in round-robin order.
-    active: VecDeque<u64>,
-    quantum: usize,
-    per_source_limit: usize,
-    bytes: usize,
-    pkts: usize,
 }
 
 impl HierDrrQueue {
     /// Create the hierarchical queue.
     pub fn new(quantum: usize, per_source_limit: usize) -> Self {
-        HierDrrQueue {
-            ases: IdMap::default(),
+        Drr::over(|pkt| u64::from(pkt.src_as), quantum, per_source_limit)
+    }
+}
+
+impl<C: DrrClass> Drr<C> {
+    fn over(class_of: fn(&Packet) -> u64, quantum: usize, class_limit: usize) -> Self {
+        Drr {
+            class_of,
+            class_limit,
+            classes: IdMap::default(),
             active: VecDeque::new(),
             quantum,
-            per_source_limit,
             bytes: 0,
             pkts: 0,
         }
     }
 }
 
-impl QueueDisc for HierDrrQueue {
+impl<C: DrrClass> QueueDisc for Drr<C> {
     fn enqueue(&mut self, now: Nanos, pkt: Packet) -> Option<Packet> {
-        let id = u64::from(pkt.src_as);
-        let size = pkt.size;
-        let class = self.ases.entry(id).or_insert_with(|| AsClass {
-            sources: DrrQueue::new(Classifier::BySource, self.quantum, self.per_source_limit),
-            deficit: 0,
-        });
-        let was_empty = class.sources.is_empty();
-        let dropped = class.sources.enqueue(now, pkt);
+        let id = (self.class_of)(&pkt);
+        let (quantum, limit) = (self.quantum, self.class_limit);
+        let (class, deficit) =
+            self.classes.entry(id).or_insert_with(|| (C::empty(quantum, limit), 0));
+        let (size, was_empty) = (pkt.size, class.is_empty());
+        let dropped = class.enqueue(now, pkt);
         if dropped.is_none() {
             self.bytes += size;
             self.pkts += 1;
             if was_empty {
                 self.active.push_back(id);
-                class.deficit = 0;
+                *deficit = 0;
             }
         }
         dropped
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
+        // Standard DRR: visit the head of the active list, serve it if its
+        // head charge fits in the deficit, otherwise add a quantum and
+        // rotate. When the quantum is smaller than the largest packet,
+        // several rounds may be needed before anything can be served.
         let rounds_needed = 1500 / self.quantum.max(1) + 2;
         let mut visited = 0;
         while let Some(&id) = self.active.front() {
@@ -461,29 +373,26 @@ impl QueueDisc for HierDrrQueue {
             if visited > self.active.len() * rounds_needed + 2 {
                 break;
             }
-            let Some(class) = self.ases.get_mut(&id).filter(|c| !c.sources.is_empty()) else {
+            let Some((class, deficit)) = self.classes.get_mut(&id).filter(|c| !c.0.is_empty())
+            else {
                 // Stale active entry (no class or an empty one): retire it.
                 self.active.pop_front();
                 continue;
             };
-            // Peek is awkward through the trait; DRR classes are FIFO so use
-            // an MTU-sized charge when deficits are checked.
-            let head_size = 1500.min(class.sources.len_bytes().max(1));
-            if class.deficit >= head_size {
-                if let Some(pkt) = class.sources.dequeue(now) {
-                    class.deficit -= pkt.size.min(class.deficit);
+            if *deficit >= class.head_charge() {
+                if let Some(pkt) = class.dequeue(now) {
+                    *deficit -= pkt.size.min(*deficit);
                     self.bytes -= pkt.size;
                     self.pkts -= 1;
-                    if class.sources.is_empty() {
+                    if class.is_empty() {
                         self.active.pop_front();
-                    }
+                    } // else keep the class at the head until its deficit runs out
                     return Some(pkt);
                 }
-                // The inner queue declined (its own per-round deficit needs
-                // to build up): fall through and give the round to the next
-                // AS, keeping this one active.
+                // A nested round declined (its own deficits need to build
+                // up): give the turn to the next class, keeping this one.
             }
-            class.deficit += self.quantum;
+            *deficit += self.quantum;
             self.active.rotate_left(1);
         }
         None
@@ -549,8 +458,7 @@ impl QueueDisc for PriorityLevelQueue {
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
         // Serve the highest priority level that has packets.
-        let level = *self.levels.iter().rev().find(|(_, q)| !q.is_empty())?.0;
-        let pkt = self.levels.get_mut(&level).and_then(|q| q.pop_front())?;
+        let pkt = self.levels.values_mut().rev().find_map(|q| q.pop_front())?;
         self.bytes -= pkt.size;
         self.pkts -= 1;
         Some(pkt)
@@ -615,13 +523,6 @@ impl DualChannelQueue {
             last_refill: 0,
         }
     }
-
-    fn refill(&mut self, now: Nanos) {
-        let elapsed = now.saturating_sub(self.last_refill);
-        self.last_refill = now;
-        self.request_tokens = (self.request_tokens + elapsed as f64 / 1e9 * self.request_rate_bps)
-            .min(self.request_burst);
-    }
 }
 
 impl QueueDisc for DualChannelQueue {
@@ -634,7 +535,10 @@ impl QueueDisc for DualChannelQueue {
     }
 
     fn dequeue(&mut self, now: Nanos) -> Option<Packet> {
-        self.refill(now);
+        let elapsed = now.saturating_sub(self.last_refill);
+        self.last_refill = now;
+        self.request_tokens = (self.request_tokens + elapsed as f64 / 1e9 * self.request_rate_bps)
+            .min(self.request_burst);
         // Serve the request channel when it has packets and tokens: its
         // small slice is guaranteed even under regular backlog, and strictly
         // capped even when the link is idle.
@@ -661,10 +565,6 @@ impl QueueDisc for DualChannelQueue {
 
     fn len_pkts(&self) -> usize {
         self.regular.len_pkts() + self.request.len_pkts() + self.legacy.len_pkts()
-    }
-
-    fn congested(&self) -> bool {
-        self.regular.congested()
     }
 
     fn drain(&mut self, now: Nanos) -> Vec<Packet> {
@@ -717,7 +617,7 @@ mod tests {
         }
         assert!(dropped > 0, "RED should early-drop under sustained arrival");
         assert!(q.len_bytes() <= RedParams::paper_defaults(1_000_000).limit_bytes);
-        assert!(q.congested());
+        assert!(q.avg >= q.params.min_thresh as f64);
     }
 
     #[test]
@@ -727,7 +627,7 @@ mod tests {
             assert!(q.enqueue(0, pkt(1, 1500)).is_none());
             assert!(q.dequeue(0).is_some());
         }
-        assert!(!q.congested());
+        assert!(q.avg < q.params.min_thresh as f64);
     }
 
     #[test]
@@ -740,7 +640,7 @@ mod tests {
         for _ in 0..10 {
             q.enqueue(0, pkt(2, 1500));
         }
-        assert_eq!(q.active_classes(), 2);
+        assert_eq!(q.active.len(), 2);
         // Dequeue 20: both sources should be served ~10 times each.
         let mut count = HashMap::new();
         for _ in 0..20 {

@@ -157,7 +157,7 @@ pub struct Network {
     pub links: Vec<LinkSpec>,
     /// Host address → node and attachment (shared with control planes,
     /// which only read it — see
-    /// [`ControlPlane::for_network`](crate::deploy::ControlPlane::for_network)).
+    /// [`ControlPlane::for_network`](crate::control::ControlPlane::for_network)).
     pub(crate) hosts: Arc<IdMap<HostAddr, HostEntry>>,
     /// Per-node outgoing link indices.
     pub out_links: Vec<Vec<usize>>,

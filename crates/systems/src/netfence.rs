@@ -43,9 +43,10 @@ use netfence_core::endpoint::{ReceiverPolicy, ReceiverShim, SenderShim};
 use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
 use netfence_crypto::{AsKeyAgent, Cmac};
 use netfence_ctrl::policy::PolicyStore;
+use netfence_sim::control::{ControlPayload, ControlPlane};
 use netfence_sim::deploy::{
-    ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
-    HostShim, LinkRef, RouterAction, RouterAgent, RouterFault,
+    DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction,
+    RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{AsNum, ChannelClass, Extension, HostAddr, Packet, Protocol};
 use netfence_sim::prelude::{IdMap, Timeline};

@@ -22,9 +22,10 @@
 //! default TTL of 0 keeps the legacy permanent-filter behavior.
 
 use netfence_ctrl::policy::PolicyStore;
+use netfence_sim::control::{ControlPayload, ControlPlane};
 use netfence_sim::deploy::{
-    ControlPayload, ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec,
-    HostShim, LinkRef, RouterAction, RouterAgent, RouterFault,
+    DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction,
+    RouterAgent, RouterFault,
 };
 use netfence_sim::packet::{HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, IdMap, Timeline};

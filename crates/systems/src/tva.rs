@@ -25,9 +25,10 @@
 //! and is implemented in `netfence-core`.
 
 use netfence_ctrl::policy::PolicyStore;
+use netfence_sim::control::ControlPlane;
 use netfence_sim::deploy::{
-    ControlPlane, DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef,
-    RouterAction, RouterAgent,
+    DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction,
+    RouterAgent,
 };
 use netfence_sim::packet::{ChannelClass, Extension, HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, IdMap};

@@ -42,7 +42,7 @@ proptest! {
         for _ in 0..served {
             q.dequeue(0);
         }
-        let before = (q.len_pkts(), q.len_bytes(), q.congested());
+        let before = (q.len_pkts(), q.len_bytes());
         let pkt = packet(77, size);
         let holds = q.passes_straight_through(&pkt);
         assert_eq!(holds, before.0 == 0 && size <= limit, "limit {limit}, queued {before:?}");
@@ -50,7 +50,7 @@ proptest! {
             assert!(q.enqueue(0, pkt).is_none());
             let back = q.dequeue(0).expect("the packet just queued");
             assert_eq!((back.id, back.size), (77, size));
-            assert_eq!((q.len_pkts(), q.len_bytes(), q.congested()), before);
+            assert_eq!((q.len_pkts(), q.len_bytes()), before);
         }
     }
 }
