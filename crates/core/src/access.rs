@@ -83,24 +83,6 @@ impl RegularLimiter {
     }
 }
 
-/// Counters exposed for benchmarking and experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessStats {
-    /// Packets forwarded on the regular channel.
-    pub regular_forwarded: u64,
-    /// Packets queued by a rate limiter.
-    pub regular_queued: u64,
-    /// Packets dropped by a rate limiter.
-    pub regular_dropped: u64,
-    /// Request packets forwarded.
-    pub request_forwarded: u64,
-    /// Request packets dropped by the request limiter.
-    pub request_dropped: u64,
-    /// Regular packets demoted to requests because their feedback did not
-    /// validate.
-    pub invalid_feedback: u64,
-}
-
 /// The access router core.
 #[derive(Debug)]
 pub struct AccessRouter {
@@ -119,8 +101,9 @@ pub struct AccessRouter {
     request_limiters: IdMap<HostId, RequestLimiter>,
     /// Per-(sender, bottleneck link) regular rate limiters.
     pub(crate) limiters: IdMap<LimiterKey, RegularLimiter>,
-    /// Counters.
-    stats: AccessStats,
+    /// Regular packets demoted to requests because their feedback did not
+    /// validate.
+    invalid_feedback: u64,
 }
 
 impl AccessRouter {
@@ -135,7 +118,7 @@ impl AccessRouter {
             link_as: IdMap::default(),
             request_limiters: IdMap::default(),
             limiters: IdMap::default(),
-            stats: AccessStats::default(),
+            invalid_feedback: 0,
         }
     }
 
@@ -172,9 +155,11 @@ impl AccessRouter {
         self.ka = TimeVaryingSecret::new(new_root);
     }
 
-    /// The current counters.
-    pub fn stats(&self) -> AccessStats {
-        self.stats
+    /// Regular packets demoted to requests so far because their feedback
+    /// did not validate. (Every other outcome is a verdict the caller
+    /// counts; drops go to the engine's drop ledger.)
+    pub fn invalid_feedback(&self) -> u64 {
+        self.invalid_feedback
     }
 
     /// Number of live per-(sender, bottleneck) rate limiters.
@@ -232,7 +217,7 @@ impl AccessRouter {
             PacketKind::Regular => match self.validate_presented(now, flow, &header.presented) {
                 Ok(()) => false,
                 Err(_) => {
-                    self.stats.invalid_feedback += 1;
+                    self.invalid_feedback += 1;
                     true
                 }
             },
@@ -248,7 +233,6 @@ impl AccessRouter {
                 // No downstream link needs policing: refresh the nop
                 // feedback (new timestamp + MAC) and forward.
                 header.presented = feedback::stamp_nop(&mut self.ka, now, flow);
-                self.stats.regular_forwarded += 1;
                 AccessVerdict::Forward { channel: Channel::Regular }
             }
             Feedback::Mon { link, .. } => {
@@ -269,18 +253,9 @@ impl AccessRouter {
                 // actually overloaded.
                 header.presented = feedback::stamp_incr(&mut self.ka, now, flow, link);
                 match verdict {
-                    BucketVerdict::Pass => {
-                        self.stats.regular_forwarded += 1;
-                        AccessVerdict::Forward { channel: Channel::Regular }
-                    }
-                    BucketVerdict::Queued { release_at } => {
-                        self.stats.regular_queued += 1;
-                        AccessVerdict::Queued { release_at }
-                    }
-                    BucketVerdict::Drop => {
-                        self.stats.regular_dropped += 1;
-                        AccessVerdict::Drop(DropCause::RegularRateLimit)
-                    }
+                    BucketVerdict::Pass => AccessVerdict::Forward { channel: Channel::Regular },
+                    BucketVerdict::Queued { release_at } => AccessVerdict::Queued { release_at },
+                    BucketVerdict::Drop => AccessVerdict::Drop(DropCause::RegularRateLimit),
                 }
             }
         }
@@ -301,18 +276,14 @@ impl AccessRouter {
             .entry(flow.src)
             .or_insert_with(|| RequestLimiter::new(cfg, now, 1.0));
         match limiter.offer(now, header.priority) {
-            RequestVerdict::Drop => {
-                self.stats.request_dropped += 1;
-                AccessVerdict::Drop(if demoted {
-                    DropCause::InvalidMac
-                } else {
-                    DropCause::RequestRateLimit
-                })
-            }
+            RequestVerdict::Drop => AccessVerdict::Drop(if demoted {
+                DropCause::InvalidMac
+            } else {
+                DropCause::RequestRateLimit
+            }),
             RequestVerdict::Pass => {
                 header.kind = PacketKind::Request;
                 header.presented = feedback::stamp_nop(&mut self.ka, now, flow);
-                self.stats.request_forwarded += 1;
                 AccessVerdict::Forward { channel: Channel::Request }
             }
         }
@@ -392,7 +363,6 @@ mod tests {
         assert_eq!(v, AccessVerdict::Forward { channel: Channel::Request });
         assert!(h.presented.is_nop());
         assert_eq!(h.presented.ts(), 1);
-        assert_eq!(w.access.stats().request_forwarded, 1);
     }
 
     #[test]
@@ -421,7 +391,7 @@ mod tests {
         // lowest priority.
         assert_eq!(v, AccessVerdict::Forward { channel: Channel::Request });
         assert_eq!(h.kind, PacketKind::Request);
-        assert_eq!(w.access.stats().invalid_feedback, 1);
+        assert_eq!(w.access.invalid_feedback(), 1);
     }
 
     #[test]
@@ -520,20 +490,19 @@ mod tests {
     #[test]
     fn request_flood_is_rate_limited_per_sender() {
         let mut w = world();
-        let mut passed = 0;
+        let (mut passed, mut dropped) = (0, 0);
         for i in 0..1000 {
             let mut h = NetFenceHeader::request(17, 8, Feedback::Nop { ts: 0, token: 0 });
             // 1000 level-8 requests (128 tokens each) in 10 ms: only the
             // bucket depth (4096 tokens = 32 packets) passes.
-            if matches!(
-                w.access.process_outbound(SEC + i * 10_000, w.flow, &mut h, 92),
-                AccessVerdict::Forward { .. }
-            ) {
-                passed += 1;
+            match w.access.process_outbound(SEC + i * 10_000, w.flow, &mut h, 92) {
+                AccessVerdict::Forward { .. } => passed += 1,
+                AccessVerdict::Drop(DropCause::RequestRateLimit) => dropped += 1,
+                v => panic!("unexpected verdict {v:?}"),
             }
         }
         assert!(passed <= 40, "request flood mostly dropped, passed {passed}");
-        assert!(w.access.stats().request_dropped > 900);
+        assert!(dropped > 900);
     }
 
     #[test]
@@ -575,6 +544,6 @@ mod tests {
         let mut h2 = NetFenceHeader::regular(6, stolen, None);
         let v = w.access.process_outbound(SEC, thief, &mut h2, PKT);
         assert_eq!(v, AccessVerdict::Forward { channel: Channel::Request });
-        assert_eq!(w.access.stats().invalid_feedback, 1);
+        assert_eq!(w.access.invalid_feedback(), 1);
     }
 }

@@ -56,21 +56,12 @@ pub struct BottleneckLink {
     monitor: BottleneckMonitor,
     /// Protocol parameters.
     cfg: Config,
-    /// Count of packets whose feedback was overwritten with `L↓` (metrics).
-    stamped_decr: u64,
 }
 
 impl BottleneckLink {
     /// Create the bottleneck state for `link`.
     pub fn new(link: LinkId, capacity: Bps, as_keys: AsKeyTable, cfg: Config, now: Nanos) -> Self {
-        BottleneckLink {
-            link,
-            capacity,
-            as_keys,
-            monitor: BottleneckMonitor::new(now),
-            cfg,
-            stamped_decr: 0,
-        }
+        BottleneckLink { link, capacity, as_keys, monitor: BottleneckMonitor::new(now), cfg }
     }
 
     /// The link identifier.
@@ -91,29 +82,9 @@ impl BottleneckLink {
         self.as_keys.remove(peer.0)
     }
 
-    /// The link capacity in bits per second.
-    pub fn capacity(&self) -> Bps {
-        self.capacity
-    }
-
-    /// The capacity share reserved for the request channel (5 % by default).
-    pub fn request_channel_capacity(&self) -> Bps {
-        (self.capacity as f64 * self.cfg.request_channel_fraction) as Bps
-    }
-
     /// Whether this link is currently in a monitoring cycle.
     pub fn in_mon(&self) -> bool {
         self.monitor.in_mon()
-    }
-
-    /// Number of packets stamped with `L↓` so far.
-    pub fn stamped_decr_count(&self) -> u64 {
-        self.stamped_decr
-    }
-
-    /// Access the monitor (e.g. for metrics).
-    pub fn monitor(&self) -> &BottleneckMonitor {
-        &self.monitor
     }
 
     /// Record the fate of a regular packet at this link's queue (transmitted
@@ -168,7 +139,6 @@ impl BottleneckLink {
         match stamp_decr(kai, flow, self.link, feedback) {
             Some(new_fb) => {
                 *feedback = new_fb;
-                self.stamped_decr += 1;
                 StampOutcome::StampedDecr
             }
             None => StampOutcome::Unchanged,
@@ -228,7 +198,6 @@ mod tests {
         assert_eq!(bl.update_feedback(later, flow, AsId(1), &mut fb), StampOutcome::StampedDecr);
         assert!(fb.is_decr());
         assert_eq!(fb.link(), Some(LinkId(9)));
-        assert_eq!(bl.stamped_decr_count(), 1);
     }
 
     #[test]
@@ -286,13 +255,6 @@ mod tests {
         let mut fb = stamp_nop(&mut ka, now, flow);
         assert_eq!(bl.update_feedback(now, flow, AsId(42), &mut fb), StampOutcome::NoKey);
         assert!(fb.is_nop());
-    }
-
-    #[test]
-    fn request_channel_capacity_is_five_percent() {
-        let (_t1, t2) = keys();
-        let bl = BottleneckLink::new(LinkId(9), 100_000_000, t2, Config::default(), 0);
-        assert_eq!(bl.request_channel_capacity(), 5_000_000);
     }
 
     #[test]

@@ -126,8 +126,6 @@ pub struct BottleneckMonitor {
     last_attack: Nanos,
     /// Stamp `L↓` until this time (congestion time + 2·Ilim hysteresis).
     stamp_decr_until: Nanos,
-    /// Count of monitoring cycles started (metrics).
-    cycles_started: u64,
 }
 
 impl BottleneckMonitor {
@@ -138,7 +136,6 @@ impl BottleneckMonitor {
             mon_since: None,
             last_attack: 0,
             stamp_decr_until: 0,
-            cycles_started: 0,
         }
     }
 
@@ -150,11 +147,6 @@ impl BottleneckMonitor {
     /// Whether the link is currently in a monitoring cycle (`mon` state).
     pub fn in_mon(&self) -> bool {
         self.mon_since.is_some()
-    }
-
-    /// Number of monitoring cycles started so far.
-    pub fn cycles_started(&self) -> u64 {
-        self.cycles_started
     }
 
     /// Record that the link is congested *right now* (e.g. RED dropped or
@@ -186,7 +178,6 @@ impl BottleneckMonitor {
             self.last_attack = now;
             if self.mon_since.is_none() {
                 self.mon_since = Some(now);
-                self.cycles_started += 1;
                 // Entering mon because of an attack: the link is overloaded,
                 // so start stamping L↓ immediately.
                 self.note_congestion(now, cfg);
@@ -281,7 +272,6 @@ mod tests {
         }
         assert!(started);
         assert!(m.in_mon());
-        assert_eq!(m.cycles_started(), 1);
 
         // Quiet traffic: the cycle persists until Tb (30 s here) elapses.
         let quiet_start = now;

@@ -628,7 +628,7 @@ impl RouterAgent for NetFenceRouterAgent {
         out.rules_rejected += self.keys.stats.rejected;
         if let Some(access) = &self.access {
             out.rate_limiters += access.limiter_count();
-            out.invalid_feedback += access.stats().invalid_feedback;
+            out.invalid_feedback += access.invalid_feedback();
         }
         for (_, bl) in self.bottlenecks.iter() {
             if bl.in_mon() {
