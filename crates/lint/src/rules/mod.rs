@@ -137,10 +137,10 @@ pub struct Context<'a> {
     /// across module boundaries.
     pub hash_fns: BTreeSet<String>,
     /// How often each identifier occurs across every discovered file,
-    /// test code included and field positions excluded — a `pub fn` whose
-    /// name occurs once (its own definition) has no caller anywhere (rule
-    /// `orphan-pub-fn`). Its keys are every identifier of the Rust
-    /// sources, in any position (rule `doc-refs`).
+    /// test code included and field and module positions excluded — a
+    /// `pub fn` whose name occurs once (its own definition) has no caller
+    /// anywhere (rule `orphan-pub-fn`). Its keys are every identifier of
+    /// the Rust sources, in any position (rule `doc-refs`).
     pub ident_uses: BTreeMap<&'a str, u32>,
 }
 
@@ -155,7 +155,7 @@ impl<'a> Context<'a> {
                 let tok = file.tok(k);
                 if tok.kind == TokKind::Ident {
                     let uses = ident_uses.entry(tok.text.as_str()).or_default();
-                    *uses += u32::from(!is_field_position(file, k));
+                    *uses += u32::from(!is_field_or_module_position(file, k));
                 }
             }
             for k in 0..s.len() {
@@ -190,16 +190,23 @@ impl<'a> Context<'a> {
     }
 }
 
-/// Whether the identifier at sig-position `k` names a field rather than
-/// a function: a field access (`x.name` with no call and no turbofish
-/// after it), or a struct-literal key, field declaration or parameter
-/// (`name:` with a single colon). A setter that shares its field's name
-/// is otherwise kept alive by the field.
-fn is_field_position(file: &SourceFile, k: usize) -> bool {
-    let next = (k + 1 < file.sig.len()).then(|| file.tok(k + 1));
+/// Whether the identifier at sig-position `k` names a field or a module
+/// rather than a function: a field access (`x.name` with no call and no
+/// turbofish after it), a struct-literal key, field declaration or
+/// parameter (`name:` with a single colon), a module declaration (`mod
+/// name`) or a path prefix (`name::other`, `name::{..}`; `name::<` is a
+/// turbofish, a use). A setter that shares its field's name, or an
+/// accessor that shares its module's, is otherwise kept alive by the
+/// field or module.
+fn is_field_or_module_position(file: &SourceFile, k: usize) -> bool {
+    let tok = |i: usize| (i < file.sig.len()).then(|| file.tok(i));
+    let next = tok(k + 1);
     let accessed = k > 0 && file.tok(k - 1).is_punct(".");
     let called = next.is_some_and(|t| t.is_punct("(") || t.is_punct("::"));
-    (accessed && !called) || next.is_some_and(|t| t.is_punct(":"))
+    let declared = k > 0 && file.tok(k - 1).is_ident("mod");
+    let prefix =
+        next.is_some_and(|t| t.is_punct("::")) && !tok(k + 2).is_some_and(|t| t.is_punct("<"));
+    (accessed && !called) || next.is_some_and(|t| t.is_punct(":")) || declared || prefix
 }
 
 /// The configured hash-collection type names (default `HashMap`/`HashSet`

@@ -9,11 +9,14 @@
 //! anywhere in the discovered files (a call, a re-export, a same-named
 //! method on another type) keeps the function, so the rule never fires on
 //! code that is in use and can miss an orphan that shares its name with
-//! something live. Field positions are not occurrences: `x.name` with no
-//! `(` or `::` after it is a field access, and `name:` with a single
-//! colon is a struct-literal key, a field declaration or a parameter — so
-//! a setter named like the field it assigns still needs a caller. Trait
-//! methods cannot be `pub` and are never looked at; `main` is exempt.
+//! something live. Field and module positions are not occurrences:
+//! `x.name` with no `(` or `::` after it is a field access, `name:` with a
+//! single colon is a struct-literal key, a field declaration or a
+//! parameter, and `mod name`, `name::other` or `name::{..}` is a module
+//! path — so a setter named like the field it assigns, or an accessor
+//! named like its module, still needs a caller (`name::<` is a turbofish,
+//! and counts). Trait methods cannot be `pub` and are never looked at;
+//! `main` is exempt.
 
 use super::{Context, Rule, SourceFile};
 use crate::diag::Diagnostic;

@@ -106,6 +106,20 @@ fn a_setter_named_like_its_field_is_an_orphan() {
     }
 }
 
+/// A module is not a caller either: the accessor named like its module is
+/// the one finding, and a call through a module path or with a turbofish
+/// still counts.
+#[test]
+fn an_accessor_named_like_its_module_is_an_orphan() {
+    let rule = "orphan-pub-fn";
+    let fail = check_fixture(rule, "module_fail", "crates/fixtures/src/module_fail.rs", false);
+    let found = unsuppressed(&fail, rule);
+    assert_eq!(found.len(), 1, "{}", render(&fail));
+    assert!(found[0].message.contains("`pub fn monitor`"), "{}", render(&fail));
+    let pass = check_fixture(rule, "module_pass", "crates/fixtures/src/module_pass.rs", false);
+    assert_eq!((pass.errors(), pass.warnings()), (0, 0), "{}", render(&pass));
+}
+
 /// Every stale reference of `fail.md` is reported once, on its own line,
 /// and an exempt Markdown file is not read at all.
 #[test]
