@@ -431,29 +431,25 @@ impl PriorityLevelQueue {
 
 impl QueueDisc for PriorityLevelQueue {
     fn enqueue(&mut self, _now: Nanos, pkt: Packet) -> Option<Packet> {
-        if self.bytes + pkt.size > self.limit_bytes {
-            // Drop the lowest-priority queued packet if the newcomer beats
-            // it; otherwise drop the newcomer.
-            let lowest = self.levels.iter().find(|(_, q)| !q.is_empty()).map(|(l, _)| *l);
-            match lowest {
-                Some(l) if l < pkt.priority => {
-                    let Some(victim) = self.levels.get_mut(&l).and_then(|q| q.pop_front()) else {
-                        return Some(pkt);
-                    };
-                    self.bytes -= victim.size;
-                    self.pkts -= 1;
-                    self.bytes += pkt.size;
-                    self.pkts += 1;
-                    self.levels.entry(pkt.priority).or_default().push_back(pkt);
-                    return Some(victim);
-                }
+        let victim = if self.bytes + pkt.size <= self.limit_bytes {
+            None
+        } else {
+            // Displace the lowest level's head if the newcomer outranks it
+            // and dropping it makes room; otherwise drop the newcomer.
+            let fits = |head: &Packet| self.bytes - head.size + pkt.size <= self.limit_bytes;
+            match self.levels.iter_mut().find(|(_, q)| !q.is_empty()) {
+                Some((&level, q)) if level < pkt.priority && fits(&q[0]) => q.pop_front(),
                 _ => return Some(pkt),
             }
+        };
+        if let Some(v) = &victim {
+            self.bytes -= v.size;
+            self.pkts -= 1;
         }
         self.bytes += pkt.size;
         self.pkts += 1;
         self.levels.entry(pkt.priority).or_default().push_back(pkt);
-        None
+        victim
     }
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
@@ -743,6 +739,24 @@ mod tests {
         // A low-priority packet arriving at a full queue is itself dropped.
         assert_eq!(q.enqueue(0, mk(0)).map(|d| d.priority), Some(0));
         assert_eq!(q.dequeue(0).unwrap().priority, 9);
+    }
+
+    #[test]
+    fn priority_queue_displaces_only_when_that_makes_room() {
+        let mut q = PriorityLevelQueue::new(200);
+        let mk = |prio: u8, size: usize| {
+            let mut p = pkt(prio as u32, size);
+            p.priority = prio;
+            p
+        };
+        q.enqueue(0, mk(0, 92));
+        q.enqueue(0, mk(0, 92));
+        // Dropping one 92 B head would leave 92 + 150 B: over the limit, so
+        // the newcomer is refused however high its level.
+        let dropped = q.enqueue(0, mk(9, 150));
+        assert!(q.len_bytes() <= 200, "{} bytes queued", q.len_bytes());
+        assert_eq!(dropped.map(|d| (d.priority, d.size)), Some((9, 150)));
+        assert_eq!(q.len_pkts(), 2);
     }
 
     #[test]

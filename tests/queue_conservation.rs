@@ -7,6 +7,7 @@
 //! `enqueue`, or was dequeued, exactly once; the discipline's own
 //! `len_pkts`/`len_bytes` agree with that ledger after every call; and a
 //! call that returns a packet never also reports the queue as having grown.
+//! A queue bounded in bytes holds no more than its bound after any call.
 
 use std::collections::BTreeSet;
 
@@ -63,6 +64,22 @@ impl Ledger {
     }
 }
 
+/// The packet offered by step `(op, src, shape)` of a drawn script (only
+/// `op < 5` offers; the rest dequeue): 64–1 500 bytes, three source ASes,
+/// priority levels 0–3, all three channels.
+fn drawn(id: u64, (op, src, shape): (u8, u32, u8), now: u64) -> Packet {
+    let mut pkt = Packet::udp(0, src, 999, [64, 92, 700, 1500][usize::from(shape % 4)], now);
+    pkt.id = id;
+    pkt.src_as = 1 + src % 3;
+    pkt.priority = shape / 4;
+    pkt.channel = match op {
+        0..=2 => ChannelClass::Regular,
+        3 => ChannelClass::Request,
+        _ => ChannelClass::Legacy,
+    };
+    pkt
+}
+
 proptest! {
     #[test]
     fn offered_equals_queued_plus_dropped_plus_served(
@@ -78,15 +95,7 @@ proptest! {
                 now += step * 1_000_000;
                 if op < 5 {
                     offered += 1;
-                    let mut pkt = Packet::udp(0, src, 999, [64, 92, 700, 1500][usize::from(shape % 4)], now);
-                    pkt.id = offered;
-                    pkt.src_as = 1 + src % 3;
-                    pkt.priority = shape / 4;
-                    pkt.channel = match op {
-                        0..=2 => ChannelClass::Regular,
-                        3 => ChannelClass::Request,
-                        _ => ChannelClass::Legacy,
-                    };
+                    let pkt = drawn(offered, (op, src, shape), now);
                     let (id, size) = (pkt.id, pkt.size);
                     let pkts_before = q.len_pkts();
                     ledger.queued.insert(id);
@@ -110,6 +119,30 @@ proptest! {
             ledger.agrees_with(name, q.as_ref());
             assert!(ledger.queued.is_empty(), "{name}: drain left {:?} behind", ledger.queued);
             assert_eq!(ledger.gone.len() as u64, offered, "{name}: every offer accounted for");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn byte_bounded_queues_never_exceed_their_limit(
+        ops in vec(((0u8..8, 0u32..12), (0u8..16, 0u64..4)), 1..300),
+    ) {
+        let bounded: [(&str, usize, Box<dyn QueueDisc>); 2] = [
+            ("DropTail", 9_000, Box::new(DropTail::new(9_000))),
+            ("PriorityLevelQueue", 6_000, Box::new(PriorityLevelQueue::new(6_000))),
+        ];
+        for (name, limit, mut q) in bounded {
+            let mut now = 0u64;
+            for (id, &((op, src), (shape, step))) in ops.iter().enumerate() {
+                now += step * 1_000_000;
+                if op < 5 {
+                    q.enqueue(now, drawn(id as u64, (op, src, shape), now));
+                } else {
+                    q.dequeue(now);
+                }
+                assert!(q.len_bytes() <= limit, "{name}: {} bytes queued, limit {limit}", q.len_bytes());
+            }
         }
     }
 }

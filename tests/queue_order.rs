@@ -92,9 +92,9 @@ fn every_discipline_serves_the_pinned_order() {
         ("HierDrrQueue", [0xd017_566b_8e51_397f, 0xe8f7_15b8_ce5e_6771, 0x3414_9c3b_5557_6d2f]),
         (
             "PriorityLevelQueue",
-            [0xb232_2885_9418_c10f, 0xf807_1150_52d1_db03, 0x9258_42c2_2a9d_f490],
+            [0x2639_8bfe_9a71_9e55, 0x02ae_9a00_9b2d_0e1d, 0x9258_42c2_2a9d_f490],
         ),
-        ("DualChannelQueue", [0xb333_d9c3_64d0_fc9e, 0x8f4a_f99b_36c9_489d, 0x44be_4188_59c2_8748]),
+        ("DualChannelQueue", [0xef21_c109_dd7b_8e7e, 0x4e82_aee9_5e7c_ac54, 0xdfd6_10d5_b1df_07bc]),
     ];
     // A fresh queue per script: RED's average, DRR deficits and the
     // request channel's tokens start from zero each time.
