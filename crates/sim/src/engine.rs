@@ -1001,7 +1001,8 @@ mod tests {
         let link = net.links.iter().position(|l| l.addr == bottleneck).unwrap();
         let mut sim = Simulator::undefended(
             net,
-            SimConfig { end_time: SEC, telemetry: TelemetryConfig::full(0), ..Default::default() },
+            // A 1-in-1024 packet sample still records every fault mark.
+            SimConfig { end_time: SEC, telemetry: TelemetryConfig::full(10), ..Default::default() },
         );
         sim.schedule_fault(100 * MILLI, FaultAction::LinkDown { link });
         sim.schedule_fault(200 * MILLI, FaultAction::LinkUp { link });

@@ -257,7 +257,7 @@ pub enum Classifier {
 pub struct Drr<C> {
     /// The class a packet joins.
     class_of: fn(&Packet) -> u64,
-    /// The byte limit of each class.
+    /// The byte limit of each FIFO under this round.
     class_limit: usize,
     /// Every class seen, with its deficit counter.
     classes: IdMap<u64, (C, usize)>,
@@ -279,8 +279,8 @@ pub type HierDrrQueue = Drr<DrrQueue>;
 
 /// What a deficit round needs of one class.
 pub trait DrrClass: QueueDisc {
-    /// An empty class of at most `limit` bytes (a nested round serves its
-    /// own classes `quantum` at a time).
+    /// A new, empty class whose FIFOs hold at most `limit` bytes each (a
+    /// nested round serves its own classes `quantum` at a time).
     fn empty(quantum: usize, limit: usize) -> Self;
     /// The deficit the class must hold before its head is served.
     fn head_charge(&self) -> usize;
