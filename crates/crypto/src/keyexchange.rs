@@ -178,6 +178,23 @@ mod tests {
     }
 
     #[test]
+    fn dh_values_are_pinned() {
+        // No `Record`, golden or JSONL line contains key bytes, so a change
+        // to the DH arithmetic that stays symmetric but computes different
+        // values would pass every other test. These constants pin it.
+        let a = AsKeyAgent::new(100, 0xdead_beef_cafe);
+        let b = AsKeyAgent::new(200, 0x1234_5678_9abc);
+        assert_eq!(a.public_value(), 0x1af4_911c_6d6c_f9dc);
+        assert_eq!(b.public_value(), 0x0011_8a00_b898_1c56);
+        let pinned = [
+            0x2c, 0x9b, 0x13, 0xdd, 0x80, 0xd2, 0xbd, 0xa8, 0xba, 0x22, 0x42, 0xf9, 0x6c, 0xf4,
+            0x19, 0xc3,
+        ];
+        assert_eq!(a.shared_key(b.asn(), b.public_value()), pinned);
+        assert_eq!(b.shared_key(a.asn(), a.public_value()), pinned);
+    }
+
+    #[test]
     fn third_party_gets_different_key() {
         let a = AsKeyAgent::new(100, 11111);
         let b = AsKeyAgent::new(200, 22222);
