@@ -25,8 +25,8 @@ use crate::cmac::Cmac;
 /// An Autonomous System number.
 pub type AsNumber = u32;
 
-/// A safe prime that fits in 63 bits so that modular multiplication can be
-/// done in `u128` without overflow. (2^61 - 1 is a Mersenne prime.)
+/// The Mersenne prime 2^61 − 1: a product of two residues fits in `u128`,
+/// and reducing it needs no division (see [`mulmod`]).
 const DH_PRIME: u64 = (1u64 << 61) - 1;
 /// Group generator.
 const DH_GENERATOR: u64 = 5;
@@ -35,20 +35,31 @@ const DH_GENERATOR: u64 = 5;
 /// time: `shared_key` runs once per announcement per router.
 static WHITENER: Aes128 = Aes128::new(b"NetFencePassport");
 
-/// Modular multiplication mod [`DH_PRIME`].
-fn mulmod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
+/// Modular multiplication mod [`DH_PRIME`] of two residues `a, b < p`.
+///
+/// With `p = 2^61 − 1`, `2^61 ≡ 1 (mod p)`, so `x = hi·2^61 + lo` is
+/// congruent to `hi + lo`: two fold-and-add steps bring the 122-bit
+/// product to at most `p + 1`, and one conditional subtract finishes.
+fn mulmod(a: u64, b: u64) -> u64 {
+    let x = a as u128 * b as u128;
+    let t = (x as u64 & DH_PRIME) + (x >> 61) as u64;
+    let s = (t & DH_PRIME) + (t >> 61);
+    if s >= DH_PRIME {
+        s - DH_PRIME
+    } else {
+        s
+    }
 }
 
-/// Modular exponentiation by squaring.
-fn powmod(mut base: u64, mut exp: u64, m: u64) -> u64 {
+/// Modular exponentiation mod [`DH_PRIME`] by squaring.
+fn powmod(mut base: u64, mut exp: u64) -> u64 {
     let mut acc = 1u64;
-    base %= m;
+    base %= DH_PRIME;
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mulmod(acc, base, m);
+            acc = mulmod(acc, base);
         }
-        base = mulmod(base, base, m);
+        base = mulmod(base, base);
         exp >>= 1;
     }
     acc
@@ -75,7 +86,7 @@ impl AsKeyAgent {
     pub fn new(asn: AsNumber, private_exponent: u64) -> Self {
         // Avoid the degenerate exponents 0 and 1.
         let private = private_exponent % (DH_PRIME - 3) + 2;
-        let public = powmod(DH_GENERATOR, private, DH_PRIME);
+        let public = powmod(DH_GENERATOR, private);
         AsKeyAgent { asn, private, public }
     }
 
@@ -95,7 +106,7 @@ impl AsKeyAgent {
     /// Both peers derive the same key because the derivation input uses the
     /// unordered AS pair (smaller ASN first) plus the DH shared secret.
     pub fn shared_key(&self, peer_asn: AsNumber, peer_public: u64) -> [u8; 16] {
-        let secret = powmod(peer_public, self.private, DH_PRIME);
+        let secret = powmod(peer_public, self.private);
         let (lo, hi) =
             if self.asn <= peer_asn { (self.asn, peer_asn) } else { (peer_asn, self.asn) };
         let mut key = [0u8; 16];
@@ -232,7 +243,27 @@ mod tests {
         assert_ne!(a.public_value(), 1, "exponent 0 would make the public value 1");
     }
 
+    /// The division-based reduction `mulmod` replaces.
+    fn mulmod_by_division(a: u64, b: u64) -> u64 {
+        ((a as u128 * b as u128) % DH_PRIME as u128) as u64
+    }
+
+    #[test]
+    fn mulmod_matches_division_at_edge_values() {
+        let edges = [0, 1, 1 << 32, DH_PRIME - 1];
+        for a in edges {
+            for b in edges {
+                assert_eq!(mulmod(a, b), mulmod_by_division(a, b), "{a} * {b}");
+            }
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn mulmod_matches_division(a in 0..DH_PRIME, b in 0..DH_PRIME) {
+            proptest::prop_assert_eq!(mulmod(a, b), mulmod_by_division(a, b));
+        }
+
         #[test]
         fn agreement_holds_for_arbitrary_exponents(x in 1u64.., y in 1u64..) {
             let a = AsKeyAgent::new(10, x);
