@@ -16,6 +16,8 @@
 //!    AIMD rule (§4.3.4) and garbage-collects limiters that have been idle
 //!    for `Ta`.
 
+use std::sync::Arc;
+
 use netfence_crypto::{AsKeyTable, Cmac, TimeVaryingSecret};
 use netfence_telemetry::{DropCause, IdMap};
 
@@ -95,8 +97,9 @@ pub struct AccessRouter {
     pub(crate) as_keys: AsKeyTable,
     /// IP-to-AS mapping for bottleneck link identifiers (§4.4 uses an
     /// IP-to-AS mapping tool; the simulator installs the mapping when it
-    /// builds the topology).
-    pub(crate) link_as: IdMap<LinkId, AsId>,
+    /// builds the topology). Identical for every access router of a
+    /// deployment, so they share one copy.
+    pub(crate) link_as: Arc<IdMap<LinkId, AsId>>,
     /// Per-sender request limiters.
     request_limiters: IdMap<HostId, RequestLimiter>,
     /// Per-(sender, bottleneck link) regular rate limiters.
@@ -115,7 +118,7 @@ impl AccessRouter {
             my_as,
             ka: TimeVaryingSecret::new(ka_root),
             as_keys,
-            link_as: IdMap::default(),
+            link_as: Arc::default(),
             request_limiters: IdMap::default(),
             limiters: IdMap::default(),
             invalid_feedback: 0,
@@ -130,12 +133,21 @@ impl AccessRouter {
     /// Register the AS that owns a (potential bottleneck) link, so `L↓`
     /// feedback referencing it can be validated.
     pub fn register_link_as(&mut self, link: LinkId, as_id: AsId) {
-        self.link_as.insert(link, as_id);
+        Arc::make_mut(&mut self.link_as).insert(link, as_id);
+    }
+
+    /// Replace the link → owning-AS map with `map`, shared with the other
+    /// access routers of the deployment (a later [`register_link_as`]
+    /// copies it first).
+    ///
+    /// [`register_link_as`]: Self::register_link_as
+    pub fn share_link_as(&mut self, map: Arc<IdMap<LinkId, AsId>>) {
+        self.link_as = map;
     }
 
     /// Install the pairwise key shared with `peer` (learned from a
     /// Passport-style key announcement after construction).
-    pub fn install_as_key(&mut self, peer: AsId, key: Cmac) {
+    pub fn install_as_key(&mut self, peer: AsId, key: Arc<Cmac>) {
         self.as_keys.install(peer.0, key);
     }
 

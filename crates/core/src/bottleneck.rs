@@ -8,6 +8,8 @@
 //! per-flow state; the only state beyond the monitor EWMAs is the per-AS key
 //! table (at most one entry per AS on today's Internet, §5.1).
 
+use std::sync::Arc;
+
 use netfence_crypto::{AsKeyTable, Cmac};
 
 use crate::config::Config;
@@ -71,7 +73,7 @@ impl BottleneckLink {
 
     /// Install the pairwise key shared with the source AS `peer` (learned
     /// from a Passport-style key announcement after construction).
-    pub fn install_as_key(&mut self, peer: AsId, key: Cmac) {
+    pub fn install_as_key(&mut self, peer: AsId, key: Arc<Cmac>) {
         self.as_keys.install(peer.0, key);
     }
 

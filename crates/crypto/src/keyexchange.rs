@@ -19,6 +19,8 @@
 //! property NetFence needs — each ordered AS pair agrees on a secret key that
 //! no third party knows — without modelling BGP messages themselves.
 
+use std::sync::Arc;
+
 use crate::aes::Aes128;
 use crate::cmac::Cmac;
 
@@ -32,7 +34,8 @@ const DH_PRIME: u64 = (1u64 << 61) - 1;
 const DH_GENERATOR: u64 = 5;
 
 /// The fixed cipher DH secrets are whitened through, expanded at compile
-/// time: `shared_key` runs once per announcement per router.
+/// time: `shared_key` runs once per received announcement per router agent,
+/// whatever number of key tables that router holds.
 static WHITENER: Aes128 = Aes128::new(b"NetFencePassport");
 
 /// Modular multiplication mod [`DH_PRIME`] of two residues `a, b < p`.
@@ -120,10 +123,10 @@ impl AsKeyAgent {
 }
 
 /// The table of pairwise AS keys held by one AS (e.g. by its border/access
-/// routers). Maps a peer ASN to a ready-to-use CMAC instance.
+/// routers). Maps a peer ASN to a shared, ready-to-use CMAC instance.
 #[derive(Debug, Default, Clone)]
 pub struct AsKeyTable {
-    keys: netfence_telemetry::IdMap<AsNumber, Cmac>,
+    keys: netfence_telemetry::IdMap<AsNumber, Arc<Cmac>>,
 }
 
 impl AsKeyTable {
@@ -133,14 +136,15 @@ impl AsKeyTable {
     }
 
     /// Install the keyed CMAC shared with `peer` (built by the caller, so a
-    /// router with several tables pays one AES key schedule, then clones).
-    pub fn install(&mut self, peer: AsNumber, cmac: Cmac) {
+    /// router with several tables pays one AES key schedule and stores one
+    /// copy, each table holding a reference to it).
+    pub fn install(&mut self, peer: AsNumber, cmac: Arc<Cmac>) {
         self.keys.insert(peer, cmac);
     }
 
     /// Look up the CMAC for a peer AS.
     pub fn get(&self, peer: AsNumber) -> Option<&Cmac> {
-        self.keys.get(&peer)
+        self.keys.get(&peer).map(Arc::as_ref)
     }
 
     /// Remove the key shared with `peer` (it expired without a refreshing
@@ -169,7 +173,8 @@ pub fn full_mesh_exchange(agents: &[AsKeyAgent]) -> Vec<AsKeyTable> {
             if a.asn() == b.asn() {
                 continue;
             }
-            tables[i].install(b.asn(), Cmac::new(&a.shared_key(b.asn(), b.public_value())));
+            let key = Cmac::new(&a.shared_key(b.asn(), b.public_value()));
+            tables[i].install(b.asn(), Arc::new(key));
         }
     }
     tables
@@ -256,6 +261,19 @@ mod tests {
                 assert_eq!(mulmod(a, b), mulmod_by_division(a, b), "{a} * {b}");
             }
         }
+    }
+
+    #[test]
+    fn tables_fed_one_key_share_it() {
+        let key = Arc::new(Cmac::new(&[7; 16]));
+        let mut t1 = AsKeyTable::new();
+        let mut t2 = AsKeyTable::new();
+        t1.install(5, Arc::clone(&key));
+        t2.install(5, key);
+        assert!(std::ptr::eq(t1.get(5).unwrap(), t2.get(5).unwrap()));
+        assert!(t1.remove(5));
+        assert!(t1.get(5).is_none());
+        assert!(t2.get(5).is_some(), "removing from one table must leave the other's entry");
     }
 
     proptest::proptest! {

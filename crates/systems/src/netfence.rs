@@ -155,14 +155,15 @@ impl DefenseFactory for NetFenceDefense {
                 announcer_of.entry(net.nodes[node.0].as_num()).or_insert(node);
             }
         }
-        // The (bottleneck link → owning AS) registrations every access
-        // router needs; identical for all of them, captured once.
-        let link_as_pairs: Vec<(LinkId, AsId)> = net
-            .links
-            .iter()
-            .filter(|l| net.is_router_link(l))
-            .map(|l| (LinkId(l.addr), AsId(net.nodes[l.from.0].as_num())))
-            .collect();
+        // The (bottleneck link → owning AS) map every access router needs;
+        // identical for all of them, built once and shared.
+        let link_as: Arc<IdMap<LinkId, AsId>> = Arc::new(
+            net.links
+                .iter()
+                .filter(|l| net.is_router_link(l))
+                .map(|l| (LinkId(l.addr), AsId(net.nodes[l.from.0].as_num())))
+                .collect(),
+        );
         for &node_id in &agent_nodes {
             let i = node_id.0;
             let node = &net.nodes[i];
@@ -190,7 +191,7 @@ impl DefenseFactory for NetFenceDefense {
                 as_id: AsId(as_num),
                 ka_root,
                 is_access: node.is_access_router(),
-                link_as: link_as_pairs.clone(),
+                link_as: Arc::clone(&link_as),
                 bottlenecks: bl_specs,
                 key_ttl: self.key_ttl,
                 generation: 0,
@@ -218,12 +219,11 @@ impl DefenseFactory for NetFenceDefense {
 
         // Host shims for every host in a deploying AS, sharing one `Config`.
         let cfg = Arc::new(self.cfg.clone());
+        let suppressed = suppressed_by_receiver(&self.suppressed);
         for host in map.hosts(net) {
             let mut receiver = ReceiverShim::default();
-            for &(r, s) in &self.suppressed {
-                if r == host {
-                    receiver.set_policy(HostId(s), ReceiverPolicy::Suppress);
-                }
+            for &s in suppressed.get(&host).into_iter().flatten() {
+                receiver.set_policy(HostId(s), ReceiverPolicy::Suppress);
             }
             builder.host_shim(
                 host,
@@ -249,6 +249,17 @@ impl DefenseFactory for NetFenceDefense {
         }
         deployment
     }
+}
+
+/// Group (receiver, sender) suppression pairs by receiver, each receiver's
+/// senders in insertion order, so a host's shim sees the same `set_policy`
+/// calls in the same order as a scan of the whole list would give it.
+fn suppressed_by_receiver(pairs: &[(HostAddr, HostAddr)]) -> IdMap<HostAddr, Vec<HostAddr>> {
+    let mut by_receiver: IdMap<HostAddr, Vec<HostAddr>> = IdMap::default();
+    for &(r, s) in pairs {
+        by_receiver.entry(r).or_default().push(s);
+    }
+    by_receiver
 }
 
 /// The sender/receiver shim of one NetFence host.
@@ -319,8 +330,9 @@ struct AgentTemplate {
     as_id: AsId,
     ka_root: [u8; 16],
     is_access: bool,
-    /// (bottleneck link → owning AS) registrations for the access router.
-    link_as: Vec<(LinkId, AsId)>,
+    /// The deployment's (bottleneck link → owning AS) map, one copy shared
+    /// by every agent's access router.
+    link_as: Arc<IdMap<LinkId, AsId>>,
     /// (link index, link id, capacity) of each owned bottleneck link.
     bottlenecks: Vec<(usize, LinkId, u64)>,
     key_ttl: Nanos,
@@ -349,9 +361,7 @@ impl AgentTemplate {
             self.root_for_generation(),
             Default::default(),
         );
-        for &(link, owner) in &self.link_as {
-            access.register_link_as(link, owner);
-        }
+        access.share_link_as(Arc::clone(&self.link_as));
         Some(access)
     }
 
@@ -495,10 +505,11 @@ impl RouterAgent for NetFenceRouterAgent {
     fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
         let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
         self.keys.insert(now, asn);
-        // One AES key schedule per announcement; every table gets a clone.
-        let key = Cmac::new(&self.key_agent.shared_key(asn, public_value));
+        // One derivation and one AES key schedule per announcement; every
+        // table holds a reference to the same copy.
+        let key = Arc::new(Cmac::new(&self.key_agent.shared_key(asn, public_value)));
         for (_, bl) in self.bottlenecks.iter_mut() {
-            bl.install_as_key(AsId(asn), key.clone());
+            bl.install_as_key(AsId(asn), Arc::clone(&key));
         }
         if let Some(access) = self.access.as_mut() {
             access.install_as_key(AsId(asn), key);
@@ -676,6 +687,16 @@ mod tests {
 
     fn deploy_full(net: &Network, defense: &NetFenceDefense) -> Deployment {
         defense.deploy(net, &DeploymentSpec::full())
+    }
+
+    #[test]
+    fn suppression_index_keeps_each_receivers_order() {
+        let (r1, r2, other) = (1, 2, 3);
+        let (a, b, c) = (10, 11, 12);
+        let index = suppressed_by_receiver(&[(r1, a), (r2, b), (r1, c)]);
+        assert_eq!(index.get(&r1), Some(&vec![a, c]));
+        assert_eq!(index.get(&r2), Some(&vec![b]));
+        assert_eq!(index.get(&other), None);
     }
 
     #[test]
