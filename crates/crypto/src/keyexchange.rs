@@ -242,6 +242,29 @@ mod tests {
         assert_ne!(m01, m02);
     }
 
+    /// `full_mesh_tables_are_symmetric`'s agents, four of them.
+    fn pin_agents() -> Vec<AsKeyAgent> {
+        (0..4).map(|i| AsKeyAgent::new(1000 + i, 7919 * (i as u64 + 1))).collect()
+    }
+
+    /// `mac32(b"netfence-pin")` under the key table `from` holds for peer
+    /// `to`, for the ordered agent pairs 0→1, 1→0 and 2→3.
+    const PAIR_PINS: [(usize, usize, u32); 3] =
+        [(0, 1, 0x8816_bb77), (1, 0, 0x8816_bb77), (2, 3, 0xe4c1_81fa)];
+
+    #[test]
+    fn full_mesh_keys_are_pinned() {
+        // No `Record`, golden or JSONL line contains key bytes, so a table
+        // that keys the right peer with the wrong secret would pass every
+        // other test. These constants pin what each table derives.
+        let agents = pin_agents();
+        let tables = full_mesh_exchange(&agents);
+        for (from, to, pin) in PAIR_PINS {
+            let mac = tables[from].get(agents[to].asn()).unwrap().mac32(b"netfence-pin");
+            assert_eq!(mac, pin, "{from} -> {to}");
+        }
+    }
+
     #[test]
     fn degenerate_exponents_are_avoided() {
         let a = AsKeyAgent::new(1, 0);
