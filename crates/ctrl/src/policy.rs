@@ -63,9 +63,10 @@ impl<K: Ord> PolicyStore<K> {
     }
 
     /// Install or refresh a rule at time `now`. Returns `false` when the
-    /// store is full and the rule was not already present.
+    /// store is full and the rule was not already present. A TTL reaching
+    /// past `Nanos::MAX` saturates there: the rule never expires.
     pub fn insert(&mut self, now: Nanos, key: K) -> bool {
-        let expiry = if self.ttl == 0 { Nanos::MAX } else { now + self.ttl };
+        let expiry = if self.ttl == 0 { Nanos::MAX } else { now.saturating_add(self.ttl) };
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = expiry;
             self.stats.refreshed += 1;
@@ -174,6 +175,14 @@ mod tests {
         assert_eq!(dead, vec![1]);
         assert_eq!(s.stats.expired, 1);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_ttl_past_the_end_of_time_saturates() {
+        let mut s: PolicyStore<u32> = PolicyStore::new(Nanos::MAX, 0);
+        assert!(s.insert(SEC, 1));
+        assert_eq!(s.expiry_of(&1), Some(Nanos::MAX));
+        assert!(s.purge(Nanos::MAX - 1).is_empty());
     }
 
     #[test]

@@ -541,7 +541,7 @@ impl RouterAgent for NetFenceRouterAgent {
         // control plane; under latency, loss or an outage the refresh may
         // land late (or never), which is exactly what the TTL punishes.
         if let Some(a) = self.announcer.as_mut() {
-            if now >= a.last + a.interval {
+            if now >= a.last.saturating_add(a.interval) {
                 a.last = now;
                 for &peer in &a.peers {
                     ctl.to_router(peer, a.announcement);

@@ -15,10 +15,13 @@
 //!   ideal ≤ 100 ms latency < an outage at the attack instant, which the
 //!   fault-recovery metric measures; an outage to the end of time holds
 //!   every filter request forever without overflowing `Nanos`.
+//! * A NetFence key TTL of `Nanos::MAX` keeps every key for the whole run,
+//!   stamping exactly what permanent keys stamp.
 
 use std::sync::OnceLock;
 
 use netfence::ctrl::prelude::*;
+use netfence::experiments::fig9::{fig9_spec, UserTraffic};
 use netfence::experiments::prelude::*;
 use netfence::sim::prelude::*;
 use netfence::sim::time::SEC;
@@ -203,4 +206,26 @@ fn a_controller_outage_delays_stopit_and_is_measured_as_a_fault() {
     assert!(ideal.report.filters > 0);
     assert_eq!((forever.report.filters, forever.report.control_lost), (0, 0));
     assert!(forever.report.control_delivered < ideal.report.control_delivered);
+}
+
+/// A small NetFence colluding flood whose key announcements land after
+/// 50 ms and whose installed keys lapse after `ttl` (0 = never).
+fn netfence_key_ttl_cell(ttl: Nanos) -> Record {
+    let scale = Scale { src_ases: 2, hosts_per_as: 4, sim_time: 20 * SEC, seed: 7 };
+    let spec = fig9_spec(&scale, DefenseKind::NetFence, UserTraffic::LongRunning, 100_000)
+        .control(CtrlConfig::ideal().latency(50 * MILLI))
+        .key_ttl(ttl);
+    Runner::new(spec).run()
+}
+
+/// A key TTL that reaches past the end of time neither overflows `Nanos`
+/// (key expiry, the announcer's cadence) nor wraps into an instant
+/// expiry: it behaves exactly like permanent keys.
+#[test]
+fn a_key_ttl_past_the_end_of_time_never_expires() {
+    let forever = netfence_key_ttl_cell(Nanos::MAX);
+    let permanent = netfence_key_ttl_cell(0);
+    assert_eq!(forever.report.rules_expired, 0);
+    assert!(permanent.report.stamped_decr > 0, "the cell must stamp L↓ to compare anything");
+    assert_eq!(forever.report.stamped_decr, permanent.report.stamped_decr);
 }
