@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use netfence_crypto::{AsKeyTable, Cmac, TimeVaryingSecret};
+use netfence_crypto::{AsKeyTable, TimeVaryingSecret};
 use netfence_telemetry::{DropCause, IdMap};
 
 use crate::aimd::{Adjustment, AimdState};
@@ -145,10 +145,16 @@ impl AccessRouter {
         self.link_as = map;
     }
 
-    /// Install the pairwise key shared with `peer` (learned from a
-    /// Passport-style key announcement after construction).
-    pub fn install_as_key(&mut self, peer: AsId, key: Arc<Cmac>) {
-        self.as_keys.install(peer.0, key);
+    /// Record the DH public value `peer` announced after construction (a
+    /// Passport-style key announcement). The pairwise key is derived the
+    /// first time an `L↓` from a link of that AS needs validating.
+    ///
+    /// # Panics
+    ///
+    /// If the router's key table was built by `AsKeyTable::new`, which has
+    /// no local agent to derive keys with.
+    pub fn install_as_key(&mut self, peer: AsId, public_value: u64) {
+        self.as_keys.install(peer.0, public_value);
     }
 
     /// Remove the pairwise key shared with `peer` (its TTL lapsed without
@@ -340,7 +346,7 @@ impl AccessRouter {
 mod tests {
     use super::*;
     use crate::types::SEC;
-    use netfence_crypto::{full_mesh_exchange, AsKeyAgent};
+    use netfence_crypto::{full_mesh_exchange, AsKeyAgent, Cmac};
 
     const PKT: usize = 1500;
 

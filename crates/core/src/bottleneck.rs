@@ -8,9 +8,7 @@
 //! per-flow state; the only state beyond the monitor EWMAs is the per-AS key
 //! table (at most one entry per AS on today's Internet, §5.1).
 
-use std::sync::Arc;
-
-use netfence_crypto::{AsKeyTable, Cmac};
+use netfence_crypto::AsKeyTable;
 
 use crate::config::Config;
 use crate::feedback::{stamp_decr, Feedback};
@@ -71,10 +69,16 @@ impl BottleneckLink {
         self.link
     }
 
-    /// Install the pairwise key shared with the source AS `peer` (learned
-    /// from a Passport-style key announcement after construction).
-    pub fn install_as_key(&mut self, peer: AsId, key: Arc<Cmac>) {
-        self.as_keys.install(peer.0, key);
+    /// Record the DH public value the source AS `peer` announced after
+    /// construction (a Passport-style key announcement). The pairwise key
+    /// is derived the first time this link stamps `L↓` for that AS.
+    ///
+    /// # Panics
+    ///
+    /// If the link's key table was built by `AsKeyTable::new`, which has no
+    /// local agent to derive keys with.
+    pub fn install_as_key(&mut self, peer: AsId, public_value: u64) {
+        self.as_keys.install(peer.0, public_value);
     }
 
     /// Remove the pairwise key shared with the source AS `peer` (its TTL

@@ -19,7 +19,7 @@
 //! property NetFence needs — each ordered AS pair agrees on a secret key that
 //! no third party knows — without modelling BGP messages themselves.
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use crate::aes::Aes128;
 use crate::cmac::Cmac;
@@ -34,8 +34,8 @@ const DH_PRIME: u64 = (1u64 << 61) - 1;
 const DH_GENERATOR: u64 = 5;
 
 /// The fixed cipher DH secrets are whitened through, expanded at compile
-/// time: `shared_key` runs once per received announcement per router agent,
-/// whatever number of key tables that router holds.
+/// time: `shared_key` runs once per key a table derives, on that key's
+/// first use.
 static WHITENER: Aes128 = Aes128::new(b"NetFencePassport");
 
 /// Modular multiplication mod [`DH_PRIME`] of two residues `a, b < p`.
@@ -122,29 +122,83 @@ impl AsKeyAgent {
     }
 }
 
-/// The table of pairwise AS keys held by one AS (e.g. by its border/access
-/// routers). Maps a peer ASN to a shared, ready-to-use CMAC instance.
-#[derive(Debug, Default, Clone)]
+/// The pairwise AS keys one router component holds (an access router, or
+/// one bottleneck link), all shared between the local AS and a peer AS.
+///
+/// An entry is what the peer announced: its DH public value. The CMAC
+/// keyed with the pair's shared key is derived by the first [`get`] for
+/// that peer, so a peer no packet ever needs a key for costs one table
+/// slot and no DH, whitening or AES key schedule.
+///
+/// [`get`]: Self::get
+#[derive(Debug, Default)]
 pub struct AsKeyTable {
-    keys: netfence_telemetry::IdMap<AsNumber, Arc<Cmac>>,
+    /// The local AS's agent, which derives every key in the table. `None`
+    /// in a table built by [`new`](Self::new), which holds no keys.
+    local: Option<AsKeyAgent>,
+    keys: netfence_telemetry::IdMap<AsNumber, PeerKey>,
+}
+
+/// One peer's entry of an [`AsKeyTable`].
+#[derive(Debug)]
+struct PeerKey {
+    /// The DH public value the peer announced.
+    public: u64,
+    /// The CMAC keyed with the shared key, once something has needed it.
+    /// Boxed so a peer whose key is never derived costs 16 bytes here,
+    /// not a whole expanded cipher.
+    cmac: OnceLock<Box<Cmac>>,
+}
+
+impl PeerKey {
+    fn announced(public: u64) -> Self {
+        PeerKey { public, cmac: OnceLock::new() }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Keys derived on this thread, so tests can see what stays lazy.
+    static DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl AsKeyTable {
-    /// Create an empty table.
+    /// Create an empty table that holds no keys and takes no
+    /// announcements.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Install the keyed CMAC shared with `peer` (built by the caller, so a
-    /// router with several tables pays one AES key schedule and stores one
-    /// copy, each table holding a reference to it).
-    pub fn install(&mut self, peer: AsNumber, cmac: Arc<Cmac>) {
-        self.keys.insert(peer, cmac);
+    /// Create an empty table whose keys `local`, this AS's agent, derives.
+    pub fn for_agent(local: AsKeyAgent) -> Self {
+        AsKeyTable { local: Some(local), keys: Default::default() }
     }
 
-    /// Look up the CMAC for a peer AS.
+    /// Record `public`, the DH value `peer` announced. Nothing is derived
+    /// yet. Re-announcing the value already held keeps its key, derived or
+    /// not; a new value replaces it.
+    ///
+    /// # Panics
+    ///
+    /// If the table was built by [`new`](Self::new): it has no local agent
+    /// to derive the key with.
+    pub fn install(&mut self, peer: AsNumber, public: u64) {
+        assert!(self.local.is_some(), "AsKeyTable::install needs a table built by for_agent");
+        let entry = self.keys.entry(peer).or_insert_with(|| PeerKey::announced(public));
+        if entry.public != public {
+            *entry = PeerKey::announced(public);
+        }
+    }
+
+    /// Look up the CMAC for a peer AS, deriving it from the peer's
+    /// announced value on the first call.
     pub fn get(&self, peer: AsNumber) -> Option<&Cmac> {
-        self.keys.get(&peer).map(Arc::as_ref)
+        let (local, entry) = (self.local.as_ref()?, self.keys.get(&peer)?);
+        Some(entry.cmac.get_or_init(|| {
+            #[cfg(test)]
+            DERIVED.with(|n| n.set(n.get() + 1));
+            Box::new(Cmac::new(&local.shared_key(peer, entry.public)))
+        }))
     }
 
     /// Remove the key shared with `peer` (it expired without a refreshing
@@ -165,19 +219,20 @@ impl AsKeyTable {
 }
 
 /// Run the full-mesh "BGP piggybacked" exchange for a set of ASes and return
-/// each AS's key table. Index `i` of the result corresponds to `agents[i]`.
+/// each AS's key table, every key already derived. Index `i` of the result
+/// corresponds to `agents[i]`.
 pub fn full_mesh_exchange(agents: &[AsKeyAgent]) -> Vec<AsKeyTable> {
-    let mut tables = vec![AsKeyTable::new(); agents.len()];
-    for (i, a) in agents.iter().enumerate() {
-        for b in agents.iter() {
-            if a.asn() == b.asn() {
-                continue;
+    agents
+        .iter()
+        .map(|a| {
+            let mut table = AsKeyTable::for_agent(a.clone());
+            for b in agents.iter().filter(|b| b.asn() != a.asn()) {
+                table.install(b.asn(), b.public_value());
+                table.get(b.asn());
             }
-            let key = Cmac::new(&a.shared_key(b.asn(), b.public_value()));
-            tables[i].install(b.asn(), Arc::new(key));
-        }
-    }
-    tables
+            table
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -286,17 +341,73 @@ mod tests {
         }
     }
 
+    /// Keys derived on this thread so far.
+    fn derived() -> usize {
+        DERIVED.with(|n| n.get())
+    }
+
+    const MSG: &[u8] = b"congestion feedback";
+
     #[test]
-    fn tables_fed_one_key_share_it() {
-        let key = Arc::new(Cmac::new(&[7; 16]));
-        let mut t1 = AsKeyTable::new();
-        let mut t2 = AsKeyTable::new();
-        t1.install(5, Arc::clone(&key));
-        t2.install(5, key);
-        assert!(std::ptr::eq(t1.get(5).unwrap(), t2.get(5).unwrap()));
-        assert!(t1.remove(5));
-        assert!(t1.get(5).is_none());
-        assert!(t2.get(5).is_some(), "removing from one table must leave the other's entry");
+    fn announced_tables_derive_the_pinned_keys() {
+        let agents = pin_agents();
+        for (from, to, pin) in PAIR_PINS {
+            let mut table = AsKeyTable::for_agent(agents[from].clone());
+            table.install(agents[to].asn(), agents[to].public_value());
+            let mac = table.get(agents[to].asn()).unwrap().mac32(b"netfence-pin");
+            assert_eq!(mac, pin, "{from} -> {to}");
+        }
+    }
+
+    #[test]
+    fn a_key_is_derived_on_first_use_only() {
+        let (a, b, c) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33));
+        let mut table = AsKeyTable::for_agent(a.clone());
+        let before = derived();
+        table.install(b.asn(), b.public_value());
+        table.install(c.asn(), c.public_value());
+        assert_eq!(derived(), before, "announcements alone derive nothing");
+
+        let eager = Cmac::new(&a.shared_key(b.asn(), b.public_value()));
+        assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), eager.mac32(MSG));
+        table.get(b.asn());
+        assert_eq!(derived(), before + 1, "one derivation, for the one peer used, once");
+        assert!(table.get(4).is_none());
+    }
+
+    #[test]
+    fn re_announcing_keeps_the_key_and_a_new_value_replaces_it() {
+        let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
+        let mut table = AsKeyTable::for_agent(a.clone());
+        table.install(b.asn(), b.public_value());
+        let first: *const Cmac = table.get(b.asn()).unwrap();
+        table.install(b.asn(), b.public_value());
+        assert!(std::ptr::eq(first, table.get(b.asn()).unwrap()));
+
+        let rekeyed = AsKeyAgent::new(2, 23);
+        table.install(b.asn(), rekeyed.public_value());
+        let eager = Cmac::new(&a.shared_key(b.asn(), rekeyed.public_value()));
+        assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), eager.mac32(MSG));
+        assert_ne!(eager.mac32(MSG), Cmac::new(&a.shared_key(2, b.public_value())).mac32(MSG));
+    }
+
+    #[test]
+    fn a_removed_key_is_gone_until_announced_again() {
+        let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
+        let mut table = AsKeyTable::for_agent(a);
+        table.install(b.asn(), b.public_value());
+        let mac = table.get(b.asn()).unwrap().mac32(MSG);
+        assert!(table.remove(b.asn()));
+        assert!(table.get(b.asn()).is_none());
+        assert!(!table.remove(b.asn()));
+        table.install(b.asn(), b.public_value());
+        assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), mac);
+    }
+
+    #[test]
+    #[should_panic(expected = "for_agent")]
+    fn a_table_without_an_agent_takes_no_announcement() {
+        AsKeyTable::new().install(2, AsKeyAgent::new(2, 22).public_value());
     }
 
     proptest::proptest! {

@@ -22,8 +22,10 @@
 //! The Passport-style pairwise AS keys are established over the
 //! deployment's [`ControlPlane`] bus: at deploy time every deploying AS
 //! posts a [`ControlPayload::KeyAnnouncement`] (its Diffie–Hellman public
-//! value) to every deployed router agent, which derives and installs the
-//! shared key — the BGP-piggybacked exchange of §4.4, in message form. With
+//! value) to every deployed router agent, which records it in each of its
+//! key tables — the BGP-piggybacked exchange of §4.4, in message form. A
+//! table derives the shared key the first time it stamps or validates an
+//! `L↓` for that AS, so keys nothing uses cost no key work. With
 //! [`NetFenceDefense::key_ttl`] set, installed keys lapse unless the
 //! owning AS's designated announcer (its first deployed router) re-posts
 //! the announcement every `ttl / 2`; over a lossy or partitioned control
@@ -41,7 +43,7 @@ use netfence_core::bottleneck::{BottleneckLink, Channel};
 use netfence_core::config::Config;
 use netfence_core::endpoint::{ReceiverPolicy, ReceiverShim, SenderShim};
 use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
-use netfence_crypto::{AsKeyAgent, Cmac};
+use netfence_crypto::{AsKeyAgent, AsKeyTable};
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::control::{ControlPayload, ControlPlane};
 use netfence_sim::deploy::{
@@ -189,6 +191,7 @@ impl DefenseFactory for NetFenceDefense {
             let template = AgentTemplate {
                 cfg: self.cfg.clone(),
                 as_id: AsId(as_num),
+                key_agent: self.key_agent(as_num),
                 ka_root,
                 is_access: node.is_access_router(),
                 link_as: Arc::clone(&link_as),
@@ -207,7 +210,6 @@ impl DefenseFactory for NetFenceDefense {
                 Box::new(NetFenceRouterAgent {
                     access: template.build_access(),
                     bottlenecks: template.build_bottlenecks(),
-                    key_agent: self.key_agent(as_num),
                     keys: PolicyStore::new(self.key_ttl, 0),
                     announcer,
                     template,
@@ -239,8 +241,8 @@ impl DefenseFactory for NetFenceDefense {
         let mut deployment = builder.build();
         // Passport key exchange over the control plane: every deploying AS
         // announces its public value to every deployed router (one round,
-        // as a full-mesh BGP propagation would). Each agent derives and
-        // installs the pairwise keys in `on_control`.
+        // as a full-mesh BGP propagation would). Each agent records the
+        // announced values in `on_control`; keys are derived on first use.
         for &asn in &map.ases {
             let ann = self.announcement(asn);
             for &node in &agent_nodes {
@@ -328,6 +330,9 @@ struct KeyAnnouncer {
 struct AgentTemplate {
     cfg: Config,
     as_id: AsId,
+    /// The AS's key agent, handed to every key table the template builds
+    /// so the table can derive its pairwise keys.
+    key_agent: AsKeyAgent,
     ka_root: [u8; 16],
     is_access: bool,
     /// The deployment's (bottleneck link → owning AS) map, one copy shared
@@ -359,7 +364,7 @@ impl AgentTemplate {
             self.cfg.clone(),
             self.as_id,
             self.root_for_generation(),
-            Default::default(),
+            self.key_table(),
         );
         access.share_link_as(Arc::clone(&self.link_as));
         Some(access)
@@ -369,9 +374,14 @@ impl AgentTemplate {
         self.bottlenecks
             .iter()
             .map(|&(li, link, capacity)| {
-                (li, BottleneckLink::new(link, capacity, Default::default(), self.cfg.clone(), 0))
+                (li, BottleneckLink::new(link, capacity, self.key_table(), self.cfg.clone(), 0))
             })
             .collect()
+    }
+
+    /// An empty key table for one of the router's components.
+    fn key_table(&self) -> AsKeyTable {
+        AsKeyTable::for_agent(self.key_agent.clone())
     }
 }
 
@@ -384,7 +394,6 @@ struct NetFenceRouterAgent {
     /// Bottleneck state per outgoing inter-router link: (link index,
     /// state), sorted ascending by index.
     bottlenecks: Vec<(usize, BottleneckLink)>,
-    key_agent: AsKeyAgent,
     /// TTL bookkeeping for installed pairwise keys; expired peers are
     /// uninstalled from the access router and bottleneck key tables on
     /// the next tick.
@@ -505,14 +514,13 @@ impl RouterAgent for NetFenceRouterAgent {
     fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
         let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
         self.keys.insert(now, asn);
-        // One derivation and one AES key schedule per announcement; every
-        // table holds a reference to the same copy.
-        let key = Arc::new(Cmac::new(&self.key_agent.shared_key(asn, public_value)));
+        // Only the announced value is recorded: each table derives the key
+        // the first time it stamps or validates an `L↓` for this AS.
         for (_, bl) in self.bottlenecks.iter_mut() {
-            bl.install_as_key(AsId(asn), Arc::clone(&key));
+            bl.install_as_key(AsId(asn), public_value);
         }
         if let Some(access) = self.access.as_mut() {
-            access.install_as_key(AsId(asn), key);
+            access.install_as_key(AsId(asn), public_value);
         }
     }
 
