@@ -169,7 +169,8 @@ impl AsKeyTable {
         Self::default()
     }
 
-    /// Create an empty table whose keys `local`, this AS's agent, derives.
+    /// Create an empty table whose keys `local`, the agent of the table's
+    /// own AS, derives.
     pub fn for_agent(local: AsKeyAgent) -> Self {
         AsKeyTable { local: Some(local), keys: Default::default() }
     }
@@ -388,7 +389,8 @@ mod tests {
         table.install(b.asn(), rekeyed.public_value());
         let eager = Cmac::new(&a.shared_key(b.asn(), rekeyed.public_value()));
         assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), eager.mac32(MSG));
-        assert_ne!(eager.mac32(MSG), Cmac::new(&a.shared_key(2, b.public_value())).mac32(MSG));
+        let old = Cmac::new(&a.shared_key(b.asn(), b.public_value()));
+        assert_ne!(eager.mac32(MSG), old.mac32(MSG));
     }
 
     #[test]
