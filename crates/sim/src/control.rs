@@ -10,12 +10,10 @@
 
 use std::sync::Arc;
 
-use netfence_telemetry::IdMap;
-
 use crate::deploy::RouterAgent;
 use crate::packet::{AsNum, HostAddr};
 use crate::time::Nanos;
-use crate::topology::{HostEntry, Network, NodeId};
+use crate::topology::{HostEntry, HostTable, Network, NodeId};
 
 /// What a control-plane message says. The set is closed: these are the
 /// two out-of-band messages the deployed systems exchange.
@@ -88,7 +86,7 @@ pub trait ControlChannel: std::fmt::Debug {
 #[derive(Debug, Default)]
 pub struct ControlPlane {
     outbox: Vec<ControlMsg>,
-    address_book: Arc<IdMap<HostAddr, HostEntry>>,
+    address_book: Arc<HostTable>,
     channel: Option<Box<dyn ControlChannel>>,
     /// Messages delivered to an agent.
     pub delivered: u64,
@@ -126,7 +124,7 @@ impl ControlPlane {
     /// requests find the router nearest the source). Returns false, and
     /// queues nothing, when the network does not know the host.
     pub fn to_access_router_of(&mut self, host: HostAddr, payload: ControlPayload) -> bool {
-        let router = self.address_book.get(&host).map(|h| h.router);
+        let router = self.address_book.get(host).map(HostEntry::router);
         if let Some(node) = router {
             self.to_router(node, payload);
         }

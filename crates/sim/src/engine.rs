@@ -489,7 +489,11 @@ impl Simulator {
             self.next_pkt_id += 1;
             pkt.id = self.next_pkt_id;
             pkt.flow = flow;
-            let node = self.net.host_node(pkt.src);
+            // The packet's only two address lookups: every hop after this
+            // indexes host rows. A source no host owns panics here.
+            let hosts = &self.net.hosts;
+            (pkt.src_row, pkt.dst_row) = (hosts.row(pkt.src), hosts.row(pkt.dst));
+            let node = hosts[pkt.src_row].node();
             pkt.src_as = self.net.nodes[node.0].as_num();
             self.metrics.injected_pkts += 1;
             self.trace_hop(pkt.id, flow, node, None, HopStage::Inject, None);
@@ -560,7 +564,17 @@ impl Simulator {
 
     fn forward_from(&mut self, node: NodeId, mut pkt: Packet) {
         self.metrics.profile.forwards += 1;
-        let Some(out_link) = self.net.next_hop(node, pkt.dst) else {
+        debug_assert!(
+            (pkt.src_row, pkt.dst_row)
+                == (self.net.hosts.row(pkt.src), self.net.hosts.row(pkt.dst)),
+            "packet {} carries rows that no longer name {:#x} → {:#x}",
+            pkt.id,
+            pkt.src,
+            pkt.dst
+        );
+        // Only the sending host forwards from a host node, so `src_row` is
+        // the row `next_hop_row` wants there.
+        let Some(out_link) = self.net.next_hop_row(node, pkt.src_row, pkt.dst_row) else {
             return self.drop_at_node(&pkt, node, None, DropCause::NoRoute);
         };
         let is_host = self.net.nodes[node.0].host_addr().is_some();
@@ -574,7 +588,7 @@ impl Simulator {
         let had_agent = routers[node.0].is_some();
         let action = match routers[node.0].as_mut() {
             Some(agent) => {
-                let is_access = self.net.access_router_of(pkt.src) == Some(node);
+                let is_access = self.net.hosts[pkt.src_row].router() == node;
                 agent.at_router(self.now, is_access, link, &mut pkt, bus)
             }
             // A legacy router forwards blindly.
@@ -874,6 +888,32 @@ mod tests {
             })
             .collect();
         assert_eq!(fifos, [false; 4], "the four access-link directions");
+    }
+
+    #[test]
+    fn a_packet_fits_a_128_byte_event_slot() {
+        // Two host rows ride in each packet; the 16-byte TCP segment pays
+        // for them. The slot is `(at, seq, next)` plus `Option<EventKind>`,
+        // whose largest variant, `ReleaseDelayed`, is a packet and two words.
+        assert!(std::mem::size_of::<Packet>() <= 88);
+        assert_eq!(std::mem::size_of::<crate::packet::TcpSegment>(), 16);
+        assert!(std::mem::size_of::<EventKind>() <= 104);
+    }
+
+    #[test]
+    fn a_destination_no_host_owns_is_a_no_route_drop() {
+        let (net, _) = dumbbell(1_000_000);
+        let mut sim = Simulator::undefended(net, SimConfig { end_time: SEC, ..Default::default() });
+        let flow = sim.add_flow(0, |id| Box::new(UdpFlow::cbr(id, HOST_A, 0xdead_0001, 500_000)));
+        sim.run();
+        let injected = sim.metrics.injected_pkts;
+        assert!(injected > 10, "injected {injected}");
+        assert_eq!(sim.progress(flow).delivered_bytes, 0);
+        assert_eq!(sim.metrics.drops.total().get(DropCause::NoRoute), injected);
+        // The books balance: every injected packet is delivered, dropped or
+        // still inside the network.
+        let books = sim.metrics.delivered_pkts + sim.metrics.total_drop_pkts();
+        assert_eq!((books, sim.into_in_network()), (injected, 0));
     }
 
     #[test]

@@ -52,7 +52,7 @@ const SHIFT: u32 = 18;
 /// `far`: + 13 % peak RSS and + 7 % wall time there. Costs 64 KiB per
 /// simulator.
 const RING: u64 = 16_384;
-/// Slots per slab chunk (136 KiB at the engine's 136-byte slots). The slab grows a
+/// Slots per slab chunk (128 KiB at the engine's 128-byte slots). The slab grows a
 /// chunk at a time instead of by doubling one `Vec`: no payload is ever
 /// copied, and every block the queue allocates while running has the same
 /// size, which the allocator reuses exactly from one run to the next. One
@@ -157,7 +157,7 @@ impl<T> EventQueue<T> {
             self.grow(Slot { at, seq, next: NIL, payload: Some(payload) })
         } else {
             // Field by field: building a `Slot` and moving it in was a
-            // 136-byte `memcpy` per push.
+            // 128-byte `memcpy` per push.
             let slot = self.free;
             let reused = self.slot_mut(slot);
             reused.at = at;

@@ -9,6 +9,7 @@
 use std::any::Any;
 
 use crate::time::Nanos;
+use crate::topology::NO_ROW;
 
 /// An end-host address (plays the role of an IP address).
 pub type HostAddr = u32;
@@ -42,19 +43,21 @@ pub enum TcpKind {
     Ack,
 }
 
-/// TCP metadata carried by a packet.
+/// TCP metadata carried by a packet: 16 bytes. Segment indices fit `u32`
+/// because a transfer is capped at `u32::MAX` segments
+/// ([`MAX_TRANSFER_SEGS`](crate::tcp::MAX_TRANSFER_SEGS)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpSegment {
     /// Segment role.
     pub kind: TcpKind,
     /// Identifier of the transfer (connection) within the flow.
-    pub transfer: u64,
+    pub transfer: u32,
     /// Data segment index (0-based) for `Data`; echo of the triggering
     /// segment for `Ack`.
-    pub seq: u64,
+    pub seq: u32,
     /// Cumulative acknowledgment: the next segment index expected by the
     /// receiver (valid for `Ack`/`SynAck`).
-    pub ack: u64,
+    pub ack: u32,
     /// True if this is a retransmission (Karn's rule: no RTT sample).
     pub retransmit: bool,
 }
@@ -101,6 +104,13 @@ pub struct Packet {
     /// Source AS (filled in by the engine from the topology, so it is
     /// authentic without the Passport MAC the paper uses for that).
     pub src_as: AsNum,
+    /// Row of `src` in the network's host table, resolved by the engine
+    /// at injection so forwarding never hashes an address ([`NO_ROW`]
+    /// until then).
+    pub(crate) src_row: u32,
+    /// Row of `dst`, resolved with `src_row`; stays [`NO_ROW`] for an
+    /// address no host owns, which forwarding drops as no-route.
+    pub(crate) dst_row: u32,
     /// Bytes on the wire, including transport/IP headers and any attached
     /// shim headers.
     pub size: usize,
@@ -134,6 +144,8 @@ impl Packet {
             src,
             dst,
             src_as: 0,
+            src_row: NO_ROW,
+            dst_row: NO_ROW,
             size,
             protocol: Protocol::Udp,
             tcp: None,

@@ -24,6 +24,11 @@ use crate::webtraffic::{draw_size, draw_think};
 pub const SEG_PAYLOAD: usize = 1000;
 /// TCP/IP header bytes per packet (before any defense shim headers).
 pub const TCP_HEADER: usize = 40;
+/// Most segments one transfer sends, so that every segment index and
+/// cumulative ACK fits [`TcpSegment`]'s `u32`s: 4.3 TB of payload, beyond
+/// any horizon the experiments run. A longer transfer is cut to this many
+/// segments and completes after the last.
+pub const MAX_TRANSFER_SEGS: u32 = u32::MAX;
 
 /// What the TCP flow transfers.
 #[derive(Debug, Clone)]
@@ -40,7 +45,8 @@ pub enum TcpWorkload {
     /// Web-like traffic: sizes from the Pareto/exponential mixture, think
     /// times uniform in 0.1–0.2 s (§6.3.2).
     WebLike,
-    /// A single long-running transfer that never completes (bulk TCP).
+    /// A single long-running transfer (bulk TCP) that completes only at
+    /// [`MAX_TRANSFER_SEGS`], never within an experiment's horizon.
     LongRunning,
 }
 
@@ -96,12 +102,12 @@ pub struct TcpFlow {
 
     // --- connection / transfer state (sender side) ---
     state: ConnState,
-    transfer_id: u64,
+    transfer_id: u32,
     transfer_start: Nanos,
     file_bytes: u64,
-    file_segs: u64,
-    snd_una: u64,
-    snd_next: u64,
+    file_segs: u32,
+    snd_una: u32,
+    snd_next: u32,
     cwnd: f64,
     ssthresh: f64,
     dupacks: u32,
@@ -111,16 +117,17 @@ pub struct TcpFlow {
     syn_retries: u32,
     cur_syn_timeout: Nanos,
     syn_sent_at: Nanos,
-    send_times: IdMap<u64, (Nanos, bool)>,
+    send_times: IdMap<u32, (Nanos, bool)>,
     // timer generations for invalidation
     syn_gen: u64,
     rto_gen: u64,
     deadline_gen: u64,
 
     // --- receiver side ---
-    rcv_transfer: u64,
-    rcv_next: u64,
-    out_of_order: BTreeSet<u64>,
+    /// The transfer being received (`None` before the first SYN).
+    rcv_transfer: Option<u32>,
+    rcv_next: u32,
+    out_of_order: BTreeSet<u32>,
 
     // --- stats ---
     progress: FlowProgress,
@@ -162,7 +169,7 @@ impl TcpFlow {
             syn_gen: 0,
             rto_gen: 0,
             deadline_gen: 0,
-            rcv_transfer: u64::MAX,
+            rcv_transfer: None,
             rcv_next: 0,
             out_of_order: BTreeSet::new(),
             progress: FlowProgress::default(),
@@ -178,10 +185,15 @@ impl TcpFlow {
     }
 
     fn begin_transfer(&mut self, now: Nanos, actions: &mut FlowActions) {
-        self.transfer_id += 1;
+        // Ids are only ever compared for equality, with the segments of the
+        // current transfer, so a wrap after 2^32 transfers is harmless.
+        self.transfer_id = self.transfer_id.wrapping_add(1);
         self.progress.started_transfers += 1;
-        self.file_bytes = self.draw_file_size();
-        self.file_segs = self.file_bytes.div_ceil(SEG_PAYLOAD as u64).max(1);
+        let bytes = self.draw_file_size();
+        let segs = bytes.div_ceil(SEG_PAYLOAD as u64).clamp(1, u64::from(MAX_TRANSFER_SEGS));
+        // Exact, not truncating: `segs` is clamped to the cap.
+        self.file_segs = segs as u32;
+        self.file_bytes = bytes.min(segs * SEG_PAYLOAD as u64);
         self.transfer_start = now;
         self.snd_una = 0;
         self.snd_next = 0;
@@ -207,7 +219,7 @@ impl TcpFlow {
     fn send(
         &mut self,
         kind: TcpKind,
-        seq: u64,
+        seq: u32,
         retransmit: bool,
         now: Nanos,
         actions: &mut FlowActions,
@@ -219,13 +231,13 @@ impl TcpFlow {
         self.progress.packets_sent += 1;
     }
 
-    fn seg_bytes(&self, seq: u64) -> usize {
-        let remaining = self.file_bytes.saturating_sub(seq * SEG_PAYLOAD as u64);
+    fn seg_bytes(&self, seq: u32) -> usize {
+        let remaining = self.file_bytes.saturating_sub(u64::from(seq) * SEG_PAYLOAD as u64);
         (remaining.min(SEG_PAYLOAD as u64) as usize).max(1)
     }
 
     fn pump_data(&mut self, now: Nanos, actions: &mut FlowActions) {
-        let window_end = (self.snd_una + self.cwnd as u64).min(self.file_segs);
+        let window_end = self.snd_una.saturating_add(self.cwnd as u32).min(self.file_segs);
         let mut burst = 0;
         while self.snd_next < window_end && burst < 128 {
             let seq = self.snd_next;
@@ -236,7 +248,7 @@ impl TcpFlow {
         }
     }
 
-    fn retransmit(&mut self, now: Nanos, seq: u64, actions: &mut FlowActions) {
+    fn retransmit(&mut self, now: Nanos, seq: u32, actions: &mut FlowActions) {
         self.send(TcpKind::Data, seq, true, now, actions);
         self.send_times.insert(seq, (now, true));
     }
@@ -271,7 +283,7 @@ impl TcpFlow {
             TcpWorkload::WebLike => draw_think(&mut self.rng),
             TcpWorkload::LongRunning => return,
         };
-        actions.timers.push((now + gap, token(KIND_NEXT, self.transfer_id)));
+        actions.timers.push((now + gap, token(KIND_NEXT, u64::from(self.transfer_id))));
     }
 
     fn abort_transfer(&mut self, now: Nanos, actions: &mut FlowActions) {
@@ -314,7 +326,7 @@ impl TcpFlow {
             for seq in self.snd_una..ack {
                 self.send_times.remove(&seq);
             }
-            let newly = (ack - self.snd_una) as f64;
+            let newly = f64::from(ack - self.snd_una);
             if self.cwnd < self.ssthresh {
                 self.cwnd = (self.cwnd + newly).min(MAX_CWND);
             } else {
@@ -346,8 +358,8 @@ impl TcpFlow {
         if matches!(seg.kind, TcpKind::SynAck | TcpKind::Ack) {
             return;
         }
-        if seg.transfer != self.rcv_transfer {
-            self.rcv_transfer = seg.transfer;
+        if self.rcv_transfer != Some(seg.transfer) {
+            self.rcv_transfer = Some(seg.transfer);
             self.rcv_next = 0;
             self.out_of_order.clear();
         }
@@ -552,6 +564,40 @@ mod tests {
         let p = f.progress();
         assert!(p.completions.is_empty());
         assert!(p.delivered_bytes > 100_000, "delivered {}", p.delivered_bytes);
+    }
+
+    #[test]
+    fn a_transfer_at_the_segment_cap_stops_cleanly() {
+        // A long-running flow put 40 segments below the cap after its
+        // handshake, on a lossless in-order wire: its last segment is
+        // `MAX_TRANSFER_SEGS - 1`, the final ACK is the cap itself, and the
+        // flow completes and goes quiet. No index wraps or truncates.
+        let mut f = flow(TcpWorkload::LongRunning);
+        let syn = FlowActions::of(|a| f.start(0, a)).packets.remove(0);
+        let synack = FlowActions::of(|a| f.on_packet(MILLI, &syn, 2, a)).packets;
+        let start = MAX_TRANSFER_SEGS - 40;
+        (f.snd_una, f.snd_next, f.rcv_next) = (start, start, start);
+        let mut wire: std::collections::VecDeque<Packet> = synack.into();
+        let (mut now, mut data_seqs, mut timers) = (2 * MILLI, Vec::new(), Vec::new());
+        while let Some(p) = wire.pop_front() {
+            let seg = p.tcp.unwrap();
+            if seg.kind == TcpKind::Data {
+                data_seqs.push(seg.seq);
+            }
+            let at = if p.src == 1 { 2 } else { 1 };
+            let out = FlowActions::of(|a| f.on_packet(now, &p, at, a));
+            wire.extend(out.packets);
+            timers.extend(out.timers);
+            now += MILLI;
+            assert!(now < 10 * SEC, "the flow never went quiet");
+        }
+        assert_eq!(data_seqs, (start..MAX_TRANSFER_SEGS).collect::<Vec<_>>());
+        assert_eq!((f.snd_una, f.rcv_next), (MAX_TRANSFER_SEGS, MAX_TRANSFER_SEGS));
+        assert_eq!(f.state, ConnState::Idle);
+        let max_bytes = u64::from(MAX_TRANSFER_SEGS) * SEG_PAYLOAD as u64;
+        assert_eq!(f.progress.completions, [(0, now - MILLI, max_bytes)]);
+        // A long-running flow starts no next transfer.
+        assert!(timers.iter().all(|&(_, t)| token_kind(t) != KIND_NEXT));
     }
 
     #[test]

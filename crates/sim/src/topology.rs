@@ -18,7 +18,10 @@
 //! * hosts are resolved at the last hop: the destination's access router
 //!   forwards onto the host's recorded downlink, and a sending host always
 //!   uses its recorded uplink. Hosts are leaves — they never appear as
-//!   routing intermediates (the engine drops mis-delivered packets anyway).
+//!   routing intermediates (the engine drops mis-delivered packets anyway);
+//! * host attachments are dense rows (`HostTable`) behind one address
+//!   index: the engine resolves a packet's source and destination to rows
+//!   once, at injection, and every hop after that indexes arrays.
 //!
 //! On topologies where every host hangs off a single access router (all of
 //! them, including the generated internet-scale graphs), the chosen paths
@@ -40,6 +43,9 @@ pub struct NodeId(pub usize);
 
 /// Sentinel for "no slot / no route" in the dense routing tables.
 const NONE32: u32 = u32::MAX;
+/// The [`HostTable`] row of an address no host owns (and a packet's rows
+/// before the engine resolves them).
+pub(crate) const NO_ROW: u32 = u32::MAX;
 
 /// What a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,23 +124,71 @@ pub struct LinkSpec {
     pub queue: QueueKind,
 }
 
-/// One host address's node and recorded attachment — its access router and
-/// the duplex link pair connecting them (made explicit by
+/// One host's node and recorded attachment — its access router and the
+/// duplex link pair connecting them (made explicit by
 /// [`NetworkBuilder::host`] instead of being re-inferred from the link list,
-/// which silently misassigned on multihomed generated graphs). One table
-/// row, so routing and control-plane addressing each cost one probe.
+/// which silently misassigned on multihomed generated graphs). A 20-byte
+/// row of the [`HostTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct HostEntry {
     /// The host's own node.
-    pub(crate) node: NodeId,
+    node: u32,
     /// The access router.
-    pub(crate) router: NodeId,
+    router: u32,
     /// Link host → router.
-    uplink: usize,
+    uplink: u32,
     /// Link router → host.
-    downlink: usize,
+    downlink: u32,
     /// Dense destination slot of `router` in the routing tables.
     dst_slot: u32,
+}
+
+impl HostEntry {
+    /// The host's own node.
+    pub(crate) fn node(&self) -> NodeId {
+        NodeId(self.node as usize)
+    }
+
+    /// The host's access router.
+    pub(crate) fn router(&self) -> NodeId {
+        NodeId(self.router as usize)
+    }
+}
+
+/// Every host's [`HostEntry`] as a dense row, in the order the hosts were
+/// added, plus the one index from address to row. The engine resolves a
+/// packet's two addresses to rows once, at injection; after that routing
+/// indexes `rows` and never hashes an address.
+#[derive(Debug, Default)]
+pub(crate) struct HostTable {
+    rows: Vec<HostEntry>,
+    row_of: IdMap<HostAddr, u32>,
+}
+
+impl HostTable {
+    /// The row of `addr`, or [`NO_ROW`] when no host owns it.
+    pub(crate) fn row(&self, addr: HostAddr) -> u32 {
+        self.row_of.get(&addr).copied().unwrap_or(NO_ROW)
+    }
+
+    /// The entry in `row`, if there is one.
+    pub(crate) fn at(&self, row: u32) -> Option<&HostEntry> {
+        self.rows.get(row as usize)
+    }
+
+    /// The entry of `addr`, if some host owns it.
+    pub(crate) fn get(&self, addr: HostAddr) -> Option<&HostEntry> {
+        self.at(self.row(addr))
+    }
+}
+
+/// The entry in a row that must exist: panics on [`NO_ROW`].
+impl std::ops::Index<u32> for HostTable {
+    type Output = HostEntry;
+
+    fn index(&self, row: u32) -> &HostEntry {
+        &self.rows[row as usize]
+    }
 }
 
 /// Size and shape of the derived routing state, for scalability reporting.
@@ -155,10 +209,10 @@ pub struct Network {
     pub nodes: Vec<Node>,
     /// All unidirectional links.
     pub links: Vec<LinkSpec>,
-    /// Host address → node and attachment (shared with control planes,
-    /// which only read it — see
+    /// Each host's node and attachment, by row and by address (shared with
+    /// control planes, which only read it — see
     /// [`ControlPlane::for_network`](crate::control::ControlPlane::for_network)).
-    pub(crate) hosts: Arc<IdMap<HostAddr, HostEntry>>,
+    pub(crate) hosts: Arc<HostTable>,
     /// Per-node outgoing link indices.
     pub out_links: Vec<Vec<usize>>,
     /// Per-node dense router slot (`NONE32` for hosts).
@@ -182,9 +236,9 @@ impl Network {
         NetworkBuilder::default()
     }
 
-    /// The node a host address belongs to.
+    /// The node a host address belongs to. Panics if no host owns `addr`.
     pub fn host_node(&self, addr: HostAddr) -> NodeId {
-        self.hosts[&addr].node
+        self.hosts[self.hosts.row(addr)].node()
     }
 
     /// The AS of a host address.
@@ -199,21 +253,29 @@ impl Network {
     /// downlink; a sending host uses its uplink (when its access router can
     /// reach the destination).
     pub fn next_hop(&self, node: NodeId, dst: HostAddr) -> Option<usize> {
-        let att = self.hosts.get(&dst)?;
-        if node == att.router {
-            return Some(att.downlink);
+        let own = self.nodes[node.0].host_addr().map_or(NO_ROW, |addr| self.hosts.row(addr));
+        self.next_hop_row(node, own, self.hosts.row(dst))
+    }
+
+    /// [`Network::next_hop`] by host rows: from `node` toward the host in
+    /// row `dst`. `own` is the row of the host at `node` and is read only
+    /// when `node` is a host; an unknown `dst` ([`NO_ROW`]) has no route.
+    pub(crate) fn next_hop_row(&self, node: NodeId, own: u32, dst: u32) -> Option<usize> {
+        let att = self.hosts.at(dst)?;
+        if node == att.router() {
+            return Some(att.downlink as usize);
         }
         match self.nodes[node.0].kind {
-            NodeKind::Host { addr, .. } => {
-                if addr == dst {
+            NodeKind::Host { .. } => {
+                if own == dst {
                     return None;
                 }
-                let own = self.hosts.get(&addr)?;
+                let own = self.hosts.at(own)?;
                 if own.router == att.router {
-                    return Some(own.uplink);
+                    return Some(own.uplink as usize);
                 }
-                let r = self.router_slot[own.router.0] as usize;
-                (self.routes[r][att.dst_slot as usize] != NONE32).then_some(own.uplink)
+                let r = self.router_slot[own.router as usize] as usize;
+                (self.routes[r][att.dst_slot as usize] != NONE32).then_some(own.uplink as usize)
             }
             NodeKind::Router { .. } => {
                 let r = self.router_slot[node.0] as usize;
@@ -231,7 +293,7 @@ impl Network {
 
     /// The access router a host is attached to, if any.
     pub fn access_router_of(&self, host: HostAddr) -> Option<NodeId> {
-        self.hosts.get(&host).map(|h| h.router)
+        self.hosts.get(host).map(HostEntry::router)
     }
 
     /// Whether `link` joins two routers (the links defenses re-queue and
@@ -243,8 +305,12 @@ impl Network {
 
     /// All host addresses in the network.
     pub fn hosts(&self) -> Vec<HostAddr> {
-        // lint:allow(nondeterministic-iteration): collected then sorted on the next line — callers only ever see key order
-        let mut v: Vec<HostAddr> = self.hosts.keys().copied().collect();
+        let mut v: Vec<HostAddr> = self
+            .hosts
+            .rows
+            .iter()
+            .filter_map(|h| self.nodes[h.node as usize].host_addr())
+            .collect();
         v.sort_unstable();
         v
     }
@@ -343,7 +409,15 @@ impl NetworkBuilder {
         self.nodes.push(Node { kind: NodeKind::Host { addr, as_num } });
         let id = NodeId(self.nodes.len() - 1);
         let (uplink, downlink) = self.duplex(id, router, capacity, delay, QueueKind::DropTail);
-        let entry = HostEntry { node: id, router, uplink, downlink, dst_slot: NONE32 };
+        // The newest node and link bound every index the row holds.
+        assert!(id.0.max(downlink) < NONE32 as usize, "more than 2^32 - 1 nodes or links");
+        let entry = HostEntry {
+            node: id.0 as u32,
+            router: router.0 as u32,
+            uplink: uplink as u32,
+            downlink: downlink as u32,
+            dst_slot: NONE32,
+        };
         self.attachments.push((addr, entry));
         id
     }
@@ -408,7 +482,7 @@ impl NetworkBuilder {
         // Routing destinations: host-bearing routers, slotted in node order.
         let mut has_host = vec![false; nodes.len()];
         for (_, entry) in &attachments {
-            has_host[entry.router.0] = true;
+            has_host[entry.router as usize] = true;
         }
         let mut dst_slot_of_node = vec![NONE32; nodes.len()];
         let mut dst_routers: Vec<u32> = Vec::new(); // dst slot -> router slot
@@ -420,11 +494,15 @@ impl NetworkBuilder {
         }
         let dst_count = dst_routers.len();
 
-        let mut hosts = IdMap::with_capacity_and_hasher(attachments.len(), Default::default());
+        let mut hosts = HostTable {
+            rows: Vec::with_capacity(attachments.len()),
+            row_of: IdMap::with_capacity_and_hasher(attachments.len(), Default::default()),
+        };
         for (addr, mut entry) in attachments {
-            entry.dst_slot = dst_slot_of_node[entry.router.0];
-            let prev = hosts.insert(addr, entry);
+            entry.dst_slot = dst_slot_of_node[entry.router as usize];
+            let prev = hosts.row_of.insert(addr, hosts.rows.len() as u32);
             assert!(prev.is_none(), "duplicate host address {addr:#x}");
+            hosts.rows.push(entry);
         }
 
         let mut net = Network {

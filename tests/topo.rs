@@ -5,35 +5,40 @@
 //!   yields a connected graph with unique link addresses, every host has an
 //!   access router, and every sender→victim route crosses at least one
 //!   designated bottleneck.
+//! * Routing by host rows: on the 8 K-host internet, seeded host pairs route
+//!   loop-free through their access router first, as built and after a
+//!   link failure.
 //! * Scale: a ≥ 50 K-host transit-stub network (including all routes)
 //!   builds in well under the 5 s budget in release mode.
 
 use std::time::Instant;
 
 use netfence::experiments::prelude::*;
+use netfence::experiments::topo_scale::transit_stub_spec;
 use netfence::sim::time::SEC;
+use netfence::sim::{NodeId, SimRng};
+use netfence::topo::generate::stub_host_addr;
 use netfence::topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 use proptest::proptest;
 
 /// Walk the route from `src` to `dst`; returns the link indices, or None if
-/// the walk does not reach `dst` within a generous hop bound.
+/// the walk stalls or comes back to a node it has already visited.
 fn route(built: &BuiltTopo, src: u32, dst: u32) -> Option<Vec<usize>> {
     let net = &built.net;
-    let mut node = net.host_node(src);
+    let mut visited = vec![net.host_node(src)];
     let mut hops = Vec::new();
-    for _ in 0..128 {
-        match net.next_hop(node, dst) {
-            Some(l) => {
-                hops.push(l);
-                node = net.links[l].to;
-            }
-            None => return None,
+    loop {
+        let l = net.next_hop(visited[visited.len() - 1], dst)?;
+        let node = net.links[l].to;
+        if visited.contains(&node) {
+            return None;
         }
+        hops.push(l);
+        visited.push(node);
         if net.nodes[node.0].host_addr() == Some(dst) {
             return Some(hops);
         }
     }
-    None
 }
 
 /// The shared invariants every generated topology must satisfy.
@@ -187,6 +192,61 @@ fn internet_records_are_deterministic_and_seed_sensitive() {
     assert_eq!(a, b, "two runs of the same generated internet diverged");
     let c = Runner::new(spec().seed(99)).run();
     assert_ne!(a, c, "the seed does not reach the topology generator");
+}
+
+/// On the 8 K-host internet the floods run on, 2 000 seeded host pairs
+/// route loop-free to their destination, and the sender's access router is
+/// the first router on the path and no other — the test the engine makes at
+/// every defended hop. Both as built and after one stub uplink fails and
+/// routes are recomputed around it.
+#[test]
+fn seeded_host_pairs_route_loop_free_on_the_8k_internet() {
+    let mut built = TopoSpec::TransitStub(transit_stub_spec(8000, 7)).build();
+    let hosts = built.net.hosts();
+    let mut rng = SimRng::new(11);
+    let mut pairs = Vec::with_capacity(2000);
+    while pairs.len() < 2000 {
+        let mut draw = || hosts[rng.uniform_u64(0, hosts.len() as u64) as usize];
+        let (src, dst) = (draw(), draw());
+        if src != dst {
+            pairs.push((src, dst));
+        }
+    }
+    let check = |built: &BuiltTopo| -> Vec<Vec<usize>> {
+        let net = &built.net;
+        let paths: Vec<_> = pairs
+            .iter()
+            .map(|&(src, dst)| {
+                route(built, src, dst).unwrap_or_else(|| panic!("{src:#x} -> {dst:#x} loops"))
+            })
+            .collect();
+        for (&(src, _), hops) in pairs.iter().zip(&paths) {
+            let access = net.access_router_of(src).unwrap();
+            let routers: Vec<NodeId> = hops.iter().map(|&l| net.links[l].to).collect();
+            assert_eq!(routers[0], access, "{src:#x}'s first router is not its access router");
+            assert!(!routers[1..].contains(&access), "{src:#x} passes its access router twice");
+        }
+        paths
+    };
+    let as_built = check(&built);
+
+    // The largest stub's first uplink: it is multihomed, so the stub stays
+    // connected, and a good share of the pairs leave through that link.
+    let net = &built.net;
+    let access = net.access_router_of(stub_host_addr(0, 0)).unwrap();
+    let uplinks: Vec<usize> = net.out_links[access.0]
+        .iter()
+        .copied()
+        .filter(|&l| net.is_router_link(&net.links[l]))
+        .collect();
+    assert!(uplinks.len() >= 2, "the largest stub is multihomed");
+    let down_link = uplinks[0];
+    assert!(as_built.iter().any(|hops| hops.contains(&down_link)), "no pair used the link");
+    let mut down = vec![false; net.links.len()];
+    down[down_link] = true;
+    built.net.recompute_routes(&down);
+    let rerouted = check(&built);
+    assert!(rerouted.iter().all(|hops| !hops.contains(&down_link)), "a route uses the dead link");
 }
 
 /// The scalability acceptance bar: a ≥ 50 K-host transit-stub network —
