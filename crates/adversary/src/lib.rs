@@ -36,7 +36,6 @@
 //! [`SimRng`]: netfence_sim::rng::SimRng
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod agent;
 pub mod ctx;

@@ -24,7 +24,6 @@
 //! event simulator fully controls time.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod aes;
 pub mod cmac;

@@ -29,7 +29,7 @@
 //! [`ControlChannel`]: netfence_sim::control::ControlChannel
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod config;
 pub mod policy;

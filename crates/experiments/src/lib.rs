@@ -36,7 +36,6 @@
 //! paper-vs-measured comparison.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod chaos;

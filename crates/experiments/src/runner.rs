@@ -478,7 +478,7 @@ mod tests {
 
     #[test]
     fn flow_seeds_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for g in 0..4 {
             for i in 0..50 {
                 assert!(seen.insert(flow_seed(7, g, i)));
@@ -491,7 +491,7 @@ mod tests {
         // The attacker substream never collides with the per-role flow
         // seeds: a user flow's RNG stream is the same no matter how many
         // adversary agents exist or what they are seeded with.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for g in 0..4 {
             for i in 0..50 {
                 assert!(seen.insert(flow_seed(7, g, i)));

@@ -22,7 +22,7 @@
 //! byte-for-byte identical to a run without fault machinery at all.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::fmt;
 

@@ -119,8 +119,8 @@ mod tests {
               "crates/sim/src",   # trailing comment
               "crates/experiments/src",
             ]
-            [rules.panic-prone]
-            zones = ["crates/sim/src"]
+            [rules.doc-refs]
+            exempt = ["crates/sim/src"]
             note = "hi"
             "#,
         )
@@ -128,8 +128,8 @@ mod tests {
         assert_eq!(cfg.list("zones", "export").len(), 2);
         assert!(cfg.path_in("zones", "export", "crates/sim/src/engine.rs"));
         assert!(!cfg.path_in("zones", "export", "crates/simx/src/engine.rs"));
-        assert_eq!(cfg.list("rules.panic-prone", "zones"), ["crates/sim/src".to_string()]);
-        assert_eq!(cfg.list("rules.panic-prone", "note"), ["hi".to_string()]);
+        assert_eq!(cfg.list("rules.doc-refs", "exempt"), ["crates/sim/src".to_string()]);
+        assert_eq!(cfg.list("rules.doc-refs", "note"), ["hi".to_string()]);
     }
 
     #[test]

@@ -3,27 +3,24 @@
 //! An offline, dependency-free static-analysis pass over the workspace
 //! that enforces the determinism invariants every figure-equivalence
 //! claim rests on, and keeps the public surface to what has a caller
-//! (`DESIGN.md` §13). Eight rules:
+//! (`DESIGN.md` §13). Five rules:
 //!
 //! 1. `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration in
 //!    export-path modules (anything feeding `Record`, `DefenseReport`,
 //!    an experiment table or telemetry exports);
 //! 2. `wall-clock` — no `Instant::now`/`SystemTime` without a justified
 //!    allow;
-//! 3. `unseeded-entropy` — no RNG construction outside `SimRng` seed
-//!    substreams;
-//! 4. `wildcard-defense-match` — no `_` arms in matches over
+//! 3. `wildcard-defense-match` — no `_` arms in matches over
 //!    `DefenseKind`/`DropCause` in systems/experiments code;
-//! 5. `unsafe-code` — every crate root carries `#![forbid(unsafe_code)]`;
-//! 6. `panic-prone` — no `.unwrap()`/`.expect(...)`/`panic!` in the
-//!    fault-injected runtime crates (core, sim, systems, ctrl, faults):
-//!    the chaos engine's no-panic property is only as strong as the
-//!    weakest `unwrap` on a fault path;
-//! 7. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
+//! 4. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
 //!    whose name occurs nowhere else in the workspace (tests, examples and
 //!    the benchmark included);
-//! 8. `doc-refs` — every `x.rs[:N]` path and `a::b::c` path in a
+//! 5. `doc-refs` — every `x.rs[:N]` path and `a::b::c` path in a
 //!    Markdown code span resolves in the tree.
+//!
+//! Unseeded entropy, `unsafe` code and panics in the fault-injected
+//! runtime crates are rustc's and clippy's to catch (`clippy.toml`,
+//! `[workspace.lints]` and the crate roots).
 //!
 //! Each rule honors the inline escape hatch
 //! `// lint:allow(rule-name): reason` — the justification string is
@@ -31,8 +28,6 @@
 //! workspace root; run as `cargo run -p netfence-lint` (CI adds
 //! `--deny-all`), which prints rustc-style diagnostics and writes a
 //! machine-readable JSON report to `target/netfence_lint.json`.
-
-#![forbid(unsafe_code)]
 
 pub mod allow;
 pub mod config;
@@ -86,7 +81,7 @@ pub fn check_files(files: &[FileInput], config: &LintConfig) -> Report {
     let (docs, sources): (Vec<&FileInput>, Vec<&FileInput>) =
         files.iter().partition(|f| f.path.ends_with(".md"));
     let prepared: Vec<SourceFile> =
-        sources.iter().map(|f| SourceFile::prepare(&f.path, &f.source, f.is_crate_root)).collect();
+        sources.iter().map(|f| SourceFile::prepare(&f.path, &f.source)).collect();
     let ctx = Context::build(config, &prepared);
     let rules = all_rules();
     let mut diagnostics = Vec::new();

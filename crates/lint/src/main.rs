@@ -9,8 +9,6 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

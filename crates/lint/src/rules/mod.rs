@@ -1,7 +1,7 @@
 //! The rule engine: a prepared [`SourceFile`] (token stream, significant
 //! indices, `#[cfg(test)]` shadowing), the workspace-level [`Context`]
 //! (zone config, the cross-module table of functions returning hash
-//! collections and the workspace-wide identifier census), and the eight
+//! collections and the workspace-wide identifier census), and the five
 //! rules of the taxonomy (`DESIGN.md` §13).
 
 use crate::config::LintConfig;
@@ -10,24 +10,18 @@ use crate::lexer::{lex, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub mod doc_refs;
-pub mod entropy;
 pub mod iteration;
 pub mod orphan;
-pub mod panic;
-pub mod unsafe_code;
 pub mod wallclock;
 pub mod wildcard;
 
 /// Names of every rule, in reporting order. The allow policy findings
 /// (`unjustified-allow`, `unknown-rule`, `unused-allow`) are emitted by
 /// the engine itself, not listed here.
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 5] = [
     "nondeterministic-iteration",
     "wall-clock",
-    "unseeded-entropy",
     "wildcard-defense-match",
-    "unsafe-code",
-    "panic-prone",
     "orphan-pub-fn",
     "doc-refs",
 ];
@@ -43,16 +37,14 @@ pub struct SourceFile {
     /// (integration tests under `tests/` are separate files and are
     /// zoned via `lint.toml` instead).
     pub in_test: Vec<bool>,
-    pub is_crate_root: bool,
 }
 
 impl SourceFile {
-    pub fn prepare(path: &str, source: &str, is_crate_root: bool) -> SourceFile {
+    pub fn prepare(path: &str, source: &str) -> SourceFile {
         let toks = lex(source);
         let sig: Vec<usize> =
             toks.iter().enumerate().filter(|(_, t)| !t.is_comment()).map(|(i, _)| i).collect();
-        let mut file =
-            SourceFile { path: path.to_string(), toks, sig, in_test: Vec::new(), is_crate_root };
+        let mut file = SourceFile { path: path.to_string(), toks, sig, in_test: Vec::new() };
         file.in_test = file.mark_test_blocks();
         file
     }
@@ -232,10 +224,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(iteration::NondeterministicIteration),
         Box::new(wallclock::WallClock),
-        Box::new(entropy::UnseededEntropy),
         Box::new(wildcard::WildcardDefenseMatch),
-        Box::new(unsafe_code::UnsafeCode),
-        Box::new(panic::PanicProne),
         Box::new(orphan::OrphanPubFn),
     ]
 }

@@ -14,9 +14,6 @@ pub struct FileInput {
     /// Workspace-relative, `/`-separated.
     pub path: String,
     pub source: String,
-    /// Whether this file is a crate root (`src/lib.rs` / `src/main.rs`),
-    /// where the `unsafe-code` rule checks for `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
 }
 
 /// Parse the `members = [ ... ]` array of the root manifest's
@@ -84,8 +81,7 @@ pub fn discover(root: &Path) -> Result<Vec<FileInput>, String> {
         let path =
             rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/");
         let source = fs::read_to_string(&file).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let is_crate_root = path.ends_with("src/lib.rs") || path.ends_with("src/main.rs");
-        inputs.push(FileInput { path, source, is_crate_root });
+        inputs.push(FileInput { path, source });
     }
     inputs.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(inputs)

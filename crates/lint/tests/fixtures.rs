@@ -3,13 +3,14 @@
 //! export-zone gate, the acceptance scenario from the issue
 //! (reintroducing hash iteration into
 //! `crates/experiments/src/record.rs` must be flagged under the real
-//! `lint.toml`), and the workspace-clean gate itself.
+//! `lint.toml`), the workspace-clean gate itself, and every member's
+//! opt-in to the `[workspace.lints]` that rustc and clippy enforce.
 
 use std::path::Path;
 
 use netfence_lint::config::LintConfig;
 use netfence_lint::rules::RULE_NAMES;
-use netfence_lint::workspace::FileInput;
+use netfence_lint::workspace::{workspace_members, FileInput};
 use netfence_lint::{check_files, check_workspace, Report};
 
 /// The zone config the fixtures are analyzed under: everything is on the
@@ -18,9 +19,6 @@ const FIXTURE_CONFIG: &str = r#"
 [zones]
 export = ["fixtures"]
 wildcard = ["fixtures"]
-
-[rules.panic-prone]
-zones = ["fixtures/panic-prone"]
 
 [rules.doc-refs]
 exempt = ["fixtures/exempt.md"]
@@ -40,18 +38,13 @@ fn fixture_source(rule: &str, which: &str) -> String {
 
 /// Analyze one fixture under `FIXTURE_CONFIG` at a virtual `path` (a
 /// `doc-refs` fixture beside the Rust file it cites).
-fn check_fixture(rule: &str, which: &str, path: &str, is_crate_root: bool) -> Report {
+fn check_fixture(rule: &str, which: &str, path: &str) -> Report {
     let config = LintConfig::parse(FIXTURE_CONFIG).unwrap();
-    let mut files = vec![FileInput {
-        path: path.to_string(),
-        source: fixture_source(rule, which),
-        is_crate_root,
-    }];
+    let mut files = vec![FileInput { path: path.to_string(), source: fixture_source(rule, which) }];
     if rule == "doc-refs" {
         files.push(FileInput {
             path: "crates/demo/src/engine.rs".to_string(),
             source: DOC_REFS_TARGET.to_string(),
-            is_crate_root: false,
         });
     }
     check_files(&files, &config)
@@ -64,13 +57,12 @@ fn unsuppressed<'a>(report: &'a Report, rule: &str) -> Vec<&'a netfence_lint::di
 #[test]
 fn every_rule_has_a_failing_and_a_passing_fixture() {
     for rule in RULE_NAMES {
-        let is_root = rule == "unsafe-code";
         // `orphan-pub-fn` looks at `crates/*/src` only; every other rule's
         // fixtures stay outside it (their functions have no callers).
         let dir = if rule == "orphan-pub-fn" { "crates/fixtures/src" } else { "fixtures" };
         let ext = if rule == "doc-refs" { "md" } else { "rs" };
 
-        let fail = check_fixture(rule, "fail", &format!("{dir}/{rule}/fail.{ext}"), is_root);
+        let fail = check_fixture(rule, "fail", &format!("{dir}/{rule}/fail.{ext}"));
         assert!(
             !unsuppressed(&fail, rule).is_empty(),
             "{rule}: fail.rs produced no `{rule}` finding:\n{}",
@@ -86,7 +78,7 @@ fn every_rule_has_a_failing_and_a_passing_fixture() {
             }
         }
 
-        let pass = check_fixture(rule, "pass", &format!("{dir}/{rule}/pass.{ext}"), is_root);
+        let pass = check_fixture(rule, "pass", &format!("{dir}/{rule}/pass.{ext}"));
         assert_eq!(pass.errors(), 0, "{rule}: pass.rs has errors:\n{}", render(&pass));
         assert_eq!(pass.warnings(), 0, "{rule}: pass.rs has warnings:\n{}", render(&pass));
     }
@@ -97,7 +89,7 @@ fn every_rule_has_a_failing_and_a_passing_fixture() {
 #[test]
 fn a_setter_named_like_its_field_is_an_orphan() {
     let rule = "orphan-pub-fn";
-    let fail = check_fixture(rule, "fail", "crates/fixtures/src/fail.rs", false);
+    let fail = check_fixture(rule, "fail", "crates/fixtures/src/fail.rs");
     let found = unsuppressed(&fail, rule);
     assert_eq!(found.len(), 3, "{}", render(&fail));
     for name in ["unused_knob", "limit", "never_called"] {
@@ -112,11 +104,11 @@ fn a_setter_named_like_its_field_is_an_orphan() {
 #[test]
 fn an_accessor_named_like_its_module_is_an_orphan() {
     let rule = "orphan-pub-fn";
-    let fail = check_fixture(rule, "module_fail", "crates/fixtures/src/module_fail.rs", false);
+    let fail = check_fixture(rule, "module_fail", "crates/fixtures/src/module_fail.rs");
     let found = unsuppressed(&fail, rule);
     assert_eq!(found.len(), 1, "{}", render(&fail));
     assert!(found[0].message.contains("`pub fn monitor`"), "{}", render(&fail));
-    let pass = check_fixture(rule, "module_pass", "crates/fixtures/src/module_pass.rs", false);
+    let pass = check_fixture(rule, "module_pass", "crates/fixtures/src/module_pass.rs");
     assert_eq!((pass.errors(), pass.warnings()), (0, 0), "{}", render(&pass));
 }
 
@@ -125,10 +117,10 @@ fn an_accessor_named_like_its_module_is_an_orphan() {
 #[test]
 fn doc_refs_reports_each_stale_reference() {
     let rule = "doc-refs";
-    let fail = check_fixture(rule, "fail", "fixtures/doc-refs/fail.md", false);
+    let fail = check_fixture(rule, "fail", "fixtures/doc-refs/fail.md");
     let lines: Vec<u32> = unsuppressed(&fail, rule).iter().map(|d| d.line).collect();
     assert_eq!(lines, [5, 6, 7, 8, 9], "{}", render(&fail));
-    let exempt = check_fixture(rule, "fail", "fixtures/exempt.md", false);
+    let exempt = check_fixture(rule, "fail", "fixtures/exempt.md");
     assert!(unsuppressed(&exempt, rule).is_empty(), "{}", render(&exempt));
 }
 
@@ -140,7 +132,6 @@ fn export_zone_gates_iteration() {
     let files = [FileInput {
         path: "elsewhere/fail.rs".to_string(),
         source: fixture_source("nondeterministic-iteration", "fail"),
-        is_crate_root: false,
     }];
     let report = check_files(&files, &config);
     assert!(unsuppressed(&report, "nondeterministic-iteration").is_empty());
@@ -152,9 +143,9 @@ fn export_zone_gates_iteration() {
 #[test]
 fn id_map_alias_is_policed_like_a_hash_map() {
     let rule = "nondeterministic-iteration";
-    let fail = check_fixture(rule, "alias_fail", "fixtures/alias_fail.rs", false);
+    let fail = check_fixture(rule, "alias_fail", "fixtures/alias_fail.rs");
     assert_eq!(unsuppressed(&fail, rule).len(), 2, "{}", render(&fail));
-    let pass = check_fixture(rule, "alias_pass", "fixtures/alias_pass.rs", false);
+    let pass = check_fixture(rule, "alias_pass", "fixtures/alias_pass.rs");
     assert_eq!((pass.errors(), pass.warnings()), (0, 0), "{}", render(&pass));
 }
 
@@ -180,7 +171,6 @@ pub fn summarize(per_flow: &HashMap<u64, u64>) -> Vec<(u64, u64)> {
     let files = [FileInput {
         path: "crates/experiments/src/record.rs".to_string(),
         source: regression.to_string(),
-        is_crate_root: false,
     }];
     let report = check_files(&files, &config);
     assert!(
@@ -198,11 +188,7 @@ fn allow_policy_is_enforced_on_fixtures() {
     let config = LintConfig::parse(FIXTURE_CONFIG).unwrap();
     let source =
         "// lint:allow(wall-clock):\n// lint:allow(no-such-rule): because\npub fn f() {}\n";
-    let files = [FileInput {
-        path: "fixtures/policy.rs".to_string(),
-        source: source.to_string(),
-        is_crate_root: false,
-    }];
+    let files = [FileInput { path: "fixtures/policy.rs".to_string(), source: source.to_string() }];
     let report = check_files(&files, &config);
     assert!(!unsuppressed(&report, "unjustified-allow").is_empty(), "{}", render(&report));
     assert!(!unsuppressed(&report, "unknown-rule").is_empty(), "{}", render(&report));
@@ -219,6 +205,27 @@ fn workspace_is_clean() {
         .map(|d| d.render())
         .collect();
     assert!(offending.is_empty(), "workspace not lint-clean:\n{}", offending.join("\n"));
+}
+
+/// Every member inherits `[workspace.lints]`: `unsafe_code = "forbid"`
+/// and the `#[expect(…, reason = "…")]` waiver policy. A crate that
+/// forgets the opt-in would admit `unsafe` without a word from rustc.
+#[test]
+fn every_member_inherits_the_workspace_lints() {
+    let root = workspace_root();
+    let members = workspace_members(&std::fs::read_to_string(root.join("Cargo.toml")).unwrap());
+    assert!(!members.is_empty());
+    for member in members {
+        let manifest = std::fs::read_to_string(root.join(&member).join("Cargo.toml")).unwrap();
+        let mut section = "";
+        let opted_in = manifest.lines().map(str::trim).any(|line| {
+            if line.starts_with('[') {
+                section = line;
+            }
+            section == "[lints]" && line.replace(' ', "") == "workspace=true"
+        });
+        assert!(opted_in, "{member}/Cargo.toml lacks `[lints] workspace = true`");
+    }
 }
 
 fn workspace_root() -> std::path::PathBuf {

@@ -18,8 +18,6 @@
 //! values bound in scope, which the deterministic seeding makes
 //! reproducible.
 
-#![forbid(unsafe_code)]
-
 /// Deterministic case generation driving the [`proptest!`] macro.
 pub mod test_runner {
     /// Cases per property (the real proptest's default).

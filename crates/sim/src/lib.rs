@@ -25,7 +25,7 @@
 //! deploy are legacy nodes with no agents at all.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod control;
 pub mod deploy;

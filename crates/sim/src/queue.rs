@@ -576,7 +576,7 @@ impl QueueDisc for DualChannelQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     impl DropTail {
         /// Whether the queue has ever had to hold a packet (its ring is
@@ -638,7 +638,7 @@ mod tests {
         }
         assert_eq!(q.active.len(), 2);
         // Dequeue 20: both sources should be served ~10 times each.
-        let mut count = HashMap::new();
+        let mut count = BTreeMap::new();
         for _ in 0..20 {
             let p = q.dequeue(0).unwrap();
             *count.entry(p.src).or_insert(0) += 1;
@@ -669,7 +669,7 @@ mod tests {
         }
         // Serve ~30 kB: byte shares should be roughly equal, so source 2
         // gets many more packets out.
-        let mut bytes = HashMap::new();
+        let mut bytes = BTreeMap::new();
         let mut served = 0usize;
         while served < 30_000 {
             let p = q.dequeue(0).unwrap();
@@ -697,7 +697,7 @@ mod tests {
             q.enqueue(0, mk(12, 1));
             q.enqueue(0, mk(21, 2));
         }
-        let mut count = HashMap::new();
+        let mut count = BTreeMap::new();
         for _ in 0..40 {
             let p = q.dequeue(0).unwrap();
             *count.entry(p.src).or_insert(0) += 1;
@@ -779,7 +779,7 @@ mod tests {
             l.channel = ChannelClass::Legacy;
             q.enqueue(0, l);
         }
-        let mut served = HashMap::new();
+        let mut served = BTreeMap::new();
         for _ in 0..100 {
             let p = q.dequeue(0).unwrap();
             *served.entry(p.channel).or_insert(0) += 1;

@@ -19,7 +19,7 @@
 //! incremental-deployment sweeps are produced.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod fq;
 pub mod headers;

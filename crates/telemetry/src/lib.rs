@@ -24,7 +24,6 @@
 //!   defense system.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod drop;

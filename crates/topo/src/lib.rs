@@ -31,7 +31,6 @@
 //! [`Network`]: netfence_sim::topology::Network
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod built;
 pub mod classic;

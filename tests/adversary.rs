@@ -6,8 +6,8 @@
 //!   inflict meaningfully more damage than the strongest fixed strategy in
 //!   the lineup.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use netfence::experiments::prelude::*;
 use netfence::sim::time::SEC;
@@ -49,13 +49,12 @@ fn probe_arena(seed: u64, strategy: AttackStrategy) -> ScenarioSpec {
 }
 
 fn arena_user_bps(seed: u64, strategy: AttackStrategy) -> f64 {
-    static CACHE: OnceLock<Mutex<HashMap<(u64, &'static str), f64>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&bps) = cache.lock().unwrap().get(&(seed, strategy.label())) {
+    static CACHE: Mutex<BTreeMap<(u64, &'static str), f64>> = Mutex::new(BTreeMap::new());
+    if let Some(&bps) = CACHE.lock().unwrap().get(&(seed, strategy.label())) {
         return bps;
     }
     let bps = Runner::new(probe_arena(seed, strategy)).run().avg_user_bps();
-    cache.lock().unwrap().insert((seed, strategy.label()), bps);
+    CACHE.lock().unwrap().insert((seed, strategy.label()), bps);
     bps
 }
 

@@ -14,12 +14,12 @@
 //!   baseline after a single access-router reboot on the dumbbell, and the
 //!   record's recovery metric reports the re-convergence.
 
-use std::collections::HashSet;
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 /// Memoization ledger for a proptest: the shim replays 256 deterministic
 /// cases over a much smaller input grid, so each distinct cell runs once.
-type SeenCells<K> = OnceLock<Mutex<HashSet<K>>>;
+type SeenCells<K> = Mutex<BTreeSet<K>>;
 
 use netfence::experiments::prelude::*;
 use netfence::faults::FaultTarget;
@@ -67,9 +67,8 @@ proptest! {
         seed in 0u64..3,
     ) {
         // Memoized: the shim replays 256 cases over 30 distinct inputs.
-        static DONE: SeenCells<(u8, u8, u64)> = OnceLock::new();
-        let done = DONE.get_or_init(|| Mutex::new(HashSet::new()));
-        if !done.lock().unwrap().insert((kind_idx, strat_idx, seed)) {
+        static DONE: SeenCells<(u8, u8, u64)> = Mutex::new(BTreeSet::new());
+        if !DONE.lock().unwrap().insert((kind_idx, strat_idx, seed)) {
             return;
         }
         let kind = kind_of(kind_idx);
@@ -134,9 +133,8 @@ proptest! {
         severity in 0u8..2,
         seed in 0u64..2,
     ) {
-        static DONE: SeenCells<(u8, u8, u8, u64)> = OnceLock::new();
-        let done = DONE.get_or_init(|| Mutex::new(HashSet::new()));
-        if !done.lock().unwrap().insert((kind_idx, fault_idx, severity, seed)) {
+        static DONE: SeenCells<(u8, u8, u8, u64)> = Mutex::new(BTreeSet::new());
+        if !DONE.lock().unwrap().insert((kind_idx, fault_idx, severity, seed)) {
             return;
         }
         let scale = Scale { src_ases: 2, hosts_per_as: 2, sim_time: 5 * SEC, seed: seed + 1 };
