@@ -42,26 +42,17 @@ pub struct AimdState {
     has_incr: bool,
     /// Start of the current control interval (nanoseconds).
     interval_start: Nanos,
-    /// Whether any `L↓` feedback has been observed during the current
-    /// control interval (used by the access router's garbage-collection rule
-    /// and by the congestion-quota extension, not by the core adjustment).
-    saw_decr: bool,
 }
 
 impl AimdState {
     /// Create AIMD state with the configured initial rate limit.
     pub fn new(cfg: &Config, now: Nanos) -> Self {
-        AimdState {
-            rate: cfg.initial_rate_limit,
-            has_incr: false,
-            interval_start: now,
-            saw_decr: false,
-        }
+        AimdState { rate: cfg.initial_rate_limit, has_incr: false, interval_start: now }
     }
 
     /// Create AIMD state with an explicit starting rate.
     pub fn with_rate(rate: Bps, now: Nanos) -> Self {
-        AimdState { rate, has_incr: false, interval_start: now, saw_decr: false }
+        AimdState { rate, has_incr: false, interval_start: now }
     }
 
     /// The current rate limit.
@@ -74,11 +65,6 @@ impl AimdState {
         self.interval_start
     }
 
-    /// Whether `L↓` feedback was seen in the current interval.
-    pub fn saw_decr(&self) -> bool {
-        self.saw_decr
-    }
-
     /// Whether `L↑` feedback newer than the interval start was seen.
     pub fn has_incr(&self) -> bool {
         self.has_incr
@@ -89,16 +75,9 @@ impl AimdState {
     /// against the interval start; only `L↑` newer than the interval start
     /// sets `hasIncr`.
     pub fn observe(&mut self, fb: &Feedback) {
-        if let Feedback::Mon { action, ts, .. } = fb {
-            match action {
-                Action::Incr => {
-                    if u64::from(*ts) * SEC >= self.interval_start_secs() * SEC {
-                        self.has_incr = true;
-                    }
-                }
-                Action::Decr => {
-                    self.saw_decr = true;
-                }
+        if let Feedback::Mon { action: Action::Incr, ts, .. } = fb {
+            if u64::from(*ts) * SEC >= self.interval_start_secs() * SEC {
+                self.has_incr = true;
             }
         }
     }
@@ -130,7 +109,6 @@ impl AimdState {
             Adjustment::Decreased
         };
         self.has_incr = false;
-        self.saw_decr = false;
         self.interval_start = now;
         decision
     }
@@ -223,9 +201,9 @@ mod tests {
         let mut s = AimdState::with_rate(100_000, 0);
         s.observe(&incr(1));
         s.observe(&decr(1));
-        assert!(s.has_incr() && s.saw_decr());
+        assert!(s.has_incr(), "a later L↓ does not cancel L↑");
         s.adjust(2 * SEC, 90_000.0, &cfg);
-        assert!(!s.has_incr() && !s.saw_decr());
+        assert!(!s.has_incr());
     }
 
     /// Two senders through the same bottleneck converge to the same rate:

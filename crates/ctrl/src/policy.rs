@@ -52,16 +52,6 @@ impl<K: Ord> PolicyStore<K> {
         PolicyStore { ttl, capacity, entries: BTreeMap::new(), stats: PolicyStats::default() }
     }
 
-    /// The configured TTL (0 = rules never expire).
-    pub fn ttl(&self) -> Nanos {
-        self.ttl
-    }
-
-    /// The configured capacity (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Install or refresh a rule at time `now`. Returns `false` when the
     /// store is full and the rule was not already present. A TTL reaching
     /// past `Nanos::MAX` saturates there: the rule never expires.
@@ -133,6 +123,12 @@ impl<K: Ord> PolicyStore<K> {
         }
         self.stats.evicted += evicted.len() as u64;
         evicted
+    }
+
+    /// Drop every rule, as a reboot loses its table. The TTL, the capacity
+    /// and the lifecycle counters (measurement, not router state) stay.
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// Number of stored rules (live and expired-but-unpurged).
@@ -240,6 +236,26 @@ mod tests {
         // order.
         assert_eq!(s.purge(3 * SEC), vec![10, 20, 30]);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn clear_empties_the_rules_and_keeps_settings_and_stats() {
+        let mut s: PolicyStore<u32> = PolicyStore::new(2 * SEC, 2);
+        assert!(s.insert(0, 1));
+        assert!(s.insert(0, 2));
+        assert!(!s.insert(0, 3));
+        s.insert(SEC, 1);
+        let before = s.stats;
+        s.clear();
+        assert_eq!(s.len(), 0);
+        assert_eq!(s.stats, before);
+        // The TTL and the capacity survive: a re-insert is a fresh install
+        // that expires 2 s later, and the third key still bounces.
+        assert!(s.insert(5 * SEC, 1));
+        assert_eq!(s.stats.installed, before.installed + 1);
+        assert_eq!(s.expiry_of(&1), Some(7 * SEC));
+        assert!(s.insert(5 * SEC, 2));
+        assert!(!s.insert(5 * SEC, 3));
     }
 
     #[test]

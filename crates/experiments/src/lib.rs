@@ -9,7 +9,7 @@
 //! Every experiment is one declarative [`ScenarioSpec`] (topology, scale,
 //! defense, per-role traffic, attacker strategy), executed by a
 //! [`Runner`] that builds the network exactly once, instantiates the
-//! defense through the unified [`DefenseSpec`] factory,
+//! defense through the one [`DefenseSpec`] builder,
 //! spawns role-tagged flows and returns a uniform [`Record`] with per-role
 //! flow series and per-bottleneck statistics. Grids of (defense × sweep
 //! point) cells run through [`SweepGrid`], optionally on several threads.
@@ -39,6 +39,7 @@
 
 pub mod ablations;
 pub mod chaos;
+pub mod defense;
 pub mod deployment;
 pub mod fig10;
 pub mod fig11;
@@ -56,6 +57,7 @@ pub mod sweep;
 pub mod topo_scale;
 pub mod tournament;
 
+pub use defense::{DefenseKind, DefenseSpec, Suppression};
 pub use netfence_adversary::{AttackStrategy, ShrewTiming, StrategyCtx};
 pub use netfence_faults::{FaultKind, FaultPlan, FaultTarget, FaultWindow};
 pub use record::{
@@ -63,20 +65,22 @@ pub use record::{
 };
 pub use runner::{Runner, TelemetryDump};
 pub use spec::{
-    AttackTarget, Bandwidth, DefenseKind, DefenseSpec, InternetShape, RoleSpec, Scale,
-    ScenarioSpec, StartSchedule, Suppression, TopologySpec, TrafficSpec,
+    AttackTarget, Bandwidth, InternetShape, RoleSpec, Scale, ScenarioSpec, StartSchedule,
+    TopologySpec, TrafficSpec,
 };
 pub use sweep::{Cell, SweepGrid};
 
 /// Commonly used re-exports for writing scenarios.
 pub mod prelude {
+    pub use crate::defense::{
+        netfence_config, DefenseContext, DefenseKind, DefenseSpec, Suppression, SuppressionGroup,
+    };
     pub use crate::record::{
         DefenseReport, FaultWindowRecord, GoodputSample, LinkStats, Record, Role, RoleSeries,
     };
     pub use crate::runner::{Runner, TelemetryDump};
     pub use crate::spec::{
-        netfence_config, AttackTarget, Bandwidth, DefenseContext, DefenseKind, DefenseSpec,
-        InternetShape, RoleSpec, Scale, ScenarioSpec, StartSchedule, Suppression, SuppressionGroup,
+        AttackTarget, Bandwidth, InternetShape, RoleSpec, Scale, ScenarioSpec, StartSchedule,
         TopologySpec, TrafficSpec,
     };
     pub use crate::sweep::{Cell, SweepGrid};

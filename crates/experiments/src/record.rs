@@ -13,7 +13,7 @@ use netfence_sim::prelude::*;
 
 pub use netfence_sim::deploy::DefenseReport;
 
-use crate::spec::DefenseKind;
+use crate::defense::DefenseKind;
 
 /// A role tag: which side of the attack a flow is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 //! network (built **exactly once** and moved into the simulator) plus
 //! role metadata (groups of
 //! users/attackers with their victims and colluders, designated
-//! bottlenecks, source ASes). The runner deploys the defense factory per
+//! bottlenecks, source ASes). The runner deploys the defense per
 //! the spec's [`DeploymentSpec`] — fractional coverage is resolved against
 //! the topology's *source* ASes by
 //! [`DeploymentSpec::resolve_for_source_ases`], so destination and transit
@@ -21,8 +21,9 @@ use netfence_ctrl::prelude::{CtrlConfig, CtrlService};
 use netfence_sim::prelude::*;
 use netfence_topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 
+use crate::defense::{DefenseContext, SuppressionGroup};
 use crate::record::{FaultWindowRecord, GoodputSample, LinkStats, Record, Role, RoleSeries};
-use crate::spec::{AttackTarget, DefenseContext, ScenarioSpec, SuppressionGroup, TopologySpec};
+use crate::spec::{AttackTarget, ScenarioSpec, TopologySpec};
 
 /// Executes one [`ScenarioSpec`].
 #[derive(Debug, Clone)]
@@ -170,9 +171,9 @@ impl Runner {
             bottleneck_bps,
             attack_on_victim: spec.attack_target == AttackTarget::Victim,
         };
-        let factory = spec.defense.build(&ctx);
+        let defense = spec.defense.build(&ctx);
         let resolved = spec.defense.deployment.resolve_for_source_ases(&net, &source_ases);
-        let mut deployment = factory.deploy(&net, &resolved);
+        let mut deployment = defense.deploy(&net, &resolved);
         edit(&net, &mut deployment);
         // Resolve the fault plan against the network before it moves into
         // the simulator. Compilation draws from its own RNG substream and
@@ -403,7 +404,8 @@ fn adversary_seed(base: u64, group: usize, member: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{DefenseKind, InternetShape, Scale, StartSchedule, TrafficSpec};
+    use crate::defense::DefenseKind;
+    use crate::spec::{InternetShape, Scale, StartSchedule, TrafficSpec};
 
     #[test]
     fn dumbbell_record_has_expected_shape() {

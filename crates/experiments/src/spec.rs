@@ -1,5 +1,5 @@
 //! The declarative experiment vocabulary: [`ScenarioSpec`] and the types it
-//! is assembled from.
+//! is assembled from (its defense half lives in [`crate::defense`]).
 //!
 //! The paper's evaluation (§6.3, Figures 7–14) is a grid of *defense system*
 //! × *scenario* cells over a small set of topologies and workloads. A
@@ -9,53 +9,12 @@
 //! uniform [`Record`](crate::record::Record). Sweeps over many cells are
 //! driven by [`SweepGrid`](crate::sweep::SweepGrid).
 
-use netfence_adversary::{strategic_request_priority, AttackStrategy};
-use netfence_core::config::Config;
+use netfence_adversary::AttackStrategy;
 use netfence_ctrl::config::CtrlConfig;
 use netfence_faults::FaultPlan;
 use netfence_sim::prelude::*;
-use netfence_systems::{FairQueuingDefense, NetFenceDefense, StopItDefense, TvaDefense};
 
-/// Which defense system a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DefenseKind {
-    /// NetFence (this paper).
-    NetFence,
-    /// TVA+ capability baseline.
-    Tva,
-    /// StopIt filter baseline.
-    StopIt,
-    /// Per-sender fair queuing at every link.
-    Fq,
-    /// No defense at all.
-    None,
-}
-
-impl DefenseKind {
-    /// All systems compared in the paper's figures.
-    pub const ALL: [DefenseKind; 4] =
-        [DefenseKind::Fq, DefenseKind::NetFence, DefenseKind::Tva, DefenseKind::StopIt];
-
-    /// Every kind the factory can build, including `None`.
-    pub const EVERY: [DefenseKind; 5] = [
-        DefenseKind::Fq,
-        DefenseKind::NetFence,
-        DefenseKind::Tva,
-        DefenseKind::StopIt,
-        DefenseKind::None,
-    ];
-
-    /// Display name matching the paper's legends.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DefenseKind::NetFence => "NetFence",
-            DefenseKind::Tva => "TVA+",
-            DefenseKind::StopIt => "StopIt",
-            DefenseKind::Fq => "FQ",
-            DefenseKind::None => "None",
-        }
-    }
-}
+use crate::defense::{DefenseKind, DefenseSpec};
 
 /// How large a run is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,168 +259,6 @@ pub enum AttackTarget {
         /// Colluder ASes attached to the dumbbell (≥ 1).
         ases: usize,
     },
-}
-
-/// Whether the victim exercises its sender-suppression mechanism
-/// (feedback-withholding / capabilities / filters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Suppression {
-    /// Suppress exactly when the attack targets the victim (the paper's
-    /// setting: victims block identified attackers, colluders never do).
-    #[default]
-    Auto,
-    /// Always suppress.
-    On,
-    /// Never suppress.
-    Off,
-}
-
-/// The defense half of a cell: which system, how configured, and how much
-/// of the network deploys it.
-///
-/// This is the unified factory every harness goes through —
-/// [`DefenseSpec::build`] replaces the per-figure `make_defense` copies.
-#[derive(Debug, Clone)]
-pub struct DefenseSpec {
-    /// Which system.
-    pub kind: DefenseKind,
-    /// Protocol parameters for NetFence runs.
-    pub netfence: Config,
-    /// TTL of NetFence's installed AS keys (0 = permanent, the legacy
-    /// behavior). With a nonzero TTL routers keep re-announcing their keys
-    /// over the control plane — the refresh traffic that lets a rebooted
-    /// router re-bootstrap its key table (fault recovery needs this on).
-    pub key_ttl: Nanos,
-    /// Victim suppression policy.
-    pub suppression: Suppression,
-    /// Which ASes deploy the defense. For [`Placement::FirstEdgeAses`] the
-    /// [`Runner`](crate::runner::Runner) passes the topology's *source*
-    /// ASes to the coverage rule: `coverage` is the fraction of them that
-    /// deploy; destination and transit ASes always deploy when coverage is
-    /// nonzero (the "infrastructure first" adoption story of §5.3).
-    pub deployment: DeploymentSpec,
-}
-
-impl DefenseSpec {
-    /// A defense with the experiment-default NetFence configuration,
-    /// deployed everywhere.
-    pub fn new(kind: DefenseKind) -> Self {
-        DefenseSpec {
-            kind,
-            netfence: netfence_config(),
-            key_ttl: 0,
-            suppression: Suppression::Auto,
-            deployment: DeploymentSpec::full(),
-        }
-    }
-
-    /// Override the suppression policy.
-    pub fn with_suppression(mut self, s: Suppression) -> Self {
-        self.suppression = s;
-        self
-    }
-
-    /// Construct the defense factory for a built scenario; the
-    /// [`Runner`](crate::runner::Runner) deploys it according to
-    /// [`DefenseSpec::deployment`]. `ctx` carries the role assignment the
-    /// suppression mechanisms need; each [`SuppressionGroup`] is one victim
-    /// with the senders it knows about (the dumbbell has one group, the
-    /// parking lot three).
-    pub fn build(&self, ctx: &DefenseContext<'_>) -> Box<dyn DefenseFactory> {
-        let suppress = match self.suppression {
-            Suppression::Auto => ctx.attack_on_victim,
-            Suppression::On => true,
-            Suppression::Off => false,
-        } && !ctx.groups.is_empty();
-        match self.kind {
-            DefenseKind::None => Box::new(NoDefense),
-            DefenseKind::Fq => Box::new(FairQueuingDefense::new()),
-            DefenseKind::StopIt => {
-                let mut s = StopItDefense::new();
-                if suppress {
-                    for g in &ctx.groups {
-                        s.auto_filter(g.victim);
-                        for &u in g.users {
-                            s.allow(g.victim, u);
-                        }
-                    }
-                }
-                Box::new(s)
-            }
-            DefenseKind::Tva => {
-                let mut t = TvaDefense::new();
-                if suppress {
-                    for g in &ctx.groups {
-                        t.deny_by_default(g.victim);
-                        for &u in g.users {
-                            t.allow(g.victim, u);
-                        }
-                    }
-                }
-                Box::new(t)
-            }
-            DefenseKind::NetFence => {
-                let mut n = NetFenceDefense::new(self.netfence.clone());
-                n.key_ttl(self.key_ttl);
-                if suppress {
-                    let total: u64 = ctx.groups.iter().map(|g| g.attackers.len() as u64).sum();
-                    let prio = attacker_request_priority(&self.netfence, total, ctx.bottleneck_bps);
-                    for g in &ctx.groups {
-                        for &a in g.attackers {
-                            n.suppress_sender(g.victim, a);
-                            n.set_request_priority(a, prio);
-                        }
-                    }
-                }
-                Box::new(n)
-            }
-        }
-    }
-}
-
-/// One victim and the senders it can tell apart, for suppression purposes.
-#[derive(Debug, Clone)]
-pub struct SuppressionGroup<'a> {
-    /// The victim destination.
-    pub victim: HostAddr,
-    /// Legitimate senders the victim whitelists.
-    pub users: &'a [HostAddr],
-    /// Attackers the victim blocks.
-    pub attackers: &'a [HostAddr],
-}
-
-/// Role assignment handed to [`DefenseSpec::build`] by the
-/// [`Runner`](crate::runner::Runner).
-#[derive(Debug, Clone, Default)]
-pub struct DefenseContext<'a> {
-    /// Victims with their known senders (empty disables suppression).
-    pub groups: Vec<SuppressionGroup<'a>>,
-    /// Capacity of the (tightest) bottleneck, bits per second.
-    pub bottleneck_bps: u64,
-    /// Whether the attack is aimed at the victim (resolves
-    /// [`Suppression::Auto`]).
-    pub attack_on_victim: bool,
-}
-
-/// The NetFence protocol configuration used by the experiments: Figure 3
-/// parameters with `Ta`/`Tb` shortened so that simulated minutes (rather
-/// than hours) exercise cycle termination.
-pub fn netfence_config() -> Config {
-    Config { ta: 600 * SEC, tb: 600 * SEC, ..Config::default() }
-}
-
-/// The strategic request priority attackers pick in the unwanted-traffic
-/// scenario (§6.3.1): the highest level at which their aggregate traffic can
-/// still saturate the bottleneck's request channel, under the protocol
-/// parameters `cfg` the defense actually runs with.
-pub fn attacker_request_priority(cfg: &Config, attackers: u64, bottleneck_bps: u64) -> u8 {
-    strategic_request_priority(
-        attackers,
-        bottleneck_bps as f64 * cfg.request_channel_fraction,
-        92.0,
-        cfg.request_tokens_per_sec(),
-        cfg.max_request_priority,
-    )
 }
 
 /// One declarative experiment cell: topology × scale × defense × per-role
@@ -789,11 +586,5 @@ mod tests {
     fn bandwidth_resolution() {
         assert_eq!(Bandwidth::Absolute(5).resolve(100), 5);
         assert_eq!(Bandwidth::PerSender(5).resolve(100), 500);
-    }
-
-    #[test]
-    fn strategic_priority_is_reasonable() {
-        let p = attacker_request_priority(&netfence_config(), 90, 10_000_000);
-        assert!((1..=12).contains(&p), "priority {p}");
     }
 }

@@ -11,9 +11,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::defense::DefenseKind;
 use crate::record::Record;
 use crate::runner::Runner;
-use crate::spec::{DefenseKind, ScenarioSpec};
+use crate::spec::ScenarioSpec;
 
 /// One executed cell of the grid.
 #[derive(Debug, Clone)]

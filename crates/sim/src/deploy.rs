@@ -7,8 +7,9 @@
 //! deployment story only makes sense when some networks deploy and others
 //! don't. This module models exactly that:
 //!
-//! * a [`DefenseFactory`] deploys a defense onto a [`Network`] according to
-//!   a [`DeploymentSpec`] (which ASes adopt), producing a [`Deployment`];
+//! * a defense (`netfence_systems::Defense`) deploys onto a [`Network`]
+//!   according to a [`DeploymentSpec`] (which ASes adopt), producing a
+//!   [`Deployment`];
 //! * a [`Deployment`] holds dense per-node agents — one optional
 //!   [`HostShim`] per host node, one optional [`RouterAgent`] per router
 //!   node — plus a sparse per-link queue plan and a [`ControlPlane`] message
@@ -495,7 +496,7 @@ impl Deployment {
     }
 }
 
-/// Assembles a [`Deployment`] (used by [`DefenseFactory`] implementations).
+/// Assembles a [`Deployment`] (used by each defense's `deploy`).
 #[derive(Debug)]
 pub struct DeploymentBuilder<'a> {
     net: &'a Network,
@@ -540,25 +541,6 @@ impl<'a> DeploymentBuilder<'a> {
     /// Finish the deployment.
     pub fn build(&mut self) -> Deployment {
         std::mem::take(&mut self.deployment)
-    }
-}
-
-/// Builds a defense's agents for a concrete network and deployment extent.
-///
-/// Implemented by `netfence-systems` for NetFence, TVA+, StopIt and
-/// per-sender fair queuing; [`NoDefense`] is the undefended baseline.
-pub trait DefenseFactory: std::fmt::Debug {
-    /// Deploy onto `net` according to `spec`.
-    fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment;
-}
-
-/// The undefended baseline: no agents anywhere, default queues.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoDefense;
-
-impl DefenseFactory for NoDefense {
-    fn deploy(&self, net: &Network, _spec: &DeploymentSpec) -> Deployment {
-        Deployment::undefended(net)
     }
 }
 

@@ -10,26 +10,21 @@
 //! shims and no router agents, only a queue plan that replaces the
 //! scheduler of every link owned by a deploying AS.
 
-use netfence_sim::deploy::{DefenseFactory, Deployment, DeploymentSpec};
+use netfence_sim::deploy::{Deployment, DeploymentSpec};
 use netfence_sim::queue::{Classifier, DrrQueue};
 use netfence_sim::topology::Network;
 
 /// Byte limit of each per-sender queue.
 const PER_SENDER_LIMIT: usize = 30_000;
 
-/// The per-sender DRR fair-queuing factory.
+/// The per-sender DRR fair-queuing defense (30 kB per-sender backlog
+/// limit).
 #[derive(Debug, Default)]
 pub struct FairQueuingDefense;
 
 impl FairQueuingDefense {
-    /// Create the baseline (30 kB per-sender backlog limit).
-    pub fn new() -> Self {
-        FairQueuingDefense
-    }
-}
-
-impl DefenseFactory for FairQueuingDefense {
-    fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    /// Deploy onto `net` according to `spec`.
+    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "fq");
         builder.ases(map.ases.len(), map.total_ases);
@@ -61,7 +56,7 @@ mod tests {
         b.host(VICTIM, 2, r2, 100_000_000, MILLI);
         let net = b.build();
 
-        let deployment = FairQueuingDefense::new().deploy(&net, &DeploymentSpec::full());
+        let deployment = FairQueuingDefense.deploy(&net, &DeploymentSpec::full());
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: 60 * SEC, ..Default::default() });
         let user = sim.add_flow(0, |id| {

@@ -11,11 +11,12 @@
 //! * [`fq`] — per-sender fair queuing at every link;
 //! * [`headers`] — the shim headers attached to simulated packets.
 //!
-//! All four systems implement `netfence_sim::deploy::DefenseFactory`: they
-//! are *deployed onto* a network, installing per-node host shims and router
-//! agents only on the ASes a `DeploymentSpec` covers. An experiment can
-//! swap the defense (and its deployment extent) while keeping the topology
-//! and workload fixed — exactly how the paper's comparison figures and the
+//! The set is closed — the paper compares exactly these four (§6.3) — so
+//! one plain enum, [`Defense`], names them plus the undefended baseline.
+//! [`Defense::deploy`] installs per-node host shims and router agents only
+//! on the ASes a `DeploymentSpec` covers. An experiment can swap the
+//! defense (and its deployment extent) while keeping the topology and
+//! workload fixed — exactly how the paper's comparison figures and the
 //! incremental-deployment sweeps are produced.
 
 #![warn(missing_docs)]
@@ -33,3 +34,34 @@ pub use headers::{NetFenceExt, TvaExt};
 pub use netfence::NetFenceDefense;
 pub use stopit::StopItDefense;
 pub use tva::TvaDefense;
+
+use netfence_sim::deploy::{Deployment, DeploymentSpec};
+use netfence_sim::topology::Network;
+
+/// One configured defense, ready to deploy onto a network.
+#[derive(Debug)]
+pub enum Defense {
+    /// The undefended baseline: no agents anywhere, default queues.
+    None,
+    /// Per-sender fair queuing at every link.
+    Fq(FairQueuingDefense),
+    /// The StopIt filter baseline.
+    StopIt(StopItDefense),
+    /// The TVA+ capability baseline.
+    Tva(TvaDefense),
+    /// NetFence.
+    NetFence(NetFenceDefense),
+}
+
+impl Defense {
+    /// Deploy onto `net` according to `spec` (the baseline ignores `spec`).
+    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+        match self {
+            Defense::None => Deployment::undefended(net),
+            Defense::Fq(d) => d.deploy(net, spec),
+            Defense::StopIt(d) => d.deploy(net, spec),
+            Defense::Tva(d) => d.deploy(net, spec),
+            Defense::NetFence(d) => d.deploy(net, spec),
+        }
+    }
+}

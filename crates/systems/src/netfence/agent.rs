@@ -1,0 +1,449 @@
+//! The NetFence agent of one deployed router: access-router policing,
+//! bottleneck stamping, the pairwise-key lifecycle and the router's
+//! response to injected faults.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use netfence_core::access::{AccessRouter, AccessVerdict};
+use netfence_core::bottleneck::{BottleneckLink, Channel, StampOutcome};
+use netfence_core::config::Config;
+use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
+use netfence_crypto::{AsKeyAgent, AsKeyTable};
+use netfence_ctrl::policy::PolicyStore;
+use netfence_sim::control::{ControlPayload, ControlPlane};
+use netfence_sim::deploy::{DefenseReport, LinkRef, RouterAction, RouterAgent, RouterFault};
+use netfence_sim::packet::{AsNum, ChannelClass, Packet};
+use netfence_sim::prelude::{IdMap, Timeline};
+use netfence_sim::time::Nanos;
+use netfence_sim::topology::NodeId;
+
+use crate::headers::NetFenceExt;
+
+/// The designated key announcer of one deploying AS: re-posts the AS's
+/// public value to every deployed router every `interval` so TTL'd keys
+/// stay refreshed (the periodic BGP re-advertisement of §4.4).
+#[derive(Debug)]
+pub(super) struct KeyAnnouncer {
+    /// The AS's key announcement.
+    pub(super) announcement: ControlPayload,
+    /// Every deployed router agent (snapshot at deploy time).
+    pub(super) peers: Vec<NodeId>,
+    /// Re-announce cadence (`key_ttl / 2`).
+    pub(super) interval: Nanos,
+    /// When the last announcement was posted (deploy time = 0).
+    pub(super) last: Nanos,
+}
+
+impl KeyAnnouncer {
+    /// Post the AS's announcement to every deployed router now.
+    fn post(&mut self, now: Nanos, ctl: &mut ControlPlane) {
+        self.last = now;
+        for &peer in &self.peers {
+            ctl.to_router(peer, self.announcement);
+        }
+    }
+}
+
+/// Deploy-time construction parameters of one router agent, kept so an
+/// injected reboot can rebuild the agent's volatile defense state exactly
+/// the way `deploy` built it. `generation` counts reboots and key
+/// desyncs: each one derives a fresh time-varying secret root, so feedback
+/// stamped before the fault genuinely stops validating.
+#[derive(Debug)]
+pub(super) struct AgentTemplate {
+    pub(super) cfg: Config,
+    pub(super) as_id: AsId,
+    /// The AS's key agent, handed to every key table the template builds
+    /// so the table can derive its pairwise keys.
+    pub(super) key_agent: AsKeyAgent,
+    pub(super) ka_root: [u8; 16],
+    pub(super) is_access: bool,
+    /// The deployment's (bottleneck link → owning AS) map, one copy shared
+    /// by every agent's access router.
+    pub(super) link_as: Arc<IdMap<LinkId, AsId>>,
+    /// (link index, link id, capacity) of each owned bottleneck link.
+    pub(super) bottlenecks: Vec<(usize, LinkId, u64)>,
+    pub(super) key_ttl: Nanos,
+    pub(super) generation: u32,
+}
+
+impl AgentTemplate {
+    /// The time-varying secret root of the current generation (generation
+    /// 0 is the deploy-time root, so fresh construction is unchanged).
+    fn root_for_generation(&self) -> [u8; 16] {
+        let mut root = self.ka_root;
+        let mix = (self.generation as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for (slot, byte) in root[..8].iter_mut().zip(mix.to_be_bytes()) {
+            *slot ^= byte;
+        }
+        root
+    }
+
+    fn build_access(&self) -> Option<AccessRouter> {
+        if !self.is_access {
+            return None;
+        }
+        let mut access = AccessRouter::new(
+            self.cfg.clone(),
+            self.as_id,
+            self.root_for_generation(),
+            self.key_table(),
+        );
+        access.share_link_as(Arc::clone(&self.link_as));
+        Some(access)
+    }
+
+    fn build_bottlenecks(&self) -> Vec<(usize, BottleneckLink)> {
+        self.bottlenecks
+            .iter()
+            .map(|&(li, link, capacity)| {
+                (li, BottleneckLink::new(link, capacity, self.key_table(), self.cfg.clone(), 0))
+            })
+            .collect()
+    }
+
+    /// An empty key table for one of the router's components.
+    fn key_table(&self) -> AsKeyTable {
+        AsKeyTable::for_agent(self.key_agent.clone())
+    }
+}
+
+/// The NetFence agent of one deployed router: access-router protocol state
+/// (when the node is an access router) plus per-outgoing-link bottleneck
+/// state.
+#[derive(Debug)]
+pub(super) struct NetFenceRouterAgent {
+    access: Option<AccessRouter>,
+    /// Bottleneck state per outgoing inter-router link: (link index,
+    /// state), sorted ascending by index.
+    bottlenecks: Vec<(usize, BottleneckLink)>,
+    /// TTL bookkeeping for installed pairwise keys; expired peers are
+    /// uninstalled from every key table on the next tick.
+    keys: PolicyStore<AsNum>,
+    /// Present on the AS's designated announcer when a key TTL is set.
+    announcer: Option<KeyAnnouncer>,
+    /// Deploy-time construction parameters, for fault-injected rebuilds.
+    template: AgentTemplate,
+    /// Injected clock skew (ns) applied to this router's protocol clock —
+    /// the `now` its feedback stamping, validation (§4.4 expiration
+    /// window) and AIMD machinery observe. Control-plane cadence (key TTL
+    /// purge, announcer re-posts) stays on engine time.
+    clock_offset: i64,
+    /// Packets this router's bottleneck links stamped `L↓`.
+    stamped_decr: u64,
+}
+
+impl NetFenceRouterAgent {
+    /// A freshly deployed agent built from `template`.
+    pub(super) fn new(template: AgentTemplate, announcer: Option<KeyAnnouncer>) -> Self {
+        NetFenceRouterAgent {
+            access: template.build_access(),
+            bottlenecks: template.build_bottlenecks(),
+            keys: PolicyStore::new(template.key_ttl, 0),
+            announcer,
+            template,
+            clock_offset: 0,
+            stamped_decr: 0,
+        }
+    }
+
+    fn bottleneck_mut(&mut self, link_index: usize) -> Option<&mut BottleneckLink> {
+        let i = self.bottlenecks.binary_search_by_key(&link_index, |(li, _)| *li).ok()?;
+        Some(&mut self.bottlenecks[i].1)
+    }
+
+    /// Engine time as seen by this router's (possibly skewed) local clock.
+    fn local_now(&self, now: Nanos) -> Nanos {
+        if self.clock_offset >= 0 {
+            now.saturating_add(self.clock_offset as u64)
+        } else {
+            now.saturating_sub(self.clock_offset.unsigned_abs())
+        }
+    }
+
+    /// Record `asn`'s announced public value in every key table of this
+    /// router. Only the value is recorded: each table derives the key the
+    /// first time it stamps or validates an `L↓` for this AS.
+    fn install_key(&mut self, asn: AsNum, public_value: u64) {
+        for (_, bl) in self.bottlenecks.iter_mut() {
+            bl.install_as_key(AsId(asn), public_value);
+        }
+        if let Some(access) = self.access.as_mut() {
+            access.install_as_key(AsId(asn), public_value);
+        }
+    }
+
+    /// Tear the `peers`' keys out of every key table of this router: their
+    /// traffic reverts to unverifiable (no `L↓` can be stamped for it)
+    /// until a fresh announcement lands.
+    fn uninstall_keys(&mut self, peers: Vec<AsNum>) {
+        for asn in peers {
+            if let Some(access) = self.access.as_mut() {
+                access.remove_as_key(AsId(asn));
+            }
+            for (_, bl) in self.bottlenecks.iter_mut() {
+                bl.remove_as_key(AsId(asn));
+            }
+        }
+    }
+}
+
+impl RouterAgent for NetFenceRouterAgent {
+    fn at_router(
+        &mut self,
+        now: Nanos,
+        is_access: bool,
+        _out_link: LinkRef,
+        pkt: &mut Packet,
+        _ctl: &mut ControlPlane,
+    ) -> RouterAction {
+        // Feedback stamping, validation and policing all run on the
+        // router's local (possibly fault-skewed) clock.
+        let now = self.local_now(now);
+        if is_access {
+            let Some(access) = self.access.as_mut() else {
+                return RouterAction::Forward;
+            };
+            let flow = FlowPair::new(HostId(pkt.src), HostId(pkt.dst));
+            let size = pkt.size;
+            let Some(ext) = pkt.ext_as_mut::<NetFenceExt>() else {
+                // Legacy traffic: forwarded with the lowest priority.
+                pkt.channel = ChannelClass::Legacy;
+                return RouterAction::Forward;
+            };
+            let verdict = access.process_outbound(now, flow, &mut ext.header, size);
+            match verdict {
+                AccessVerdict::Forward { channel } => {
+                    let priority = ext.header.priority;
+                    pkt.channel = channel_of(channel);
+                    pkt.priority = priority;
+                    RouterAction::Forward
+                }
+                AccessVerdict::Queued { release_at } => {
+                    ext.queued_for = ext.header.presented.link();
+                    pkt.channel = ChannelClass::Regular;
+                    RouterAction::Delay { release_at }
+                }
+                AccessVerdict::Drop(cause) => RouterAction::Drop(cause),
+            }
+        } else {
+            // A core/bottleneck router of a deploying AS. Traffic from a
+            // non-deploying AS carries no NetFence header: demote it below
+            // NetFence traffic (§5.3's adoption incentive).
+            if pkt.ext_as::<NetFenceExt>().is_none() {
+                pkt.channel = ChannelClass::Legacy;
+            }
+            RouterAction::Forward
+        }
+    }
+
+    fn on_delayed_release(&mut self, _now: Nanos, pkt: &mut Packet, _ctl: &mut ControlPlane) {
+        let src = pkt.src;
+        let Some(ext) = pkt.ext_as_mut::<NetFenceExt>() else { return };
+        if let Some(link) = ext.queued_for.take() {
+            if let Some(access) = self.access.as_mut() {
+                access.packet_released(HostId(src), link);
+            }
+        }
+    }
+
+    fn on_link_dequeue(&mut self, now: Nanos, link: LinkRef, pkt: &mut Packet) {
+        let now = self.local_now(now);
+        let Some(bl) = self.bottleneck_mut(link.index) else { return };
+        if pkt.channel == ChannelClass::Regular {
+            bl.record_regular(pkt.size, false);
+        }
+        let flow = FlowPair::new(HostId(pkt.src), HostId(pkt.dst));
+        let src_as = AsId(pkt.src_as);
+        if let Some(ext) = pkt.ext_as_mut::<NetFenceExt>() {
+            let outcome = bl.update_feedback(now, flow, src_as, &mut ext.header.presented);
+            if outcome == StampOutcome::StampedDecr {
+                self.stamped_decr += 1;
+            }
+        }
+    }
+
+    fn on_link_drop(&mut self, now: Nanos, link: LinkRef, pkt: &Packet) {
+        let now = self.local_now(now);
+        let Some(bl) = self.bottleneck_mut(link.index) else { return };
+        if pkt.channel == ChannelClass::Regular {
+            bl.record_regular(pkt.size, true);
+            bl.note_congestion(now);
+        }
+    }
+
+    fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
+        let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
+        self.keys.insert(now, asn);
+        self.install_key(asn, public_value);
+    }
+
+    fn tick(&mut self, now: Nanos, ctl: &mut ControlPlane) {
+        // Protocol machinery ticks on the local clock; key TTLs and the
+        // announcer cadence below stay on engine time.
+        let lnow = self.local_now(now);
+        if let Some(access) = self.access.as_mut() {
+            access.tick(lnow);
+        }
+        for (_, bl) in self.bottlenecks.iter_mut() {
+            bl.tick(lnow);
+        }
+        // Uninstall keys whose TTL lapsed without a refresh landing.
+        let expired = self.keys.purge(now);
+        self.uninstall_keys(expired);
+        // The designated announcer re-posts its AS's public value over the
+        // control plane; under latency, loss or an outage the refresh may
+        // land late (or never), which is exactly what the TTL punishes.
+        if let Some(a) = self.announcer.as_mut() {
+            if now >= a.last.saturating_add(a.interval) {
+                a.post(now, ctl);
+            }
+        }
+    }
+
+    fn on_fault(&mut self, now: Nanos, fault: RouterFault, ctl: &mut ControlPlane) {
+        match fault {
+            RouterFault::Reboot => {
+                // Wipe every piece of volatile defense state — AIMD
+                // limiters, pairwise AS keys, bottleneck monitoring cycles —
+                // by rebuilding from the deploy template.
+                // The rebooted router comes up with a *rotated* time-varying
+                // secret (a real reboot loses `Ka`), so feedback stamped
+                // before the fault stops validating until re-stamped.
+                self.template.generation += 1;
+                self.access = self.template.build_access();
+                self.bottlenecks = self.template.build_bottlenecks();
+                self.keys.clear();
+                self.clock_offset = 0;
+                // Re-bootstrap over the control plane: the designated
+                // announcer re-posts its AS's public value immediately;
+                // everyone else re-learns peers on the announcers' refresh
+                // cadence (≤ ttl/2 away — or never, if keys are permanent
+                // and no announcers exist).
+                if let Some(a) = self.announcer.as_mut() {
+                    a.post(now, ctl);
+                }
+            }
+            RouterFault::KeyDesync => {
+                // Rotate only the time-varying secret: held feedback goes
+                // stale and surfaces as typed invalid-mac demotions until
+                // freshly stamped feedback circulates back (§4.4).
+                self.template.generation += 1;
+                if let Some(access) = self.access.as_mut() {
+                    access.rotate_secret(self.template.root_for_generation());
+                }
+            }
+            RouterFault::ClockSkew { offset_ns } => {
+                self.clock_offset = offset_ns;
+            }
+            RouterFault::MemoryPressure { evict } => {
+                // A forced eviction burst tears the evicted peers' keys
+                // out exactly as a TTL lapse would.
+                let evicted = self.keys.evict_oldest(evict);
+                self.uninstall_keys(evicted);
+            }
+        }
+    }
+
+    fn probe(&self, now: Nanos, out: &mut Timeline) {
+        // The limiter table is a hash map: aggregate through a BTreeMap so
+        // the emitted rows are deterministically ordered (telemetry must
+        // never observe iteration order).
+        if let Some(access) = &self.access {
+            let mut rates: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+            // lint:allow(nondeterministic-iteration): aggregated through the BTreeMap above — rows emit in sorted key order
+            for (key, lim) in access.limiters() {
+                rates.insert((key.src.0, key.link.0), lim.rate());
+            }
+            for ((src, link), rate) in rates {
+                out.record(now, "aimd_rate_bps", format!("src:{src}/link:{link}"), rate as f64);
+            }
+        }
+        out.record(now, "key_store_peers", "netfence".to_string(), self.keys.len() as f64);
+        for (_, bl) in self.bottlenecks.iter() {
+            out.record(
+                now,
+                "bottleneck_in_mon",
+                format!("link:{}", bl.link().0),
+                if bl.in_mon() { 1.0 } else { 0.0 },
+            );
+        }
+    }
+
+    fn report(&self, out: &mut DefenseReport) {
+        out.stamped_decr += self.stamped_decr;
+        out.rules_installed += self.keys.stats.installed;
+        out.rules_refreshed += self.keys.stats.refreshed;
+        out.rules_expired += self.keys.stats.expired;
+        out.rules_rejected += self.keys.stats.rejected;
+        if let Some(access) = &self.access {
+            out.rate_limiters += access.limiter_count();
+            out.invalid_feedback += access.invalid_feedback();
+        }
+        for (_, bl) in self.bottlenecks.iter() {
+            if bl.in_mon() {
+                out.links_in_mon.push(bl.link().0);
+            }
+        }
+    }
+}
+
+fn channel_of(c: Channel) -> ChannelClass {
+    match c {
+        Channel::Regular => ChannelClass::Regular,
+        Channel::Request => ChannelClass::Request,
+        Channel::Legacy => ChannelClass::Legacy,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::netfence::tests::colluding_flood;
+    use crate::netfence::NetFenceDefense;
+    use netfence_sim::prelude::*;
+
+    #[test]
+    fn ttl_keys_stay_refreshed_over_a_healthy_control_plane() {
+        // With a key TTL, designated announcers re-post every ttl/2 over
+        // the (ideal) control plane: keys are continually refreshed, none
+        // lapse, and the defense still polices the flood.
+        let mut defense = NetFenceDefense::new(Config::short_timers());
+        defense.key_ttl(2 * SEC);
+        let (sim, user, attacker) = colluding_flood(&defense, 60 * SEC, |_| {});
+        let report = sim.report();
+        assert!(report.rules_installed >= 3, "installed: {}", report.rules_installed);
+        assert!(report.rules_refreshed > 50, "refreshed: {}", report.rules_refreshed);
+        assert_eq!(report.rules_expired, 0, "no key may lapse on an ideal channel");
+        assert!(report.stamped_decr > 0, "refreshed keys must keep L↓ stamping alive");
+        let user_bps = sim.progress(user).goodput_bps(0, 60 * SEC);
+        let attacker_bps = sim.progress(attacker).goodput_bps(0, 60 * SEC);
+        assert!(
+            user_bps / attacker_bps.max(1.0) > 0.5,
+            "user {user_bps:.0} bps vs attacker {attacker_bps:.0} bps"
+        );
+    }
+
+    #[test]
+    fn memory_pressure_uninstalls_every_key_it_evicts() {
+        // Permanent keys, no announcer: after a full eviction at `t0` (left
+        // alone, this flood stamps `L↓` until ≈ 10 s) nothing re-installs a
+        // key, so no bottleneck can stamp `L↓` again.
+        let t0 = 3 * SEC;
+        let stamped_by = |end| {
+            let defense = NetFenceDefense::new(Config::short_timers());
+            let (sim, _, _) = colluding_flood(&defense, end, |sim| {
+                // `small_net` builds its three routers first.
+                for node in (0..3).map(NodeId) {
+                    let fault = RouterFault::MemoryPressure { evict: usize::MAX };
+                    sim.schedule_fault(t0, FaultAction::Router { node, fault });
+                }
+            });
+            sim.report().stamped_decr
+        };
+        let at_t0 = stamped_by(t0 + MILLI);
+        assert!(at_t0 > 0, "the flood never stamped L↓ before the eviction");
+        assert_eq!(stamped_by(60 * SEC), at_t0, "a bottleneck kept stamping without keys");
+    }
+}

@@ -24,8 +24,8 @@
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::control::{ControlPayload, ControlPlane};
 use netfence_sim::deploy::{
-    DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction,
-    RouterAgent, RouterFault,
+    DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction, RouterAgent,
+    RouterFault,
 };
 use netfence_sim::packet::{HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, IdMap, Timeline};
@@ -35,7 +35,7 @@ use netfence_sim::topology::Network;
 
 use crate::victims::{Acceptance, Victims};
 
-/// The StopIt defense factory.
+/// The StopIt defense.
 #[derive(Debug, Default)]
 pub struct StopItDefense {
     /// Receivers that automatically file a filter request against every
@@ -51,21 +51,16 @@ pub struct StopItDefense {
 }
 
 impl StopItDefense {
-    /// Create a StopIt factory with the hierarchical fair-queuing fallback
+    /// Create a StopIt defense with the hierarchical fair-queuing fallback
     /// enabled.
     pub fn new() -> Self {
         StopItDefense { hierarchical_fallback: true, ..Default::default() }
     }
 
-    /// Mark a receiver as a victim that files a filter against any sender
-    /// not whitelisted, as soon as it receives traffic from it.
-    pub fn auto_filter(&mut self, victim: HostAddr) {
-        self.victims.insert(victim);
-    }
-
-    /// Whitelist a sender at a victim.
-    pub fn allow(&mut self, victim: HostAddr, sender: HostAddr) {
-        self.victims.allow(victim, sender);
+    /// Mark a receiver as a victim that files a filter against every
+    /// sender but `allowed`, as soon as it receives traffic from it.
+    pub fn auto_filter(&mut self, victim: HostAddr, allowed: &[HostAddr]) {
+        self.victims.insert(victim, allowed);
     }
 
     /// Make installed filters lapse after `ttl` without a refresh
@@ -74,10 +69,9 @@ impl StopItDefense {
     pub fn filter_ttl(&mut self, ttl: Nanos) {
         self.filter_ttl = ttl;
     }
-}
 
-impl DefenseFactory for StopItDefense {
-    fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    /// Deploy onto `net` according to `spec`.
+    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "stopit");
         builder.ases(map.ases.len(), map.total_ases);
@@ -191,9 +185,7 @@ impl RouterAgent for StopItRouterAgent {
                 // until victims notice and re-file their requests. The
                 // lifecycle counters are measurement, not router state, so
                 // they survive.
-                let carried = self.filters.stats;
-                self.filters = PolicyStore::new(self.filters.ttl(), self.filters.capacity());
-                self.filters.stats = carried;
+                self.filters.clear();
             }
             RouterFault::MemoryPressure { evict } => {
                 self.filters.evict_oldest(evict);
@@ -240,8 +232,7 @@ mod tests {
     #[test]
     fn filters_block_unwanted_traffic_near_the_source() {
         let mut d = StopItDefense::new();
-        d.auto_filter(VICTIM);
-        d.allow(VICTIM, USER);
+        d.auto_filter(VICTIM, &[USER]);
         let net = net();
         let deployment = d.deploy(&net, &DeploymentSpec::full());
         let mut sim =
@@ -299,7 +290,7 @@ mod tests {
         // through, and the leak itself triggers the re-request — repeat.
         let run = |ttl| {
             let mut d = StopItDefense::new();
-            d.auto_filter(VICTIM);
+            d.auto_filter(VICTIM, &[]);
             d.filter_ttl(ttl);
             let net = net();
             let deployment = d.deploy(&net, &DeploymentSpec::full());
@@ -334,7 +325,7 @@ mod tests {
         // filter request is undeliverable and the flood keeps arriving —
         // the partial-deployment weakness of filter systems.
         let mut d = StopItDefense::new();
-        d.auto_filter(VICTIM);
+        d.auto_filter(VICTIM, &[]);
         let net = net();
         let deployment = d.deploy(&net, &DeploymentSpec::explicit(vec![2, 3]));
         let mut sim =

@@ -27,8 +27,7 @@
 use netfence_ctrl::policy::PolicyStore;
 use netfence_sim::control::ControlPlane;
 use netfence_sim::deploy::{
-    DefenseFactory, DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction,
-    RouterAgent,
+    DefenseReport, Deployment, DeploymentSpec, HostShim, LinkRef, RouterAction, RouterAgent,
 };
 use netfence_sim::packet::{ChannelClass, Extension, HostAddr, Packet};
 use netfence_sim::prelude::{DropCause, IdMap};
@@ -42,7 +41,7 @@ use crate::victims::{Acceptance, Victims};
 /// Default validity of a granted capability.
 const CAPABILITY_LIFETIME: Nanos = 10 * SEC;
 
-/// The TVA+ defense factory.
+/// The TVA+ defense.
 #[derive(Debug)]
 pub struct TvaDefense {
     /// Receivers that refuse to grant capabilities to senders they do not
@@ -60,7 +59,7 @@ impl Default for TvaDefense {
 }
 
 impl TvaDefense {
-    /// Create a TVA+ factory.
+    /// Create a TVA+ defense.
     pub fn new() -> Self {
         Self::default()
     }
@@ -73,20 +72,13 @@ impl TvaDefense {
         self.capability_lifetime = lifetime;
     }
 
-    /// Make `victim` refuse capabilities to all senders except those
-    /// whitelisted with [`TvaDefense::allow`].
-    pub fn deny_by_default(&mut self, victim: HostAddr) {
-        self.victims.insert(victim);
+    /// Make `victim` refuse capabilities to every sender but `allowed`.
+    pub fn deny_by_default(&mut self, victim: HostAddr, allowed: &[HostAddr]) {
+        self.victims.insert(victim, allowed);
     }
 
-    /// Whitelist a sender at a deny-by-default receiver.
-    pub fn allow(&mut self, victim: HostAddr, sender: HostAddr) {
-        self.victims.allow(victim, sender);
-    }
-}
-
-impl DefenseFactory for TvaDefense {
-    fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    /// Deploy onto `net` according to `spec`.
+    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "tva+");
         builder.ases(map.ases.len(), map.total_ases);
@@ -240,8 +232,7 @@ mod tests {
     #[test]
     fn capabilities_gate_the_regular_channel() {
         let mut d = TvaDefense::new();
-        d.deny_by_default(VICTIM);
-        d.allow(VICTIM, USER);
+        d.deny_by_default(VICTIM, &[USER]);
         let net = net();
         let deployment = d.deploy(&net, &DeploymentSpec::full());
         let mut sim =

@@ -17,14 +17,10 @@ pub(crate) struct Victims {
 }
 
 impl Victims {
-    /// Make `victim` turn away every sender not allowed there.
-    pub(crate) fn insert(&mut self, victim: HostAddr) {
+    /// Make `victim` turn away every sender but `allowed`.
+    pub(crate) fn insert(&mut self, victim: HostAddr, allowed: &[HostAddr]) {
         self.victims.insert(victim);
-    }
-
-    /// Accept `sender` at `victim`.
-    pub(crate) fn allow(&mut self, victim: HostAddr, sender: HostAddr) {
-        self.allowed.insert((victim, sender));
+        self.allowed.extend(allowed.iter().map(|&sender| (victim, sender)));
     }
 
     /// Whom `host`, as a receiver, accepts traffic from.

@@ -68,7 +68,7 @@ fn stopit_net() -> Network {
 fn stopit_flood(ttl: Nanos) -> (netfence::sim::deploy::DefenseReport, f64) {
     const END: Nanos = 12 * SEC;
     let mut d = StopItDefense::new();
-    d.auto_filter(VICTIM);
+    d.auto_filter(VICTIM, &[]);
     d.filter_ttl(ttl);
     let net = stopit_net();
     let deployment = d.deploy(&net, &DeploymentSpec::full());
