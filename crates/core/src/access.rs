@@ -300,6 +300,9 @@ impl AccessRouter {
                 DropCause::RequestRateLimit
             }),
             RequestVerdict::Pass => {
+                // The limiter charged at most the top level: the packet
+                // rides no higher than it paid for.
+                header.priority = header.priority.min(cfg.max_request_priority);
                 header.kind = PacketKind::Request;
                 header.presented = feedback::stamp_nop(&mut self.ka, now, flow);
                 AccessVerdict::Forward { channel: Channel::Request }
@@ -521,6 +524,28 @@ mod tests {
         }
         assert!(passed <= 40, "request flood mostly dropped, passed {passed}");
         assert!(dropped > 900);
+    }
+
+    #[test]
+    fn a_request_rides_only_the_level_it_paid_for() {
+        // A bucket deep enough for one top-level (level-16) request.
+        let cfg = Config { request_bucket_depth: 65_536.0, ..Config::default() };
+        let drained_by = |priority: u8| {
+            let agents = vec![AsKeyAgent::new(1, 1111)];
+            let table = full_mesh_exchange(&agents).remove(0);
+            let mut access = AccessRouter::new(cfg.clone(), AsId(1), [7; 16], table);
+            let flow = FlowPair::new(HostId(10), HostId(20));
+            let mut h = NetFenceHeader::request(17, priority, Feedback::Nop { ts: 0, token: 0 });
+            let v = access.process_outbound(SEC, flow, &mut h, 92);
+            assert_eq!(v, AccessVerdict::Forward { channel: Channel::Request });
+            let left = access.request_limiters.get(&flow.src).unwrap().available_tokens(SEC);
+            (h.priority, cfg.request_bucket_depth - left)
+        };
+        assert_eq!(cfg.max_request_priority, 16);
+        let (named_200, paid_200) = drained_by(200);
+        assert_eq!(named_200, 16, "a level-200 request must leave at level 16");
+        assert_eq!((named_200, paid_200), drained_by(16));
+        assert_eq!(paid_200, RequestLimiter::cost(16));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use netfence_telemetry::IdMap;
 use crate::config::Config;
 use crate::feedback::Feedback;
 use crate::header::NetFenceHeader;
+use crate::request_limiter::RequestLimiter;
 use crate::types::{HostId, Nanos, SEC};
 
 /// Per-peer state of a host shim. Nearly every host talks to one peer, which
@@ -75,13 +76,7 @@ impl PerDestination {
         // router forever.
         let tokens = (waited as f64 / SEC as f64 * cfg.request_tokens_per_sec())
             .min(cfg.request_bucket_depth);
-        let mut level = 0u8;
-        while level < cfg.max_request_priority
-            && crate::request_limiter::RequestLimiter::cost(level + 1) <= tokens
-        {
-            level += 1;
-        }
-        level
+        RequestLimiter::level_for_tokens(tokens, cfg.max_request_priority)
     }
 }
 

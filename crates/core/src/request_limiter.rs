@@ -102,11 +102,22 @@ impl RequestLimiter {
     /// rule senders use when backing off.
     pub fn affordable_level(&self, waited: Nanos) -> u8 {
         let tokens = (waited as f64 / 1e9 * self.refill_per_sec).min(self.depth);
-        let mut level = 0u8;
-        while level < self.max_priority && Self::cost(level + 1) <= tokens {
-            level += 1;
+        Self::level_for_tokens(tokens, self.max_priority)
+    }
+
+    /// The highest level up to `max` whose [`cost`](Self::cost) `tokens`
+    /// cover. Level `k ≥ 1` costs `2^(k−1)` (capped at `2^62`), so the
+    /// affordable levels are those with `2^(k−1) ≤ ⌊tokens⌋`: `0` below one
+    /// token, `⌊log2 ⌊tokens⌋⌋ + 1` otherwise, and every level from `2^62`
+    /// tokens on.
+    pub fn level_for_tokens(tokens: f64, max: u8) -> u8 {
+        // The cast saturates: a NaN or anything below one token is 0, +∞
+        // is `u64::MAX`.
+        match tokens as u64 {
+            0 => 0,
+            whole if whole >= 1 << 62 => max,
+            whole => max.min(whole.ilog2() as u8 + 1),
         }
-        level
     }
 }
 
@@ -197,6 +208,34 @@ mod tests {
         let cfg = Config::default();
         let server = RequestLimiter::new(&cfg, 0, 4.0);
         assert_eq!(server.affordable_level(SEC), 12);
+    }
+
+    #[test]
+    fn level_for_tokens_matches_the_level_loop() {
+        // The loop the closed form replaced: count levels while the next
+        // one is affordable.
+        let by_loop = |tokens: f64, max: u8| {
+            let mut level = 0u8;
+            while level < max && RequestLimiter::cost(level + 1) <= tokens {
+                level += 1;
+            }
+            level
+        };
+        let mut tokens = vec![0.0, 0.5, 1.0, Config::default().request_bucket_depth, f64::INFINITY];
+        for k in 0..64 {
+            let p = (1u64 << k) as f64;
+            tokens.extend([p.next_down(), p, p.next_up()]);
+        }
+        for max in [0, 1, 16, 63, 255] {
+            for &t in &tokens {
+                assert_eq!(
+                    RequestLimiter::level_for_tokens(t, max),
+                    by_loop(t, max),
+                    "tokens {t}, max {max}"
+                );
+            }
+        }
+        assert_eq!(RequestLimiter::level_for_tokens(f64::NAN, 16), 0);
     }
 
     proptest::proptest! {

@@ -34,8 +34,9 @@ pub struct RoleSeries {
     pub role: Role,
     /// Per-flow progress, in member order.
     pub flows: Vec<FlowProgress>,
-    /// Typed drop budget summed over the group's flows: how many of the
-    /// group's packets each defense/queue mechanism discarded.
+    /// Typed drop budget of the group's flows (the drop ledger's budget
+    /// for the group's tag): how many of the group's packets each
+    /// defense/queue mechanism discarded.
     pub drops: DropBudget,
 }
 

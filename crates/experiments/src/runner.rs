@@ -31,10 +31,11 @@ pub struct Runner {
     spec: ScenarioSpec,
 }
 
-/// The observer telemetry captured by one run (empty when the spec's
-/// [`TelemetryConfig`] leaves the observers disabled). Pure output: the
-/// [`Record`] of the same run is byte-identical whether or not this was
-/// collected.
+/// The observer telemetry captured by one run (the probes and the flight
+/// recorder are empty when the spec's [`TelemetryConfig`] leaves them
+/// disabled; the per-link drop budgets come from the always-on ledger).
+/// Pure output: the [`Record`] of the same run is byte-identical whether or
+/// not this was collected.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryDump {
     /// Timeline probe rows as JSONL (one object per sampled point).
@@ -49,6 +50,9 @@ pub struct TelemetryDump {
     pub trace_events: usize,
     /// Hop events evicted by the ring buffer.
     pub trace_evicted: u64,
+    /// `(link, budget)` of every link whose queue dropped, in first-drop
+    /// order.
+    pub link_drops: Vec<(LinkAddr, DropBudget)>,
 }
 
 /// One role group about to be spawned: `(group name, role, members)` where
@@ -258,9 +262,10 @@ impl Runner {
         let mut attack_start: Option<Nanos> = None;
         for (g, group) in planned.iter().enumerate() {
             let of = &groups[g / 2];
+            let tag = drop_group(g);
             let mut ids = Vec::with_capacity(group.members.len());
             for (i, &(src, dst)) in group.members.iter().enumerate() {
-                ids.push(match group.role {
+                let id = match group.role {
                     Role::User => {
                         let seed = flow_seed(spec.scale.seed, g, i);
                         let traffic = spec.users.traffic;
@@ -286,7 +291,9 @@ impl Runner {
                         let strategy = spec.attackers.traffic;
                         sim.add_flow(start, |id| strategy.build_flow(id, src, dst, ctx))
                     }
-                });
+                };
+                sim.metrics.drops.tag(id, tag);
+                ids.push(id);
             }
             flow_ids.push(ids);
         }
@@ -313,20 +320,12 @@ impl Runner {
         let roles = planned
             .into_iter()
             .zip(flow_ids)
-            .map(|(group, ids)| RoleSeries {
+            .enumerate()
+            .map(|(g, (group, ids))| RoleSeries {
                 group: group.name,
                 role: group.role,
                 flows: ids.iter().map(|&f| sim.progress(f).clone()).collect(),
-                drops: {
-                    // Keyed lookups only — the ledger's per-flow map is a
-                    // HashMap, but summing over the group's own flow-id
-                    // list never observes iteration order.
-                    let mut budget = DropBudget::default();
-                    for &f in &ids {
-                        budget.merge(&sim.metrics.drops.flow(f as u64));
-                    }
-                    budget
-                },
+                drops: sim.metrics.drops.group(drop_group(g)),
             })
             .collect();
         let links = bottlenecks
@@ -346,6 +345,12 @@ impl Runner {
             trace_jsonl: sim.flight.to_jsonl(),
             trace_events: sim.flight.len(),
             trace_evicted: sim.flight.evicted(),
+            link_drops: sim
+                .metrics
+                .drops
+                .dropping_links()
+                .map(|(idx, b)| (sim.net.links[idx].addr, *b))
+                .collect(),
         };
         let record = Record {
             name: spec.name.clone(),
@@ -376,6 +381,12 @@ impl Runner {
         debug_assert_eq!(injected, gone + sim.into_in_network(), "'{}' leaked packets", spec.name);
         (record, dump)
     }
+}
+
+/// The drop-ledger group of planned group `g`: 1-based, so that the
+/// ledger's group 0 holds only flows the runner did not spawn.
+fn drop_group(g: usize) -> u16 {
+    u16::try_from(g + 1).expect("a drop-group tag is a u16")
 }
 
 /// A per-flow seed derived from the scenario seed, stable across runs and

@@ -5,7 +5,9 @@
 //! dense already), so the per-packet hot path never hashes; the network's
 //! `LinkAddr → index` map is consulted only by post-run readers. Every
 //! drop is recorded once, with a typed [`DropCause`], in the always-on
-//! [`DropLedger`]; the drop counts reported here are read back from it.
+//! [`DropLedger`], which holds a budget only for links that dropped and
+//! attributes flows by their drop group; the drop counts reported here are
+//! read back from it.
 
 use std::sync::Arc;
 
@@ -109,9 +111,9 @@ impl Metrics {
         self.total_drop_pkts() - self.queue_drop_pkts()
     }
 
-    /// Queue drops summed over every link.
+    /// Queue drops summed over every link that dropped.
     pub fn queue_drop_pkts(&self) -> u64 {
-        (0..self.links.len()).map(|i| self.drops.link(i).total()).sum()
+        self.drops.dropping_links().map(|(_, b)| b.total()).sum()
     }
 
     /// All drops of the run: queue drops plus node-level drops.
@@ -207,6 +209,7 @@ mod tests {
     #[test]
     fn drop_accounting_is_typed_and_consistent() {
         let mut m = one_link();
+        m.drops.tag(3, 1);
         m.record_link_drop(0, 3, DropCause::QueueOverflow);
         m.record_link_drop(0, 3, DropCause::LegacyDemotion);
         m.record_defense_drop(4, DropCause::StopItFilter);
@@ -215,7 +218,8 @@ mod tests {
         assert_eq!(m.total_drop_pkts(), 3);
         assert_eq!(m.link_budget(LINK).get(DropCause::QueueOverflow), 1);
         assert_eq!(m.link_budget(LINK).get(DropCause::LegacyDemotion), 1);
-        assert_eq!(m.drops.flow(3).total(), 2);
+        assert_eq!(m.drops.group(1).total(), 2);
+        assert_eq!(m.drops.group(0).get(DropCause::StopItFilter), 1);
         assert_eq!(m.profile.drops, 3);
     }
 }

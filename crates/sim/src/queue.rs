@@ -19,7 +19,7 @@
 //! All disciplines implement [`QueueDisc`], so links can host any of them
 //! and defense systems can compose them.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use netfence_telemetry::IdMap;
 
@@ -414,9 +414,15 @@ impl<C: DrrClass> QueueDisc for Drr<C> {
 /// Strict-priority queue across request-packet priority levels: higher
 /// levels are always served first (§4.2: "routers forward a level-k packet
 /// with higher priority than lower-level packets").
+///
+/// One FIFO per level, indexed by priority and grown to the highest level
+/// seen, plus a 256-bit occupancy mask: its lowest set bit is the level an
+/// overflow displaces from, its highest the level served next.
 #[derive(Debug)]
 pub struct PriorityLevelQueue {
-    levels: BTreeMap<u8, VecDeque<Packet>>,
+    levels: Vec<VecDeque<Packet>>,
+    /// Bit `l` is set while level `l` holds packets.
+    occupied: [u64; 4],
     bytes: usize,
     pkts: usize,
     limit_bytes: usize,
@@ -425,7 +431,32 @@ pub struct PriorityLevelQueue {
 impl PriorityLevelQueue {
     /// Create a priority-level queue bounded to `limit_bytes`.
     pub fn new(limit_bytes: usize) -> Self {
-        PriorityLevelQueue { levels: BTreeMap::new(), bytes: 0, pkts: 0, limit_bytes }
+        PriorityLevelQueue { levels: Vec::new(), occupied: [0; 4], bytes: 0, pkts: 0, limit_bytes }
+    }
+
+    /// The lowest occupied level.
+    fn lowest(&self) -> Option<usize> {
+        let word = self.occupied.iter().position(|&w| w != 0)?;
+        Some(word * 64 + self.occupied[word].trailing_zeros() as usize)
+    }
+
+    /// The highest occupied level.
+    fn highest(&self) -> Option<usize> {
+        let word = self.occupied.iter().rposition(|&w| w != 0)?;
+        Some(word * 64 + 63 - self.occupied[word].leading_zeros() as usize)
+    }
+
+    /// Pop the head of occupied level `level`, clearing its bit if it
+    /// empties.
+    fn pop_level(&mut self, level: usize) -> Option<Packet> {
+        let q = &mut self.levels[level];
+        let pkt = q.pop_front()?;
+        if q.is_empty() {
+            self.occupied[level / 64] &= !(1 << (level % 64));
+        }
+        self.bytes -= pkt.size;
+        self.pkts -= 1;
+        Some(pkt)
     }
 }
 
@@ -436,28 +467,32 @@ impl QueueDisc for PriorityLevelQueue {
         } else {
             // Displace the lowest level's head if the newcomer outranks it
             // and dropping it makes room; otherwise drop the newcomer.
-            let fits = |head: &Packet| self.bytes - head.size + pkt.size <= self.limit_bytes;
-            match self.levels.iter_mut().find(|(_, q)| !q.is_empty()) {
-                Some((&level, q)) if level < pkt.priority && fits(&q[0]) => q.pop_front(),
+            match self.lowest() {
+                Some(level)
+                    if level < usize::from(pkt.priority)
+                        && self.bytes - self.levels[level][0].size + pkt.size
+                            <= self.limit_bytes =>
+                {
+                    self.pop_level(level)
+                }
                 _ => return Some(pkt),
             }
         };
-        if let Some(v) = &victim {
-            self.bytes -= v.size;
-            self.pkts -= 1;
+        let level = usize::from(pkt.priority);
+        if level >= self.levels.len() {
+            self.levels.resize_with(level + 1, VecDeque::new);
         }
+        self.occupied[level / 64] |= 1 << (level % 64);
         self.bytes += pkt.size;
         self.pkts += 1;
-        self.levels.entry(pkt.priority).or_default().push_back(pkt);
+        self.levels[level].push_back(pkt);
         victim
     }
 
     fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
         // Serve the highest priority level that has packets.
-        let pkt = self.levels.values_mut().rev().find_map(|q| q.pop_front())?;
-        self.bytes -= pkt.size;
-        self.pkts -= 1;
-        Some(pkt)
+        let level = self.highest()?;
+        self.pop_level(level)
     }
 
     fn len_bytes(&self) -> usize {
@@ -722,6 +757,32 @@ mod tests {
         q.enqueue(0, mk(5));
         let order: Vec<u8> = (0..4).map(|_| q.dequeue(0).unwrap().priority).collect();
         assert_eq!(order, vec![5, 5, 3, 0]);
+    }
+
+    #[test]
+    fn priority_levels_in_every_mask_word() {
+        let mk = |prio: u8| {
+            let mut p = pkt(u32::from(prio), 100);
+            p.priority = prio;
+            p
+        };
+        let levels = [200, 0, 64, 255, 63, 128, 127, 64];
+        let mut q = PriorityLevelQueue::new(100 * levels.len());
+        for prio in levels {
+            assert!(q.enqueue(0, mk(prio)).is_none());
+        }
+        // Full: each newcomer displaces the lowest occupied level's head,
+        // crossing from one mask word into the next as levels empty.
+        let displaced: Vec<u8> =
+            (0..4).filter_map(|_| q.enqueue(0, mk(254)).map(|d| d.priority)).collect();
+        assert_eq!(displaced, [0, 63, 64, 64]);
+        let served: Vec<u8> = std::iter::from_fn(|| q.dequeue(0).map(|p| p.priority)).collect();
+        assert_eq!(served, [255, 254, 254, 254, 254, 200, 128, 127]);
+        assert_eq!((q.len_pkts(), q.len_bytes()), (0, 0));
+        // An emptied level is occupied again by its next packet.
+        q.enqueue(0, mk(64));
+        q.enqueue(0, mk(3));
+        assert_eq!(q.dequeue(0).map(|p| p.priority), Some(64));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `defense_drop_pkts` counter, which made "why did this defense lose
 //! packets" unanswerable. [`DropCause`] names every drop point in the
 //! data plane; [`DropBudget`] is a dense per-cause histogram and
-//! [`DropLedger`] keeps one budget per link plus per-flow attribution so
-//! the experiment layer can fold drops by role.
+//! [`DropLedger`] keeps a budget per dropping link and per drop group, so
+//! the experiment layer reads drops by role without summing flows.
 
 /// Why a packet was dropped. One variant per drop point in the simulator
 /// and the defense systems; the set is closed so budgets can be dense
@@ -140,45 +140,59 @@ impl DropBudget {
     }
 }
 
-/// The always-on drop ledger the engine maintains: one [`DropBudget`] per
-/// link (dense, indexed by link id) plus a run total and per-flow
-/// attribution.
+/// The always-on drop ledger the engine maintains: a run total, one
+/// [`DropBudget`] per link that ever dropped, and one per drop group.
 ///
-/// Per-flow budgets are dense too, indexed by flow id and grown on demand:
-/// flow ids are the small consecutive integers `Simulator::add_flow` hands
-/// out, and under attack drops are as common as forwards (`chaos_ctrl`:
-/// 1.06 M drops for 1.07 M packets), so this is a per-packet path.
+/// Its state scales with what drops, not with the network: under attack
+/// only a handful of links drop, so a link gets its budget on its first
+/// drop. `slot[link]` is 0 until then and afterwards the 1-based index of
+/// the link's budget, so the slot table is a zeroed allocation the OS hands
+/// out lazily. Flows are attributed by group, not one by one: each flow
+/// carries a `u16` tag ([`DropLedger::tag`]), 0 for an untagged flow, and
+/// every drop also counts in its flow's group budget. Under attack drops
+/// are as common as forwards (`chaos_ctrl`: 1.06 M drops for 1.07 M
+/// packets), and the tag table is two bytes per flow, so this per-packet
+/// path stays in cache.
 #[derive(Debug, Clone, Default)]
 pub struct DropLedger {
-    per_link: Vec<DropBudget>,
-    per_flow: Vec<DropBudget>,
+    slot: Vec<u32>,
+    links: Vec<(usize, DropBudget)>,
+    flow_group: Vec<u16>,
+    groups: Vec<DropBudget>,
     total: DropBudget,
 }
 
 impl DropLedger {
     /// A ledger for a network with `links` links.
     pub fn new(links: usize) -> Self {
-        DropLedger {
-            per_link: vec![DropBudget::default(); links],
-            per_flow: Vec::new(),
-            total: DropBudget::default(),
+        DropLedger { slot: vec![0; links], ..DropLedger::default() }
+    }
+
+    /// Count the drops of flow `flow` from now on in group `group` (0 is
+    /// the untagged group every flow starts in).
+    pub fn tag(&mut self, flow: usize, group: u16) {
+        if flow >= self.flow_group.len() {
+            self.flow_group.resize(flow + 1, 0);
         }
+        self.flow_group[flow] = group;
     }
 
     /// Count one drop of flow `flow`, at link `link` if the packet died at
     /// a link queue (`None` for node-level drops).
     #[inline]
     pub fn record(&mut self, link: Option<usize>, flow: u64, cause: DropCause) {
-        if let Some(idx) = link {
-            if let Some(b) = self.per_link.get_mut(idx) {
-                b.add(cause);
+        if let Some(idx) = link.filter(|&idx| idx < self.slot.len()) {
+            if self.slot[idx] == 0 {
+                self.links.push((idx, DropBudget::default()));
+                self.slot[idx] = self.links.len() as u32;
             }
+            self.links[self.slot[idx] as usize - 1].1.add(cause);
         }
-        let flow = flow as usize;
-        if flow >= self.per_flow.len() {
-            self.per_flow.resize(flow + 1, DropBudget::default());
+        let group = self.flow_group.get(flow as usize).map_or(0, |&g| usize::from(g));
+        if group >= self.groups.len() {
+            self.groups.resize(group + 1, DropBudget::default());
         }
-        self.per_flow[flow].add(cause);
+        self.groups[group].add(cause);
         self.total.add(cause);
     }
 
@@ -187,15 +201,25 @@ impl DropLedger {
         &self.total
     }
 
-    /// The budget of link `idx` (zero budget when out of range).
+    /// The budget of link `idx` (zero budget until its first drop, and when
+    /// out of range).
     pub fn link(&self, idx: usize) -> DropBudget {
-        self.per_link.get(idx).copied().unwrap_or_default()
+        match self.slot.get(idx) {
+            Some(&slot) if slot > 0 => self.links[slot as usize - 1].1,
+            _ => DropBudget::default(),
+        }
     }
 
-    /// The budget attributed to flow `flow` (zero budget for a flow that
-    /// never lost a packet).
-    pub fn flow(&self, flow: u64) -> DropBudget {
-        self.per_flow.get(flow as usize).copied().unwrap_or_default()
+    /// `(link index, budget)` of every link that dropped, in first-drop
+    /// order.
+    pub fn dropping_links(&self) -> impl Iterator<Item = (usize, &DropBudget)> + '_ {
+        self.links.iter().map(|(idx, b)| (*idx, b))
+    }
+
+    /// The budget of drop group `group` (zero budget for a group that never
+    /// lost a packet).
+    pub fn group(&self, group: u16) -> DropBudget {
+        self.groups.get(usize::from(group)).copied().unwrap_or_default()
     }
 }
 
@@ -244,19 +268,64 @@ mod tests {
     }
 
     #[test]
-    fn ledger_attributes_per_link_and_per_flow() {
+    fn a_link_budget_reads_zero_until_its_first_drop() {
+        let mut l = DropLedger::new(4);
+        assert!((0..4).all(|i| l.link(i) == DropBudget::default()));
+        assert_eq!(l.dropping_links().count(), 0);
+        l.record(Some(2), 0, DropCause::QueueOverflow);
+        l.record(Some(0), 0, DropCause::LegacyDemotion);
+        l.record(Some(2), 0, DropCause::LinkDown);
+        assert_eq!(l.link(1).total(), 0);
+        assert_eq!(l.link(3).total(), 0);
+        assert_eq!(l.link(2).get(DropCause::QueueOverflow), 1);
+        assert_eq!(l.link(2).get(DropCause::LinkDown), 1);
+        assert_eq!(l.link(0).get(DropCause::LegacyDemotion), 1);
+        // Slots are handed out in first-drop order, one per link.
+        let order: Vec<_> = l.dropping_links().map(|(idx, b)| (idx, b.total())).collect();
+        assert_eq!(order, [(2, 2), (0, 1)]);
+    }
+
+    #[test]
+    fn out_of_range_links_and_flows_count_only_in_the_totals() {
         let mut l = DropLedger::new(2);
+        l.tag(1, 3);
+        l.record(Some(2), 1, DropCause::QueueOverflow);
+        l.record(Some(usize::MAX), u64::MAX, DropCause::LinkDown);
+        l.record(None, 1_000_000, DropCause::NoRoute);
+        assert_eq!(l.total().total(), 3);
+        assert_eq!(l.dropping_links().count(), 0);
+        assert_eq!(l.link(2).total(), 0);
+        assert_eq!(l.link(usize::MAX).total(), 0);
+        assert_eq!(l.group(3).get(DropCause::QueueOverflow), 1);
+        assert_eq!(l.group(0).get(DropCause::LinkDown), 1);
+        assert_eq!(l.group(0).get(DropCause::NoRoute), 1);
+        assert_eq!(l.group(u16::MAX).total(), 0);
+    }
+
+    #[test]
+    fn untagged_flows_land_in_group_zero_and_groups_sum_to_the_total() {
+        let mut l = DropLedger::new(2);
+        l.tag(7, 1);
+        l.tag(9, 2);
+        l.tag(8, 2);
+        l.tag(8, 0); // a re-tag moves the flow's later drops
         l.record(Some(0), 7, DropCause::QueueOverflow);
         l.record(Some(1), 7, DropCause::LegacyDemotion);
         l.record(None, 9, DropCause::NoRoute);
-        assert_eq!(l.total().total(), 3);
-        assert_eq!(l.link(0).get(DropCause::QueueOverflow), 1);
-        assert_eq!(l.link(1).get(DropCause::LegacyDemotion), 1);
-        assert_eq!(l.link(5).total(), 0);
-        assert_eq!(l.flow(7).total(), 2);
-        assert_eq!(l.flow(9).get(DropCause::NoRoute), 1);
-        assert_eq!(l.flow(1).total(), 0);
-        assert_eq!(l.flow(10).total(), 0);
-        assert_eq!(l.flow(u64::MAX).total(), 0);
+        l.record(None, 8, DropCause::StopItFilter);
+        l.record(Some(0), 4, DropCause::RequestQuota);
+        assert_eq!(l.group(1).total(), 2);
+        assert_eq!(l.group(2).get(DropCause::NoRoute), 1);
+        assert_eq!(l.group(2).total(), 1);
+        assert_eq!(l.group(0).get(DropCause::StopItFilter), 1);
+        assert_eq!(l.group(0).get(DropCause::RequestQuota), 1);
+        let mut sum = DropBudget::default();
+        for g in 0..=2 {
+            sum.merge(&l.group(g));
+        }
+        assert_eq!(sum, *l.total());
+        let mut links = DropBudget::default();
+        l.dropping_links().for_each(|(_, b)| links.merge(b));
+        assert_eq!(links.total(), 3);
     }
 }

@@ -103,3 +103,89 @@ fn chaos_link_failure_cell() {
     let record = Runner::new(spec).run();
     assert!(record.report.drop_budget.get(DropCause::NoRoute) > 0, "the outage cut nobody off");
 }
+
+/// The causes that only a link queue (or a link going down under its
+/// queue) records; every other cause is a node-level drop.
+const LINK_CAUSES: [DropCause; 4] = [
+    DropCause::QueueOverflow,
+    DropCause::RequestQuota,
+    DropCause::LegacyDemotion,
+    DropCause::LinkDown,
+];
+
+/// The drop ledger's two attributions of one `Runner` cell close against
+/// its run total, cause by cause: the role groups' budgets (one ledger
+/// group per planned group, so an untagged or doubly tagged group breaks
+/// the sum) and the per-link budgets (one slot per dropping link, so a
+/// lost or aliased slot breaks it). Which group a drop lands in is pinned
+/// by the `Record` digests of `tests/engine_pins.rs`.
+fn assert_drops_attributed(cell: &str, spec: netfence::experiments::prelude::ScenarioSpec) {
+    use netfence::experiments::prelude::Runner;
+
+    let (record, dump) = Runner::new(spec).run_with_telemetry();
+    let total = record.report.drop_budget;
+    assert!(total.total() > 0, "{cell}: nothing dropped");
+    assert_eq!(total.total(), record.engine.drops, "{cell}");
+    let (mut roles, mut links) = (DropBudget::default(), DropBudget::default());
+    record.roles.iter().for_each(|r| roles.merge(&r.drops));
+    dump.link_drops.iter().for_each(|(_, b)| links.merge(b));
+    for cause in DropCause::ALL {
+        assert_eq!(roles.get(cause), total.get(cause), "{cell}: role drops, {cause:?}");
+        let at_links = if LINK_CAUSES.contains(&cause) { total.get(cause) } else { 0 };
+        assert_eq!(links.get(cause), at_links, "{cell}: link drops, {cause:?}");
+    }
+    let addrs: std::collections::BTreeSet<_> = dump.link_drops.iter().map(|&(a, _)| a).collect();
+    assert_eq!(addrs.len(), dump.link_drops.len(), "{cell}: a link listed twice");
+    assert!(dump.link_drops.iter().all(|(_, b)| b.total() > 0), "{cell}: an empty link slot");
+}
+
+#[test]
+fn fig8_and_fig9_quick_cells_attribute_every_drop() {
+    use netfence::experiments::fig8::fig8_spec;
+    use netfence::experiments::fig9::{fig9_spec, UserTraffic};
+    use netfence::experiments::prelude::DefenseKind;
+    use netfence::experiments::registry::Size;
+
+    let scale = Size::Quick.scale();
+    for kind in DefenseKind::EVERY {
+        let spec = fig8_spec(&scale, kind, 100_000);
+        assert_drops_attributed(&format!("fig8/{}", kind.label()), spec);
+        for traffic in [UserTraffic::LongRunning, UserTraffic::WebLike] {
+            let spec = fig9_spec(&scale, kind, traffic, 100_000);
+            assert_drops_attributed(&format!("fig9/{traffic:?}/{}", kind.label()), spec);
+        }
+    }
+}
+
+#[test]
+fn chaos_and_outage_cells_attribute_every_drop() {
+    use netfence::experiments::chaos::{self, chaos_spec};
+    use netfence::experiments::prelude::*;
+    use netfence::experiments::reaction::ATTACK_START;
+    use netfence::experiments::registry::Size;
+
+    let scale = Size::Quick.scale_for(25, 60);
+    for kind in chaos::SYSTEMS {
+        for point in chaos::quick_points() {
+            let cell = format!("chaos/{}/{}", point.fault.label(), kind.label());
+            assert_drops_attributed(&cell, chaos_spec(&scale, kind, &point));
+        }
+    }
+    assert_drops_attributed("chaos/traced", chaos::traced_spec(Size::Quick));
+
+    // The `control_plane_outage` example's cell.
+    let mut outage = FaultPlan::empty();
+    outage.controller_outage(ATTACK_START, ATTACK_START + 10 * SEC);
+    let scale = Scale { src_ases: 2, hosts_per_as: 3, sim_time: 48 * SEC, seed: 5 };
+    let spec = ScenarioSpec::dumbbell(scale)
+        .named("control-plane-outage")
+        .defense(DefenseKind::StopIt)
+        .fair_share(30_000)
+        .legit_per_as(1)
+        .users(TrafficSpec::cbr(50_000))
+        .attackers(AttackStrategy::static_cbr(1_000_000), AttackTarget::Victim)
+        .attacker_start(StartSchedule::delayed(ATTACK_START))
+        .fault_plan(outage)
+        .sampled(SEC);
+    assert_drops_attributed("control_plane_outage", spec);
+}
