@@ -93,7 +93,8 @@ pub struct AccessRouter {
     my_as: AsId,
     /// The periodically-changing secret `Ka`.
     pub(crate) ka: TimeVaryingSecret,
-    /// Pairwise keys shared with other ASes (needed to validate `L↓`).
+    /// Pairwise keys shared with other ASes (needed to validate `L↓`):
+    /// usually a share of the router's one store.
     pub(crate) as_keys: AsKeyTable,
     /// IP-to-AS mapping for bottleneck link identifiers (§4.4 uses an
     /// IP-to-AS mapping tool; the simulator installs the mapping when it
@@ -145,24 +146,6 @@ impl AccessRouter {
         self.link_as = map;
     }
 
-    /// Record the DH public value `peer` announced after construction (a
-    /// Passport-style key announcement). The pairwise key is derived the
-    /// first time an `L↓` from a link of that AS needs validating.
-    ///
-    /// # Panics
-    ///
-    /// If the router's key table was built by `AsKeyTable::new`, which has
-    /// no local agent to derive keys with.
-    pub fn install_as_key(&mut self, peer: AsId, public_value: u64) {
-        self.as_keys.install(peer.0, public_value);
-    }
-
-    /// Remove the pairwise key shared with `peer` (its TTL lapsed without
-    /// a refreshing announcement).
-    pub fn remove_as_key(&mut self, peer: AsId) -> bool {
-        self.as_keys.remove(peer.0)
-    }
-
     /// Replace the router's time-varying secret `Ka` with one derived from
     /// `new_root`. Feedback stamped under the old secret immediately fails
     /// validation (§4.4 makes unverifiable feedback indistinguishable from
@@ -204,17 +187,16 @@ impl AccessRouter {
         flow: FlowPair,
         fb: &Feedback,
     ) -> Result<(), FeedbackError> {
-        let ka = &mut self.ka;
-        let as_keys = &self.as_keys;
-        let link_as = &self.link_as;
-        feedback::validate(
-            fb,
-            ka,
-            |l| link_as.get(&l).and_then(|a| as_keys.get(a.0)),
-            now,
-            flow,
-            self.cfg.feedback_expiry,
-        )
+        let w = self.cfg.feedback_expiry;
+        // Only an unexpired `L↓` needs `Kai`: resolve (and on first use
+        // derive) it for that feedback alone.
+        let kai = match fb {
+            Feedback::Mon { link, .. } if fb.is_decr() && !fb.is_expired(now, w) => {
+                self.link_as.get(link).and_then(|a| self.as_keys.get(a.0))
+            }
+            _ => None,
+        };
+        feedback::validate(fb, &mut self.ka, |_| kai.as_deref(), now, flow, w)
     }
 
     /// Police an outbound packet from a local sender and re-stamp its
@@ -563,7 +545,7 @@ mod tests {
         let mut h = NetFenceHeader::request(6, 1, Feedback::Nop { ts: 0, token: 0 });
         access.process_outbound(SEC, flow, &mut h, 92);
         let decr =
-            feedback::stamp_decr(t2.get(1).unwrap(), flow, LinkId(99), &h.presented).unwrap();
+            feedback::stamp_decr(&t2.get(1).unwrap(), flow, LinkId(99), &h.presented).unwrap();
         let mut h2 = NetFenceHeader::regular(6, decr, None);
         if let AccessVerdict::Queued { .. } = access.process_outbound(SEC, flow, &mut h2, PKT) {
             access.packet_released(flow.src, LinkId(99));

@@ -5,8 +5,9 @@
 //! A bottleneck router's per-packet work is deliberately tiny — O(1): look
 //! at the feedback already in the header, and either leave it alone or
 //! overwrite it with `L↓` (one MAC computation). It never keeps per-host or
-//! per-flow state; the only state beyond the monitor EWMAs is the per-AS key
-//! table (at most one entry per AS on today's Internet, §5.1).
+//! per-flow state; the only state beyond the monitor EWMAs is a share of the
+//! router's per-AS key table (at most one entry per AS on today's Internet,
+//! §5.1).
 
 use netfence_crypto::AsKeyTable;
 
@@ -50,7 +51,8 @@ pub struct BottleneckLink {
     link: LinkId,
     /// Output capacity in bits per second.
     capacity: Bps,
-    /// Keys shared between this router's AS and every source AS (Passport).
+    /// Keys shared between this router's AS and every source AS (Passport):
+    /// usually a share of the router's one store.
     as_keys: AsKeyTable,
     /// Monitoring cycle / attack detection / stamping hysteresis.
     monitor: BottleneckMonitor,
@@ -67,25 +69,6 @@ impl BottleneckLink {
     /// The link identifier.
     pub fn link(&self) -> LinkId {
         self.link
-    }
-
-    /// Record the DH public value the source AS `peer` announced after
-    /// construction (a Passport-style key announcement). The pairwise key
-    /// is derived the first time this link stamps `L↓` for that AS.
-    ///
-    /// # Panics
-    ///
-    /// If the link's key table was built by `AsKeyTable::new`, which has no
-    /// local agent to derive keys with.
-    pub fn install_as_key(&mut self, peer: AsId, public_value: u64) {
-        self.as_keys.install(peer.0, public_value);
-    }
-
-    /// Remove the pairwise key shared with the source AS `peer` (its TTL
-    /// lapsed without a refreshing announcement); traffic from that AS
-    /// reverts to unverifiable until a new announcement lands.
-    pub fn remove_as_key(&mut self, peer: AsId) -> bool {
-        self.as_keys.remove(peer.0)
     }
 
     /// Whether this link is currently in a monitoring cycle.
@@ -142,7 +125,7 @@ impl BottleneckLink {
         let Some(kai) = self.as_keys.get(src_as.0) else {
             return StampOutcome::NoKey;
         };
-        match stamp_decr(kai, flow, self.link, feedback) {
+        match stamp_decr(&kai, flow, self.link, feedback) {
             Some(new_fb) => {
                 *feedback = new_fb;
                 StampOutcome::StampedDecr

@@ -19,6 +19,8 @@
 //!   missing feedback (`L↑` for one link implies the others were not
 //!   congested). Reproduced as Figure 14.
 
+use std::ops::Deref;
+
 use netfence_crypto::{Cmac, Mac32, MacInput, TimeVaryingSecret};
 use netfence_telemetry::{DropCause, IdMap};
 
@@ -88,11 +90,13 @@ impl MultiFeedback {
     /// Validate the whole chain at the access router by recomputing it.
     ///
     /// `kai_for_link` resolves each on-path link to the pairwise key shared
-    /// with that link's AS.
-    pub fn validate<'a>(
+    /// with that link's AS (a reference or a key-store guard). It is called
+    /// only for a chain inside the window, one link at a time, and stops at
+    /// the first link with no key.
+    pub fn validate<K: Deref<Target = Cmac>>(
         &self,
         ka: &mut TimeVaryingSecret,
-        kai_for_link: impl Fn(LinkId) -> Option<&'a Cmac>,
+        kai_for_link: impl Fn(LinkId) -> Option<K>,
         now: Nanos,
         flow: FlowPair,
         w: Nanos,
@@ -137,19 +141,13 @@ impl AccessRouter {
         // Validate the chain first; invalid chains are demoted to requests
         // by the caller (we signal that with a drop here to keep the API
         // small — the systems adapter treats it like invalid feedback).
-        let valid = {
-            let ka = &mut self.ka;
-            let as_keys = &self.as_keys;
-            let link_as = &self.link_as;
-            let mf_ref = &*mf;
-            mf_ref.validate(
-                ka,
-                |l| link_as.get(&l).and_then(|a| as_keys.get(a.0)),
-                now,
-                flow,
-                self.cfg.feedback_expiry,
-            )
-        };
+        let valid = mf.validate(
+            &mut self.ka,
+            |l| self.link_as.get(&l).and_then(|a| self.as_keys.get(a.0)),
+            now,
+            flow,
+            self.cfg.feedback_expiry,
+        );
         if !valid {
             return AccessVerdict::Drop(DropCause::RequestRateLimit);
         }

@@ -19,7 +19,8 @@
 //! property NetFence needs — each ordered AS pair agrees on a secret key that
 //! no third party knows — without modelling BGP messages themselves.
 
-use std::sync::OnceLock;
+use std::cell::{OnceCell, Ref, RefCell};
+use std::rc::Rc;
 
 use crate::aes::Aes128;
 use crate::cmac::Cmac;
@@ -122,37 +123,52 @@ impl AsKeyAgent {
     }
 }
 
-/// The pairwise AS keys one router component holds (an access router, or
-/// one bottleneck link), all shared between the local AS and a peer AS.
+/// The pairwise AS keys one router holds, all shared between the local AS
+/// and a peer AS.
+///
+/// A table is a handle to a key store. [`share`] makes another handle to
+/// the same store, so a router's access router and each of its bottleneck
+/// links hold one store between them: an install or remove through any
+/// handle is seen by all, and a key is derived once per store. Sharing is
+/// explicit; the type is not `Clone`, so no copy is ever mistaken for an
+/// independent table. The store is single-threaded (`Rc`), like the
+/// simulator that owns the router.
 ///
 /// An entry is what the peer announced: its DH public value. The CMAC
 /// keyed with the pair's shared key is derived by the first [`get`] for
 /// that peer, so a peer no packet ever needs a key for costs one table
 /// slot and no DH, whitening or AES key schedule.
 ///
+/// [`share`]: Self::share
 /// [`get`]: Self::get
 #[derive(Debug, Default)]
 pub struct AsKeyTable {
-    /// The local AS's agent, which derives every key in the table. `None`
-    /// in a table built by [`new`](Self::new), which holds no keys.
+    store: Rc<RefCell<KeyStore>>,
+}
+
+/// What every handle of one [`AsKeyTable`] shares.
+#[derive(Debug, Default)]
+struct KeyStore {
+    /// The local AS's agent, which derives every key in the store. `None`
+    /// in a table built by [`AsKeyTable::new`], which holds no keys.
     local: Option<AsKeyAgent>,
     keys: netfence_telemetry::IdMap<AsNumber, PeerKey>,
 }
 
-/// One peer's entry of an [`AsKeyTable`].
+/// One peer's entry of a [`KeyStore`].
 #[derive(Debug)]
 struct PeerKey {
     /// The DH public value the peer announced.
     public: u64,
     /// The CMAC keyed with the shared key, once something has needed it.
-    /// Boxed so a peer whose key is never derived costs 16 bytes here,
+    /// Boxed so a peer whose key is never derived costs 8 bytes here,
     /// not a whole expanded cipher.
-    cmac: OnceLock<Box<Cmac>>,
+    cmac: OnceCell<Box<Cmac>>,
 }
 
 impl PeerKey {
     fn announced(public: u64) -> Self {
-        PeerKey { public, cmac: OnceLock::new() }
+        PeerKey { public, cmac: OnceCell::new() }
     }
 }
 
@@ -172,7 +188,13 @@ impl AsKeyTable {
     /// Create an empty table whose keys `local`, the agent of the table's
     /// own AS, derives.
     pub fn for_agent(local: AsKeyAgent) -> Self {
-        AsKeyTable { local: Some(local), keys: Default::default() }
+        let store = KeyStore { local: Some(local), keys: Default::default() };
+        AsKeyTable { store: Rc::new(RefCell::new(store)) }
+    }
+
+    /// Another handle to this table's store.
+    pub fn share(&self) -> Self {
+        AsKeyTable { store: Rc::clone(&self.store) }
     }
 
     /// Record `public`, the DH value `peer` announced. Nothing is derived
@@ -182,40 +204,46 @@ impl AsKeyTable {
     /// # Panics
     ///
     /// If the table was built by [`new`](Self::new): it has no local agent
-    /// to derive the key with.
-    pub fn install(&mut self, peer: AsNumber, public: u64) {
-        assert!(self.local.is_some(), "AsKeyTable::install needs a table built by for_agent");
-        let entry = self.keys.entry(peer).or_insert_with(|| PeerKey::announced(public));
+    /// to derive the key with. Also if a [`get`](Self::get) guard of this
+    /// store is still alive.
+    pub fn install(&self, peer: AsNumber, public: u64) {
+        let mut store = self.store.borrow_mut();
+        assert!(store.local.is_some(), "AsKeyTable::install needs a table built by for_agent");
+        let entry = store.keys.entry(peer).or_insert_with(|| PeerKey::announced(public));
         if entry.public != public {
             *entry = PeerKey::announced(public);
         }
     }
 
     /// Look up the CMAC for a peer AS, deriving it from the peer's
-    /// announced value on the first call.
-    pub fn get(&self, peer: AsNumber) -> Option<&Cmac> {
-        let (local, entry) = (self.local.as_ref()?, self.keys.get(&peer)?);
-        Some(entry.cmac.get_or_init(|| {
-            #[cfg(test)]
-            DERIVED.with(|n| n.set(n.get() + 1));
-            Box::new(Cmac::new(&local.shared_key(peer, entry.public)))
-        }))
+    /// announced value on the first call. The guard borrows the store:
+    /// drop it before the next install or remove.
+    pub fn get(&self, peer: AsNumber) -> Option<Ref<'_, Cmac>> {
+        Ref::filter_map(self.store.borrow(), |store| {
+            let (local, entry) = (store.local.as_ref()?, store.keys.get(&peer)?);
+            Some(&**entry.cmac.get_or_init(|| {
+                #[cfg(test)]
+                DERIVED.with(|n| n.set(n.get() + 1));
+                Box::new(Cmac::new(&local.shared_key(peer, entry.public)))
+            }))
+        })
+        .ok()
     }
 
     /// Remove the key shared with `peer` (it expired without a refreshing
     /// announcement). Returns whether a key was installed.
-    pub fn remove(&mut self, peer: AsNumber) -> bool {
-        self.keys.remove(&peer).is_some()
+    pub fn remove(&self, peer: AsNumber) -> bool {
+        self.store.borrow_mut().keys.remove(&peer).is_some()
     }
 
     /// Number of peers with installed keys.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.store.borrow().keys.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.store.borrow().keys.is_empty()
     }
 }
 
@@ -226,7 +254,7 @@ pub fn full_mesh_exchange(agents: &[AsKeyAgent]) -> Vec<AsKeyTable> {
     agents
         .iter()
         .map(|a| {
-            let mut table = AsKeyTable::for_agent(a.clone());
+            let table = AsKeyTable::for_agent(a.clone());
             for b in agents.iter().filter(|b| b.asn() != a.asn()) {
                 table.install(b.asn(), b.public_value());
                 table.get(b.asn());
@@ -349,11 +377,17 @@ mod tests {
 
     const MSG: &[u8] = b"congestion feedback";
 
+    /// Where `table`'s CMAC for `peer` lives, so a test can tell a kept key
+    /// from a re-derived one. The guard is dropped before this returns.
+    fn key_addr(table: &AsKeyTable, peer: AsNumber) -> *const Cmac {
+        &*table.get(peer).unwrap()
+    }
+
     #[test]
     fn announced_tables_derive_the_pinned_keys() {
         let agents = pin_agents();
         for (from, to, pin) in PAIR_PINS {
-            let mut table = AsKeyTable::for_agent(agents[from].clone());
+            let table = AsKeyTable::for_agent(agents[from].clone());
             table.install(agents[to].asn(), agents[to].public_value());
             let mac = table.get(agents[to].asn()).unwrap().mac32(b"netfence-pin");
             assert_eq!(mac, pin, "{from} -> {to}");
@@ -363,7 +397,7 @@ mod tests {
     #[test]
     fn a_key_is_derived_on_first_use_only() {
         let (a, b, c) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33));
-        let mut table = AsKeyTable::for_agent(a.clone());
+        let table = AsKeyTable::for_agent(a.clone());
         let before = derived();
         table.install(b.asn(), b.public_value());
         table.install(c.asn(), c.public_value());
@@ -379,11 +413,15 @@ mod tests {
     #[test]
     fn re_announcing_keeps_the_key_and_a_new_value_replaces_it() {
         let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
-        let mut table = AsKeyTable::for_agent(a.clone());
+        let table = AsKeyTable::for_agent(a.clone());
         table.install(b.asn(), b.public_value());
-        let first: *const Cmac = table.get(b.asn()).unwrap();
-        table.install(b.asn(), b.public_value());
-        assert!(std::ptr::eq(first, table.get(b.asn()).unwrap()));
+        let first = key_addr(&table, b.asn());
+        let before = derived();
+        // The refresh lands through another share of the same store.
+        let share = table.share();
+        share.install(b.asn(), b.public_value());
+        assert_eq!(first, key_addr(&table, b.asn()));
+        assert_eq!(derived(), before, "a refresh derives nothing");
 
         let rekeyed = AsKeyAgent::new(2, 23);
         table.install(b.asn(), rekeyed.public_value());
@@ -396,7 +434,7 @@ mod tests {
     #[test]
     fn a_removed_key_is_gone_until_announced_again() {
         let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
-        let mut table = AsKeyTable::for_agent(a);
+        let table = AsKeyTable::for_agent(a);
         table.install(b.asn(), b.public_value());
         let mac = table.get(b.asn()).unwrap().mac32(MSG);
         assert!(table.remove(b.asn()));
@@ -409,7 +447,44 @@ mod tests {
     #[test]
     #[should_panic(expected = "for_agent")]
     fn a_table_without_an_agent_takes_no_announcement() {
-        AsKeyTable::new().install(2, AsKeyAgent::new(2, 22).public_value());
+        AsKeyTable::new().share().install(2, AsKeyAgent::new(2, 22).public_value());
+    }
+
+    #[test]
+    fn every_share_sees_an_install_or_remove_through_any_other() {
+        let (a, b, c) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33));
+        let table = AsKeyTable::for_agent(a);
+        let shares = [table.share(), table.share()];
+        shares[0].install(b.asn(), b.public_value());
+        table.install(c.asn(), c.public_value());
+        for t in shares.iter().chain([&table]) {
+            assert_eq!(t.len(), 2);
+            assert!(t.get(b.asn()).is_some() && t.get(c.asn()).is_some());
+        }
+        assert!(shares[1].remove(b.asn()));
+        for t in shares.iter().chain([&table]) {
+            assert!(t.get(b.asn()).is_none());
+            assert_eq!(t.len(), 1);
+        }
+        assert!(!table.remove(b.asn()), "the key is gone from every share");
+    }
+
+    #[test]
+    fn a_key_is_derived_once_per_store_not_once_per_share() {
+        let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
+        let table = AsKeyTable::for_agent(a.clone());
+        let share = table.share();
+        table.install(b.asn(), b.public_value());
+        let before = derived();
+        let mac = share.get(b.asn()).unwrap().mac32(MSG);
+        assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), mac);
+        assert_eq!(derived(), before + 1, "both shares use the one derived key");
+
+        // A separate store for the same AS derives its own copy.
+        let other = AsKeyTable::for_agent(a);
+        other.install(b.asn(), b.public_value());
+        assert_eq!(other.get(b.asn()).unwrap().mac32(MSG), mac);
+        assert_eq!(derived(), before + 2);
     }
 
     proptest::proptest! {

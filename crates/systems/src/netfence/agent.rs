@@ -54,8 +54,8 @@ impl KeyAnnouncer {
 pub(super) struct AgentTemplate {
     pub(super) cfg: Config,
     pub(super) as_id: AsId,
-    /// The AS's key agent, handed to every key table the template builds
-    /// so the table can derive its pairwise keys.
+    /// The AS's key agent, handed to the key store the template builds so
+    /// the store can derive its pairwise keys.
     pub(super) key_agent: AsKeyAgent,
     pub(super) ka_root: [u8; 16],
     pub(super) is_access: bool,
@@ -80,32 +80,25 @@ impl AgentTemplate {
         root
     }
 
-    fn build_access(&self) -> Option<AccessRouter> {
-        if !self.is_access {
-            return None;
-        }
-        let mut access = AccessRouter::new(
-            self.cfg.clone(),
-            self.as_id,
-            self.root_for_generation(),
-            self.key_table(),
-        );
-        access.share_link_as(Arc::clone(&self.link_as));
-        Some(access)
-    }
-
-    fn build_bottlenecks(&self) -> Vec<(usize, BottleneckLink)> {
-        self.bottlenecks
+    /// The router's components, built fresh: its access router (if any)
+    /// and its bottleneck links, all holding shares of one new key store,
+    /// plus the agent's own share of it.
+    fn build(&self) -> (AsKeyTable, Option<AccessRouter>, Vec<(usize, BottleneckLink)>) {
+        let keys = AsKeyTable::for_agent(self.key_agent.clone());
+        let access = self.is_access.then(|| {
+            let root = self.root_for_generation();
+            let mut access = AccessRouter::new(self.cfg.clone(), self.as_id, root, keys.share());
+            access.share_link_as(Arc::clone(&self.link_as));
+            access
+        });
+        let bottlenecks = self
+            .bottlenecks
             .iter()
             .map(|&(li, link, capacity)| {
-                (li, BottleneckLink::new(link, capacity, self.key_table(), self.cfg.clone(), 0))
+                (li, BottleneckLink::new(link, capacity, keys.share(), self.cfg.clone(), 0))
             })
-            .collect()
-    }
-
-    /// An empty key table for one of the router's components.
-    fn key_table(&self) -> AsKeyTable {
-        AsKeyTable::for_agent(self.key_agent.clone())
+            .collect();
+        (keys, access, bottlenecks)
     }
 }
 
@@ -114,12 +107,15 @@ impl AgentTemplate {
 /// state.
 #[derive(Debug)]
 pub(super) struct NetFenceRouterAgent {
+    /// The router's pairwise keys: one store, shared with the access
+    /// router and every bottleneck link.
+    as_keys: AsKeyTable,
     access: Option<AccessRouter>,
     /// Bottleneck state per outgoing inter-router link: (link index,
     /// state), sorted ascending by index.
     bottlenecks: Vec<(usize, BottleneckLink)>,
     /// TTL bookkeeping for installed pairwise keys; expired peers are
-    /// uninstalled from every key table on the next tick.
+    /// uninstalled from the key store on the next tick.
     keys: PolicyStore<AsNum>,
     /// Present on the AS's designated announcer when a key TTL is set.
     announcer: Option<KeyAnnouncer>,
@@ -137,9 +133,11 @@ pub(super) struct NetFenceRouterAgent {
 impl NetFenceRouterAgent {
     /// A freshly deployed agent built from `template`.
     pub(super) fn new(template: AgentTemplate, announcer: Option<KeyAnnouncer>) -> Self {
+        let (as_keys, access, bottlenecks) = template.build();
         NetFenceRouterAgent {
-            access: template.build_access(),
-            bottlenecks: template.build_bottlenecks(),
+            as_keys,
+            access,
+            bottlenecks,
             keys: PolicyStore::new(template.key_ttl, 0),
             announcer,
             template,
@@ -162,29 +160,12 @@ impl NetFenceRouterAgent {
         }
     }
 
-    /// Record `asn`'s announced public value in every key table of this
-    /// router. Only the value is recorded: each table derives the key the
-    /// first time it stamps or validates an `L↓` for this AS.
-    fn install_key(&mut self, asn: AsNum, public_value: u64) {
-        for (_, bl) in self.bottlenecks.iter_mut() {
-            bl.install_as_key(AsId(asn), public_value);
-        }
-        if let Some(access) = self.access.as_mut() {
-            access.install_as_key(AsId(asn), public_value);
-        }
-    }
-
-    /// Tear the `peers`' keys out of every key table of this router: their
-    /// traffic reverts to unverifiable (no `L↓` can be stamped for it)
-    /// until a fresh announcement lands.
+    /// Tear the `peers`' keys out of the router's key store: their traffic
+    /// reverts to unverifiable (no `L↓` can be stamped for it) until a
+    /// fresh announcement lands.
     fn uninstall_keys(&mut self, peers: Vec<AsNum>) {
         for asn in peers {
-            if let Some(access) = self.access.as_mut() {
-                access.remove_as_key(AsId(asn));
-            }
-            for (_, bl) in self.bottlenecks.iter_mut() {
-                bl.remove_as_key(AsId(asn));
-            }
+            self.as_keys.remove(asn);
         }
     }
 }
@@ -200,6 +181,7 @@ impl RouterAgent for NetFenceRouterAgent {
     ) -> RouterAction {
         // Feedback stamping, validation and policing all run on the
         // router's local (possibly fault-skewed) clock.
+        let engine_now = now;
         let now = self.local_now(now);
         if is_access {
             let Some(access) = self.access.as_mut() else {
@@ -223,7 +205,10 @@ impl RouterAgent for NetFenceRouterAgent {
                 AccessVerdict::Queued { release_at } => {
                     ext.queued_for = ext.header.presented.link();
                     pkt.channel = ChannelClass::Regular;
-                    RouterAction::Delay { release_at }
+                    // The engine schedules on its own clock: keep the
+                    // limiter's hold, not its local release instant.
+                    let hold = release_at.saturating_sub(now);
+                    RouterAction::Delay { release_at: engine_now.saturating_add(hold) }
                 }
                 AccessVerdict::Drop(cause) => RouterAction::Drop(cause),
             }
@@ -275,8 +260,10 @@ impl RouterAgent for NetFenceRouterAgent {
 
     fn on_control(&mut self, now: Nanos, msg: ControlPayload, _ctl: &mut ControlPlane) {
         let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
+        // Only the value is recorded: the store derives the key the first
+        // time a component stamps or validates an `L↓` for this AS.
         self.keys.insert(now, asn);
-        self.install_key(asn, public_value);
+        self.as_keys.install(asn, public_value);
     }
 
     fn tick(&mut self, now: Nanos, ctl: &mut ControlPlane) {
@@ -312,8 +299,7 @@ impl RouterAgent for NetFenceRouterAgent {
                 // secret (a real reboot loses `Ka`), so feedback stamped
                 // before the fault stops validating until re-stamped.
                 self.template.generation += 1;
-                self.access = self.template.build_access();
-                self.bottlenecks = self.template.build_bottlenecks();
+                (self.as_keys, self.access, self.bottlenecks) = self.template.build();
                 self.keys.clear();
                 self.clock_offset = 0;
                 // Re-bootstrap over the control plane: the designated
@@ -402,7 +388,159 @@ mod tests {
     use super::*;
     use crate::netfence::tests::colluding_flood;
     use crate::netfence::NetFenceDefense;
+    use netfence_core::feedback::{self, Feedback};
+    use netfence_core::header::NetFenceHeader;
+    use netfence_crypto::Cmac;
     use netfence_sim::prelude::*;
+
+    /// The AS of the router under test, and of its hosts.
+    const AS: AsNum = 1;
+    /// The router's one bottleneck link, owned by `AS`.
+    const LINK: LinkRef = LinkRef { index: 0, addr: 500 };
+    const SRC: HostAddr = 0x0a00_0001;
+    const DST: HostAddr = 0x0b00_0001;
+
+    fn key_agent() -> AsKeyAgent {
+        AsKeyAgent::new(AS, 11)
+    }
+
+    /// An access router of `AS` that also owns the 1 Mbps bottleneck
+    /// `LINK`; its keys lapse after `key_ttl` (0 = never).
+    fn router(key_ttl: Nanos) -> NetFenceRouterAgent {
+        let link = LinkId(LINK.addr);
+        let template = AgentTemplate {
+            cfg: Config::short_timers(),
+            as_id: AsId(AS),
+            key_agent: key_agent(),
+            ka_root: [7; 16],
+            is_access: true,
+            link_as: Arc::new([(link, AsId(AS))].into_iter().collect()),
+            bottlenecks: vec![(LINK.index, link, 1_000_000)],
+            key_ttl,
+            generation: 0,
+        };
+        NetFenceRouterAgent::new(template, None)
+    }
+
+    fn announce(agent: &mut NetFenceRouterAgent, now: Nanos) {
+        let msg =
+            ControlPayload::KeyAnnouncement { asn: AS, public_value: key_agent().public_value() };
+        agent.on_control(now, msg, &mut ControlPlane::default());
+    }
+
+    fn packet(header: NetFenceHeader, now: Nanos) -> Packet {
+        let mut pkt = Packet::udp(0, SRC, DST, 1500, now);
+        pkt.src_as = AS;
+        pkt.ext = Some(Box::new(NetFenceExt::new(header)));
+        pkt
+    }
+
+    fn presented(pkt: &Packet) -> Feedback {
+        pkt.ext_as::<NetFenceExt>().map(|e| e.header.presented).unwrap()
+    }
+
+    /// A fresh `nop`, stamped by the router's access router at `now`.
+    fn fresh_nop(agent: &mut NetFenceRouterAgent, now: Nanos) -> Packet {
+        let mut pkt =
+            packet(NetFenceHeader::request(17, 0, Feedback::Nop { ts: 0, token: 0 }), now);
+        agent.at_router(now, true, LINK, &mut pkt, &mut ControlPlane::default());
+        pkt
+    }
+
+    /// `L↓` for `LINK` on top of `nop`, stamped with the right key.
+    fn decr(nop: &Feedback) -> Feedback {
+        let kai = Cmac::new(&key_agent().shared_key(AS, key_agent().public_value()));
+        let flow = FlowPair::new(HostId(SRC), HostId(DST));
+        feedback::stamp_decr(&kai, flow, LinkId(LINK.addr), nop).unwrap()
+    }
+
+    /// Feed `LINK` a lossy second at a time from `now` until it enters a
+    /// monitoring cycle; returns the time it did.
+    fn drive_into_mon(agent: &mut NetFenceRouterAgent, mut now: Nanos) -> Nanos {
+        while !agent.bottlenecks[0].1.in_mon() {
+            now += SEC;
+            for i in 0..100 {
+                let mut pkt = Packet::udp(0, SRC, DST, 1500, now);
+                if i % 5 == 0 {
+                    agent.on_link_drop(now, LINK, &pkt);
+                } else {
+                    agent.on_link_dequeue(now, LINK, &mut pkt);
+                }
+            }
+            agent.tick(now, &mut ControlPlane::default());
+        }
+        now
+    }
+
+    /// At `now`: whether the router's bottleneck stamps `L↓` on a fresh
+    /// `nop`, and whether its access router accepts a correctly keyed `L↓`.
+    fn stamps_and_validates(agent: &mut NetFenceRouterAgent, now: Nanos) -> (bool, bool) {
+        assert!(agent.bottlenecks[0].1.in_mon());
+        let mut pkt = fresh_nop(agent, now);
+        let nop = presented(&pkt);
+        agent.on_link_dequeue(now, LINK, &mut pkt);
+        let stamped = presented(&pkt).is_decr();
+        let invalid =
+            |agent: &NetFenceRouterAgent| agent.access.as_ref().unwrap().invalid_feedback();
+        let before = invalid(agent);
+        let mut pkt = packet(NetFenceHeader::regular(17, decr(&nop), None), now);
+        agent.at_router(now, true, LINK, &mut pkt, &mut ControlPlane::default());
+        (stamped, invalid(agent) == before)
+    }
+
+    #[test]
+    fn one_announcement_serves_the_bottleneck_and_the_access_router() {
+        let ttl = 20 * SEC;
+        let mut agent = router(ttl);
+        announce(&mut agent, 0);
+        let now = drive_into_mon(&mut agent, 0);
+        assert!(now < ttl, "in mon at {now}");
+        assert_eq!(stamps_and_validates(&mut agent, now), (true, true));
+
+        // The TTL lapses with no refresh: the one store loses the key, and
+        // neither component can use it.
+        agent.tick(ttl, &mut ControlPlane::default());
+        assert!(agent.as_keys.is_empty());
+        assert_eq!(stamps_and_validates(&mut agent, ttl), (false, false));
+
+        // A reboot builds one fresh store: the key announced just before
+        // it is gone, and one announcement after it serves both
+        // components again.
+        announce(&mut agent, ttl);
+        agent.on_fault(ttl, RouterFault::Reboot, &mut ControlPlane::default());
+        assert!(agent.as_keys.is_empty());
+        let now = drive_into_mon(&mut agent, ttl);
+        assert_eq!(stamps_and_validates(&mut agent, now), (false, false));
+        announce(&mut agent, now);
+        assert_eq!(stamps_and_validates(&mut agent, now), (true, true));
+    }
+
+    #[test]
+    fn a_skewed_access_router_holds_packets_for_engine_time() {
+        let max = Config::short_timers().max_limiter_delay;
+        for offset in [5 * SEC as i64, -5 * SEC as i64] {
+            let mut agent = router(0);
+            let mut ctl = ControlPlane::default();
+            agent.on_fault(0, RouterFault::ClockSkew { offset_ns: offset }, &mut ctl);
+            announce(&mut agent, 0);
+            let now = 10 * SEC;
+            let fb = decr(&presented(&fresh_nop(&mut agent, now)));
+            let mut delays = 0;
+            for _ in 0..50 {
+                let mut pkt = packet(NetFenceHeader::regular(17, fb, None), now);
+                if let RouterAction::Delay { release_at } =
+                    agent.at_router(now, true, LINK, &mut pkt, &mut ctl)
+                {
+                    assert!(
+                        release_at > now && release_at <= now + max,
+                        "skew {offset}: released at {release_at}, engine now {now}"
+                    );
+                    delays += 1;
+                }
+            }
+            assert!(delays > 0, "skew {offset}: the limiter held nothing");
+        }
+    }
 
     #[test]
     fn ttl_keys_stay_refreshed_over_a_healthy_control_plane() {

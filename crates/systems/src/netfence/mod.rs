@@ -25,9 +25,10 @@
 //! deployment's [`ControlPlane`](netfence_sim::control::ControlPlane) bus: at
 //! deploy time every deploying AS posts a
 //! [`ControlPayload::KeyAnnouncement`] (its Diffie–Hellman public value) to
-//! every deployed router agent, which records it in each of its key
-//! tables — the BGP-piggybacked exchange of §4.4, in message form. A table
-//! derives the shared key the first time it stamps or validates an `L↓`
+//! every deployed router agent, which records it in the router's one key
+//! store, shared by its access router and bottleneck links — the
+//! BGP-piggybacked exchange of §4.4, in message form. The store derives
+//! the shared key the first time a component stamps or validates an `L↓`
 //! for that AS, so keys nothing uses cost no key work. With
 //! [`NetFenceDefense::key_ttl`] set, installed keys lapse unless the
 //! owning AS's designated announcer (its first deployed router) re-posts
