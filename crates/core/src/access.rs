@@ -305,7 +305,11 @@ impl AccessRouter {
     /// (for metrics/experiments).
     pub fn tick(&mut self, now: Nanos) -> Vec<(LimiterKey, Adjustment)> {
         let mut adjustments = Vec::new();
-        // lint:allow(nondeterministic-iteration): per-limiter AIMD update is key-independent; the collected adjustments are sorted before returning
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "per-limiter AIMD update is key-independent; the collected adjustments are sorted before returning"
+        )]
         for (key, lim) in self.limiters.iter_mut() {
             if lim.aimd.interval_elapsed(now, &self.cfg) {
                 let tput = lim.bucket.throughput(now);
@@ -319,7 +323,10 @@ impl AccessRouter {
         adjustments.sort_unstable_by_key(|&(key, _)| key);
         // Reclaim limiters idle for Ta: no L↓ seen and no packet discarded.
         let ta = self.cfg.ta;
-        // lint:allow(nondeterministic-iteration): retain's visit order is unobservable — the predicate reads only the entry it decides
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain's visit order is unobservable: the predicate reads only the entry it decides"
+        )]
         self.limiters.retain(|_, lim| {
             now.saturating_sub(lim.last_activity) < ta || lim.bucket.queued_pkts() > 0
         });

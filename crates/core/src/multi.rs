@@ -234,7 +234,12 @@ impl InferenceCache {
     pub fn links_for(&mut self, now: Nanos, dst: HostId) -> Vec<LinkId> {
         let expiry = self.expiry;
         let Some(links) = self.prefix_links.get_mut(&prefix_of(dst)) else { return Vec::new() };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain's visit order is unobservable: the predicate reads only the entry it decides"
+        )]
         links.retain(|_, seen| now.saturating_sub(*seen) < expiry);
+        #[expect(clippy::disallowed_methods, reason = "the keys are sorted on the next line")]
         let mut v: Vec<LinkId> = links.keys().copied().collect();
         v.sort_unstable();
         v

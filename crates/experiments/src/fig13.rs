@@ -76,7 +76,9 @@ impl FluidSender {
             }
             // B.1 / B.2: every on-path limiter polices the packet; the flow
             // is bounded by the smallest.
-            _ => self.limiters.iter().map(|l| l.rate() as f64).fold(f64::MAX, f64::min),
+            MultiBottleneckDesign::MultiFeedback | MultiBottleneckDesign::Inference => {
+                self.limiters.iter().map(|l| l.rate() as f64).fold(f64::MAX, f64::min)
+            }
         }
     }
 

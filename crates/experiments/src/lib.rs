@@ -36,6 +36,9 @@
 //! paper-vs-measured comparison.
 
 #![warn(missing_docs)]
+// Dispatch names every variant: a new defense or drop cause must not fall
+// silently into a `_` arm (DESIGN.md §13).
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod ablations;
 pub mod chaos;

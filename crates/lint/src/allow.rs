@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn trailing_and_stacked_targets() {
-        let src = "let a = 1; // lint:allow(wall-clock): trailing\n// lint:allow(orphan-pub-fn): stacked one\n// lint:allow(nondeterministic-iteration): stacked two\nlet b = 2;\n";
+        let src = "let a = 1; // lint:allow(wall-clock): trailing\n// lint:allow(orphan-pub-fn): stacked one\n// lint:allow(doc-refs): stacked two\nlet b = 2;\n";
         let allows = collect(&lex(src));
         assert_eq!(allows.len(), 3);
         assert_eq!(allows[0].target_line, 1);

@@ -1,36 +1,31 @@
 //! # netfence-lint
 //!
 //! An offline, dependency-free static-analysis pass over the workspace
-//! that enforces the determinism invariants every figure-equivalence
-//! claim rests on, and keeps the public surface to what has a caller
-//! (`DESIGN.md` §13). Five rules:
+//! that keeps wall-clock reads out of simulated time, and keeps the
+//! public surface and the docs to what exists (`DESIGN.md` §13). Three
+//! rules:
 //!
-//! 1. `nondeterministic-iteration` — no `HashMap`/`HashSet` iteration in
-//!    export-path modules (anything feeding `Record`, `DefenseReport`,
-//!    an experiment table or telemetry exports);
-//! 2. `wall-clock` — no `Instant::now`/`SystemTime` without a justified
+//! 1. `wall-clock` — no `Instant::now`/`SystemTime` without a justified
 //!    allow;
-//! 3. `wildcard-defense-match` — no `_` arms in matches over
-//!    `DefenseKind`/`DropCause` in systems/experiments code;
-//! 4. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
+//! 2. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
 //!    whose name occurs nowhere else in the workspace (tests, examples and
 //!    the benchmark included);
-//! 5. `doc-refs` — every `x.rs[:N]` path and `a::b::c` path in a
-//!    Markdown code span resolves in the tree.
+//! 3. `doc-refs` — every `x.rs[:N]` path and `a::b::c` path in a
+//!    Markdown code span resolves in the tree (outside the exempt list
+//!    [`rules::doc_refs::EXEMPT`]).
 //!
-//! Unseeded entropy, `unsafe` code and panics in the fault-injected
-//! runtime crates are rustc's and clippy's to catch (`clippy.toml`,
-//! `[workspace.lints]` and the crate roots).
+//! Hash-order iteration, wildcard dispatch, unseeded entropy, `unsafe`
+//! code and panics in the fault-injected runtime crates are rustc's and
+//! clippy's to catch, with real types (`clippy.toml`, `[workspace.lints]`
+//! and the crate roots).
 //!
 //! Each rule honors the inline escape hatch
 //! `// lint:allow(rule-name): reason` — the justification string is
-//! mandatory and machine-checked. Zones come from `lint.toml` at the
-//! workspace root; run as `cargo run -p netfence-lint` (CI adds
-//! `--deny-all`), which prints rustc-style diagnostics and writes a
-//! machine-readable JSON report to `target/netfence_lint.json`.
+//! mandatory and machine-checked. Run as `cargo run -p netfence-lint`
+//! (CI adds `--deny-all`), which prints rustc-style diagnostics and writes
+//! a machine-readable JSON report to `target/netfence_lint.json`.
 
 pub mod allow;
-pub mod config;
 pub mod diag;
 pub mod lexer;
 pub mod rules;
@@ -38,7 +33,6 @@ pub mod workspace;
 
 use std::path::Path;
 
-use config::LintConfig;
 use diag::{Diagnostic, Severity};
 use rules::{all_rules, Context, SourceFile, RULE_NAMES};
 use workspace::FileInput;
@@ -77,12 +71,12 @@ impl Report {
 
 /// Analyze a set of in-memory files (the fixture tests drive this
 /// directly; [`check_workspace`] feeds it the real tree).
-pub fn check_files(files: &[FileInput], config: &LintConfig) -> Report {
+pub fn check_files(files: &[FileInput]) -> Report {
     let (docs, sources): (Vec<&FileInput>, Vec<&FileInput>) =
         files.iter().partition(|f| f.path.ends_with(".md"));
     let prepared: Vec<SourceFile> =
         sources.iter().map(|f| SourceFile::prepare(&f.path, &f.source)).collect();
-    let ctx = Context::build(config, &prepared);
+    let ctx = Context::build(&prepared);
     let rules = all_rules();
     let mut diagnostics = Vec::new();
     for file in &prepared {
@@ -100,11 +94,7 @@ pub fn check_files(files: &[FileInput], config: &LintConfig) -> Report {
     Report { diagnostics, files: files.len() }
 }
 
-/// Analyze the workspace rooted at `root` using its `lint.toml`.
+/// Analyze the workspace rooted at `root`.
 pub fn check_workspace(root: &Path) -> Result<Report, String> {
-    let config_text = std::fs::read_to_string(root.join("lint.toml"))
-        .map_err(|e| format!("cannot read {}: {e}", root.join("lint.toml").display()))?;
-    let config = LintConfig::parse(&config_text)?;
-    let files = workspace::discover(root)?;
-    Ok(check_files(&files, &config))
+    workspace::discover(root).map(|files| check_files(&files))
 }

@@ -1,46 +1,26 @@
-//! CLI entry point: `cargo run -p netfence-lint [-- flags]`.
+//! CLI entry point: `cargo run -p netfence-lint [-- --deny-all]`.
 //!
-//! Flags:
-//! * `--deny-all`   — also fail on warnings (unused `lint:allow`s); CI mode.
-//! * `--root PATH`  — workspace root (default: the lint crate's `../..`).
-//! * `--json PATH`  — JSON report path (default `target/netfence_lint.json`).
-//! * `--list-rules` — print the rule taxonomy and exit.
-//! * `--quiet`      — suppress per-diagnostic output, print the summary only.
+//! Analyzes the workspace this crate sits in, prints one rustc-style line
+//! per diagnostic and a summary, and writes the JSON report to
+//! `target/netfence_lint.json`. `--deny-all` (CI mode) also fails on
+//! warnings (unused `lint:allow`s).
 //!
-//! Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut deny_all = false;
-    let mut quiet = false;
-    let mut root: Option<PathBuf> = None;
-    let mut json: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--deny-all" => deny_all = true,
-            "--quiet" => quiet = true,
-            "--root" => root = args.next().map(PathBuf::from),
-            "--json" => json = args.next().map(PathBuf::from),
-            "--list-rules" => {
-                for rule in netfence_lint::rules::RULE_NAMES {
-                    println!("{rule}");
-                }
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("netfence-lint: unknown flag `{other}`");
-                return ExitCode::from(2);
-            }
+    for arg in std::env::args().skip(1) {
+        if arg != "--deny-all" {
+            eprintln!("netfence-lint: unknown flag `{arg}` (the only flag is `--deny-all`)");
+            return ExitCode::from(2);
         }
+        deny_all = true;
     }
-    let root = root.unwrap_or_else(|| {
-        // The lint crate lives at <workspace>/crates/lint.
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest.parent().and_then(|p| p.parent()).map(PathBuf::from).unwrap_or(manifest)
-    });
+    // The lint crate lives at <workspace>/crates/lint.
+    let root = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let report = match netfence_lint::check_workspace(&root) {
         Ok(report) => report,
         Err(e) => {
@@ -49,10 +29,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if !quiet {
-        for d in &report.diagnostics {
-            println!("{}", d.render());
-        }
+    for d in &report.diagnostics {
+        println!("{}", d.render());
     }
     let errors = report.errors();
     let warnings = report.warnings();
@@ -62,7 +40,7 @@ fn main() -> ExitCode {
         report.files
     );
 
-    let json_path = json.unwrap_or_else(|| root.join("target/netfence_lint.json"));
+    let json_path = root.join("target/netfence_lint.json");
     if let Some(dir) = json_path.parent() {
         let _ = std::fs::create_dir_all(dir);
     }

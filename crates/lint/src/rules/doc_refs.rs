@@ -6,15 +6,29 @@
 //! an `a::b::c` path (also the `::c` after an `x.rs`) must be an identifier
 //! of the workspace's Rust sources. `crate`, `self` and `super` segments
 //! are skipped, a path rooted at `std` is not looked at, and a brace group
-//! is not expanded. Files under `[rules.doc-refs] exempt` are not checked.
+//! is not expanded. Files under [`EXEMPT`] are not checked.
 
 use super::Context;
 use crate::diag::Diagnostic;
 use crate::workspace::FileInput;
 
+/// Markdown not resolved against the tree: history (CHANGES.md,
+/// ROADMAP.md and ISSUE.md cite code as it was when written), the frozen
+/// benchmark's own README, and this rule's fixtures (they cite a file only
+/// their test supplies). Workspace-relative prefixes, matched on whole
+/// components by `in_prefix`.
+pub const EXEMPT: [&str; 5] =
+    ["CHANGES.md", "ROADMAP.md", "ISSUE.md", "examples/perf", "crates/lint/fixtures"];
+
+/// Path-prefix test on whole components: `crates/sim` covers
+/// `crates/sim/src/engine.rs` but not `crates/simx/...`.
+fn in_prefix(path: &str, prefix: &str) -> bool {
+    path == prefix || path.strip_prefix(prefix).is_some_and(|rest| rest.starts_with('/'))
+}
+
 pub fn check(docs: &[&FileInput], sources: &[&FileInput], ctx: &Context) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for doc in docs.iter().filter(|d| !ctx.config.path_in("rules.doc-refs", "exempt", &d.path)) {
+    for doc in docs.iter().filter(|d| !EXEMPT.iter().any(|prefix| in_prefix(&d.path, prefix))) {
         for (line, span) in code_spans(&doc.source) {
             let in_word = |c: char| is_ident_char(c) || "./:-".contains(c);
             for word in span.split(|c| !in_word(c)) {
@@ -103,5 +117,18 @@ fn unresolved(path: &str, line: Option<usize>, sources: &[&FileInput]) -> Option
             Some(format!("`{path}:{line}` is past the end of the file ({n} lines)"))
         }
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exempt_prefixes_match_whole_components() {
+        assert!(in_prefix("examples/perf/README.md", "examples/perf"));
+        assert!(in_prefix("CHANGES.md", "CHANGES.md"));
+        assert!(!in_prefix("examples/perfx/README.md", "examples/perf"));
+        assert!(!in_prefix("crates/lint/CHANGES.md", "CHANGES.md"));
     }
 }

@@ -1,30 +1,20 @@
 //! The rule engine: a prepared [`SourceFile`] (token stream, significant
 //! indices, `#[cfg(test)]` shadowing), the workspace-level [`Context`]
-//! (zone config, the cross-module table of functions returning hash
-//! collections and the workspace-wide identifier census), and the five
-//! rules of the taxonomy (`DESIGN.md` §13).
+//! (the workspace-wide identifier census) and the three rules of the
+//! taxonomy (`DESIGN.md` §13).
 
-use crate::config::LintConfig;
 use crate::diag::Diagnostic;
 use crate::lexer::{lex, Tok, TokKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 pub mod doc_refs;
-pub mod iteration;
 pub mod orphan;
 pub mod wallclock;
-pub mod wildcard;
 
 /// Names of every rule, in reporting order. The allow policy findings
 /// (`unjustified-allow`, `unknown-rule`, `unused-allow`) are emitted by
 /// the engine itself, not listed here.
-pub const RULE_NAMES: [&str; 5] = [
-    "nondeterministic-iteration",
-    "wall-clock",
-    "wildcard-defense-match",
-    "orphan-pub-fn",
-    "doc-refs",
-];
+pub const RULE_NAMES: [&str; 3] = ["wall-clock", "orphan-pub-fn", "doc-refs"];
 
 /// One prepared source file.
 pub struct SourceFile {
@@ -32,10 +22,8 @@ pub struct SourceFile {
     pub toks: Vec<Tok>,
     /// Indices of non-comment tokens, in order.
     pub sig: Vec<usize>,
-    /// Per-token: inside an inline `#[cfg(test)] mod` block. Test-only
-    /// code cannot reach an export, so the determinism rules skip it
-    /// (integration tests under `tests/` are separate files and are
-    /// zoned via `lint.toml` instead).
+    /// Per-token: inside an inline `#[cfg(test)] mod` block, which both
+    /// per-file rules skip.
     pub in_test: Vec<bool>,
 }
 
@@ -123,11 +111,6 @@ impl SourceFile {
 
 /// Workspace-level context shared by every rule.
 pub struct Context<'a> {
-    pub config: &'a LintConfig,
-    /// Functions (by name) whose return type mentions a hash collection —
-    /// collected workspace-wide so `for x in access.limiters()` is caught
-    /// across module boundaries.
-    pub hash_fns: BTreeSet<String>,
     /// How often each identifier occurs across every discovered file,
     /// test code included and field and module positions excluded — a
     /// `pub fn` whose name occurs once (its own definition) has no caller
@@ -137,48 +120,18 @@ pub struct Context<'a> {
 }
 
 impl<'a> Context<'a> {
-    pub fn build(config: &'a LintConfig, files: &'a [SourceFile]) -> Context<'a> {
-        let hash_types: BTreeSet<&str> = hash_type_names(config).collect();
-        let mut hash_fns = BTreeSet::new();
+    pub fn build(files: &'a [SourceFile]) -> Context<'a> {
         let mut ident_uses: BTreeMap<&str, u32> = BTreeMap::new();
         for file in files {
-            let s = &file.sig;
-            for k in 0..s.len() {
+            for k in 0..file.sig.len() {
                 let tok = file.tok(k);
                 if tok.kind == TokKind::Ident {
                     let uses = ident_uses.entry(tok.text.as_str()).or_default();
                     *uses += u32::from(!is_field_or_module_position(file, k));
                 }
             }
-            for k in 0..s.len() {
-                if !file.tok(k).is_ident("fn") || k + 1 >= s.len() {
-                    continue;
-                }
-                let name = file.tok(k + 1);
-                if name.kind != TokKind::Ident {
-                    continue;
-                }
-                // Scan the signature up to its body/terminator for a hash
-                // type mentioned after `->`.
-                let mut seen_arrow = false;
-                for j in k + 2..(k + 80).min(s.len()) {
-                    let t = file.tok(j);
-                    if t.is_punct("{") || t.is_punct(";") {
-                        break;
-                    }
-                    if t.is_punct("->") {
-                        seen_arrow = true;
-                    } else if seen_arrow
-                        && t.kind == TokKind::Ident
-                        && hash_types.contains(t.text.as_str())
-                    {
-                        hash_fns.insert(name.text.clone());
-                        break;
-                    }
-                }
-            }
         }
-        Context { config, hash_fns, ident_uses }
+        Context { ident_uses }
     }
 }
 
@@ -201,17 +154,6 @@ fn is_field_or_module_position(file: &SourceFile, k: usize) -> bool {
     (accessed && !called) || next.is_some_and(|t| t.is_punct(":")) || declared || prefix
 }
 
-/// The configured hash-collection type names (default `HashMap`/`HashSet`
-/// and the workspace's fixed-hasher alias `IdMap`).
-pub fn hash_type_names(config: &LintConfig) -> impl Iterator<Item = &str> {
-    let configured = config.list("rules.nondeterministic-iteration", "hash_types");
-    if configured.is_empty() {
-        ["HashMap", "HashSet", "IdMap"].to_vec().into_iter()
-    } else {
-        configured.iter().map(String::as_str).collect::<Vec<_>>().into_iter()
-    }
-}
-
 /// A lint rule.
 pub trait Rule {
     fn name(&self) -> &'static str;
@@ -221,10 +163,5 @@ pub trait Rule {
 /// The per-source-file rules, in [`RULE_NAMES`] order (`doc-refs`, which
 /// reads the Markdown files, runs once per workspace instead).
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(iteration::NondeterministicIteration),
-        Box::new(wallclock::WallClock),
-        Box::new(wildcard::WildcardDefenseMatch),
-        Box::new(orphan::OrphanPubFn),
-    ]
+    vec![Box::new(wallclock::WallClock), Box::new(orphan::OrphanPubFn)]
 }

@@ -3,7 +3,8 @@
 //! (plus the root facade crate's own), and every `.md` file in the tree
 //! (rule `doc-refs`); build output (`target/`) and `.git/` are skipped.
 //! Paths are reported workspace-relative with `/` separators so
-//! `lint.toml` zone prefixes and diagnostics are stable across platforms.
+//! the `doc-refs` exempt prefixes and diagnostics are stable across
+//! platforms.
 
 use std::fs;
 use std::path::{Path, PathBuf};

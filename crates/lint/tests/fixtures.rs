@@ -1,28 +1,14 @@
 //! Golden fixture tests: one failing and one passing fixture per rule
 //! (`fixtures/<rule>/{fail,pass}.rs`, `.md` for `doc-refs`), the
-//! export-zone gate, the acceptance scenario from the issue
-//! (reintroducing hash iteration into
-//! `crates/experiments/src/record.rs` must be flagged under the real
-//! `lint.toml`), the workspace-clean gate itself, and every member's
-//! opt-in to the `[workspace.lints]` that rustc and clippy enforce.
+//! workspace-clean gate itself, every member's opt-in to the
+//! `[workspace.lints]` that rustc and clippy enforce, and the clippy
+//! configuration that carries hash-order iteration and wildcard dispatch.
 
 use std::path::Path;
 
-use netfence_lint::config::LintConfig;
 use netfence_lint::rules::RULE_NAMES;
 use netfence_lint::workspace::{workspace_members, FileInput};
 use netfence_lint::{check_files, check_workspace, Report};
-
-/// The zone config the fixtures are analyzed under: everything is on the
-/// export path and wildcard-protected.
-const FIXTURE_CONFIG: &str = r#"
-[zones]
-export = ["fixtures"]
-wildcard = ["fixtures"]
-
-[rules.doc-refs]
-exempt = ["fixtures/exempt.md"]
-"#;
 
 /// The Rust file the `doc-refs` fixtures cite (five lines).
 const DOC_REFS_TARGET: &str = "struct Simulator;\n\nimpl Simulator {\n    fn run(&self) {}\n}\n";
@@ -33,13 +19,12 @@ fn fixture_source(rule: &str, which: &str) -> String {
         .join("fixtures")
         .join(rule)
         .join(format!("{which}.{ext}"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+    read(&path)
 }
 
-/// Analyze one fixture under `FIXTURE_CONFIG` at a virtual `path` (a
-/// `doc-refs` fixture beside the Rust file it cites).
+/// Analyze one fixture at a virtual `path` (a `doc-refs` fixture beside
+/// the Rust file it cites).
 fn check_fixture(rule: &str, which: &str, path: &str) -> Report {
-    let config = LintConfig::parse(FIXTURE_CONFIG).unwrap();
     let mut files = vec![FileInput { path: path.to_string(), source: fixture_source(rule, which) }];
     if rule == "doc-refs" {
         files.push(FileInput {
@@ -47,7 +32,7 @@ fn check_fixture(rule: &str, which: &str, path: &str) -> Report {
             source: DOC_REFS_TARGET.to_string(),
         });
     }
-    check_files(&files, &config)
+    check_files(&files)
 }
 
 fn unsuppressed<'a>(report: &'a Report, rule: &str) -> Vec<&'a netfence_lint::diag::Diagnostic> {
@@ -113,71 +98,16 @@ fn an_accessor_named_like_its_module_is_an_orphan() {
 }
 
 /// Every stale reference of `fail.md` is reported once, on its own line,
-/// and an exempt Markdown file is not read at all.
+/// and an exempt Markdown file (the rule's own fixtures) is not read at
+/// all.
 #[test]
 fn doc_refs_reports_each_stale_reference() {
     let rule = "doc-refs";
     let fail = check_fixture(rule, "fail", "fixtures/doc-refs/fail.md");
     let lines: Vec<u32> = unsuppressed(&fail, rule).iter().map(|d| d.line).collect();
     assert_eq!(lines, [5, 6, 7, 8, 9], "{}", render(&fail));
-    let exempt = check_fixture(rule, "fail", "fixtures/exempt.md");
+    let exempt = check_fixture(rule, "fail", "crates/lint/fixtures/doc-refs/fail.md");
     assert!(unsuppressed(&exempt, rule).is_empty(), "{}", render(&exempt));
-}
-
-/// Outside the export zone the iteration rule stays quiet (the file is
-/// not on any path that feeds a `Record`).
-#[test]
-fn export_zone_gates_iteration() {
-    let config = LintConfig::parse("[zones]\nexport = [\"fixtures\"]\n").unwrap();
-    let files = [FileInput {
-        path: "elsewhere/fail.rs".to_string(),
-        source: fixture_source("nondeterministic-iteration", "fail"),
-    }];
-    let report = check_files(&files, &config);
-    assert!(unsuppressed(&report, "nondeterministic-iteration").is_empty());
-}
-
-/// The workspace's fixed-hasher `IdMap` alias is policed like the
-/// `HashMap` it aliases: both iteration sites fire, the keyed lookup does
-/// not, and the sorted-under-allow form stays clean.
-#[test]
-fn id_map_alias_is_policed_like_a_hash_map() {
-    let rule = "nondeterministic-iteration";
-    let fail = check_fixture(rule, "alias_fail", "fixtures/alias_fail.rs");
-    assert_eq!(unsuppressed(&fail, rule).len(), 2, "{}", render(&fail));
-    let pass = check_fixture(rule, "alias_pass", "fixtures/alias_pass.rs");
-    assert_eq!((pass.errors(), pass.warnings()), (0, 0), "{}", render(&pass));
-}
-
-/// The issue's acceptance scenario: deliberately reintroduce a HashMap
-/// iteration into `crates/experiments/src/record.rs` and analyze it
-/// under the repository's real `lint.toml` — the gate must fail.
-#[test]
-fn reintroduced_hash_iteration_in_record_rs_is_flagged() {
-    let root = workspace_root();
-    let config_text = std::fs::read_to_string(root.join("lint.toml")).unwrap();
-    let config = LintConfig::parse(&config_text).unwrap();
-    let regression = r#"
-use std::collections::HashMap;
-
-pub fn summarize(per_flow: &HashMap<u64, u64>) -> Vec<(u64, u64)> {
-    let mut rows = Vec::new();
-    for (flow, bytes) in per_flow.iter() {
-        rows.push((*flow, *bytes));
-    }
-    rows
-}
-"#;
-    let files = [FileInput {
-        path: "crates/experiments/src/record.rs".to_string(),
-        source: regression.to_string(),
-    }];
-    let report = check_files(&files, &config);
-    assert!(
-        !unsuppressed(&report, "nondeterministic-iteration").is_empty(),
-        "record.rs regression was not flagged:\n{}",
-        render(&report)
-    );
 }
 
 /// An allow comment with an empty reason is itself an error, and an
@@ -185,11 +115,10 @@ pub fn summarize(per_flow: &HashMap<u64, u64>) -> Vec<(u64, u64)> {
 /// to silently disable the gate.
 #[test]
 fn allow_policy_is_enforced_on_fixtures() {
-    let config = LintConfig::parse(FIXTURE_CONFIG).unwrap();
     let source =
         "// lint:allow(wall-clock):\n// lint:allow(no-such-rule): because\npub fn f() {}\n";
     let files = [FileInput { path: "fixtures/policy.rs".to_string(), source: source.to_string() }];
-    let report = check_files(&files, &config);
+    let report = check_files(&files);
     assert!(!unsuppressed(&report, "unjustified-allow").is_empty(), "{}", render(&report));
     assert!(!unsuppressed(&report, "unknown-rule").is_empty(), "{}", render(&report));
 }
@@ -207,25 +136,70 @@ fn workspace_is_clean() {
     assert!(offending.is_empty(), "workspace not lint-clean:\n{}", offending.join("\n"));
 }
 
-/// Every member inherits `[workspace.lints]`: `unsafe_code = "forbid"`
-/// and the `#[expect(…, reason = "…")]` waiver policy. A crate that
-/// forgets the opt-in would admit `unsafe` without a word from rustc.
+/// Every member inherits `[workspace.lints]`: `unsafe_code = "forbid"`,
+/// `iter_over_hash_type` and the `#[expect(…, reason = "…")]` waiver
+/// policy. A crate that forgets the opt-in would admit `unsafe` without a
+/// word from rustc.
 #[test]
 fn every_member_inherits_the_workspace_lints() {
     let root = workspace_root();
-    let members = workspace_members(&std::fs::read_to_string(root.join("Cargo.toml")).unwrap());
+    let members = workspace_members(&read(&root.join("Cargo.toml")));
     assert!(!members.is_empty());
     for member in members {
-        let manifest = std::fs::read_to_string(root.join(&member).join("Cargo.toml")).unwrap();
-        let mut section = "";
-        let opted_in = manifest.lines().map(str::trim).any(|line| {
-            if line.starts_with('[') {
-                section = line;
-            }
-            section == "[lints]" && line.replace(' ', "") == "workspace=true"
-        });
-        assert!(opted_in, "{member}/Cargo.toml lacks `[lints] workspace = true`");
+        let manifest = read(&root.join(&member).join("Cargo.toml"));
+        assert!(
+            has_setting(&manifest, "[lints]", "workspace=true"),
+            "{member}/Cargo.toml lacks `[lints] workspace = true`"
+        );
     }
+}
+
+/// Hash-order iteration and wildcard dispatch are clippy's, with real
+/// types: both manifests deny `iter_over_hash_type` (`for` loops), the
+/// old wildcard zone's crate roots deny `wildcard_enum_match_arm`, and
+/// `clippy.toml` disallows every hash-iteration method (method chains).
+#[test]
+fn clippy_denies_hash_iteration_and_wildcard_dispatch() {
+    let root = workspace_root();
+    let manifest = read(&root.join("Cargo.toml"));
+    for section in ["[workspace.lints.clippy]", "[lints.clippy]"] {
+        assert!(
+            has_setting(&manifest, section, "iter_over_hash_type=\"deny\""),
+            "Cargo.toml's {section} does not deny `iter_over_hash_type`"
+        );
+    }
+    for krate in ["systems", "experiments"] {
+        let lib = read(&root.join("crates").join(krate).join("src/lib.rs"));
+        assert!(
+            lib.lines().any(|l| l.starts_with("#![deny(") && l.contains("wildcard_enum_match_arm")),
+            "crates/{krate}/src/lib.rs does not deny `clippy::wildcard_enum_match_arm`"
+        );
+    }
+    let clippy = read(&root.join("clippy.toml"));
+    let methods = clippy.split_once("disallowed-methods = [").map_or("", |(_, rest)| rest);
+    let methods = methods.split("\n]").next().unwrap_or("");
+    let map = ["iter", "iter_mut", "keys", "values", "values_mut", "drain"];
+    let map = map.into_iter().chain(["into_keys", "into_values", "retain"]).map(|m| ("HashMap", m));
+    let set = ["iter", "drain", "retain"].map(|m| ("HashSet", m));
+    for (ty, method) in map.chain(set) {
+        let path = format!("path = \"std::collections::{ty}::{method}\"");
+        assert!(methods.contains(&path), "clippy.toml does not disallow `{ty}::{method}`");
+    }
+}
+
+/// Whether `manifest` holds `setting` (spaces ignored) in `section`.
+fn has_setting(manifest: &str, section: &str, setting: &str) -> bool {
+    let mut current = "";
+    manifest.lines().map(str::trim).any(|line| {
+        if line.starts_with('[') {
+            current = line;
+        }
+        current == section && line.replace(' ', "") == setting
+    })
+}
+
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
 fn workspace_root() -> std::path::PathBuf {

@@ -21,6 +21,9 @@
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Dispatch names every variant: a new defense or drop cause must not fall
+// silently into a `_` arm (DESIGN.md §13).
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod fq;
 pub mod headers;

@@ -338,7 +338,10 @@ impl RouterAgent for NetFenceRouterAgent {
         // never observe iteration order).
         if let Some(access) = &self.access {
             let mut rates: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-            // lint:allow(nondeterministic-iteration): aggregated through the BTreeMap above — rows emit in sorted key order
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "aggregated through the BTreeMap above: rows emit in sorted key order"
+            )]
             for (key, lim) in access.limiters() {
                 rates.insert((key.src.0, key.link.0), lim.rate());
             }

@@ -80,5 +80,10 @@ fn the_same_insert_sequence_iterates_identically() {
         map
     };
     let (a, b) = (build(), build());
-    assert!(a.iter().eq(b.iter()), "no per-process or per-map seed may reach the order");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test compares two maps' hash order on purpose: the order must repeat"
+    )]
+    let same_order = a.iter().eq(b.iter());
+    assert!(same_order, "no per-process or per-map seed may reach the order");
 }
