@@ -12,13 +12,13 @@ use super::Context;
 use crate::diag::Diagnostic;
 use crate::workspace::FileInput;
 
-/// Markdown not resolved against the tree: history (CHANGES.md,
-/// ROADMAP.md and ISSUE.md cite code as it was when written), the frozen
+/// Markdown not resolved against the tree: the change log and planning
+/// documents (they cite code as it was when written), the frozen
 /// benchmark's own README, and this rule's fixtures (they cite a file only
-/// their test supplies). Workspace-relative prefixes, matched on whole
-/// components by `in_prefix`.
-pub const EXEMPT: [&str; 5] =
-    ["CHANGES.md", "ROADMAP.md", "ISSUE.md", "examples/perf", "crates/lint/fixtures"];
+/// their test supplies). Workspace-relative prefixes, one a line of
+/// `crates/lint/doc_refs_exempt.txt`, matched on whole components by
+/// `in_prefix`.
+pub const EXEMPT: &str = include_str!("../../doc_refs_exempt.txt");
 
 /// Path-prefix test on whole components: `crates/sim` covers
 /// `crates/sim/src/engine.rs` but not `crates/simx/...`.
@@ -28,7 +28,7 @@ fn in_prefix(path: &str, prefix: &str) -> bool {
 
 pub fn check(docs: &[&FileInput], sources: &[&FileInput], ctx: &Context) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for doc in docs.iter().filter(|d| !EXEMPT.iter().any(|prefix| in_prefix(&d.path, prefix))) {
+    for doc in docs.iter().filter(|d| !EXEMPT.lines().any(|prefix| in_prefix(&d.path, prefix))) {
         for (line, span) in code_spans(&doc.source) {
             let in_word = |c: char| is_ident_char(c) || "./:-".contains(c);
             for word in span.split(|c| !in_word(c)) {
