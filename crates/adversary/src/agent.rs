@@ -230,16 +230,6 @@ fn trough_rate(peak_bps: u64) -> u64 {
 }
 
 impl Flow for AdversaryFlow {
-    fn id(&self) -> FlowId {
-        self.inner.id()
-    }
-    fn src(&self) -> HostAddr {
-        self.inner.src()
-    }
-    fn dst(&self) -> HostAddr {
-        self.inner.dst()
-    }
-
     fn start(&mut self, now: Nanos, out: &mut FlowActions) {
         self.inner.start(now, out);
         match &self.plan {
@@ -285,9 +275,15 @@ mod tests {
     use netfence_sim::time::SEC;
 
     /// Drive an agent's own timers without a network, recording every
-    /// emitted packet as `(time, dst, size)` and, optionally, looping each
-    /// packet straight back to its destination ("ideal delivery").
-    fn drive(f: &mut dyn Flow, until: Nanos, deliver: bool) -> Vec<(Nanos, HostAddr, usize)> {
+    /// packet it emits from `src` as `(time, dst, size)` and, optionally,
+    /// looping each packet straight back to its destination ("ideal
+    /// delivery").
+    fn drive(
+        f: &mut dyn Flow,
+        src: HostAddr,
+        until: Nanos,
+        deliver: bool,
+    ) -> Vec<(Nanos, HostAddr, usize)> {
         let mut timers = FlowActions::of(|a| f.start(0, a)).timers;
         let mut sent = Vec::new();
         while let Some(pos) = timers.iter().enumerate().min_by_key(|(_, (t, _))| *t).map(|(i, _)| i)
@@ -300,7 +296,7 @@ mod tests {
             for pkt in &acts.packets {
                 // Record only forward packets; the receiver-side feedback
                 // echo travels dst→src and is not attack traffic.
-                if pkt.src != f.src() {
+                if pkt.src != src {
                     continue;
                 }
                 sent.push((now, pkt.dst, pkt.size));
@@ -328,7 +324,7 @@ mod tests {
             c.aimd_interval = 2 * SEC;
             c
         });
-        let sent = drive(agent.as_mut(), 10 * SEC, false);
+        let sent = drive(agent.as_mut(), 1, 10 * SEC, false);
         assert!(!sent.is_empty());
         // Every packet lands in the first quarter of a 2 s cycle.
         for (at, _, _) in &sent {
@@ -340,7 +336,7 @@ mod tests {
     fn rolling_walks_the_target_ring() {
         let strategy = AttackStrategy::Rolling { rate_bps: 1_000_000, dwell: SEC };
         let mut agent = strategy.build_flow(0, 1, 100, || ctx(7));
-        let sent = drive(agent.as_mut(), (3 * SEC) + SEC / 2, false);
+        let sent = drive(agent.as_mut(), 1, (3 * SEC) + SEC / 2, false);
         let dsts: Vec<HostAddr> = sent.iter().map(|&(_, d, _)| d).collect();
         // First second at the spawn target, then one ring hop per dwell,
         // wrapping back to the start.
@@ -356,7 +352,7 @@ mod tests {
         // Ideal delivery: every candidate scores, the plain victim flood
         // delivers the most (churn idles 80% of the time), so the agent
         // commits to flooding the victim.
-        let sent = drive(agent.as_mut(), 20 * SEC, true);
+        let sent = drive(agent.as_mut(), 1, 20 * SEC, true);
         let tail: Vec<&(Nanos, HostAddr, usize)> =
             sent.iter().filter(|&&(at, _, _)| at > 10 * SEC).collect();
         assert!(!tail.is_empty());
@@ -369,7 +365,7 @@ mod tests {
     fn flash_mimic_ramps_to_peak_and_decays() {
         let strategy = AttackStrategy::FlashMimic { peak_bps: 8_000_000, ramp: 2 * SEC, hold: SEC };
         let mut agent = strategy.build_flow(0, 1, 100, || ctx(7));
-        let sent = drive(agent.as_mut(), 8 * SEC, false);
+        let sent = drive(agent.as_mut(), 1, 8 * SEC, false);
         // Bucket packet counts per half second: the surge makes some
         // buckets far denser than the trough ones.
         let mut buckets = [0u32; 16];

@@ -19,6 +19,7 @@
 use netfence_adversary::StrategyCtx;
 use netfence_ctrl::prelude::{CtrlConfig, CtrlService};
 use netfence_sim::prelude::*;
+use netfence_systems::Deployed;
 use netfence_topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
 
 use crate::defense::{DefenseContext, SuppressionGroup};
@@ -81,11 +82,11 @@ impl Runner {
         self.run_edited(|_, _| {})
     }
 
-    /// [`Runner::run`] with `edit` applied to the deployment before it moves
-    /// into the simulator (a differential test re-plans queues through it).
-    pub fn run_edited(&self, edit: impl FnOnce(&Network, &mut Deployment)) -> Record {
-        let built = self.build_topo();
-        self.run_built(built, edit).0
+    /// [`Runner::run`] with `edit` applied to the deployment's queue plan
+    /// before it moves into the simulator (a differential test re-plans
+    /// queues through it).
+    pub fn run_edited(&self, edit: impl FnOnce(&Network, &mut QueuePlan)) -> Record {
+        self.run_built(edit).0
     }
 
     /// Like [`Runner::run`] but also returns the run's [`TelemetryDump`]
@@ -93,8 +94,7 @@ impl Runner {
     /// unless the spec enabled telemetry via
     /// [`ScenarioSpec::traced`](crate::spec::ScenarioSpec::traced).
     pub fn run_with_telemetry(&self) -> (Record, TelemetryDump) {
-        let built = self.build_topo();
-        self.run_built(built, |_, _| {})
+        self.run_built(|_, _| {})
     }
 
     /// Map the scenario onto a `netfence-topo` [`TopoSpec`] and build it.
@@ -152,19 +152,14 @@ impl Runner {
         }
     }
 
-    /// Deploy, spawn, simulate and collect one built topology.
-    fn run_built(
-        &self,
-        built: BuiltTopo,
-        edit: impl FnOnce(&Network, &mut Deployment),
-    ) -> (Record, TelemetryDump) {
+    /// Build the topology (once), deploy the spec's defense on it, then
+    /// simulate it with the deployment's own agent types.
+    fn run_built(&self, edit: impl FnOnce(&Network, &mut QueuePlan)) -> (Record, TelemetryDump) {
         let spec = &self.spec;
-        let senders = built.senders();
-        let BuiltTopo { net, groups, bottlenecks, source_ases, competing_senders } = built;
-        let bottleneck_bps = bottlenecks.iter().map(|b| b.bps).min().unwrap_or(0);
-
-        let ctx = DefenseContext {
-            groups: groups
+        let built = self.build_topo();
+        let defense = spec.defense.build(&DefenseContext {
+            groups: built
+                .groups
                 .iter()
                 .map(|g| SuppressionGroup {
                     victim: g.victim,
@@ -172,13 +167,31 @@ impl Runner {
                     attackers: &g.attackers,
                 })
                 .collect(),
-            bottleneck_bps,
+            bottleneck_bps: built.min_bottleneck_bps(),
             attack_on_victim: spec.attack_target == AttackTarget::Victim,
-        };
-        let defense = spec.defense.build(&ctx);
-        let resolved = spec.defense.deployment.resolve_for_source_ases(&net, &source_ases);
-        let mut deployment = defense.deploy(&net, &resolved);
-        edit(&net, &mut deployment);
+        });
+        let resolved =
+            spec.defense.deployment.resolve_for_source_ases(&built.net, &built.source_ases);
+        match defense.deploy(&built.net, &resolved) {
+            Deployed::Plain(d) => self.simulate(built, d, edit),
+            Deployed::StopIt(d) => self.simulate(built, d, edit),
+            Deployed::Tva(d) => self.simulate(built, d, edit),
+            Deployed::NetFence(d) => self.simulate(built, d, edit),
+        }
+    }
+
+    /// Spawn, simulate and collect one built topology under `deployment`.
+    fn simulate<H: HostShim, R: RouterAgent>(
+        &self,
+        built: BuiltTopo,
+        mut deployment: Deployment<H, R>,
+        edit: impl FnOnce(&Network, &mut QueuePlan),
+    ) -> (Record, TelemetryDump) {
+        let spec = &self.spec;
+        let senders = built.senders();
+        let bottleneck_bps = built.min_bottleneck_bps();
+        let BuiltTopo { net, groups, bottlenecks, competing_senders, .. } = built;
+        edit(&net, &mut deployment.queues);
         // Resolve the fault plan against the network before it moves into
         // the simulator. Compilation draws from its own RNG substream and
         // the empty plan compiles to zero events, so fault-free runs stay

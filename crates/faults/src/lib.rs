@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use netfence_sim::deploy::RouterFault;
+use netfence_sim::deploy::{HostShim, RouterAgent, RouterFault};
 use netfence_sim::engine::{FaultAction, Simulator};
 use netfence_sim::packet::HostAddr;
 use netfence_sim::rng::SimRng;
@@ -371,7 +371,7 @@ pub struct CompiledFaults {
 impl CompiledFaults {
     /// Hand every compiled event to the simulator. An empty compilation
     /// schedules nothing at all.
-    pub fn schedule(&self, sim: &mut Simulator) {
+    pub fn schedule<H: HostShim, R: RouterAgent>(&self, sim: &mut Simulator<H, R>) {
         for e in &self.events {
             sim.schedule_fault(e.at, e.action);
         }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use crate::deploy::RouterAgent;
+use crate::deploy::{agent_at, RouterAgent};
 use crate::packet::{AsNum, HostAddr};
 use crate::time::Nanos;
 use crate::topology::{HostEntry, HostTable, Network, NodeId};
@@ -142,10 +142,10 @@ impl ControlPlane {
     /// time, for [`ControlPlane::deliver`] then; a lost one is counted. A
     /// generous round bound turns an agent pair ping-ponging messages at a
     /// frozen timestamp into a diagnosable panic instead of a silent hang.
-    pub(crate) fn drain(
+    pub(crate) fn drain<R: RouterAgent>(
         &mut self,
         now: Nanos,
-        routers: &mut [Option<Box<dyn RouterAgent>>],
+        routers: &mut [Option<Box<R>>],
         mut defer: impl FnMut(Nanos, ControlMsg),
     ) {
         const MAX_ROUNDS: usize = 10_000;
@@ -180,13 +180,13 @@ impl ControlPlane {
 
     /// Hand one message to its destination router's agent, or count it as
     /// undeliverable at a legacy router.
-    pub(crate) fn deliver(
+    pub(crate) fn deliver<R: RouterAgent>(
         &mut self,
         now: Nanos,
-        routers: &mut [Option<Box<dyn RouterAgent>>],
+        routers: &mut [Option<Box<R>>],
         msg: ControlMsg,
     ) {
-        match routers[msg.to.0].as_mut() {
+        match agent_at(routers, msg.to) {
             Some(agent) => {
                 self.delivered += 1;
                 agent.on_control(now, msg.payload, self);

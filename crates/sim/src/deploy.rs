@@ -9,12 +9,9 @@
 //!
 //! * a defense (`netfence_systems::Defense`) deploys onto a [`Network`]
 //!   according to a [`DeploymentSpec`] (which ASes adopt), producing a
-//!   [`Deployment`];
-//! * a [`Deployment`] holds dense per-node agents — one optional
-//!   [`HostShim`] per host node, one optional [`RouterAgent`] per router
-//!   node — plus a sparse per-link queue plan and a [`ControlPlane`] message
-//!   bus for out-of-band coordination (the two [`ControlPayload`]s:
-//!   Passport key announcements and StopIt filter requests);
+//!   [`Deployment`] typed by its one [`HostShim`] and one [`RouterAgent`]
+//!   type: per-node agent slots, a sparse [`QueuePlan`] and a
+//!   [`ControlPlane`] bus for the two [`ControlPayload`]s;
 //! * nodes *without* an agent are legacy nodes: their hosts send plain
 //!   packets and their routers forward blindly, which is how partial
 //!   (incremental) deployment scenarios are expressed;
@@ -22,8 +19,8 @@
 //!   into one typed [`DefenseReport`]; drops are counted once, by the
 //!   engine's drop ledger, which fills the report's drop fields.
 //!
-//! The engine indexes agents by dense node id and links by dense link
-//! index, so the per-packet fast path never hashes.
+//! The engine indexes agents by node id and links by link index, so the
+//! per-packet fast path never hashes.
 
 use netfence_telemetry::{DropBudget, DropCause, Timeline};
 
@@ -424,23 +421,36 @@ impl DefenseReport {
 // Deployment
 // ---------------------------------------------------------------------------
 
-/// A defense deployed onto a network: dense per-node agents, a sparse
-/// queue plan and the control-plane bus, ready to be moved into a
-/// [`Simulator`](crate::engine::Simulator).
-#[derive(Debug, Default)]
-pub struct Deployment {
+/// `(link index, discipline)` for every link whose topology-declared default
+/// a defense replaces, ascending by link index. Sparse: most links keep
+/// their default.
+pub type QueuePlan = Vec<(usize, Box<dyn QueueDisc>)>;
+
+/// The agent type of a node that runs no defense: uninhabited, so an
+/// `Option<Legacy>` slot is zero bytes (the undefended baseline and FQ).
+#[derive(Debug)]
+pub enum Legacy {}
+
+impl HostShim for Legacy {}
+
+impl RouterAgent for Legacy {}
+
+/// A defense deployed onto a network — per-node agents of its one host-shim
+/// type `H` and router-agent type `R`, a queue plan and the control-plane
+/// bus — ready to be moved into a [`Simulator`](crate::engine::Simulator).
+#[derive(Debug)]
+pub struct Deployment<H = Legacy, R = Legacy> {
     /// Short defense name.
     pub name: &'static str,
-    /// One optional host shim per node (host nodes only; router slots stay
-    /// `None`).
-    pub hosts: Vec<Option<Box<dyn HostShim>>>,
-    /// One optional router agent per node.
-    pub routers: Vec<Option<Box<dyn RouterAgent>>>,
-    /// The queue plan: `(link index, discipline)` for every link whose
-    /// topology-declared default the defense replaces, ascending by link
-    /// index. Sparse — most links keep their default — and taken by the
-    /// simulator when it builds its per-link state.
-    pub queues: Vec<(usize, Box<dyn QueueDisc>)>,
+    /// One optional host shim per node, inline (host nodes only; router
+    /// slots stay `None`).
+    pub hosts: Vec<Option<H>>,
+    /// One optional router agent per node, boxed (an agent can be a
+    /// kilobyte, a slot is a pointer); empty until the first is installed.
+    pub routers: Vec<Option<Box<R>>>,
+    /// The queue plan, taken by the simulator when it builds its per-link
+    /// state.
+    pub queues: QueuePlan,
     /// The out-of-band coordination bus. Messages queued here at deploy
     /// time (e.g. key announcements) are delivered when the simulator is
     /// constructed.
@@ -451,21 +461,23 @@ pub struct Deployment {
     pub total_ases: usize,
 }
 
-impl Deployment {
+impl<H: HostShim, R: RouterAgent> Deployment<H, R> {
     /// Start building a deployment for `net`: no agents, default queues.
-    pub fn builder<'a>(net: &'a Network, name: &'static str) -> DeploymentBuilder<'a> {
+    pub fn builder<'a>(net: &'a Network, name: &'static str) -> DeploymentBuilder<'a, H, R> {
         let deployment = Deployment {
             name,
             hosts: (0..net.nodes.len()).map(|_| None).collect(),
-            routers: (0..net.nodes.len()).map(|_| None).collect(),
+            routers: Vec::new(),
+            queues: Vec::new(),
             bus: ControlPlane::for_network(net),
-            ..Deployment::default()
+            deployed_ases: 0,
+            total_ases: 0,
         };
         DeploymentBuilder { net, deployment }
     }
 
     /// The empty deployment: a pure legacy network with default queues.
-    pub fn undefended(net: &Network) -> Deployment {
+    pub fn undefended(net: &Network) -> Self {
         Deployment::builder(net, "none").build()
     }
 
@@ -496,51 +508,56 @@ impl Deployment {
     }
 }
 
-/// Assembles a [`Deployment`] (used by each defense's `deploy`).
-#[derive(Debug)]
-pub struct DeploymentBuilder<'a> {
-    net: &'a Network,
-    deployment: Deployment,
+/// The agent of the router at `node` in [`Deployment::routers`], if any.
+pub(crate) fn agent_at<R>(routers: &mut [Option<Box<R>>], node: NodeId) -> Option<&mut R> {
+    routers.get_mut(node.0).and_then(Option::as_deref_mut)
 }
 
-impl<'a> DeploymentBuilder<'a> {
+/// Assembles a [`Deployment`] (used by each defense's `deploy`).
+#[derive(Debug)]
+pub struct DeploymentBuilder<'a, H = Legacy, R = Legacy> {
+    net: &'a Network,
+    deployment: Deployment<H, R>,
+}
+
+impl<H: HostShim, R: RouterAgent> DeploymentBuilder<'_, H, R> {
     /// Install a shim on the host with address `host`.
-    pub fn host_shim(&mut self, host: HostAddr, shim: Box<dyn HostShim>) -> &mut Self {
+    pub fn host_shim(&mut self, host: HostAddr, shim: H) {
         let node = self.net.host_node(host);
         self.deployment.hosts[node.0] = Some(shim);
-        self
     }
 
     /// Install an agent on the router at `node`.
-    pub fn router_agent(&mut self, node: NodeId, agent: Box<dyn RouterAgent>) -> &mut Self {
-        self.deployment.routers[node.0] = Some(agent);
-        self
+    pub fn router_agent(&mut self, node: NodeId, agent: R) {
+        let routers = &mut self.deployment.routers;
+        if routers.is_empty() {
+            routers.resize_with(self.net.nodes.len(), || None);
+        }
+        routers[node.0] = Some(Box::new(agent));
     }
 
     /// Replace the default queue discipline of link `link`. Links are
     /// planned in ascending index order (the order [`DeployMap::links`]
     /// yields them), which is what lets the simulator merge the plan with
     /// the defaults in one pass.
-    pub fn queue(&mut self, link: usize, queue: Box<dyn QueueDisc>) -> &mut Self {
+    pub fn queue(&mut self, link: usize, queue: Box<dyn QueueDisc>) {
         let queues = &mut self.deployment.queues;
         assert!(
             queues.last().is_none_or(|&(last, _)| last < link) && link < self.net.links.len(),
             "queue plan must name existing links in ascending order (link {link})"
         );
         queues.push((link, queue));
-        self
     }
 
     /// Record the deployment extent for the report.
-    pub fn ases(&mut self, deployed: usize, total: usize) -> &mut Self {
+    pub fn ases(&mut self, deployed: usize, total: usize) {
         self.deployment.deployed_ases = deployed;
         self.deployment.total_ases = total;
-        self
     }
 
     /// Finish the deployment.
-    pub fn build(&mut self) -> Deployment {
-        std::mem::take(&mut self.deployment)
+    pub fn build(self) -> Deployment<H, R> {
+        self.deployment
     }
 }
 
@@ -613,7 +630,7 @@ mod tests {
     #[test]
     fn undefended_deployment_reports_empty() {
         let net = net();
-        let d = Deployment::undefended(&net);
+        let d: Deployment = Deployment::undefended(&net);
         let r = d.report();
         assert_eq!(r.name, "none");
         assert_eq!(r.host_shims, 0);

@@ -18,13 +18,12 @@
 //! 4. at the destination host the receiver shim sees it first, then the
 //!    owning flow (which may answer with ACKs, echoes, …).
 //!
-//! Agents are indexed by dense node id and links by dense index — the
-//! per-packet fast path never hashes to find a defense agent. Out-of-band
+//! Agents are indexed by node id and links by index, and are of the one
+//! type the defense installs — the per-packet fast path neither hashes nor
+//! dispatches dynamically to find and call a defense agent. Out-of-band
 //! coordination (key exchange, filter requests) travels on the deployment's
 //! [`ControlPlane`] bus, drained after every event.
 //!
-//! [`HostShim::on_send`]: crate::deploy::HostShim::on_send
-//! [`RouterAgent::at_router`]: crate::deploy::RouterAgent::at_router
 //! [`ControlPlane`]: crate::control::ControlPlane
 
 use netfence_telemetry::{
@@ -32,7 +31,10 @@ use netfence_telemetry::{
 };
 
 use crate::control::ControlMsg;
-use crate::deploy::{DefenseReport, Deployment, LinkRef, RouterAction, RouterFault};
+use crate::deploy::{
+    agent_at, DefenseReport, Deployment, HostShim, Legacy, LinkRef, RouterAction, RouterAgent,
+    RouterFault,
+};
 use crate::event_queue::EventQueue;
 use crate::flow::{Flow, FlowActions, FlowProgress};
 use crate::metrics::Metrics;
@@ -159,14 +161,15 @@ enum EventKind {
     },
 }
 
-/// The simulator.
-pub struct Simulator {
+/// The simulator, typed by the one host-shim type `H` and router-agent type
+/// `R` of the defense it runs ([`Legacy`] when it runs none).
+pub struct Simulator<H = Legacy, R = Legacy> {
     /// Engine configuration.
     pub cfg: SimConfig,
     /// The static network.
     pub net: Network,
     /// The deployed defense under test.
-    pub deployment: Deployment,
+    pub deployment: Deployment<H, R>,
     /// Collected counters.
     pub metrics: Metrics,
     /// Gated time-series probes (disabled unless
@@ -191,7 +194,7 @@ pub struct Simulator {
     flow_samples: Vec<(Nanos, Vec<u64>)>,
 }
 
-impl std::fmt::Debug for Simulator {
+impl<H, R> std::fmt::Debug for Simulator<H, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
@@ -203,10 +206,18 @@ impl std::fmt::Debug for Simulator {
 }
 
 impl Simulator {
+    /// A simulator with no defense deployed anywhere.
+    pub fn undefended(net: Network, cfg: SimConfig) -> Self {
+        let deployment = Deployment::undefended(&net);
+        Simulator::new(net, deployment, cfg)
+    }
+}
+
+impl<H: HostShim, R: RouterAgent> Simulator<H, R> {
     /// Create a simulator for `net` with the defense `deployment` installed.
     /// Control-plane messages queued at deploy time (key announcements) are
     /// delivered before the first event.
-    pub fn new(net: Network, mut deployment: Deployment, cfg: SimConfig) -> Self {
+    pub fn new(net: Network, mut deployment: Deployment<H, R>, cfg: SimConfig) -> Self {
         assert_eq!(
             deployment.hosts.len(),
             net.nodes.len(),
@@ -246,12 +257,6 @@ impl Simulator {
         // anything moves.
         sim.drain_control();
         sim
-    }
-
-    /// A simulator with no defense deployed anywhere.
-    pub fn undefended(net: Network, cfg: SimConfig) -> Self {
-        let deployment = Deployment::undefended(&net);
-        Simulator::new(net, deployment, cfg)
     }
 
     /// Current simulated time.
@@ -405,7 +410,7 @@ impl Simulator {
             EventKind::ReleaseDelayed { node, out_link, mut pkt } => {
                 self.metrics.profile.release_events += 1;
                 let Deployment { routers, bus, .. } = &mut self.deployment;
-                if let Some(agent) = routers[node.0].as_mut() {
+                if let Some(agent) = agent_at(routers, node) {
                     agent.on_delayed_release(self.now, &mut pkt, bus);
                 }
                 self.enqueue_on_link(out_link, pkt);
@@ -432,7 +437,7 @@ impl Simulator {
                 FaultAction::Router { node, fault } => {
                     self.mark_fault(fault.label(), node, None);
                     let Deployment { routers, bus, .. } = &mut self.deployment;
-                    if let Some(agent) = routers[node.0].as_mut() {
+                    if let Some(agent) = agent_at(routers, node) {
                         agent.on_fault(self.now, fault, bus);
                     }
                 }
@@ -585,18 +590,16 @@ impl Simulator {
         }
         let link = LinkRef { index: out_link, addr: self.net.links[out_link].addr };
         let Deployment { routers, bus, .. } = &mut self.deployment;
-        let had_agent = routers[node.0].is_some();
-        let action = match routers[node.0].as_mut() {
+        let action = match agent_at(routers, node) {
             Some(agent) => {
                 let is_access = self.net.hosts[pkt.src_row].router() == node;
-                agent.at_router(self.now, is_access, link, &mut pkt, bus)
+                let action = agent.at_router(self.now, is_access, link, &mut pkt, bus);
+                self.trace_hop(pkt.id, pkt.flow, node, Some(out_link), HopStage::Verdict, None);
+                action
             }
             // A legacy router forwards blindly.
             None => RouterAction::Forward,
         };
-        if had_agent {
-            self.trace_hop(pkt.id, pkt.flow, node, Some(out_link), HopStage::Verdict, None);
-        }
         match action {
             RouterAction::Forward => self.enqueue_on_link(out_link, pkt),
             RouterAction::Delay { release_at } => {
@@ -611,7 +614,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::control::{ControlPayload, ControlPlane};
-    use crate::deploy::{Deployment, HostShim, RouterAgent};
+    use crate::deploy::Deployment;
     use crate::rng::SimRng;
     use crate::tcp::{TcpFlow, TcpWorkload};
     use crate::topology::QueueKind;
@@ -759,10 +762,10 @@ mod tests {
             }
         }
         let (net, _) = dumbbell(1_000_000);
-        let mut b = Deployment::builder(&net, "drop-udp");
+        let mut b = Deployment::<Legacy, DropUdp>::builder(&net, "drop-udp");
         for (i, node) in net.nodes.iter().enumerate() {
             if node.host_addr().is_none() {
-                b.router_agent(NodeId(i), Box::new(DropUdp));
+                b.router_agent(NodeId(i), DropUdp);
             }
         }
         let deployment = b.build();
@@ -814,9 +817,9 @@ mod tests {
         }
         let (net, _) = dumbbell(1_000_000);
         let r1 = net.access_router_of(HOST_A).unwrap();
-        let mut b = Deployment::builder(&net, "ping");
-        b.host_shim(HOST_A, Box::new(Pinger));
-        b.router_agent(r1, Box::new(Counter::default()));
+        let mut b = Deployment::<Pinger, Counter>::builder(&net, "ping");
+        b.host_shim(HOST_A, Pinger);
+        b.router_agent(r1, Counter::default());
         let deployment = b.build();
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: SEC, ..Default::default() });
@@ -898,6 +901,20 @@ mod tests {
         assert!(std::mem::size_of::<Packet>() <= 88);
         assert_eq!(std::mem::size_of::<crate::packet::TcpSegment>(), 16);
         assert!(std::mem::size_of::<EventKind>() <= 104);
+    }
+
+    #[test]
+    fn a_legacy_slot_is_empty_and_a_router_slot_is_a_pointer() {
+        // An undefended run's per-node host slots take no room, and a
+        // router slot of any agent type is one (nullable) pointer.
+        assert_eq!(std::mem::size_of::<Option<Legacy>>(), 0);
+        assert_eq!(std::mem::size_of::<Option<Box<Legacy>>>(), std::mem::size_of::<usize>());
+        let slot = std::mem::size_of::<Option<Box<[u8; 1024]>>>();
+        assert_eq!(slot, std::mem::size_of::<usize>());
+        // And no router slot exists until an agent is installed.
+        let (net, _) = dumbbell(1_000_000);
+        let sim = Simulator::undefended(net, SimConfig::default());
+        assert!(sim.deployment.routers.is_empty());
     }
 
     #[test]
@@ -1013,8 +1030,8 @@ mod tests {
         let (net, _) = dumbbell(1_000_000);
         let r1 = net.access_router_of(HOST_A).unwrap();
         let r2 = net.access_router_of(HOST_B).unwrap();
-        let mut b = Deployment::builder(&net, "fault-counter");
-        b.router_agent(r1, Box::new(FaultCounter::default()));
+        let mut b = Deployment::<Legacy, FaultCounter>::builder(&net, "fault-counter");
+        b.router_agent(r1, FaultCounter::default());
         let deployment = b.build();
         let mut sim =
             Simulator::new(net, deployment, SimConfig { end_time: SEC, ..Default::default() });

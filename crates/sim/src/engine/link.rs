@@ -12,7 +12,7 @@
 use netfence_telemetry::{DropCause, HopStage};
 
 use super::{EventKind, Simulator};
-use crate::deploy::LinkRef;
+use crate::deploy::{agent_at, HostShim, LinkRef, QueuePlan, RouterAgent};
 use crate::packet::{ChannelClass, Packet};
 use crate::queue::{DropTail, QueueDisc, RedQueue};
 use crate::time::{transmission_time, Nanos, MILLI};
@@ -64,11 +64,7 @@ impl LinkState {
     /// One idle transmitter per link of `net`: the deployment's `plan`
     /// (ascending by link index) where it names the link, the topology's
     /// default queue elsewhere.
-    pub(super) fn for_network(
-        net: &Network,
-        plan: Vec<(usize, Box<dyn QueueDisc>)>,
-        seed: u64,
-    ) -> Vec<LinkState> {
+    pub(super) fn for_network(net: &Network, plan: QueuePlan, seed: u64) -> Vec<LinkState> {
         let mut planned = plan.into_iter().peekable();
         let links =
             net.links
@@ -109,7 +105,7 @@ fn queue_drop_cause(pkt: &Packet) -> DropCause {
     }
 }
 
-impl Simulator {
+impl<H: HostShim, R: RouterAgent> Simulator<H, R> {
     /// Whether link `link` is currently failed.
     pub fn link_is_down(&self, link: usize) -> bool {
         self.link_down.get(link).copied().unwrap_or(false)
@@ -191,7 +187,7 @@ impl Simulator {
         }
         if let Some(d) = self.links[link_idx].queue.disc().enqueue(now, pkt) {
             self.drop_on_link(link_idx, &d, queue_drop_cause(&d));
-            if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
+            if let Some(agent) = agent_at(&mut self.deployment.routers, owner) {
                 let link = LinkRef { index: link_idx, addr: self.net.links[link_idx].addr };
                 agent.on_link_drop(now, link, &d);
             }
@@ -233,7 +229,7 @@ impl Simulator {
     fn start_transmission(&mut self, link_idx: usize, mut pkt: Packet) {
         let spec = self.net.links[link_idx];
         let owner = spec.from;
-        if let Some(agent) = self.deployment.routers[owner.0].as_mut() {
+        if let Some(agent) = agent_at(&mut self.deployment.routers, owner) {
             agent.on_link_dequeue(self.now, LinkRef { index: link_idx, addr: spec.addr }, &mut pkt);
         }
         self.metrics.record_tx(link_idx, pkt.size as u64);

@@ -7,7 +7,7 @@
 //! a [`FlowActions`] the engine owns and reuses, so a flow event allocates
 //! nothing once the two buffers have grown to their working size.
 
-use crate::packet::{FlowId, HostAddr, Packet};
+use crate::packet::{HostAddr, Packet};
 use crate::time::Nanos;
 
 /// What a flow wants the engine to do after handling an event. Callbacks
@@ -78,12 +78,6 @@ impl FlowProgress {
 
 /// A transport flow / traffic agent.
 pub trait Flow: std::fmt::Debug {
-    /// The flow's id (assigned at registration).
-    fn id(&self) -> FlowId;
-    /// The sending host.
-    fn src(&self) -> HostAddr;
-    /// The receiving host.
-    fn dst(&self) -> HostAddr;
     /// Called once at the flow's start time.
     fn start(&mut self, now: Nanos, out: &mut FlowActions);
     /// A packet belonging to this flow arrived at `at_host` (either

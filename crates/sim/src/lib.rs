@@ -46,8 +46,8 @@ pub mod webtraffic;
 pub mod prelude {
     pub use crate::control::{ChannelVerdict, ControlChannel, ControlPayload, ControlPlane};
     pub use crate::deploy::{
-        DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, HostShim, LinkRef,
-        Placement, RouterAction, RouterAgent, RouterFault,
+        DefenseReport, DeployMap, Deployment, DeploymentBuilder, DeploymentSpec, HostShim, Legacy,
+        LinkRef, Placement, QueuePlan, RouterAction, RouterAgent, RouterFault,
     };
     pub use crate::engine::{FaultAction, SimConfig, Simulator};
     pub use crate::flow::{Flow, FlowActions, FlowProgress};

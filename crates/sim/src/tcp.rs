@@ -388,16 +388,6 @@ impl TcpFlow {
 }
 
 impl Flow for TcpFlow {
-    fn id(&self) -> FlowId {
-        self.id
-    }
-    fn src(&self) -> HostAddr {
-        self.src
-    }
-    fn dst(&self) -> HostAddr {
-        self.dst
-    }
-
     fn start(&mut self, now: Nanos, out: &mut FlowActions) {
         self.begin_transfer(now, out)
     }

@@ -121,16 +121,6 @@ impl UdpFlow {
 }
 
 impl Flow for UdpFlow {
-    fn id(&self) -> FlowId {
-        self.id
-    }
-    fn src(&self) -> HostAddr {
-        self.src
-    }
-    fn dst(&self) -> HostAddr {
-        self.dst
-    }
-
     fn start(&mut self, now: Nanos, out: &mut FlowActions) {
         self.started_at = now;
         self.progress.started_transfers = 1;

@@ -13,11 +13,11 @@
 //!
 //! The set is closed — the paper compares exactly these four (§6.3) — so
 //! one plain enum, [`Defense`], names them plus the undefended baseline.
-//! [`Defense::deploy`] installs per-node host shims and router agents only
-//! on the ASes a `DeploymentSpec` covers. An experiment can swap the
-//! defense (and its deployment extent) while keeping the topology and
-//! workload fixed — exactly how the paper's comparison figures and the
-//! incremental-deployment sweeps are produced.
+//! [`Defense::deploy`] installs host shims and router agents only on the
+//! ASes a `DeploymentSpec` covers, typed by the defense ([`Deployed`]). An
+//! experiment can swap the defense (and its deployment extent) while
+//! keeping the topology and workload fixed — exactly how the paper's
+//! comparison figures and the incremental-deployment sweeps are produced.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -34,9 +34,9 @@ mod victims;
 
 pub use fq::FairQueuingDefense;
 pub use headers::{NetFenceExt, TvaExt};
-pub use netfence::NetFenceDefense;
-pub use stopit::StopItDefense;
-pub use tva::TvaDefense;
+pub use netfence::{NetFenceDefense, NetFenceHostShim, NetFenceRouterAgent};
+pub use stopit::{StopItDefense, StopItHostShim, StopItRouterAgent};
+pub use tva::{TvaDefense, TvaHostShim, TvaRouterAgent};
 
 use netfence_sim::deploy::{Deployment, DeploymentSpec};
 use netfence_sim::topology::Network;
@@ -58,13 +58,27 @@ pub enum Defense {
 
 impl Defense {
     /// Deploy onto `net` according to `spec` (the baseline ignores `spec`).
-    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployed {
         match self {
-            Defense::None => Deployment::undefended(net),
-            Defense::Fq(d) => d.deploy(net, spec),
-            Defense::StopIt(d) => d.deploy(net, spec),
-            Defense::Tva(d) => d.deploy(net, spec),
-            Defense::NetFence(d) => d.deploy(net, spec),
+            Defense::None => Deployed::Plain(Deployment::undefended(net)),
+            Defense::Fq(d) => Deployed::Plain(d.deploy(net, spec)),
+            Defense::StopIt(d) => Deployed::StopIt(d.deploy(net, spec)),
+            Defense::Tva(d) => Deployed::Tva(d.deploy(net, spec)),
+            Defense::NetFence(d) => Deployed::NetFence(d.deploy(net, spec)),
         }
     }
+}
+
+/// A deployed [`Defense`], typed by the agents it installs: a run deploys
+/// one defense, so it is matched once per run, not once per hook.
+#[derive(Debug)]
+pub enum Deployed {
+    /// No agents: the undefended baseline, or FQ's queue plan.
+    Plain(Deployment),
+    /// StopIt's victim shims and filtering routers.
+    StopIt(Deployment<StopItHostShim, StopItRouterAgent>),
+    /// TVA+'s capability shims and verifying routers.
+    Tva(Deployment<TvaHostShim, TvaRouterAgent>),
+    /// NetFence's sender/receiver shims and access/bottleneck routers.
+    NetFence(Deployment<NetFenceHostShim, NetFenceRouterAgent>),
 }

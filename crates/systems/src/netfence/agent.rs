@@ -106,7 +106,7 @@ impl AgentTemplate {
 /// (when the node is an access router) plus per-outgoing-link bottleneck
 /// state.
 #[derive(Debug)]
-pub(super) struct NetFenceRouterAgent {
+pub struct NetFenceRouterAgent {
     /// The router's pairwise keys: one store, shared with the access
     /// router and every bottleneck link.
     as_keys: AsKeyTable,

@@ -54,8 +54,9 @@ use netfence_sim::queue::{qlim_bytes, DualChannelQueue, PriorityLevelQueue, RedQ
 use netfence_sim::time::Nanos;
 use netfence_sim::topology::{LinkSpec, Network, NodeId};
 
-use agent::{AgentTemplate, KeyAnnouncer, NetFenceRouterAgent};
-use shim::NetFenceHostShim;
+pub use agent::NetFenceRouterAgent;
+use agent::{AgentTemplate, KeyAnnouncer};
+pub use shim::NetFenceHostShim;
 
 mod agent;
 mod shim;
@@ -137,7 +138,11 @@ impl NetFenceDefense {
     }
 
     /// Deploy onto `net` according to `spec`.
-    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    pub fn deploy(
+        &self,
+        net: &Network,
+        spec: &DeploymentSpec,
+    ) -> Deployment<NetFenceHostShim, NetFenceRouterAgent> {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "netfence");
         builder.ases(map.ases.len(), map.total_ases);
@@ -199,8 +204,7 @@ impl NetFenceDefense {
                 interval: (self.key_ttl / 2).max(1),
                 last: 0,
             });
-            let agent = NetFenceRouterAgent::new(template, announcer);
-            builder.router_agent(node_id, Box::new(agent));
+            builder.router_agent(node_id, NetFenceRouterAgent::new(template, announcer));
         }
 
         // Host shims for every host in a deploying AS, sharing one `Config`.
@@ -212,12 +216,12 @@ impl NetFenceDefense {
             }
             builder.host_shim(
                 host,
-                Box::new(NetFenceHostShim {
+                NetFenceHostShim {
                     cfg: Arc::clone(&cfg),
                     sender: SenderShim::default(),
                     receiver,
                     priority_override: self.priority_override.get(&host).copied(),
-                }),
+                },
             );
         }
 
@@ -264,7 +268,10 @@ mod tests {
         (net, addr)
     }
 
-    pub(super) fn deploy_full(net: &Network, defense: &NetFenceDefense) -> Deployment {
+    pub(super) fn deploy_full(
+        net: &Network,
+        defense: &NetFenceDefense,
+    ) -> Deployment<NetFenceHostShim, NetFenceRouterAgent> {
         defense.deploy(net, &DeploymentSpec::full())
     }
 
@@ -274,8 +281,8 @@ mod tests {
     pub(super) fn colluding_flood(
         defense: &NetFenceDefense,
         end: Nanos,
-        setup: impl FnOnce(&mut Simulator),
-    ) -> (Simulator, FlowId, FlowId) {
+        setup: impl FnOnce(&mut Simulator<NetFenceHostShim, NetFenceRouterAgent>),
+    ) -> (Simulator<NetFenceHostShim, NetFenceRouterAgent>, FlowId, FlowId) {
         let (net, _) = small_net(1_000_000);
         let deployment = deploy_full(&net, defense);
         let mut sim =

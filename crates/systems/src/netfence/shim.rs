@@ -15,7 +15,7 @@ use crate::headers::NetFenceExt;
 
 /// The sender/receiver shim of one NetFence host.
 #[derive(Debug)]
-pub(super) struct NetFenceHostShim {
+pub struct NetFenceHostShim {
     pub(super) cfg: Arc<Config>,
     pub(super) sender: SenderShim,
     pub(super) receiver: ReceiverShim,

@@ -71,7 +71,11 @@ impl StopItDefense {
     }
 
     /// Deploy onto `net` according to `spec`.
-    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    pub fn deploy(
+        &self,
+        net: &Network,
+        spec: &DeploymentSpec,
+    ) -> Deployment<StopItHostShim, StopItRouterAgent> {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "stopit");
         builder.ases(map.ases.len(), map.total_ases);
@@ -83,19 +87,17 @@ impl StopItDefense {
         }
 
         for node in map.routers(net) {
-            builder.router_agent(
-                node,
-                Box::new(StopItRouterAgent { filters: PolicyStore::new(self.filter_ttl, 0) }),
-            );
+            let filters = PolicyStore::new(self.filter_ttl, 0);
+            builder.router_agent(node, StopItRouterAgent { filters });
         }
         for host in map.hosts(net) {
             builder.host_shim(
                 host,
-                Box::new(StopItHostShim {
+                StopItHostShim {
                     accepts: self.victims.acceptance_of(host),
                     requested: IdMap::default(),
                     filter_ttl: self.filter_ttl,
-                }),
+                },
             );
         }
         builder.build()
@@ -105,7 +107,7 @@ impl StopItDefense {
 /// The StopIt shim of one host: a victim identifies unwanted traffic and
 /// files filter requests over the control plane.
 #[derive(Debug)]
-struct StopItHostShim {
+pub struct StopItHostShim {
     /// Whom this receiver files filter requests against.
     accepts: Acceptance,
     /// Sender → time of the last filed request. With permanent filters
@@ -144,7 +146,7 @@ impl HostShim for StopItHostShim {
 /// The StopIt agent of one deployed router: the TTL'd filter store
 /// populated by [`ControlPayload::FilterRequest`] messages.
 #[derive(Debug)]
-struct StopItRouterAgent {
+pub struct StopItRouterAgent {
     filters: PolicyStore<(HostAddr, HostAddr)>,
 }
 

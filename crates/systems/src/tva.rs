@@ -78,7 +78,11 @@ impl TvaDefense {
     }
 
     /// Deploy onto `net` according to `spec`.
-    pub fn deploy(&self, net: &Network, spec: &DeploymentSpec) -> Deployment {
+    pub fn deploy(
+        &self,
+        net: &Network,
+        spec: &DeploymentSpec,
+    ) -> Deployment<TvaHostShim, TvaRouterAgent> {
         let map = spec.resolve(net);
         let mut builder = Deployment::builder(net, "tva+");
         builder.ases(map.ases.len(), map.total_ases);
@@ -90,23 +94,21 @@ impl TvaDefense {
             let regular = Box::new(DrrQueue::new(Classifier::ByDestination, 1500, 30_000));
             let request = Box::new(HierDrrQueue::new(1500, 10_000));
             let qlim = qlim_bytes(link.capacity).max(15_000);
-            builder.queue(
-                li,
-                Box::new(DualChannelQueue::new(regular, request, qlim / 4, link.capacity, 0.05)),
-            );
+            let queue = DualChannelQueue::new(regular, request, qlim / 4, link.capacity, 0.05);
+            builder.queue(li, Box::new(queue));
         }
 
         for node in map.routers(net) {
-            builder.router_agent(node, Box::new(TvaRouterAgent));
+            builder.router_agent(node, TvaRouterAgent);
         }
         for host in map.hosts(net) {
             builder.host_shim(
                 host,
-                Box::new(TvaHostShim {
+                TvaHostShim {
                     accepts: self.victims.acceptance_of(host),
                     granted: PolicyStore::new(self.capability_lifetime, 0),
                     held: IdMap::default(),
-                }),
+                },
             );
         }
         builder.build()
@@ -116,7 +118,7 @@ impl TvaDefense {
 /// The TVA+ shim of one host: the capabilities it has granted to peers and
 /// the capabilities it holds for its own destinations.
 #[derive(Debug)]
-struct TvaHostShim {
+pub struct TvaHostShim {
     /// Whom this receiver grants capabilities to.
     accepts: Acceptance,
     /// Capabilities granted by this receiver, TTL'd by the configured
@@ -177,7 +179,7 @@ impl HostShim for TvaHostShim {
 /// The TVA+ agent of one deployed router: verifies the capability carried
 /// by regular packets.
 #[derive(Debug)]
-struct TvaRouterAgent;
+pub struct TvaRouterAgent;
 
 impl RouterAgent for TvaRouterAgent {
     fn at_router(

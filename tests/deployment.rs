@@ -8,9 +8,13 @@
 //! * Sweep regression: legitimate goodput is monotonically non-decreasing
 //!   in deploying-source-AS coverage for NetFence on the dumbbell (the
 //!   adoption incentive of §5.3).
+//! * Placement: every defense installs agents on exactly the nodes its
+//!   resolved coverage names.
 
 use netfence::experiments::deployment::deployment_spec;
+use netfence::experiments::fig8::fig8_spec;
 use netfence::experiments::prelude::*;
+use netfence::experiments::registry::Size;
 use netfence::sim::time::SEC;
 use proptest::proptest;
 
@@ -100,4 +104,47 @@ fn partial_deployment_polices_only_deployed_ases() {
     assert_eq!(r.report.total_ases - r.report.deployed_ases, 1);
     // Host shims exist only for the deployed AS's hosts plus destinations.
     assert!(r.report.host_shims < r.senders + 2, "legacy hosts must have no shims");
+}
+
+/// Each defense installs a host shim on exactly the deploying hosts and a
+/// router agent on exactly the deploying routers of the quick fig8
+/// dumbbell, at zero, half and full coverage; `None` and FQ install none.
+#[test]
+fn agents_land_on_exactly_the_deploying_nodes() {
+    for kind in DefenseKind::EVERY {
+        for coverage in [0.0, 0.5, 1.0] {
+            let spec =
+                fig8_spec(&Size::Quick.scale(), kind, 100_000).coverage(coverage).sim_time(0);
+            // The topology the runner builds for a dumbbell spec.
+            let built = TopoSpec::Dumbbell {
+                src_ases: spec.scale.src_ases,
+                hosts_per_as: spec.scale.hosts_per_as,
+                legit_per_as: spec.legit_per_as,
+                bottleneck_bps: spec.resolved_bottleneck_bps(),
+                colluder_ases: 0,
+            }
+            .build();
+            let net = &built.net;
+            let map = spec
+                .defense
+                .deployment
+                .resolve_for_source_ases(net, &built.source_ases)
+                .resolve(net);
+            let (hosts, routers) = (map.hosts(net).count(), map.routers(net).count());
+            let all_hosts = net.nodes.iter().filter(|n| n.host_addr().is_some()).count();
+            if coverage == 0.5 {
+                assert!(0 < hosts && hosts < all_hosts, "{hosts} of {all_hosts} hosts deploy");
+            }
+            let expect = match kind {
+                DefenseKind::None | DefenseKind::Fq => (0, 0),
+                DefenseKind::NetFence | DefenseKind::Tva | DefenseKind::StopIt => (hosts, routers),
+            };
+            let mut same_net = false;
+            let report =
+                Runner::new(spec).run_edited(|ran, _| same_net = ran.nodes == net.nodes).report;
+            assert!(same_net, "the runner built another topology");
+            let placed = (report.host_shims, report.router_agents);
+            assert_eq!(placed, expect, "{} at coverage {coverage}", kind.label());
+        }
+    }
 }

@@ -112,7 +112,7 @@ fn a_planned_queue_sees_every_packet() {
     let net = b.build();
 
     let seen = Rc::new(Cell::new((0, 0)));
-    let mut plan = Deployment::builder(&net, "spies");
+    let mut plan: DeploymentBuilder = Deployment::builder(&net, "spies");
     for (i, link) in net.links.iter().enumerate() {
         let inner: Box<dyn QueueDisc> = match i % 6 {
             0 => Box::new(DropTail::for_capacity(link.capacity)),
@@ -145,13 +145,13 @@ fn a_planned_queue_sees_every_packet() {
 
 /// Plan a boxed `DropTail` of the default limit over every link that would
 /// have got the inline one, keeping whatever the defense planned.
-fn box_the_default_fifos(net: &Network, deployment: &mut Deployment) {
-    let mut planned = std::mem::take(&mut deployment.queues).into_iter().peekable();
+fn box_the_default_fifos(net: &Network, queues: &mut Vec<(usize, Box<dyn QueueDisc>)>) {
+    let mut planned = std::mem::take(queues).into_iter().peekable();
     for (i, link) in net.links.iter().enumerate() {
         match planned.next_if(|(at, _)| *at == i) {
-            Some(entry) => deployment.queues.push(entry),
+            Some(entry) => queues.push(entry),
             None if link.queue == QueueKind::DropTail => {
-                deployment.queues.push((i, Box::new(DropTail::for_capacity(link.capacity))));
+                queues.push((i, Box::new(DropTail::for_capacity(link.capacity))));
             }
             None => {}
         }

@@ -46,15 +46,6 @@ struct Script {
 }
 
 impl Flow for Script {
-    fn id(&self) -> FlowId {
-        self.id
-    }
-    fn src(&self) -> HostAddr {
-        self.src
-    }
-    fn dst(&self) -> HostAddr {
-        DST
-    }
     fn start(&mut self, _now: Nanos, out: &mut FlowActions) {
         // One timer per packet, armed in script order: same-instant sends
         // fire in that order.
