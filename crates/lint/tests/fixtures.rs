@@ -187,6 +187,37 @@ fn clippy_denies_hash_iteration_and_wildcard_dispatch() {
     }
 }
 
+/// CHANGES.md stays a short per-change record: every top-level `- ` entry
+/// (a `- FOUND:` line is an entry of its own) spans at most 8 lines and
+/// 1,200 bytes, trailing blank lines not counted. Measurement tables and
+/// narrative go in the commit, not in this file.
+#[test]
+fn changes_entries_stay_short() {
+    let changes = read(&workspace_root().join("CHANGES.md"));
+    let mut entries: Vec<Vec<&str>> = Vec::new();
+    for line in changes.lines() {
+        if line.starts_with("- ") {
+            entries.push(Vec::new());
+        }
+        if let Some(entry) = entries.last_mut() {
+            entry.push(line);
+        }
+    }
+    assert!(!entries.is_empty(), "CHANGES.md has no `- ` entry");
+    for entry in &mut entries {
+        while entry.last().is_some_and(|line| line.trim().is_empty()) {
+            entry.pop();
+        }
+        let bytes: usize = entry.iter().map(|line| line.len() + 1).sum();
+        let head: String = entry[0].chars().take(60).collect();
+        assert!(
+            entry.len() <= 8 && bytes <= 1_200,
+            "CHANGES.md entry `{head}…` has {} lines and {bytes} bytes (at most 8 and 1,200)",
+            entry.len()
+        );
+    }
+}
+
 /// Whether `manifest` holds `setting` (spaces ignored) in `section`.
 fn has_setting(manifest: &str, section: &str, setting: &str) -> bool {
     let mut current = "";
