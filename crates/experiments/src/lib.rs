@@ -47,7 +47,6 @@ pub mod deployment;
 pub mod fig10;
 pub mod fig11;
 pub mod fig13;
-pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod reaction;

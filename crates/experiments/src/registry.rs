@@ -3,18 +3,18 @@
 //! binary (`cargo run --release -- list | run <name> | check`).
 //!
 //! A row is plain data — a name, a `fn(Size) -> String` that renders the
-//! experiment's table, and which optional flags it understands. The
-//! deterministic rows carry a golden copy of their `--quick` output
-//! (`crates/experiments/golden/<name>.txt`); [`check`] re-runs them and
-//! compares byte for byte, which pins every printed number across commits.
+//! experiment's table, which optional flags it understands, and a golden
+//! copy of its `--quick` output (`crates/experiments/golden/<name>.txt`).
+//! Every row is deterministic — none reads a clock — so [`check`] re-runs
+//! them all and compares byte for byte, which pins every printed number
+//! across commits.
 
 use netfence_sim::prelude::{TelemetryConfig, SEC};
 
 use crate::prelude::*;
 use crate::report::{drop_budget_table, opt1, table_of};
 use crate::{
-    ablations, chaos, deployment, fig10, fig11, fig13, fig7, fig8, fig9, reaction, topo_scale,
-    tournament,
+    ablations, chaos, deployment, fig10, fig11, fig13, fig8, fig9, reaction, topo_scale, tournament,
 };
 
 /// How large a run `netfence run` asks for.
@@ -63,11 +63,11 @@ pub struct Experiment {
     pub traced: Option<fn(Size) -> ScenarioSpec>,
     /// Whether the row has a `--full` sweep.
     pub full: bool,
-    /// The pinned `--quick` output; `None` for rows with wall-clock columns.
-    pub golden: Option<&'static str>,
+    /// The pinned `--quick` output.
+    pub golden: &'static str,
 }
 
-/// A deterministic row: no optional flags, `--quick` output pinned by
+/// A row with no optional flags, its `--quick` output pinned by
 /// `golden/<name>.txt`.
 macro_rules! pinned {
     ($name:literal, $about:literal, $table:path) => {
@@ -77,22 +77,14 @@ macro_rules! pinned {
             table: $table,
             traced: None,
             full: false,
-            golden: Some(include_str!(concat!("../golden/", $name, ".txt"))),
+            golden: include_str!(concat!("../golden/", $name, ".txt")),
         }
     };
 }
 
 /// Every experiment: the paper's evaluation (§6) in order, then the
 /// reproduction's own sweeps.
-pub static EXPERIMENTS: [Experiment; 13] = [
-    Experiment {
-        name: "fig7",
-        about: "router per-packet processing cost in ns (wall clock)",
-        table: fig7::table,
-        traced: None,
-        full: false,
-        golden: None,
-    },
+pub static EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         traced: Some(fig8::traced_spec),
         ..pinned!("fig8", "20 KB transfer time under unwanted request floods", fig8::table)
@@ -104,12 +96,12 @@ pub static EXPERIMENTS: [Experiment; 13] = [
     pinned!("fig14", "Appendix B.2 rate-limiter inference (fluid model)", fig13::table_fig14),
     pinned!("deployment", "deploying-source-AS fraction vs legitimate goodput", deployment::table),
     Experiment {
-        name: "topo_scale",
-        about: "host count vs build time, routing memory, simulated pkts/s (wall clock)",
-        table: topo_scale::table,
-        traced: None,
         full: true,
-        golden: None,
+        ..pinned!(
+            "topo_scale",
+            "host count vs network shape, routing memory, packets",
+            topo_scale::table
+        )
     },
     pinned!("reaction", "control-plane latency/loss/outage vs time to restore", reaction::table),
     pinned!("tournament", "defense x strategy x topology x coverage regrets", tournament::table),
@@ -198,18 +190,15 @@ fn write_under(dir: &str, file: &str, contents: &str) -> Result<String, String> 
     Ok(path)
 }
 
-/// Re-run one pinned row at `--quick` and compare with its golden. On a
-/// mismatch the actual output goes to `target/golden/<name>.txt` and the
-/// error names the first differing line and how to re-bless.
+/// Re-run one row at `--quick` and compare with its golden. On a mismatch
+/// the actual output goes to `target/golden/<name>.txt` and the error names
+/// the first differing line and how to re-bless.
 fn check_golden(e: &Experiment) -> Result<(), String> {
-    let Some(golden) = e.golden else {
-        return Err(format!("`{}` has wall-clock columns and no golden", e.name));
-    };
     let actual = (e.table)(Size::Quick);
-    if actual == golden {
+    if actual == e.golden {
         return Ok(());
     }
-    let line = actual.lines().zip(golden.lines()).take_while(|(a, g)| a == g).count();
+    let line = actual.lines().zip(e.golden.lines()).take_while(|(a, g)| a == g).count();
     let path = write_under("target/golden", &format!("{}.txt", e.name), &actual)?;
     Err(format!(
         "{name}: output differs from crates/experiments/golden/{name}.txt at line {n}\n\
@@ -218,16 +207,16 @@ fn check_golden(e: &Experiment) -> Result<(), String> {
          if the change is intended: cp {path} crates/experiments/golden/{name}.txt",
         name = e.name,
         n = line + 1,
-        g = golden.lines().nth(line).unwrap_or("<end of file>"),
+        g = e.golden.lines().nth(line).unwrap_or("<end of file>"),
         a = actual.lines().nth(line).unwrap_or("<end of file>"),
     ))
 }
 
-/// `netfence check`: every pinned row against its golden; all mismatches
-/// are reported, not just the first.
+/// `netfence check`: every row against its golden; all mismatches are
+/// reported, not just the first.
 pub fn check() -> Result<String, String> {
     let (mut ok, mut failed) = (String::new(), Vec::new());
-    for e in EXPERIMENTS.iter().filter(|e| e.golden.is_some()) {
+    for e in &EXPERIMENTS {
         match check_golden(e) {
             Ok(()) => ok += &format!("ok  {}\n", e.name),
             Err(msg) => failed.push(msg),

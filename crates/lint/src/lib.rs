@@ -6,7 +6,8 @@
 //! rules:
 //!
 //! 1. `wall-clock` — no `Instant::now`/`SystemTime` without a justified
-//!    allow;
+//!    allow (the experiments read no clock; only the `perf` benchmark and
+//!    one test do);
 //! 2. `orphan-pub-fn` — no free or inherent `pub fn` under `crates/*/src`
 //!    whose name occurs nowhere else in the workspace (tests, examples and
 //!    the benchmark included);

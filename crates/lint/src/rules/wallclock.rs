@@ -1,9 +1,9 @@
 //! Rule `wall-clock`: `Instant::now()` / `SystemTime` are banned
 //! everywhere. Simulated time comes from the event clock; a wall-clock
 //! read either leaks real time into a `Record` or tempts someone to. The
-//! handful of deliberate timing sites (Figure 7, the scaling sweep and the
-//! `perf` benchmark's clock, which report wall-seconds next to the
-//! simulated numbers) carry justified `lint:allow` annotations instead.
+//! two deliberate timing sites — the `perf` benchmark's clock and one
+//! test's 50 K-host build bar — carry justified `lint:allow` annotations
+//! instead.
 
 use super::{Context, Rule, SourceFile};
 use crate::diag::Diagnostic;

@@ -1,10 +1,10 @@
 //! The `netfence` CLI and the experiment table behind it.
 //!
-//! * The table is well-formed: 13 unique, non-empty names that all resolve.
+//! * The table is well-formed: 12 unique, non-empty names that all resolve.
 //! * Bad input — unknown experiment, a flag the row does not support, an
 //!   unknown flag — is an `Err` / non-zero exit with a message, never a
 //!   panic.
-//! * Every pinned golden matches in the profile the tests are built with
+//! * Every row's golden matches in the profile the tests are built with
 //!   (`cargo run --release -- check` is the same comparison in release).
 
 use std::collections::BTreeSet;
@@ -70,16 +70,9 @@ fn the_binary_rejects_bad_argv_with_usage() {
     assert_eq!(String::from_utf8_lossy(&list.stdout), registry::list());
 }
 
-#[test]
-fn pinned_rows_are_the_deterministic_ones() {
-    let unpinned: Vec<&str> =
-        EXPERIMENTS.iter().filter(|e| e.golden.is_none()).map(|e| e.name).collect();
-    assert_eq!(unpinned, ["fig7", "topo_scale"], "only wall-clock tables go unpinned");
-}
-
-/// Every pinned row at `--quick` (≈ 20 s unoptimized on 2 vCPUs; `fig9`
-/// and `tournament` are most of it) in whatever profile the tests are
-/// built with: dev and release must print the same bytes.
+/// Every row at `--quick` (≈ 5 s in the dev profile on 2 vCPUs) in
+/// whatever profile the tests are built with: dev and release must print
+/// the same bytes.
 #[test]
 fn fast_goldens_match() {
     if let Err(msg) = registry::check() {
