@@ -8,9 +8,9 @@
 //! (`netfence-topo`): for a growing host count it records
 //!
 //! * the shape [`TopoSpec::build`] generates — nodes, links, and the
-//!   AS-aggregated routing state (one dense next-hop table per
+//!   AS-aggregated routing state (one dense next-hop array, a column per
 //!   host-bearing router);
-//! * how much memory the routing tables hold
+//! * how much memory the routing table holds
 //!   ([`Network::route_stats`](netfence_sim::topology::Network::route_stats));
 //! * the simulated packets and user goodput of a NetFence deployment vs
 //!   the undefended baseline under an unwanted-traffic flood — suppression
@@ -57,7 +57,15 @@ pub struct ScalePoint {
     pub destinations: usize,
     /// Bytes held by the dense next-hop tables.
     pub route_table_bytes: usize,
-    /// Simulation runs at this point (empty for build-only sweeps).
+}
+
+/// One simulated point of the sweep.
+#[derive(Debug, Clone)]
+pub struct SimPoint {
+    /// Sender hosts every run simulated (each run's `Record::senders`; the
+    /// systems run on one network, so they agree).
+    pub hosts: usize,
+    /// One run per system.
     pub runs: Vec<ScaleRun>,
 }
 
@@ -121,15 +129,22 @@ pub fn build_point(hosts: usize, seed: u64) -> ScalePoint {
         routers: stats.routers,
         destinations: stats.destinations,
         route_table_bytes: stats.table_bytes,
-        runs: Vec::new(),
     }
 }
 
-/// Build and simulate one scale point for each system in `systems`.
-pub fn run_point(hosts: usize, seed: u64, systems: &[DefenseKind]) -> ScalePoint {
-    let mut point = build_point(hosts, seed);
+/// Simulate one scale point ([`scale_spec`] at `seed`) for each system in
+/// `systems`. Panics if two systems' runs simulated different sender counts.
+pub fn run_point(hosts: usize, seed: u64, systems: &[DefenseKind]) -> SimPoint {
+    let mut point = SimPoint { hosts: 0, runs: Vec::with_capacity(systems.len()) };
     for &system in systems {
-        let r = Runner::new(scale_spec(hosts, system)).run();
+        let r = Runner::new(scale_spec(hosts, system).seed(seed)).run();
+        assert!(
+            point.runs.is_empty() || r.senders == point.hosts,
+            "{system:?} simulated {} senders, the first system {}",
+            r.senders,
+            point.hosts
+        );
+        point.hosts = r.senders;
         let packets: u64 = r.users().chain(r.attackers()).map(|p| p.packets_sent).sum();
         point.runs.push(ScaleRun { system, packets, avg_user_bps: r.avg_user_bps() });
     }
@@ -194,6 +209,7 @@ mod tests {
     #[test]
     fn run_point_simulates_both_systems() {
         let p = run_point(200, 7, &[DefenseKind::NetFence, DefenseKind::None]);
+        assert_eq!(p.hosts, 200);
         assert_eq!(p.runs.len(), 2);
         for run in &p.runs {
             assert!(run.packets > 0, "{:?} moved no packets", run.system);

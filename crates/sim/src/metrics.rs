@@ -2,20 +2,19 @@
 //! statistics the experiments report (throughput ratio, utilization).
 //!
 //! The per-link counters are a dense `Vec` indexed by link id (links are
-//! dense already), so the per-packet hot path never hashes; the network's
-//! `LinkAddr → index` map is consulted only by post-run readers. Every
+//! dense already), so the per-packet hot path never hashes; post-run readers
+//! name a link by its `LinkAddr`, which resolves to the index by arithmetic
+//! ([`FIRST_LINK_ADDR`](crate::topology::FIRST_LINK_ADDR)). Every
 //! drop is recorded once, with a typed [`DropCause`], in the always-on
 //! [`DropLedger`], which holds a budget only for links that dropped and
 //! attributes flows by their drop group; the drop counts reported here are
 //! read back from it.
 
-use std::sync::Arc;
-
-use netfence_telemetry::{DropBudget, DropCause, DropLedger, EngineProfile, IdMap};
+use netfence_telemetry::{DropBudget, DropCause, DropLedger, EngineProfile};
 
 use crate::packet::LinkAddr;
 use crate::time::Nanos;
-use crate::topology::Network;
+use crate::topology::{link_index_of, Network};
 
 /// One link's transmission counters side by side: a transmission dirties
 /// one cache line, not one per counter.
@@ -30,9 +29,6 @@ struct LinkCounters {
 pub struct Metrics {
     /// Indexed by dense link id.
     links: Vec<LinkCounters>,
-    /// Post-run lookup from protocol-level link address to dense index
-    /// (the network's own table).
-    link_index: Arc<IdMap<LinkAddr, usize>>,
     /// Packets delivered to destination hosts.
     pub delivered_pkts: u64,
     /// Total packets injected by flows.
@@ -50,7 +46,6 @@ impl Metrics {
     pub fn for_network(net: &Network) -> Self {
         Metrics {
             links: vec![LinkCounters::default(); net.links.len()],
-            link_index: Arc::clone(&net.link_index),
             drops: DropLedger::new(net.links.len()),
             ..Metrics::default()
         }
@@ -81,7 +76,7 @@ impl Metrics {
 
     /// Dense index of a link address, if the link exists.
     fn idx(&self, link: LinkAddr) -> Option<usize> {
-        self.link_index.get(&link).copied()
+        link_index_of(link, self.links.len())
     }
 
     /// Bytes transmitted on a link.
@@ -150,10 +145,10 @@ impl Metrics {
 mod tests {
     use super::*;
     use crate::time::{MILLI, SEC};
-    use crate::topology::QueueKind;
+    use crate::topology::{QueueKind, FIRST_LINK_ADDR};
 
     /// The address the builder gives a network's first link.
-    const LINK: LinkAddr = 1_001;
+    const LINK: LinkAddr = FIRST_LINK_ADDR;
 
     /// Metrics of a network with one 20 Mbps link.
     fn one_link() -> Metrics {
@@ -204,6 +199,19 @@ mod tests {
         assert!(m.loss_rate(LINK).is_finite());
         // An unknown link behaves the same.
         assert_eq!(m.loss_rate(99), 0.0);
+    }
+
+    #[test]
+    fn an_address_no_link_owns_reads_zero() {
+        let mut m = one_link();
+        m.record_tx(0, 12_500);
+        m.record_link_drop(0, 0, DropCause::QueueOverflow);
+        for addr in [0, LINK - 1, LINK + 1, LinkAddr::MAX] {
+            assert_eq!(m.link_tx_bytes(addr), 0, "address {addr}");
+            assert_eq!(m.link_tx_pkts(addr), 0, "address {addr}");
+            assert_eq!(m.link_budget(addr), DropBudget::default(), "address {addr}");
+        }
+        assert_eq!(m.link_tx_pkts(LINK), 1);
     }
 
     #[test]

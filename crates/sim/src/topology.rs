@@ -11,10 +11,14 @@
 //!   graph, instead of one BFS per *host* over a full link scan —
 //!   `O(routers · (routers + router_links))` build time instead of
 //!   `O(hosts · links)`;
-//! * next-hop tables are dense `Vec`s indexed by `(router, destination)`
-//!   slot, instead of one hash map of `HostAddr → link` per node —
+//! * the next-hop table is one dense `router × destination` array of link
+//!   indices, instead of one hash map of `HostAddr → link` per node —
 //!   `O(routers · destinations)` words of memory instead of
 //!   `O(nodes · hosts)` hash entries;
+//! * adjacency is compressed sparse rows ([`Network::out_links`], and the
+//!   routers' in-links the BFS walks), and a link's protocol address is
+//!   arithmetic on its index ([`FIRST_LINK_ADDR`]): the whole network is a
+//!   handful of flat arrays, not one heap allocation per node;
 //! * hosts are resolved at the last hop: the destination's access router
 //!   forwards onto the host's recorded downlink, and a sending host always
 //!   uses its recorded uplink. Hosts are leaves — they never appear as
@@ -29,7 +33,6 @@
 //! router-discovery order, and the reverse adjacency preserves the old
 //! link-index tie-breaking.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use netfence_telemetry::IdMap;
@@ -46,6 +49,63 @@ const NONE32: u32 = u32::MAX;
 /// The [`HostTable`] row of an address no host owns (and a packet's rows
 /// before the engine resolves them).
 pub(crate) const NO_ROW: u32 = u32::MAX;
+
+/// The protocol address of link index 0. [`NetworkBuilder::link`] gives
+/// link `i` the address `FIRST_LINK_ADDR + i` (checked: it refuses the link
+/// whose address would overflow), and [`NetworkBuilder::build`] asserts it
+/// for every link, so addresses are unique and [`Network::link_by_addr`]
+/// resolves one by a subtraction and a bounds check, with no index to build.
+pub const FIRST_LINK_ADDR: LinkAddr = 1_001;
+
+/// The index of the link at `addr` in a network of `links` links, by the
+/// [`FIRST_LINK_ADDR`] invariant; `None` for an address no link owns.
+pub(crate) fn link_index_of(addr: LinkAddr, links: usize) -> Option<usize> {
+    let i = addr.checked_sub(FIRST_LINK_ADDR)? as usize;
+    (i < links).then_some(i)
+}
+
+/// Compressed sparse rows: row `r` is `items[start[r]..start[r + 1]]`, so a
+/// whole adjacency is two allocations instead of one `Vec` per row.
+#[derive(Debug)]
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    /// Group `(row, item)` pairs into `rows` rows (a counting sort), each
+    /// row keeping its items in the order `pairs` yields them. `pairs` is
+    /// walked twice, and yields fewer than 2^32 items.
+    fn group(rows: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut start = vec![0u32; rows + 1];
+        for (r, _) in pairs.clone() {
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        // Fill each row from its front, which walks `start[r]` up to the
+        // row's end (`start[r + 1]`'s value); shifting right restores it.
+        let mut items = vec![T::default(); start[rows] as usize];
+        for (r, item) in pairs {
+            items[start[r] as usize] = item;
+            start[r] += 1;
+        }
+        start.copy_within(0..rows, 1);
+        start[0] = 0;
+        Csr { start, items }
+    }
+
+    /// The number of rows.
+    fn rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Row `r`'s items.
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
 
 /// What a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +174,7 @@ pub struct LinkSpec {
     /// Receiving side.
     pub to: NodeId,
     /// Protocol-visible link identifier (what NetFence feedback calls the
-    /// link's IP address).
+    /// link's IP address): [`FIRST_LINK_ADDR`] plus the link's index.
     pub addr: LinkAddr,
     /// Capacity in bits per second.
     pub capacity: u64,
@@ -213,16 +273,17 @@ pub struct Network {
     /// control planes, which only read it — see
     /// [`ControlPlane::for_network`](crate::control::ControlPlane::for_network)).
     pub(crate) hosts: Arc<HostTable>,
-    /// Per-node outgoing link indices.
-    pub out_links: Vec<Vec<usize>>,
+    /// Per-node outgoing link indices, ascending.
+    out_links: Csr<u32>,
     /// Per-node dense router slot (`NONE32` for hosts).
     router_slot: Vec<u32>,
-    /// `routes[router_slot][dst_slot]` = outgoing link index, `NONE32` when
-    /// the destination router is unreachable.
-    routes: Vec<Vec<u32>>,
-    /// Protocol link address → link index (shared with each run's
-    /// [`Metrics`](crate::metrics::Metrics), which only read it).
-    pub(crate) link_index: Arc<IdMap<LinkAddr, usize>>,
+    /// Per router slot, the `(from router slot, link index)` of every link
+    /// joining two routers that ends there, in link-index order (which is
+    /// what breaks the BFS's equal-cost ties).
+    router_in: Csr<(u32, u32)>,
+    /// `routes[router_slot * dst_count + dst_slot]` = outgoing link index,
+    /// `NONE32` when the destination router is unreachable.
+    routes: Vec<u32>,
     /// Number of routing destinations.
     dst_count: usize,
     /// Destination slot → router slot of the destination's access router
@@ -244,6 +305,17 @@ impl Network {
     /// The AS of a host address.
     pub fn as_of_host(&self, addr: HostAddr) -> AsNum {
         self.nodes[self.host_node(addr).0].as_num()
+    }
+
+    /// The indices of `node`'s outgoing links, ascending.
+    pub fn out_links(&self, node: NodeId) -> &[u32] {
+        self.out_links.row(node.0)
+    }
+
+    /// The next-hop link from router slot `router` toward destination slot
+    /// `dst`, or `NONE32`.
+    fn route(&self, router: u32, dst: u32) -> u32 {
+        self.routes[router as usize * self.dst_count + dst as usize]
     }
 
     /// The next-hop link index from `node` toward `dst`, if reachable.
@@ -274,21 +346,20 @@ impl Network {
                 if own.router == att.router {
                     return Some(own.uplink as usize);
                 }
-                let r = self.router_slot[own.router as usize] as usize;
-                (self.routes[r][att.dst_slot as usize] != NONE32).then_some(own.uplink as usize)
+                let r = self.router_slot[own.router as usize];
+                (self.route(r, att.dst_slot) != NONE32).then_some(own.uplink as usize)
             }
             NodeKind::Router { .. } => {
-                let r = self.router_slot[node.0] as usize;
-                let l = self.routes[r][att.dst_slot as usize];
+                let l = self.route(self.router_slot[node.0], att.dst_slot);
                 (l != NONE32).then_some(l as usize)
             }
         }
     }
 
-    /// Find a link index by its protocol-level address (O(1) via the
-    /// prebuilt index).
+    /// Find a link index by its protocol-level address: a subtraction and a
+    /// bounds check ([`FIRST_LINK_ADDR`]).
     pub fn link_by_addr(&self, addr: LinkAddr) -> Option<usize> {
-        self.link_index.get(&addr).copied()
+        link_index_of(addr, self.links.len())
     }
 
     /// The access router a host is attached to, if any.
@@ -315,46 +386,33 @@ impl Network {
         v
     }
 
-    /// Recompute every next-hop table over the surviving graph, skipping
+    /// Recompute the next-hop table over the surviving graph, skipping
     /// links for which `down[link_index]` is true (indices past `down`'s
     /// length count as up): one BFS per destination router over the
-    /// router-only reverse adjacency, writing next hops straight into the
-    /// dense column. [`NetworkBuilder::build`] fills the original tables
-    /// through this same function with nothing down, so an all-false `down`
-    /// reproduces them bit-for-bit. Destinations with no surviving path
-    /// simply keep `NONE32` entries; forwarding to them becomes a typed
-    /// no-route drop at the engine.
+    /// routers' in-links, writing next hops straight into the table.
+    /// [`NetworkBuilder::build`] fills the original table through this same
+    /// function with nothing down, so an all-false `down` reproduces it
+    /// bit-for-bit. Destinations with no surviving path simply keep
+    /// `NONE32` entries; forwarding to them becomes a typed no-route drop at
+    /// the engine.
     pub fn recompute_routes(&mut self, down: &[bool]) {
-        let router_count = self.routes.len();
-        // In link-index order, which is what breaks equal-cost ties:
-        // rev[to] lists (from, link) pairs.
-        let mut rev: Vec<Vec<(u32, u32)>> = vec![Vec::new(); router_count];
-        for (li, l) in self.links.iter().enumerate() {
-            if down.get(li).copied().unwrap_or(false) {
-                continue;
-            }
-            let (f, t) = (self.router_slot[l.from.0], self.router_slot[l.to.0]);
-            if f != NONE32 && t != NONE32 {
-                rev[t as usize].push((f, li as u32));
-            }
-        }
-        for row in &mut self.routes {
-            row.fill(NONE32);
-        }
-        let mut dist = vec![u32::MAX; router_count];
-        let mut q = VecDeque::new();
+        self.routes.fill(NONE32);
+        let mut seen = vec![false; self.router_in.rows()];
+        // The BFS queue: `order[head..]` is still to visit.
+        let mut order: Vec<u32> = Vec::with_capacity(seen.len());
         for (dst_slot, &root) in self.dst_routers.iter().enumerate() {
-            dist.fill(u32::MAX);
-            dist[root as usize] = 0;
-            q.clear();
-            q.push_back(root);
-            while let Some(r) = q.pop_front() {
-                let d = dist[r as usize] + 1;
-                for &(from, li) in &rev[r as usize] {
-                    if dist[from as usize] == u32::MAX {
-                        dist[from as usize] = d;
-                        self.routes[from as usize][dst_slot] = li;
-                        q.push_back(from);
+            seen.fill(false);
+            seen[root as usize] = true;
+            order.clear();
+            order.push(root);
+            let mut head = 0;
+            while let Some(&r) = order.get(head) {
+                head += 1;
+                for &(from, li) in self.router_in.row(r as usize) {
+                    if !seen[from as usize] && !down.get(li as usize).copied().unwrap_or(false) {
+                        seen[from as usize] = true;
+                        self.routes[from as usize * self.dst_count + dst_slot] = li;
+                        order.push(from);
                     }
                 }
             }
@@ -364,9 +422,9 @@ impl Network {
     /// Size of the derived routing state.
     pub fn route_stats(&self) -> RouteStats {
         RouteStats {
-            routers: self.routes.len(),
+            routers: self.router_in.rows(),
             destinations: self.dst_count,
-            table_bytes: self.routes.len() * self.dst_count * std::mem::size_of::<u32>(),
+            table_bytes: self.routes.len() * std::mem::size_of::<u32>(),
         }
     }
 }
@@ -376,7 +434,6 @@ impl Network {
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
     links: Vec<LinkSpec>,
-    next_link_addr: LinkAddr,
     /// Each host's address and attachment, recorded at
     /// [`NetworkBuilder::host`] time (`dst_slot` is filled in by `build`).
     attachments: Vec<(HostAddr, HostEntry)>,
@@ -422,7 +479,9 @@ impl NetworkBuilder {
         id
     }
 
-    /// Add a unidirectional link and return its index.
+    /// Add a unidirectional link and return its index `i`; its address is
+    /// `FIRST_LINK_ADDR + i` ([`FIRST_LINK_ADDR`]), and a link whose address
+    /// would overflow panics.
     ///
     /// Links added directly (rather than via [`NetworkBuilder::host`]) must
     /// connect routers: hosts are routing leaves, reachable only over their
@@ -435,8 +494,10 @@ impl NetworkBuilder {
         delay: Nanos,
         queue: QueueKind,
     ) -> usize {
-        self.next_link_addr += 1;
-        let addr = 1_000 + self.next_link_addr;
+        let addr =
+            LinkAddr::try_from(self.links.len()).ok().and_then(|i| FIRST_LINK_ADDR.checked_add(i));
+        assert!(addr.is_some(), "link address past {}", LinkAddr::MAX);
+        let addr = addr.unwrap_or(LinkAddr::MAX);
         self.links.push(LinkSpec { from, to, addr, capacity, delay, queue });
         self.links.len() - 1
     }
@@ -456,18 +517,19 @@ impl NetworkBuilder {
         (f, r)
     }
 
-    /// Finalize: computes the host/link indices and the AS-aggregated dense
-    /// routing tables ([`Network::recompute_routes`] with every link up).
+    /// Finalize: computes the host index, the adjacency and the
+    /// AS-aggregated dense routing table ([`Network::recompute_routes`] with
+    /// every link up).
     pub fn build(self) -> Network {
-        let NetworkBuilder { nodes, links, attachments, .. } = self;
+        let NetworkBuilder { nodes, links, attachments } = self;
 
-        let mut link_index = IdMap::with_capacity_and_hasher(links.len(), Default::default());
-        let mut out_links = vec![Vec::new(); nodes.len()];
         for (li, l) in links.iter().enumerate() {
-            out_links[l.from.0].push(li);
-            let prev = link_index.insert(l.addr, li);
-            assert!(prev.is_none(), "duplicate link address {}", l.addr);
+            assert_eq!(link_index_of(l.addr, links.len()), Some(li), "link {li}'s address");
         }
+        // `link` keeps every index below `LinkAddr::MAX - FIRST_LINK_ADDR`,
+        // so `li as u32` is lossless (here and for the in-links below).
+        let out_links =
+            Csr::group(nodes.len(), links.iter().enumerate().map(|(li, l)| (l.from.0, li as u32)));
 
         // Dense router slots, in node order.
         let mut router_slot = vec![NONE32; nodes.len()];
@@ -494,6 +556,14 @@ impl NetworkBuilder {
         }
         let dst_count = dst_routers.len();
 
+        let router_in = Csr::group(
+            router_count as usize,
+            links.iter().enumerate().filter_map(|(li, l)| {
+                let (f, t) = (router_slot[l.from.0], router_slot[l.to.0]);
+                (f != NONE32 && t != NONE32).then_some((t as usize, (f, li as u32)))
+            }),
+        );
+
         let mut hosts = HostTable {
             rows: Vec::with_capacity(attachments.len()),
             row_of: IdMap::with_capacity_and_hasher(attachments.len(), Default::default()),
@@ -511,8 +581,8 @@ impl NetworkBuilder {
             hosts: Arc::new(hosts),
             out_links,
             router_slot,
-            routes: vec![vec![NONE32; dst_count]; router_count as usize],
-            link_index: Arc::new(link_index),
+            router_in,
+            routes: vec![NONE32; router_count as usize * dst_count],
             dst_count,
             dst_routers,
         };
@@ -578,6 +648,14 @@ mod tests {
             assert_eq!(net.links[idx].addr, l.addr);
         }
         assert_eq!(net.link_by_addr(0xdead_beef), None);
+        // The arithmetic's edges: below the first address, one past the
+        // last link, and the top of the address space name no link.
+        assert_eq!(net.link_by_addr(FIRST_LINK_ADDR), Some(0));
+        let past_last = FIRST_LINK_ADDR + net.links.len() as LinkAddr;
+        assert_eq!(net.link_by_addr(past_last - 1), Some(net.links.len() - 1));
+        for addr in [0, FIRST_LINK_ADDR - 1, past_last, LinkAddr::MAX] {
+            assert_eq!(net.link_by_addr(addr), None, "address {addr}");
+        }
     }
 
     #[test]

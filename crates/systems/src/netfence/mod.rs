@@ -177,9 +177,10 @@ impl NetFenceDefense {
             // links: a sparse (link index, state) list sorted ascending —
             // routers own only a handful of links, so allocation stays
             // proportional to the agent, not to the whole network.
-            let bl_specs: Vec<(usize, LinkId, u64)> = net.out_links[i]
+            let bl_specs: Vec<(usize, LinkId, u64)> = net
+                .out_links(node_id)
                 .iter()
-                .map(|&li| (li, &net.links[li]))
+                .map(|&li| (li as usize, &net.links[li as usize]))
                 .filter(|(_, l)| net.is_router_link(l))
                 .map(|(li, l)| (li, LinkId(l.addr), l.capacity))
                 .collect();

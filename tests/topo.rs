@@ -16,6 +16,7 @@ use std::time::Instant;
 use netfence::experiments::prelude::*;
 use netfence::experiments::topo_scale::transit_stub_spec;
 use netfence::sim::time::SEC;
+use netfence::sim::topology::FIRST_LINK_ADDR;
 use netfence::sim::{NodeId, SimRng};
 use netfence::topo::generate::stub_host_addr;
 use netfence::topo::{BuiltTopo, MultiBottleneckSpec, TopoSpec, TransitStubSpec};
@@ -50,6 +51,11 @@ fn check_invariants(built: &BuiltTopo) {
     assert_eq!(addrs.len(), built.net.links.len(), "duplicate link addresses");
     for (i, l) in built.net.links.iter().enumerate() {
         assert_eq!(built.net.link_by_addr(l.addr), Some(i));
+    }
+    // Addresses at the arithmetic's edges name no link.
+    let past_last = FIRST_LINK_ADDR + built.net.links.len() as u32;
+    for addr in [0, FIRST_LINK_ADDR - 1, past_last, u32::MAX] {
+        assert_eq!(built.net.link_by_addr(addr), None, "address {addr}");
     }
     // Every host has an access router, and it is an access-marked router.
     for host in built.net.hosts() {
@@ -151,6 +157,45 @@ proptest! {
     }
 }
 
+/// Each node's CSR slice of outgoing links is exactly the link list
+/// filtered by `from`, ascending, on the classic topologies and a seeded
+/// transit-stub internet.
+#[test]
+fn out_links_match_a_scan_of_the_link_list() {
+    let specs = [
+        TopoSpec::Dumbbell {
+            src_ases: 3,
+            hosts_per_as: 4,
+            legit_per_as: 1,
+            bottleneck_bps: 10_000_000,
+            colluder_ases: 2,
+        },
+        TopoSpec::ParkingLot {
+            per_group: 3,
+            legit_per_group: 1,
+            l1_bps: 10_000_000,
+            l2_bps: 5_000_000,
+        },
+        TopoSpec::MultiBottleneck(MultiBottleneckSpec {
+            bottlenecks: 3,
+            branches: 2,
+            hosts_per_group: 2,
+            legit_per_group: 1,
+            bottleneck_bps: 5_000_000,
+        }),
+        TopoSpec::TransitStub(transit_stub_spec(600, 11)),
+    ];
+    for spec in specs {
+        let net = &spec.build().net;
+        for node in 0..net.nodes.len() {
+            let scanned: Vec<u32> = (0..net.links.len() as u32)
+                .filter(|&li| net.links[li as usize].from == NodeId(node))
+                .collect();
+            assert_eq!(net.out_links(NodeId(node)), &scanned[..], "node {node} of {spec:?}");
+        }
+    }
+}
+
 /// Every defense kind runs end to end on a small generated internet and on
 /// a multi-bottleneck mesh (the CI guard that graph generation cannot rot).
 #[test]
@@ -234,9 +279,10 @@ fn seeded_host_pairs_route_loop_free_on_the_8k_internet() {
     // connected, and a good share of the pairs leave through that link.
     let net = &built.net;
     let access = net.access_router_of(stub_host_addr(0, 0)).unwrap();
-    let uplinks: Vec<usize> = net.out_links[access.0]
+    let uplinks: Vec<usize> = net
+        .out_links(access)
         .iter()
-        .copied()
+        .map(|&l| l as usize)
         .filter(|&l| net.is_router_link(&net.links[l]))
         .collect();
     assert!(uplinks.len() >= 2, "the largest stub is multihomed");
