@@ -24,6 +24,7 @@ use std::rc::Rc;
 
 use crate::aes::Aes128;
 use crate::cmac::Cmac;
+use crate::secret::Nanos;
 
 /// An Autonomous System number.
 pub type AsNumber = u32;
@@ -124,20 +125,22 @@ impl AsKeyAgent {
 }
 
 /// The pairwise AS keys one router holds, all shared between the local AS
-/// and a peer AS.
+/// and a peer AS, and their lifetimes.
 ///
 /// A table is a handle to a key store. [`share`] makes another handle to
 /// the same store, so a router's access router and each of its bottleneck
-/// links hold one store between them: an install or remove through any
-/// handle is seen by all, and a key is derived once per store. Sharing is
-/// explicit; the type is not `Clone`, so no copy is ever mistaken for an
-/// independent table. The store is single-threaded (`Rc`), like the
-/// simulator that owns the router.
+/// links hold one store between them: an install, purge or eviction
+/// through any handle is seen by all, and a key is derived once per
+/// store. Sharing is explicit; the type is not `Clone`, so no copy is ever
+/// mistaken for an independent table. The store is single-threaded
+/// (`Rc`), like the simulator that owns the router.
 ///
-/// An entry is what the peer announced: its DH public value. The CMAC
-/// keyed with the pair's shared key is derived by the first [`get`] for
-/// that peer, so a peer no packet ever needs a key for costs one table
-/// slot and no DH, whitening or AES key schedule.
+/// The store is dense: one slot per AS of the deployment's ascending AS
+/// list, found by binary search. A slot holds what the peer announced (its
+/// DH public value) and when that announcement lapses. The CMAC keyed with
+/// the pair's shared key is derived by the first [`get`] for that peer, so
+/// a peer no packet ever needs a key for costs one slot and no DH,
+/// whitening or AES key schedule.
 ///
 /// [`share`]: Self::share
 /// [`get`]: Self::get
@@ -150,26 +153,39 @@ pub struct AsKeyTable {
 #[derive(Debug, Default)]
 struct KeyStore {
     /// The local AS's agent, which derives every key in the store. `None`
-    /// in a table built by [`AsKeyTable::new`], which holds no keys.
+    /// in a table built by [`AsKeyTable::new`], which has no slots.
     local: Option<AsKeyAgent>,
-    keys: netfence_telemetry::IdMap<AsNumber, PeerKey>,
+    /// The ASes a slot exists for, ascending.
+    ases: Rc<[AsNumber]>,
+    /// How long an announcement lives without a refresh (0 = forever).
+    ttl: Nanos,
+    /// `slots[i]` is the key shared with `ases[i]`, if one is installed.
+    slots: Box<[Option<PeerKey>]>,
 }
 
-/// One peer's entry of a [`KeyStore`].
+/// One installed slot of a [`KeyStore`].
 #[derive(Debug)]
 struct PeerKey {
     /// The DH public value the peer announced.
     public: u64,
+    /// When the announcement lapses unless refreshed (`Nanos::MAX`: never).
+    expiry: Nanos,
     /// The CMAC keyed with the shared key, once something has needed it.
     /// Boxed so a peer whose key is never derived costs 8 bytes here,
     /// not a whole expanded cipher.
     cmac: OnceCell<Box<Cmac>>,
 }
 
-impl PeerKey {
-    fn announced(public: u64) -> Self {
-        PeerKey { public, cmac: OnceCell::new() }
-    }
+/// What [`AsKeyTable::install`] did with an announcement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Install {
+    /// The peer had no key installed; now it has.
+    New,
+    /// The peer's key was installed already; its lifetime restarts.
+    Refreshed,
+    /// The store has no slot for the peer: it is not one of the ASes the
+    /// table was built for.
+    Rejected,
 }
 
 #[cfg(test)]
@@ -178,17 +194,26 @@ thread_local! {
     static DERIVED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
+impl KeyStore {
+    fn slot(&self, peer: AsNumber) -> Option<usize> {
+        self.ases.binary_search(&peer).ok()
+    }
+}
+
 impl AsKeyTable {
-    /// Create an empty table that holds no keys and takes no
-    /// announcements.
+    /// Create a table with no slots: it holds no keys and rejects every
+    /// announcement.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Create an empty table whose keys `local`, the agent of the table's
-    /// own AS, derives.
-    pub fn for_agent(local: AsKeyAgent) -> Self {
-        let store = KeyStore { local: Some(local), keys: Default::default() };
+    /// Create an empty table with one slot per AS of `ases` (ascending),
+    /// whose keys `local`, the agent of the table's own AS, derives. An
+    /// installed key lapses `ttl` after its last announcement (0 = never).
+    pub fn for_agent(local: AsKeyAgent, ases: Rc<[AsNumber]>, ttl: Nanos) -> Self {
+        debug_assert!(ases.windows(2).all(|w| w[0] < w[1]), "AS list not ascending");
+        let slots = ases.iter().map(|_| None).collect();
+        let store = KeyStore { local: Some(local), ases, ttl, slots };
         AsKeyTable { store: Rc::new(RefCell::new(store)) }
     }
 
@@ -197,66 +222,113 @@ impl AsKeyTable {
         AsKeyTable { store: Rc::clone(&self.store) }
     }
 
-    /// Record `public`, the DH value `peer` announced. Nothing is derived
-    /// yet. Re-announcing the value already held keeps its key, derived or
-    /// not; a new value replaces it.
+    /// Record `public`, the DH value `peer` announced at `now`. Nothing is
+    /// derived yet. Re-announcing the value already held keeps its key,
+    /// derived or not; a new value replaces it. Either way the key now
+    /// lapses `ttl` after `now`, saturating at `Nanos::MAX` (never).
     ///
     /// # Panics
     ///
-    /// If the table was built by [`new`](Self::new): it has no local agent
-    /// to derive the key with. Also if a [`get`](Self::get) guard of this
-    /// store is still alive.
-    pub fn install(&self, peer: AsNumber, public: u64) {
+    /// If a [`get`](Self::get) guard of this store is still alive.
+    pub fn install(&self, now: Nanos, peer: AsNumber, public: u64) -> Install {
         let mut store = self.store.borrow_mut();
-        assert!(store.local.is_some(), "AsKeyTable::install needs a table built by for_agent");
-        let entry = store.keys.entry(peer).or_insert_with(|| PeerKey::announced(public));
-        if entry.public != public {
-            *entry = PeerKey::announced(public);
+        let Some(i) = store.slot(peer) else { return Install::Rejected };
+        let expiry = if store.ttl == 0 { Nanos::MAX } else { now.saturating_add(store.ttl) };
+        match &mut store.slots[i] {
+            Some(key) => {
+                if key.public != public {
+                    *key = PeerKey { public, expiry, cmac: OnceCell::new() };
+                }
+                key.expiry = expiry;
+                Install::Refreshed
+            }
+            slot @ None => {
+                *slot = Some(PeerKey { public, expiry, cmac: OnceCell::new() });
+                Install::New
+            }
         }
     }
 
     /// Look up the CMAC for a peer AS, deriving it from the peer's
     /// announced value on the first call. The guard borrows the store:
-    /// drop it before the next install or remove.
+    /// drop it before the next install, purge or eviction.
     pub fn get(&self, peer: AsNumber) -> Option<Ref<'_, Cmac>> {
         Ref::filter_map(self.store.borrow(), |store| {
-            let (local, entry) = (store.local.as_ref()?, store.keys.get(&peer)?);
-            Some(&**entry.cmac.get_or_init(|| {
+            let key = store.slots[store.slot(peer)?].as_ref()?;
+            let local = store.local.as_ref()?;
+            Some(&**key.cmac.get_or_init(|| {
                 #[cfg(test)]
                 DERIVED.with(|n| n.set(n.get() + 1));
-                Box::new(Cmac::new(&local.shared_key(peer, entry.public)))
+                Box::new(Cmac::new(&local.shared_key(peer, key.public)))
             }))
         })
         .ok()
     }
 
-    /// Remove the key shared with `peer` (it expired without a refreshing
-    /// announcement). Returns whether a key was installed.
-    pub fn remove(&self, peer: AsNumber) -> bool {
-        self.store.borrow_mut().keys.remove(&peer).is_some()
+    /// When the key shared with `peer` lapses, if one is installed.
+    pub fn expiry_of(&self, peer: AsNumber) -> Option<Nanos> {
+        let store = self.store.borrow();
+        store.slots[store.slot(peer)?].as_ref().map(|key| key.expiry)
+    }
+
+    /// Remove every key whose lifetime ended by `now` (no refreshing
+    /// announcement landed in time). Returns how many it removed.
+    pub fn purge(&self, now: Nanos) -> usize {
+        let mut store = self.store.borrow_mut();
+        if store.ttl == 0 {
+            return 0;
+        }
+        let mut expired = 0;
+        for slot in store.slots.iter_mut() {
+            if slot.as_ref().is_some_and(|key| now >= key.expiry) {
+                *slot = None;
+                expired += 1;
+            }
+        }
+        expired
+    }
+
+    /// Remove up to `n` keys before their lifetime ends (memory pressure):
+    /// the earliest to lapse first, ties in ascending AS order. Returns how
+    /// many it removed.
+    pub fn evict_oldest(&self, n: usize) -> usize {
+        let mut store = self.store.borrow_mut();
+        let mut victims: Vec<(Nanos, usize)> = (store.slots.iter().enumerate())
+            .filter_map(|(i, slot)| Some((slot.as_ref()?.expiry, i)))
+            .collect();
+        victims.sort_unstable();
+        victims.truncate(n);
+        for &(_, i) in &victims {
+            store.slots[i] = None;
+        }
+        victims.len()
     }
 
     /// Number of peers with installed keys.
     pub fn len(&self) -> usize {
-        self.store.borrow().keys.len()
+        self.store.borrow().slots.iter().filter(|slot| slot.is_some()).count()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.store.borrow().keys.is_empty()
+        self.len() == 0
     }
 }
 
 /// Run the full-mesh "BGP piggybacked" exchange for a set of ASes and return
-/// each AS's key table, every key already derived. Index `i` of the result
-/// corresponds to `agents[i]`.
+/// each AS's key table, every key already derived and permanent. Index `i`
+/// of the result corresponds to `agents[i]`.
 pub fn full_mesh_exchange(agents: &[AsKeyAgent]) -> Vec<AsKeyTable> {
+    let mut ases: Vec<AsNumber> = agents.iter().map(AsKeyAgent::asn).collect();
+    ases.sort_unstable();
+    ases.dedup();
+    let ases: Rc<[AsNumber]> = ases.into();
     agents
         .iter()
         .map(|a| {
-            let table = AsKeyTable::for_agent(a.clone());
+            let table = AsKeyTable::for_agent(a.clone(), Rc::clone(&ases), 0);
             for b in agents.iter().filter(|b| b.asn() != a.asn()) {
-                table.install(b.asn(), b.public_value());
+                table.install(0, b.asn(), b.public_value());
                 table.get(b.asn());
             }
             table
@@ -383,12 +455,18 @@ mod tests {
         &*table.get(peer).unwrap()
     }
 
+    /// A table of `local` with a slot for each of the ASes 1–4 and 1000–1003
+    /// whose keys lapse `ttl` after their last announcement.
+    fn keys_of(local: &AsKeyAgent, ttl: Nanos) -> AsKeyTable {
+        AsKeyTable::for_agent(local.clone(), [1, 2, 3, 4, 1000, 1001, 1002, 1003].into(), ttl)
+    }
+
     #[test]
     fn announced_tables_derive_the_pinned_keys() {
         let agents = pin_agents();
         for (from, to, pin) in PAIR_PINS {
-            let table = AsKeyTable::for_agent(agents[from].clone());
-            table.install(agents[to].asn(), agents[to].public_value());
+            let table = keys_of(&agents[from], 0);
+            table.install(0, agents[to].asn(), agents[to].public_value());
             let mac = table.get(agents[to].asn()).unwrap().mac32(b"netfence-pin");
             assert_eq!(mac, pin, "{from} -> {to}");
         }
@@ -397,10 +475,10 @@ mod tests {
     #[test]
     fn a_key_is_derived_on_first_use_only() {
         let (a, b, c) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33));
-        let table = AsKeyTable::for_agent(a.clone());
+        let table = keys_of(&a, 0);
         let before = derived();
-        table.install(b.asn(), b.public_value());
-        table.install(c.asn(), c.public_value());
+        table.install(0, b.asn(), b.public_value());
+        table.install(0, c.asn(), c.public_value());
         assert_eq!(derived(), before, "announcements alone derive nothing");
 
         let eager = Cmac::new(&a.shared_key(b.asn(), b.public_value()));
@@ -413,18 +491,18 @@ mod tests {
     #[test]
     fn re_announcing_keeps_the_key_and_a_new_value_replaces_it() {
         let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
-        let table = AsKeyTable::for_agent(a.clone());
-        table.install(b.asn(), b.public_value());
+        let table = keys_of(&a, 0);
+        assert_eq!(table.install(0, b.asn(), b.public_value()), Install::New);
         let first = key_addr(&table, b.asn());
         let before = derived();
         // The refresh lands through another share of the same store.
         let share = table.share();
-        share.install(b.asn(), b.public_value());
+        assert_eq!(share.install(0, b.asn(), b.public_value()), Install::Refreshed);
         assert_eq!(first, key_addr(&table, b.asn()));
         assert_eq!(derived(), before, "a refresh derives nothing");
 
         let rekeyed = AsKeyAgent::new(2, 23);
-        table.install(b.asn(), rekeyed.public_value());
+        assert_eq!(table.install(0, b.asn(), rekeyed.public_value()), Install::Refreshed);
         let eager = Cmac::new(&a.shared_key(b.asn(), rekeyed.public_value()));
         assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), eager.mac32(MSG));
         let old = Cmac::new(&a.shared_key(b.asn(), b.public_value()));
@@ -432,57 +510,101 @@ mod tests {
     }
 
     #[test]
-    fn a_removed_key_is_gone_until_announced_again() {
-        let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
-        let table = AsKeyTable::for_agent(a);
-        table.install(b.asn(), b.public_value());
+    fn a_lapsed_key_is_gone_until_announced_again() {
+        let (a, b, c) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33));
+        let table = keys_of(&a, 10);
+        table.install(0, b.asn(), b.public_value());
+        table.install(5, c.asn(), c.public_value());
+        assert_eq!(table.expiry_of(b.asn()), Some(10));
         let mac = table.get(b.asn()).unwrap().mac32(MSG);
-        assert!(table.remove(b.asn()));
-        assert!(table.get(b.asn()).is_none());
-        assert!(!table.remove(b.asn()));
-        table.install(b.asn(), b.public_value());
+        assert_eq!(table.purge(9), 0);
+        assert_eq!(table.purge(10), 1, "a key lapses exactly at its expiry");
+        assert!(table.get(b.asn()).is_none() && table.expiry_of(b.asn()).is_none());
+        assert!(table.get(c.asn()).is_some());
+        assert_eq!(table.install(10, b.asn(), b.public_value()), Install::New);
         assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), mac);
+        assert_eq!(table.len(), 2);
     }
 
     #[test]
-    #[should_panic(expected = "for_agent")]
+    fn lifetimes_saturate_and_a_zero_ttl_never_lapses() {
+        let b = AsKeyAgent::new(2, 22);
+        for (ttl, expiry) in [(0, Nanos::MAX), (Nanos::MAX, Nanos::MAX), (10, 15)] {
+            let table = keys_of(&AsKeyAgent::new(1, 11), ttl);
+            table.install(5, b.asn(), b.public_value());
+            assert_eq!(table.expiry_of(b.asn()), Some(expiry), "ttl {ttl}");
+            assert_eq!(table.purge(Nanos::MAX - 1), usize::from(ttl == 10), "ttl {ttl}");
+        }
+    }
+
+    #[test]
+    fn eviction_takes_the_earliest_expiry_first_and_ties_in_as_order() {
+        let table = keys_of(&AsKeyAgent::new(1, 11), 10);
+        // Expiries: AS 4 at 10, AS 1 at 11, ASes 2 and 3 tied at 12, AS 1000 at 13.
+        for (now, asn) in [(0, 4), (1, 1), (2, 3), (2, 2), (3, 1000)] {
+            table.install(now, asn, AsKeyAgent::new(asn, 7).public_value());
+        }
+        let held = |t: &AsKeyTable| -> Vec<AsNumber> {
+            [1, 2, 3, 4, 1000].into_iter().filter(|&asn| t.expiry_of(asn).is_some()).collect()
+        };
+        assert_eq!(table.evict_oldest(2), 2);
+        assert_eq!(held(&table), [2, 3, 1000]);
+        assert_eq!(table.evict_oldest(1), 1);
+        assert_eq!(held(&table), [3, 1000]);
+        assert_eq!(table.evict_oldest(usize::MAX), 2);
+        assert!(table.is_empty());
+        assert_eq!(table.evict_oldest(3), 0);
+    }
+
+    #[test]
     fn a_table_without_an_agent_takes_no_announcement() {
-        AsKeyTable::new().share().install(2, AsKeyAgent::new(2, 22).public_value());
+        let table = AsKeyTable::new();
+        let public = AsKeyAgent::new(2, 22).public_value();
+        assert_eq!(table.share().install(0, 2, public), Install::Rejected);
+        assert!(table.is_empty() && table.get(2).is_none());
+    }
+
+    #[test]
+    fn an_as_outside_the_list_is_rejected() {
+        let table = keys_of(&AsKeyAgent::new(1, 11), 0);
+        assert_eq!(table.install(0, 5, AsKeyAgent::new(5, 55).public_value()), Install::Rejected);
+        assert!(table.is_empty() && table.get(5).is_none() && table.expiry_of(5).is_none());
     }
 
     #[test]
     fn every_share_sees_an_install_or_remove_through_any_other() {
         let (a, b, c) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33));
-        let table = AsKeyTable::for_agent(a);
+        let table = keys_of(&a, 0);
         let shares = [table.share(), table.share()];
-        shares[0].install(b.asn(), b.public_value());
-        table.install(c.asn(), c.public_value());
+        shares[0].install(0, b.asn(), b.public_value());
+        table.install(0, c.asn(), c.public_value());
         for t in shares.iter().chain([&table]) {
             assert_eq!(t.len(), 2);
             assert!(t.get(b.asn()).is_some() && t.get(c.asn()).is_some());
         }
-        assert!(shares[1].remove(b.asn()));
+        assert_eq!(shares[1].evict_oldest(1), 1);
         for t in shares.iter().chain([&table]) {
             assert!(t.get(b.asn()).is_none());
             assert_eq!(t.len(), 1);
         }
-        assert!(!table.remove(b.asn()), "the key is gone from every share");
+        assert_eq!(table.evict_oldest(1), 1, "only AS 3's key was left in any share");
+        assert!(shares[0].get(c.asn()).is_none());
     }
 
     #[test]
     fn a_key_is_derived_once_per_store_not_once_per_share() {
         let (a, b) = (AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22));
-        let table = AsKeyTable::for_agent(a.clone());
+        let table = keys_of(&a, 0);
         let share = table.share();
-        table.install(b.asn(), b.public_value());
+        table.install(0, b.asn(), b.public_value());
         let before = derived();
         let mac = share.get(b.asn()).unwrap().mac32(MSG);
         assert_eq!(table.get(b.asn()).unwrap().mac32(MSG), mac);
         assert_eq!(derived(), before + 1, "both shares use the one derived key");
 
         // A separate store for the same AS derives its own copy.
-        let other = AsKeyTable::for_agent(a);
-        other.install(b.asn(), b.public_value());
+        let other = keys_of(&a, 0);
+        other.install(0, b.asn(), b.public_value());
         assert_eq!(other.get(b.asn()).unwrap().mac32(MSG), mac);
         assert_eq!(derived(), before + 2);
     }

@@ -32,5 +32,5 @@ pub mod secret;
 
 pub use aes::Aes128;
 pub use cmac::{Cmac, Mac32, MacInput};
-pub use keyexchange::{full_mesh_exchange, AsKeyAgent, AsKeyTable, AsNumber};
+pub use keyexchange::{full_mesh_exchange, AsKeyAgent, AsKeyTable, AsNumber, Install};
 pub use secret::{Nanos, TimeVaryingSecret};

@@ -18,8 +18,9 @@
 //!   messages are held until an exponential-backoff reconnect. Configured
 //!   by [`config::CtrlConfig`].
 //! * [`policy::PolicyStore`] — TTL'd policy rules with capacity limits:
-//!   StopIt filters, Passport/NetFence keys and TVA+ capability grants
-//!   expire and must be refreshed over the (possibly degraded) transport.
+//!   StopIt filters and TVA+ capability grants expire and must be
+//!   refreshed over the (possibly degraded) transport, as NetFence's
+//!   pairwise keys do in their own key store.
 //!
 //! The degenerate configuration [`config::CtrlConfig::ideal`] (zero
 //! latency, zero loss) with no outage window reproduces the old bus

@@ -4,9 +4,11 @@
 //! from a central control plane to per-host daemons; nothing installed is
 //! permanent, so a defense only keeps working while its refresh traffic
 //! keeps landing. [`PolicyStore`] is that model as a reusable container:
-//! StopIt filters, Passport/NetFence pairwise keys and TVA+ capability
-//! grants all live in one, and the typed [`PolicyStats`] feed the
-//! deployment report's `rules_*` counters.
+//! StopIt filters and TVA+ capability grants live in one, and the typed
+//! [`PolicyStats`] feed the deployment report's `rules_*` counters.
+//! NetFence's pairwise keys keep the same lifecycle in the router's own
+//! dense key store (`netfence_crypto::AsKeyTable`), whose agent counts
+//! it in a [`PolicyStats`].
 
 use std::collections::BTreeMap;
 

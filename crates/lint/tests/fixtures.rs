@@ -154,6 +154,47 @@ fn every_member_inherits_the_workspace_lints() {
     }
 }
 
+/// `netfence-crypto` is the bottom of the stack: its library links no
+/// workspace crate, so no workspace table type (an `IdMap`, a telemetry
+/// counter) creeps back into the key store. Its tests may use the
+/// proptest shim.
+#[test]
+fn crypto_depends_on_no_workspace_crate() {
+    let root = workspace_root();
+    let package_name = |manifest: &str| -> Option<String> {
+        let mut section = "";
+        manifest.lines().map(str::trim).find_map(|line| {
+            if line.starts_with('[') {
+                section = line;
+            }
+            let value = line.strip_prefix("name")?.trim_start().strip_prefix('=')?;
+            (section == "[package]").then(|| value.trim().trim_matches('"').to_string())
+        })
+    };
+    let members: Vec<String> = workspace_members(&read(&root.join("Cargo.toml")))
+        .iter()
+        .filter_map(|member| package_name(&read(&root.join(member).join("Cargo.toml"))))
+        .collect();
+    assert!(members.iter().any(|m| m == "netfence-telemetry"), "members: {members:?}");
+    let manifest = read(&root.join("crates/crypto/Cargo.toml"));
+    let mut section = "";
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        if !section.ends_with("dependencies]") {
+            continue;
+        }
+        let dep = line.split(['=', '.', ' ']).next().unwrap_or("");
+        let test_harness = section == "[dev-dependencies]" && dep == "proptest";
+        assert!(
+            !members.iter().any(|m| m == dep) || test_harness,
+            "crates/crypto/Cargo.toml lists the workspace crate `{dep}` under {section}"
+        );
+    }
+}
+
 /// Hash-order iteration and wildcard dispatch are clippy's, with real
 /// types: both manifests deny `iter_over_hash_type` (`for` loops), the
 /// old wildcard zone's crate roots deny `wildcard_enum_match_arm`, and

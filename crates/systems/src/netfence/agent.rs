@@ -3,14 +3,15 @@
 //! response to injected faults.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use netfence_core::access::{AccessRouter, AccessVerdict};
 use netfence_core::bottleneck::{BottleneckLink, Channel, StampOutcome};
 use netfence_core::config::Config;
 use netfence_core::types::{AsId, FlowPair, HostId, LinkId};
-use netfence_crypto::{AsKeyAgent, AsKeyTable};
-use netfence_ctrl::policy::PolicyStore;
+use netfence_crypto::{AsKeyAgent, AsKeyTable, Install};
+use netfence_ctrl::policy::PolicyStats;
 use netfence_sim::control::{ControlPayload, ControlPlane};
 use netfence_sim::deploy::{DefenseReport, LinkRef, RouterAction, RouterAgent, RouterFault};
 use netfence_sim::packet::{AsNum, ChannelClass, Packet};
@@ -27,8 +28,9 @@ use crate::headers::NetFenceExt;
 pub(super) struct KeyAnnouncer {
     /// The AS's key announcement.
     pub(super) announcement: ControlPayload,
-    /// Every deployed router agent (snapshot at deploy time).
-    pub(super) peers: Vec<NodeId>,
+    /// Every deployed router agent (snapshot at deploy time), one list
+    /// shared by every announcer.
+    pub(super) peers: Rc<[NodeId]>,
     /// Re-announce cadence (`key_ttl / 2`).
     pub(super) interval: Nanos,
     /// When the last announcement was posted (deploy time = 0).
@@ -39,7 +41,7 @@ impl KeyAnnouncer {
     /// Post the AS's announcement to every deployed router now.
     fn post(&mut self, now: Nanos, ctl: &mut ControlPlane) {
         self.last = now;
-        for &peer in &self.peers {
+        for &peer in self.peers.iter() {
             ctl.to_router(peer, self.announcement);
         }
     }
@@ -57,6 +59,9 @@ pub(super) struct AgentTemplate {
     /// The AS's key agent, handed to the key store the template builds so
     /// the store can derive its pairwise keys.
     pub(super) key_agent: AsKeyAgent,
+    /// The deploying ASes, ascending: the key store's slots. One list
+    /// shared by every agent of the deployment.
+    pub(super) ases: Rc<[AsNum]>,
     pub(super) ka_root: [u8; 16],
     pub(super) is_access: bool,
     /// The deployment's (bottleneck link → owning AS) map, one copy shared
@@ -84,7 +89,8 @@ impl AgentTemplate {
     /// and its bottleneck links, all holding shares of one new key store,
     /// plus the agent's own share of it.
     fn build(&self) -> (AsKeyTable, Option<AccessRouter>, Vec<(usize, BottleneckLink)>) {
-        let keys = AsKeyTable::for_agent(self.key_agent.clone());
+        let keys =
+            AsKeyTable::for_agent(self.key_agent.clone(), Rc::clone(&self.ases), self.key_ttl);
         let access = self.is_access.then(|| {
             let root = self.root_for_generation();
             let mut access = AccessRouter::new(self.cfg.clone(), self.as_id, root, keys.share());
@@ -107,16 +113,16 @@ impl AgentTemplate {
 /// state.
 #[derive(Debug)]
 pub struct NetFenceRouterAgent {
-    /// The router's pairwise keys: one store, shared with the access
-    /// router and every bottleneck link.
+    /// The router's pairwise keys and their TTLs: one store, shared with
+    /// the access router and every bottleneck link.
     as_keys: AsKeyTable,
     access: Option<AccessRouter>,
     /// Bottleneck state per outgoing inter-router link: (link index,
     /// state), sorted ascending by index.
     bottlenecks: Vec<(usize, BottleneckLink)>,
-    /// TTL bookkeeping for installed pairwise keys; expired peers are
-    /// uninstalled from the key store on the next tick.
-    keys: PolicyStore<AsNum>,
+    /// Lifecycle counters of the key store. They are measurement, not
+    /// router state, so they outlive the store a reboot replaces.
+    key_stats: PolicyStats,
     /// Present on the AS's designated announcer when a key TTL is set.
     announcer: Option<KeyAnnouncer>,
     /// Deploy-time construction parameters, for fault-injected rebuilds.
@@ -138,7 +144,7 @@ impl NetFenceRouterAgent {
             as_keys,
             access,
             bottlenecks,
-            keys: PolicyStore::new(template.key_ttl, 0),
+            key_stats: PolicyStats::default(),
             announcer,
             template,
             clock_offset: 0,
@@ -157,15 +163,6 @@ impl NetFenceRouterAgent {
             now.saturating_add(self.clock_offset as u64)
         } else {
             now.saturating_sub(self.clock_offset.unsigned_abs())
-        }
-    }
-
-    /// Tear the `peers`' keys out of the router's key store: their traffic
-    /// reverts to unverifiable (no `L↓` can be stamped for it) until a
-    /// fresh announcement lands.
-    fn uninstall_keys(&mut self, peers: Vec<AsNum>) {
-        for asn in peers {
-            self.as_keys.remove(asn);
         }
     }
 }
@@ -262,8 +259,11 @@ impl RouterAgent for NetFenceRouterAgent {
         let ControlPayload::KeyAnnouncement { asn, public_value } = msg else { return };
         // Only the value is recorded: the store derives the key the first
         // time a component stamps or validates an `L↓` for this AS.
-        self.keys.insert(now, asn);
-        self.as_keys.install(asn, public_value);
+        match self.as_keys.install(now, asn, public_value) {
+            Install::New => self.key_stats.installed += 1,
+            Install::Refreshed => self.key_stats.refreshed += 1,
+            Install::Rejected => self.key_stats.rejected += 1,
+        }
     }
 
     fn tick(&mut self, now: Nanos, ctl: &mut ControlPlane) {
@@ -276,9 +276,10 @@ impl RouterAgent for NetFenceRouterAgent {
         for (_, bl) in self.bottlenecks.iter_mut() {
             bl.tick(lnow);
         }
-        // Uninstall keys whose TTL lapsed without a refresh landing.
-        let expired = self.keys.purge(now);
-        self.uninstall_keys(expired);
+        // Drop keys whose TTL lapsed without a refresh landing: their
+        // traffic reverts to unverifiable (no `L↓` can be stamped for it)
+        // until a fresh announcement lands.
+        self.key_stats.expired += self.as_keys.purge(now) as u64;
         // The designated announcer re-posts its AS's public value over the
         // control plane; under latency, loss or an outage the refresh may
         // land late (or never), which is exactly what the TTL punishes.
@@ -300,7 +301,6 @@ impl RouterAgent for NetFenceRouterAgent {
                 // before the fault stops validating until re-stamped.
                 self.template.generation += 1;
                 (self.as_keys, self.access, self.bottlenecks) = self.template.build();
-                self.keys.clear();
                 self.clock_offset = 0;
                 // Re-bootstrap over the control plane: the designated
                 // announcer re-posts its AS's public value immediately;
@@ -326,8 +326,7 @@ impl RouterAgent for NetFenceRouterAgent {
             RouterFault::MemoryPressure { evict } => {
                 // A forced eviction burst tears the evicted peers' keys
                 // out exactly as a TTL lapse would.
-                let evicted = self.keys.evict_oldest(evict);
-                self.uninstall_keys(evicted);
+                self.key_stats.evicted += self.as_keys.evict_oldest(evict) as u64;
             }
         }
     }
@@ -349,7 +348,7 @@ impl RouterAgent for NetFenceRouterAgent {
                 out.record(now, "aimd_rate_bps", format!("src:{src}/link:{link}"), rate as f64);
             }
         }
-        out.record(now, "key_store_peers", "netfence".to_string(), self.keys.len() as f64);
+        out.record(now, "key_store_peers", "netfence".to_string(), self.as_keys.len() as f64);
         for (_, bl) in self.bottlenecks.iter() {
             out.record(
                 now,
@@ -362,10 +361,10 @@ impl RouterAgent for NetFenceRouterAgent {
 
     fn report(&self, out: &mut DefenseReport) {
         out.stamped_decr += self.stamped_decr;
-        out.rules_installed += self.keys.stats.installed;
-        out.rules_refreshed += self.keys.stats.refreshed;
-        out.rules_expired += self.keys.stats.expired;
-        out.rules_rejected += self.keys.stats.rejected;
+        out.rules_installed += self.key_stats.installed;
+        out.rules_refreshed += self.key_stats.refreshed;
+        out.rules_expired += self.key_stats.expired;
+        out.rules_rejected += self.key_stats.rejected;
         if let Some(access) = &self.access {
             out.rate_limiters += access.limiter_count();
             out.invalid_feedback += access.invalid_feedback();
@@ -415,6 +414,7 @@ mod tests {
             cfg: Config::short_timers(),
             as_id: AsId(AS),
             key_agent: key_agent(),
+            ases: [AS].into(),
             ka_root: [7; 16],
             is_access: true,
             link_as: Arc::new([(link, AsId(AS))].into_iter().collect()),

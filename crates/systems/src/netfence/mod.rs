@@ -40,6 +40,7 @@
 //! routers, which is the paper's adoption incentive (§5.3).
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use netfence_core::config::Config;
@@ -112,13 +113,8 @@ impl NetFenceDefense {
     }
 
     /// The deterministic key agent of a deploying AS.
-    fn key_agent(&self, asn: AsNum) -> AsKeyAgent {
+    fn key_agent(asn: AsNum) -> AsKeyAgent {
         AsKeyAgent::new(asn, SEED ^ (0x9E3779B97F4A7C15u64.wrapping_mul(asn as u64 + 1)))
-    }
-
-    /// What AS `asn` announces on the control plane (§4.4).
-    fn announcement(&self, asn: AsNum) -> ControlPayload {
-        ControlPayload::KeyAnnouncement { asn, public_value: self.key_agent(asn).public_value() }
     }
 
     /// The three-channel queue of one bottleneck link.
@@ -154,7 +150,12 @@ impl NetFenceDefense {
         }
 
         // Router agents for every router in a deploying AS.
-        let agent_nodes: Vec<NodeId> = map.routers(net).collect();
+        let agent_nodes: Rc<[NodeId]> = map.routers(net).collect();
+        // Each deploying AS's key agent, built once, in `map.ases` order;
+        // the AS list is every key store's slot list.
+        let key_agents: Vec<AsKeyAgent> =
+            map.ases.iter().map(|&asn| Self::key_agent(asn)).collect();
+        let ases: Rc<[AsNum]> = map.ases.as_slice().into();
         // ASes whose designated announcer is already placed.
         let mut announced: BTreeSet<AsNum> = BTreeSet::new();
         // The (bottleneck link → owning AS) map every access router needs;
@@ -166,10 +167,13 @@ impl NetFenceDefense {
                 .map(|l| (LinkId(l.addr), AsId(net.nodes[l.from.0].as_num())))
                 .collect(),
         );
-        for &node_id in &agent_nodes {
+        for &node_id in agent_nodes.iter() {
             let i = node_id.0;
             let node = &net.nodes[i];
             let as_num = node.as_num();
+            // `map.routers` yields only routers of deploying ASes.
+            let Ok(k) = map.ases.binary_search(&as_num) else { continue };
+            let key_agent = &key_agents[k];
             let mut ka_root = [0u8; 16];
             ka_root[..8].copy_from_slice(&(i as u64 + 1).to_be_bytes());
             ka_root[8..].copy_from_slice(&SEED.to_be_bytes());
@@ -187,7 +191,8 @@ impl NetFenceDefense {
             let template = AgentTemplate {
                 cfg: self.cfg.clone(),
                 as_id: AsId(as_num),
-                key_agent: self.key_agent(as_num),
+                key_agent: key_agent.clone(),
+                ases: Rc::clone(&ases),
                 ka_root,
                 is_access: node.is_access_router(),
                 link_as: Arc::clone(&link_as),
@@ -200,8 +205,8 @@ impl NetFenceDefense {
             // every `ttl / 2` so installed keys stay refreshed.
             let announces = self.key_ttl > 0 && announced.insert(as_num);
             let announcer = announces.then(|| KeyAnnouncer {
-                announcement: self.announcement(as_num),
-                peers: agent_nodes.clone(),
+                announcement: announcement(key_agent),
+                peers: Rc::clone(&agent_nodes),
                 interval: (self.key_ttl / 2).max(1),
                 last: 0,
             });
@@ -231,14 +236,19 @@ impl NetFenceDefense {
         // announces its public value to every deployed router (one round,
         // as a full-mesh BGP propagation would). Each agent records the
         // announced values in `on_control`; keys are derived on first use.
-        for &asn in &map.ases {
-            let ann = self.announcement(asn);
-            for &node in &agent_nodes {
+        for key_agent in &key_agents {
+            let ann = announcement(key_agent);
+            for &node in agent_nodes.iter() {
                 deployment.bus.to_router(node, ann);
             }
         }
         deployment
     }
+}
+
+/// What the AS of `key_agent` announces on the control plane (§4.4).
+fn announcement(key_agent: &AsKeyAgent) -> ControlPayload {
+    ControlPayload::KeyAnnouncement { asn: key_agent.asn(), public_value: key_agent.public_value() }
 }
 
 #[cfg(test)]

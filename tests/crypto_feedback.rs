@@ -1,14 +1,21 @@
 //! The MAC path end to end, through the `netfence` facade: the published
 //! AES-128 / AES-CMAC vectors, the table-driven cipher against a textbook
-//! byte-wise oracle, and the adversarial properties of Eq. 1–3 feedback
+//! byte-wise oracle, the adversarial properties of Eq. 1–3 feedback
 //! (§4.4) — what a sender, a colluding receiver or a downstream router can
-//! do to a token and still have it validate: nothing.
+//! do to a token and still have it validate: nothing — and the dense
+//! pairwise-key store against a `PolicyStore` model of its key lifecycle.
 
 use netfence::core::feedback::{stamp_decr, stamp_incr, stamp_nop, validate};
 use netfence::core::prelude::*;
 use netfence::crypto::secret::DEFAULT_ROTATION_PERIOD;
-use netfence::crypto::{Aes128, AsKeyAgent, Cmac, TimeVaryingSecret};
+use netfence::crypto::{
+    Aes128, AsKeyAgent, AsKeyTable, AsNumber, Cmac, Install, TimeVaryingSecret,
+};
+use netfence::ctrl::policy::{PolicyStats, PolicyStore};
 use proptest::proptest;
+use proptest::test_runner::TestRng;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 fn hex<const N: usize>(s: &str) -> [u8; N] {
     let s: String = s.split_whitespace().collect();
@@ -371,6 +378,135 @@ fn feedback_survives_a_ka_rotation() {
                 validate(&fb, &mut ka, |_| Some(&kai), 2 * period + SEC, flow, u64::MAX),
                 Err(FeedbackError::BadMac)
             );
+        }
+    }
+}
+
+// -------------------------------------------------------------- key store
+
+/// The ASes the store under test has slots for, ascending; 1 is its own.
+const SLOTS: [AsNumber; 6] = [1, 2, 3, 5, 8, 13];
+/// An AS with no slot: its announcements are rejected.
+const OUTSIDER: AsNumber = 4;
+
+/// The key lifecycle one NetFence router keeps, written the way the router
+/// kept it before the store owned it: a `PolicyStore` for the TTLs and
+/// counters beside a map of the announced values.
+struct Model {
+    rules: PolicyStore<AsNumber>,
+    values: BTreeMap<AsNumber, u64>,
+}
+
+/// The store's side of the same lifecycle: the table and the counters a
+/// router keeps from what its calls return.
+struct Store {
+    table: AsKeyTable,
+    stats: PolicyStats,
+    /// Where each derived key lives, until it is removed or replaced.
+    derived: BTreeMap<AsNumber, *const Cmac>,
+}
+
+/// Drive one seeded interleaving of announcements, re-announcements with a
+/// new value, purges, evictions, reboots and key lookups through the store
+/// and the model, and check after every step that they hold the same keys
+/// with the same expiries and count the same lifecycle events.
+fn drive_key_store(ttl: Nanos, case: u64) {
+    let mut rng = TestRng::for_case("drive_key_store", case ^ ttl.rotate_left(17));
+    let local = AsKeyAgent::new(1, 0x5eed);
+    let ases: Rc<[AsNumber]> = SLOTS.into();
+    let fresh = || AsKeyTable::for_agent(local.clone(), Rc::clone(&ases), ttl);
+    let mut model = Model { rules: PolicyStore::new(ttl, 0), values: BTreeMap::new() };
+    let mut store =
+        Store { table: fresh(), stats: PolicyStats::default(), derived: BTreeMap::new() };
+    // Two values each AS may announce: a re-announcement either repeats
+    // the value held or brings the other one.
+    let values: Vec<[u64; 2]> = (0..=13)
+        .map(|asn| [0, 1].map(|v| AsKeyAgent::new(asn, 1000 * v + asn as u64).public_value()))
+        .collect();
+    // Half the cases run at the end of time, where expiries saturate.
+    let mut now: Nanos = if case.is_multiple_of(2) { 0 } else { Nanos::MAX - 40 };
+    // A dummy allocation of a `Cmac`'s size after every step takes the
+    // chunk a dropped key freed, so a key derived again never lands at a
+    // kept key's address: equal addresses mean the key was kept.
+    let mut spare: Vec<Box<Cmac>> = Vec::new();
+    for step in 0..200 {
+        now = now.saturating_add(rng.below(3));
+        let op = rng.below(20);
+        let peer = SLOTS[rng.below(SLOTS.len() as u64) as usize];
+        match op {
+            0..=7 => {
+                let public = values[peer as usize][rng.below(2) as usize];
+                match store.table.install(now, peer, public) {
+                    Install::New => store.stats.installed += 1,
+                    Install::Refreshed => store.stats.refreshed += 1,
+                    Install::Rejected => panic!("AS {peer} has a slot"),
+                }
+                assert!(model.rules.insert(now, peer));
+                if model.values.insert(peer, public).is_some_and(|old| old != public) {
+                    store.derived.remove(&peer);
+                }
+            }
+            8 => {
+                let public = values[OUTSIDER as usize][0];
+                assert_eq!(store.table.install(now, OUTSIDER, public), Install::Rejected);
+            }
+            9..=10 => {
+                store.stats.expired += store.table.purge(now) as u64;
+                for peer in model.rules.purge(now) {
+                    model.values.remove(&peer);
+                    store.derived.remove(&peer);
+                }
+            }
+            11 => {
+                let n = [0, 1, 2, 3, usize::MAX][rng.below(5) as usize];
+                store.stats.evicted += store.table.evict_oldest(n) as u64;
+                for peer in model.rules.evict_oldest(n) {
+                    model.values.remove(&peer);
+                    store.derived.remove(&peer);
+                }
+            }
+            12 => {
+                // A reboot: a fresh store; the counters are the router's.
+                store.table = fresh();
+                store.derived.clear();
+                model.rules.clear();
+                model.values.clear();
+            }
+            13 if ttl != 0 && rng.below(8) == 0 => now = Nanos::MAX,
+            _ => {
+                let held = model.values.get(&peer).copied();
+                let key =
+                    store.table.get(peer).map(|cmac| (&*cmac as *const Cmac, cmac.mac32(b"m")));
+                assert_eq!(key.is_some(), held.is_some(), "step {step}: key for AS {peer}");
+                if let (Some((addr, mac)), Some(public)) = (key, held) {
+                    let eager = Cmac::new(&local.shared_key(peer, public));
+                    assert_eq!(mac, eager.mac32(b"m"), "step {step}: AS {peer}'s key");
+                    let first = *store.derived.entry(peer).or_insert(addr);
+                    assert_eq!(addr, first, "step {step}: AS {peer}'s key was derived again");
+                }
+            }
+        }
+        spare.push(Box::new(Cmac::new(&KAI_KEY)));
+        let ctx = format!("ttl {ttl}, case {case}, step {step}, op {op}, now {now}");
+        for asn in SLOTS.into_iter().chain([OUTSIDER]) {
+            assert_eq!(store.table.expiry_of(asn), model.rules.expiry_of(&asn), "{ctx}: AS {asn}");
+        }
+        assert_eq!(store.table.len(), model.rules.len(), "{ctx}");
+        assert_eq!(store.stats, model.rules.stats, "{ctx}");
+    }
+}
+
+/// The dense key store keeps the lifecycle the router kept with a
+/// `PolicyStore` beside its key table: the same installed set and
+/// expiries, refreshes, lapses exactly at expiry (`>=`), evictions
+/// earliest expiry first with ties in ascending AS order, and a key
+/// derived on its first lookup only, at no TTL, a finite one and one that
+/// saturates.
+#[test]
+fn key_store_matches_a_policy_store_model() {
+    for ttl in [0, 4, Nanos::MAX] {
+        for case in 0..64 {
+            drive_key_store(ttl, case);
         }
     }
 }
