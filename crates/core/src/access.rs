@@ -9,9 +9,11 @@
 //! 2. polices valid regular packets: `nop` feedback passes freely, `mon`
 //!    feedback sends the packet through the per-(sender, bottleneck link)
 //!    leaky-bucket rate limiter (§4.3.3);
-//! 3. re-stamps the feedback before forwarding (`nop` refreshed, `L↑`/`L↓`
-//!    reset to `L↑`), so the bottleneck router only has to touch packets
-//!    when it is actually overloaded;
+//! 3. re-stamps the feedback of every packet it forwards or holds (`nop`
+//!    refreshed, `L↑`/`L↓` reset to `L↑`), so the bottleneck router only has
+//!    to touch packets when it is actually overloaded. A packet it drops
+//!    keeps the header it was presented with: it polices first and stamps
+//!    second, so no MAC is spent on feedback no one will read;
 //! 4. once per control interval, adjusts every rate limiter with the robust
 //!    AIMD rule (§4.3.4) and garbage-collects limiters that have been idle
 //!    for `Ta`.
@@ -53,6 +55,9 @@ pub enum AccessVerdict {
     /// request limiter — the limiter made the decision, but the cause is
     /// kept apart so spoofed or stale feedback can be told from a plain
     /// request flood).
+    ///
+    /// A dropped packet is never re-stamped: its header is left exactly as
+    /// presented, so a refusal costs only the validation of that header.
     Drop(DropCause),
 }
 
@@ -203,8 +208,9 @@ impl AccessRouter {
     /// feedback (Figure 18 `rate_limit_packet` + `update_packet`).
     ///
     /// `wire_bytes` is the total packet length used for rate accounting.
-    /// The header is mutated in place: its presented feedback is replaced
-    /// with the fresh feedback that will travel with the packet.
+    /// On a forward or a hold the header is mutated in place: its presented
+    /// feedback is replaced with the fresh feedback that will travel with
+    /// the packet. On a [`AccessVerdict::Drop`] it is left as presented.
     pub fn process_outbound(
         &mut self,
         now: Nanos,
@@ -244,19 +250,21 @@ impl AccessRouter {
                 if header.presented.is_decr() {
                     limiter.last_activity = now;
                 }
-                let verdict = limiter.bucket.offer(now, wire_bytes);
-                if verdict == BucketVerdict::Drop {
-                    limiter.last_activity = now;
-                }
+                let verdict = match limiter.bucket.offer(now, wire_bytes) {
+                    BucketVerdict::Pass => AccessVerdict::Forward { channel: Channel::Regular },
+                    BucketVerdict::Queued { release_at } => AccessVerdict::Queued { release_at },
+                    BucketVerdict::Drop => {
+                        // Police first: a refused packet leaves with no
+                        // fresh stamp, so it costs only its validation.
+                        limiter.last_activity = now;
+                        return AccessVerdict::Drop(DropCause::RegularRateLimit);
+                    }
+                };
                 // Reset the feedback to L↑ regardless of the old action
                 // (§4.3.3): the bottleneck only rewrites it if it is
                 // actually overloaded.
                 header.presented = feedback::stamp_incr(&mut self.ka, now, flow, link);
-                match verdict {
-                    BucketVerdict::Pass => AccessVerdict::Forward { channel: Channel::Regular },
-                    BucketVerdict::Queued { release_at } => AccessVerdict::Queued { release_at },
-                    BucketVerdict::Drop => AccessVerdict::Drop(DropCause::RegularRateLimit),
-                }
+                verdict
             }
         }
     }
@@ -414,7 +422,8 @@ mod tests {
             feedback::stamp_decr(&w.bottleneck_kai, w.flow, LinkId(99), &h.presented).unwrap();
 
         // Present the L↓: a limiter (src, 99) is created, the packet goes
-        // through it, and the outgoing feedback is reset to L↑.
+        // through it, and the outgoing feedback is reset to L↑ — unless the
+        // limiter refuses it, which leaves the header as presented.
         let mut sent = 0;
         let mut dropped = 0;
         for i in 0..100 {
@@ -425,7 +434,10 @@ mod tests {
                     assert!(h2.presented.is_incr());
                     assert_eq!(h2.presented.link(), Some(LinkId(99)));
                 }
-                AccessVerdict::Drop(DropCause::RegularRateLimit) => dropped += 1,
+                AccessVerdict::Drop(DropCause::RegularRateLimit) => {
+                    dropped += 1;
+                    assert_eq!(h2.presented, decr, "a refused packet is not re-stamped");
+                }
                 v => panic!("unexpected verdict {v:?}"),
             }
         }
@@ -501,13 +513,18 @@ mod tests {
     fn request_flood_is_rate_limited_per_sender() {
         let mut w = world();
         let (mut passed, mut dropped) = (0, 0);
+        let unstamped = Feedback::Nop { ts: 0, token: 0 };
         for i in 0..1000 {
-            let mut h = NetFenceHeader::request(17, 8, Feedback::Nop { ts: 0, token: 0 });
+            let mut h = NetFenceHeader::request(17, 8, unstamped);
             // 1000 level-8 requests (128 tokens each) in 10 ms: only the
             // bucket depth (4096 tokens = 32 packets) passes.
             match w.access.process_outbound(SEC + i * 10_000, w.flow, &mut h, 92) {
                 AccessVerdict::Forward { .. } => passed += 1,
-                AccessVerdict::Drop(DropCause::RequestRateLimit) => dropped += 1,
+                AccessVerdict::Drop(DropCause::RequestRateLimit) => {
+                    dropped += 1;
+                    // A refused request is neither stamped nor re-leveled.
+                    assert_eq!((h.presented, h.priority), (unstamped, 8));
+                }
                 v => panic!("unexpected verdict {v:?}"),
             }
         }

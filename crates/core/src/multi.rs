@@ -130,7 +130,7 @@ impl AccessRouter {
     ///
     /// The multi-feedback is reset to the origin (nop-equivalent) stamp
     /// before forwarding, exactly as the single-feedback design resets to
-    /// `L↑`/`nop`.
+    /// `L↑`/`nop`; a dropped packet's chain is left as presented.
     pub fn process_outbound_multi(
         &mut self,
         now: Nanos,
@@ -184,11 +184,13 @@ impl AccessRouter {
                 }
             }
         }
-        // Reset the feedback for the next hop.
-        *mf = MultiFeedback::origin(&mut self.ka, now, flow);
+        // A refused packet keeps its chain as presented: no MAC is spent on
+        // feedback no one will read.
         if dropped {
             return AccessVerdict::Drop(DropCause::RegularRateLimit);
         }
+        // Reset the feedback for the next hop.
+        *mf = MultiFeedback::origin(&mut self.ka, now, flow);
         match worst {
             None => AccessVerdict::Forward { channel: Channel::Regular },
             Some(release_at) => AccessVerdict::Queued { release_at },
@@ -380,6 +382,30 @@ mod tests {
         assert!(access.rate_limit(flow.src, LinkId(301)).is_some());
         // The multi feedback was reset to an origin stamp for the next hop.
         assert!(mf.entries.is_empty());
+    }
+
+    #[test]
+    fn a_refused_packet_keeps_its_chain_as_presented() {
+        let (mut access, kai2, kai3, flow) = setup();
+        let mut presented = MultiFeedback::origin(&mut access.ka, SEC, flow);
+        presented.append(&kai2, flow, LinkId(201), Action::Decr);
+        presented.append(&kai3, flow, LinkId(301), Action::Decr);
+        // A 100-packet burst in 100 ns overflows the limiters' queues.
+        let mut dropped = 0;
+        for i in 0..100 {
+            let mut mf = presented.clone();
+            match access.process_outbound_multi(SEC + i, flow, &mut mf, 1500) {
+                AccessVerdict::Drop(DropCause::RegularRateLimit) => {
+                    dropped += 1;
+                    assert_eq!(mf, presented, "a refused packet is not re-stamped");
+                }
+                AccessVerdict::Forward { .. } | AccessVerdict::Queued { .. } => {
+                    assert!(mf.entries.is_empty());
+                }
+                v => panic!("unexpected verdict {v:?}"),
+            }
+        }
+        assert!(dropped > 50, "dropped {dropped}");
     }
 
     #[test]
