@@ -26,7 +26,7 @@ use netfence_telemetry::{DropCause, IdMap};
 use crate::aimd::{Adjustment, AimdState};
 use crate::bottleneck::Channel;
 use crate::config::Config;
-use crate::feedback::{self, Feedback, FeedbackError};
+use crate::feedback::{self, Action, Feedback, FeedbackError};
 use crate::header::{NetFenceHeader, PacketKind};
 use crate::regular_limiter::{BucketVerdict, LeakyBucket};
 use crate::request_limiter::{RequestLimiter, RequestVerdict};
@@ -112,7 +112,7 @@ pub struct AccessRouter {
     pub(crate) limiters: IdMap<LimiterKey, RegularLimiter>,
     /// Regular packets demoted to requests because their feedback did not
     /// validate.
-    invalid_feedback: u64,
+    pub(crate) invalid_feedback: u64,
 }
 
 impl AccessRouter {
@@ -178,8 +178,8 @@ impl AccessRouter {
         self.limiters.get(&LimiterKey { src, link }).map(|l| l.rate())
     }
 
-    /// Access the limiter table (used by the multi-bottleneck extension and
-    /// experiments).
+    /// The per-(sender, bottleneck link) limiter table, for inspection (the
+    /// benchmark and tests read rates and queue depths through it).
     pub fn limiters(&self) -> &IdMap<LimiterKey, RegularLimiter> {
         &self.limiters
     }
@@ -241,24 +241,16 @@ impl AccessRouter {
                 header.presented = feedback::stamp_nop(&mut self.ka, now, flow);
                 AccessVerdict::Forward { channel: Channel::Regular }
             }
-            Feedback::Mon { link, .. } => {
+            Feedback::Mon { link, action, ts, .. } => {
                 let key = LimiterKey { src: flow.src, link };
-                let cfg = &self.cfg;
-                let limiter =
-                    self.limiters.entry(key).or_insert_with(|| RegularLimiter::new(cfg, now));
-                limiter.aimd.observe(&header.presented);
-                if header.presented.is_decr() {
-                    limiter.last_activity = now;
-                }
-                let verdict = match limiter.bucket.offer(now, wire_bytes) {
+                let (limiter, quote) = self.limiter_step(now, key, action, ts, wire_bytes);
+                limiter.bucket.charge(now, wire_bytes, quote);
+                let verdict = match quote {
                     BucketVerdict::Pass => AccessVerdict::Forward { channel: Channel::Regular },
                     BucketVerdict::Queued { release_at } => AccessVerdict::Queued { release_at },
-                    BucketVerdict::Drop => {
-                        // Police first: a refused packet leaves with no
-                        // fresh stamp, so it costs only its validation.
-                        limiter.last_activity = now;
-                        return AccessVerdict::Drop(DropCause::RegularRateLimit);
-                    }
+                    // Police first: a refused packet leaves with no fresh
+                    // stamp, so it costs only its validation.
+                    BucketVerdict::Drop => return AccessVerdict::Drop(DropCause::RegularRateLimit),
                 };
                 // Reset the feedback to L↑ regardless of the old action
                 // (§4.3.3): the bottleneck only rewrites it if it is
@@ -267,6 +259,31 @@ impl AccessRouter {
                 verdict
             }
         }
+    }
+
+    /// The limiter step (§4.3.3), taken once per `mon` feedback a valid
+    /// regular packet presents (once per entry of an Appendix B.1 chain):
+    /// get or create the `key` limiter, feed its AIMD the feedback's
+    /// `(action, ts)`, and quote the packet to its bucket; `L↓` or a
+    /// discard counts as activity for `Ta`. The caller charges the quote
+    /// ([`LeakyBucket::charge`]), for a chain only once no limiter refuses.
+    #[inline]
+    pub(crate) fn limiter_step(
+        &mut self,
+        now: Nanos,
+        key: LimiterKey,
+        action: Action,
+        ts: u32,
+        wire_bytes: usize,
+    ) -> (&mut RegularLimiter, BucketVerdict) {
+        let cfg = &self.cfg;
+        let limiter = self.limiters.entry(key).or_insert_with(|| RegularLimiter::new(cfg, now));
+        limiter.aimd.observe(action, ts);
+        let quote = limiter.bucket.quote(now, wire_bytes);
+        if action == Action::Decr || quote == BucketVerdict::Drop {
+            limiter.last_activity = now;
+        }
+        (limiter, quote)
     }
 
     /// Police a request packet (or, when `demoted` is set, a regular packet

@@ -17,7 +17,7 @@
 //! then bursting.
 
 use crate::config::Config;
-use crate::feedback::{Action, Feedback};
+use crate::feedback::Action;
 use crate::types::{Bps, Nanos, SEC};
 
 /// What the adjustment decided, for logging/metrics.
@@ -70,20 +70,13 @@ impl AimdState {
         self.has_incr
     }
 
-    /// Record feedback observed for this limiter (Figure 17
-    /// `update_status`). The feedback timestamp (in seconds) is compared
-    /// against the interval start; only `L↑` newer than the interval start
-    /// sets `hasIncr`.
-    pub fn observe(&mut self, fb: &Feedback) {
-        if let Feedback::Mon { action: Action::Incr, ts, .. } = fb {
-            if u64::from(*ts) * SEC >= self.interval_start_secs() * SEC {
-                self.has_incr = true;
-            }
+    /// Record the `action` of `mon` feedback stamped at `ts` (seconds) for
+    /// this limiter (Figure 17 `update_status`): only `L↑` stamped no
+    /// earlier than the interval start's second sets `hasIncr`.
+    pub fn observe(&mut self, action: Action, ts: u32) {
+        if action == Action::Incr && u64::from(ts) >= self.interval_start / SEC {
+            self.has_incr = true;
         }
-    }
-
-    fn interval_start_secs(&self) -> u64 {
-        self.interval_start / SEC
     }
 
     /// Whether the control interval that started at `interval_start` has
@@ -117,22 +110,13 @@ impl AimdState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feedback::Action;
-    use crate::types::LinkId;
     use netfence_telemetry::jain_fairness_index;
-
-    fn incr(ts: u32) -> Feedback {
-        Feedback::Mon { link: LinkId(1), action: Action::Incr, ts, token: 0, token_nop: None }
-    }
-    fn decr(ts: u32) -> Feedback {
-        Feedback::Mon { link: LinkId(1), action: Action::Decr, ts, token: 0, token_nop: None }
-    }
 
     #[test]
     fn increase_requires_incr_and_utilization() {
         let cfg = Config::default();
         let mut s = AimdState::with_rate(100_000, 0);
-        s.observe(&incr(1));
+        s.observe(Action::Incr, 1);
         // Utilized more than half the limit => increase by Δ.
         assert_eq!(s.adjust(2 * SEC, 60_000.0, &cfg), Adjustment::Increased);
         assert_eq!(s.rate(), 112_000);
@@ -144,7 +128,7 @@ mod tests {
         // slowly for a long time (§4.3.4 rule 1).
         let cfg = Config::default();
         let mut s = AimdState::with_rate(100_000, 0);
-        s.observe(&incr(1));
+        s.observe(Action::Incr, 1);
         assert_eq!(s.adjust(2 * SEC, 10_000.0, &cfg), Adjustment::Kept);
         assert_eq!(s.rate(), 100_000);
     }
@@ -158,7 +142,7 @@ mod tests {
         assert_eq!(s.adjust(2 * SEC, 90_000.0, &cfg), Adjustment::Decreased);
         assert_eq!(s.rate(), 90_000);
         // Presenting only L↓ also decreases.
-        s.observe(&decr(3));
+        s.observe(Action::Decr, 3);
         assert_eq!(s.adjust(4 * SEC, 90_000.0, &cfg), Adjustment::Decreased);
         assert_eq!(s.rate(), 81_000);
     }
@@ -169,7 +153,7 @@ mod tests {
         // Interval starts at t = 10 s; feedback stamped at 5 s is older than
         // the interval start and must not set hasIncr.
         let mut s = AimdState::with_rate(100_000, 10 * SEC);
-        s.observe(&incr(5));
+        s.observe(Action::Incr, 5);
         assert!(!s.has_incr());
         assert_eq!(s.adjust(12 * SEC, 90_000.0, &cfg), Adjustment::Decreased);
     }
@@ -182,7 +166,7 @@ mod tests {
         assert_eq!(s.rate(), cfg.min_rate_limit);
 
         let mut s = AimdState::with_rate(cfg.max_rate_limit, 0);
-        s.observe(&incr(1));
+        s.observe(Action::Incr, 1);
         s.adjust(2 * SEC, cfg.max_rate_limit as f64, &cfg);
         assert_eq!(s.rate(), cfg.max_rate_limit);
     }
@@ -199,8 +183,8 @@ mod tests {
     fn observe_resets_each_interval() {
         let cfg = Config::default();
         let mut s = AimdState::with_rate(100_000, 0);
-        s.observe(&incr(1));
-        s.observe(&decr(1));
+        s.observe(Action::Incr, 1);
+        s.observe(Action::Decr, 1);
         assert!(s.has_incr(), "a later L↓ does not cancel L↑");
         s.adjust(2 * SEC, 90_000.0, &cfg);
         assert!(!s.has_incr());
@@ -221,8 +205,8 @@ mod tests {
             let overloaded = (a.rate() + b.rate()) as f64 > capacity;
             let ts = (now / SEC) as u32;
             if !overloaded {
-                a.observe(&incr(ts));
-                b.observe(&incr(ts));
+                a.observe(Action::Incr, ts);
+                b.observe(Action::Incr, ts);
             }
             // Senders always utilize their full limits.
             a.adjust(now, a.rate() as f64, &cfg);
@@ -253,7 +237,7 @@ mod tests {
         fn adjustment_magnitudes(rate in 10_000u64..10_000_000u64, incr_seen: bool, tput_frac in 0.0f64..1.0) {
             let cfg = Config::default();
             let mut s = AimdState::with_rate(rate, 0);
-            if incr_seen { s.observe(&incr(1)); }
+            if incr_seen { s.observe(Action::Incr, 1); }
             let tput = rate as f64 * tput_frac;
             let before = s.rate();
             let decision = s.adjust(2 * SEC, tput, &cfg);

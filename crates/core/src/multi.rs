@@ -18,6 +18,12 @@
 //!   to each destination prefix, polices through all of them, and infers the
 //!   missing feedback (`L↑` for one link implies the others were not
 //!   congested). Reproduced as Figure 14.
+//!
+//! Figures 13 and 14 are a fluid control-loop model (DESIGN.md §5) that
+//! runs only [`AimdState`] and [`adjust_with_inference`]. The packet path
+//! here — B.1 policing, the chained MAC and the inference cache — shares
+//! the access router's limiter step with single-feedback policing, but no
+//! simulated cell reaches it yet; this module's unit tests do.
 
 use std::ops::Deref;
 
@@ -30,7 +36,7 @@ use crate::bottleneck::Channel;
 use crate::config::Config;
 use crate::feedback::Action;
 use crate::regular_limiter::BucketVerdict;
-use crate::types::{nanos_to_secs, FlowPair, HostId, LimiterKey, LinkId, Nanos};
+use crate::types::{nanos_to_secs, FlowPair, HostId, LimiterKey, LinkId, Nanos, SEC};
 
 // ---------------------------------------------------------------------------
 // B.1: multi-bottleneck feedback in a single packet
@@ -102,7 +108,7 @@ impl MultiFeedback {
         w: Nanos,
     ) -> bool {
         let now_s = nanos_to_secs(now) as i64;
-        if (now_s - self.ts as i64).abs() > (w / crate::types::SEC) as i64 {
+        if (now_s - self.ts as i64).abs() > (w / SEC) as i64 {
             return false;
         }
         let mut token = ka.mac32(now, origin_input(flow, self.ts).as_bytes());
@@ -123,13 +129,20 @@ impl MultiFeedback {
 }
 
 impl AccessRouter {
-    /// Appendix B.1 regular-packet policing: pass the packet through the
-    /// rate limiters of *all* the bottleneck links listed in its
-    /// multi-feedback; drop it if any limiter drops it; otherwise it departs
-    /// when the slowest limiter releases it.
+    /// Appendix B.1 regular-packet policing: take the access router's
+    /// limiter step for *every* bottleneck link listed in the packet's
+    /// multi-feedback. The packet is dropped if any limiter drops it, and
+    /// then no other limiter is charged for it; otherwise it departs when
+    /// the slowest limiter releases it.
     ///
-    /// The multi-feedback is reset to the origin (nop-equivalent) stamp
-    /// before forwarding, exactly as the single-feedback design resets to
+    /// Returns the verdict and the links whose limiters hold the packet
+    /// (empty unless it is [`AccessVerdict::Queued`]): release it from each
+    /// with [`packet_released`](Self::packet_released). A chain that fails
+    /// validation is dropped as [`DropCause::InvalidMac`] and counted in
+    /// [`invalid_feedback`](Self::invalid_feedback).
+    ///
+    /// The multi-feedback of a packet that leaves is reset to the origin
+    /// (nop-equivalent) stamp, as the single-feedback design resets to
     /// `L↑`/`nop`; a dropped packet's chain is left as presented.
     pub fn process_outbound_multi(
         &mut self,
@@ -137,10 +150,7 @@ impl AccessRouter {
         flow: FlowPair,
         mf: &mut MultiFeedback,
         wire_bytes: usize,
-    ) -> AccessVerdict {
-        // Validate the chain first; invalid chains are demoted to requests
-        // by the caller (we signal that with a drop here to keep the API
-        // small — the systems adapter treats it like invalid feedback).
+    ) -> (AccessVerdict, Vec<LinkId>) {
         let valid = mf.validate(
             &mut self.ka,
             |l| self.link_as.get(&l).and_then(|a| self.as_keys.get(a.0)),
@@ -149,52 +159,43 @@ impl AccessRouter {
             self.cfg.feedback_expiry,
         );
         if !valid {
-            return AccessVerdict::Drop(DropCause::RequestRateLimit);
+            self.invalid_feedback += 1;
+            return (AccessVerdict::Drop(DropCause::InvalidMac), Vec::new());
         }
 
-        let mut worst: Option<Nanos> = None;
-        let mut dropped = false;
-        for (link, action) in mf.entries.clone() {
-            let key = LimiterKey { src: flow.src, link };
-            let cfg = &self.cfg;
-            let limiter = self
-                .limiters
-                .entry(key)
-                .or_insert_with(|| crate::access::RegularLimiter::new(cfg, now));
-            // Feed the AIMD controller with this link's own feedback.
-            let fb = crate::feedback::Feedback::Mon {
-                link,
-                action,
-                ts: mf.ts,
-                token: 0,
-                token_nop: None,
-            };
-            limiter.aimd.observe(&fb);
-            if action == Action::Decr {
-                limiter.last_activity = now;
+        let key = |link| LimiterKey { src: flow.src, link };
+        let quotes: Vec<BucketVerdict> = mf
+            .entries
+            .iter()
+            .map(|&(link, action)| self.limiter_step(now, key(link), action, mf.ts, wire_bytes).1)
+            .collect();
+        // All or nothing: a refused packet is charged only to the limiters
+        // that refuse it.
+        let refused = quotes.contains(&BucketVerdict::Drop);
+        let (mut release, mut held_in) = (None, Vec::new());
+        for (&(link, _), &quote) in mf.entries.iter().zip(&quotes) {
+            if refused && quote != BucketVerdict::Drop {
+                continue;
             }
-            match limiter.bucket.offer(now, wire_bytes) {
-                BucketVerdict::Pass => {}
-                BucketVerdict::Queued { release_at } => {
-                    worst = Some(worst.map_or(release_at, |w| w.max(release_at)));
-                }
-                BucketVerdict::Drop => {
-                    limiter.last_activity = now;
-                    dropped = true;
-                }
+            if let Some(limiter) = self.limiters.get_mut(&key(link)) {
+                limiter.bucket.charge(now, wire_bytes, quote);
+            }
+            if let BucketVerdict::Queued { release_at } = quote {
+                release = release.max(Some(release_at));
+                held_in.push(link);
             }
         }
         // A refused packet keeps its chain as presented: no MAC is spent on
         // feedback no one will read.
-        if dropped {
-            return AccessVerdict::Drop(DropCause::RegularRateLimit);
+        if refused {
+            return (AccessVerdict::Drop(DropCause::RegularRateLimit), Vec::new());
         }
-        // Reset the feedback for the next hop.
         *mf = MultiFeedback::origin(&mut self.ka, now, flow);
-        match worst {
+        let verdict = match release {
             None => AccessVerdict::Forward { channel: Channel::Regular },
             Some(release_at) => AccessVerdict::Queued { release_at },
-        }
+        };
+        (verdict, held_in)
     }
 }
 
@@ -206,9 +207,9 @@ impl AccessRouter {
 /// toward that prefix (Appendix B.2).
 #[derive(Debug, Default)]
 pub struct InferenceCache {
-    /// prefix -> mon-state links on the path toward it -> when each link's
-    /// feedback was last seen (for expiry).
-    prefix_links: IdMap<u32, IdMap<LinkId, Nanos>>,
+    /// prefix -> the mon-state links on the path toward it, sorted, each
+    /// with when its feedback was last seen (for expiry).
+    prefix_links: IdMap<u32, Vec<(LinkId, Nanos)>>,
     /// How long a link stays cached without fresh feedback.
     expiry: Nanos,
 }
@@ -228,7 +229,11 @@ impl InferenceCache {
     /// Record that feedback for `link` was observed on traffic toward
     /// `dst`.
     pub fn record(&mut self, now: Nanos, dst: HostId, link: LinkId) {
-        self.prefix_links.entry(prefix_of(dst)).or_default().insert(link, now);
+        let links = self.prefix_links.entry(prefix_of(dst)).or_default();
+        match links.binary_search_by_key(&link, |&(l, _)| l) {
+            Ok(i) => links[i].1 = now,
+            Err(i) => links.insert(i, (link, now)),
+        }
     }
 
     /// The set of bottleneck links currently believed to be on the path
@@ -236,15 +241,8 @@ impl InferenceCache {
     pub fn links_for(&mut self, now: Nanos, dst: HostId) -> Vec<LinkId> {
         let expiry = self.expiry;
         let Some(links) = self.prefix_links.get_mut(&prefix_of(dst)) else { return Vec::new() };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain's visit order is unobservable: the predicate reads only the entry it decides"
-        )]
-        links.retain(|_, seen| now.saturating_sub(*seen) < expiry);
-        #[expect(clippy::disallowed_methods, reason = "the keys are sorted on the next line")]
-        let mut v: Vec<LinkId> = links.keys().copied().collect();
-        v.sort_unstable();
-        v
+        links.retain(|&(_, seen)| now.saturating_sub(seen) < expiry);
+        links.iter().map(|&(link, _)| link).collect()
     }
 
     /// Number of prefixes cached (bounded by the BGP table size, as the
@@ -278,18 +276,10 @@ pub fn adjust_with_inference(
     throughput_bps: f64,
     cfg: &Config,
 ) -> Adjustment {
-    // Helper: force the standard controller's hasIncr flag so its own
-    // increase/keep logic applies (it resets the flag during adjust()).
-    let force_incr = |aimd: &mut AimdState| {
-        let ts = (aimd.interval_start() / crate::types::SEC) as u32;
-        aimd.observe(&crate::feedback::Feedback::Mon {
-            link: LinkId(0),
-            action: Action::Incr,
-            ts,
-            token: 0,
-            token_nop: None,
-        });
-    };
+    // An inferred `L↑` sets the standard controller's hasIncr, so its own
+    // increase/keep logic applies (adjust() clears the flag).
+    let force_incr =
+        |aimd: &mut AimdState| aimd.observe(Action::Incr, (aimd.interval_start() / SEC) as u32);
     if aimd.has_incr() || flags.has_incr_star {
         // Rule 1: increase if the limiter was actually utilized, otherwise
         // keep — exactly the Figure 17 rule, with hasIncr possibly inferred.
@@ -312,7 +302,8 @@ pub fn adjust_with_inference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{AsId, SEC};
+    use crate::regular_limiter::LeakyBucket;
+    use crate::types::AsId;
     use netfence_crypto::{full_mesh_exchange, AsKeyAgent};
 
     fn setup() -> (AccessRouter, Cmac, Cmac, FlowPair) {
@@ -375,8 +366,10 @@ mod tests {
         let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
         mf.append(&kai2, flow, LinkId(201), Action::Decr);
         mf.append(&kai3, flow, LinkId(301), Action::Decr);
-        let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
-        assert!(!matches!(v, AccessVerdict::Drop(DropCause::RequestRateLimit)));
+        let (v, held_in) = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
+        // Two fresh limiters both hold the first packet one service time.
+        assert!(matches!(v, AccessVerdict::Queued { .. }), "{v:?}");
+        assert_eq!(held_in, [LinkId(201), LinkId(301)]);
         assert_eq!(access.limiter_count(), 2);
         assert!(access.rate_limit(flow.src, LinkId(201)).is_some());
         assert!(access.rate_limit(flow.src, LinkId(301)).is_some());
@@ -394,7 +387,7 @@ mod tests {
         let mut dropped = 0;
         for i in 0..100 {
             let mut mf = presented.clone();
-            match access.process_outbound_multi(SEC + i, flow, &mut mf, 1500) {
+            match access.process_outbound_multi(SEC + i, flow, &mut mf, 1500).0 {
                 AccessVerdict::Drop(DropCause::RegularRateLimit) => {
                     dropped += 1;
                     assert_eq!(mf, presented, "a refused packet is not re-stamped");
@@ -413,7 +406,67 @@ mod tests {
         let (mut access, _kai2, _kai3, flow) = setup();
         let mut mf = MultiFeedback { ts: 1, entries: vec![(LinkId(201), Action::Decr)], token: 42 };
         let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
-        assert_eq!(v, AccessVerdict::Drop(DropCause::RequestRateLimit));
+        assert_eq!(v, (AccessVerdict::Drop(DropCause::InvalidMac), vec![]));
+        assert_eq!(access.invalid_feedback(), 1);
+        assert_eq!(access.limiter_count(), 0);
+    }
+
+    fn queued(access: &AccessRouter, src: HostId, link: LinkId) -> usize {
+        access.limiters().get(&LimiterKey { src, link }).map_or(0, |l| l.bucket.queued_pkts())
+    }
+
+    #[test]
+    fn a_packet_one_limiter_drops_is_charged_to_no_other() {
+        let (mut access, kai2, kai3, flow) = setup();
+        let chain = |access: &mut AccessRouter, links: &[(&Cmac, LinkId)]| {
+            let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
+            for &(kai, link) in links {
+                mf.append(kai, flow, link, Action::Decr);
+            }
+            mf
+        };
+        // Fill limiter 201 until it refuses, holding what it queues.
+        let mut held = Vec::new();
+        loop {
+            let mut mf = chain(&mut access, &[(&kai2, LinkId(201))]);
+            match access.process_outbound_multi(SEC, flow, &mut mf, 1500) {
+                (AccessVerdict::Queued { .. }, held_in) => held.extend(held_in),
+                (v, _) => {
+                    assert_eq!(v, AccessVerdict::Drop(DropCause::RegularRateLimit));
+                    break;
+                }
+            }
+        }
+        // Limiter 301 alone would hold these; 201 drops them, so 301 keeps
+        // nothing: no queued packet, departure slot or window bytes.
+        for _ in 0..3 {
+            let mut mf = chain(&mut access, &[(&kai2, LinkId(201)), (&kai3, LinkId(301))]);
+            let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
+            assert_eq!(v, (AccessVerdict::Drop(DropCause::RegularRateLimit), vec![]));
+        }
+        assert_eq!(queued(&access, flow.src, LinkId(301)), 0);
+        let cfg = Config::default();
+        let fresh = LeakyBucket::new(SEC, cfg.initial_rate_limit, cfg.max_limiter_delay);
+        let l301 = access.limiters().get(&LimiterKey { src: flow.src, link: LinkId(301) });
+        assert_eq!(l301.map(|l| format!("{:?}", l.bucket)), Some(format!("{fresh:?}")));
+
+        // 301 passes a packet of its own and takes the slot, so the next
+        // two-link packet is held by both limiters, and released from both.
+        let mut mf = chain(&mut access, &[(&kai3, LinkId(301))]);
+        let v = access.process_outbound_multi(2 * SEC, flow, &mut mf, 1500);
+        assert_eq!(v, (AccessVerdict::Forward { channel: Channel::Regular }, vec![]));
+        let mut mf = chain(&mut access, &[(&kai2, LinkId(201)), (&kai3, LinkId(301))]);
+        let (v, held_in) = access.process_outbound_multi(2 * SEC, flow, &mut mf, 1500);
+        assert!(matches!(v, AccessVerdict::Queued { .. }), "{v:?}");
+        assert_eq!(held_in, [LinkId(201), LinkId(301)]);
+        held.extend(held_in);
+        for link in held {
+            access.packet_released(flow.src, link);
+        }
+        assert_eq!(queued(&access, flow.src, LinkId(201)), 0);
+        assert_eq!(queued(&access, flow.src, LinkId(301)), 0);
+        // With nothing held, both limiters are reclaimed after Ta.
+        access.tick(3 * 3600 * SEC);
         assert_eq!(access.limiter_count(), 0);
     }
 

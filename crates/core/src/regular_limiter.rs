@@ -87,27 +87,49 @@ impl LeakyBucket {
     }
 
     /// Offer a packet of `bytes` at time `now` (Figure 16
-    /// `rate_limit_regular_packet` + `cache_packet`).
+    /// `rate_limit_regular_packet` + `cache_packet`): quote it, then
+    /// charge the answer.
     pub fn offer(&mut self, now: Nanos, bytes: usize) -> BucketVerdict {
+        let verdict = self.quote(now, bytes);
+        self.charge(now, bytes, verdict);
+        verdict
+    }
+
+    /// What [`offer`](Self::offer) would decide for a packet of `bytes` at
+    /// `now`, leaving the bucket as it is.
+    pub(crate) fn quote(&self, now: Nanos, bytes: usize) -> BucketVerdict {
         let service = self.service_time(bytes);
         if self.queued_pkts == 0 && now.saturating_sub(self.last_departure) >= service {
             // The inter-departure gap already covers this packet's service
             // time: it conforms and departs immediately.
-            self.last_departure = now;
-            self.bytes_since_reset += bytes as u64;
             return BucketVerdict::Pass;
         }
         // Otherwise the packet departs one service time after the previous
         // departure (or now, whichever is later).
         let release_at = self.last_departure.saturating_add(service).max(now);
         if release_at.saturating_sub(now) > self.max_delay {
-            self.dropped_pkts += 1;
             return BucketVerdict::Drop;
         }
-        self.last_departure = release_at;
-        self.queued_pkts += 1;
-        self.bytes_since_reset += bytes as u64;
         BucketVerdict::Queued { release_at }
+    }
+
+    /// Commit the `verdict` [`quote`](Self::quote) gave for a packet of
+    /// `bytes` at `now`: a passed or queued packet takes its departure slot
+    /// and counts toward the throughput window, a queued one waits for
+    /// [`released`](Self::released), a dropped one is counted.
+    pub(crate) fn charge(&mut self, now: Nanos, bytes: usize, verdict: BucketVerdict) {
+        match verdict {
+            BucketVerdict::Pass => self.last_departure = now,
+            BucketVerdict::Queued { release_at } => {
+                self.last_departure = release_at;
+                self.queued_pkts += 1;
+            }
+            BucketVerdict::Drop => {
+                self.dropped_pkts += 1;
+                return;
+            }
+        }
+        self.bytes_since_reset += bytes as u64;
     }
 
     /// Tell the bucket that a previously queued packet has actually been

@@ -9,10 +9,10 @@
 
 use netfence_core::aimd::AimdState;
 use netfence_core::config::Config;
-use netfence_core::feedback::{Action, Feedback};
+use netfence_core::feedback::Action;
 use netfence_core::monitor::BottleneckMonitor;
 use netfence_core::regular_limiter::{BucketVerdict, LeakyBucket};
-use netfence_core::types::{LinkId, MILLI, SEC};
+use netfence_core::types::{MILLI, SEC};
 
 use crate::registry::Size;
 use crate::report::{kbps, pct, table_of};
@@ -83,13 +83,7 @@ pub fn aimd_steady_state_bps(delta: f64) -> f64 {
         let congested = x.rate() + y.rate() > LINK_BPS;
         for l in [&mut x, &mut y] {
             if !congested {
-                l.observe(&Feedback::Mon {
-                    link: LinkId(1),
-                    action: Action::Incr,
-                    ts: (now / SEC) as u32,
-                    token: 0,
-                    token_nop: None,
-                });
+                l.observe(Action::Incr, (now / SEC) as u32);
             }
             l.adjust(now, l.rate() as f64, &cfg);
         }

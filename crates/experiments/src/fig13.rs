@@ -16,9 +16,9 @@
 
 use netfence_core::aimd::AimdState;
 use netfence_core::config::Config;
-use netfence_core::feedback::{Action, Feedback};
+use netfence_core::feedback::Action;
 use netfence_core::multi::{adjust_with_inference, InferenceFlags};
-use netfence_core::types::{LinkId, SEC};
+use netfence_core::types::SEC;
 
 use crate::fig10::{group_a_table, CapacityCase};
 use crate::registry::Size;
@@ -136,80 +136,48 @@ pub fn run_fluid_case(
             }
         }
         let congested = [load[0] > capacities[0], load[1] > capacities[1]];
+        // The feedback each link stamps this interval.
+        let ts = (now / SEC) as u32;
+        let action = |l: usize| if congested[l] { Action::Decr } else { Action::Incr };
 
         // Feedback distribution + AIMD adjustment per sender.
         for (s, sender) in senders.iter_mut().enumerate() {
             let rate = sender.efficiency
                 * sender.limiters.iter().map(|l| l.rate() as f64).fold(f64::MAX, f64::min);
-            match design {
-                MultiBottleneckDesign::SingleFeedback => {
-                    // The most upstream congested on-path link stamps L↓ and
-                    // owns the packet's feedback; otherwise the packets carry
-                    // L↑ from the link they were last bound to.
-                    let first_congested = sender.crosses.iter().copied().find(|&l| congested[l]);
-                    let owner = first_congested.unwrap_or(carried[s]);
-                    carried[s] = owner;
-                    for (idx, &l) in sender.crosses.clone().iter().enumerate() {
-                        let lim = &mut sender.limiters[idx];
-                        if l == owner {
-                            let fb = Feedback::Mon {
-                                link: LinkId(l as u32 + 1),
-                                action: if congested[l] { Action::Decr } else { Action::Incr },
-                                ts: (now / SEC) as u32,
-                                token: 0,
-                                token_nop: None,
-                            };
-                            lim.observe(&fb);
-                        }
+            // With one feedback per packet (the core design and B.2), the
+            // most upstream congested on-path link stamps L↓ and owns the
+            // packet's feedback; otherwise the packets carry L↑ from the
+            // link they were last bound to.
+            let first_congested = sender.crosses.iter().copied().find(|&l| congested[l]);
+            let owner = first_congested.unwrap_or(carried[s]);
+            carried[s] = owner;
+            for (lim, &l) in sender.limiters.iter_mut().zip(&sender.crosses) {
+                match design {
+                    MultiBottleneckDesign::SingleFeedback => {
                         // Limiters for other links see nothing and decay.
-                        let tput = if l == owner { rate } else { 0.0 };
-                        lim.adjust(now, tput, &cfg);
+                        if l == owner {
+                            lim.observe(action(l), ts);
+                        }
+                        lim.adjust(now, if l == owner { rate } else { 0.0 }, &cfg);
                     }
-                }
-                MultiBottleneckDesign::MultiFeedback => {
-                    // Every on-path link contributes its own feedback.
-                    for (idx, &l) in sender.crosses.clone().iter().enumerate() {
-                        let lim = &mut sender.limiters[idx];
-                        let fb = Feedback::Mon {
-                            link: LinkId(l as u32 + 1),
-                            action: if congested[l] { Action::Decr } else { Action::Incr },
-                            ts: (now / SEC) as u32,
-                            token: 0,
-                            token_nop: None,
-                        };
-                        lim.observe(&fb);
+                    MultiBottleneckDesign::MultiFeedback => {
+                        // Every on-path link contributes its own feedback.
+                        lim.observe(action(l), ts);
                         lim.adjust(now, rate, &cfg);
                     }
-                }
-                MultiBottleneckDesign::Inference => {
-                    // Single feedback (from the most upstream congested
-                    // link), but the other limiters infer from it.
-                    let first_congested = sender.crosses.iter().copied().find(|&l| congested[l]);
-                    let owner = first_congested.unwrap_or(carried[s]);
-                    carried[s] = owner;
-                    for (idx, &l) in sender.crosses.clone().iter().enumerate() {
-                        let lim = &mut sender.limiters[idx];
-                        if l == owner {
-                            let fb = Feedback::Mon {
-                                link: LinkId(l as u32 + 1),
-                                action: if congested[l] { Action::Decr } else { Action::Incr },
-                                ts: (now / SEC) as u32,
-                                token: 0,
-                                token_nop: None,
-                            };
-                            lim.observe(&fb);
-                            let flags = InferenceFlags { is_active: true, ..Default::default() };
-                            adjust_with_inference(lim, flags, now, rate, &cfg);
+                    MultiBottleneckDesign::Inference => {
+                        // The other limiters infer from the one feedback:
+                        // L↑ elsewhere means this link was not congested
+                        // either; L↓ elsewhere means hold.
+                        let flags = if l == owner {
+                            lim.observe(action(l), ts);
+                            InferenceFlags { is_active: true, ..Default::default() }
+                        } else if congested[owner] {
+                            InferenceFlags { is_active_star: true, ..Default::default() }
                         } else {
-                            // Inferred: L↑ elsewhere means this link was not
-                            // congested either; L↓ elsewhere means hold.
-                            let flags = if congested[owner] {
-                                InferenceFlags { is_active_star: true, ..Default::default() }
-                            } else {
-                                InferenceFlags { has_incr_star: true, ..Default::default() }
-                            };
-                            adjust_with_inference(lim, flags, now, rate, &cfg);
-                        }
+                            InferenceFlags { has_incr_star: true, ..Default::default() }
+                        };
+                        adjust_with_inference(lim, flags, now, rate, &cfg);
                     }
                 }
             }

@@ -7,8 +7,8 @@
 
 use netfence_core::aimd::AimdState;
 use netfence_core::config::Config;
-use netfence_core::feedback::{Action, Feedback};
-use netfence_core::types::{LinkId, SEC};
+use netfence_core::feedback::Action;
+use netfence_core::types::SEC;
 use netfence_experiments::fig13::{run_fig10_fluid, run_fig13};
 use netfence_telemetry::jain_fairness_index;
 
@@ -26,13 +26,7 @@ fn aimd_fluid_convergence_to_fair_share() {
         let congested = total > capacity;
         for l in limiters.iter_mut() {
             if !congested {
-                l.observe(&Feedback::Mon {
-                    link: LinkId(1),
-                    action: Action::Incr,
-                    ts: (now / SEC) as u32,
-                    token: 0,
-                    token_nop: None,
-                });
+                l.observe(Action::Incr, (now / SEC) as u32);
             }
             l.adjust(now, l.rate() as f64, &cfg);
         }
