@@ -86,8 +86,10 @@ impl MultiFeedback {
     }
 
     /// Append a bottleneck's feedback, extending the MAC chain (Eq. 5).
-    /// Existing entries for the same link are replaced only if the new
-    /// action is `Decr` (a link never downgrades its own `L↓`).
+    /// Always pushes a new entry, even for a link already listed: the
+    /// chain covers every append. Policing
+    /// ([`AccessRouter::process_outbound_multi`]) folds a link's entries
+    /// into one, `L↓` if any of them is.
     pub fn append(&mut self, kai: &Cmac, flow: FlowPair, link: LinkId, action: Action) {
         self.token = kai.mac32(chain_input(flow, self.ts, link, action, self.token).as_bytes());
         self.entries.push((link, action));
@@ -130,7 +132,7 @@ impl MultiFeedback {
 
 impl AccessRouter {
     /// Appendix B.1 regular-packet policing: take the access router's
-    /// limiter step for *every* bottleneck link listed in the packet's
+    /// limiter step once for *every* bottleneck link listed in the packet's
     /// multi-feedback. The packet is dropped if any limiter drops it, and
     /// then no other limiter is charged for it; otherwise it departs when
     /// the slowest limiter releases it.
@@ -163,9 +165,18 @@ impl AccessRouter {
             return (AccessVerdict::Drop(DropCause::InvalidMac), Vec::new());
         }
 
+        // One step per named link: a link listed twice is one limiter, fed
+        // `L↓` if any of its entries is (a link never downgrades its own).
+        let mut named: Vec<(LinkId, Action)> = Vec::with_capacity(mf.entries.len());
+        for &(link, action) in &mf.entries {
+            match named.iter_mut().find(|(l, _)| *l == link) {
+                Some((_, folded)) if action == Action::Decr => *folded = action,
+                Some(_) => {}
+                None => named.push((link, action)),
+            }
+        }
         let key = |link| LimiterKey { src: flow.src, link };
-        let quotes: Vec<BucketVerdict> = mf
-            .entries
+        let quotes: Vec<BucketVerdict> = named
             .iter()
             .map(|&(link, action)| self.limiter_step(now, key(link), action, mf.ts, wire_bytes).1)
             .collect();
@@ -173,7 +184,7 @@ impl AccessRouter {
         // that refuse it.
         let refused = quotes.contains(&BucketVerdict::Drop);
         let (mut release, mut held_in) = (None, Vec::new());
-        for (&(link, _), &quote) in mf.entries.iter().zip(&quotes) {
+        for (&(link, _), &quote) in named.iter().zip(&quotes) {
             if refused && quote != BucketVerdict::Drop {
                 continue;
             }
@@ -468,6 +479,30 @@ mod tests {
         // With nothing held, both limiters are reclaimed after Ta.
         access.tick(3 * 3600 * SEC);
         assert_eq!(access.limiter_count(), 0);
+    }
+
+    /// A chain may name a link twice; its limiter is still stepped,
+    /// charged and released once, as for one `L↓` entry.
+    #[test]
+    fn a_link_named_twice_is_policed_once() {
+        let (mut access, kai2, _kai3, flow) = setup();
+        let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
+        mf.append(&kai2, flow, LinkId(201), Action::Incr);
+        mf.append(&kai2, flow, LinkId(201), Action::Decr);
+        let (v, held_in) = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
+        assert!(matches!(v, AccessVerdict::Queued { .. }), "{v:?}");
+        assert_eq!(held_in, [LinkId(201)]);
+        assert_eq!(queued(&access, flow.src, LinkId(201)), 1);
+
+        let (mut once, kai2, _kai3, _) = setup();
+        let mut mf = MultiFeedback::origin(&mut once.ka, SEC, flow);
+        mf.append(&kai2, flow, LinkId(201), Action::Decr);
+        assert_eq!(once.process_outbound_multi(SEC, flow, &mut mf, 1500), (v, held_in));
+        let key = LimiterKey { src: flow.src, link: LinkId(201) };
+        let state = |access: &AccessRouter| format!("{:?}", access.limiters().get(&key));
+        assert_eq!(state(&access), state(&once));
+        access.packet_released(flow.src, LinkId(201));
+        assert_eq!(queued(&access, flow.src, LinkId(201)), 0);
     }
 
     #[test]

@@ -309,6 +309,15 @@ mod tests {
     }
 
     #[test]
+    fn a_host_shim_fits_a_192_byte_slot() {
+        // `Deployment.hosts` holds one inline shim slot per node: at 8 K
+        // hosts that array is the largest single live block at a NetFence
+        // run's peak. The `Option` costs nothing: the shim has a niche.
+        assert!(std::mem::size_of::<NetFenceHostShim>() <= 192);
+        assert!(std::mem::size_of::<Option<NetFenceHostShim>>() <= 192);
+    }
+
+    #[test]
     fn suppression_index_keeps_each_receivers_order() {
         let (r1, r2, other) = (1, 2, 3);
         let (a, b, c) = (10, 11, 12);
