@@ -8,12 +8,15 @@
 //!    and policed by the per-sender priority token bucket (§4.2);
 //! 2. polices valid regular packets: `nop` feedback passes freely, `mon`
 //!    feedback sends the packet through the per-(sender, bottleneck link)
-//!    leaky-bucket rate limiter (§4.3.3);
+//!    leaky-bucket rate limiter (§4.3.3). Under Appendix B a packet may
+//!    meet several limiters — one per link of a B.1 chain, or one per link
+//!    B.2 infers — and passes only if none refuses it;
 //! 3. re-stamps the feedback of every packet it forwards or holds (`nop`
-//!    refreshed, `L↑`/`L↓` reset to `L↑`), so the bottleneck router only has
-//!    to touch packets when it is actually overloaded. A packet it drops
-//!    keeps the header it was presented with: it polices first and stamps
-//!    second, so no MAC is spent on feedback no one will read;
+//!    refreshed, `L↑`/`L↓` reset to `L↑`, under B.1 a fresh chain origin),
+//!    so the bottleneck router only has to touch packets when it is
+//!    actually overloaded. A packet it drops keeps the header it was
+//!    presented with: it polices first and stamps second, so no MAC is
+//!    spent on feedback no one will read;
 //! 4. once per control interval, adjusts every rate limiter with the robust
 //!    AIMD rule (§4.3.4) and garbage-collects limiters that have been idle
 //!    for `Ta`.
@@ -26,8 +29,9 @@ use netfence_telemetry::{DropCause, IdMap};
 use crate::aimd::{Adjustment, AimdState};
 use crate::bottleneck::Channel;
 use crate::config::Config;
-use crate::feedback::{self, Action, Feedback, FeedbackError};
+use crate::feedback::{self, Action, Feedback, FeedbackError, CHAIN_CAP};
 use crate::header::{NetFenceHeader, PacketKind};
+use crate::multi::{adjust_with_inference, InferenceCache, InferenceFlags, MultiBottleneck};
 use crate::regular_limiter::{BucketVerdict, LeakyBucket};
 use crate::request_limiter::{RequestLimiter, RequestVerdict};
 use crate::types::{AsId, FlowPair, HostId, LimiterKey, LinkId, Nanos};
@@ -42,8 +46,12 @@ pub enum AccessVerdict {
     },
     /// Hold the packet and release it at `release_at` (regular channel).
     Queued {
-        /// Absolute release time computed by the leaky bucket.
+        /// Absolute release time computed by the leaky bucket (the slowest
+        /// one, when several hold the packet).
         release_at: Nanos,
+        /// The links whose limiters hold the packet: release it from each
+        /// with [`AccessRouter::packet_released`].
+        held_in: LinkSet,
     },
     /// Drop the packet. The cause is one of
     /// [`DropCause::RequestRateLimit`] (the per-sender request limiter had
@@ -61,6 +69,29 @@ pub enum AccessVerdict {
     Drop(DropCause),
 }
 
+/// Up to [`CHAIN_CAP`] links, in the order added: the limiters holding one
+/// packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LinkSet {
+    links: [LinkId; CHAIN_CAP],
+    len: u8,
+}
+
+impl LinkSet {
+    /// Add `link`; a full set stays as it is.
+    fn push(&mut self, link: LinkId) {
+        if let Some(slot) = self.links.get_mut(usize::from(self.len)) {
+            *slot = link;
+            self.len += 1;
+        }
+    }
+
+    /// The links, in the order added.
+    pub fn as_slice(&self) -> &[LinkId] {
+        &self.links[..usize::from(self.len)]
+    }
+}
+
 /// One per-(sender, bottleneck link) rate limiter: leaky bucket + AIMD state
 /// plus the bookkeeping needed for `Ta` garbage collection.
 #[derive(Debug, Clone)]
@@ -72,6 +103,9 @@ pub struct RegularLimiter {
     /// Last time this limiter saw `L↓` feedback or discarded a packet; used
     /// by the `Ta` reclamation rule (§4.3.1).
     pub(crate) last_activity: Nanos,
+    /// What this interval told the limiter beyond its own `L↑` (Appendix
+    /// B.2); reset at every adjustment.
+    pub(crate) flags: InferenceFlags,
 }
 
 impl RegularLimiter {
@@ -81,6 +115,7 @@ impl RegularLimiter {
             bucket: LeakyBucket::new(now, aimd.rate(), cfg.max_limiter_delay),
             aimd,
             last_activity: now,
+            flags: InferenceFlags::default(),
         }
     }
 
@@ -113,6 +148,9 @@ pub struct AccessRouter {
     /// Regular packets demoted to requests because their feedback did not
     /// validate.
     pub(crate) invalid_feedback: u64,
+    /// Appendix B.2: the links feedback named toward each destination
+    /// prefix (empty unless [`Config::multi_bottleneck`] is `Inference`).
+    pub(crate) inference: InferenceCache,
 }
 
 impl AccessRouter {
@@ -120,7 +158,6 @@ impl AccessRouter {
     /// `ka_root` and the pairwise AS key table `as_keys`.
     pub fn new(cfg: Config, my_as: AsId, ka_root: [u8; 16], as_keys: AsKeyTable) -> Self {
         AccessRouter {
-            cfg,
             my_as,
             ka: TimeVaryingSecret::new(ka_root),
             as_keys,
@@ -128,6 +165,9 @@ impl AccessRouter {
             request_limiters: IdMap::default(),
             limiters: IdMap::default(),
             invalid_feedback: 0,
+            // A cached link lives as long as an idle limiter does.
+            inference: InferenceCache::new(cfg.ta),
+            cfg,
         }
     }
 
@@ -192,16 +232,11 @@ impl AccessRouter {
         flow: FlowPair,
         fb: &Feedback,
     ) -> Result<(), FeedbackError> {
-        let w = self.cfg.feedback_expiry;
-        // Only an unexpired `L↓` needs `Kai`: resolve (and on first use
-        // derive) it for that feedback alone.
-        let kai = match fb {
-            Feedback::Mon { link, .. } if fb.is_decr() && !fb.is_expired(now, w) => {
-                self.link_as.get(link).and_then(|a| self.as_keys.get(a.0))
-            }
-            _ => None,
-        };
-        feedback::validate(fb, &mut self.ka, |_| kai.as_deref(), now, flow, w)
+        // Only unexpired `L↓` or chain entries need a `Kai`: `validate`
+        // resolves (and on first use derives) exactly those.
+        let (link_as, as_keys) = (&self.link_as, &self.as_keys);
+        let kai = |link| link_as.get(&link).and_then(|a| as_keys.get(a.0));
+        feedback::validate(fb, &mut self.ka, kai, now, flow, self.cfg.feedback_expiry)
     }
 
     /// Police an outbound packet from a local sender and re-stamp its
@@ -234,56 +269,135 @@ impl AccessRouter {
             return self.process_request(now, flow, header, demoted);
         }
 
-        match header.presented {
-            Feedback::Nop { .. } => {
-                // No downstream link needs policing: refresh the nop
-                // feedback (new timestamp + MAC) and forward.
-                header.presented = feedback::stamp_nop(&mut self.ka, now, flow);
-                AccessVerdict::Forward { channel: Channel::Regular }
-            }
+        let verdict = match header.presented {
+            // No downstream link needs policing.
+            Feedback::Nop { .. } => AccessVerdict::Forward { channel: Channel::Regular },
             Feedback::Mon { link, action, ts, .. } => {
-                let key = LimiterKey { src: flow.src, link };
-                let (limiter, quote) = self.limiter_step(now, key, action, ts, wire_bytes);
-                limiter.bucket.charge(now, wire_bytes, quote);
-                let verdict = match quote {
-                    BucketVerdict::Pass => AccessVerdict::Forward { channel: Channel::Regular },
-                    BucketVerdict::Queued { release_at } => AccessVerdict::Queued { release_at },
-                    // Police first: a refused packet leaves with no fresh
-                    // stamp, so it costs only its validation.
-                    BucketVerdict::Drop => return AccessVerdict::Drop(DropCause::RegularRateLimit),
-                };
-                // Reset the feedback to L↑ regardless of the old action
-                // (§4.3.3): the bottleneck only rewrites it if it is
-                // actually overloaded.
-                header.presented = feedback::stamp_incr(&mut self.ka, now, flow, link);
-                verdict
+                let mut steps = [(link, (action, false)); CHAIN_CAP];
+                let mut n = 1;
+                if self.cfg.multi_bottleneck == MultiBottleneck::Inference {
+                    // B.2: every other link cached toward the destination's
+                    // prefix polices the packet too, and infers its action.
+                    self.inference.record(now, flow.dst, link);
+                    let others = self.inference.links_for(now, flow.dst).filter(|&l| l != link);
+                    for (step, other) in steps[1..].iter_mut().zip(others) {
+                        *step = (other, (action, true));
+                        n += 1;
+                    }
+                }
+                self.police(now, flow.src, &steps[..n], ts, wire_bytes)
+            }
+            Feedback::Chain { ts, .. } => {
+                // B.1: one step per named link. A link named twice is one
+                // limiter, fed `L↓` if any of its entries is.
+                let mut steps = [(LinkId::NULL, (Action::Incr, false)); CHAIN_CAP];
+                let mut n = 0;
+                for (link, action) in header.presented.chain() {
+                    match steps[..n].iter_mut().find(|(l, _)| *l == link) {
+                        Some((_, heard)) if action == Action::Decr => heard.0 = action,
+                        Some(_) => {}
+                        None => {
+                            steps[n] = (link, (action, false));
+                            n += 1;
+                        }
+                    }
+                }
+                self.police(now, flow.src, &steps[..n], ts, wire_bytes)
+            }
+        };
+        // Police first: a refused packet leaves with no fresh stamp, so it
+        // costs only its validation.
+        if !matches!(verdict, AccessVerdict::Drop(_)) {
+            header.presented = self.stamp(now, flow, header.presented.link());
+        }
+        verdict
+    }
+
+    /// The feedback a packet this router forwards or holds leaves with
+    /// (§4.3.3): under B.1 a fresh chain origin; otherwise `L↑` for the link
+    /// whose limiter policed it — whatever the old action, since the
+    /// bottleneck rewrites it only while actually overloaded — else a
+    /// refreshed `nop`.
+    fn stamp(&mut self, now: Nanos, flow: FlowPair, link: Option<LinkId>) -> Feedback {
+        match (self.cfg.multi_bottleneck, link) {
+            (MultiBottleneck::MultiFeedback, _) => feedback::stamp_origin(&mut self.ka, now, flow),
+            (MultiBottleneck::Core | MultiBottleneck::Inference, Some(link)) => {
+                feedback::stamp_incr(&mut self.ka, now, flow, link)
+            }
+            (MultiBottleneck::Core | MultiBottleneck::Inference, None) => {
+                feedback::stamp_nop(&mut self.ka, now, flow)
             }
         }
     }
 
-    /// The limiter step (§4.3.3), taken once per `mon` feedback a valid
-    /// regular packet presents (once per entry of an Appendix B.1 chain):
-    /// get or create the `key` limiter, feed its AIMD the feedback's
-    /// `(action, ts)`, and quote the packet to its bucket; `L↓` or a
-    /// discard counts as activity for `Ta`. The caller charges the quote
-    /// ([`LeakyBucket::charge`]), for a chain only once no limiter refuses.
+    /// The limiter step (§4.3.3), taken once per limiter a valid regular
+    /// packet meets: get or create the `key` limiter, feed it the
+    /// feedback's `(action, ts)` — to its AIMD, or to its inference flags
+    /// when `heard` marks the action inferred (Appendix B.2) — and quote
+    /// the packet to its bucket. A heard `L↓` or a discard counts as
+    /// activity for `Ta`.
     #[inline]
-    pub(crate) fn limiter_step(
+    fn limiter_step(
         &mut self,
         now: Nanos,
         key: LimiterKey,
-        action: Action,
+        heard: (Action, bool),
         ts: u32,
         wire_bytes: usize,
-    ) -> (&mut RegularLimiter, BucketVerdict) {
+    ) -> BucketVerdict {
         let cfg = &self.cfg;
         let limiter = self.limiters.entry(key).or_insert_with(|| RegularLimiter::new(cfg, now));
-        limiter.aimd.observe(action, ts);
+        let (action, inferred) = heard;
+        if inferred {
+            limiter.flags.infer(action, ts, &limiter.aimd);
+        } else {
+            limiter.aimd.observe(action, ts);
+            limiter.flags.is_active = true;
+        }
         let quote = limiter.bucket.quote(now, wire_bytes);
-        if action == Action::Decr || quote == BucketVerdict::Drop {
+        if (action == Action::Decr && !inferred) || quote == BucketVerdict::Drop {
             limiter.last_activity = now;
         }
-        (limiter, quote)
+        quote
+    }
+
+    /// Police a valid regular packet through the limiter of every link in
+    /// `steps` (each with what its limiter heard; one link in the core
+    /// design), all or nothing. A packet any limiter refuses is charged
+    /// only to the limiters that refuse it; otherwise it departs when the
+    /// slowest limiter releases it.
+    fn police(
+        &mut self,
+        now: Nanos,
+        src: HostId,
+        steps: &[(LinkId, (Action, bool))],
+        ts: u32,
+        wire_bytes: usize,
+    ) -> AccessVerdict {
+        let key = |link| LimiterKey { src, link };
+        let mut quotes = [BucketVerdict::Pass; CHAIN_CAP];
+        for (quote, &(link, heard)) in quotes.iter_mut().zip(steps) {
+            *quote = self.limiter_step(now, key(link), heard, ts, wire_bytes);
+        }
+        let refused = quotes.contains(&BucketVerdict::Drop);
+        let (mut release, mut held_in) = (None, LinkSet::default());
+        for (&(link, _), &quote) in steps.iter().zip(&quotes) {
+            if refused && quote != BucketVerdict::Drop {
+                continue;
+            }
+            if let Some(limiter) = self.limiters.get_mut(&key(link)) {
+                limiter.bucket.charge(now, wire_bytes, quote);
+            }
+            if let BucketVerdict::Queued { release_at } = quote {
+                release = release.max(Some(release_at));
+                held_in.push(link);
+            }
+        }
+        match (refused, release) {
+            (true, _) => AccessVerdict::Drop(DropCause::RegularRateLimit),
+            (false, None) => AccessVerdict::Forward { channel: Channel::Regular },
+            (false, Some(release_at)) => AccessVerdict::Queued { release_at, held_in },
+        }
     }
 
     /// Police a request packet (or, when `demoted` is set, a regular packet
@@ -300,21 +414,16 @@ impl AccessRouter {
             .request_limiters
             .entry(flow.src)
             .or_insert_with(|| RequestLimiter::new(cfg, now, 1.0));
-        match limiter.offer(now, header.priority) {
-            RequestVerdict::Drop => AccessVerdict::Drop(if demoted {
-                DropCause::InvalidMac
-            } else {
-                DropCause::RequestRateLimit
-            }),
-            RequestVerdict::Pass => {
-                // The limiter charged at most the top level: the packet
-                // rides no higher than it paid for.
-                header.priority = header.priority.min(cfg.max_request_priority);
-                header.kind = PacketKind::Request;
-                header.presented = feedback::stamp_nop(&mut self.ka, now, flow);
-                AccessVerdict::Forward { channel: Channel::Request }
-            }
+        if limiter.offer(now, header.priority) == RequestVerdict::Drop {
+            let cause = if demoted { DropCause::InvalidMac } else { DropCause::RequestRateLimit };
+            return AccessVerdict::Drop(cause);
         }
+        // The limiter charged at most the top level: the packet rides no
+        // higher than it paid for.
+        header.priority = header.priority.min(cfg.max_request_priority);
+        header.kind = PacketKind::Request;
+        header.presented = self.stamp(now, flow, None);
+        AccessVerdict::Forward { channel: Channel::Request }
     }
 
     /// Notify the router that a previously queued packet was released by the
@@ -326,7 +435,8 @@ impl AccessRouter {
     }
 
     /// Drive periodic work: AIMD adjustment at the end of each control
-    /// interval and `Ta` garbage collection. Returns the adjustments made
+    /// interval (Figure 17, or Appendix B.2's rules when a limiter inferred
+    /// feedback) and `Ta` garbage collection. Returns the adjustments made
     /// (for metrics/experiments).
     pub fn tick(&mut self, now: Nanos) -> Vec<(LimiterKey, Adjustment)> {
         let mut adjustments = Vec::new();
@@ -338,7 +448,8 @@ impl AccessRouter {
         for (key, lim) in self.limiters.iter_mut() {
             if lim.aimd.interval_elapsed(now, &self.cfg) {
                 let tput = lim.bucket.throughput(now);
-                let decision = lim.aimd.adjust(now, tput, &self.cfg);
+                let flags = std::mem::take(&mut lim.flags);
+                let decision = adjust_with_inference(&mut lim.aimd, flags, now, tput, &self.cfg);
                 lim.bucket.set_rate(now, lim.aimd.rate());
                 lim.bucket.reset_window(now);
                 adjustments.push((*key, decision));

@@ -12,7 +12,7 @@
 use netfence_crypto::AsKeyTable;
 
 use crate::config::Config;
-use crate::feedback::{stamp_decr, Feedback};
+use crate::feedback::{stamp_decr, stamp_link, Action, Feedback};
 use crate::monitor::{BottleneckMonitor, MonitorEvent};
 use crate::types::{AsId, Bps, FlowPair, LinkId, Nanos};
 
@@ -34,8 +34,11 @@ pub enum Channel {
 pub enum StampOutcome {
     /// The feedback was left untouched.
     Unchanged,
-    /// The feedback was overwritten with this link's `L↓`.
+    /// The feedback was overwritten with this link's `L↓`, or an Appendix
+    /// B.1 chain gained this link's `L↓` entry.
     StampedDecr,
+    /// An Appendix B.1 chain gained this link's `L↑` entry.
+    StampedIncr,
     /// The packet's source AS has no shared key with this router's AS, so
     /// `L↓` could not be stamped (the packet is forwarded unchanged; such
     /// traffic is handled by the per-AS policing fallback instead).
@@ -102,6 +105,9 @@ impl BottleneckLink {
     /// 3. `L↑` → stamp `L↓` only if the link is currently overloaded
     ///    (within the stamping hysteresis window).
     ///
+    /// An Appendix B.1 chain instead gains this link's entry: `L↓` while
+    /// overloaded, `L↑` otherwise. A full chain is forwarded unchanged.
+    ///
     /// Outside a monitoring cycle the feedback is never touched, which keeps
     /// the idle-time overhead at zero (§3.1).
     pub fn update_feedback(
@@ -114,23 +120,31 @@ impl BottleneckLink {
         if !self.monitor.in_mon() {
             return StampOutcome::Unchanged;
         }
-        let should_stamp = match feedback {
-            Feedback::Nop { .. } => true,
-            Feedback::Mon { .. } if feedback.is_decr() => false,
-            _ => self.monitor.should_stamp_decr(now),
+        let action = match feedback {
+            Feedback::Nop { .. } => Action::Decr,
+            Feedback::Mon { action: Action::Decr, .. } => return StampOutcome::Unchanged,
+            Feedback::Mon { .. } | Feedback::Chain { .. }
+                if self.monitor.should_stamp_decr(now) =>
+            {
+                Action::Decr
+            }
+            Feedback::Mon { .. } => return StampOutcome::Unchanged,
+            Feedback::Chain { .. } => Action::Incr,
         };
-        if !should_stamp {
-            return StampOutcome::Unchanged;
-        }
         let Some(kai) = self.as_keys.get(src_as.0) else {
             return StampOutcome::NoKey;
         };
-        match stamp_decr(&kai, flow, self.link, feedback) {
-            Some(new_fb) => {
-                *feedback = new_fb;
-                StampOutcome::StampedDecr
+        let stamped = match feedback {
+            Feedback::Chain { .. } => stamp_link(&kai, flow, (self.link, action), feedback),
+            Feedback::Nop { .. } | Feedback::Mon { .. } => {
+                stamp_decr(&kai, flow, self.link, feedback)
             }
-            None => StampOutcome::Unchanged,
+        };
+        let Some(new_fb) = stamped else { return StampOutcome::Unchanged };
+        *feedback = new_fb;
+        match action {
+            Action::Decr => StampOutcome::StampedDecr,
+            Action::Incr => StampOutcome::StampedIncr,
         }
     }
 }
@@ -138,7 +152,7 @@ impl BottleneckLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feedback::{stamp_incr, stamp_nop, Action};
+    use crate::feedback::{stamp_incr, stamp_nop, stamp_origin, CHAIN_CAP};
     use crate::types::{HostId, SEC};
     use netfence_crypto::TimeVaryingSecret;
 
@@ -230,6 +244,36 @@ mod tests {
         let mut fb = stamp_incr(&mut ka, later, flow, LinkId(9));
         assert_eq!(bl.update_feedback(later, flow, AsId(1), &mut fb), StampOutcome::Unchanged);
         assert!(fb.is_incr());
+    }
+
+    /// B.1: a link in `mon` appends its entry, `L↓` only while overloaded;
+    /// a full chain passes unchanged.
+    #[test]
+    fn mon_state_appends_to_a_chain_until_it_is_full() {
+        let (_t1, t2) = keys();
+        let cfg = Config::short_timers();
+        let mut bl = BottleneckLink::new(LinkId(9), 10_000_000, t2, cfg.clone(), 0);
+        let mut now = 0;
+        make_mon(&mut bl, &mut now);
+        let mut ka = TimeVaryingSecret::new([1; 16]);
+        let flow = FlowPair::new(HostId(1), HostId(2));
+        let later = now + 10 * cfg.ilim;
+        let mut fb = stamp_origin(&mut ka, later, flow);
+        assert_eq!(bl.update_feedback(later, flow, AsId(1), &mut fb), StampOutcome::StampedIncr);
+        bl.note_congestion(later);
+        for _ in 1..CHAIN_CAP {
+            assert_eq!(
+                bl.update_feedback(later, flow, AsId(1), &mut fb),
+                StampOutcome::StampedDecr
+            );
+        }
+        let full = fb;
+        assert_eq!(bl.update_feedback(later, flow, AsId(1), &mut fb), StampOutcome::Unchanged);
+        assert_eq!(fb, full);
+        let entries: Vec<_> = fb.chain().collect();
+        assert_eq!(entries.len(), CHAIN_CAP);
+        assert_eq!(entries[0], (LinkId(9), Action::Incr));
+        assert!(entries[1..].iter().all(|&e| e == (LinkId(9), Action::Decr)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! NetFence protocol parameters (Figure 3 of the paper) plus the handful of
 //! implementation constants the paper describes in prose.
 
+use crate::multi::MultiBottleneck;
 use crate::types::{Bps, Nanos, MILLI, SEC};
 
 /// The full parameter set of a NetFence deployment.
@@ -84,6 +85,11 @@ pub struct Config {
     /// Figure 4). The appendix shows 2 is the minimum robust value; the
     /// ablation bench varies it.
     pub hysteresis_intervals: u32,
+    /// Which Appendix B design handles flows that cross several
+    /// bottlenecks. Only the access router reads it: it decides what the
+    /// router stamps and whether it infers limiters. Default: the core
+    /// design (§4.3.5).
+    pub multi_bottleneck: MultiBottleneck,
 }
 
 impl Default for Config {
@@ -108,6 +114,7 @@ impl Default for Config {
             max_request_priority: 16,
             request_bucket_depth: 4096.0,
             hysteresis_intervals: 2,
+            multi_bottleneck: MultiBottleneck::Core,
         }
     }
 }

@@ -12,6 +12,15 @@
 //! `L↓` MAC covers the `token_nop` stamped by the access router, which is
 //! erased afterwards so malicious downstream routers cannot overwrite the
 //! feedback with a valid one of their own.
+//!
+//! Appendix B.1 of the tech report adds a chain that names every `mon` link
+//! on the path, under one chained MAC:
+//!
+//! * Eq. 4: `token_0 = MAC_Ka(src, dst, ts)` at the access router;
+//! * Eq. 5: `token_i = MAC_Kai(src, dst, ts, L_i, action_i, token_{i−1})`
+//!   at the `i`-th link that appends.
+
+use std::ops::Deref;
 
 use netfence_crypto::{Cmac, Mac32, TimeVaryingSecret};
 
@@ -55,13 +64,32 @@ pub enum Feedback {
         /// bottleneck stamps `L↓`.
         token_nop: Option<Mac32>,
     },
+    /// Appendix B.1: one `(link, action)` entry per `mon` link on the path,
+    /// in path order, under one chained MAC. Its fields are inline so that
+    /// `Feedback` stays 24 bytes.
+    Chain {
+        /// Stamping time at the access router, in whole seconds.
+        ts: u32,
+        /// The chained MAC: Eq. 4, then one Eq. 5 per entry.
+        token: Mac32,
+        /// The entries' links; slots from `len` on are [`LinkId::NULL`].
+        links: [LinkId; CHAIN_CAP],
+        /// Bit `i` set: entry `i` is `L↓`, else `L↑`.
+        decr: u8,
+        /// How many entries are in use.
+        len: u8,
+    },
 }
+
+/// The most entries a chain holds (the parking lot needs two). A link that
+/// meets a full chain leaves it unchanged.
+pub const CHAIN_CAP: usize = 3;
 
 impl Feedback {
     /// The stamping timestamp in seconds.
     pub fn ts(&self) -> u32 {
         match self {
-            Feedback::Nop { ts, .. } | Feedback::Mon { ts, .. } => *ts,
+            Feedback::Nop { ts, .. } | Feedback::Mon { ts, .. } | Feedback::Chain { ts, .. } => *ts,
         }
     }
 
@@ -83,9 +111,20 @@ impl Feedback {
     /// The bottleneck link referenced by `mon` feedback, if any.
     pub fn link(&self) -> Option<LinkId> {
         match self {
-            Feedback::Nop { .. } => None,
+            Feedback::Nop { .. } | Feedback::Chain { .. } => None,
             Feedback::Mon { link, .. } => Some(*link),
         }
+    }
+
+    /// A chain's entries in path order (none for other feedback).
+    pub fn chain(&self) -> impl Iterator<Item = (LinkId, Action)> + '_ {
+        let (links, decr, len): (&[LinkId], u8, u8) = match self {
+            Feedback::Chain { links, decr, len, .. } => (links, *decr, *len),
+            Feedback::Nop { .. } | Feedback::Mon { .. } => (&[], 0, 0),
+        };
+        links.iter().take(len.into()).enumerate().map(move |(i, &link)| {
+            (link, if decr >> i & 1 == 1 { Action::Decr } else { Action::Incr })
+        })
     }
 
     /// Whether the feedback has expired relative to `now` given the
@@ -104,6 +143,11 @@ const TAG_NOP: u8 = 0;
 const TAG_INCR: u8 = 1;
 /// Domain-separation tag of the Eq. 3 (`L↓`) MAC input.
 const TAG_DECR: u8 = 2;
+/// Domain-separation tag of the Eq. 4 (chain origin) MAC input.
+const TAG_ORIGIN: u8 = 3;
+/// Domain-separation tags of an Eq. 5 (chain entry) MAC input, `L↑` / `L↓`.
+const TAG_LINK_INCR: u8 = 4;
+const TAG_LINK_DECR: u8 = 5;
 
 /// Length of the Eq. 1 / Eq. 2 MAC input: `src‖dst‖ts‖link‖tag`.
 const BASE_LEN: usize = 17;
@@ -112,8 +156,8 @@ const BASE_LEN: usize = 17;
 /// token covers, at fixed offsets: `src‖dst‖ts‖link` as big-endian `u32`s,
 /// then the tag byte; the rest is zero for the caller to fill. Every field
 /// is fixed-width, so no two field combinations share an encoding, and the
-/// tag keeps Eq. 1–3 apart. 17 (Eq. 1/2) and 21 (Eq. 3) bytes are two CMAC
-/// blocks each.
+/// tag keeps Eq. 1–5 apart. 17 (Eq. 1/2/4) and 21 (Eq. 3/5) bytes are two
+/// CMAC blocks each.
 fn base_input<const N: usize>(flow: FlowPair, ts: u32, link: LinkId, tag: u8) -> [u8; N] {
     let mut buf = [0u8; N];
     buf[0..4].copy_from_slice(&flow.src.0.to_be_bytes());
@@ -134,12 +178,37 @@ fn incr_input(flow: FlowPair, ts: u32, link: LinkId) -> [u8; BASE_LEN] {
     base_input(flow, ts, link, TAG_INCR)
 }
 
-/// Build the Eq. 3 MAC input for `token_L↓`: the base fields, then
-/// `token_nop`.
-fn decr_input(flow: FlowPair, ts: u32, link: LinkId, token_nop: Mac32) -> [u8; BASE_LEN + 4] {
-    let mut buf: [u8; BASE_LEN + 4] = base_input(flow, ts, link, TAG_DECR);
-    buf[BASE_LEN..].copy_from_slice(&token_nop.to_be_bytes());
+/// The base fields, then the MAC this one covers: Eq. 3 covers
+/// `token_nop`, Eq. 5 the chain's previous token.
+fn covering_input(
+    flow: FlowPair,
+    ts: u32,
+    link: LinkId,
+    tag: u8,
+    prev: Mac32,
+) -> [u8; BASE_LEN + 4] {
+    let mut buf: [u8; BASE_LEN + 4] = base_input(flow, ts, link, tag);
+    buf[BASE_LEN..].copy_from_slice(&prev.to_be_bytes());
     buf
+}
+
+/// Build the Eq. 3 MAC input for `token_L↓`.
+fn decr_input(flow: FlowPair, ts: u32, link: LinkId, token_nop: Mac32) -> [u8; BASE_LEN + 4] {
+    covering_input(flow, ts, link, TAG_DECR, token_nop)
+}
+
+/// Build the Eq. 4 MAC input for a chain's origin token.
+fn origin_input(flow: FlowPair, ts: u32) -> [u8; BASE_LEN] {
+    base_input(flow, ts, LinkId::NULL, TAG_ORIGIN)
+}
+
+/// Build the Eq. 5 MAC input for one chain entry over the previous token.
+fn link_input(flow: FlowPair, ts: u32, entry: (LinkId, Action), prev: Mac32) -> [u8; BASE_LEN + 4] {
+    let tag = match entry.1 {
+        Action::Incr => TAG_LINK_INCR,
+        Action::Decr => TAG_LINK_DECR,
+    };
+    covering_input(flow, ts, entry.0, tag, prev)
 }
 
 /// Compute `token_nop` (Eq. 1) under the access router's secret.
@@ -177,16 +246,44 @@ pub fn stamp_incr(
 /// will re-derive `token_nop` from it during validation.
 ///
 /// Returns `None` when the prior feedback is `L↓` already (rule 2 of §4.3.2:
-/// an upstream bottleneck's feedback is never overwritten) or when the `L↑`
-/// feedback is missing its `token_nop` (malformed).
+/// an upstream bottleneck's feedback is never overwritten), when the `L↑`
+/// feedback is missing its `token_nop` (malformed), or for a chain (which
+/// takes [`stamp_link`] instead).
 pub fn stamp_decr(kai: &Cmac, flow: FlowPair, link: LinkId, prior: &Feedback) -> Option<Feedback> {
     let (ts, tnop) = match prior {
         Feedback::Nop { ts, token } => (*ts, *token),
         Feedback::Mon { action: Action::Incr, ts, token_nop, .. } => (*ts, (*token_nop)?),
-        Feedback::Mon { action: Action::Decr, .. } => return None,
+        Feedback::Mon { action: Action::Decr, .. } | Feedback::Chain { .. } => return None,
     };
     let token = kai.mac32(&decr_input(flow, ts, link, tnop));
     Some(Feedback::Mon { link, action: Action::Decr, ts, token, token_nop: None })
+}
+
+/// Stamp the origin of an Appendix B.1 chain (access router, Eq. 4): no
+/// entries yet, so it polices like `nop`.
+pub fn stamp_origin(ka: &mut TimeVaryingSecret, now: Nanos, flow: FlowPair) -> Feedback {
+    let ts = nanos_to_secs(now);
+    let token = ka.mac32(now, &origin_input(flow, ts));
+    Feedback::Chain { ts, token, links: [LinkId::NULL; CHAIN_CAP], decr: 0, len: 0 }
+}
+
+/// Append a bottleneck's `(link, action)` to a chain, extending its MAC
+/// (Eq. 5). Always appends, even for a link the chain already names: the
+/// access router folds a link's entries into one, `L↓` if any is.
+///
+/// Returns `None` when `prior` is not a chain or is full.
+pub fn stamp_link(
+    kai: &Cmac,
+    flow: FlowPair,
+    entry: (LinkId, Action),
+    prior: &Feedback,
+) -> Option<Feedback> {
+    let Feedback::Chain { ts, token, mut links, mut decr, len } = *prior else { return None };
+    let i = usize::from(len);
+    *links.get_mut(i)? = entry.0;
+    decr |= u8::from(entry.1 == Action::Decr) << i;
+    let token = kai.mac32(&link_input(flow, ts, entry, token));
+    Some(Feedback::Chain { ts, token, links, decr, len: len + 1 })
 }
 
 /// Why feedback validation failed.
@@ -196,7 +293,8 @@ pub enum FeedbackError {
     Expired,
     /// The MAC does not verify.
     BadMac,
-    /// `L↓` feedback references a link whose AS key is unknown.
+    /// `L↓` feedback (or a chain entry) references a link whose AS key is
+    /// unknown.
     UnknownLinkAs,
 }
 
@@ -205,12 +303,14 @@ pub enum FeedbackError {
 ///
 /// * `ka` — the access router's own secret (Eq. 1 and Eq. 2).
 /// * `kai_for_link` — resolves the bottleneck link's AS pairwise key (the
-///   paper uses an IP-to-AS mapping tool for this step).
+///   paper uses an IP-to-AS mapping tool for this step) to a reference or a
+///   key-store guard. It is called only for unexpired feedback, once per
+///   `L↓` link or chain entry.
 /// * `w` — feedback expiration window.
-pub fn validate<'a>(
+pub fn validate<K: Deref<Target = Cmac>>(
     fb: &Feedback,
     ka: &mut TimeVaryingSecret,
-    kai_for_link: impl Fn(LinkId) -> Option<&'a Cmac>,
+    kai_for_link: impl Fn(LinkId) -> Option<K>,
     now: Nanos,
     flow: FlowPair,
     w: Nanos,
@@ -249,6 +349,29 @@ pub fn validate<'a>(
                 Err(FeedbackError::BadMac)
             }
         }
+        Feedback::Chain { ts, token, .. } => {
+            // Recompute the chain from its origin, under the current and
+            // (only on a mismatch) the previous epoch's `Ka`.
+            let origin = origin_input(flow, *ts);
+            let verifies = |first| {
+                let mut prev = first;
+                for entry in fb.chain() {
+                    let kai = kai_for_link(entry.0).ok_or(FeedbackError::UnknownLinkAs)?;
+                    prev = kai.mac32(&link_input(flow, *ts, entry, prev));
+                }
+                Ok(prev == *token)
+            };
+            let ok = verifies(ka.mac32(now, &origin))?
+                || match ka.mac32_previous(now, &origin) {
+                    Some(first) => verifies(first)?,
+                    None => false,
+                };
+            if ok {
+                Ok(())
+            } else {
+                Err(FeedbackError::BadMac)
+            }
+        }
     }
 }
 
@@ -262,6 +385,14 @@ mod tests {
         let kai = Cmac::new(&[9u8; 16]);
         let flow = FlowPair::new(HostId(0x0a000001), HostId(0x0a000002));
         (ka, kai, flow)
+    }
+
+    /// A chain of three links still fits the 24 bytes `Feedback` had
+    /// before it: a header holds two, and a host shim holds several.
+    #[test]
+    fn feedback_stays_24_bytes() {
+        assert_eq!(std::mem::size_of::<Feedback>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Feedback>>(), 24);
     }
 
     #[test]
@@ -371,7 +502,7 @@ mod tests {
             Err(FeedbackError::BadMac)
         );
         assert_eq!(
-            validate(&decr, &mut ka, |_| None, SEC, flow, 4 * SEC),
+            validate(&decr, &mut ka, |_| None::<&Cmac>, SEC, flow, 4 * SEC),
             Err(FeedbackError::UnknownLinkAs)
         );
     }

@@ -24,10 +24,22 @@
 //! with the `LINK-ID_return` omission the same case encodes to 16 bytes
 //! here, and [`NetFenceHeader::nominal_len`] reports the paper's
 //! conservative figure for overhead accounting.
+//!
+//! An Appendix B.1 chain of `n` entries takes `12 + 5·n` bytes forward (the
+//! common 8, its token, then each entry's link and action byte) and
+//! `4 + 5·n` echoed: the "longer and variable-length header" §4.3.5 names
+//! as the cost of multi-bottleneck feedback.
+//!
+//! Layout: byte 0 is `VER << 4` and the type bits (`0b1000` request,
+//! `0b0100` forward `mon`, `0b0010` forward chain, `0b0001` echo); byte 3
+//! holds the flags (`0x80` forward `L↓`, `0x40` echo `L↓`, `0x20` echo
+//! `mon`, `0x10` echo chain, `0x0c` forward chain length, `0x03` echo
+//! timestamp). An echoed chain's length sits in the two echo `mon` / `L↓`
+//! bits it has no use for.
 
 use netfence_crypto::Mac32;
 
-use crate::feedback::{Action, Feedback};
+use crate::feedback::{Action, Feedback, CHAIN_CAP};
 use crate::types::LinkId;
 
 /// Protocol version encoded in the VER field.
@@ -89,28 +101,26 @@ impl NetFenceHeader {
 
     /// Exact encoded length in bytes of this header.
     pub fn encoded_len(&self) -> usize {
-        let fwd = match self.presented {
-            Feedback::Nop { .. } => 12,
-            Feedback::Mon { .. } => 20,
-        };
         let ret = match &self.echoed {
             None => 0,
             Some(Feedback::Nop { .. }) => 4,
             Some(Feedback::Mon { .. }) => 8,
+            Some(e @ Feedback::Chain { .. }) => 4 + 5 * e.chain().count(),
         };
-        fwd + ret
+        forward_len(&self.presented) + ret
     }
 
     /// The header length used for overhead accounting in the simulator:
     /// matches the figures quoted in §6.1 of the paper (20 bytes common
     /// case, 28 bytes worst case) by always counting a full 8-byte return
-    /// header when echoed feedback is present.
+    /// header when echoed feedback is present (more for a longer chain).
     pub fn nominal_len(&self) -> usize {
-        let fwd = match self.presented {
-            Feedback::Nop { .. } => 12,
-            Feedback::Mon { .. } => 20,
+        let ret = match &self.echoed {
+            None => 0,
+            Some(Feedback::Nop { .. } | Feedback::Mon { .. }) => 8,
+            Some(e @ Feedback::Chain { .. }) => (4 + 5 * e.chain().count()).max(8),
         };
-        fwd + if self.echoed.is_some() { 8 } else { 0 }
+        forward_len(&self.presented) + ret
     }
 
     /// Encode the header to bytes.
@@ -120,8 +130,10 @@ impl NetFenceHeader {
         if self.kind == PacketKind::Request {
             type_bits |= 0b1000;
         }
-        if matches!(self.presented, Feedback::Mon { .. }) {
-            type_bits |= 0b0100;
+        match self.presented {
+            Feedback::Nop { .. } => {}
+            Feedback::Mon { .. } => type_bits |= 0b0100,
+            Feedback::Chain { .. } => type_bits |= 0b0010,
         }
         if self.echoed.is_some() {
             type_bits |= 0b0001;
@@ -131,15 +143,18 @@ impl NetFenceHeader {
         buf.push(self.priority);
 
         let mut flags = 0u8;
-        if matches!(self.presented, Feedback::Mon { action: Action::Decr, .. }) {
-            flags |= 0b1000_0000;
+        match &self.presented {
+            Feedback::Nop { .. } => {}
+            Feedback::Mon { action, .. } => flags |= u8::from(*action == Action::Decr) << 7,
+            fb @ Feedback::Chain { .. } => flags |= (fb.chain().count() as u8) << 2,
         }
         if let Some(e) = &self.echoed {
-            if e.is_decr() {
-                flags |= 0b0100_0000;
-            }
-            if matches!(e, Feedback::Mon { .. }) {
-                flags |= 0b0010_0000;
+            match e {
+                Feedback::Nop { .. } => {}
+                Feedback::Mon { action, .. } => {
+                    flags |= 0b0010_0000 | u8::from(*action == Action::Decr) << 6;
+                }
+                Feedback::Chain { .. } => flags |= 0b0001_0000 | (e.chain().count() as u8) << 5,
             }
             flags |= (e.ts() & 0b11) as u8;
         }
@@ -153,14 +168,16 @@ impl NetFenceHeader {
                 buf.extend_from_slice(&token_nop.unwrap_or(0).to_be_bytes());
                 buf.extend_from_slice(&token.to_be_bytes());
             }
+            Feedback::Chain { token, .. } => encode_chain(&mut buf, token, &self.presented),
         }
         if let Some(e) = &self.echoed {
-            match e {
+            match *e {
                 Feedback::Nop { token, .. } => buf.extend_from_slice(&token.to_be_bytes()),
                 Feedback::Mon { link, token, .. } => {
                     buf.extend_from_slice(&token.to_be_bytes());
                     buf.extend_from_slice(&link.0.to_be_bytes());
                 }
+                Feedback::Chain { token, .. } => encode_chain(&mut buf, token, e),
             }
         }
         debug_assert_eq!(buf.len(), self.encoded_len());
@@ -186,6 +203,7 @@ impl NetFenceHeader {
         let type_bits = buf[0] & 0x0f;
         let kind = if type_bits & 0b1000 != 0 { PacketKind::Request } else { PacketKind::Regular };
         let fwd_mon = type_bits & 0b0100 != 0;
+        let fwd_chain = type_bits & 0b0010 != 0;
         let has_echo = type_bits & 0b0001 != 0;
         let proto = buf[1];
         let priority = buf[2];
@@ -193,6 +211,7 @@ impl NetFenceHeader {
         let fwd_decr = flags & 0b1000_0000 != 0;
         let echo_decr = flags & 0b0100_0000 != 0;
         let echo_mon = flags & 0b0010_0000 != 0;
+        let echo_chain = flags & 0b0001_0000 != 0;
         let echo_ts_low = (flags & 0b11) as u32;
         let ts = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
 
@@ -203,7 +222,9 @@ impl NetFenceHeader {
                 .ok_or(HeaderError::Truncated)
         };
 
-        let presented = if fwd_mon {
+        let presented = if fwd_chain {
+            decode_chain(buf, &mut off, ts, flags >> 2 & 0b11)?
+        } else if fwd_mon {
             let link = LinkId(read_u32(buf, off)?);
             let token_nop = read_u32(buf, off + 4)?;
             let token = read_u32(buf, off + 8)?;
@@ -222,21 +243,25 @@ impl NetFenceHeader {
         };
 
         let echoed = if has_echo {
-            let token: Mac32 = read_u32(buf, off)?;
-            off += 4;
             let ets = reconstruct_ts(now_secs, echo_ts_low);
-            Some(if echo_mon {
-                let link = LinkId(read_u32(buf, off)?);
-                off += 4;
-                Feedback::Mon {
-                    link,
-                    action: if echo_decr { Action::Decr } else { Action::Incr },
-                    ts: ets,
-                    token,
-                    token_nop: None,
-                }
+            Some(if echo_chain {
+                decode_chain(buf, &mut off, ets, flags >> 5 & 0b11)?
             } else {
-                Feedback::Nop { ts: ets, token }
+                let token: Mac32 = read_u32(buf, off)?;
+                off += 4;
+                if echo_mon {
+                    let link = LinkId(read_u32(buf, off)?);
+                    off += 4;
+                    Feedback::Mon {
+                        link,
+                        action: if echo_decr { Action::Decr } else { Action::Incr },
+                        ts: ets,
+                        token,
+                        token_nop: None,
+                    }
+                } else {
+                    Feedback::Nop { ts: ets, token }
+                }
             })
         } else {
             None
@@ -244,6 +269,41 @@ impl NetFenceHeader {
 
         Ok((NetFenceHeader { kind, proto, priority, presented, echoed }, off))
     }
+}
+
+/// Encoded length of the forward feedback, the 8 common bytes included.
+fn forward_len(fb: &Feedback) -> usize {
+    match fb {
+        Feedback::Nop { .. } => 12,
+        Feedback::Mon { .. } => 20,
+        Feedback::Chain { .. } => 12 + 5 * fb.chain().count(),
+    }
+}
+
+/// Append a chain's token, then each entry's link and action byte.
+fn encode_chain(buf: &mut Vec<u8>, token: Mac32, chain: &Feedback) {
+    buf.extend_from_slice(&token.to_be_bytes());
+    for (link, action) in chain.chain() {
+        buf.extend_from_slice(&link.0.to_be_bytes());
+        buf.push(u8::from(action == Action::Decr));
+    }
+}
+
+/// Read a chain of `len` entries stamped at `ts` from `buf` at `*off`.
+/// Any nonzero action byte reads as `L↓`.
+fn decode_chain(buf: &[u8], off: &mut usize, ts: u32, len: u8) -> Result<Feedback, HeaderError> {
+    let end = *off + 4 + 5 * usize::from(len);
+    let bytes = buf.get(*off..end).ok_or(HeaderError::Truncated)?;
+    *off = end;
+    let (token, entries) = bytes.split_at(4);
+    let mut links = [LinkId::NULL; CHAIN_CAP];
+    let mut decr = 0;
+    for (i, (entry, slot)) in entries.chunks_exact(5).zip(&mut links).enumerate() {
+        *slot = LinkId(u32::from_be_bytes([entry[0], entry[1], entry[2], entry[3]]));
+        decr |= u8::from(entry[4] != 0) << i;
+    }
+    let token = u32::from_be_bytes([token[0], token[1], token[2], token[3]]);
+    Ok(Feedback::Chain { ts, token, links, decr, len })
 }
 
 /// Reconstruct a full timestamp from its two low bits, assuming it is at
@@ -341,6 +401,37 @@ mod tests {
         }
     }
 
+    /// A chain of `n` entries, each link `100 + i`, `L↓` at odd `i`.
+    fn chain(ts: u32, n: u8) -> Feedback {
+        let mut links = [LinkId::NULL; CHAIN_CAP];
+        for (i, link) in links.iter_mut().take(n.into()).enumerate() {
+            *link = LinkId(100 + i as u32);
+        }
+        Feedback::Chain { ts, token: 0x0bad_cafe, links, decr: 0b010 & ((1 << n) - 1), len: n }
+    }
+
+    /// A forward chain takes `12 + 5·n` bytes; every length from empty to
+    /// full round-trips forward and echoed.
+    #[test]
+    fn chains_of_0_to_3_entries_roundtrip() {
+        let now = 1000;
+        for n in 0..=CHAIN_CAP as u8 {
+            let fwd = NetFenceHeader::regular(6, chain(now, n), None);
+            assert_eq!(fwd.encoded_len(), 12 + 5 * usize::from(n));
+            assert_eq!(fwd.nominal_len(), fwd.encoded_len());
+            let both = NetFenceHeader::regular(17, chain(now, n), Some(chain(now - 3, 3 - n)));
+            let echoed = NetFenceHeader {
+                echoed: Some(chain(now - 1, n)),
+                ..NetFenceHeader::request(6, 4, nop(now))
+            };
+            for h in [fwd, both, echoed] {
+                let bytes = h.encode();
+                assert_eq!(bytes.len(), h.encoded_len());
+                assert_eq!(NetFenceHeader::decode(&bytes, now), Ok((h.clone(), bytes.len())));
+            }
+        }
+    }
+
     #[test]
     fn echoed_timestamp_reconstruction() {
         for age in 0..4u32 {
@@ -414,12 +505,18 @@ mod tests {
         /// its first and flags bytes claim, and whatever it accepts
         /// re-encodes to a header that decodes back to itself.
         #[test]
-        fn decode_is_total(mut buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..41),
+        fn decode_is_total(mut buf in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..50),
                            force_v1 in proptest::prelude::any::<bool>(),
+                           chains in 0u8..4,
                            now_secs in proptest::prelude::any::<u32>()) {
             // Half the cases get version 1, so most reach the body parser.
             if force_v1 && !buf.is_empty() {
                 buf[0] = (VERSION << 4) | (buf[0] & 0x0f);
+            }
+            // Half of those carry a forward or an echoed chain (or both).
+            if force_v1 && buf.len() > 3 {
+                buf[0] |= (chains & 1) << 1;
+                buf[3] |= (chains & 2) << 3;
             }
             let got = NetFenceHeader::decode(&buf, now_secs);
             if buf.len() < 8 {
@@ -430,11 +527,22 @@ mod tests {
                 proptest::prop_assert_eq!(got, Err(HeaderError::BadVersion(buf[0] >> 4)));
                 return;
             }
-            let (fwd_mon, has_echo, echo_mon) =
-                (buf[0] & 0b0100 != 0, buf[0] & 0b0001 != 0, buf[3] & 0b0010_0000 != 0);
-            let claimed = 8
-                + if fwd_mon { 12 } else { 4 }
-                + if has_echo { if echo_mon { 8 } else { 4 } } else { 0 };
+            let (fwd_mon, fwd_chain, has_echo) =
+                (buf[0] & 0b0100 != 0, buf[0] & 0b0010 != 0, buf[0] & 0b0001 != 0);
+            let (echo_mon, echo_chain) = (buf[3] & 0b0010_0000 != 0, buf[3] & 0b0001_0000 != 0);
+            let (fwd_n, echo_n) = (usize::from(buf[3] >> 2 & 3), usize::from(buf[3] >> 5 & 3));
+            let fwd = match (fwd_chain, fwd_mon) {
+                (true, _) => 4 + 5 * fwd_n,
+                (false, true) => 12,
+                (false, false) => 4,
+            };
+            let echo = match (has_echo, echo_chain, echo_mon) {
+                (false, ..) => 0,
+                (true, true, _) => 4 + 5 * echo_n,
+                (true, false, true) => 8,
+                (true, false, false) => 4,
+            };
+            let claimed = 8 + fwd + echo;
             if buf.len() < claimed {
                 proptest::prop_assert_eq!(got, Err(HeaderError::Truncated));
                 return;

@@ -1,218 +1,51 @@
-//! Multiple-bottleneck extensions (Appendix B of the paper).
+//! Appendix B of the tech report (arXiv 1009.0033): several bottlenecks on
+//! one path.
 //!
-//! The core NetFence design polices a regular packet with at most one rate
-//! limiter (§4.3.5); when a flow crosses several `mon`-state links, the idle
-//! limiters' limits decay and the flow can end up below its fair share at
-//! one of the bottlenecks (reproduced in Figure 10). The appendix describes
-//! two improvements, both implemented here:
+//! The core design polices a regular packet with at most one rate limiter
+//! (§4.3.5). When a flow crosses several `mon`-state links, its packets
+//! carry one link's feedback at a time, the other limiters see nothing and
+//! decay, and the flow can end below its fair share (Figure 10). The
+//! appendix gives two fixes, and [`Config::multi_bottleneck`] picks one per
+//! deployment ([`MultiBottleneck::Core`] by default):
 //!
-//! * **B.1 — multi-bottleneck feedback in one packet**
-//!   ([`MultiFeedback`]): every on-path bottleneck appends its own
-//!   `(link, action)` pair, protected by one chained MAC; the access router
-//!   passes the packet through *all* the corresponding rate limiters
-//!   ([`crate::access::AccessRouter::process_outbound_multi`]). Reproduced
-//!   as Figure 13.
-//! * **B.2 — rate-limiter inference** ([`InferenceCache`] and
-//!   [`adjust_with_inference`]): the packet still carries one feedback, but
-//!   the access router remembers which bottleneck links appear on the path
-//!   to each destination prefix, polices through all of them, and infers the
-//!   missing feedback (`L↑` for one link implies the others were not
-//!   congested). Reproduced as Figure 14.
+//! * **B.1, multi-bottleneck feedback** (Figure 13): the access router
+//!   stamps a chain origin ([`stamp_origin`]), every `mon` link on the path
+//!   appends its `(link, action)` ([`BottleneckLink::update_feedback`]),
+//!   and [`AccessRouter::process_outbound`] polices the packet through the
+//!   limiter of every link the chain names, all or nothing.
+//! * **B.2, rate-limiter inference** (Figure 14): packets carry core
+//!   feedback; the access router's [`InferenceCache`] remembers which links
+//!   feedback named toward each destination prefix, polices the packet
+//!   through all of them, and notes the feedback it infers for the links
+//!   the packet does not name in their limiters' [`InferenceFlags`].
 //!
-//! Figures 13 and 14 are a fluid control-loop model (DESIGN.md §5) that
-//! runs only [`AimdState`] and [`adjust_with_inference`]. The packet path
-//! here — B.1 policing, the chained MAC and the inference cache — shares
-//! the access router's limiter step with single-feedback policing, but no
-//! simulated cell reaches it yet; this module's unit tests do.
+//! [`AccessRouter::tick`] ends every limiter's interval with
+//! [`adjust_with_inference`]. Under Core and B.1 no flag is ever inferred,
+//! and then it is exactly [`AimdState::adjust`].
+//!
+//! [`stamp_origin`]: crate::feedback::stamp_origin
+//! [`BottleneckLink::update_feedback`]: crate::bottleneck::BottleneckLink::update_feedback
+//! [`AccessRouter::process_outbound`]: crate::access::AccessRouter::process_outbound
+//! [`AccessRouter::tick`]: crate::access::AccessRouter::tick
 
-use std::ops::Deref;
+use netfence_telemetry::IdMap;
 
-use netfence_crypto::{Cmac, Mac32, MacInput, TimeVaryingSecret};
-use netfence_telemetry::{DropCause, IdMap};
-
-use crate::access::{AccessRouter, AccessVerdict};
 use crate::aimd::{Adjustment, AimdState};
-use crate::bottleneck::Channel;
 use crate::config::Config;
 use crate::feedback::Action;
-use crate::regular_limiter::BucketVerdict;
-use crate::types::{nanos_to_secs, FlowPair, HostId, LimiterKey, LinkId, Nanos, SEC};
+use crate::types::{HostId, LinkId, Nanos, SEC};
 
-// ---------------------------------------------------------------------------
-// B.1: multi-bottleneck feedback in a single packet
-// ---------------------------------------------------------------------------
-
-/// Feedback from zero or more bottleneck links carried in one NetFence
-/// header (Appendix B.1). All entries share a single timestamp and are
-/// protected by a single chained `token`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultiFeedback {
-    /// Stamping time at the access router, seconds.
-    pub ts: u32,
-    /// One `(link, action)` entry per on-path bottleneck, in path order.
-    pub entries: Vec<(LinkId, Action)>,
-    /// The chained MAC: `MAC_Ka(src,dst,ts)` at the access router, then
-    /// `MAC_Kai(src,dst,ts,link,action,previous_token)` at each bottleneck.
-    pub token: Mac32,
+/// Which multi-bottleneck design a deployment runs (Appendix B).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MultiBottleneck {
+    /// §4.3.5: one feedback and one limiter per packet.
+    #[default]
+    Core,
+    /// B.1: every `mon` link on the path appends to a chain.
+    MultiFeedback,
+    /// B.2: core feedback, the other on-path limiters inferred.
+    Inference,
 }
-
-fn origin_input(flow: FlowPair, ts: u32) -> MacInput {
-    let mut m = MacInput::new("nf-multi-origin");
-    m.push_u32(flow.src.0).push_u32(flow.dst.0).push_u32(ts);
-    m
-}
-
-fn chain_input(flow: FlowPair, ts: u32, link: LinkId, action: Action, prev: Mac32) -> MacInput {
-    let mut m = MacInput::new("nf-multi-chain");
-    m.push_u32(flow.src.0)
-        .push_u32(flow.dst.0)
-        .push_u32(ts)
-        .push_u32(link.0)
-        .push_u8(matches!(action, Action::Decr) as u8)
-        .push_u32(prev);
-    m
-}
-
-impl MultiFeedback {
-    /// Stamp the origin (nop) multi-feedback at the access router (Eq. 4 of
-    /// Appendix B.1).
-    pub fn origin(ka: &mut TimeVaryingSecret, now: Nanos, flow: FlowPair) -> Self {
-        let ts = nanos_to_secs(now);
-        MultiFeedback {
-            ts,
-            entries: Vec::new(),
-            token: ka.mac32(now, origin_input(flow, ts).as_bytes()),
-        }
-    }
-
-    /// Append a bottleneck's feedback, extending the MAC chain (Eq. 5).
-    /// Always pushes a new entry, even for a link already listed: the
-    /// chain covers every append. Policing
-    /// ([`AccessRouter::process_outbound_multi`]) folds a link's entries
-    /// into one, `L↓` if any of them is.
-    pub fn append(&mut self, kai: &Cmac, flow: FlowPair, link: LinkId, action: Action) {
-        self.token = kai.mac32(chain_input(flow, self.ts, link, action, self.token).as_bytes());
-        self.entries.push((link, action));
-    }
-
-    /// Validate the whole chain at the access router by recomputing it.
-    ///
-    /// `kai_for_link` resolves each on-path link to the pairwise key shared
-    /// with that link's AS (a reference or a key-store guard). It is called
-    /// only for a chain inside the window, one link at a time, and stops at
-    /// the first link with no key.
-    pub fn validate<K: Deref<Target = Cmac>>(
-        &self,
-        ka: &mut TimeVaryingSecret,
-        kai_for_link: impl Fn(LinkId) -> Option<K>,
-        now: Nanos,
-        flow: FlowPair,
-        w: Nanos,
-    ) -> bool {
-        let now_s = nanos_to_secs(now) as i64;
-        if (now_s - self.ts as i64).abs() > (w / SEC) as i64 {
-            return false;
-        }
-        let mut token = ka.mac32(now, origin_input(flow, self.ts).as_bytes());
-        for (link, action) in &self.entries {
-            let Some(kai) = kai_for_link(*link) else { return false };
-            token = kai.mac32(chain_input(flow, self.ts, *link, *action, token).as_bytes());
-        }
-        token == self.token
-    }
-
-    /// Encoded length in bytes: 8-byte common part + 4-byte token + 5 bytes
-    /// per entry (link id + action), rounded to whole bytes. Used for
-    /// overhead accounting; this is the "longer and variable-length header"
-    /// trade-off §4.3.5 mentions.
-    pub fn encoded_len(&self) -> usize {
-        12 + 5 * self.entries.len()
-    }
-}
-
-impl AccessRouter {
-    /// Appendix B.1 regular-packet policing: take the access router's
-    /// limiter step once for *every* bottleneck link listed in the packet's
-    /// multi-feedback. The packet is dropped if any limiter drops it, and
-    /// then no other limiter is charged for it; otherwise it departs when
-    /// the slowest limiter releases it.
-    ///
-    /// Returns the verdict and the links whose limiters hold the packet
-    /// (empty unless it is [`AccessVerdict::Queued`]): release it from each
-    /// with [`packet_released`](Self::packet_released). A chain that fails
-    /// validation is dropped as [`DropCause::InvalidMac`] and counted in
-    /// [`invalid_feedback`](Self::invalid_feedback).
-    ///
-    /// The multi-feedback of a packet that leaves is reset to the origin
-    /// (nop-equivalent) stamp, as the single-feedback design resets to
-    /// `L↑`/`nop`; a dropped packet's chain is left as presented.
-    pub fn process_outbound_multi(
-        &mut self,
-        now: Nanos,
-        flow: FlowPair,
-        mf: &mut MultiFeedback,
-        wire_bytes: usize,
-    ) -> (AccessVerdict, Vec<LinkId>) {
-        let valid = mf.validate(
-            &mut self.ka,
-            |l| self.link_as.get(&l).and_then(|a| self.as_keys.get(a.0)),
-            now,
-            flow,
-            self.cfg.feedback_expiry,
-        );
-        if !valid {
-            self.invalid_feedback += 1;
-            return (AccessVerdict::Drop(DropCause::InvalidMac), Vec::new());
-        }
-
-        // One step per named link: a link listed twice is one limiter, fed
-        // `L↓` if any of its entries is (a link never downgrades its own).
-        let mut named: Vec<(LinkId, Action)> = Vec::with_capacity(mf.entries.len());
-        for &(link, action) in &mf.entries {
-            match named.iter_mut().find(|(l, _)| *l == link) {
-                Some((_, folded)) if action == Action::Decr => *folded = action,
-                Some(_) => {}
-                None => named.push((link, action)),
-            }
-        }
-        let key = |link| LimiterKey { src: flow.src, link };
-        let quotes: Vec<BucketVerdict> = named
-            .iter()
-            .map(|&(link, action)| self.limiter_step(now, key(link), action, mf.ts, wire_bytes).1)
-            .collect();
-        // All or nothing: a refused packet is charged only to the limiters
-        // that refuse it.
-        let refused = quotes.contains(&BucketVerdict::Drop);
-        let (mut release, mut held_in) = (None, Vec::new());
-        for (&(link, _), &quote) in named.iter().zip(&quotes) {
-            if refused && quote != BucketVerdict::Drop {
-                continue;
-            }
-            if let Some(limiter) = self.limiters.get_mut(&key(link)) {
-                limiter.bucket.charge(now, wire_bytes, quote);
-            }
-            if let BucketVerdict::Queued { release_at } = quote {
-                release = release.max(Some(release_at));
-                held_in.push(link);
-            }
-        }
-        // A refused packet keeps its chain as presented: no MAC is spent on
-        // feedback no one will read.
-        if refused {
-            return (AccessVerdict::Drop(DropCause::RegularRateLimit), Vec::new());
-        }
-        *mf = MultiFeedback::origin(&mut self.ka, now, flow);
-        let verdict = match release {
-            None => AccessVerdict::Forward { channel: Channel::Regular },
-            Some(release_at) => AccessVerdict::Queued { release_at },
-        };
-        (verdict, held_in)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// B.2: rate limiter inference
-// ---------------------------------------------------------------------------
 
 /// Per-destination-prefix cache of the bottleneck links seen on the path
 /// toward that prefix (Appendix B.2).
@@ -247,13 +80,15 @@ impl InferenceCache {
         }
     }
 
-    /// The set of bottleneck links currently believed to be on the path
-    /// toward `dst` (stale entries are pruned lazily).
-    pub fn links_for(&mut self, now: Nanos, dst: HostId) -> Vec<LinkId> {
+    /// The bottleneck links currently believed to be on the path toward
+    /// `dst`, ascending (stale entries are pruned lazily).
+    pub fn links_for(&mut self, now: Nanos, dst: HostId) -> impl Iterator<Item = LinkId> + '_ {
         let expiry = self.expiry;
-        let Some(links) = self.prefix_links.get_mut(&prefix_of(dst)) else { return Vec::new() };
-        links.retain(|&(_, seen)| now.saturating_sub(seen) < expiry);
-        links.iter().map(|&(link, _)| link).collect()
+        let links = self.prefix_links.get_mut(&prefix_of(dst)).map(|links| {
+            links.retain(|&(_, seen)| now.saturating_sub(seen) < expiry);
+            &links[..]
+        });
+        links.unwrap_or_default().iter().map(|&(link, _)| link)
     }
 
     /// Number of prefixes cached (bounded by the BGP table size, as the
@@ -276,6 +111,17 @@ pub struct InferenceFlags {
     /// `isActive*`: another on-path link's feedback was seen, so this
     /// limiter could not have received its own.
     pub is_active_star: bool,
+}
+
+impl InferenceFlags {
+    /// Note another on-path link's feedback `(action, ts)` for the limiter
+    /// whose AIMD state is `aimd`.
+    pub(crate) fn infer(&mut self, action: Action, ts: u32, aimd: &AimdState) {
+        self.is_active_star = true;
+        if action == Action::Incr && u64::from(ts) >= aimd.interval_start() / SEC {
+            self.has_incr_star = true;
+        }
+    }
 }
 
 /// The Appendix B.2 end-of-interval adjustment: extends Figure 17 with the
@@ -313,17 +159,25 @@ pub fn adjust_with_inference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{AccessRouter, AccessVerdict};
+    use crate::bottleneck::Channel;
+    use crate::feedback::{self, stamp_link, stamp_origin, Feedback};
+    use crate::header::{NetFenceHeader, PacketKind};
     use crate::regular_limiter::LeakyBucket;
-    use crate::types::AsId;
-    use netfence_crypto::{full_mesh_exchange, AsKeyAgent};
+    use crate::types::{AsId, FlowPair, LimiterKey};
+    use netfence_crypto::{full_mesh_exchange, AsKeyAgent, Cmac};
+    use netfence_telemetry::DropCause;
 
+    /// An access router of AS 1 running B.1, with links 201 and 301 owned
+    /// by ASes 2 and 3, and the keys those links stamp with.
     fn setup() -> (AccessRouter, Cmac, Cmac, FlowPair) {
         let agents = vec![AsKeyAgent::new(1, 11), AsKeyAgent::new(2, 22), AsKeyAgent::new(3, 33)];
         let mut tables = full_mesh_exchange(&agents);
         let t1 = tables.remove(0);
         let t2 = tables.remove(0);
         let t3 = tables.remove(0);
-        let mut access = AccessRouter::new(Config::default(), AsId(1), [9; 16], t1);
+        let cfg = Config { multi_bottleneck: MultiBottleneck::MultiFeedback, ..Config::default() };
+        let mut access = AccessRouter::new(cfg, AsId(1), [9; 16], t1);
         access.register_link_as(LinkId(201), AsId(2));
         access.register_link_as(LinkId(301), AsId(3));
         let kai2 = t2.get(1).unwrap().clone();
@@ -331,80 +185,117 @@ mod tests {
         (access, kai2, kai3, FlowPair::new(HostId(0x0a0a0a01), HostId(0x14141401)))
     }
 
+    /// A chain stamped at `SEC`, then appended by each `(key, link)`.
+    fn chain(
+        access: &mut AccessRouter,
+        flow: FlowPair,
+        entries: &[(&Cmac, LinkId, Action)],
+    ) -> Feedback {
+        let mut fb = stamp_origin(&mut access.ka, SEC, flow);
+        for &(kai, link, action) in entries {
+            fb = stamp_link(kai, flow, (link, action), &fb).unwrap();
+        }
+        fb
+    }
+
+    /// Present `fb` in a 1500-byte regular packet; `fb` becomes what the
+    /// packet leaves with.
+    fn police(
+        access: &mut AccessRouter,
+        now: Nanos,
+        flow: FlowPair,
+        fb: &mut Feedback,
+    ) -> AccessVerdict {
+        let mut h = NetFenceHeader::regular(6, *fb, None);
+        let v = access.process_outbound(now, flow, &mut h, 1500);
+        *fb = h.presented;
+        v
+    }
+
+    fn validate(access: &mut AccessRouter, fb: &Feedback, flow: FlowPair) -> bool {
+        let (link_as, as_keys) = (&access.link_as, &access.as_keys);
+        let kai = |l| link_as.get(&l).and_then(|a| as_keys.get(a.0));
+        feedback::validate(fb, &mut access.ka, kai, SEC, flow, 4 * SEC).is_ok()
+    }
+
+    fn is_origin(fb: &Feedback) -> bool {
+        matches!(fb, Feedback::Chain { len: 0, .. })
+    }
+
+    fn held_in(v: AccessVerdict) -> Vec<LinkId> {
+        match v {
+            AccessVerdict::Queued { held_in, .. } => held_in.as_slice().to_vec(),
+            AccessVerdict::Forward { .. } | AccessVerdict::Drop(_) => vec![],
+        }
+    }
+
     #[test]
     fn chain_roundtrip_validates() {
         let (mut access, kai2, kai3, flow) = setup();
-        let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
-        mf.append(&kai2, flow, LinkId(201), Action::Decr);
-        mf.append(&kai3, flow, LinkId(301), Action::Incr);
-        assert_eq!(mf.entries.len(), 2);
-        let ok = {
-            let ka = &mut access.ka;
-            let link_as = &access.link_as;
-            let as_keys = &access.as_keys;
-            mf.validate(ka, |l| link_as.get(&l).and_then(|a| as_keys.get(a.0)), SEC, flow, 4 * SEC)
-        };
-        assert!(ok);
+        let fb = chain(
+            &mut access,
+            flow,
+            &[(&kai2, LinkId(201), Action::Decr), (&kai3, LinkId(301), Action::Incr)],
+        );
+        assert_eq!(
+            fb.chain().collect::<Vec<_>>(),
+            [(LinkId(201), Action::Decr), (LinkId(301), Action::Incr)]
+        );
+        assert!(validate(&mut access, &fb, flow));
     }
 
     #[test]
     fn tampered_chain_is_rejected() {
         let (mut access, kai2, _kai3, flow) = setup();
-        let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
-        mf.append(&kai2, flow, LinkId(201), Action::Decr);
+        let fb = chain(&mut access, flow, &[(&kai2, LinkId(201), Action::Decr)]);
         // A downstream attacker flips the recorded action to Incr to hide
         // upstream congestion: the chained MAC no longer verifies.
-        let mut forged = mf.clone();
-        forged.entries[0].1 = Action::Incr;
-        let ok = {
-            let ka = &mut access.ka;
-            let link_as = &access.link_as;
-            let as_keys = &access.as_keys;
-            forged.validate(
-                ka,
-                |l| link_as.get(&l).and_then(|a| as_keys.get(a.0)),
-                SEC,
-                flow,
-                4 * SEC,
-            )
-        };
-        assert!(!ok);
+        let mut forged = fb;
+        if let Feedback::Chain { decr, .. } = &mut forged {
+            *decr ^= 1;
+        }
+        assert_eq!(forged.chain().next(), Some((LinkId(201), Action::Incr)));
+        assert!(!validate(&mut access, &forged, flow));
     }
 
     #[test]
     fn multi_policing_creates_one_limiter_per_bottleneck() {
         let (mut access, kai2, kai3, flow) = setup();
-        let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
-        mf.append(&kai2, flow, LinkId(201), Action::Decr);
-        mf.append(&kai3, flow, LinkId(301), Action::Decr);
-        let (v, held_in) = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
+        let mut fb = chain(
+            &mut access,
+            flow,
+            &[(&kai2, LinkId(201), Action::Decr), (&kai3, LinkId(301), Action::Decr)],
+        );
+        let v = police(&mut access, SEC, flow, &mut fb);
         // Two fresh limiters both hold the first packet one service time.
         assert!(matches!(v, AccessVerdict::Queued { .. }), "{v:?}");
-        assert_eq!(held_in, [LinkId(201), LinkId(301)]);
+        assert_eq!(held_in(v), [LinkId(201), LinkId(301)]);
         assert_eq!(access.limiter_count(), 2);
         assert!(access.rate_limit(flow.src, LinkId(201)).is_some());
         assert!(access.rate_limit(flow.src, LinkId(301)).is_some());
-        // The multi feedback was reset to an origin stamp for the next hop.
-        assert!(mf.entries.is_empty());
+        // The chain was reset to an origin stamp for the next hop.
+        assert!(is_origin(&fb));
     }
 
     #[test]
     fn a_refused_packet_keeps_its_chain_as_presented() {
         let (mut access, kai2, kai3, flow) = setup();
-        let mut presented = MultiFeedback::origin(&mut access.ka, SEC, flow);
-        presented.append(&kai2, flow, LinkId(201), Action::Decr);
-        presented.append(&kai3, flow, LinkId(301), Action::Decr);
+        let presented = chain(
+            &mut access,
+            flow,
+            &[(&kai2, LinkId(201), Action::Decr), (&kai3, LinkId(301), Action::Decr)],
+        );
         // A 100-packet burst in 100 ns overflows the limiters' queues.
         let mut dropped = 0;
         for i in 0..100 {
-            let mut mf = presented.clone();
-            match access.process_outbound_multi(SEC + i, flow, &mut mf, 1500).0 {
+            let mut fb = presented;
+            match police(&mut access, SEC + i, flow, &mut fb) {
                 AccessVerdict::Drop(DropCause::RegularRateLimit) => {
                     dropped += 1;
-                    assert_eq!(mf, presented, "a refused packet is not re-stamped");
+                    assert_eq!(fb, presented, "a refused packet is not re-stamped");
                 }
                 AccessVerdict::Forward { .. } | AccessVerdict::Queued { .. } => {
-                    assert!(mf.entries.is_empty());
+                    assert!(is_origin(&fb));
                 }
                 v => panic!("unexpected verdict {v:?}"),
             }
@@ -412,12 +303,17 @@ mod tests {
         assert!(dropped > 50, "dropped {dropped}");
     }
 
+    /// A chain that fails validation is demoted to a request, as invalid
+    /// single feedback is (§4.2): counted, and no limiter is created.
     #[test]
     fn invalid_chain_is_rejected_by_policing() {
         let (mut access, _kai2, _kai3, flow) = setup();
-        let mut mf = MultiFeedback { ts: 1, entries: vec![(LinkId(201), Action::Decr)], token: 42 };
-        let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
-        assert_eq!(v, (AccessVerdict::Drop(DropCause::InvalidMac), vec![]));
+        let links = [LinkId(201), LinkId::NULL, LinkId::NULL];
+        let forged = Feedback::Chain { ts: 1, token: 42, links, decr: 1, len: 1 };
+        let mut h = NetFenceHeader::regular(6, forged, None);
+        let v = access.process_outbound(SEC, flow, &mut h, 1500);
+        assert_eq!(v, AccessVerdict::Forward { channel: Channel::Request });
+        assert_eq!(h.kind, PacketKind::Request);
         assert_eq!(access.invalid_feedback(), 1);
         assert_eq!(access.limiter_count(), 0);
     }
@@ -429,20 +325,14 @@ mod tests {
     #[test]
     fn a_packet_one_limiter_drops_is_charged_to_no_other() {
         let (mut access, kai2, kai3, flow) = setup();
-        let chain = |access: &mut AccessRouter, links: &[(&Cmac, LinkId)]| {
-            let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
-            for &(kai, link) in links {
-                mf.append(kai, flow, link, Action::Decr);
-            }
-            mf
-        };
+        let both = [(&kai2, LinkId(201), Action::Decr), (&kai3, LinkId(301), Action::Decr)];
         // Fill limiter 201 until it refuses, holding what it queues.
         let mut held = Vec::new();
         loop {
-            let mut mf = chain(&mut access, &[(&kai2, LinkId(201))]);
-            match access.process_outbound_multi(SEC, flow, &mut mf, 1500) {
-                (AccessVerdict::Queued { .. }, held_in) => held.extend(held_in),
-                (v, _) => {
+            let mut fb = chain(&mut access, flow, &both[..1]);
+            match police(&mut access, SEC, flow, &mut fb) {
+                v @ AccessVerdict::Queued { .. } => held.extend(held_in(v)),
+                v => {
                     assert_eq!(v, AccessVerdict::Drop(DropCause::RegularRateLimit));
                     break;
                 }
@@ -451,9 +341,9 @@ mod tests {
         // Limiter 301 alone would hold these; 201 drops them, so 301 keeps
         // nothing: no queued packet, departure slot or window bytes.
         for _ in 0..3 {
-            let mut mf = chain(&mut access, &[(&kai2, LinkId(201)), (&kai3, LinkId(301))]);
-            let v = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
-            assert_eq!(v, (AccessVerdict::Drop(DropCause::RegularRateLimit), vec![]));
+            let mut fb = chain(&mut access, flow, &both);
+            let v = police(&mut access, SEC, flow, &mut fb);
+            assert_eq!(v, AccessVerdict::Drop(DropCause::RegularRateLimit));
         }
         assert_eq!(queued(&access, flow.src, LinkId(301)), 0);
         let cfg = Config::default();
@@ -463,14 +353,14 @@ mod tests {
 
         // 301 passes a packet of its own and takes the slot, so the next
         // two-link packet is held by both limiters, and released from both.
-        let mut mf = chain(&mut access, &[(&kai3, LinkId(301))]);
-        let v = access.process_outbound_multi(2 * SEC, flow, &mut mf, 1500);
-        assert_eq!(v, (AccessVerdict::Forward { channel: Channel::Regular }, vec![]));
-        let mut mf = chain(&mut access, &[(&kai2, LinkId(201)), (&kai3, LinkId(301))]);
-        let (v, held_in) = access.process_outbound_multi(2 * SEC, flow, &mut mf, 1500);
+        let mut fb = chain(&mut access, flow, &both[1..]);
+        let v = police(&mut access, 2 * SEC, flow, &mut fb);
+        assert_eq!(v, AccessVerdict::Forward { channel: Channel::Regular });
+        let mut fb = chain(&mut access, flow, &both);
+        let v = police(&mut access, 2 * SEC, flow, &mut fb);
         assert!(matches!(v, AccessVerdict::Queued { .. }), "{v:?}");
-        assert_eq!(held_in, [LinkId(201), LinkId(301)]);
-        held.extend(held_in);
+        assert_eq!(held_in(v), [LinkId(201), LinkId(301)]);
+        held.extend(held_in(v));
         for link in held {
             access.packet_released(flow.src, link);
         }
@@ -486,18 +376,19 @@ mod tests {
     #[test]
     fn a_link_named_twice_is_policed_once() {
         let (mut access, kai2, _kai3, flow) = setup();
-        let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
-        mf.append(&kai2, flow, LinkId(201), Action::Incr);
-        mf.append(&kai2, flow, LinkId(201), Action::Decr);
-        let (v, held_in) = access.process_outbound_multi(SEC, flow, &mut mf, 1500);
+        let mut fb = chain(
+            &mut access,
+            flow,
+            &[(&kai2, LinkId(201), Action::Incr), (&kai2, LinkId(201), Action::Decr)],
+        );
+        let v = police(&mut access, SEC, flow, &mut fb);
         assert!(matches!(v, AccessVerdict::Queued { .. }), "{v:?}");
-        assert_eq!(held_in, [LinkId(201)]);
+        assert_eq!(held_in(v), [LinkId(201)]);
         assert_eq!(queued(&access, flow.src, LinkId(201)), 1);
 
         let (mut once, kai2, _kai3, _) = setup();
-        let mut mf = MultiFeedback::origin(&mut once.ka, SEC, flow);
-        mf.append(&kai2, flow, LinkId(201), Action::Decr);
-        assert_eq!(once.process_outbound_multi(SEC, flow, &mut mf, 1500), (v, held_in));
+        let mut fb = chain(&mut once, flow, &[(&kai2, LinkId(201), Action::Decr)]);
+        assert_eq!(police(&mut once, SEC, flow, &mut fb), v);
         let key = LimiterKey { src: flow.src, link: LinkId(201) };
         let state = |access: &AccessRouter| format!("{:?}", access.limiters().get(&key));
         assert_eq!(state(&access), state(&once));
@@ -505,29 +396,53 @@ mod tests {
         assert_eq!(queued(&access, flow.src, LinkId(201)), 0);
     }
 
+    /// B.2: feedback for one link toward a prefix polices the packet
+    /// through every link cached for that prefix, and the limiters it does
+    /// not name infer that feedback.
     #[test]
-    fn encoded_len_grows_with_entries() {
+    fn inference_polices_every_cached_link() {
         let (mut access, kai2, kai3, flow) = setup();
-        let mut mf = MultiFeedback::origin(&mut access.ka, SEC, flow);
-        assert_eq!(mf.encoded_len(), 12);
-        mf.append(&kai2, flow, LinkId(201), Action::Decr);
-        mf.append(&kai3, flow, LinkId(301), Action::Incr);
-        assert_eq!(mf.encoded_len(), 22);
+        access.cfg.multi_bottleneck = MultiBottleneck::Inference;
+        let nop = feedback::stamp_nop(&mut access.ka, SEC, flow);
+        for (kai, link) in [(&kai2, LinkId(201)), (&kai3, LinkId(301))] {
+            let mut fb = feedback::stamp_decr(kai, flow, link, &nop).unwrap();
+            let v = police(&mut access, SEC, flow, &mut fb);
+            assert!(!matches!(v, AccessVerdict::Drop(_)), "{v:?}");
+            assert_eq!(fb.link(), Some(link), "B.2 restamps core L↑");
+        }
+        // The second packet named 301 but was policed by 201's limiter too.
+        assert_eq!(access.limiter_count(), 2);
+        let flags = |link| access.limiters()[&LimiterKey { src: flow.src, link }].flags;
+        assert_eq!(
+            flags(LinkId(201)),
+            InferenceFlags { is_active: true, is_active_star: true, has_incr_star: false }
+        );
+        assert_eq!(
+            flags(LinkId(301)),
+            InferenceFlags { is_active: true, is_active_star: false, has_incr_star: false }
+        );
+        // A sender toward another /24 is policed by nothing cached.
+        let other = FlowPair::new(flow.src, HostId(0x14141501));
+        assert_ne!(prefix_of(other.dst), prefix_of(flow.dst));
+        assert_eq!(access.inference.links_for(SEC, other.dst).count(), 0);
+        assert_eq!(access.inference.links_for(SEC, flow.dst).count(), 2);
     }
 
     #[test]
     fn inference_cache_records_and_expires() {
         let mut cache = InferenceCache::new(10 * SEC);
         let dst = HostId(0x14141401);
+        let links =
+            |cache: &mut InferenceCache, now, dst| cache.links_for(now, dst).collect::<Vec<_>>();
         cache.record(SEC, dst, LinkId(201));
         cache.record(2 * SEC, dst, LinkId(301));
-        assert_eq!(cache.links_for(3 * SEC, dst), vec![LinkId(201), LinkId(301)]);
+        assert_eq!(links(&mut cache, 3 * SEC, dst), vec![LinkId(201), LinkId(301)]);
         // Hosts in the same /24 share the entry.
-        assert_eq!(cache.links_for(3 * SEC, HostId(0x141414ff)).len(), 2);
+        assert_eq!(links(&mut cache, 3 * SEC, HostId(0x141414ff)).len(), 2);
         assert_eq!(cache.prefix_count(), 1);
         // After expiry only the fresher link remains, then none.
-        assert_eq!(cache.links_for(11 * SEC, dst), vec![LinkId(301)]);
-        assert!(cache.links_for(30 * SEC, dst).is_empty());
+        assert_eq!(links(&mut cache, 11 * SEC, dst), vec![LinkId(301)]);
+        assert!(links(&mut cache, 30 * SEC, dst).is_empty());
     }
 
     #[test]
@@ -565,5 +480,32 @@ mod tests {
             adjust_with_inference(&mut aimd, InferenceFlags::default(), 2 * SEC, 0.0, &cfg),
             Adjustment::Decreased
         );
+    }
+
+    proptest::proptest! {
+        /// With nothing inferred — Core and B.1, whose limiters see only
+        /// their own feedback — the B.2 adjustment is exactly Figure 17's.
+        #[test]
+        fn uninferred_adjustment_is_figure_17(rate in 10_000u64..10_000_000u64,
+                                              has_incr: bool,
+                                              is_active: bool,
+                                              tput_frac in 0.0f64..1.5,
+                                              start_s in 0u64..5_000,
+                                              ts_back in 0u64..3) {
+            let cfg = Config::default();
+            let start = start_s * SEC;
+            let (mut plain, mut inferred) =
+                (AimdState::with_rate(rate, start), AimdState::with_rate(rate, start));
+            if has_incr {
+                let ts = (start_s.saturating_sub(ts_back)) as u32;
+                plain.observe(Action::Incr, ts);
+                inferred.observe(Action::Incr, ts);
+            }
+            let (now, tput) = (start + cfg.ilim, rate as f64 * tput_frac);
+            let flags = InferenceFlags { is_active, ..Default::default() };
+            let got = adjust_with_inference(&mut inferred, flags, now, tput, &cfg);
+            proptest::prop_assert_eq!(got, plain.adjust(now, tput, &cfg));
+            proptest::prop_assert_eq!(format!("{inferred:?}"), format!("{plain:?}"));
+        }
     }
 }

@@ -37,8 +37,8 @@ pub type Bps = u64;
 pub struct HostId(pub u32);
 
 /// Identifier of a link (the IP address of the link in the paper, carried in
-/// the `LINK-ID` field of `mon` feedback).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// the `LINK-ID` field of `mon` feedback). The default is [`LinkId::NULL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LinkId(pub u32);
 
 impl LinkId {

@@ -122,9 +122,10 @@ impl Cmac {
 /// A small helper to build MAC input messages from typed, variable-length
 /// fields: each is appended with a length prefix, after a domain-separation
 /// label, so that different field combinations can never collide. It
-/// allocates one `Vec` per message, which is fine for its one caller (the
-/// multi-bottleneck chain); the per-packet Eq. 1–3 inputs are
-/// fixed-width stack arrays built in `netfence-core`'s `feedback` instead.
+/// allocates one `Vec` per message, so no packet path uses it: every
+/// feedback MAC input (Eq. 1–5, the Appendix B.1 chain included) is a
+/// fixed-width stack array built in `netfence-core`'s `feedback`. It stays
+/// for the `perf` benchmark's `crypto.macinput_build_ns` row.
 #[derive(Default)]
 pub struct MacInput {
     buf: Vec<u8>,

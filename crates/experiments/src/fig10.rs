@@ -1,13 +1,16 @@
-//! Figure 10: colluding attacks on a parking-lot topology with two
-//! bottleneck links.
+//! Figures 10, 13 and 14: colluding attacks on a parking-lot topology with
+//! two bottleneck links.
 //!
 //! Three sender groups share two links: Group A crosses both `L1` and `L2`,
 //! Group B only `L2`, Group C only `L1`. Each group is 75% attackers / 25%
-//! users. The figure reports the average throughput of Group-A users and
-//! Group-A attackers for three capacity pairs; the core (single-feedback)
-//! NetFence design under-serves Group-A senders when `C_L1 < C_L2` because
-//! their flows keep switching between the two rate limiters (§4.3.5).
+//! users. The figures report the average throughput of Group-A users and
+//! Group-A attackers for three capacity pairs. Under the core
+//! (single-feedback) NetFence design (Figure 10) Group-A flows keep
+//! switching between the two rate limiters (§4.3.5); Figures 13 and 14 run
+//! the same cells under Appendix B.1's multi-bottleneck feedback and B.2's
+//! rate-limiter inference.
 
+use netfence_core::multi::MultiBottleneck;
 use netfence_sim::prelude::*;
 
 use crate::prelude::*;
@@ -49,24 +52,19 @@ pub fn fig10_spec(scale: &Scale, system: DefenseKind, case: CapacityCase) -> Sce
         .attacker_start(StartSchedule::staggered(50, MILLI))
 }
 
-/// The Group-A table Figures 10, 13 and 14 share: one
-/// `(case, user bps, attacker bps, fair share bps)` row per capacity case.
-pub(crate) fn group_a_table(title: &str, rows: &[(CapacityCase, f64, f64, f64)]) -> String {
-    let headers = ["case", "Group-A user", "Group-A attacker", "fair share"];
-    let table = table_of(&headers, rows, |&(case, user, attacker, fair)| {
-        vec![case.label.to_string(), kbps(user), kbps(attacker), kbps(fair)]
-    });
-    format!("{title}\n\n{table}\n")
-}
-
-/// `netfence run fig10`: NetFence (the only system the paper's Figure 10
-/// shows) on the three capacity cases.
-pub fn table(size: Size) -> String {
+/// The Group-A table of NetFence (the only system the paper's Figures 10,
+/// 13 and 14 show) running `design` on the three capacity cases: one
+/// `(case, user, attacker, fair share)` row each.
+fn group_a_table(size: Size, design: MultiBottleneck, title: &str) -> String {
     let scale = size.scale_for(80, 120);
     let per_group = scale.hosts_per_as.max(4);
     let rows: Vec<_> =
         SweepGrid::new([DefenseKind::NetFence], capacity_cases(2 * per_group, 80_000))
-            .run_auto(|system, case| fig10_spec(&scale, system, *case))
+            .run_auto(|system, case| {
+                let mut spec = fig10_spec(&scale, system, *case);
+                spec.defense.netfence.multi_bottleneck = design;
+                spec
+            })
             .iter()
             .map(|c| {
                 let r = &c.record;
@@ -74,5 +72,27 @@ pub fn table(size: Size) -> String {
                 (c.point, user, attacker, r.fair_share_bps)
             })
             .collect();
-    group_a_table("Figure 10: Group-A throughput on the parking-lot topology (kbps)", &rows)
+    let headers = ["case", "Group-A user", "Group-A attacker", "fair share"];
+    let table = table_of(&headers, &rows, |&(case, user, attacker, fair)| {
+        vec![case.label.to_string(), kbps(user), kbps(attacker), kbps(fair)]
+    });
+    format!("{title}\n\n{table}\n")
+}
+
+/// `netfence run fig10`: the core design.
+pub fn table(size: Size) -> String {
+    let title = "Figure 10: Group-A throughput on the parking-lot topology (kbps)";
+    group_a_table(size, MultiBottleneck::Core, title)
+}
+
+/// `netfence run fig13`: Appendix B.1, multi-bottleneck feedback.
+pub fn table_fig13(size: Size) -> String {
+    let title = "Figure 13: Appendix B.1 multi-bottleneck feedback on the parking lot (kbps)";
+    group_a_table(size, MultiBottleneck::MultiFeedback, title)
+}
+
+/// `netfence run fig14`: Appendix B.2, rate-limiter inference.
+pub fn table_fig14(size: Size) -> String {
+    let title = "Figure 14: Appendix B.2 rate-limiter inference on the parking lot (kbps)";
+    group_a_table(size, MultiBottleneck::Inference, title)
 }

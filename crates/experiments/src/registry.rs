@@ -14,7 +14,7 @@ use netfence_sim::prelude::{TelemetryConfig, SEC};
 use crate::prelude::*;
 use crate::report::{drop_budget_table, opt1, table_of};
 use crate::{
-    ablations, chaos, deployment, fig10, fig11, fig13, fig8, fig9, reaction, topo_scale, tournament,
+    ablations, chaos, deployment, fig10, fig11, fig8, fig9, reaction, topo_scale, tournament,
 };
 
 /// How large a run `netfence run` asks for.
@@ -92,8 +92,12 @@ pub static EXPERIMENTS: [Experiment; 12] = [
     pinned!("fig9", "user/attacker throughput ratio under colluding floods", fig9::table),
     pinned!("fig10", "Group-A throughput on the two-bottleneck parking lot", fig10::table),
     pinned!("fig11", "synchronized on-off (shrew) attacks", fig11::table),
-    pinned!("fig13", "Appendix B.1 multi-bottleneck feedback (fluid model)", fig13::table_fig13),
-    pinned!("fig14", "Appendix B.2 rate-limiter inference (fluid model)", fig13::table_fig14),
+    pinned!(
+        "fig13",
+        "Appendix B.1 multi-bottleneck feedback on the parking lot",
+        fig10::table_fig13
+    ),
+    pinned!("fig14", "Appendix B.2 rate-limiter inference on the parking lot", fig10::table_fig14),
     pinned!("deployment", "deploying-source-AS fraction vs legitimate goodput", deployment::table),
     Experiment {
         full: true,

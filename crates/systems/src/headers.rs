@@ -10,8 +10,8 @@
 
 use std::any::Any;
 
+use netfence_core::access::LinkSet;
 use netfence_core::header::{NetFenceHeader, PASSPORT_HEADER_LEN};
-use netfence_core::types::LinkId;
 use netfence_sim::packet::Extension;
 use netfence_sim::time::Nanos;
 
@@ -21,16 +21,16 @@ use netfence_sim::time::Nanos;
 pub struct NetFenceExt {
     /// The typed NetFence header.
     pub header: NetFenceHeader,
-    /// If the packet was held by a per-(sender, bottleneck) rate limiter at
-    /// its access router, the bottleneck link of that limiter (used to
-    /// notify the limiter when the packet is released).
-    pub queued_for: Option<LinkId>,
+    /// The bottleneck links of the per-(sender, bottleneck) rate limiters
+    /// holding the packet at its access router (one in the core design, up
+    /// to three under Appendix B), each notified when it is released.
+    pub queued_for: LinkSet,
 }
 
 impl NetFenceExt {
     /// Wrap a header.
     pub fn new(header: NetFenceHeader) -> Self {
-        NetFenceExt { header, queued_for: None }
+        NetFenceExt { header, queued_for: LinkSet::default() }
     }
 }
 

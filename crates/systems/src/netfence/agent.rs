@@ -199,8 +199,8 @@ impl RouterAgent for NetFenceRouterAgent {
                     pkt.priority = priority;
                     RouterAction::Forward
                 }
-                AccessVerdict::Queued { release_at } => {
-                    ext.queued_for = ext.header.presented.link();
+                AccessVerdict::Queued { release_at, held_in } => {
+                    ext.queued_for = held_in;
                     pkt.channel = ChannelClass::Regular;
                     // The engine schedules on its own clock: keep the
                     // limiter's hold, not its local release instant.
@@ -223,8 +223,9 @@ impl RouterAgent for NetFenceRouterAgent {
     fn on_delayed_release(&mut self, _now: Nanos, pkt: &mut Packet, _ctl: &mut ControlPlane) {
         let src = pkt.src;
         let Some(ext) = pkt.ext_as_mut::<NetFenceExt>() else { return };
-        if let Some(link) = ext.queued_for.take() {
-            if let Some(access) = self.access.as_mut() {
+        let held_in = std::mem::take(&mut ext.queued_for);
+        if let Some(access) = self.access.as_mut() {
+            for &link in held_in.as_slice() {
                 access.packet_released(HostId(src), link);
             }
         }

@@ -9,7 +9,6 @@ use netfence_core::aimd::AimdState;
 use netfence_core::config::Config;
 use netfence_core::feedback::Action;
 use netfence_core::types::SEC;
-use netfence_experiments::fig13::{run_fig10_fluid, run_fig13};
 use netfence_telemetry::jain_fairness_index;
 
 #[test]
@@ -38,26 +37,5 @@ fn aimd_fluid_convergence_to_fair_share() {
     let fair = capacity / n as f64;
     for r in &rates {
         assert!(*r >= rho * fair * 0.9, "rate {r} below the ν·ρ·C/N bound ({})", rho * fair);
-    }
-}
-
-#[test]
-fn multibottleneck_designs_restore_fair_share() {
-    // Appendix B: the B.1 design reaches the fair share in all three
-    // capacity cases and never does worse than the single-feedback core
-    // design.
-    let single = run_fig10_fluid(8, 300);
-    let multi = run_fig13(8, 300);
-    for (s, m) in single.iter().zip(&multi) {
-        assert!(
-            m.group_a_user_bps >= 0.7 * m.fair_share_bps,
-            "{}: B.1 user below fair share",
-            m.case.label
-        );
-        assert!(
-            m.group_a_user_bps + 1.0 >= s.group_a_user_bps,
-            "{}: B.1 worse than core",
-            m.case.label
-        );
     }
 }

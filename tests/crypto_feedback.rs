@@ -5,7 +5,9 @@
 //! do to a token and still have it validate: nothing — and the dense
 //! pairwise-key store against a `PolicyStore` model of its key lifecycle.
 
-use netfence::core::feedback::{stamp_decr, stamp_incr, stamp_nop, validate};
+use netfence::core::feedback::{
+    stamp_decr, stamp_incr, stamp_link, stamp_nop, stamp_origin, validate, CHAIN_CAP,
+};
 use netfence::core::prelude::*;
 use netfence::crypto::secret::DEFAULT_ROTATION_PERIOD;
 use netfence::crypto::{
@@ -204,14 +206,19 @@ const KA_ROOT: [u8; 16] = [3; 16];
 const KAI_KEY: [u8; 16] = [9; 16];
 
 /// One of each kind of feedback for `flow`, stamped at `now` the way the
-/// access router and a bottleneck on `link` would.
-fn stamped(now: Nanos, flow: FlowPair, link: LinkId) -> [Feedback; 3] {
+/// access router and a bottleneck on `link` would; the chain names `link`
+/// (`L↓`), then the link after it (`L↑`).
+fn stamped(now: Nanos, flow: FlowPair, link: LinkId) -> [Feedback; 4] {
     let mut ka = TimeVaryingSecret::new(KA_ROOT);
     let kai = Cmac::new(&KAI_KEY);
     let nop = stamp_nop(&mut ka, now, flow);
     let incr = stamp_incr(&mut ka, now, flow, link);
     let decr = stamp_decr(&kai, flow, link, &nop).expect("nop converts to L-down");
-    [nop, incr, decr]
+    let origin = stamp_origin(&mut ka, now, flow);
+    let chain = stamp_link(&kai, flow, (link, Action::Decr), &origin)
+        .and_then(|c| stamp_link(&kai, flow, (LinkId(link.0.wrapping_add(1)), Action::Incr), &c))
+        .expect("an empty chain takes two entries");
+    [nop, incr, decr, chain]
 }
 
 /// Validate at the access router that holds `KA_ROOT` and shares `KAI_KEY`
@@ -221,8 +228,9 @@ fn check(fb: &Feedback, now: Nanos, flow: FlowPair) -> Result<(), FeedbackError>
     validate(fb, &mut TimeVaryingSecret::new(KA_ROOT), |_| Some(&kai), now, flow, W)
 }
 
-/// `fb` with bit `bit` of field `field` (0 ts, 1 token, 2 link) flipped;
-/// `nop` feedback has no link field, so there the link flip is a ts flip.
+/// `fb` with bit `bit` of field `field` (0 ts, 1 token, 2 link — a chain's
+/// first) flipped; `nop` feedback has no link field, so there the link flip
+/// is a ts flip.
 fn flip(fb: Feedback, field: u8, bit: u32) -> Feedback {
     let m = 1u32 << bit;
     match (fb, field) {
@@ -235,6 +243,16 @@ fn flip(fb: Feedback, field: u8, bit: u32) -> Feedback {
             token: if f == 1 { token ^ m } else { token },
             token_nop,
         },
+        (Feedback::Chain { ts, token, mut links, decr, len }, f) => {
+            links[0].0 ^= if f == 2 { m } else { 0 };
+            Feedback::Chain {
+                ts: if f == 0 { ts ^ m } else { ts },
+                token: if f == 1 { token ^ m } else { token },
+                links,
+                decr,
+                len,
+            }
+        }
     }
 }
 
@@ -246,18 +264,19 @@ proptest! {
         assert_eq!(Aes128::new(&key).encrypt(&block), oracle::encrypt(&key, &block));
     }
 
-    /// What was stamped validates, and the three equations are domain
-    /// separated: for one (flow, ts, link, key) the Eq. 1 and Eq. 2 tokens
-    /// differ, and a token of one kind presented as another kind, for
-    /// another link, or for the reversed flow never validates.
+    /// What was stamped validates, and the equations are domain separated:
+    /// for one (flow, ts, link, key) the Eq. 1 and Eq. 2 tokens differ, and
+    /// a token of one kind presented as another kind (`nop` as an empty
+    /// chain too), for another link, or for the reversed flow never
+    /// validates.
     #[test]
     fn tokens_are_bound_to_their_equation_link_and_flow(
         src: u32, dst: u32, link in 1u32.., other_link in 1u32.., secs in 0u64..300,
     ) {
         proptest::prop_assume!(src != dst && link != other_link);
         let (now, flow, link) = (secs * SEC, FlowPair::new(HostId(src), HostId(dst)), LinkId(link));
-        let [nop, incr, decr] = stamped(now, flow, link);
-        for fb in [nop, incr, decr] {
+        let [nop, incr, decr, chain] = stamped(now, flow, link);
+        for fb in [nop, incr, decr, chain] {
             assert_eq!(check(&fb, now, flow), Ok(()));
             assert!(check(&fb, now, flow.reversed()).is_err(), "{fb:?} for the swapped flow");
         }
@@ -274,6 +293,9 @@ proptest! {
             check(&Feedback::Nop { ts, token: t_incr }, now, flow),
             Err(FeedbackError::BadMac)
         );
+        let as_origin =
+            Feedback::Chain { ts, token: t_nop, links: [LinkId::NULL; CHAIN_CAP], decr: 0, len: 0 };
+        assert_eq!(check(&as_origin, now, flow), Err(FeedbackError::BadMac));
         for fb in [incr, decr] {
             let Feedback::Mon { action, ts, token, token_nop, .. } = fb else { unreachable!() };
             let moved = Feedback::Mon { link: LinkId(other_link), action, ts, token, token_nop };
@@ -311,8 +333,8 @@ proptest! {
         proptest::prop_assume!(ka_root != KA_ROOT && kai_key != KAI_KEY);
         let (now, flow, link) = (secs * SEC, FlowPair::new(HostId(1), HostId(2)), LinkId(7));
         let (kai, wrong_kai) = (Cmac::new(&KAI_KEY), Cmac::new(&kai_key));
-        let [nop, incr, decr] = stamped(now, flow, link);
-        for fb in [nop, incr, decr] {
+        let [nop, incr, decr, chain] = stamped(now, flow, link);
+        for fb in [nop, incr, decr, chain] {
             let mut wrong_ka = TimeVaryingSecret::new(ka_root);
             assert_eq!(
                 validate(&fb, &mut wrong_ka, |_| Some(&kai), now, flow, W),
@@ -322,23 +344,33 @@ proptest! {
             assert_eq!(check(&fb, now - 5 * SEC, flow), Err(FeedbackError::Expired));
             assert_eq!(check(&fb, now + W, flow), Ok(()), "the window edge is inside");
         }
-        let mut ka = TimeVaryingSecret::new(KA_ROOT);
-        assert_eq!(
-            validate(&decr, &mut ka, |_| Some(&wrong_kai), now, flow, W),
-            Err(FeedbackError::BadMac)
-        );
+        for fb in [decr, chain] {
+            let mut ka = TimeVaryingSecret::new(KA_ROOT);
+            assert_eq!(
+                validate(&fb, &mut ka, |_| Some(&wrong_kai), now, flow, W),
+                Err(FeedbackError::BadMac)
+            );
+        }
     }
 
     /// `validate` is total: arbitrary field values, times and windows give
     /// `Ok` or `Err`, never a panic.
     #[test]
     fn validate_never_panics(
-        fields in (0u8..3, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
+        fields in (0u8..4, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
         token_nop: u32, has_token_nop: bool, src: u32, dst: u32, now: u64, w: u64, known_as: bool,
     ) {
         let (kind, link, ts, token) = fields;
         let fb = match kind {
             0 => Feedback::Nop { ts, token },
+            // Any length, past the cap too, and any action bits.
+            3 => Feedback::Chain {
+                ts,
+                token,
+                links: [LinkId(link); CHAIN_CAP],
+                decr: token_nop as u8,
+                len: (token_nop >> 8) as u8 % 8,
+            },
             k => Feedback::Mon {
                 link: LinkId(link),
                 action: if k == 1 { Action::Incr } else { Action::Decr },
@@ -352,12 +384,14 @@ proptest! {
         let mut ka = TimeVaryingSecret::new(KA_ROOT);
         let _ = validate(&fb, &mut ka, |_| known_as.then_some(&kai), now, flow, w);
         let _ = stamp_decr(&kai, flow, LinkId(link), &fb);
+        let _ = stamp_link(&kai, flow, (LinkId(link), Action::Decr), &fb);
     }
 }
 
 /// Feedback stamped just before a `Ka` rotation still validates just after
-/// it — all three kinds. `L↓` did not: its `token_nop` was recomputed under
-/// the current epoch only.
+/// it — every kind. `L↓` did not: its `token_nop` was recomputed under the
+/// current epoch only; a chain's origin is retried under the previous epoch
+/// the same way.
 #[test]
 fn feedback_survives_a_ka_rotation() {
     let (flow, link) = (FlowPair::new(HostId(1), HostId(2)), LinkId(7));
@@ -369,11 +403,13 @@ fn feedback_survives_a_ka_rotation() {
         let incr = stamp_incr(&mut ka, before, flow, link);
         let decr_from_nop = stamp_decr(&kai, flow, link, &nop).expect("nop converts");
         let decr_from_incr = stamp_decr(&kai, flow, link, &incr).expect("L-up converts");
-        for fb in [nop, incr, decr_from_nop, decr_from_incr] {
+        let origin = stamp_origin(&mut ka, before, flow);
+        let chain = stamp_link(&kai, flow, (link, Action::Decr), &origin).expect("room");
+        for fb in [nop, incr, decr_from_nop, decr_from_incr, origin, chain] {
             assert_eq!(validate(&fb, &mut ka, |_| Some(&kai), after, flow, W), Ok(()), "{fb:?}");
         }
         // Two rotations on (and with an unbounded window) the key is gone.
-        for fb in [nop, decr_from_nop] {
+        for fb in [nop, decr_from_nop, chain] {
             assert_eq!(
                 validate(&fb, &mut ka, |_| Some(&kai), 2 * period + SEC, flow, u64::MAX),
                 Err(FeedbackError::BadMac)

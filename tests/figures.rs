@@ -5,16 +5,20 @@
 //! thresholds are the ones the claims were first checked at. The printed
 //! tables themselves are pinned by `tests/cli.rs::fast_goldens_match`.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use netfence::core::multi::{prefix_of, MultiBottleneck};
+use netfence::core::types::HostId;
 use netfence::experiments::chaos::{self, chaos_spec, ChaosFault, ChaosPoint, ChaosTopology};
 use netfence::experiments::deployment::deployment_spec;
-use netfence::experiments::fig10::{capacity_cases, fig10_spec};
+use netfence::experiments::fig10::{capacity_cases, fig10_spec, CapacityCase};
 use netfence::experiments::fig11::fig11_spec;
 use netfence::experiments::fig8::fig8_spec;
 use netfence::experiments::fig9::{fig9_spec, UserTraffic};
 use netfence::experiments::prelude::*;
 use netfence::experiments::reaction::{self, reaction_spec, ReactionKnobs};
 use netfence::experiments::tournament::{self, tournament_spec, TopologyKind, TournamentPoint};
-use netfence::sim::prelude::{secs, SEC};
+use netfence::sim::prelude::{secs, HostAddr, TelemetryConfig, SEC};
 
 fn run(spec: ScenarioSpec) -> Record {
     Runner::new(spec).run()
@@ -80,6 +84,77 @@ fn symmetric_case_gives_group_a_a_nontrivial_share() {
     assert!(attacker > 0.3 * fair, "attacker {attacker} vs fair {fair}");
     assert!(attacker < 2.0 * fair, "attacker {attacker} should stay near the fair share {fair}");
     assert!(r.group_avg_bps("A-users") >= 0.0);
+}
+
+// ---- Figures 13 and 14 (Appendix B) ----
+
+/// The `--quick` Figure 10 cell of `case` run under `design`, with the
+/// bottleneck links of the rate limiters each sender holds at its end (the
+/// last timeline probe).
+fn limiters_at_end(
+    design: MultiBottleneck,
+    case: CapacityCase,
+) -> (Record, BTreeMap<HostAddr, BTreeSet<u32>>) {
+    let scale = Scale { sim_time: 80 * SEC, ..Scale::tiny() };
+    let mut spec = fig10_spec(&scale, DefenseKind::NetFence, case);
+    spec.defense.netfence.multi_bottleneck = design;
+    let timeline = TelemetryConfig { timeline: true, trace_sample_shift: None };
+    let (record, dump) = Runner::new(spec.sampled(40 * SEC).traced(timeline)).run_with_telemetry();
+    // Rows read `{"at":T,"series":"aimd_rate_bps","key":"src:S/link:L",…}`.
+    let field = |row: &str, name: &str| -> u64 {
+        let rest = &row[row.find(name).expect("field present") + name.len()..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().unwrap()
+    };
+    let rows: Vec<&str> =
+        dump.timeline_jsonl.lines().filter(|r| r.contains("\"aimd_rate_bps\"")).collect();
+    let last = rows.iter().map(|r| field(r, "\"at\":")).max().expect("limiters were probed");
+    let mut links: BTreeMap<HostAddr, BTreeSet<u32>> = BTreeMap::new();
+    for row in rows.iter().filter(|r| field(r, "\"at\":") == last) {
+        let src = u32::try_from(field(row, "src:")).unwrap();
+        links.entry(src).or_default().insert(u32::try_from(field(row, "link:")).unwrap());
+    }
+    (record, links)
+}
+
+/// Under an Appendix B design every Group-A sender (crossing L1 and L2)
+/// ends with a limiter for each link, and every Group-B or -C sender with
+/// only its own link's. `invalid[i]` is the feedback case `i` demotes.
+fn appendix_b_polices_every_link(design: MultiBottleneck, invalid: [u64; 3]) {
+    let per_group = Scale::tiny().hosts_per_as.max(4);
+    for (case, invalid) in capacity_cases(2 * per_group, 80_000).into_iter().zip(invalid) {
+        let (record, limiters) = limiters_at_end(design, case);
+        let lot = TopoSpec::ParkingLot {
+            per_group,
+            legit_per_group: 1,
+            l1_bps: case.l1_bps,
+            l2_bps: case.l2_bps,
+        }
+        .build();
+        let [l1, l2] = [0, 1].map(|i| lot.bottlenecks[i].addr);
+        let [a, b, c] = &lot.groups[..] else { panic!("three groups") };
+        for (group, want) in [(a, vec![l1, l2]), (b, vec![l2]), (c, vec![l1])] {
+            for sender in group.senders() {
+                let got: Vec<u32> = limiters.get(&sender).into_iter().flatten().copied().collect();
+                assert_eq!(got, want, "{design:?} {}: sender {sender:#x}", case.label);
+            }
+        }
+        // B.2 caches per destination /24: Group A's and Group C's stay apart.
+        assert_ne!(prefix_of(HostId(a.victim)), prefix_of(HostId(c.victim)));
+        assert_ne!(prefix_of(HostId(a.colluders[0])), prefix_of(HostId(c.colluders[0])));
+        assert_eq!(record.report.invalid_feedback, invalid, "{design:?} {}", case.label);
+    }
+}
+
+#[test]
+fn multi_feedback_gives_group_a_a_limiter_per_link() {
+    appendix_b_polices_every_link(MultiBottleneck::MultiFeedback, [0, 0, 0]);
+}
+
+/// One Group-C `L↑` at 160M-240M is presented 1 ms before it expires and
+/// validated after: the host link's delay, not a B.2 fault (CHANGES.md).
+#[test]
+fn inference_gives_group_a_a_limiter_per_link() {
+    appendix_b_polices_every_link(MultiBottleneck::Inference, [0, 0, 1]);
 }
 
 // ---- Figure 11 ----
